@@ -3,13 +3,15 @@
 Two interchangeable implementations of the pairwise-kernel and
 mixture-enumeration primitives:
 
-* ``numba`` -- ``@njit``-compiled loops (default when numba imports).
-* ``numpy`` -- vectorized/chunked pure-NumPy fallback.
+* ``numba`` -- ``@njit``-compiled loops, selected when numba imports.
+* ``numpy`` -- vectorized/chunked pure-NumPy path, which is what runs
+  whenever numba is not installed.
 
 Set ``WSMGP_NUMBA=0`` in the environment to force the NumPy path.  Both
-implementations are importable side by side (see ``benchmarks/``); the
-module-level ``qform``, ``gauss_gram`` and ``enumerate_mixture`` names
-point at the selected one.
+implementations are importable side by side; the module-level
+``qform``, ``gauss_gram`` and ``enumerate_mixture`` names point at the
+selected one.  The benchmark in ``perfbench/`` records which backend
+ran; its figures so far were all measured on the NumPy path.
 """
 
 import os

@@ -96,7 +96,6 @@ def model_config_from(cfg_map, args):
 
 def optimizer_config_from(cfg_map, seed):
     return OptimizerConfig(
-        method=_get(cfg_map, "method", str, "quasi-newton"),
         max_iter=_get(cfg_map, "maxIter", int, 200),
         tol_rel_bound=_get(cfg_map, "tolRelBound", float, 1e-7),
         em_outer_iters=_get(cfg_map, "emOuterIters", int, 30),

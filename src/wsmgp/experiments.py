@@ -357,7 +357,8 @@ def ingest_csv(path, n_outputs=None):
     """Read a dataset CSV: x columns, y, label (empty = unlabeled), pi_* priors.
 
     The header row is required; row order is preserved; malformed cells
-    raise with their 1-based line number.
+    raise with their 1-based line number.  pi_* cells may be empty on
+    unlabeled rows only.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -392,8 +393,12 @@ def ingest_csv(path, n_outputs=None):
                 )
         labels.append(lab)
         if pi_cols:
+            # unlabeled rows carry no prior, and write_csv leaves their cells empty
             try:
-                priors.append([float(row[i]) for i in pi_cols])
+                priors.append([
+                    np.nan if lab == 0 and row[i].strip() == "" else float(row[i])
+                    for i in pi_cols
+                ])
             except ValueError as exc:
                 raise CsvFormatError("%s: line %d: %s" % (path, lineno, exc))
     X = np.asarray(X)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import digamma
 
 from . import engine, kernels
-from .bounds import build_cvb_system, compute_D, vterm_rows
+from .bounds import build_cvb_system, compute_D, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig, floor_simplex
 from .svi import _jittered_kuu, expected_loglik_terms, gaussian_kl_u
@@ -62,23 +62,23 @@ def softmax_chain(pi, grad_pi):
 # ---------------------------------------------------------------------------
 
 
-def vterm_partials(state, ds: Dataset, cfg: ModelConfig, noise):
-    """Raw partials of V: (dPi (N, M), dAlpha0, dSigma (M,)), constrained coords.
+def vterm_partials(state, ds: Dataset, cfg: ModelConfig, noise, rows=None):
+    """Raw partials of V: (dPi (|rows|, M), dAlpha0, dSigma (M,)), constrained coords.
 
-    dPi rows may contain row-constant components; the softmax chain
-    removes them.  dAlpha0 accounts for the analytic optimum
-    alpha_hat = alpha0 + pi_hat moving with alpha0.
+    Only the V rows selected by `rows` (all N when None) are
+    differentiated.  dPi rows may contain row-constant components; the
+    softmax chain removes them.  dAlpha0 accounts for the analytic
+    optimum alpha_hat = alpha0 + pi_hat moving with alpha0.
     """
-    pi = state.pi_hat
-    N, M = pi.shape
+    pi, labeled, prior_pi = select_rows(state, ds, rows)
+    M = pi.shape[1]
     sig2 = noise.sigma**2
     log2pis = np.log(2.0 * np.pi * sig2)
     # third term: 0.5 * sum (1 - pi) log(2 pi sigma^2) - log pi
     d_pi = 0.5 * (-log2pis[None, :] - 1.0 / pi)
     d_sigma = np.sum(1.0 - pi, axis=0)  # already in log-sigma coords
-    labeled = ds.labeled_mask
     if np.any(labeled):
-        prior = floor_simplex(ds.prior_pi[labeled])
+        prior = floor_simplex(prior_pi[labeled])
         d_pi[labeled] += -(np.log(pi[labeled]) - np.log(prior) + 1.0)
     d_alpha0 = 0.0
     if np.any(~labeled):
@@ -245,7 +245,12 @@ def scmgp_loglik_with_grad(ds, cfg, hp):
 
 
 def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
-    """Stochastic bound value and gradient (mini-batch scaled like the bound)."""
+    """Stochastic bound value and gradient (mini-batch scaled like the bound).
+
+    Only the batch rows of the data are read.  Rows of d_pi_logits
+    outside the batch are zero, and d_alpha0 and d_sigma count only the
+    batch rows (scaled by N/|batch|).
+    """
     if not isinstance(hp, HyperParams):
         raise TypeError("the stochastic bound requires the convolved sparse model")
     kuu, cho = _jittered_kuu(hp)
@@ -293,36 +298,18 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
         # d/d dtil of the per-datum term, chained to sigma and pi below
         resid2 = (yb - mu) ** 2
         dD_cols.append(0.5 / dtil - 0.5 * (resid2 + var))
-    # V rows restricted to the batch
-    v_pi, v_alpha0_full, v_sigma_full = vterm_partials(state, ds, cfg, hp.noise)
-    v_rows = vterm_rows(state, ds, cfg, hp.noise)
-    value += float(np.sum(v_rows[rows_idx]))
-
-    d_pi_raw = np.zeros_like(state.pi_hat)
-    d_pi_raw[rows_idx] = v_pi[rows_idx]
+    # V rows of the batch only: nothing outside it is read
+    d_pi_raw, d_alpha0, _ = vterm_partials(state, ds, cfg, hp.noise, rows=rows_idx)
+    value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=rows_idx)))
     d_sigma = np.zeros(cfg.M)
     for m in range(cfg.M):
         dtil_dpi = 1.0 / hp.noise.sigma[m] ** 2
-        d_pi_raw[rows_idx, m] += dD_cols[m] * dtil_dpi
+        d_pi_raw[:, m] += dD_cols[m] * dtil_dpi
         # log-sigma chain: d dtil/d log sigma = -2 pi/sigma^2
         d_sigma[m] += float(np.sum(dD_cols[m] * (-2.0 * pi_b[:, m] / hp.noise.sigma[m] ** 2)))
-        d_sigma[m] += float(np.sum(1.0 - pi_b[:, m]))  # third-term rows in batch
-    if cfg.use_dirichlet and np.any(~ds.labeled_mask):
-        # alpha0 partial restricted to unlabeled batch rows
-        unl = ~ds.labeled_mask
-        sel = unl.copy()
-        sel[np.setdiff1d(np.arange(ds.n), rows_idx)] = False
-        pu = state.pi_hat[sel]
-        n_u = pu.shape[0]
-        a0 = cfg.alpha0
-        d_alpha0 = float(
-            np.sum(digamma(a0 + pu))
-            - n_u * cfg.M * digamma(cfg.M * a0 + 1.0)
-            - n_u * cfg.M * digamma(a0)
-            + n_u * cfg.M * digamma(cfg.M * a0)
-        )
-    else:
-        d_alpha0 = 0.0
+        # third-term rows in batch; summed per output, since the axis-0 sum
+        # of vterm_partials rounds differently
+        d_sigma[m] += float(np.sum(1.0 - pi_b[:, m]))
 
     # scale data terms, then subtract the (unscaled) KL and its gradients
     value *= scale
@@ -332,6 +319,8 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
     d_sigma *= scale
     d_pi_raw *= scale
     d_alpha0 *= scale
+    d_pi_logits = np.zeros_like(state.pi_hat)
+    d_pi_logits[rows_idx] = softmax_chain(pi_b, d_pi_raw)
     mg = engine.MatrixGrads(
         dE_blocks=[None] * cfg.M,
         dKfu_blocks=[scale * b for b in dKfu_blocks],
@@ -362,7 +351,7 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
         d_Lm=d_Lm,
         d_L=d_L,
         d_sigma=d_sigma,
-        d_pi_logits=softmax_chain(state.pi_hat, d_pi_raw),
+        d_pi_logits=d_pi_logits,
         d_alpha0=d_alpha0 * cfg.alpha0 if cfg.use_dirichlet else 0.0,
         d_mu_u=d_mu_u,
         d_su_chol=d_Lc,

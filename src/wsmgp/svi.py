@@ -7,10 +7,13 @@ q(u) = N(mu_u, Su):
     sum_{n,m} E[log N(y_n | [f_m]_n, sigma_m^2 / pi_hat[n,m])]
     - KL(q(u) || p(u)) + V.
 
-Only marginal means/variances of q(f_m) are ever materialized, so a
+Only marginal means/variances of q(f_m) are ever materialized, and the
+per-row parts of V are evaluated on the batch rows alone, so a
 mini-batch evaluation costs O(Q^3) for the KL plus O(|batch| M Q^2) for
-the data terms; per-observation terms (including the per-row parts of V)
-are rescaled by N/|batch| while the KL term is not.
+the data and V terms; per-observation terms are rescaled by N/|batch|
+while the KL term is not.  Still O(N) per step: the zero (N, M) logit
+gradient that the batch rows are scattered into, and, in the trainer,
+decoding all N logit rows and the dense Adam update.
 """
 
 from dataclasses import dataclass
@@ -102,9 +105,9 @@ def elbo_svb(ds, cfg, hp, state, batch=None):
         data += float(
             np.sum(expected_loglik_terms(yb, mu, var, pi_b[:, m], hp.noise.sigma[m]))
         )
-    v_rows = vterm_rows(state, ds, cfg, hp.noise)
+    v_rows = vterm_rows(state, ds, cfg, hp.noise, rows=rows)
     kl = gaussian_kl_u(state.mu_u, state.Su, kuu)
-    return scale * (data + float(np.sum(v_rows[rows]))) - kl
+    return scale * (data + float(np.sum(v_rows))) - kl
 
 
 def optimal_qu(ds, cfg, hp, state):

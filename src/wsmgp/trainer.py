@@ -3,10 +3,10 @@
 The collapsed bound is maximized with L-BFGS-B over a single flat vector
 of unconstrained parameters (log precisions, log noise, free amplitudes,
 row-softmax logits with one pinned logit per row, log alpha0).  The
-stochastic bound is handled with variational EM: alternating blocks of
+stochastic bound is handled with variational EM: blocks of mini-batch
 Adam steps on the variational parameters (assignment logits, inducing
-posterior) and on the hyperparameters, with mini-batch gradients and a
-1/sqrt(t) step-size decay.
+posterior) with a 1/sqrt(t) step-size decay, alternating with full-batch
+L-BFGS-B steps on the hyperparameters.
 """
 
 import time
@@ -32,7 +32,6 @@ from .model import Dataset, ModelConfig, VariationalState, floor_simplex, init_s
 class OptimizerConfig:
     """Optimization settings (none of these are prescribed by the model)."""
 
-    method: str = "quasi-newton"  # or "adaptive-first-order"
     max_iter: int = 200
     tol_rel_bound: float = 1e-7
     em_outer_iters: int = 30

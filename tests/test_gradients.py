@@ -1,12 +1,14 @@
 """Finite-difference verification of every analytic gradient path."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
-from wsmgp import checks, gradients
-from wsmgp.bounds import scmgp_loglik
+from wsmgp import checks, gradients, svi
+from wsmgp.bounds import scmgp_loglik, vterm_rows
 from wsmgp.gradients import finite_diff_check
 from wsmgp.kernels import (
     HyperParams,
@@ -15,7 +17,7 @@ from wsmgp.kernels import (
     NoiseParams,
     OutputKernelParams,
 )
-from wsmgp.model import make_dataset, ModelConfig, refresh_alpha_hat
+from wsmgp.model import Dataset, make_dataset, ModelConfig, refresh_alpha_hat
 from wsmgp.trainer import _state_with
 
 
@@ -178,3 +180,91 @@ class TestGradVterm:
         refresh_alpha_hat(state, ds, cfg.alpha0)
         rep = checks.gradcheck_vterm(9)
         assert rep.max_rel_error < 1e-6
+
+
+def _batch_instance(use_dirichlet):
+    ds, cfg, hp, state = checks.random_instance(21, n=12, M=3, Q=3)
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(3, 3))
+    state.Su = 0.5 * np.eye(3) + A @ A.T / 3
+    state.mu_u = rng.normal(size=3)
+    return ds, replace(cfg, use_dirichlet=use_dirichlet), hp, state
+
+
+def _batch(ds, kind):
+    """Five rows, unsorted: all labeled, all unlabeled, or both kinds."""
+    lab = np.flatnonzero(ds.labeled_mask)[::-1]
+    unl = np.flatnonzero(~ds.labeled_mask)[::-1]
+    return {"labeled": lab[:5], "unlabeled": unl[:5],
+            "mixed": np.concatenate([unl[:3], lab[:2]])}[kind]
+
+
+_BATCH_CASES = pytest.mark.parametrize(
+    "kind,use_dirichlet",
+    list(itertools.product(["labeled", "unlabeled", "mixed"], [True, False])),
+)
+
+
+class TestBatchRows:
+    """A mini-batch evaluation reads, differentiates and scales only its rows."""
+
+    @_BATCH_CASES
+    def test_vterm_rows_restriction(self, kind, use_dirichlet):
+        ds, cfg, hp, state = _batch_instance(use_dirichlet)
+        rows = _batch(ds, kind)
+        np.testing.assert_array_equal(
+            vterm_rows(state, ds, cfg, hp.noise, rows=rows),
+            vterm_rows(state, ds, cfg, hp.noise)[rows],
+        )
+
+    @_BATCH_CASES
+    def test_vterm_partials_restriction(self, kind, use_dirichlet):
+        ds, cfg, hp, state = _batch_instance(use_dirichlet)
+        rows = _batch(ds, kind)
+        d_pi, d_alpha0, d_sigma = gradients.vterm_partials(
+            state, ds, cfg, hp.noise, rows=rows
+        )
+        full_pi, _, _ = gradients.vterm_partials(state, ds, cfg, hp.noise)
+        np.testing.assert_array_equal(d_pi, full_pi[rows])
+        pi_b = state.pi_hat[rows]
+        per_output = [np.sum(1.0 - pi_b[:, m]) for m in range(cfg.M)]
+        np.testing.assert_allclose(d_sigma, per_output, rtol=1e-14)
+        # alpha0 partial over the unlabeled batch rows, summed in row order
+        in_batch = np.zeros(ds.n, dtype=bool)
+        in_batch[rows] = True
+        pu = state.pi_hat[in_batch & ~ds.labeled_mask]
+        n_u, M, a0 = pu.shape[0], cfg.M, cfg.alpha0
+        expect = 0.0
+        if use_dirichlet:
+            expect = (np.sum(digamma(a0 + pu)) - n_u * M * digamma(M * a0 + 1.0)
+                      - n_u * M * digamma(a0) + n_u * M * digamma(M * a0))
+        np.testing.assert_allclose(d_alpha0, expect, rtol=1e-13, atol=1e-13)
+
+    @_BATCH_CASES
+    def test_rows_outside_batch_are_not_read(self, kind, use_dirichlet):
+        ds, cfg, hp, state = _batch_instance(use_dirichlet)
+        rows = _batch(ds, kind)
+        outside = np.ones(ds.n, dtype=bool)
+        outside[rows] = False
+        prior = ds.prior_pi.copy()
+        prior[outside] = np.nan
+        ds_p = Dataset(X=ds.X, y=ds.y, labels=ds.labels, prior_pi=prior)
+        pi = state.pi_hat.copy()
+        pi[outside] = np.nan
+        state_p = replace(state, pi_hat=pi)
+
+        value, bundle = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=rows)
+        value_p, bundle_p = gradients.elbo_svb_with_grad(ds_p, cfg, hp, state_p, batch=rows)
+        assert np.isfinite(value_p) and value_p == value
+        for name, g in vars(bundle).items():
+            g_p = getattr(bundle_p, name)
+            if g is None:
+                assert g_p is None
+                continue
+            assert np.all(np.isfinite(g_p)), name
+            np.testing.assert_array_equal(g_p, g, err_msg=name)
+        assert np.all(bundle_p.d_pi_logits[outside] == 0.0)
+
+        svb_p = svi.elbo_svb(ds_p, cfg, hp, state_p, batch=rows)
+        assert np.isfinite(svb_p)
+        assert svb_p == svi.elbo_svb(ds, cfg, hp, state, batch=rows)
