@@ -43,7 +43,7 @@ from .model import (
 )
 from .predict import Prediction, posterior_predict
 from .svi import QfMoments, elbo_svb, gaussian_kl_u, optimal_qu, qf_moments
-from .trainer import FitReport, OptimizerConfig, fit_cvb, fit_svb_em, transform_params
+from .trainer import FitReport, OptimizerConfig, fit_cvb, fit_svb_em
 from .experiments import (
     SyntheticConfig,
     generate_synthetic,

@@ -11,17 +11,50 @@ structure at all (Kfu absent, B_m a dense per-output kernel block).
 Exploiting the block structure, one evaluation costs
 O(sum_m n_m^3 + (sum_m n_m) Q^2), matching the cost the bound is
 documented to have.
+
+Which BLAS runs the products: every matrix-matrix product with an
+n_m-row operand goes through `_gemm`, i.e. scipy's `dgemm`, the same
+OpenBLAS that runs the `cho_factor` / `cho_solve` calls here.  The numpy
+and scipy wheels each bundle their own OpenBLAS with its own thread
+pool; when an evaluation alternates between the two, both pools spin on
+the same cores and the small factorizations wait on the other pool's
+busy threads (at N = 144 and 2 threads this made one collapsed-bound
+evaluation three to four times slower than at 1 thread).  `_gemm` makes
+the same Fortran call numpy's `@` makes for these operands, so values
+are unchanged.  Products of Q x Q matrices, matrix-vector products,
+`np.outer` and elementwise work stay in numpy: their size does not grow
+with N.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dgemm
 
 from . import kernels
 from .kernels import HyperParams, IndependentSEHyperParams
 
 _LOG2PI = float(np.log(2.0 * np.pi))
+
+
+def _gemm(a, b):
+    """a @ b for 2-D float arrays, computed by scipy's BLAS.
+
+    Like numpy's matmul, it forms the column-major product b' a' on the
+    operands' own buffers: a C-ordered operand enters untransposed, an
+    F-ordered one transposed, and anything else is copied to C order.
+    """
+    a_t, trans_a = _as_fortran_operand(a)
+    b_t, trans_b = _as_fortran_operand(b)
+    return dgemm(1.0, b_t, a_t, trans_a=trans_b, trans_b=trans_a).T
+
+
+def _as_fortran_operand(x):
+    """(buffer view, transpose flag) presenting x' to a column-major dgemm."""
+    if not x.flags.c_contiguous and x.flags.f_contiguous:
+        return x, 1
+    return np.ascontiguousarray(x, dtype=float).T, 0
 
 
 @dataclass
@@ -72,7 +105,7 @@ def build_system(X, y, hp, rows, d_blocks):
         for r, out in zip(rows, hp.outputs):
             Kfu_m = kernels.kfu_matrix(X[r], hp.inducing.W, out, hp.latent)
             Kff_m = kernels.kff_matrix(X[r], X[r], out, out, hp.latent)
-            B_m = Kff_m - Kfu_m @ cho_solve(cho_Kuu, Kfu_m.T)
+            B_m = Kff_m - _gemm(Kfu_m, cho_solve(cho_Kuu, Kfu_m.T))
             B_blocks.append(0.5 * (B_m + B_m.T))
             Kfu_blocks.append(Kfu_m)
     else:
@@ -99,7 +132,7 @@ def build_system(X, y, hp, rows, d_blocks):
         beta = np.zeros(Q)
         for m in range(len(rows)):
             if Kfu_blocks[m].shape[0]:
-                A += Kfu_blocks[m].T @ V[m]
+                A += _gemm(Kfu_blocks[m].T, V[m])
                 beta += Kfu_blocks[m].T @ alpha[m]
         A = 0.5 * (A + A.T)
         cho_A = cho_factor(A, lower=True)
@@ -199,27 +232,18 @@ def gauss_loglik_grads(sys: StackedSystem):
             continue
         Em_inv = cho_solve(sys.cho_E[m], np.eye(n_m))
         Vm = sys.V[m]
-        G_mm = Em_inv - Vm @ Ainv @ Vm.T - np.outer(r[m], r[m])
+        G_mm = Em_inv - _gemm(_gemm(Vm, Ainv), Vm.T) - np.outer(r[m], r[m])
         dE.append(-0.5 * G_mm)
         Kfu_m = sys.Kfu_blocks[m]
-        M1_m = Kfu_m.T @ Vm
+        M1_m = _gemm(Kfu_m.T, Vm)
         s_m = Kfu_m.T @ r[m]
         KufGpKfu += M1_m - M1_m @ Ainv @ M1_m - np.outer(s_m, s_m)
         # (G Kfu)_m and the residual-path correction +G_mm Kfu_m
-        GKfu_m = Vm - Vm @ (Ainv @ M1) - np.outer(r[m], s)
-        dKfu_m = (-GKfu_m + G_mm @ Kfu_m) @ Kuu_inv
+        GKfu_m = Vm - _gemm(Vm, Ainv @ M1) - np.outer(r[m], s)
+        dKfu_m = _gemm(-GKfu_m + _gemm(G_mm, Kfu_m), Kuu_inv)
         dKfu.append(dKfu_m)
     dKuu = 0.5 * Kuu_inv @ (KufGKfu - KufGpKfu) @ Kuu_inv
     return MatrixGrads(dE_blocks=dE, dKfu_blocks=dKfu, dKuu=dKuu)
-
-
-def predictive_weights(sys: StackedSystem):
-    """Pieces reused by the posterior predictor.
-
-    Returns (c, Ainv_applied) where mean_m(x*) = K_{f*_m,u} c under the
-    default full-data weighting of the stacked observations.
-    """
-    return sys.c
 
 
 def solve_A(sys: StackedSystem, B):

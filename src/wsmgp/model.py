@@ -122,8 +122,11 @@ def floor_simplex(rows, eps=EPS_PI):
     rows = np.asarray(rows, dtype=float)
     if rows.min() >= eps:
         return rows
-    out = np.maximum(rows, eps)
-    return out / out.sum(axis=1, keepdims=True)
+    hit = np.unique(np.nonzero(rows < eps)[0])
+    out = rows.copy()
+    clamped = np.maximum(rows[hit], eps)
+    out[hit] = clamped / clamped.sum(axis=1, keepdims=True)
+    return out
 
 
 def validate_dataset(ds: Dataset, cfg: ModelConfig):

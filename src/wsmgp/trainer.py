@@ -583,16 +583,3 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         seed=opt_cfg.seed,
     )
 
-
-def transform_params(values, direction, transform):
-    """Scalar transform helper: bijections used by the packers.
-
-    transform in {"log", "identity"}; direction in
-    {"to_unconstrained", "to_constrained"}.
-    """
-    v = np.asarray(values, dtype=float)
-    if transform == "identity":
-        return v
-    if transform == "log":
-        return np.log(v) if direction == "to_unconstrained" else np.exp(v)
-    raise ValueError("unknown transform %r" % transform)

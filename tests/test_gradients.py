@@ -17,7 +17,14 @@ from wsmgp.kernels import (
     NoiseParams,
     OutputKernelParams,
 )
-from wsmgp.model import Dataset, make_dataset, ModelConfig, refresh_alpha_hat
+from wsmgp.model import (
+    EPS_PI,
+    Dataset,
+    make_dataset,
+    ModelConfig,
+    floor_simplex,
+    refresh_alpha_hat,
+)
 from wsmgp.trainer import _state_with
 
 
@@ -268,3 +275,37 @@ class TestBatchRows:
         svb_p = svi.elbo_svb(ds_p, cfg, hp, state_p, batch=rows)
         assert np.isfinite(svb_p)
         assert svb_p == svi.elbo_svb(ds, cfg, hp, state, batch=rows)
+
+    @pytest.mark.parametrize("with_hard_row", [True, False])
+    def test_vterm_rows_restriction_with_a_hard_prior_row(self, with_hard_row):
+        # one labeled prior row one-hot: flooring it must not move the
+        # other rows, so a batch's values do not depend on its other rows
+        ds, cfg, hp, state = _batch_instance(True)
+        ds_h, hard = _with_hard_prior_row(ds)
+        others = np.flatnonzero(np.arange(ds.n) != hard)[::-1]
+        rows = np.concatenate([others[:4], [hard], others[4:]]) if with_hard_row else others
+        np.testing.assert_array_equal(
+            vterm_rows(state, ds_h, cfg, hp.noise, rows=rows),
+            vterm_rows(state, ds_h, cfg, hp.noise)[rows],
+        )
+
+    def test_floor_leaves_rows_above_the_floor_unchanged(self):
+        ds, _, _, _ = _batch_instance(True)
+        ds_h, hard = _with_hard_prior_row(ds)
+        labeled = np.flatnonzero(ds_h.labeled_mask)
+        prior = ds_h.prior_pi[labeled]
+        floored = floor_simplex(prior)
+        soft = labeled != hard
+        assert np.all(prior[soft] >= EPS_PI)
+        np.testing.assert_array_equal(floored[soft], prior[soft])
+        assert floored[~soft].min() >= 0.5 * EPS_PI
+        assert floored[~soft].sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def _with_hard_prior_row(ds):
+    """ds with its first labeled prior row set one-hot; (dataset, that row)."""
+    hard = np.flatnonzero(ds.labeled_mask)[0]
+    prior = ds.prior_pi.copy()
+    prior[hard] = 0.0
+    prior[hard, ds.labels[hard] - 1] = 1.0
+    return Dataset(X=ds.X, y=ds.y, labels=ds.labels, prior_pi=prior), hard
