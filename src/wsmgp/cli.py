@@ -8,6 +8,7 @@ comment.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -178,12 +179,27 @@ def hp_from_json(d):
     )
 
 
-def save_model(path, report, cfg):
+class DataMismatchError(ValueError):
+    """The dataset given to predict is not the one the model was fitted to."""
+
+
+def data_fingerprint(ds):
+    """N and a sha256 over the shapes and bytes of X, y and the labels."""
+    h = hashlib.sha256()
+    for a in (ds.X.astype("<f8"), ds.y.astype("<f8"), ds.labels.astype("<i8")):
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return {"n": int(ds.n), "sha256": h.hexdigest()}
+
+
+def save_model(path, report, cfg, ds):
+    """Write model.json, recording the fingerprint of the data `ds` it was fitted to."""
     doc = {
         "hp": hp_to_json(report.final_hp),
         "alpha0": report.final_alpha0,
         "config": {"M": cfg.M, "Q": cfg.Q, "useDirichlet": cfg.use_dirichlet},
         "bound": report.bound_trajectory[-1],
+        "data": data_fingerprint(ds),
     }
     if report.final_state is not None:
         doc["state"] = {
@@ -196,7 +212,14 @@ def save_model(path, report, cfg):
         fh.write("\n")
 
 
+def _describe(fp):
+    if fp is None:
+        return "no data fingerprint"
+    return "N=%d sha256=%s" % (fp["n"], fp["sha256"])
+
+
 def load_model(path):
+    """(hp, cfg, state, fingerprint of the training data or None) from model.json."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     hp = hp_from_json(doc["hp"])
@@ -216,7 +239,7 @@ def load_model(path):
             mu_u=np.array(st["mu_u"]),
             Su=np.array(st["Su"]),
         )
-    return hp, cfg, state
+    return hp, cfg, state, doc.get("data")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +269,7 @@ def cmd_fit(args):
     opt = optimizer_config_from(cfg_map, args.seed)
     report = fit_model(args.model, ds, cfg, opt, bound=args.bound)
     os.makedirs(args.out, exist_ok=True)
-    save_model(os.path.join(args.out, "model.json"), report, cfg)
+    save_model(os.path.join(args.out, "model.json"), report, cfg, ds)
     xr = _get_list(cfg_map, "xRange", float, [float(ds.X.min()), float(ds.X.max())])
     grid = np.linspace(xr[0], xr[1], EVAL_GRID_SIZE)[:, None]
     pred = posterior_predict(ds, cfg, report.final_hp, report.final_state, grid)
@@ -277,8 +300,14 @@ def cmd_fit(args):
 
 def cmd_predict(args):
     cfg_map = parse_config(args.config)
-    hp, cfg, state = load_model(args.params)
+    hp, cfg, state, fitted_to = load_model(args.params)
     ds = ingest_csv(args.data, n_outputs=cfg.M)
+    given = data_fingerprint(ds)
+    if fitted_to != given:
+        raise DataMismatchError(
+            "%s was fitted to other data: the model records %s, %s is %s"
+            % (args.params, _describe(fitted_to), args.data, _describe(given))
+        )
     xr = _get_list(cfg_map, "xRange", float, [float(ds.X.min()), float(ds.X.max())])
     grid = np.linspace(xr[0], xr[1], EVAL_GRID_SIZE)[:, None]
     pred = posterior_predict(ds, cfg, hp, state, grid)

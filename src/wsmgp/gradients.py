@@ -14,15 +14,17 @@ differences were treated as the arbiter.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.special import digamma
 
 from . import engine, kernels
 from .bounds import build_cvb_system, compute_D, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig, floor_simplex
-from .svi import _jittered_kuu, expected_loglik_terms, gaussian_kl_u
+from .svi import _jittered_kuu, _moments_from_blocks, expected_loglik_terms, gaussian_kl_u
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -70,7 +72,11 @@ def vterm_partials(state, ds: Dataset, cfg: ModelConfig, noise, rows=None):
     softmax chain removes them.  dAlpha0 accounts for the analytic
     optimum alpha_hat = alpha0 + pi_hat moving with alpha0.
     """
-    pi, labeled, prior_pi = select_rows(state, ds, rows)
+    return _vterm_partials(*select_rows(state, ds, rows), cfg, noise)
+
+
+def _vterm_partials(pi, labeled, prior_pi, cfg, noise):
+    """vterm_partials on rows already selected: their pi, labeled mask and prior."""
     M = pi.shape[1]
     sig2 = noise.sigma**2
     log2pis = np.log(2.0 * np.pi * sig2)
@@ -244,6 +250,65 @@ def scmgp_loglik_with_grad(ds, cfg, hp):
 # ---------------------------------------------------------------------------
 
 
+class _OutputTerms(NamedTuple):
+    """One output's moments of q(f_m) at the rows, and its data-term weights.
+
+    With dtil = pi_m / sigma_m^2: a = dtil (y - mu), w = -dtil / 2, and
+    dD = d/d dtil of each row's expected log-likelihood.
+    """
+
+    kfu: np.ndarray
+    phi: np.ndarray  # Kfu Kuu^-1
+    mu: np.ndarray
+    var: np.ndarray
+    a: np.ndarray
+    w: np.ndarray
+    dD: np.ndarray
+
+
+def _svb_data_partials(X, y, pi, hp, cho, mu_u, Su):
+    """The data term's per-output moments and variational partials at the given rows.
+
+    The moments come from svi._moments_from_blocks.  Returns
+    (per-output _OutputTerms, d_mu_u, d_S (Q, Q), d_pi (rows, M)), none
+    of them scaled.
+    """
+    Q = len(mu_u)
+    d_mu_u = np.zeros(Q)
+    d_S = np.zeros((Q, Q))
+    d_pi = np.empty_like(pi)
+    terms = []
+    for m, out in enumerate(hp.outputs):
+        kfu = kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent)
+        kffd = np.full(X.shape[0], kernels.kff_diag_value(out, hp.latent))
+        mu, var, phi = _moments_from_blocks(cho, kfu, kffd, mu_u, Su)
+        sig2 = hp.noise.sigma[m] ** 2
+        dtil = pi[:, m] / sig2
+        a = dtil * (y - mu)
+        w = -0.5 * dtil
+        d_mu_u += phi.T @ a
+        d_S += phi.T @ (phi * w[:, None])
+        resid2 = (y - mu) ** 2
+        dD = 0.5 / dtil - 0.5 * (resid2 + var)
+        d_pi[:, m] = dD * (1.0 / sig2)
+        terms.append(_OutputTerms(kfu, phi, mu, var, a, w, dD))
+    return terms, d_mu_u, d_S, d_pi
+
+
+def _svb_qu_grads(d_mu_u, d_S, cho, kuu_inv, mu_u, Su):
+    """Add the KL's partials to the scaled data partials of q(u); chain Su to chol(Su).
+
+    Su = Lc Lc' with a log-diagonal parameterization.  Returns
+    (d_mu_u, d_su_chol); the inputs are updated in place.
+    """
+    d_mu_u -= cho_solve(cho, mu_u)
+    d_S -= 0.5 * (kuu_inv - np.linalg.inv(Su))
+    Lc = np.linalg.cholesky(Su)
+    d_Lc = np.tril((d_S + d_S.T) @ Lc)
+    d_Lc[np.diag_indices(len(mu_u))] *= np.diag(Lc)
+    return d_mu_u, d_Lc
+
+
 def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
     """Stochastic bound value and gradient (mini-batch scaled like the bound).
 
@@ -261,52 +326,32 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
     else:
         rows_idx = np.asarray(batch, dtype=int)
         scale = ds.n / len(rows_idx)
-    Xb = ds.X[rows_idx]
     yb = ds.y[rows_idx]
     pi_b = state.pi_hat[rows_idx]
     mu_u, Su = state.mu_u, state.Su
-    from scipy.linalg import cho_solve
+    kuu_inv = cho_solve(cho, np.eye(Q))
+    terms, d_mu_u, d_S_mat, d_pi_data = _svb_data_partials(
+        ds.X[rows_idx], yb, pi_b, hp, cho, mu_u, Su
+    )
 
     value = 0.0
-    d_mu_u = np.zeros(Q)
-    d_S_mat = np.zeros((Q, Q))
     dKuu = np.zeros((Q, Q))
     dKfu_blocks = []
-    dDiagKff = []
-    dD_cols = []
-    kuu_inv = cho_solve(cho, np.eye(Q))
-    for m, out in enumerate(hp.outputs):
-        kfu = kernels.kfu_matrix(Xb, hp.inducing.W, out, hp.latent)
-        kffd = np.full(len(rows_idx), kernels.kff_diag_value(out, hp.latent))
-        phi = cho_solve(cho, kfu.T).T
-        mu = phi @ mu_u
-        var = kffd - np.sum(phi * kfu, axis=1) + np.sum((phi @ Su) * phi, axis=1)
-        var = np.maximum(var, 0.0)
+    for m, t in enumerate(terms):
         sig = hp.noise.sigma[m]
-        value += float(np.sum(expected_loglik_terms(yb, mu, var, pi_b[:, m], sig)))
-        dtil = pi_b[:, m] / sig**2
-        a_m = dtil * (yb - mu)
-        w_m = -0.5 * dtil
-        d_mu_u += phi.T @ a_m
-        d_S_mat += phi.T @ (phi * w_m[:, None])
+        value += float(np.sum(expected_loglik_terms(yb, t.mu, t.var, pi_b[:, m], sig)))
         # dPhi: a mu' + diag(w) (2 Phi Su - Kfu)
-        dPhi = np.outer(a_m, mu_u) + w_m[:, None] * (2.0 * (phi @ Su) - kfu)
-        dKfu_m = dPhi @ kuu_inv - w_m[:, None] * phi
-        dKuu += -phi.T @ dPhi @ kuu_inv
-        dKfu_blocks.append(dKfu_m)
-        dDiagKff.append(w_m)
-        # d/d dtil of the per-datum term, chained to sigma and pi below
-        resid2 = (yb - mu) ** 2
-        dD_cols.append(0.5 / dtil - 0.5 * (resid2 + var))
+        dPhi = np.outer(t.a, mu_u) + t.w[:, None] * (2.0 * (t.phi @ Su) - t.kfu)
+        dKfu_blocks.append(dPhi @ kuu_inv - t.w[:, None] * t.phi)
+        dKuu += -t.phi.T @ dPhi @ kuu_inv
     # V rows of the batch only: nothing outside it is read
     d_pi_raw, d_alpha0, _ = vterm_partials(state, ds, cfg, hp.noise, rows=rows_idx)
     value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=rows_idx)))
+    d_pi_raw += d_pi_data
     d_sigma = np.zeros(cfg.M)
-    for m in range(cfg.M):
-        dtil_dpi = 1.0 / hp.noise.sigma[m] ** 2
-        d_pi_raw[:, m] += dD_cols[m] * dtil_dpi
+    for m, t in enumerate(terms):
         # log-sigma chain: d dtil/d log sigma = -2 pi/sigma^2
-        d_sigma[m] += float(np.sum(dD_cols[m] * (-2.0 * pi_b[:, m] / hp.noise.sigma[m] ** 2)))
+        d_sigma[m] += float(np.sum(t.dD * (-2.0 * pi_b[:, m] / hp.noise.sigma[m] ** 2)))
         # third-term rows in batch; summed per output, since the axis-0 sum
         # of vterm_partials rounds differently
         d_sigma[m] += float(np.sum(1.0 - pi_b[:, m]))
@@ -327,24 +372,16 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
         dKuu=None,
     )
     d_S, d_Lm, d_L = _chain_convolved(
-        ds.X, [rows_idx] * cfg.M, hp, mg, batch_diag=[scale * w for w in dDiagKff]
+        ds.X, [rows_idx] * cfg.M, hp, mg, batch_diag=[scale * t.w for t in terms]
     )
 
     value -= gaussian_kl_u(mu_u, Su, kuu)
-    su_inv = np.linalg.inv(Su)
-    d_mu_u -= cho_solve(cho, mu_u)
-    d_S_mat -= 0.5 * (kuu_inv - su_inv)
+    d_mu_u, d_Lc = _svb_qu_grads(d_mu_u, d_S_mat, cho, kuu_inv, mu_u, Su)
     kinv_mu = cho_solve(cho, mu_u)
     dKuu -= 0.5 * (kuu_inv - kuu_inv @ Su @ kuu_inv - np.outer(kinv_mu, kinv_mu))
     # chain the Kuu path (data term + KL) to the latent precision
     _, dKuu_dL = kernels.kuu_matrix_grads(hp.inducing.W, hp.latent)
     d_L += np.einsum("qp,dqp->d", dKuu, dKuu_dL) * hp.latent.L
-
-    # Cholesky chain for Su = Lc Lc', with a log-diagonal parameterization
-    Lc = np.linalg.cholesky(Su)
-    d_Lc = (d_S_mat + d_S_mat.T) @ Lc
-    d_Lc = np.tril(d_Lc)
-    d_Lc[np.diag_indices(Q)] *= np.diag(Lc)
 
     bundle = GradientBundle(
         d_S=d_S,
@@ -357,6 +394,31 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
         d_su_chol=d_Lc,
     )
     return value, bundle
+
+
+def svb_variational_grad(ds, cfg, hp, cho, kuu_inv, rows, pi_b, mu_u, Su):
+    """Mini-batch gradient of the stochastic bound w.r.t. the variational block alone.
+
+    The block Adam moves in the E-phase: the batch rows' logits, mu_u and
+    chol(Su).  hp is fixed there, so its Kuu factor `cho` (from
+    svi._jittered_kuu) and Kuu^-1 come in from the caller, computed once.
+    pi_b holds the batch rows of pi_hat; no other row is read.  Returns
+    (d_pi_logits of the batch rows (|rows|, M), d_mu_u, d_su_chol), the
+    same numbers as those blocks of elbo_svb_with_grad(batch=rows).
+    """
+    rows = np.asarray(rows, dtype=int)
+    scale = ds.n / len(rows)
+    _, d_mu_u, d_S, d_pi_data = _svb_data_partials(
+        ds.X[rows], ds.y[rows], pi_b, hp, cho, mu_u, Su
+    )
+    labeled = ds.labels[rows] > 0
+    d_pi_raw, _, _ = _vterm_partials(pi_b, labeled, ds.prior_pi[rows], cfg, hp.noise)
+    d_pi_raw += d_pi_data
+    d_pi_raw *= scale
+    d_mu_u *= scale
+    d_S *= scale
+    d_mu_u, d_Lc = _svb_qu_grads(d_mu_u, d_S, cho, kuu_inv, mu_u, Su)
+    return softmax_chain(pi_b, d_pi_raw), d_mu_u, d_Lc
 
 
 def grad_svb(ds, cfg, hp, state, batch=None):

@@ -11,9 +11,10 @@ Only marginal means/variances of q(f_m) are ever materialized, and the
 per-row parts of V are evaluated on the batch rows alone, so a
 mini-batch evaluation costs O(Q^3) for the KL plus O(|batch| M Q^2) for
 the data and V terms; per-observation terms are rescaled by N/|batch|
-while the KL term is not.  Still O(N) per step: the zero (N, M) logit
-gradient that the batch rows are scattered into, and, in the trainer,
-decoding all N logit rows and the dense Adam update.
+while the KL term is not.  The trainer's mini-batch step
+(gradients.svb_variational_grad) decodes and differentiates only the
+batch rows, with Kuu factored once per round; only its flat gradient
+vector and the dense Adam update are still O(N) per step.
 """
 
 from dataclasses import dataclass

@@ -6,13 +6,16 @@ row-softmax logits with one pinned logit per row, log alpha0).  The
 stochastic bound is handled with variational EM: blocks of mini-batch
 Adam steps on the variational parameters (assignment logits, inducing
 posterior) with a 1/sqrt(t) step-size decay, alternating with full-batch
-L-BFGS-B steps on the hyperparameters.
+L-BFGS-B steps on the hyperparameters.  The hyperparameters are fixed
+during the Adam block, so Kuu is factored once per round and each step
+differentiates only the variational block.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from . import gradients, kernels, svi
@@ -93,7 +96,9 @@ class ParamPack:
       [log L | per output: S, log Lm | log sigma | log alpha0?
        | pi logits (N x (M-1))? | mu_u?, chol(Su) (log diag + strict lower)?]
     The independent-SE model replaces the first two groups by per-output
-    (log amp, log prec) and has no latent block.
+    (log amp, log prec) and has no latent block.  The hyperparameter
+    block (everything up to and including log alpha0) is the head
+    x[:n_hyp]; the variational block is the tail x[n_hyp:].
     """
 
     def __init__(self, ds, cfg, hp0, with_pi=True, with_alpha0=False, with_qu=False):
@@ -114,6 +119,12 @@ class ParamPack:
         else:
             self.d = hp0.outputs[0].prec.shape[0]
             self.Q = cfg.Q
+        self._tril = np.tril_indices(self.Q, -1)
+        n_kernel = (self.d if self.kind == "convolved" else 0) + self.M * (1 + self.d)
+        self.n_hyp = n_kernel + self.M + (1 if with_alpha0 else 0)
+        self.n_pi = self.N * (self.M - 1) if with_pi else 0
+        self.n_qu = self.Q + self.Q + self.Q * (self.Q - 1) // 2 if with_qu else 0
+        self.size = self.n_hyp + self.n_pi + self.n_qu
 
     def pack(self, hp, alpha0=None, state=None):
         parts = []
@@ -133,11 +144,19 @@ class ParamPack:
             lc = np.linalg.cholesky(state.Su)
             parts.append(state.mu_u)
             parts.append(np.log(np.diag(lc)))
-            parts.append(lc[np.tril_indices(self.Q, -1)])
+            parts.append(lc[self._tril])
         return np.concatenate(parts)
 
     def unpack(self, x):
         """Returns (hp, alpha0, pi or None, mu_u or None, Su or None)."""
+        assert len(x) == self.size
+        hp, alpha0 = self.unpack_hyper(x)
+        pi = self.pi_rows(x) if self.with_pi else None
+        mu_u, Su = self.unpack_qu(x) if self.with_qu else (None, None)
+        return hp, alpha0, pi, mu_u, Su
+
+    def unpack_hyper(self, x):
+        """(hp, alpha0) from the hyperparameter block; x may be the block alone."""
         i = 0
         if self.kind == "convolved":
             L = np.exp(x[i : i + self.d])
@@ -170,59 +189,64 @@ class ParamPack:
         alpha0 = self.cfg.alpha0
         if self.with_alpha0:
             alpha0 = float(np.exp(x[i]))
-            i += 1
-        pi = None
-        if self.with_pi:
-            k = self.N * (self.M - 1)
-            pi = logits_to_pi(x[i : i + k].reshape(self.N, self.M - 1))
-            i += k
-        mu_u = Su = None
-        if self.with_qu:
-            mu_u = x[i : i + self.Q]
-            i += self.Q
-            lc = np.zeros((self.Q, self.Q))
-            lc[np.diag_indices(self.Q)] = np.exp(x[i : i + self.Q])
-            i += self.Q
-            k = self.Q * (self.Q - 1) // 2
-            lc[np.tril_indices(self.Q, -1)] = x[i : i + k]
-            i += k
-            Su = lc @ lc.T
-            # roundoff guard: the product must stay factorizable
-            Su[np.diag_indices(self.Q)] += 1e-12 * max(float(np.diag(Su).mean()), 1e-30)
-        assert i == len(x)
-        return hp, alpha0, pi, mu_u, Su
+        return hp, alpha0
 
-    def grad_to_vec(self, b: gradients.GradientBundle):
+    def pi_rows(self, x, rows=None):
+        """Assignment probabilities of `rows` (all N when None); only their logits are read.
+
+        Each row is decoded on its own, so a row's values do not depend
+        on which other rows are decoded with it.
+        """
+        logits = x[self.n_hyp : self.n_hyp + self.n_pi].reshape(self.N, self.M - 1)
+        return logits_to_pi(logits if rows is None else logits[rows])
+
+    def unpack_qu(self, x):
+        """(mu_u, Su) from the inducing-posterior block, copied out of x."""
+        i = self.n_hyp + self.n_pi
+        mu_u = x[i : i + self.Q].copy()
+        i += self.Q
+        lc = np.zeros((self.Q, self.Q))
+        lc[np.diag_indices(self.Q)] = np.exp(x[i : i + self.Q])
+        i += self.Q
+        lc[self._tril] = x[i:]
+        Su = lc @ lc.T
+        # roundoff guard: the product must stay factorizable
+        Su[np.diag_indices(self.Q)] += 1e-12 * max(float(np.diag(Su).mean()), 1e-30)
+        return mu_u, Su
+
+    def hyper_grad_to_vec(self, b: gradients.GradientBundle):
+        """The hyperparameter block of grad_to_vec(b)."""
         parts = []
         if self.kind == "convolved":
             parts.append(b.d_L)
-            for m in range(self.M):
-                parts.append(np.r_[b.d_S[m], b.d_Lm[m]])
-        else:
-            for m in range(self.M):
-                parts.append(np.r_[b.d_S[m], b.d_Lm[m]])
+        for m in range(self.M):
+            parts.append(np.r_[b.d_S[m], b.d_Lm[m]])
         parts.append(b.d_sigma)
         if self.with_alpha0:
             parts.append(np.r_[b.d_alpha0])
+        return np.concatenate(parts)
+
+    def grad_to_vec(self, b: gradients.GradientBundle):
+        parts = [self.hyper_grad_to_vec(b)]
         if self.with_pi:
             parts.append(b.d_pi_logits[:, :-1].ravel())
         if self.with_qu:
-            parts.append(b.d_mu_u)
-            parts.append(np.diag(b.d_su_chol))
-            parts.append(b.d_su_chol[np.tril_indices(self.Q, -1)])
+            parts.append(self._qu_grad(b.d_mu_u, b.d_su_chol))
         return np.concatenate(parts)
 
-    def block_masks(self):
-        """Boolean masks (variational, hyper) over the flat vector for EM."""
-        n_hyp = (self.d if self.kind == "convolved" else 0) + self.M * (1 + self.d) + self.M
-        n_alpha = 1 if self.with_alpha0 else 0
-        n_pi = self.N * (self.M - 1) if self.with_pi else 0
-        n_qu = self.Q + self.Q + self.Q * (self.Q - 1) // 2 if self.with_qu else 0
-        total = n_hyp + n_alpha + n_pi + n_qu
-        stat = np.zeros(total, dtype=bool)
-        stat[n_hyp + n_alpha :] = True
-        hyp = ~stat
-        return stat, hyp
+    def variational_grad_to_vec(self, rows, d_pi_logits, d_mu_u, d_su_chol):
+        """The variational block of the gradient (the tail x[n_hyp:]).
+
+        d_pi_logits holds the logit gradient of `rows` only (distinct
+        rows); every other row's entries are zero.
+        """
+        g = np.zeros(self.n_pi + self.n_qu)
+        g[: self.n_pi].reshape(self.N, self.M - 1)[rows] = d_pi_logits[:, :-1]
+        g[self.n_pi :] = self._qu_grad(d_mu_u, d_su_chol)
+        return g
+
+    def _qu_grad(self, d_mu_u, d_su_chol):
+        return np.concatenate([d_mu_u, np.diag(d_su_chol), d_su_chol[self._tril]])
 
     def box_bounds(self):
         """Sane box constraints keeping log-precisions and log-noise finite.
@@ -236,19 +260,12 @@ class ParamPack:
         bounds = []
         if self.kind == "convolved":
             bounds += [(lo_prec, hi_prec)] * self.d
-            for _ in range(self.M):
-                bounds += [(None, None)] + [(lo_prec, hi_prec)] * self.d
-        else:
-            for _ in range(self.M):
-                bounds += [(None, None)] + [(lo_prec, hi_prec)] * self.d
+        for _ in range(self.M):
+            bounds += [(None, None)] + [(lo_prec, hi_prec)] * self.d
         bounds += [(lo_sig, hi_sig)] * self.M
         if self.with_alpha0:
             bounds += [(np.log(1e-4), np.log(1e6))]
-        if self.with_pi:
-            bounds += [(None, None)] * (self.N * (self.M - 1))
-        if self.with_qu:
-            n_qu = self.Q + self.Q + self.Q * (self.Q - 1) // 2
-            bounds += [(None, None)] * n_qu
+        bounds += [(None, None)] * (self.n_pi + self.n_qu)
         return bounds
 
 
@@ -446,23 +463,21 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
 
 
 class _Adam:
-    def __init__(self, n, step, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam ascent on a vector, updated in place; every coordinate moves every step."""
+
+    def __init__(self, n, b1=0.9, b2=0.999, eps=1e-8):
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
-        self.step = step
         self.b1, self.b2, self.eps = b1, b2, eps
 
-    def update(self, x, g, mask, lr):
-        """Ascent step on the masked coordinates."""
+    def update(self, x, g, lr):
         self.t += 1
-        self.m[mask] = self.b1 * self.m[mask] + (1 - self.b1) * g[mask]
-        self.v[mask] = self.b2 * self.v[mask] + (1 - self.b2) * g[mask] ** 2
-        mhat = self.m[mask] / (1 - self.b1**self.t)
-        vhat = self.v[mask] / (1 - self.b2**self.t)
-        x = x.copy()
-        x[mask] += lr * mhat / (np.sqrt(vhat) + self.eps)
-        return x
+        self.m = self.b1 * self.m + (1 - self.b1) * g
+        self.v = self.b2 * self.v + (1 - self.b2) * g**2
+        mhat = self.m / (1 - self.b1**self.t)
+        vhat = self.v / (1 - self.b2**self.t)
+        x += lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
@@ -475,6 +490,13 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     the inducing posterior to its closed-form optimum, which is far too
     sensitive to hyperparameter moves to be left stale.  The full-batch
     bound is recorded once per round.
+
+    The hyperparameters do not move during the E-phase, so Kuu is built
+    and factored once per round, and each step decodes only its batch
+    rows and differentiates only the variational block
+    (gradients.svb_variational_grad).  Adam itself stays dense: its
+    momentum moves rows outside the batch too.  The M-phase decodes the
+    frozen assignment rows and q(u) once per round.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -494,21 +516,14 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     with_alpha0 = cfg.use_dirichlet and opt_cfg.optimize_alpha0 and ds.n_unlabeled > 0
     pack = ParamPack(ds, cfg, hp0, with_pi=True, with_alpha0=with_alpha0, with_qu=True)
     x = pack.pack(hp0, alpha0=cfg.alpha0, state=state)
-    stat_mask, hyp_mask = pack.block_masks()
-    adam = _Adam(len(x), opt_cfg.step_size)
+    hyp, stat = slice(0, pack.n_hyp), slice(pack.n_hyp, None)
+    adam = _Adam(pack.n_pi + pack.n_qu)
 
     def full_bound(xv):
         hp, alpha0, pi, mu_u, Su = pack.unpack(xv)
         cfg_t = cfg.with_alpha0(alpha0)
         st = _state_with(ds, cfg_t, alpha0, pi, mu_u=mu_u, Su=Su)
         return svi.elbo_svb(ds, cfg_t, hp, st)
-
-    def batch_grad(xv, rows):
-        hp, alpha0, pi, mu_u, Su = pack.unpack(xv)
-        cfg_t = cfg.with_alpha0(alpha0)
-        st = _state_with(ds, cfg_t, alpha0, pi, mu_u=mu_u, Su=Su)
-        _, bundle = gradients.elbo_svb_with_grad(ds, cfg_t, hp, st, batch=rows)
-        return pack.grad_to_vec(bundle)
 
     def refresh_qu(xv):
         """Closed-form restart of q(u) at the current remaining parameters."""
@@ -525,39 +540,47 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         raise NonFiniteBoundError(
             "non-finite bound at initialization; parameters: %r" % (x,)
         )
-    bounds_full = np.array(pack.box_bounds(), dtype=object)
-    hyp_bounds = [tuple(b) for b in bounds_full[hyp_mask]]
+    hyp_bounds = pack.box_bounds()[hyp]
     eval_counter = [0]
 
-    def hyp_objective(xh, x_base):
-        xx = x_base.copy()
-        xx[hyp_mask] = xh
-        hp_x, alpha0, pi, mu_u, Su = pack.unpack(xx)
-        cfg_t = cfg.with_alpha0(alpha0)
-        st = _state_with(ds, cfg_t, alpha0, pi, mu_u=mu_u, Su=Su)
-        val, bundle = gradients.elbo_svb_with_grad(ds, cfg_t, hp_x, st)
+    def hyp_objective(xh, state_frozen):
+        hp_x, alpha0 = pack.unpack_hyper(xh)
+        val, bundle = gradients.elbo_svb_with_grad(
+            ds, cfg.with_alpha0(alpha0), hp_x, state_frozen
+        )
         eval_counter[0] += 1
-        return -val, -pack.grad_to_vec(bundle)[hyp_mask]
+        return -val, -pack.hyper_grad_to_vec(bundle)
 
     traj = [initial]
     evaluations = 0
     for outer in range(opt_cfg.em_outer_iters):
         # 1/sqrt(t) decay damps the mini-batch noise of the E-phase
         lr_stat = opt_cfg.step_size / np.sqrt(outer + 1.0)
+        hp, alpha0 = pack.unpack_hyper(x)
+        cfg_t = cfg.with_alpha0(alpha0)
+        _, cho = svi._jittered_kuu(hp)
+        kuu_inv = cho_solve(cho, np.eye(pack.Q))
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
-            x = adam.update(x, batch_grad(x, rows), stat_mask, lr_stat)
+            mu_u, Su = pack.unpack_qu(x)
+            grads = gradients.svb_variational_grad(
+                ds, cfg_t, hp, cho, kuu_inv, rows, pack.pi_rows(x, rows), mu_u, Su
+            )
+            adam.update(x[stat], pack.variational_grad_to_vec(rows, *grads), lr_stat)
             evaluations += 1
+        # pi and q(u) are frozen in the M-phase; the bounds never read alpha_hat
+        mu_u, Su = pack.unpack_qu(x)
+        frozen = VariationalState(pi_hat=pack.pi_rows(x), alpha_hat=None, mu_u=mu_u, Su=Su)
         res = minimize(
             hyp_objective,
-            x[hyp_mask],
-            args=(x,),
+            x[hyp].copy(),
+            args=(frozen,),
             jac=True,
             method="L-BFGS-B",
             bounds=hyp_bounds,
             options={"maxiter": opt_cfg.em_inner_hyp_iters},
         )
-        x[hyp_mask] = res.x
+        x[hyp] = res.x
         evaluations += eval_counter[0]
         eval_counter[0] = 0
         # the inducing posterior is extremely sensitive to hyperparameter
@@ -582,4 +605,3 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         evaluations=evaluations,
         seed=opt_cfg.seed,
     )
-

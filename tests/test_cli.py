@@ -1,0 +1,102 @@
+"""The CLI chain generate -> fit -> predict -> evaluate on the files it writes itself."""
+
+import json
+
+import numpy as np
+import pytest
+
+from wsmgp import cli
+
+CONFIG = """\
+M = 2
+Q = 6
+perSourceCount = 12
+gamma = 1.0
+lFrac = 0.5
+restarts = 1
+maxIter = 8
+emOuterIters = 2
+emInnerStatIters = 4
+emInnerHypIters = 2
+batchSize = 10
+"""
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    (tmp_path / "cfg.txt").write_text(CONFIG)
+    return tmp_path
+
+
+def _run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0
+
+
+def _generate(wd, name, seed):
+    _run("generate", "--config", wd / "cfg.txt", "--seed", seed, "--out", wd / name)
+    return wd / name
+
+
+def _fit(wd, data_dir, bound, model="wsmgp"):
+    out = wd / ("fit_%s_%s" % (model, bound))
+    _run("fit", "--config", wd / "cfg.txt", "--data", data_dir / "dataset.csv",
+         "--model", model, "--bound", bound, "--out", out)
+    return out
+
+
+@pytest.mark.parametrize("model,bound", [
+    ("wsmgp", "cvb"), ("wsmgp", "svb"), ("wsmgp-nodir", "cvb"), ("wsmgp-nodir", "svb"),
+    ("omgp", "cvb"), ("omgp-ws", "cvb"), ("scmgp", "cvb"),
+])
+def test_round_trip(workdir, model, bound):
+    gen = _generate(workdir, "gen", 3)
+    fit = _fit(workdir, gen, bound, model)
+    doc = json.loads((fit / "model.json").read_text())
+    assert doc["data"]["n"] == 24
+    pred = workdir / "pred"
+    _run("predict", "--config", workdir / "cfg.txt", "--data", gen / "dataset.csv",
+         "--params", fit / "model.json", "--out", pred)
+    # predicting on the training data reproduces the fit's own curves
+    assert (pred / "curves.csv").read_text() == (fit / "curves.csv").read_text()
+    ev = workdir / "eval"
+    labels = []
+    if (fit / "pihat.csv").exists():  # every model but SCMGP assigns the rows
+        labels = ["--pihat", fit / "pihat.csv", "--truth-labels", gen / "truth_labels.csv"]
+    _run("evaluate", "--pred", pred / "curves.csv", "--truth", gen / "truth_curves.csv",
+         *labels, "--out", ev)
+    metrics = json.loads((ev / "metrics.json").read_text())
+    assert len(metrics["rmse"]) == 2 and np.all(np.isfinite(metrics["rmse"]))
+    assert (model == "scmgp") == ("label_accuracy" not in metrics)
+    if labels:
+        assert 0.0 <= metrics["label_accuracy"] <= 1.0
+
+
+def _edit(lines, change):
+    """dataset.csv lines with one change: another y, a label removed, or a row dropped."""
+    header, rows = lines[0], [r.split(",") for r in lines[1:]]
+    if change == "y":
+        rows[0][1] = repr(float(rows[0][1]) + 1e-9)
+    elif change == "label":
+        i = next(i for i, r in enumerate(rows) if r[2])
+        rows[i][2:] = [""] * (len(rows[i]) - 2)
+    else:
+        rows = rows[:-1]
+    return [header] + [",".join(r) for r in rows]
+
+
+@pytest.mark.parametrize("change", ["y", "label", "rows"])
+def test_predict_rejects_other_data(workdir, change):
+    gen = _generate(workdir, "gen", 3)
+    fit = _fit(workdir, gen, "cvb")
+    other = workdir / "other.csv"
+    lines = (gen / "dataset.csv").read_text().splitlines()
+    other.write_text("\n".join(_edit(lines, change)) + "\n")
+    fitted = json.loads((fit / "model.json").read_text())["data"]
+    given = cli.data_fingerprint(cli.ingest_csv(other, n_outputs=2))
+    assert given["sha256"] != fitted["sha256"]
+    assert (given["n"] == fitted["n"]) == (change != "rows")
+    with pytest.raises(cli.DataMismatchError) as exc:
+        cli.main(["predict", "--data", str(other), "--params", str(fit / "model.json"),
+                  "--out", str(workdir / "pred")])
+    assert fitted["sha256"] in str(exc.value) and given["sha256"] in str(exc.value)
+    assert not (workdir / "pred").exists()

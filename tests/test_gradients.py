@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.special import digamma
 
 from wsmgp import checks, gradients, svi
@@ -25,7 +26,7 @@ from wsmgp.model import (
     floor_simplex,
     refresh_alpha_hat,
 )
-from wsmgp.trainer import _state_with
+from wsmgp.trainer import ParamPack, _state_with
 
 
 class TestHarness:
@@ -300,6 +301,52 @@ class TestBatchRows:
         np.testing.assert_array_equal(floored[soft], prior[soft])
         assert floored[~soft].min() >= 0.5 * EPS_PI
         assert floored[~soft].sum() == pytest.approx(1.0, abs=1e-15)
+
+
+class TestVariationalGrad:
+    """The E-step gradient equals elbo_svb_with_grad's variational blocks bit for bit."""
+
+    @staticmethod
+    def _e_step(ds, cfg, hp, rows, pi_b, mu_u, Su):
+        _, cho = svi._jittered_kuu(hp)
+        kuu_inv = cho_solve(cho, np.eye(len(mu_u)))
+        return gradients.svb_variational_grad(ds, cfg, hp, cho, kuu_inv, rows, pi_b, mu_u, Su)
+
+    @_BATCH_CASES
+    def test_equals_the_full_step(self, kind, use_dirichlet):
+        ds, cfg, hp, state = _batch_instance(use_dirichlet)
+        rows = _batch(ds, kind)
+        _, ref = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=rows)
+        d_pi, d_mu_u, d_su_chol = self._e_step(
+            ds, cfg, hp, rows, state.pi_hat[rows], state.mu_u, state.Su
+        )
+        np.testing.assert_array_equal(d_pi, ref.d_pi_logits[rows])
+        np.testing.assert_array_equal(d_mu_u, ref.d_mu_u)
+        np.testing.assert_array_equal(d_su_chol, ref.d_su_chol)
+
+    @_BATCH_CASES
+    def test_rows_outside_batch_are_not_read(self, kind, use_dirichlet):
+        ds, cfg, hp, state = _batch_instance(use_dirichlet)
+        rows = _batch(ds, kind)
+        pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=True, with_qu=True)
+        x = pack.pack(hp, alpha0=cfg.alpha0, state=state)
+        outside = np.ones(ds.n, dtype=bool)
+        outside[rows] = False
+        x_p = x.copy()
+        x_p[pack.n_hyp : pack.n_hyp + pack.n_pi].reshape(ds.n, -1)[outside] = np.nan
+        prior = ds.prior_pi.copy()
+        prior[outside] = np.nan
+        ds_p = Dataset(X=ds.X, y=ds.y, labels=ds.labels, prior_pi=prior)
+
+        grads = []
+        for d, xv in ((ds, x), (ds_p, x_p)):
+            mu_u, Su = pack.unpack_qu(xv)
+            g = self._e_step(d, cfg, hp, rows, pack.pi_rows(xv, rows), mu_u, Su)
+            grads.append(pack.variational_grad_to_vec(rows, *g))
+        assert np.all(np.isfinite(grads[1]))
+        np.testing.assert_array_equal(grads[1], grads[0])
+        d_pi = grads[0][: pack.n_pi].reshape(ds.n, -1)
+        assert np.all(d_pi[outside] == 0.0)
 
 
 def _with_hard_prior_row(ds):

@@ -1,11 +1,13 @@
 """Transforms, the quasi-Newton fit, and the variational-EM fit."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
-from wsmgp import checks
+from wsmgp import checks, gradients, svi
 from wsmgp.bounds import elbo_cvb
 from wsmgp.experiments import SyntheticConfig, generate_synthetic
 from wsmgp.model import ModelConfig
@@ -14,6 +16,8 @@ from wsmgp.trainer import (
     NonFiniteBoundError,
     OptimizerConfig,
     ParamPack,
+    _Adam,
+    _state_with,
     default_hyperparams,
     fit_cvb,
     fit_svb_em,
@@ -48,6 +52,57 @@ class TestTransforms:
         pi = rng.dirichlet(np.ones(3), size=5)
         back = logits_to_pi(pi_to_logits(pi))
         np.testing.assert_allclose(back, pi, atol=1e-12)
+
+    def test_decoding_some_rows_equals_decoding_all(self):
+        ds, cfg, hp, state = checks.random_instance(2, n=12, M=3, Q=3)
+        pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=True, with_qu=True)
+        x = pack.pack(hp, alpha0=cfg.alpha0, state=state)
+        logits = x[pack.n_hyp : pack.n_hyp + pack.n_pi].reshape(ds.n, cfg.M - 1)
+        logits[[1, 4]] = [[40.0, -5.0], [-30.0, 0.0]]  # rows at the simplex floor
+        full = pack.unpack(x)[2]
+        for rows in ([4, 1, 7], [0], np.arange(ds.n)[::-1]):
+            np.testing.assert_array_equal(pack.pi_rows(x, rows), full[rows])
+
+
+def _adam_steps(ds, cfg, hp, state, batches, reference):
+    """x after Adam steps on the variational block, driven by either gradient path."""
+    pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=True, with_qu=True)
+    x = pack.pack(hp, alpha0=cfg.alpha0, state=state)
+    stat = slice(pack.n_hyp, None)
+    adam = _Adam(pack.n_pi + pack.n_qu)
+    hp_x, alpha0 = pack.unpack_hyper(x)
+    cfg_t = cfg.with_alpha0(alpha0)
+    _, cho = svi._jittered_kuu(hp_x)
+    kuu_inv = cho_solve(cho, np.eye(pack.Q))
+    for rows in batches:
+        if reference:
+            hp_r, a0, pi, mu_u, Su = pack.unpack(x)
+            st = _state_with(ds, cfg.with_alpha0(a0), a0, pi, mu_u=mu_u, Su=Su)
+            _, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(a0), hp_r, st,
+                                                     batch=rows)
+            g = pack.grad_to_vec(bundle)[stat]
+        else:
+            mu_u, Su = pack.unpack_qu(x)
+            grads = gradients.svb_variational_grad(
+                ds, cfg_t, hp_x, cho, kuu_inv, rows, pack.pi_rows(x, rows), mu_u, Su
+            )
+            g = pack.variational_grad_to_vec(rows, *grads)
+        adam.update(x[stat], g, 0.05)
+    return x
+
+
+@pytest.mark.parametrize("use_dirichlet", [True, False])
+def test_e_step_paths_give_identical_adam_steps(use_dirichlet):
+    ds, cfg, hp, state = checks.random_instance(5, n=12, M=3, Q=4)
+    cfg = replace(cfg, use_dirichlet=use_dirichlet)
+    rng = np.random.default_rng(5)
+    state.mu_u = rng.normal(size=4)
+    batches = [rng.choice(ds.n, size=5, replace=False) for _ in range(6)]
+    batches.append(rng.permutation(ds.n))
+    ref = _adam_steps(ds, cfg, hp, state, batches, reference=True)
+    new = _adam_steps(ds, cfg, hp, state, batches, reference=False)
+    assert np.all(np.isfinite(new))
+    np.testing.assert_array_equal(new, ref)
 
 
 def tiny_two_output_ds(seed=0, n_per=20):
@@ -162,20 +217,25 @@ class TestFitSvbEm:
                              bias=0.0, seed=22)
         ds, _ = generate_synthetic(sc)  # N = 800
         cfg = ModelConfig(M=2, Q=15, alpha0=0.3)
-        times = []
         sizes = [200, 400, 800]
-        for b in sizes:
-            opt = OptimizerConfig(
+        opts = [
+            OptimizerConfig(
                 seed=1, restarts=1, em_outer_iters=1, em_inner_stat_iters=250,
                 em_inner_hyp_iters=1, batch_size=b, optimize_alpha0=False,
             )
+            for b in sizes
+        ]
+        for opt in opts:
             fit_svb_em(ds, cfg, None, opt)  # warm-up (jit, caches)
-            reps = []
-            for _ in range(5):
+        # the sizes alternate within each repeat, so load drift on the host
+        # hits all of them alike, and the fastest repeat is the least disturbed
+        reps = [[] for _ in sizes]
+        for _ in range(5):
+            for opt, r in zip(opts, reps):
                 t0 = time.perf_counter()
                 fit_svb_em(ds, cfg, None, opt)
-                reps.append(time.perf_counter() - t0)
-            times.append(np.median(reps))
+                r.append(time.perf_counter() - t0)
+        times = [min(r) for r in reps]
         x = np.asarray(sizes, dtype=float)
         y = np.asarray(times)
         # least-squares line fit; R^2 must indicate a clear linear trend
