@@ -19,7 +19,6 @@ from .gradients import (
     grad_vterm,
 )
 from .kernels import (
-    CovBlocks,
     HyperParams,
     IndependentSEHyperParams,
     InducingInputs,
@@ -27,7 +26,6 @@ from .kernels import (
     NoiseParams,
     OutputKernelParams,
     SEKernelParams,
-    assemble_cov,
     eval_cross_ff,
     eval_cross_fu,
     eval_kuu,
@@ -42,7 +40,7 @@ from .model import (
     validate_dataset,
 )
 from .predict import Prediction, posterior_predict
-from .svi import QfMoments, elbo_svb, gaussian_kl_u, optimal_qu, qf_moments
+from .svi import elbo_svb, gaussian_kl_u, optimal_qu
 from .trainer import FitReport, OptimizerConfig, fit_cvb, fit_svb_em
 from .experiments import (
     SyntheticConfig,

@@ -285,6 +285,7 @@ def cmd_fit(args):
                 "evaluations": report.evaluations,
                 "seed": report.seed,
                 "alpha0": report.final_alpha0,
+                "termination": report.termination,
             },
             fh,
             indent=2,

@@ -14,16 +14,22 @@ documented to have.
 
 Which BLAS runs the products: every matrix-matrix product with an
 n_m-row operand goes through `_gemm`, i.e. scipy's `dgemm`, the same
-OpenBLAS that runs the `cho_factor` / `cho_solve` calls here.  The numpy
-and scipy wheels each bundle their own OpenBLAS with its own thread
-pool; when an evaluation alternates between the two, both pools spin on
-the same cores and the small factorizations wait on the other pool's
-busy threads (at N = 144 and 2 threads this made one collapsed-bound
-evaluation three to four times slower than at 1 thread).  `_gemm` makes
-the same Fortran call numpy's `@` makes for these operands, so values
-are unchanged.  Products of Q x Q matrices, matrix-vector products,
-`np.outer` and elementwise work stay in numpy: their size does not grow
-with N.
+OpenBLAS that runs the `cho_factor` / `cho_solve` calls here.  The
+stochastic bound does the same with its batch-row products (the moments
+in `svi`, `svi.optimal_qu` and the data-term gradients in `gradients`),
+calling `engine._gemm`.  The numpy and scipy wheels each bundle their
+own OpenBLAS with its own thread pool; when an evaluation alternates
+between the two, both pools spin on the same cores and the small
+factorizations wait on the other pool's busy threads (at 2 threads this
+made one collapsed-bound evaluation at N = 144 three to four times
+slower than at 1 thread, and one full-batch stochastic-bound gradient
+at N = 4000 about 1.5 times slower).  Where a result has at least 2
+rows and 2 columns, `_gemm` makes the same Fortran call numpy's `@`
+makes, so values are unchanged; a 1-row or 1-column result (a one-row
+batch or output block) may differ from numpy's by an ulp or so.
+Products of Q x Q matrices, `np.outer` and elementwise work stay in
+numpy, since their size does not grow with N; so do the matrix-vector
+products, whose routing through `dgemv` gained nothing measurable.
 """
 
 from dataclasses import dataclass
@@ -43,7 +49,11 @@ def _gemm(a, b):
 
     Like numpy's matmul, it forms the column-major product b' a' on the
     operands' own buffers: a C-ordered operand enters untransposed, an
-    F-ordered one transposed, and anything else is copied to C order.
+    F-ordered one transposed, and a non-contiguous one is first copied
+    in its own stride order.  The result equals a @ b bit for bit when
+    both of its dimensions are at least 2; for a 1-row or 1-column
+    result numpy calls gemv or dot instead of gemm, and the two differ
+    by rounding.
     """
     a_t, trans_a = _as_fortran_operand(a)
     b_t, trans_b = _as_fortran_operand(b)
@@ -52,9 +62,12 @@ def _gemm(a, b):
 
 def _as_fortran_operand(x):
     """(buffer view, transpose flag) presenting x' to a column-major dgemm."""
-    if not x.flags.c_contiguous and x.flags.f_contiguous:
-        return x, 1
-    return np.ascontiguousarray(x, dtype=float).T, 0
+    x = np.asarray(x, dtype=float)
+    if not (x.flags.c_contiguous or x.flags.f_contiguous):
+        x = x.copy(order="K")
+    if x.flags.c_contiguous:
+        return x.T, 0
+    return x, 1
 
 
 @dataclass

@@ -259,6 +259,7 @@ class _OutputTerms(NamedTuple):
 
     kfu: np.ndarray
     phi: np.ndarray  # Kfu Kuu^-1
+    phi_su: np.ndarray  # Phi Su
     mu: np.ndarray
     var: np.ndarray
     a: np.ndarray
@@ -281,17 +282,17 @@ def _svb_data_partials(X, y, pi, hp, cho, mu_u, Su):
     for m, out in enumerate(hp.outputs):
         kfu = kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent)
         kffd = np.full(X.shape[0], kernels.kff_diag_value(out, hp.latent))
-        mu, var, phi = _moments_from_blocks(cho, kfu, kffd, mu_u, Su)
+        mu, var, phi, phi_su = _moments_from_blocks(cho, kfu, kffd, mu_u, Su)
         sig2 = hp.noise.sigma[m] ** 2
         dtil = pi[:, m] / sig2
         a = dtil * (y - mu)
         w = -0.5 * dtil
         d_mu_u += phi.T @ a
-        d_S += phi.T @ (phi * w[:, None])
+        d_S += engine._gemm(phi.T, phi * w[:, None])
         resid2 = (y - mu) ** 2
         dD = 0.5 / dtil - 0.5 * (resid2 + var)
         d_pi[:, m] = dD * (1.0 / sig2)
-        terms.append(_OutputTerms(kfu, phi, mu, var, a, w, dD))
+        terms.append(_OutputTerms(kfu, phi, phi_su, mu, var, a, w, dD))
     return terms, d_mu_u, d_S, d_pi
 
 
@@ -341,9 +342,9 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
         sig = hp.noise.sigma[m]
         value += float(np.sum(expected_loglik_terms(yb, t.mu, t.var, pi_b[:, m], sig)))
         # dPhi: a mu' + diag(w) (2 Phi Su - Kfu)
-        dPhi = np.outer(t.a, mu_u) + t.w[:, None] * (2.0 * (t.phi @ Su) - t.kfu)
-        dKfu_blocks.append(dPhi @ kuu_inv - t.w[:, None] * t.phi)
-        dKuu += -t.phi.T @ dPhi @ kuu_inv
+        dPhi = np.outer(t.a, mu_u) + t.w[:, None] * (2.0 * t.phi_su - t.kfu)
+        dKfu_blocks.append(engine._gemm(dPhi, kuu_inv) - t.w[:, None] * t.phi)
+        dKuu -= engine._gemm(t.phi.T, dPhi) @ kuu_inv
     # V rows of the batch only: nothing outside it is read
     d_pi_raw, d_alpha0, _ = vterm_partials(state, ds, cfg, hp.noise, rows=rows_idx)
     value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=rows_idx)))

@@ -1,4 +1,4 @@
-"""Convolution kernels and covariance-block assembly.
+"""Convolution kernels, their matrices and their derivatives.
 
 A single shared latent GP ``u`` with an unnormalized squared-exponential
 kernel is convolved with per-output Gaussian smoothing kernels.  All
@@ -14,7 +14,7 @@ where N is a normalized Gaussian density.  Both forms are validated
 against adaptive-quadrature oracles in the test suite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -137,30 +137,6 @@ class IndependentSEHyperParams:
         return len(self.outputs)
 
 
-@dataclass
-class CovBlocks:
-    """Assembled covariance pieces of the sparse multi-output prior.
-
-    Kuu is stored with its stabilizing jitter already added; Kfu stacks
-    the per-output cross-covariance blocks ((N*M) x Q, output-major);
-    Bdiag holds the M Nystrom residual blocks.
-    """
-
-    Kuu: np.ndarray
-    Kfu: np.ndarray
-    Bdiag: list
-    jitter: float
-    kff_diag: np.ndarray = field(default=None)
-
-    @property
-    def n_outputs(self):
-        return len(self.Bdiag)
-
-    def kfu_block(self, m):
-        n = self.Bdiag[m].shape[0]
-        return self.Kfu[m * n : (m + 1) * n]
-
-
 # ---------------------------------------------------------------------------
 # pointwise evaluations
 # ---------------------------------------------------------------------------
@@ -260,7 +236,7 @@ def exact_kff_pairs(X, hp: HyperParams):
 
 
 # ---------------------------------------------------------------------------
-# assembly
+# jittered Cholesky factor
 # ---------------------------------------------------------------------------
 
 
@@ -281,38 +257,6 @@ def chol_jitter(K):
     raise IllConditionedKernelError(
         "ill-conditioned inducing kernel: condition estimate %.3e"
         % np.linalg.cond(K)
-    )
-
-
-def assemble_cov(X, W: InducingInputs, hp: HyperParams):
-    """Assemble Kuu (jittered), stacked Kfu and the Nystrom residual blocks.
-
-    Every output is evaluated at all N inputs, so Kfu has N*M rows and
-    each residual block B_m = Kff_m - Kfu_m Kuu^-1 Kuf_m is N x N.
-    """
-    from scipy.linalg import cho_solve
-
-    X = _as_2d(X)
-    Kuu_raw = kuu_matrix(W.W, hp.latent)
-    cho, jitter = chol_jitter(Kuu_raw)
-    Kuu = Kuu_raw + jitter * np.eye(Kuu_raw.shape[0])
-    kfu_blocks = []
-    bdiag = []
-    kffd = []
-    for out in hp.outputs:
-        Kfu_m = kfu_matrix(X, W.W, out, hp.latent)
-        Kff_m = kff_matrix(X, X, out, out, hp.latent)
-        B_m = Kff_m - Kfu_m @ cho_solve(cho, Kfu_m.T)
-        B_m = 0.5 * (B_m + B_m.T)
-        kfu_blocks.append(Kfu_m)
-        bdiag.append(B_m)
-        kffd.append(np.full(X.shape[0], kff_diag_value(out, hp.latent)))
-    return CovBlocks(
-        Kuu=Kuu,
-        Kfu=np.vstack(kfu_blocks),
-        Bdiag=bdiag,
-        jitter=jitter,
-        kff_diag=np.concatenate(kffd),
     )
 
 

@@ -15,46 +15,36 @@ while the KL term is not.  The trainer's mini-batch step
 (gradients.svb_variational_grad) decodes and differentiates only the
 batch rows, with Kuu factored once per round; only its flat gradient
 vector and the dense Adam update are still O(N) per step.
-"""
 
-from dataclasses import dataclass
+The matrix products with a batch-row operand (Phi Su here, Kuf Dinv Kfu
+in optimal_qu, and those of the gradients built on these moments) run
+in scipy's BLAS through engine._gemm, the library that also runs the
+Cholesky solves, so an evaluation uses one OpenBLAS thread pool; the
+engine docstring says why.  Phi Su is computed once per output and
+handed to the gradients.
+"""
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import kernels
+from . import engine, kernels
 from .bounds import compute_D, vterm_rows
-from .kernels import CovBlocks
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass
-class QfMoments:
-    """Marginal mean and variance diagonal of q(f_m) at the training inputs."""
-
-    mu: np.ndarray
-    var_diag: np.ndarray
-
-
 def _moments_from_blocks(cho_kuu, kfu, kff_diag, mu_u, Su):
+    """Moments of q(f_m) at the rows of kfu: (mu, var clamped at 0, Phi, Phi Su).
+
+    mu = Phi mu_u and var = diag(Kff + Phi (Su - Kuu) Phi') with
+    Phi = Kfu Kuu^-1; Phi and Phi Su are returned for the callers'
+    gradients.
+    """
     phi = cho_solve(cho_kuu, kfu.T).T  # Kfu Kuu^-1
     mu = phi @ mu_u
-    var = kff_diag - np.sum(phi * kfu, axis=1) + np.sum((phi @ Su) * phi, axis=1)
-    return mu, np.maximum(var, 0.0), phi
-
-
-def qf_moments(cov: CovBlocks, m, mu_u, Su):
-    """Moments of q(f_m) from assembled covariance blocks.
-
-    mu = Kfu Kuu^-1 mu_u and the variance diagonal of
-    Kff + Kfu Kuu^-1 (Su - Kuu) Kuu^-1 Kuf, clamped at zero.
-    """
-    cho = cho_factor(cov.Kuu, lower=True)
-    n = cov.Bdiag[m].shape[0]
-    kffd = cov.kff_diag[m * n : (m + 1) * n]
-    mu, var, _ = _moments_from_blocks(cho, cov.kfu_block(m), kffd, mu_u, Su)
-    return QfMoments(mu=mu, var_diag=var)
+    phi_su = engine._gemm(phi, Su)
+    var = kff_diag - np.sum(phi * kfu, axis=1) + np.sum(phi_su * phi, axis=1)
+    return mu, np.maximum(var, 0.0), phi, phi_su
 
 
 def gaussian_kl_u(mu_u, Su, Kuu):
@@ -102,7 +92,7 @@ def elbo_svb(ds, cfg, hp, state, batch=None):
     for m, out in enumerate(hp.outputs):
         kfu = kernels.kfu_matrix(Xb, hp.inducing.W, out, hp.latent)
         kffd = np.full(len(rows), kernels.kff_diag_value(out, hp.latent))
-        mu, var, _ = _moments_from_blocks(cho, kfu, kffd, state.mu_u, state.Su)
+        mu, var, _, _ = _moments_from_blocks(cho, kfu, kffd, state.mu_u, state.Su)
         data += float(
             np.sum(expected_loglik_terms(yb, mu, var, pi_b[:, m], hp.noise.sigma[m]))
         )
@@ -127,7 +117,7 @@ def optimal_qu(ds, cfg, hp, state):
     for m, out in enumerate(hp.outputs):
         kfu = kernels.kfu_matrix(ds.X, hp.inducing.W, out, hp.latent)
         dinv = 1.0 / D.block(m)
-        C += kfu.T @ (kfu * dinv[:, None])
+        C += engine._gemm(kfu.T, kfu * dinv[:, None])
         rhs += kfu.T @ (dinv * ds.y)
     A = kuu + C
     A = 0.5 * (A + A.T)

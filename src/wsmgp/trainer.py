@@ -53,7 +53,12 @@ class OptimizerConfig:
 
 @dataclass
 class FitReport:
-    """Outcome of one fit (best restart)."""
+    """Outcome of one fit (best restart).
+
+    termination holds scipy's stopping record (message, nit, nfev,
+    success) of every optimizer run: one per restart of fit_cvb, one per
+    hyperparameter phase of fit_svb_em.
+    """
 
     bound_trajectory: list
     final_hp: object
@@ -64,6 +69,17 @@ class FitReport:
     evaluations: int
     seed: int
     restart_bounds: list = field(default_factory=list)
+    termination: list = field(default_factory=list)
+
+
+def _termination(res):
+    """The stopping record of one scipy.optimize result."""
+    return {
+        "message": str(res.message),
+        "nit": int(res.nit),
+        "nfev": int(res.nfev),
+        "success": bool(res.success),
+    }
 
 
 class NonFiniteBoundError(RuntimeError):
@@ -374,6 +390,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
     t0 = time.perf_counter()
     best = None
     restart_bounds = []
+    termination = []
     evaluations = 0
     for r in range(max(1, opt_cfg.restarts)):
         rs = opt_cfg.seed + 7919 * r
@@ -434,6 +451,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         evaluations += counter[0]
         final_bound = -res.fun
         restart_bounds.append(final_bound)
+        termination.append(_termination(res))
         if best is None or final_bound > best[0]:
             best = (final_bound, res.x, pack, traj, bool(res.success), rs)
     bound, x, pack, traj, ok, rs = best
@@ -454,6 +472,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         evaluations=evaluations,
         seed=opt_cfg.seed,
         restart_bounds=restart_bounds,
+        termination=termination,
     )
 
 
@@ -552,6 +571,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         return -val, -pack.hyper_grad_to_vec(bundle)
 
     traj = [initial]
+    termination = []
     evaluations = 0
     for outer in range(opt_cfg.em_outer_iters):
         # 1/sqrt(t) decay damps the mini-batch noise of the E-phase
@@ -581,6 +601,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
             options={"maxiter": opt_cfg.em_inner_hyp_iters},
         )
         x[hyp] = res.x
+        termination.append(_termination(res))
         evaluations += eval_counter[0]
         eval_counter[0] = 0
         # the inducing posterior is extremely sensitive to hyperparameter
@@ -604,4 +625,5 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         wall_clock=time.perf_counter() - t0,
         evaluations=evaluations,
         seed=opt_cfg.seed,
+        termination=termination,
     )

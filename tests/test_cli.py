@@ -53,6 +53,10 @@ def test_round_trip(workdir, model, bound):
     fit = _fit(workdir, gen, bound, model)
     doc = json.loads((fit / "model.json").read_text())
     assert doc["data"]["n"] == 24
+    # one stopping record per restart (restarts = 1) or per EM round (emOuterIters = 2)
+    termination = json.loads((fit / "fitreport.json").read_text())["termination"]
+    assert len(termination) == {"cvb": 1, "svb": 2}[bound]
+    assert all(set(t) == {"message", "nit", "nfev", "success"} for t in termination)
     pred = workdir / "pred"
     _run("predict", "--config", workdir / "cfg.txt", "--data", gen / "dataset.csv",
          "--params", fit / "model.json", "--out", pred)

@@ -1,0 +1,63 @@
+"""engine._gemm, the scipy-BLAS matrix product, against numpy's matmul."""
+
+import numpy as np
+import pytest
+
+from wsmgp import engine
+
+
+def _strided(x):
+    """x as a view with neither axis contiguous."""
+    buf = np.zeros((2 * x.shape[0] + 1, 3 * x.shape[1] + 1))
+    view = buf[::2, ::3][: x.shape[0], : x.shape[1]]
+    view[...] = x
+    return view
+
+
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "transposed": lambda x: np.ascontiguousarray(x.T).T,
+    "strided": _strided,
+    "strided-transposed": lambda x: _strided(x.T).T,
+}
+
+# (a.shape, b.shape); the large ones are big enough for a threaded gemm
+MATRIX_SHAPES = [
+    ((2, 2), (2, 2)),
+    ((5, 7), (7, 3)),
+    ((400, 30), (30, 30)),
+    ((30, 400), (400, 30)),
+    ((300, 500), (500, 3)),
+]
+ZERO_SIZE_SHAPES = [((0, 30), (30, 30)), ((30, 30), (30, 0)), ((3, 0), (0, 4))]
+VECTOR_SHAPES = [((1, 30), (30, 30)), ((30, 100), (100, 1)), ((1, 7), (7, 1))]
+
+
+def _operands(shapes, layout_a, layout_b, seed=0):
+    rng = np.random.default_rng(seed)
+    a0, b0 = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+    a, b = LAYOUTS[layout_a](a0), LAYOUTS[layout_b](b0)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    return a, b
+
+
+@pytest.mark.parametrize("layout_b", LAYOUTS)
+@pytest.mark.parametrize("layout_a", LAYOUTS)
+@pytest.mark.parametrize("shapes", MATRIX_SHAPES + ZERO_SIZE_SHAPES)
+def test_equals_matmul_bit_for_bit(shapes, layout_a, layout_b):
+    a, b = _operands(shapes, layout_a, layout_b)
+    got = engine._gemm(a, b)
+    assert got.shape == (a.shape[0], b.shape[1])
+    np.testing.assert_array_equal(got, a @ b)
+
+
+@pytest.mark.parametrize("layout_b", LAYOUTS)
+@pytest.mark.parametrize("layout_a", LAYOUTS)
+@pytest.mark.parametrize("shapes", VECTOR_SHAPES)
+def test_vector_shaped_result_within_a_few_ulp(shapes, layout_a, layout_b):
+    # numpy computes these with gemv or dot, which sum in another order
+    a, b = _operands(shapes, layout_a, layout_b)
+    scale = np.abs(a) @ np.abs(b)
+    err = np.abs(engine._gemm(a, b) - a @ b)
+    assert np.all(err <= 4 * np.finfo(float).eps * scale)

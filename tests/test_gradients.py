@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_solve
 from scipy.special import digamma
 
-from wsmgp import checks, gradients, svi
+from wsmgp import checks, engine, gradients, svi
 from wsmgp.bounds import scmgp_loglik, vterm_rows
 from wsmgp.gradients import finite_diff_check
 from wsmgp.kernels import (
@@ -356,3 +356,55 @@ def _with_hard_prior_row(ds):
     prior[hard] = 0.0
     prior[hard, ds.labels[hard] - 1] = 1.0
     return Dataset(X=ds.X, y=ds.y, labels=ds.labels, prior_pi=prior), hard
+
+
+class TestBlasRouting:
+    """The stochastic bound's N-row products run in engine._gemm and change no value.
+
+    Every output is computed twice: as is, and with engine._gemm replaced
+    by numpy's matmul, which records each call.  The outputs must agree
+    bit for bit (a wrong transpose flag or operand breaks that), and each
+    output m must make the routed calls (a call site computed in numpy
+    instead shows as a missing call).
+    """
+
+    @staticmethod
+    def _outputs(ds, cfg, hp, state, rows):
+        _, cho = svi._jittered_kuu(hp)
+        kuu_inv = cho_solve(cho, np.eye(len(state.mu_u)))
+        out = {}
+        for tag, batch in (("full", None), ("batch", rows)):
+            val, b = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=batch)
+            out["elbo_svb_with_grad." + tag] = [val] + list(vars(b).values())
+            out["elbo_svb." + tag] = [svi.elbo_svb(ds, cfg, hp, state, batch=batch)]
+        out["svb_variational_grad"] = gradients.svb_variational_grad(
+            ds, cfg, hp, cho, kuu_inv, rows, state.pi_hat[rows], state.mu_u, state.Su
+        )
+        out["optimal_qu"] = svi.optimal_qu(ds, cfg, hp, state)
+        return out
+
+    @pytest.mark.parametrize("seed", [1001, 2003])
+    def test_matmul_in_place_of_gemm_gives_identical_outputs(self, seed, monkeypatch):
+        ds, cfg, hp, state = checks.random_instance(seed, n=300, M=2, Q=20)
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(20, 20))
+        state.Su = np.eye(20) + A @ A.T / 20
+        state.mu_u = rng.normal(size=20)
+        rows = rng.choice(ds.n, size=100, replace=False)
+        routed = self._outputs(ds, cfg, hp, state, rows)
+
+        calls = []
+
+        def matmul(a, b):
+            calls.append((a.shape, b.shape))
+            return a @ b
+
+        monkeypatch.setattr(engine, "_gemm", matmul)
+        plain = self._outputs(ds, cfg, hp, state, rows)
+        for name, values in routed.items():
+            for got, ref in zip(values, plain[name]):
+                np.testing.assert_array_equal(got, ref, err_msg=name)
+        # per output: 4 products in each elbo_svb_with_grad call, 1 in each
+        # elbo_svb, 2 in svb_variational_grad and 1 in optimal_qu
+        assert len(calls) == cfg.M * (2 * 4 + 2 * 1 + 2 + 1)
+        assert all(max(sa[0], sb[0]) >= len(rows) for sa, sb in calls)

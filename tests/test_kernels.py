@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from wsmgp import _backend, kernels
+from wsmgp import _backend, engine, kernels
 from wsmgp.checks import _quad_ff, _quad_fu
 from wsmgp.kernels import (
     HyperParams,
@@ -13,7 +13,6 @@ from wsmgp.kernels import (
     LatentKernelParams,
     NoiseParams,
     OutputKernelParams,
-    assemble_cov,
     chol_jitter,
     eval_cross_ff,
     eval_cross_fu,
@@ -122,6 +121,14 @@ class TestCrossCovariances:
                 assert eval_cross_ff([x], [x], out, out, hp.latent) >= 0.0
 
 
+def build_system(X, hp):
+    """The engine's system with every row of X under every output."""
+    n = X.shape[0]
+    rows = [np.arange(n)] * hp.n_outputs
+    d_blocks = [np.full(n, s**2) for s in hp.noise.sigma]
+    return engine.build_system(X, np.zeros(n), hp, rows, d_blocks)
+
+
 class TestAssembly:
     def test_interpolation_case_zero_residual(self):
         # Q = N with W = X: the Nystrom residual of u itself vanishes; for
@@ -135,11 +142,11 @@ class TestAssembly:
             noise=NoiseParams(sigma=np.array([0.25])),
             inducing=InducingInputs(W=X.copy()),
         )
-        cov = assemble_cov(X, hp.inducing, hp)
-        B = cov.Bdiag[0]
+        sys = build_system(X, hp)
+        B = sys.B_blocks[0]
         # exact interpolation: residual of the *latent* kernel at W=X
         Kuu = kernels.kuu_matrix(X, LAT)
-        resid = Kuu - Kuu @ np.linalg.solve(cov.Kuu, Kuu)
+        resid = Kuu - Kuu @ np.linalg.solve(sys.Kuu, Kuu)
         assert np.max(np.abs(resid)) < 1e-4
         assert np.min(np.linalg.eigvalsh(B)) >= -1e-8 * np.trace(B) / len(B)
 
@@ -147,21 +154,22 @@ class TestAssembly:
         rng = np.random.default_rng(7)
         X = rng.uniform(0, 1, (10, 1))
         hp = random_hp(rng, M=2, Q=4)
-        cov = assemble_cov(X, hp.inducing, hp)
-        assert cov.Kuu.shape == (4, 4)
-        assert cov.Kfu.shape == (20, 4)
-        assert len(cov.Bdiag) == 2 and cov.Bdiag[0].shape == (10, 10)
+        sys = build_system(X, hp)
+        assert sys.Kuu.shape == (4, 4)
+        assert np.vstack(sys.Kfu_blocks).shape == (20, 4)
+        assert len(sys.B_blocks) == 2 and sys.B_blocks[0].shape == (10, 10)
 
     def test_assembled_covariance_psd(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             X = rng.uniform(0, 1, (10, 1))
             hp = random_hp(rng, M=2, Q=4)
-            cov = assemble_cov(X, hp.inducing, hp)
-            nystrom = cov.Kfu @ np.linalg.solve(cov.Kuu, cov.Kfu.T)
+            sys = build_system(X, hp)
+            Kfu = np.vstack(sys.Kfu_blocks)
+            nystrom = Kfu @ np.linalg.solve(sys.Kuu, Kfu.T)
             full = nystrom.copy()
             for m in range(2):
-                full[m * 10 : (m + 1) * 10, m * 10 : (m + 1) * 10] += cov.Bdiag[m]
+                full[m * 10 : (m + 1) * 10, m * 10 : (m + 1) * 10] += sys.B_blocks[m]
             full = 0.5 * (full + full.T)
             eigs = np.linalg.eigvalsh(full)
             assert eigs.min() >= -1e-8 * np.trace(full) / full.shape[0]

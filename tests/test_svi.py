@@ -7,15 +7,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from wsmgp import checks, kernels, svi
-from wsmgp.bounds import elbo_cvb
-from wsmgp.kernels import assemble_cov
-from wsmgp.svi import (
-    elbo_svb,
-    expected_loglik_terms,
-    gaussian_kl_u,
-    optimal_qu,
-    qf_moments,
-)
+from wsmgp.bounds import build_cvb_system, elbo_cvb
+from wsmgp.svi import elbo_svb, expected_loglik_terms, gaussian_kl_u, optimal_qu
 
 _LOG2PI = np.log(2 * np.pi)
 
@@ -25,37 +18,42 @@ def rand_spd(rng, q, scale=1.0):
     return scale * (np.eye(q) + A @ A.T / q)
 
 
+def _qf_moments(sys, hp, m, mu_u, Su):
+    """Moments of q(f_m) at every row, from the engine's factors of Kuu and Kfu_m."""
+    kffd = np.full(len(sys.rows[m]), kernels.kff_diag_value(hp.outputs[m], hp.latent))
+    mu, var, _, _ = svi._moments_from_blocks(sys.cho_Kuu, sys.Kfu_blocks[m], kffd, mu_u, Su)
+    return mu, var, kffd
+
+
 class TestQfMoments:
     def test_prior_q_collapses_correction(self):
         ds, cfg, hp, state = checks.random_instance(0, n=5, M=2, Q=3)
-        cov = assemble_cov(ds.X, hp.inducing, hp)
-        mom = qf_moments(cov, 0, np.zeros(3), cov.Kuu.copy())
-        np.testing.assert_allclose(mom.mu, 0.0, atol=1e-12)
-        np.testing.assert_allclose(mom.var_diag, cov.kff_diag[:5], rtol=1e-9)
+        sys = build_cvb_system(ds, cfg, hp, state)
+        mu, var, kffd = _qf_moments(sys, hp, 0, np.zeros(3), sys.Kuu.copy())
+        np.testing.assert_allclose(mu, 0.0, atol=1e-12)
+        np.testing.assert_allclose(var, kffd, rtol=1e-9)
 
     def test_su_zero_gives_nystrom_residual(self):
         ds, cfg, hp, state = checks.random_instance(1, n=5, M=2, Q=3)
-        cov = assemble_cov(ds.X, hp.inducing, hp)
-        mom = qf_moments(cov, 1, np.zeros(3), np.zeros((3, 3)))
-        np.testing.assert_allclose(
-            mom.var_diag, np.diag(cov.Bdiag[1]), rtol=1e-8, atol=1e-12
-        )
+        sys = build_cvb_system(ds, cfg, hp, state)
+        _, var, _ = _qf_moments(sys, hp, 1, np.zeros(3), np.zeros((3, 3)))
+        np.testing.assert_allclose(var, np.diag(sys.B_blocks[1]), rtol=1e-8, atol=1e-12)
 
     def test_matches_dense_joint_marginalization(self):
         rng = np.random.default_rng(2)
         ds, cfg, hp, state = checks.random_instance(2, n=3, M=1, Q=2)
-        cov = assemble_cov(ds.X, hp.inducing, hp)
+        sys = build_cvb_system(ds, cfg, hp, state)
         mu_u = rng.normal(size=2)
         Su = rand_spd(rng, 2, 0.5)
-        mom = qf_moments(cov, 0, mu_u, Su)
+        mu, var, _ = _qf_moments(sys, hp, 0, mu_u, Su)
         # independent dense construction of q(f) = int p(f|u) q(u) du
         Kfu = kernels.kfu_matrix(ds.X, hp.inducing.W, hp.outputs[0], hp.latent)
         Kff = kernels.kff_matrix(ds.X, ds.X, hp.outputs[0], hp.outputs[0], hp.latent)
-        Ki = np.linalg.inv(cov.Kuu)
+        Ki = np.linalg.inv(sys.Kuu)
         mean = Kfu @ Ki @ mu_u
-        Sig = Kff + Kfu @ Ki @ (Su - cov.Kuu) @ Ki @ Kfu.T
-        np.testing.assert_allclose(mom.mu, mean, rtol=1e-8)
-        np.testing.assert_allclose(mom.var_diag, np.diag(Sig), rtol=1e-8)
+        Sig = Kff + Kfu @ Ki @ (Su - sys.Kuu) @ Ki @ Kfu.T
+        np.testing.assert_allclose(mu, mean, rtol=1e-8)
+        np.testing.assert_allclose(var, np.diag(Sig), rtol=1e-8)
 
 
 class TestGaussianKL:

@@ -178,6 +178,16 @@ class TestFitCvb:
             fit_cvb(ds, cfg, None, OptimizerConfig(seed=0, restarts=1, max_iter=5))
 
 
+def assert_termination(rep, runs, max_iter):
+    """One scipy stopping record per optimizer run, each within its iteration cap."""
+    assert len(rep.termination) == runs
+    for t in rep.termination:
+        assert set(t) == {"message", "nit", "nfev", "success"}
+        assert isinstance(t["message"], str) and t["message"]
+        assert isinstance(t["success"], bool)
+        assert 0 <= t["nit"] <= max_iter and t["nfev"] >= 1
+
+
 class TestFitSvbEm:
     def test_full_batch_trajectory_non_decreasing(self):
         ds, _ = tiny_two_output_ds(8, n_per=15)
@@ -190,6 +200,9 @@ class TestFitSvbEm:
         rep = fit_svb_em(ds, cfg, None, opt)
         traj = np.asarray(rep.bound_trajectory)
         assert np.all(np.diff(traj) >= -1e-6 * np.maximum(1.0, np.abs(traj[:-1])))
+        # one record per M-phase; their evaluations plus the E-phase steps are all
+        assert_termination(rep, runs=5, max_iter=5)
+        assert sum(t["nfev"] for t in rep.termination) + 5 * 10 == rep.evaluations
 
     def test_tracks_collapsed_fit_within_two_nats(self):
         sc = SyntheticConfig(M=2, per_source_count=30, gamma=1.0, l_frac=0.5,
@@ -207,6 +220,8 @@ class TestFitSvbEm:
             optimize_alpha0=False,
         )
         rep_s = fit_svb_em(ds, cfg, None, opt_s)
+        assert_termination(rep_c, runs=2, max_iter=150)
+        assert_termination(rep_s, runs=100, max_iter=10)
         gap = abs(rep_c.bound_trajectory[-1] - rep_s.bound_trajectory[-1])
         assert gap <= 2.0, "gap %.3f nats" % gap
 
