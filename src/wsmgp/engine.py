@@ -128,7 +128,9 @@ def build_system(X, y, hp, rows, d_blocks):
     alpha = []
     V = []
     for m, B_m in enumerate(B_blocks):
-        E_m = B_m + np.diag(d_blocks[m])
+        # E_m = B_m + diag(d_m); B_m itself stays the residual
+        E_m = B_m.copy()
+        E_m.flat[:: E_m.shape[0] + 1] += d_blocks[m]
         if E_m.shape[0] == 0:
             cho_E.append(None)
             alpha.append(np.zeros(0))

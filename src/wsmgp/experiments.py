@@ -1,7 +1,10 @@
 """Synthetic-data generation, evaluation metrics, and the benchmark grid.
 
 The generator draws exact joint samples from the dense multi-output
-prior (no sparse approximation), thins the first source to a gamma
+prior (no sparse approximation): one Cholesky factorization of the
+joint covariance of every source's inputs and grid, in scipy's
+OpenBLAS, with the dense covariance and its factor (two n x n arrays)
+the only large allocations.  It then thins the first source to a gamma
 fraction, keeps an l fraction of labels per source, optionally flips
 retained labels, and adds a constant bias to the second source.  The
 ground truth keeps the noiseless latent curves on an evaluation grid so
@@ -16,6 +19,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import dtrmv
 
 from . import kernels
 from .baselines import BaselineKind, fit_baseline
@@ -88,19 +92,27 @@ class GroundTruth:
 
 
 def joint_latent_draw(X_blocks, outputs, lat, rng):
-    """One exact draw of the given output blocks jointly at their inputs."""
+    """One exact draw of the given output blocks jointly at their inputs.
+
+    Returns f = L z split into the blocks, where L L^T = K + jitter I is
+    the dense joint prior covariance K of every block at its inputs,
+    factored once by `kernels.chol_jitter` (in scipy's OpenBLAS), and z
+    is the generator's next sum(sizes) standard normals.  For n inputs in
+    all, it holds two dense n x n arrays at its peak: K, built in Fortran
+    order so the factor's working copy is a plain copy, and the factor.
+    The draw (`dtrmv`) reads only the factor's lower triangle in place.
+    """
     sizes = [np.asarray(x).shape[0] for x in X_blocks]
     total = sum(sizes)
-    K = np.empty((total, total))
+    K = np.empty((total, total), order="F")
     offs = np.cumsum([0] + sizes)
     for a in range(len(X_blocks)):
         for b in range(a, len(X_blocks)):
             Kab = kernels.kff_matrix(X_blocks[a], X_blocks[b], outputs[a], outputs[b], lat)
             K[offs[a] : offs[a + 1], offs[b] : offs[b + 1]] = Kab
             K[offs[b] : offs[b + 1], offs[a] : offs[a + 1]] = Kab.T
-    cho, jitter = kernels.chol_jitter(K)
-    Lc = np.linalg.cholesky(K + jitter * np.eye(total))
-    f = Lc @ rng.standard_normal(total)
+    (c, _), _ = kernels.chol_jitter(K)
+    f = dtrmv(c, rng.standard_normal(total), lower=1)
     return [f[offs[i] : offs[i + 1]] for i in range(len(X_blocks))]
 
 

@@ -245,12 +245,23 @@ def chol_jitter(K):
 
     Starts from 1e-6 * mean(diag), multiplies by 10 on failure up to
     1e-2 * mean(diag), then raises with a condition-number estimate.
+
+    Each attempt copies K into one Fortran-ordered working array, adds
+    the jitter to its diagonal and lets LAPACK factor it in place; that
+    array is the returned factor.  K itself is never modified, and the
+    factor equals cho_factor(K + jitter * I, lower=True) bit for bit
+    (upper triangle included) without an n x n identity or sum.
     """
     base = float(np.mean(np.diag(K)))
+    n = K.shape[0]
+    work = np.empty((n, n), order="F")
     jitter = 1e-6 * base
     while jitter <= 1e-2 * base:
+        # a failed attempt leaves a partial factor behind, so start afresh
+        np.copyto(work, K)
+        work.flat[:: n + 1] += jitter
         try:
-            c, low = cho_factor(K + jitter * np.eye(K.shape[0]), lower=True)
+            c, low = cho_factor(work, lower=True, overwrite_a=True)
             return (c, low), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0

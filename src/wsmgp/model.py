@@ -168,14 +168,12 @@ def init_state(ds: Dataset, cfg: ModelConfig, seed, kuu=None):
     """
     rng = np.random.default_rng(seed)
     M = cfg.M
+    labeled = ds.labeled_mask
     pi = np.empty((ds.n, M))
-    uniform = np.full(M, 1.0 / M)
-    for i in range(ds.n):
-        if ds.labels[i] > 0:
-            pi[i] = ds.prior_pi[i]
-        else:
-            noise = rng.dirichlet(np.ones(M))
-            pi[i] = 0.95 * uniform + 0.05 * noise
+    pi[labeled] = ds.prior_pi[labeled]
+    # one draw per unlabeled row, in row order
+    noise = rng.dirichlet(np.ones(M), size=ds.n_unlabeled)
+    pi[~labeled] = 0.95 * np.full(M, 1.0 / M) + 0.05 * noise
     pi = floor_simplex(pi)
     if kuu is None:
         Su = np.eye(cfg.Q)

@@ -1,9 +1,13 @@
-"""engine._gemm, the scipy-BLAS matrix product, against numpy's matmul."""
+"""engine._gemm, the scipy-BLAS matrix product, against numpy's matmul, and
+the factored blocks of engine.build_system."""
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from wsmgp import engine
+from wsmgp import engine, kernels
+from wsmgp.bounds import build_cvb_system
+from wsmgp.checks import random_instance
 
 
 def _strided(x):
@@ -61,3 +65,18 @@ def test_vector_shaped_result_within_a_few_ulp(shapes, layout_a, layout_b):
     scale = np.abs(a) @ np.abs(b)
     err = np.abs(engine._gemm(a, b) - a @ b)
     assert np.all(err <= 4 * np.finfo(float).eps * scale)
+
+
+
+def test_build_system_factors_residual_plus_noise():
+    # E_m = B_m + diag(d_m) is what gets factored; B_blocks keeps the residual
+    ds, cfg, hp, state = random_instance(3, n=25, M=2, Q=6)
+    sys = build_cvb_system(ds, cfg, hp, state)
+    for m, out in enumerate(hp.outputs):
+        Kfu = kernels.kfu_matrix(ds.X, hp.inducing.W, out, hp.latent)
+        Kff = kernels.kff_matrix(ds.X, ds.X, out, out, hp.latent)
+        resid = Kff - Kfu @ cho_solve(sys.cho_Kuu, Kfu.T)
+        np.testing.assert_allclose(sys.B_blocks[m], 0.5 * (resid + resid.T),
+                                   rtol=0, atol=1e-12)
+        expect = cho_factor(sys.B_blocks[m] + np.diag(sys.d_blocks[m]), lower=True)[0]
+        np.testing.assert_array_equal(sys.cho_E[m][0], expect)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import cho_factor
 
 from wsmgp import _backend, engine, kernels
 from wsmgp.checks import _quad_ff, _quad_fu
@@ -178,6 +179,73 @@ class TestAssembly:
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(IllConditionedKernelError, match="condition estimate"):
             chol_jitter(K)
+
+
+def _needs_escalations(k, n=6, seed=0):
+    """A symmetric K with mean(diag) = 1 on which the jitter escalates k times.
+
+    Its smallest eigenvalue is -3e-6 * 10**(k - 1), so the first jitter
+    that makes it positive definite is 1e-6 * 10**k; k = 0 gives a
+    positive definite K.
+    """
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lowest = 0.1 if k == 0 else -3e-6 * 10.0 ** (k - 1)
+    eigs = np.linspace(2.0, 0.5, n - 1)
+    eigs = np.append(eigs * (n - lowest) / eigs.sum(), lowest)
+    K = (Q * eigs) @ Q.T
+    return 0.5 * (K + K.T)
+
+
+def _reference_chol_jitter(K):
+    """The escalation policy written with a fresh K + jitter * I per attempt."""
+    base = float(np.mean(np.diag(K)))
+    jitter = 1e-6 * base
+    while jitter <= 1e-2 * base:
+        try:
+            return cho_factor(K + jitter * np.eye(K.shape[0]), lower=True), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise AssertionError("reference policy gave up")
+
+
+class TestCholJitter:
+    @pytest.mark.parametrize("escalations", [0, 1, 2])
+    def test_factor_and_jitter_equal_the_reference(self, escalations):
+        K = _needs_escalations(escalations)
+        (c, lower), jitter = chol_jitter(K)
+        (c_ref, lower_ref), jitter_ref = _reference_chol_jitter(K)
+        base = float(np.mean(np.diag(K)))
+        assert jitter == jitter_ref
+        assert jitter == pytest.approx(1e-6 * 10.0**escalations * base, rel=1e-12)
+        assert lower and lower_ref
+        # bit for bit, the upper triangle LAPACK leaves untouched included
+        np.testing.assert_array_equal(c, c_ref)
+        L = np.tril(c)
+        np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(len(K)), atol=1e-12)
+
+    def test_kuu_factor_equals_the_reference(self):
+        W = np.linspace(-1.0, 1.0, 30)[:, None]
+        K = kernels.kuu_matrix(W, LAT)
+        (c, _), jitter = chol_jitter(K)
+        (c_ref, _), jitter_ref = _reference_chol_jitter(K)
+        assert jitter == jitter_ref
+        np.testing.assert_array_equal(c, c_ref)
+
+    @pytest.mark.parametrize("escalations", [0, 2])
+    def test_input_unchanged(self, escalations):
+        K = _needs_escalations(escalations)
+        K_before = K.copy()
+        (c, _), _ = chol_jitter(K)
+        np.testing.assert_array_equal(K, K_before)
+        assert not np.shares_memory(c, K)
+
+    def test_input_unchanged_when_every_attempt_fails(self):
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])
+        K_before = K.copy()
+        with pytest.raises(IllConditionedKernelError):
+            chol_jitter(K)
+        np.testing.assert_array_equal(K, K_before)
 
 
 class TestBackends:

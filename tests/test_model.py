@@ -94,6 +94,22 @@ class TestInitState:
         assert kuu[0, 0] == 2.0  # a copy, not a view
         assert np.all(st.mu_u == 0.0)
 
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_equals_per_row_draws(self, M):
+        labels = (0, 1, 0, 0, M, 0, 2, 1, 0, 0)
+        ds = small_ds(labels, M=M)
+        ds.prior_pi[1] = np.full(M, 1.0 / M)  # one soft prior row
+        st = init_state(ds, ModelConfig(M=M, Q=3), seed=4)
+        # reference: one Dirichlet draw per unlabeled row, in row order
+        rng = np.random.default_rng(4)
+        ref = np.empty((len(labels), M))
+        for i, lab in enumerate(labels):
+            if lab > 0:
+                ref[i] = ds.prior_pi[i]
+            else:
+                ref[i] = 0.95 * np.full(M, 1.0 / M) + 0.05 * rng.dirichlet(np.ones(M))
+        np.testing.assert_array_equal(st.pi_hat, floor_simplex(ref))
+
     def test_set_pi_hat_keeps_alpha_analytic(self):
         ds = small_ds()
         cfg = ModelConfig(M=2, Q=3, alpha0=0.4)
