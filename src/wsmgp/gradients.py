@@ -24,7 +24,13 @@ from . import engine, kernels
 from .bounds import build_cvb_system, compute_D, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig, floor_simplex
-from .svi import _jittered_kuu, _moments_from_blocks, expected_loglik_terms, gaussian_kl_u
+from .svi import (
+    _jittered_kuu,
+    _qu_moments,
+    _row_constants,
+    expected_loglik_terms,
+    gaussian_kl_u,
+)
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -78,32 +84,44 @@ def vterm_partials(state, ds: Dataset, cfg: ModelConfig, noise, rows=None):
 def _vterm_partials(pi, labeled, prior_pi, cfg, noise):
     """vterm_partials on rows already selected: their pi, labeled mask and prior."""
     M = pi.shape[1]
-    sig2 = noise.sigma**2
-    log2pis = np.log(2.0 * np.pi * sig2)
+    d_pi, dg = _vterm_pi_partials(pi, labeled, prior_pi, cfg, noise)
+    d_sigma = np.sum(1.0 - pi, axis=0)  # already in log-sigma coords
+    d_alpha0 = 0.0
+    if dg is not None:
+        a0 = cfg.alpha0
+        n_u = dg.shape[0]
+        d_alpha0 = float(
+            np.sum(dg)
+            - n_u * M * digamma(M * a0 + 1.0)
+            - n_u * M * digamma(a0)
+            + n_u * M * digamma(M * a0)
+        )
+    return d_pi, d_alpha0, d_sigma
+
+
+def _vterm_pi_partials(pi, labeled, prior_pi, cfg, noise):
+    """dPi of V alone at rows already selected, and digamma(alpha0 + pi) of their unlabeled rows.
+
+    The digamma array, which the alpha0 partial reuses, is None without
+    the Dirichlet prior or without unlabeled rows.
+    """
+    M = pi.shape[1]
+    log2pis = np.log(2.0 * np.pi * noise.sigma**2)
     # third term: 0.5 * sum (1 - pi) log(2 pi sigma^2) - log pi
     d_pi = 0.5 * (-log2pis[None, :] - 1.0 / pi)
-    d_sigma = np.sum(1.0 - pi, axis=0)  # already in log-sigma coords
     if np.any(labeled):
         prior = floor_simplex(prior_pi[labeled])
         d_pi[labeled] += -(np.log(pi[labeled]) - np.log(prior) + 1.0)
-    d_alpha0 = 0.0
+    dg = None
     if np.any(~labeled):
         pu = pi[~labeled]
         if cfg.use_dirichlet:
             a0 = cfg.alpha0
-            d_pi[~labeled] += -(np.log(pu) + 1.0) + digamma(a0 + pu) - digamma(
-                M * a0 + 1.0
-            )
-            n_u = pu.shape[0]
-            d_alpha0 = float(
-                np.sum(digamma(a0 + pu))
-                - n_u * M * digamma(M * a0 + 1.0)
-                - n_u * M * digamma(a0)
-                + n_u * M * digamma(M * a0)
-            )
+            dg = digamma(a0 + pu)
+            d_pi[~labeled] += -(np.log(pu) + 1.0) + dg - digamma(M * a0 + 1.0)
         else:
             d_pi[~labeled] += -(np.log(pu) + 1.0 + np.log(M))
-    return d_pi, d_alpha0, d_sigma
+    return d_pi, dg
 
 
 def grad_vterm(state, ds, cfg, noise):
@@ -257,7 +275,6 @@ class _OutputTerms(NamedTuple):
     dD = d/d dtil of each row's expected log-likelihood.
     """
 
-    kfu: np.ndarray
     phi: np.ndarray  # Kfu Kuu^-1
     phi_su: np.ndarray  # Phi Su
     mu: np.ndarray
@@ -267,32 +284,31 @@ class _OutputTerms(NamedTuple):
     dD: np.ndarray
 
 
-def _svb_data_partials(X, y, pi, hp, cho, mu_u, Su):
+def _svb_data_partials(phi, r, y, pi, sigma, mu_u, Su):
     """The data term's per-output moments and variational partials at the given rows.
 
-    The moments come from svi._moments_from_blocks.  Returns
-    (per-output _OutputTerms, d_mu_u, d_S (Q, Q), d_pi (rows, M)), none
-    of them scaled.
+    phi[m] and r[m] are output m's row constants at the rows
+    (svi._row_constants); the moments come from svi._qu_moments.
+    Returns (per-output _OutputTerms, d_mu_u, d_S (Q, Q), d_pi (rows, M)),
+    none of them scaled.
     """
     Q = len(mu_u)
     d_mu_u = np.zeros(Q)
     d_S = np.zeros((Q, Q))
     d_pi = np.empty_like(pi)
     terms = []
-    for m, out in enumerate(hp.outputs):
-        kfu = kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent)
-        kffd = np.full(X.shape[0], kernels.kff_diag_value(out, hp.latent))
-        mu, var, phi, phi_su = _moments_from_blocks(cho, kfu, kffd, mu_u, Su)
-        sig2 = hp.noise.sigma[m] ** 2
+    for m, sig in enumerate(sigma):
+        mu, var, phi_su = _qu_moments(phi[m], r[m], mu_u, Su)
+        sig2 = sig**2
         dtil = pi[:, m] / sig2
         a = dtil * (y - mu)
         w = -0.5 * dtil
-        d_mu_u += phi.T @ a
-        d_S += engine._gemm(phi.T, phi * w[:, None])
+        d_mu_u += phi[m].T @ a
+        d_S += engine._gemm(phi[m].T, phi[m] * w[:, None])
         resid2 = (y - mu) ** 2
         dD = 0.5 / dtil - 0.5 * (resid2 + var)
         d_pi[:, m] = dD * (1.0 / sig2)
-        terms.append(_OutputTerms(kfu, phi, phi_su, mu, var, a, w, dD))
+        terms.append(_OutputTerms(phi[m], phi_su, mu, var, a, w, dD))
     return terms, d_mu_u, d_S, d_pi
 
 
@@ -331,8 +347,14 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
     pi_b = state.pi_hat[rows_idx]
     mu_u, Su = state.mu_u, state.Su
     kuu_inv = cho_solve(cho, np.eye(Q))
+    Xb = ds.X[rows_idx]
+    kfu = [kernels.kfu_matrix(Xb, hp.inducing.W, out, hp.latent) for out in hp.outputs]
+    phi, r = zip(*(
+        _row_constants(cho, kfu_m, kernels.kff_diag_value(out, hp.latent))
+        for kfu_m, out in zip(kfu, hp.outputs)
+    ))
     terms, d_mu_u, d_S_mat, d_pi_data = _svb_data_partials(
-        ds.X[rows_idx], yb, pi_b, hp, cho, mu_u, Su
+        phi, r, yb, pi_b, hp.noise.sigma, mu_u, Su
     )
 
     value = 0.0
@@ -342,7 +364,7 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
         sig = hp.noise.sigma[m]
         value += float(np.sum(expected_loglik_terms(yb, t.mu, t.var, pi_b[:, m], sig)))
         # dPhi: a mu' + diag(w) (2 Phi Su - Kfu)
-        dPhi = np.outer(t.a, mu_u) + t.w[:, None] * (2.0 * t.phi_su - t.kfu)
+        dPhi = np.outer(t.a, mu_u) + t.w[:, None] * (2.0 * t.phi_su - kfu[m])
         dKfu_blocks.append(engine._gemm(dPhi, kuu_inv) - t.w[:, None] * t.phi)
         dKuu -= engine._gemm(t.phi.T, dPhi) @ kuu_inv
     # V rows of the batch only: nothing outside it is read
@@ -397,23 +419,26 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
     return value, bundle
 
 
-def svb_variational_grad(ds, cfg, hp, cho, kuu_inv, rows, pi_b, mu_u, Su):
+def svb_variational_grad(ds, cfg, hp, tables, cho, kuu_inv, rows, pi_b, mu_u, Su):
     """Mini-batch gradient of the stochastic bound w.r.t. the variational block alone.
 
     The block Adam moves in the E-phase: the batch rows' logits, mu_u and
-    chol(Su).  hp is fixed there, so its Kuu factor `cho` (from
-    svi._jittered_kuu) and Kuu^-1 come in from the caller, computed once.
-    pi_b holds the batch rows of pi_hat; no other row is read.  Returns
-    (d_pi_logits of the batch rows (|rows|, M), d_mu_u, d_su_chol), the
-    same numbers as those blocks of elbo_svb_with_grad(batch=rows).
+    chol(Su).  hp is fixed there, so the caller builds its row constants
+    over all N rows (`tables`, from svi.row_tables), its Kuu factor `cho`
+    (from svi._jittered_kuu) and Kuu^-1 once per round; a step gathers
+    its rows of the tables and computes only what depends on q(u) and
+    the assignment rows, with no kernel matrix, no Kuu solve and no
+    hyperparameter or alpha0 partial.  pi_b holds the batch rows of
+    pi_hat; no other row is read.  Returns (d_pi_logits of the batch rows
+    (|rows|, M), d_mu_u, d_su_chol), the same numbers as those blocks of
+    elbo_svb_with_grad(batch=rows).
     """
     rows = np.asarray(rows, dtype=int)
     scale = ds.n / len(rows)
-    _, d_mu_u, d_S, d_pi_data = _svb_data_partials(
-        ds.X[rows], ds.y[rows], pi_b, hp, cho, mu_u, Su
-    )
+    phi, r = tables.gather(rows)
+    _, d_mu_u, d_S, d_pi_data = _svb_data_partials(phi, r, ds.y[rows], pi_b, hp.noise.sigma, mu_u, Su)
     labeled = ds.labels[rows] > 0
-    d_pi_raw, _, _ = _vterm_partials(pi_b, labeled, ds.prior_pi[rows], cfg, hp.noise)
+    d_pi_raw, _ = _vterm_pi_partials(pi_b, labeled, ds.prior_pi[rows], cfg, hp.noise)
     d_pi_raw += d_pi_data
     d_pi_raw *= scale
     d_mu_u *= scale

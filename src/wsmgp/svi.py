@@ -11,10 +11,24 @@ Only marginal means/variances of q(f_m) are ever materialized, and the
 per-row parts of V are evaluated on the batch rows alone, so a
 mini-batch evaluation costs O(Q^3) for the KL plus O(|batch| M Q^2) for
 the data and V terms; per-observation terms are rescaled by N/|batch|
-while the KL term is not.  The trainer's mini-batch step
-(gradients.svb_variational_grad) decodes and differentiates only the
-batch rows, with Kuu factored once per round; only its flat gradient
-vector and the dense Adam update are still O(N) per step.
+while the KL term is not.
+
+The moments come in one forward pass of two parts.  The row constants
+Phi_m = Kfu_m Kuu^-1 and r_m = diag(Kff_m) - rowsum(Phi_m o Kfu_m)
+(_row_constants) depend on the hyperparameters alone; the q(u) part
+(_qu_moments) turns them into mu = Phi mu_u and
+var = r + rowsum(Phi Su o Phi).  Every row's constants are computed on
+their own (the triangular solves column by column, the sums row by
+row), so constants built on all N rows and then gathered equal those
+built on the gathered rows bit for bit.  elbo_svb and the gradients
+build the constants at their rows on every call.  The trainer's E-phase
+holds the hyperparameters fixed for a round, so it builds them once per
+round over all N rows (row_tables: M N Q + M N doubles, 1.9 MB at
+N = 4000, M = 2, Q = 30, for the cost of one full-N kfu_matrix and
+Kuu solve per output) and each mini-batch step
+(gradients.svb_variational_grad) only gathers its rows and does the
+O(|batch| M Q^2) q(u) part.  What is still O(N) per step is the flat
+gradient vector and the dense Adam update.
 
 The matrix products with a batch-row operand (Phi Su here, Kuf Dinv Kfu
 in optimal_qu, and those of the gradients built on these moments) run
@@ -23,6 +37,8 @@ Cholesky solves, so an evaluation uses one OpenBLAS thread pool; the
 engine docstring says why.  Phi Su is computed once per output and
 handed to the gradients.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -33,18 +49,58 @@ from .bounds import compute_D, vterm_rows
 _LOG2PI = float(np.log(2.0 * np.pi))
 
 
-def _moments_from_blocks(cho_kuu, kfu, kff_diag, mu_u, Su):
-    """Moments of q(f_m) at the rows of kfu: (mu, var clamped at 0, Phi, Phi Su).
+class RowTables(NamedTuple):
+    """Every output's row constants at a set of rows, for one set of hyperparameters.
 
-    mu = Phi mu_u and var = diag(Kff + Phi (Su - Kuu) Phi') with
-    Phi = Kfu Kuu^-1; Phi and Phi Su are returned for the callers'
-    gradients.
+    phi[m] = Kfu_m Kuu^-1 (rows, Q) and r[m] = diag(Kff_m) - rowsum(phi[m] o Kfu_m)
+    (rows,).  Gathering rows from tables built on all N rows gives the
+    tables of those rows bit for bit.
+    """
+
+    phi: np.ndarray  # (M, rows, Q)
+    r: np.ndarray  # (M, rows)
+
+    def gather(self, rows):
+        """(phi, r) of `rows`, each output's block C-ordered like tables built on them.
+
+        The layout matters: numpy's matrix-vector products on a strided
+        block round differently.  phi[:, rows] would lay the rows out
+        first; np.take keeps each output's block contiguous.
+        """
+        return np.take(self.phi, rows, axis=1), np.take(self.r, rows, axis=1)
+
+
+def row_tables(X, hp, cho_kuu):
+    """RowTables at the rows of X, with Kuu factored as cho_kuu (from _jittered_kuu)."""
+    M, N, Q = hp.n_outputs, X.shape[0], cho_kuu[0].shape[0]
+    phi = np.empty((M, N, Q))
+    r = np.empty((M, N))
+    for m, out in enumerate(hp.outputs):
+        kfu = kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent)
+        phi[m], r[m] = _row_constants(cho_kuu, kfu, kernels.kff_diag_value(out, hp.latent))
+    return RowTables(phi, r)
+
+
+def _row_constants(cho_kuu, kfu, kff_diag):
+    """The part of q(f_m)'s moments that q(u) does not enter: (Phi, r) at the rows of kfu.
+
+    Phi = Kfu Kuu^-1 and r = diag(Kff) - rowsum(Phi o Kfu), the Nystrom
+    residual of each row's prior variance.
     """
     phi = cho_solve(cho_kuu, kfu.T).T  # Kfu Kuu^-1
+    return phi, kff_diag - np.sum(phi * kfu, axis=1)
+
+
+def _qu_moments(phi, r, mu_u, Su):
+    """Moments of q(f_m) from the row constants: (mu, var clamped at 0, Phi Su).
+
+    mu = Phi mu_u and var = diag(Kff + Phi (Su - Kuu) Phi') = r + rowsum(Phi Su o Phi);
+    Phi Su is returned for the callers' gradients.
+    """
     mu = phi @ mu_u
     phi_su = engine._gemm(phi, Su)
-    var = kff_diag - np.sum(phi * kfu, axis=1) + np.sum(phi_su * phi, axis=1)
-    return mu, np.maximum(var, 0.0), phi, phi_su
+    var = r + np.sum(phi_su * phi, axis=1)
+    return mu, np.maximum(var, 0.0), phi_su
 
 
 def gaussian_kl_u(mu_u, Su, Kuu):
@@ -85,14 +141,12 @@ def elbo_svb(ds, cfg, hp, state, batch=None):
     else:
         rows = np.asarray(batch, dtype=int)
         scale = ds.n / len(rows)
-    Xb = ds.X[rows]
     yb = ds.y[rows]
     pi_b = state.pi_hat[rows]
+    tables = row_tables(ds.X[rows], hp, cho)
     data = 0.0
-    for m, out in enumerate(hp.outputs):
-        kfu = kernels.kfu_matrix(Xb, hp.inducing.W, out, hp.latent)
-        kffd = np.full(len(rows), kernels.kff_diag_value(out, hp.latent))
-        mu, var, _, _ = _moments_from_blocks(cho, kfu, kffd, state.mu_u, state.Su)
+    for m in range(hp.n_outputs):
+        mu, var, _ = _qu_moments(tables.phi[m], tables.r[m], state.mu_u, state.Su)
         data += float(
             np.sum(expected_loglik_terms(yb, mu, var, pi_b[:, m], hp.noise.sigma[m]))
         )

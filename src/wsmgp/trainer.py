@@ -7,8 +7,11 @@ stochastic bound is handled with variational EM: blocks of mini-batch
 Adam steps on the variational parameters (assignment logits, inducing
 posterior) with a 1/sqrt(t) step-size decay, alternating with full-batch
 L-BFGS-B steps on the hyperparameters.  The hyperparameters are fixed
-during the Adam block, so Kuu is factored once per round and each step
-differentiates only the variational block.
+during the Adam block, so everything that depends on them alone is built
+once per round: Kuu's factor, Kuu^-1 and the row tables of
+svi.row_tables (Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m over
+all N rows, M N Q + M N doubles).  Each step gathers its batch rows of
+the tables and differentiates only the variational block.
 """
 
 import time
@@ -492,8 +495,10 @@ class _Adam:
 
     def update(self, x, g, lr):
         self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * g
-        self.v = self.b2 * self.v + (1 - self.b2) * g**2
+        self.m *= self.b1
+        self.m += (1 - self.b1) * g
+        self.v *= self.b2
+        self.v += (1 - self.b2) * g**2
         mhat = self.m / (1 - self.b1**self.t)
         vhat = self.v / (1 - self.b2**self.t)
         x += lr * mhat / (np.sqrt(vhat) + self.eps)
@@ -510,12 +515,16 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     sensitive to hyperparameter moves to be left stale.  The full-batch
     bound is recorded once per round.
 
-    The hyperparameters do not move during the E-phase, so Kuu is built
-    and factored once per round, and each step decodes only its batch
-    rows and differentiates only the variational block
-    (gradients.svb_variational_grad).  Adam itself stays dense: its
-    momentum moves rows outside the batch too.  The M-phase decodes the
-    frozen assignment rows and q(u) once per round.
+    The hyperparameters do not move during the E-phase, so once per
+    round Kuu is built and factored, Kuu^-1 is formed, and the row
+    tables Phi_m = Kfu_m Kuu^-1 and r_m = diag(Kff_m) - rowsum(Phi_m o
+    Kfu_m) are built over all N rows (svi.row_tables, one Kuu solve
+    with Q x N right-hand sides per output).  Each step decodes only its
+    batch rows, gathers their rows of the tables, and differentiates
+    only the variational block (gradients.svb_variational_grad); it
+    builds no kernel matrix and makes no Kuu solve.  Adam itself stays
+    dense: its momentum moves rows outside the batch too.  The M-phase
+    decodes the frozen assignment rows and q(u) once per round.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -580,11 +589,12 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         cfg_t = cfg.with_alpha0(alpha0)
         _, cho = svi._jittered_kuu(hp)
         kuu_inv = cho_solve(cho, np.eye(pack.Q))
+        tables = svi.row_tables(ds.X, hp, cho)
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
             mu_u, Su = pack.unpack_qu(x)
             grads = gradients.svb_variational_grad(
-                ds, cfg_t, hp, cho, kuu_inv, rows, pack.pi_rows(x, rows), mu_u, Su
+                ds, cfg_t, hp, tables, cho, kuu_inv, rows, pack.pi_rows(x, rows), mu_u, Su
             )
             adam.update(x[stat], pack.variational_grad_to_vec(rows, *grads), lr_stat)
             evaluations += 1

@@ -304,25 +304,46 @@ class TestBatchRows:
 
 
 class TestVariationalGrad:
-    """The E-step gradient equals elbo_svb_with_grad's variational blocks bit for bit."""
+    """The table-fed E-step gradient equals elbo_svb_with_grad's variational blocks bit for bit."""
 
     @staticmethod
-    def _e_step(ds, cfg, hp, rows, pi_b, mu_u, Su):
+    def _round(ds, hp):
+        """What fit_svb_em builds once per round: (row tables of all N rows, cho, Kuu^-1)."""
         _, cho = svi._jittered_kuu(hp)
-        kuu_inv = cho_solve(cho, np.eye(len(mu_u)))
-        return gradients.svb_variational_grad(ds, cfg, hp, cho, kuu_inv, rows, pi_b, mu_u, Su)
+        kuu_inv = cho_solve(cho, np.eye(cho[0].shape[0]))
+        return svi.row_tables(ds.X, hp, cho), cho, kuu_inv
+
+    @pytest.mark.parametrize("n", [4000, 1236])
+    def test_gathered_tables_equal_the_tables_of_the_rows(self, n):
+        ds, _, hp, _ = checks.random_instance(n, n=n, M=2, Q=30)
+        tables, cho, _ = self._round(ds, hp)
+        assert tables.phi.shape == (2, n, 30) and tables.r.shape == (2, n)
+        rng = np.random.default_rng(n)
+        for size in (1, 2, 17, 100):
+            for _ in range(3):
+                rows = rng.choice(n, size=size, replace=False)
+                own = svi.row_tables(ds.X[rows], hp, cho)
+                phi, r = tables.gather(rows)
+                np.testing.assert_array_equal(phi, own.phi)
+                np.testing.assert_array_equal(r, own.r)
+                # the E-step's matrix-vector products see the same layout too
+                assert all(p.flags.c_contiguous for p in phi)
 
     @_BATCH_CASES
     def test_equals_the_full_step(self, kind, use_dirichlet):
         ds, cfg, hp, state = _batch_instance(use_dirichlet)
-        rows = _batch(ds, kind)
-        _, ref = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=rows)
-        d_pi, d_mu_u, d_su_chol = self._e_step(
-            ds, cfg, hp, rows, state.pi_hat[rows], state.mu_u, state.Su
-        )
-        np.testing.assert_array_equal(d_pi, ref.d_pi_logits[rows])
-        np.testing.assert_array_equal(d_mu_u, ref.d_mu_u)
-        np.testing.assert_array_equal(d_su_chol, ref.d_su_chol)
+        round_tables = self._round(ds, hp)
+        rng = np.random.default_rng(21)
+        batches = [_batch(ds, kind)]
+        batches += [rng.choice(ds.n, size=size, replace=False) for size in (1, 2, 7, ds.n)]
+        for rows in batches:
+            _, ref = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=rows)
+            d_pi, d_mu_u, d_su_chol = gradients.svb_variational_grad(
+                ds, cfg, hp, *round_tables, rows, state.pi_hat[rows], state.mu_u, state.Su
+            )
+            np.testing.assert_array_equal(d_pi, ref.d_pi_logits[rows])
+            np.testing.assert_array_equal(d_mu_u, ref.d_mu_u)
+            np.testing.assert_array_equal(d_su_chol, ref.d_su_chol)
 
     @_BATCH_CASES
     def test_rows_outside_batch_are_not_read(self, kind, use_dirichlet):
@@ -338,10 +359,13 @@ class TestVariationalGrad:
         prior[outside] = np.nan
         ds_p = Dataset(X=ds.X, y=ds.y, labels=ds.labels, prior_pi=prior)
 
+        round_tables = self._round(ds, hp)
         grads = []
         for d, xv in ((ds, x), (ds_p, x_p)):
             mu_u, Su = pack.unpack_qu(xv)
-            g = self._e_step(d, cfg, hp, rows, pack.pi_rows(xv, rows), mu_u, Su)
+            g = gradients.svb_variational_grad(
+                d, cfg, hp, *round_tables, rows, pack.pi_rows(xv, rows), mu_u, Su
+            )
             grads.append(pack.variational_grad_to_vec(rows, *g))
         assert np.all(np.isfinite(grads[1]))
         np.testing.assert_array_equal(grads[1], grads[0])
@@ -372,13 +396,14 @@ class TestBlasRouting:
     def _outputs(ds, cfg, hp, state, rows):
         _, cho = svi._jittered_kuu(hp)
         kuu_inv = cho_solve(cho, np.eye(len(state.mu_u)))
+        tables = svi.row_tables(ds.X, hp, cho)
         out = {}
         for tag, batch in (("full", None), ("batch", rows)):
             val, b = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=batch)
             out["elbo_svb_with_grad." + tag] = [val] + list(vars(b).values())
             out["elbo_svb." + tag] = [svi.elbo_svb(ds, cfg, hp, state, batch=batch)]
         out["svb_variational_grad"] = gradients.svb_variational_grad(
-            ds, cfg, hp, cho, kuu_inv, rows, state.pi_hat[rows], state.mu_u, state.Su
+            ds, cfg, hp, tables, cho, kuu_inv, rows, state.pi_hat[rows], state.mu_u, state.Su
         )
         out["optimal_qu"] = svi.optimal_qu(ds, cfg, hp, state)
         return out

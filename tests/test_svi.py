@@ -21,7 +21,8 @@ def rand_spd(rng, q, scale=1.0):
 def _qf_moments(sys, hp, m, mu_u, Su):
     """Moments of q(f_m) at every row, from the engine's factors of Kuu and Kfu_m."""
     kffd = np.full(len(sys.rows[m]), kernels.kff_diag_value(hp.outputs[m], hp.latent))
-    mu, var, _, _ = svi._moments_from_blocks(sys.cho_Kuu, sys.Kfu_blocks[m], kffd, mu_u, Su)
+    phi, r = svi._row_constants(sys.cho_Kuu, sys.Kfu_blocks[m], kffd)
+    mu, var, _ = svi._qu_moments(phi, r, mu_u, Su)
     return mu, var, kffd
 
 

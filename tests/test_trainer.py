@@ -72,8 +72,10 @@ def _adam_steps(ds, cfg, hp, state, batches, reference):
     adam = _Adam(pack.n_pi + pack.n_qu)
     hp_x, alpha0 = pack.unpack_hyper(x)
     cfg_t = cfg.with_alpha0(alpha0)
+    # one set of round constants drives every step, as in a fit_svb_em round
     _, cho = svi._jittered_kuu(hp_x)
     kuu_inv = cho_solve(cho, np.eye(pack.Q))
+    tables = svi.row_tables(ds.X, hp_x, cho)
     for rows in batches:
         if reference:
             hp_r, a0, pi, mu_u, Su = pack.unpack(x)
@@ -84,7 +86,7 @@ def _adam_steps(ds, cfg, hp, state, batches, reference):
         else:
             mu_u, Su = pack.unpack_qu(x)
             grads = gradients.svb_variational_grad(
-                ds, cfg_t, hp_x, cho, kuu_inv, rows, pack.pi_rows(x, rows), mu_u, Su
+                ds, cfg_t, hp_x, tables, cho, kuu_inv, rows, pack.pi_rows(x, rows), mu_u, Su
             )
             g = pack.variational_grad_to_vec(rows, *grads)
         adam.update(x[stat], g, 0.05)
