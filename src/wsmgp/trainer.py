@@ -160,11 +160,13 @@ class ParamPack:
         if self.with_pi:
             parts.append(pi_to_logits(state.pi_hat).ravel())
         if self.with_qu:
-            lc = np.linalg.cholesky(state.Su)
-            parts.append(state.mu_u)
-            parts.append(np.log(np.diag(lc)))
-            parts.append(lc[self._tril])
+            parts.append(self.pack_qu(state.mu_u, state.Su))
         return np.concatenate(parts)
+
+    def pack_qu(self, mu_u, Su):
+        """The inducing-posterior block x[n_hyp + n_pi:]: mu_u, then chol(Su)."""
+        lc = np.linalg.cholesky(Su)
+        return np.concatenate([mu_u, np.log(np.diag(lc)), lc[self._tril]])
 
     def unpack(self, x):
         """Returns (hp, alpha0, pi or None, mu_u or None, Su or None)."""
@@ -504,6 +506,18 @@ class _Adam:
         x += lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
+def _refresh_qu(ds, cfg, pack, x):
+    """Closed-form restart of q(u) at the remaining parameters of x, in place.
+
+    Only the q(u) block is written: re-packing the rest would send every
+    logit through softmax, the simplex floor and log again.
+    """
+    hp, alpha0 = pack.unpack_hyper(x)
+    cfg_t = cfg.with_alpha0(alpha0)
+    state = _state_with(ds, cfg_t, alpha0, pack.pi_rows(x))
+    x[pack.n_hyp + pack.n_pi :] = pack.pack_qu(*svi.optimal_qu(ds, cfg_t, hp, state))
+
+
 def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     """Variational-EM ascent of the stochastic bound.
 
@@ -552,16 +566,6 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         cfg_t = cfg.with_alpha0(alpha0)
         st = _state_with(ds, cfg_t, alpha0, pi, mu_u=mu_u, Su=Su)
         return svi.elbo_svb(ds, cfg_t, hp, st)
-
-    def refresh_qu(xv):
-        """Closed-form restart of q(u) at the current remaining parameters."""
-        hp, alpha0, pi, _, _ = pack.unpack(xv)
-        cfg_t = cfg.with_alpha0(alpha0)
-        st = _state_with(ds, cfg_t, alpha0, pi, mu_u=np.zeros(pack.Q),
-                         Su=np.eye(pack.Q))
-        mu, Su = svi.optimal_qu(ds, cfg_t, hp, st)
-        st.mu_u, st.Su = mu, Su
-        return pack.pack(hp, alpha0=alpha0, state=st)
 
     initial = full_bound(x)
     if not np.isfinite(initial):
@@ -616,7 +620,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         eval_counter[0] = 0
         # the inducing posterior is extremely sensitive to hyperparameter
         # moves; its closed-form optimum ends every round (E-step for u)
-        x = refresh_qu(x)
+        _refresh_qu(ds, cfg, pack, x)
         traj.append(full_bound(x))
     final = traj[-1]
     if not final >= initial - 0.5:

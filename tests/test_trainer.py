@@ -17,6 +17,7 @@ from wsmgp.trainer import (
     OptimizerConfig,
     ParamPack,
     _Adam,
+    _refresh_qu,
     _state_with,
     default_hyperparams,
     fit_cvb,
@@ -62,6 +63,21 @@ class TestTransforms:
         full = pack.unpack(x)[2]
         for rows in ([4, 1, 7], [0], np.arange(ds.n)[::-1]):
             np.testing.assert_array_equal(pack.pi_rows(x, rows), full[rows])
+
+
+def test_refresh_qu_writes_only_the_inducing_posterior():
+    ds, cfg, hp, state = checks.random_instance(2, n=12, M=3, Q=3)
+    pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=True, with_qu=True)
+    x = pack.pack(hp, alpha0=cfg.alpha0, state=state)
+    logits = x[pack.n_hyp : pack.n_hyp + pack.n_pi].reshape(ds.n, cfg.M - 1)
+    logits[[1, 4]] = [[40.0, -5.0], [-30.0, 0.0]]  # beyond the simplex floor's +-23.03
+    head = x[: pack.n_hyp + pack.n_pi].copy()
+    _refresh_qu(ds, cfg, pack, x)
+    np.testing.assert_array_equal(x[: pack.n_hyp + pack.n_pi], head)
+    hp_x, alpha0 = pack.unpack_hyper(x)
+    cfg_x = cfg.with_alpha0(alpha0)
+    mu_u, Su = svi.optimal_qu(ds, cfg_x, hp_x, _state_with(ds, cfg_x, alpha0, pack.pi_rows(x)))
+    np.testing.assert_array_equal(x[pack.n_hyp + pack.n_pi :], pack.pack_qu(mu_u, Su))
 
 
 def _adam_steps(ds, cfg, hp, state, batches, reference):
