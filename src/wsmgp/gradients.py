@@ -436,7 +436,9 @@ def svb_variational_grad(ds, cfg, hp, tables, cho, kuu_inv, rows, pi_b, mu_u, Su
     rows = np.asarray(rows, dtype=int)
     scale = ds.n / len(rows)
     phi, r = tables.gather(rows)
-    _, d_mu_u, d_S, d_pi_data = _svb_data_partials(phi, r, ds.y[rows], pi_b, hp.noise.sigma, mu_u, Su)
+    _, d_mu_u, d_S, d_pi_data = _svb_data_partials(
+        phi, r, ds.y[rows], pi_b, hp.noise.sigma, mu_u, Su
+    )
     labeled = ds.labels[rows] > 0
     d_pi_raw, _ = _vterm_pi_partials(pi_b, labeled, ds.prior_pi[rows], cfg, hp.noise)
     d_pi_raw += d_pi_data

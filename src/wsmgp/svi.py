@@ -13,22 +13,23 @@ mini-batch evaluation costs O(Q^3) for the KL plus O(|batch| M Q^2) for
 the data and V terms; per-observation terms are rescaled by N/|batch|
 while the KL term is not.
 
-The moments come in one forward pass of two parts.  The row constants
+The moments come from one forward pass in two parts.  The row constants
 Phi_m = Kfu_m Kuu^-1 and r_m = diag(Kff_m) - rowsum(Phi_m o Kfu_m)
-(_row_constants) depend on the hyperparameters alone; the q(u) part
-(_qu_moments) turns them into mu = Phi mu_u and
-var = r + rowsum(Phi Su o Phi).  Every row's constants are computed on
-their own (the triangular solves column by column, the sums row by
-row), so constants built on all N rows and then gathered equal those
-built on the gathered rows bit for bit.  elbo_svb and the gradients
-build the constants at their rows on every call.  The trainer's E-phase
-holds the hyperparameters fixed for a round, so it builds them once per
-round over all N rows (row_tables: M N Q + M N doubles, 1.9 MB at
-N = 4000, M = 2, Q = 30, for the cost of one full-N kfu_matrix and
-Kuu solve per output) and each mini-batch step
-(gradients.svb_variational_grad) only gathers its rows and does the
-O(|batch| M Q^2) q(u) part.  What is still O(N) per step is the flat
-gradient vector and the dense Adam update.
+(_row_constants) depend on the hyperparameters alone; _qu_moments turns
+them into mu = Phi mu_u and var = r + rowsum(Phi Su o Phi).  Each row's
+constants are computed on their own (the triangular solves column by
+column, the sums row by row), so constants built on all N rows and then
+gathered equal those built on the gathered rows bit for bit.
+
+elbo_svb and elbo_svb_with_grad build the constants at their rows on
+every call.  The trainer's E-phase holds the hyperparameters fixed for a
+round, so it builds them once per round over all N rows (row_tables: one
+N-row kfu_matrix and one Kuu solve with Q x N right-hand sides per
+output, O(M N Q^2); they hold M N (Q + 1) doubles, 2.0 MB at N = 4000,
+M = 2, Q = 30).  A mini-batch step (gradients.svb_variational_grad) then
+gathers its rows and does only the q(u) part, O(|batch| M Q^2 + Q^3),
+with no kernel matrix and no Kuu solve; what stays O(N) per step is the
+flat gradient vector and the dense Adam update.
 
 The matrix products with a batch-row operand (Phi Su here, Kuf Dinv Kfu
 in optimal_qu, and those of the gradients built on these moments) run
