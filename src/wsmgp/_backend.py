@@ -1,7 +1,7 @@
 """Backend selection for the numeric hot loops.
 
-Two interchangeable implementations of the pairwise-kernel and
-mixture-enumeration primitives:
+Two interchangeable implementations of the per-dimension squared
+differences and the mixture-enumeration primitive:
 
 * ``numba`` -- ``@njit``-compiled loops, selected when numba imports.
 * ``numpy`` -- vectorized/chunked pure-NumPy path, which is what runs
@@ -9,9 +9,11 @@ mixture-enumeration primitives:
 
 Set ``WSMGP_NUMBA=0`` in the environment to force the NumPy path.  Both
 implementations are importable side by side; the module-level
-``qform``, ``gauss_gram`` and ``enumerate_mixture`` names point at the
-selected one.  The benchmark in ``perfbench/`` records which backend
-ran; its figures so far were all measured on the NumPy path.
+``sqdiff_dims`` and ``enumerate_mixture`` names point at the selected
+one.  The Gaussian gram itself is formed in ``kernels`` from
+``sqdiff_dims`` on either backend.  The benchmark in ``perfbench/``
+records which backend ran; its figures so far were all measured on the
+NumPy path.
 """
 
 import os
@@ -24,17 +26,6 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 # ---------------------------------------------------------------------------
 # pure-NumPy implementations
 # ---------------------------------------------------------------------------
-
-
-def qform_numpy(X1, X2, w):
-    """Weighted squared distances: out[i,j] = sum_d w[d]*(X1[i,d]-X2[j,d])**2."""
-    diff = X1[:, None, :] - X2[None, :, :]
-    return np.einsum("ijd,d->ij", diff * diff, w)
-
-
-def gauss_gram_numpy(X1, X2, w, scale):
-    """Gaussian gram matrix: scale * exp(-0.5 * qform(X1, X2, w))."""
-    return scale * np.exp(-0.5 * qform_numpy(X1, X2, w))
 
 
 def sqdiff_dims_numpy(X1, X2):
@@ -97,34 +88,6 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 
 
 if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def qform_numba(X1, X2, w):
-        n1, d = X1.shape
-        n2 = X2.shape[0]
-        out = np.empty((n1, n2))
-        for i in range(n1):
-            for j in range(n2):
-                s = 0.0
-                for k in range(d):
-                    t = X1[i, k] - X2[j, k]
-                    s += w[k] * t * t
-                out[i, j] = s
-        return out
-
-    @numba.njit(cache=True)
-    def gauss_gram_numba(X1, X2, w, scale):
-        n1, d = X1.shape
-        n2 = X2.shape[0]
-        out = np.empty((n1, n2))
-        for i in range(n1):
-            for j in range(n2):
-                s = 0.0
-                for k in range(d):
-                    t = X1[i, k] - X2[j, k]
-                    s += w[k] * t * t
-                out[i, j] = scale * np.exp(-0.5 * s)
-        return out
 
     @numba.njit(cache=True)
     def sqdiff_dims_numba(X1, X2):
@@ -210,13 +173,9 @@ def _want_numba():
 
 if _want_numba():
     BACKEND = "numba"
-    qform = qform_numba
-    gauss_gram = gauss_gram_numba
     sqdiff_dims = sqdiff_dims_numba
     enumerate_mixture = enumerate_mixture_numba
 else:
     BACKEND = "numpy"
-    qform = qform_numpy
-    gauss_gram = gauss_gram_numpy
     sqdiff_dims = sqdiff_dims_numpy
     enumerate_mixture = enumerate_mixture_numpy

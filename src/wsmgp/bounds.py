@@ -80,27 +80,26 @@ def kl_acuteness(pi_row, alpha0):
 
 
 def select_rows(state: VariationalState, ds: Dataset, rows=None):
-    """(pi_hat, labeled mask, prior_pi) restricted to `rows`; all rows when None.
+    """(pi_hat, labeled mask, log of the floored prior) restricted to `rows`; all rows when None.
 
     Only the selected rows are read, so the per-row parts of V cost
     O(|rows| M) however large the dataset is.
     """
     if rows is None:
-        return state.pi_hat, ds.labeled_mask, ds.prior_pi
-    return state.pi_hat[rows], ds.labels[rows] > 0, ds.prior_pi[rows]
+        return state.pi_hat, ds.labeled_mask, ds.log_prior
+    return state.pi_hat[rows], ds.labels[rows] > 0, ds.log_prior[rows]
 
 
 def vterm_rows(state: VariationalState, ds: Dataset, cfg: ModelConfig, noise, rows=None):
     """Per-observation contributions to V, one per entry of `rows` (all N when None)."""
-    pi, labeled, prior_pi = select_rows(state, ds, rows)
+    pi, labeled, log_prior = select_rows(state, ds, rows)
     sig2 = noise.sigma**2
     log2pis = np.log(2.0 * np.pi * sig2)
     third = 0.5 * np.sum((1.0 - pi) * log2pis[None, :] - np.log(pi), axis=1)
     out = third.copy()
     if np.any(labeled):
-        prior = floor_simplex(prior_pi[labeled])
         pl = pi[labeled]
-        out[labeled] -= np.sum(pl * (np.log(pl) - np.log(prior)), axis=1)
+        out[labeled] -= np.sum(pl * (np.log(pl) - log_prior[labeled]), axis=1)
     if np.any(~labeled):
         pu = pi[~labeled]
         ent = np.sum(pu * np.log(pu), axis=1)

@@ -30,6 +30,22 @@ batch or output block) may differ from numpy's by an ulp or so.
 Products of Q x Q matrices, `np.outer` and elementwise work stay in
 numpy, since their size does not grow with N; so do the matrix-vector
 products, whose routing through `dgemv` gained nothing measurable.
+The same holds for the gradient chain's contractions of an N-sized
+gradient with a kernel block (kernels.contract): they are elementwise
+products, sums and a plain `np.einsum`, which numpy computes without
+BLAS.  `np.tensordot`, `np.dot` or `@` on those operands would hand
+them to numpy's OpenBLAS pool between scipy's factorizations: with
+`np.tensordot` for b_d, one collapsed-bound evaluation at N = 144 took
+16.0 ms against 6.4-6.8 ms with `np.einsum` (2 BLAS threads on 2
+cores, three instances).
+
+Kernel blocks: build_system builds each block once per evaluation
+(kernels.kuu_block, kfu_block, kff_block or se_block, over squared
+differences computed once per distinct row set, so the stacked selection
+computes them once for all outputs) and keeps them on StackedSystem as
+kernels.GaussBlock values.  gauss_loglik_grads returns the matrix-level
+gradients, and gradients._chain_convolved / _chain_independent contract
+them against those same blocks.
 """
 
 from dataclasses import dataclass
@@ -78,7 +94,9 @@ class StackedSystem:
     y_blocks: list  # per-output data vectors
     d_blocks: list  # per-output heteroscedastic noise diagonals
     B_blocks: list  # per-output residual (or full) covariance blocks
-    Kfu_blocks: list  # per-output cross blocks, or None (independent model)
+    ff_blocks: list  # per-output kernels.GaussBlock of Kff_m (or of the SE kernel)
+    fu_blocks: list  # per-output kernels.GaussBlock of Kfu_m, or None (independent model)
+    kuu_block: kernels.GaussBlock  # unjittered Kuu, or None
     Kuu: np.ndarray  # jittered, or None
     cho_Kuu: tuple
     cho_E: list  # cho_factor of E_m = B_m + D_m
@@ -91,7 +109,23 @@ class StackedSystem:
 
     @property
     def has_inducing(self):
-        return self.Kfu_blocks is not None
+        return self.fu_blocks is not None
+
+
+def _sqdiff_per_output(X, rows, X2=None):
+    """sqdiff(X[r], X[r] or X2) per output; one array when outputs share their rows.
+
+    The stacked selection lists one row array under every output, so its
+    squared differences are computed once per evaluation.
+    """
+    out = []
+    for m, r in enumerate(rows):
+        if m and r is rows[m - 1]:
+            out.append(out[-1])
+        else:
+            Xr = X[r]
+            out.append(kernels.sqdiff(Xr, Xr if X2 is None else X2))
+    return out
 
 
 def build_system(X, y, hp, rows, d_blocks):
@@ -100,29 +134,37 @@ def build_system(X, y, hp, rows, d_blocks):
     hp may be HyperParams (convolved sparse model) or
     IndependentSEHyperParams (independent per-output kernels; the
     cross-covariance between outputs is exactly zero by construction).
+    Each kernel block is built once, as a kernels.GaussBlock, and kept on
+    the system for the gradient chain.
     """
     y = np.asarray(y, dtype=float).ravel()
     y_blocks = [y[r] for r in rows]
+    t2_ff = _sqdiff_per_output(X, rows)
     if isinstance(hp, IndependentSEHyperParams):
-        B_blocks = [
-            kernels.se_matrix(X[r], X[r], out) for r, out in zip(rows, hp.outputs)
-        ]
-        Kfu_blocks = None
-        Kuu = cho_Kuu = None
+        ff_blocks = [kernels.se_block(t2, out) for t2, out in zip(t2_ff, hp.outputs)]
+        B_blocks = [b.K for b in ff_blocks]
+        fu_blocks = None
+        kuu_block = Kuu = cho_Kuu = None
     elif isinstance(hp, HyperParams):
-        Kuu_raw = kernels.kuu_matrix(hp.inducing.W, hp.latent)
-        cho_Kuu, jitter = kernels.chol_jitter(Kuu_raw)
-        Kuu = Kuu_raw + jitter * np.eye(Kuu_raw.shape[0])
-        Kfu_blocks = []
+        W = hp.inducing.W
+        kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
+        cho_Kuu, jitter = kernels.chol_jitter(kuu_block.K)
+        Kuu = kuu_block.K + jitter * np.eye(W.shape[0])
+        t2_fu = _sqdiff_per_output(X, rows, W)
+        ff_blocks = []
+        fu_blocks = []
         B_blocks = []
-        for r, out in zip(rows, hp.outputs):
-            Kfu_m = kernels.kfu_matrix(X[r], hp.inducing.W, out, hp.latent)
-            Kff_m = kernels.kff_matrix(X[r], X[r], out, out, hp.latent)
-            B_m = Kff_m - _gemm(Kfu_m, cho_solve(cho_Kuu, Kfu_m.T))
+        for t2_m, t2_fu_m, out in zip(t2_ff, t2_fu, hp.outputs):
+            ff_m = kernels.kff_block(t2_m, out, hp.latent)
+            fu_m = kernels.kfu_block(t2_fu_m, out, hp.latent)
+            Kfu_m = fu_m.K
+            B_m = ff_m.K - _gemm(Kfu_m, cho_solve(cho_Kuu, Kfu_m.T))
             B_blocks.append(0.5 * (B_m + B_m.T))
-            Kfu_blocks.append(Kfu_m)
+            ff_blocks.append(ff_m)
+            fu_blocks.append(fu_m)
     else:
         raise TypeError("unsupported hyperparameter container: %r" % type(hp))
+    Kfu_blocks = None if fu_blocks is None else [b.K for b in fu_blocks]
 
     cho_E = []
     alpha = []
@@ -162,7 +204,9 @@ def build_system(X, y, hp, rows, d_blocks):
         y_blocks=y_blocks,
         d_blocks=d_blocks,
         B_blocks=B_blocks,
-        Kfu_blocks=Kfu_blocks,
+        ff_blocks=ff_blocks,
+        fu_blocks=fu_blocks,
+        kuu_block=kuu_block,
         Kuu=Kuu,
         cho_Kuu=cho_Kuu,
         cho_E=cho_E,
@@ -249,7 +293,7 @@ def gauss_loglik_grads(sys: StackedSystem):
         Vm = sys.V[m]
         G_mm = Em_inv - _gemm(_gemm(Vm, Ainv), Vm.T) - np.outer(r[m], r[m])
         dE.append(-0.5 * G_mm)
-        Kfu_m = sys.Kfu_blocks[m]
+        Kfu_m = sys.fu_blocks[m].K
         M1_m = _gemm(Kfu_m.T, Vm)
         s_m = Kfu_m.T @ r[m]
         KufGpKfu += M1_m - M1_m @ Ainv @ M1_m - np.outer(s_m, s_m)

@@ -8,6 +8,16 @@ posterior covariance.  Matrix-level derivatives of the Gaussian term
 come from the shared engine; this module chains them to the kernel
 hyperparameters and adds the assignment-term partials.
 
+The chain (_chain_convolved, _chain_independent) differentiates the
+kernel blocks the forward pass built (kernels.GaussBlock: t2, the
+unit-amplitude gram and K), kept on engine.StackedSystem for the
+collapsed bound and the SCMGP likelihood, and built once per call for
+the stochastic bound's batch rows.  Each matrix-level gradient G is
+reduced to a = sum(G o unit) and b_d = sum(G o unit o t2_d)
+(kernels.contract), and every amplitude and precision derivative is a
+combination of a and b_d with the coefficients of kernels.*_coeffs; no
+gram or derivative tensor is built a second time.
+
 Every path is validated against central finite differences in the test
 suite; where printed derivative formulas were ambiguous, the finite
 differences were treated as the arbiter.
@@ -21,11 +31,11 @@ from scipy.linalg import cho_solve
 from scipy.special import digamma
 
 from . import engine, kernels
-from .bounds import build_cvb_system, compute_D, select_rows, vterm_rows
+from .bounds import build_cvb_system, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
-from .model import Dataset, ModelConfig, floor_simplex
+from .model import Dataset, ModelConfig
 from .svi import (
-    _jittered_kuu,
+    _jittered,
     _qu_moments,
     _row_constants,
     expected_loglik_terms,
@@ -81,10 +91,10 @@ def vterm_partials(state, ds: Dataset, cfg: ModelConfig, noise, rows=None):
     return _vterm_partials(*select_rows(state, ds, rows), cfg, noise)
 
 
-def _vterm_partials(pi, labeled, prior_pi, cfg, noise):
-    """vterm_partials on rows already selected: their pi, labeled mask and prior."""
+def _vterm_partials(pi, labeled, log_prior, cfg, noise):
+    """vterm_partials on rows already selected: their pi, labeled mask and log prior."""
     M = pi.shape[1]
-    d_pi, dg = _vterm_pi_partials(pi, labeled, prior_pi, cfg, noise)
+    d_pi, dg = _vterm_pi_partials(pi, labeled, log_prior, cfg, noise)
     d_sigma = np.sum(1.0 - pi, axis=0)  # already in log-sigma coords
     d_alpha0 = 0.0
     if dg is not None:
@@ -99,7 +109,7 @@ def _vterm_partials(pi, labeled, prior_pi, cfg, noise):
     return d_pi, d_alpha0, d_sigma
 
 
-def _vterm_pi_partials(pi, labeled, prior_pi, cfg, noise):
+def _vterm_pi_partials(pi, labeled, log_prior, cfg, noise):
     """dPi of V alone at rows already selected, and digamma(alpha0 + pi) of their unlabeled rows.
 
     The digamma array, which the alpha0 partial reuses, is None without
@@ -110,8 +120,7 @@ def _vterm_pi_partials(pi, labeled, prior_pi, cfg, noise):
     # third term: 0.5 * sum (1 - pi) log(2 pi sigma^2) - log pi
     d_pi = 0.5 * (-log2pis[None, :] - 1.0 / pi)
     if np.any(labeled):
-        prior = floor_simplex(prior_pi[labeled])
-        d_pi[labeled] += -(np.log(pi[labeled]) - np.log(prior) + 1.0)
+        d_pi[labeled] += -(np.log(pi[labeled]) - log_prior[labeled] + 1.0)
     dg = None
     if np.any(~labeled):
         pu = pi[~labeled]
@@ -135,62 +144,54 @@ def grad_vterm(state, ds, cfg, noise):
 # ---------------------------------------------------------------------------
 
 
-def _chain_convolved(ds_X, rows, hp, mg: engine.MatrixGrads, batch_diag=None):
-    """Contract matrix-level grads with the convolved-kernel derivatives.
+def _chain_convolved(hp, mg: engine.MatrixGrads, kuu_block, fu_blocks, ff_blocks=None,
+                     batch_diag=None):
+    """Contract matrix-level grads with the blocks they differentiate.
 
-    mg.dE_blocks are derivatives w.r.t. the full same-output blocks; when
-    batch_diag is given (stochastic bound) they are diagonal vectors for
-    d diag(Kff) instead.  Returns unconstrained (d_S, d_Lm, d_L).
+    kuu_block, fu_blocks and ff_blocks are the kernels.GaussBlock values
+    the forward pass built (engine.StackedSystem keeps them); nothing is
+    rebuilt.  mg.dE_blocks are derivatives w.r.t. the full same-output
+    blocks; when batch_diag is given (stochastic bound) they are diagonal
+    vectors for d diag(Kff) instead, and ff_blocks is not read.  Returns
+    unconstrained (d_S, d_Lm, d_L).
     """
     M = hp.n_outputs
     d = hp.latent.L.shape[0]
-    d_S = np.zeros(M)
-    d_Lm = np.zeros((M, d))
-    d_L = np.zeros(d)
-    if mg.dKuu is not None:
-        _, dKuu_dL = kernels.kuu_matrix_grads(hp.inducing.W, hp.latent)
-        d_L += np.einsum("qp,dqp->d", mg.dKuu, dKuu_dL)
-    for m, out in enumerate(hp.outputs):
-        Xm = ds_X[rows[m]]
-        if Xm.shape[0] == 0:
+    a_fu, b_fu = np.zeros(M), np.zeros((M, d))
+    a_ff, b_ff = np.zeros(M), np.zeros((M, d))
+    for m in range(M):
+        if fu_blocks[m].K.shape[0] == 0:
             continue
-        if mg.dKfu_blocks[m] is not None:
-            _, dS_fu, dLm_fu, dL_fu = kernels.kfu_matrix_grads(
-                Xm, hp.inducing.W, out, hp.latent
-            )
-            d_S[m] += np.sum(mg.dKfu_blocks[m] * dS_fu)
-            d_Lm[m] += np.einsum("nq,dnq->d", mg.dKfu_blocks[m], dLm_fu)
-            d_L += np.einsum("nq,dnq->d", mg.dKfu_blocks[m], dL_fu)
+        a_fu[m], b_fu[m] = kernels.contract(mg.dKfu_blocks[m], fu_blocks[m])
         if batch_diag is None:
-            _, dS_ff, dLm_ff, dL_ff = kernels.kff_matrix_grads(Xm, out, hp.latent)
-            d_S[m] += np.sum(mg.dE_blocks[m] * dS_ff)
-            d_Lm[m] += np.einsum("np,dnp->d", mg.dE_blocks[m], dLm_ff)
-            d_L += np.einsum("np,dnp->d", mg.dE_blocks[m], dL_ff)
+            a_ff[m], b_ff[m] = kernels.contract(mg.dE_blocks[m], ff_blocks[m])
         else:
-            _, dS_v, dLm_v, dL_v = kernels.kff_diag_value_grads(out, hp.latent)
-            w = np.sum(batch_diag[m])
-            d_S[m] += w * dS_v
-            d_Lm[m] += w * dLm_v
-            d_L += w * dL_v
+            # on the diagonal unit = 1 and t2 = 0
+            a_ff[m] = np.sum(batch_diag[m])
+    c_S, c_Lm, c_L = kernels.kfu_coeffs(hp.outputs, hp.latent)
+    e_S, e_Lm, e_L = kernels.kff_coeffs(hp.outputs, hp.latent)
+    d_S = c_S * a_fu + e_S * a_ff
+    d_Lm = c_Lm.contract(a_fu, b_fu) + e_Lm.contract(a_ff, b_ff)
+    d_L = np.sum(c_L.contract(a_fu, b_fu) + e_L.contract(a_ff, b_ff), axis=0)
+    if mg.dKuu is not None:
+        d_L += kernels.kuu_coeffs(hp.latent).contract(*kernels.contract(mg.dKuu, kuu_block))[0]
     # to unconstrained coordinates: amplitudes free, precisions in log space
     d_Lm *= np.stack([out.Lm for out in hp.outputs])
     d_L *= hp.latent.L
     return d_S, d_Lm, d_L
 
 
-def _chain_independent(ds_X, rows, hp, mg: engine.MatrixGrads):
+def _chain_independent(hp, mg: engine.MatrixGrads, ff_blocks):
     """Chain to (log-amplitude, log-precision) of the independent SE kernels."""
     M = hp.n_outputs
     d = hp.outputs[0].prec.shape[0]
-    d_amp = np.zeros(M)
-    d_prec = np.zeros((M, d))
-    for m, out in enumerate(hp.outputs):
-        Xm = ds_X[rows[m]]
-        if Xm.shape[0] == 0:
-            continue
-        _, dAmp, dPrec = kernels.se_matrix_grads(Xm, Xm, out)
-        d_amp[m] = np.sum(mg.dE_blocks[m] * dAmp) * out.amp
-        d_prec[m] = np.einsum("np,dnp->d", mg.dE_blocks[m], dPrec) * out.prec
+    a, b = np.zeros(M), np.zeros((M, d))
+    for m in range(M):
+        if ff_blocks[m].K.shape[0]:
+            a[m], b[m] = kernels.contract(mg.dE_blocks[m], ff_blocks[m])
+    c_amp, c_prec = kernels.se_coeffs(hp.outputs)
+    d_amp = c_amp * a * np.array([out.amp for out in hp.outputs])
+    d_prec = c_prec.contract(a, b) * np.stack([out.prec for out in hp.outputs])
     return d_amp, d_prec
 
 
@@ -218,7 +219,7 @@ def elbo_cvb_with_grad(ds, cfg, hp, state):
     d_pi_raw += v_pi
 
     if isinstance(hp, IndependentSEHyperParams):
-        d_amp, d_prec = _chain_independent(ds.X, sys.rows, hp, mg)
+        d_amp, d_prec = _chain_independent(hp, mg, sys.ff_blocks)
         bundle = GradientBundle(
             d_S=d_amp, d_Lm=d_prec, d_L=None, d_sigma=d_sigma,
             d_pi_logits=softmax_chain(pi, d_pi_raw),
@@ -226,7 +227,7 @@ def elbo_cvb_with_grad(ds, cfg, hp, state):
         )
         return value, bundle
 
-    d_S, d_Lm, d_L = _chain_convolved(ds.X, sys.rows, hp, mg)
+    d_S, d_Lm, d_L = _chain_convolved(hp, mg, sys.kuu_block, sys.fu_blocks, sys.ff_blocks)
     bundle = GradientBundle(
         d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=d_sigma,
         d_pi_logits=softmax_chain(pi, d_pi_raw),
@@ -257,9 +258,9 @@ def scmgp_loglik_with_grad(ds, cfg, hp):
         ]
     )
     if isinstance(hp, IndependentSEHyperParams):
-        d_amp, d_prec = _chain_independent(ds.X, rows, hp, mg)
+        d_amp, d_prec = _chain_independent(hp, mg, sys.ff_blocks)
         return value, GradientBundle(d_S=d_amp, d_Lm=d_prec, d_sigma=d_sigma)
-    d_S, d_Lm, d_L = _chain_convolved(ds.X, rows, hp, mg)
+    d_S, d_Lm, d_L = _chain_convolved(hp, mg, sys.kuu_block, sys.fu_blocks, sys.ff_blocks)
     return value, GradientBundle(d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=d_sigma)
 
 
@@ -335,7 +336,9 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
     """
     if not isinstance(hp, HyperParams):
         raise TypeError("the stochastic bound requires the convolved sparse model")
-    kuu, cho = _jittered_kuu(hp)
+    W = hp.inducing.W
+    kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
+    kuu, cho = _jittered(kuu_block.K)
     Q = kuu.shape[0]
     if batch is None:
         rows_idx = np.arange(ds.n)
@@ -347,8 +350,9 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
     pi_b = state.pi_hat[rows_idx]
     mu_u, Su = state.mu_u, state.Su
     kuu_inv = cho_solve(cho, np.eye(Q))
-    Xb = ds.X[rows_idx]
-    kfu = [kernels.kfu_matrix(Xb, hp.inducing.W, out, hp.latent) for out in hp.outputs]
+    t2 = kernels.sqdiff(ds.X[rows_idx], W)
+    fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
+    kfu = [b.K for b in fu_blocks]
     phi, r = zip(*(
         _row_constants(cho, kfu_m, kernels.kff_diag_value(out, hp.latent))
         for kfu_m, out in zip(kfu, hp.outputs)
@@ -389,22 +393,20 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
     d_alpha0 *= scale
     d_pi_logits = np.zeros_like(state.pi_hat)
     d_pi_logits[rows_idx] = softmax_chain(pi_b, d_pi_raw)
-    mg = engine.MatrixGrads(
-        dE_blocks=[None] * cfg.M,
-        dKfu_blocks=[scale * b for b in dKfu_blocks],
-        dKuu=None,
-    )
-    d_S, d_Lm, d_L = _chain_convolved(
-        ds.X, [rows_idx] * cfg.M, hp, mg, batch_diag=[scale * t.w for t in terms]
-    )
 
     value -= gaussian_kl_u(mu_u, Su, kuu)
     d_mu_u, d_Lc = _svb_qu_grads(d_mu_u, d_S_mat, cho, kuu_inv, mu_u, Su)
     kinv_mu = cho_solve(cho, mu_u)
     dKuu -= 0.5 * (kuu_inv - kuu_inv @ Su @ kuu_inv - np.outer(kinv_mu, kinv_mu))
-    # chain the Kuu path (data term + KL) to the latent precision
-    _, dKuu_dL = kernels.kuu_matrix_grads(hp.inducing.W, hp.latent)
-    d_L += np.einsum("qp,dqp->d", dKuu, dKuu_dL) * hp.latent.L
+    # the Kuu path carries the data term and the KL
+    mg = engine.MatrixGrads(
+        dE_blocks=[None] * cfg.M,
+        dKfu_blocks=[scale * b for b in dKfu_blocks],
+        dKuu=dKuu,
+    )
+    d_S, d_Lm, d_L = _chain_convolved(
+        hp, mg, kuu_block, fu_blocks, batch_diag=[scale * t.w for t in terms]
+    )
 
     bundle = GradientBundle(
         d_S=d_S,
@@ -440,7 +442,7 @@ def svb_variational_grad(ds, cfg, hp, tables, cho, kuu_inv, rows, pi_b, mu_u, Su
         phi, r, ds.y[rows], pi_b, hp.noise.sigma, mu_u, Su
     )
     labeled = ds.labels[rows] > 0
-    d_pi_raw, _ = _vterm_pi_partials(pi_b, labeled, ds.prior_pi[rows], cfg, hp.noise)
+    d_pi_raw, _ = _vterm_pi_partials(pi_b, labeled, ds.log_prior[rows], cfg, hp.noise)
     d_pi_raw += d_pi_data
     d_pi_raw *= scale
     d_mu_u *= scale

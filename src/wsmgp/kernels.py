@@ -12,9 +12,34 @@ identities:
 
 where N is a normalized Gaussian density.  Both forms are validated
 against adaptive-quadrature oracles in the test suite.
+
+Every kernel matrix is a Gaussian block K = amp * unit with
+unit = exp(-0.5 sum_d w_d t2_d), t2_d the squared differences of input
+dimension d.  Which function does what:
+
+* Building.  `sqdiff` gives t2; `kuu_block`, `kfu_block`, `kff_block`
+  and `se_block` turn it into a `GaussBlock` (t2, unit, K).
+  `engine.build_system` builds every block of an evaluation this way,
+  with t2 computed once per pair of input sets, and keeps the blocks on
+  its `StackedSystem`; `gradients.elbo_svb_with_grad` does the same for
+  its batch rows, and `svi` for its row tables.  The *_matrix builders
+  return the K of a block, for callers that need nothing else
+  (prediction, the synthetic generator, the dense oracles).
+* Differentiating.  `kuu_coeffs`, `kfu_coeffs`, `kff_coeffs` and
+  `se_coeffs` give the coefficients of each derivative in unit and
+  unit o t2_d; `contract` reduces a matrix-level gradient G against a
+  block to a = sum(G o unit) and b_d = sum(G o unit o t2_d), from which
+  `PrecCoeffs.contract` gives the parameter derivatives.
+  `gradients._chain_convolved` and `gradients._chain_independent` do
+  this for every block the forward pass built, so no gradient path
+  rebuilds a gram or a (d, n1, n2) derivative tensor.  The
+  *_matrix_grads functions expand the same coefficients into those
+  tensors (`PrecCoeffs.expand`); the tests check them by finite
+  differences, and no evaluation calls them.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -155,33 +180,88 @@ def eval_smoothing(tau, p: OutputKernelParams):
     return float(scale * np.exp(-0.5 * np.sum(p.Lm * tau * tau)))
 
 
-def _fu_scale_weight(out: OutputKernelParams, lat: LatentKernelParams):
-    l, lm = lat.L, out.Lm
+def _fu_scale_weight(lm, l):
+    """(scale, weight) of k_fu for smoothing precision lm and latent precision l.
+
+    lm may hold one output per row; scale then has one entry per row.
+    """
     w = lm * l / (lm + l)
-    scale = np.prod(np.sqrt(lm / (lm + l)))
+    scale = np.prod(np.sqrt(lm / (lm + l)), axis=-1)
     return scale, w
 
 
-def _ff_scale_weight(out_a, out_b, lat):
-    l = lat.L
-    v = 1.0 / out_a.Lm + 1.0 / out_b.Lm + 1.0 / l
+def _ff_scale_weight(lm_a, lm_b, l):
+    """(scale, weight) of k_ff between outputs with smoothing precisions lm_a and lm_b."""
+    v = 1.0 / lm_a + 1.0 / lm_b + 1.0 / l
     w = 1.0 / v
-    scale = np.prod(1.0 / np.sqrt(l * v))
+    scale = np.prod(1.0 / np.sqrt(l * v), axis=-1)
     return scale, w
 
 
 def eval_cross_fu(x, w, out: OutputKernelParams, lat: LatentKernelParams):
     """Cross-covariance cov(f_m(x), u(w)); depends on x - w only, linear in S."""
     tau = _as_1d(x) - _as_1d(w)
-    scale, wt = _fu_scale_weight(out, lat)
+    scale, wt = _fu_scale_weight(out.Lm, lat.L)
     return float(out.S * scale * np.exp(-0.5 * np.sum(wt * tau * tau)))
 
 
 def eval_cross_ff(x, x2, out_m, out_m2, lat):
     """Cross-covariance cov(f_m(x), f_m'(x2)) of two convolved outputs."""
     tau = _as_1d(x) - _as_1d(x2)
-    scale, wt = _ff_scale_weight(out_m, out_m2, lat)
+    scale, wt = _ff_scale_weight(out_m.Lm, out_m2.Lm, lat.L)
     return float(out_m.S * out_m2.S * scale * np.exp(-0.5 * np.sum(wt * tau * tau)))
+
+
+# ---------------------------------------------------------------------------
+# kernel blocks
+# ---------------------------------------------------------------------------
+# Every kernel matrix of the package is a Gaussian block
+#
+#     K = amp * unit,   unit = exp(-0.5 * sum_d w_d t2_d),
+#
+# where t2_d holds the squared differences of input dimension d.  The
+# builders below take t2 (from `sqdiff`), so a caller that needs several
+# blocks over the same pair of input sets computes it once.
+
+
+class GaussBlock(NamedTuple):
+    """One kernel block with the pieces its derivatives are contracted against."""
+
+    t2: np.ndarray  # (d, n1, n2) per-dimension squared differences
+    unit: np.ndarray  # (n1, n2) unit-amplitude gram exp(-0.5 sum_d w_d t2_d)
+    K: np.ndarray  # (n1, n2) the block, amp * unit
+
+
+def sqdiff(X1, X2):
+    """Per-dimension squared differences of two input sets, shape (d, n1, n2)."""
+    return _backend.sqdiff_dims(_as_2d(X1), _as_2d(X2))
+
+
+def _gauss_block(t2, w, amp):
+    unit = np.exp(-0.5 * np.einsum("dij,d->ij", t2, w))
+    return GaussBlock(t2, unit, amp * unit)
+
+
+def kuu_block(t2, lat: LatentKernelParams):
+    """Kuu over inducing inputs with squared differences t2."""
+    return _gauss_block(t2, lat.L, 1.0)
+
+
+def kfu_block(t2, out: OutputKernelParams, lat: LatentKernelParams):
+    """Kfu_m between inputs and inducing inputs with squared differences t2."""
+    scale, wt = _fu_scale_weight(out.Lm, lat.L)
+    return _gauss_block(t2, wt, out.S * scale)
+
+
+def kff_block(t2, out: OutputKernelParams, lat: LatentKernelParams):
+    """The same-output block Kff_m over inputs with squared differences t2."""
+    scale, wt = _ff_scale_weight(out.Lm, out.Lm, lat.L)
+    return _gauss_block(t2, wt, out.S * out.S * scale)
+
+
+def se_block(t2, p: SEKernelParams):
+    """An independent SE kernel block over inputs with squared differences t2."""
+    return _gauss_block(t2, p.prec, p.amp * p.amp)
 
 
 # ---------------------------------------------------------------------------
@@ -190,31 +270,26 @@ def eval_cross_ff(x, x2, out_m, out_m2, lat):
 
 
 def kuu_matrix(W, lat: LatentKernelParams):
-    W = _as_2d(W)
-    return _backend.gauss_gram(W, W, lat.L, 1.0)
+    return kuu_block(sqdiff(W, W), lat).K
 
 
 def kfu_matrix(X, W, out: OutputKernelParams, lat: LatentKernelParams):
-    X, W = _as_2d(X), _as_2d(W)
-    scale, wt = _fu_scale_weight(out, lat)
-    return _backend.gauss_gram(X, W, wt, out.S * scale)
+    return kfu_block(sqdiff(X, W), out, lat).K
 
 
 def kff_matrix(X, X2, out_a, out_b, lat):
-    X, X2 = _as_2d(X), _as_2d(X2)
-    scale, wt = _ff_scale_weight(out_a, out_b, lat)
-    return _backend.gauss_gram(X, X2, wt, out_a.S * out_b.S * scale)
+    scale, wt = _ff_scale_weight(out_a.Lm, out_b.Lm, lat.L)
+    return _gauss_block(sqdiff(X, X2), wt, out_a.S * out_b.S * scale).K
 
 
 def kff_diag_value(out: OutputKernelParams, lat: LatentKernelParams):
     """Prior variance of f_m (stationary, so a single number)."""
-    scale, _ = _ff_scale_weight(out, out, lat)
+    scale, _ = _ff_scale_weight(out.Lm, out.Lm, lat.L)
     return float(out.S * out.S * scale)
 
 
 def se_matrix(X, X2, p: SEKernelParams):
-    X, X2 = _as_2d(X), _as_2d(X2)
-    return _backend.gauss_gram(X, X2, p.prec, p.amp * p.amp)
+    return se_block(sqdiff(X, X2), p).K
 
 
 def exact_kff_pairs(X, hp: HyperParams):
@@ -272,81 +347,117 @@ def chol_jitter(K):
 
 
 # ---------------------------------------------------------------------------
-# derivative builders (chain rule to kernel hyperparameters)
+# derivative coefficients
 # ---------------------------------------------------------------------------
-# Each builder returns the kernel matrix together with its partial
-# derivatives w.r.t. the *constrained* parameters; log-space chaining is
-# done by the caller.  Amplitude derivatives are computed from the
-# unit-amplitude matrix so they stay finite at S = 0.
+# The derivative of a block w.r.t. a per-dimension precision entry
+# theta_d (Lm_d, L_d or an SE precision) is
+#
+#     dK/dtheta_d = c0_d * unit + c2_d * unit o t2_d,
+#
+# and w.r.t. an amplitude it is a multiple of unit.  So for a
+# matrix-level gradient G of a scalar f, with a = sum(G o unit) and
+# b_d = sum(G o unit o t2_d) (`contract`),
+#
+#     df/dtheta_d = c0_d a + c2_d b_d,   df/damp = c_amp a.
+#
+# The *_coeffs functions return (c_amp, PrecCoeffs...) in constrained
+# coordinates, for all outputs at once (one row each), so the chain does
+# the small coefficient arithmetic once per evaluation, not once per
+# output; log-space chaining is done by the caller.  Amplitude
+# coefficients are taken against the unit-amplitude gram, so they stay
+# finite at S = 0.  Both sums in `contract` are elementwise products and
+# reductions (np.einsum without BLAS); the engine docstring says why no
+# BLAS product of numpy's is used here.
+
+
+class PrecCoeffs(NamedTuple):
+    """Coefficients (c0, c2) of one per-dimension precision, one row per block: (blocks, d)."""
+
+    c0: np.ndarray
+    c2: np.ndarray
+
+    def contract(self, a, b):
+        """df/dtheta, (blocks, d), from `contract`'s a (blocks,) and b (blocks, d)."""
+        return self.c0 * np.asarray(a)[..., None] + self.c2 * b
+
+    def expand(self, block: GaussBlock, m=0):
+        """The derivative tensor dK/dtheta_d of block m, shape (d, n1, n2)."""
+        return block.unit[None] * (
+            self.c0[m][:, None, None] + self.c2[m][:, None, None] * block.t2
+        )
+
+
+def contract(G, block: GaussBlock):
+    """(a, b): a = sum(G o unit) and b_d = sum(G o unit o t2_d) for one block."""
+    Gu = G * block.unit
+    return Gu.sum(), np.einsum("dij,ij->d", block.t2, Gu)
+
+
+def kuu_coeffs(lat: LatentKernelParams):
+    """Derivative coefficients of Kuu w.r.t. L, as one block: (1, d)."""
+    d = lat.L.shape[0]
+    return PrecCoeffs(np.zeros((1, d)), np.full((1, d), -0.5))
+
+
+def kfu_coeffs(outputs, lat: LatentKernelParams):
+    """(c_S (M,), dLm, dL): derivative coefficients of each output's Kfu_m."""
+    S = np.array([out.S for out in outputs])
+    lm, l = np.array([out.Lm for out in outputs]), lat.L
+    scale, _ = _fu_scale_weight(lm, l)
+    amp = (S * scale)[:, None]
+    tot = lm + l
+    # per dimension: d log scale and -0.5 * d weight
+    d_Lm = PrecCoeffs(amp * (0.5 * l / (lm * tot)), amp * (-0.5 * (l / tot) ** 2))
+    d_L = PrecCoeffs(amp * (-0.5 / tot), amp * (-0.5 * (lm / tot) ** 2))
+    return scale, d_Lm, d_L
+
+
+def kff_coeffs(outputs, lat: LatentKernelParams):
+    """(c_S (M,), dLm, dL): derivative coefficients of each output's same-output block Kff_m."""
+    S = np.array([out.S for out in outputs])
+    lm, l = np.array([out.Lm for out in outputs]), lat.L
+    scale, _ = _ff_scale_weight(lm, lm, l)
+    amp = (S * S * scale)[:, None]
+    v = 2.0 / lm + 1.0 / l
+    # everything runs through v: d/dv [log scale] = -1/(2v), d/dv [-w/2] = 1/(2v^2)
+    dv0 = amp * (-0.5 / v)
+    dv2 = amp * (0.5 / (v * v))
+    dv_dlm = -2.0 / (lm * lm)
+    dv_dl = -1.0 / (l * l)
+    d_Lm = PrecCoeffs(dv0 * dv_dlm, dv2 * dv_dlm)
+    d_L = PrecCoeffs(amp * (-0.5 / l) + dv0 * dv_dl, dv2 * dv_dl)
+    return 2.0 * S * scale, d_Lm, d_L
+
+
+def se_coeffs(outputs):
+    """(c_amp (M,), dPrec): derivative coefficients of each output's SE block."""
+    amp = np.array([p.amp for p in outputs])
+    c2 = np.array([np.full(p.prec.shape, -0.5 * p.amp * p.amp) for p in outputs])
+    return 2.0 * amp, PrecCoeffs(np.zeros_like(c2), c2)
 
 
 def kuu_matrix_grads(W, lat: LatentKernelParams):
     """Returns (Kuu, dL) with dL of shape (d, Q, Q)."""
-    W = _as_2d(W)
-    K = _backend.gauss_gram(W, W, lat.L, 1.0)
-    t2 = _backend.sqdiff_dims(W, W)
-    dL = -0.5 * t2 * K[None, :, :]
-    return K, dL
+    block = kuu_block(sqdiff(W, W), lat)
+    return block.K, kuu_coeffs(lat).expand(block)
 
 
 def kfu_matrix_grads(X, W, out: OutputKernelParams, lat: LatentKernelParams):
     """Returns (Kfu, dS, dLm, dL); dS is (n, Q), dLm/dL are (d, n, Q)."""
-    X, W = _as_2d(X), _as_2d(W)
-    l, lm = lat.L, out.Lm
-    scale, wt = _fu_scale_weight(out, lat)
-    Kunit = _backend.gauss_gram(X, W, wt, scale)
-    K = out.S * Kunit
-    t2 = _backend.sqdiff_dims(X, W)
-    tot = lm + l
-    # d log scale and d weight per input dimension
-    dls_dlm = 0.5 * l / (lm * tot)
-    dls_dl = -0.5 / tot
-    dw_dlm = (l / tot) ** 2
-    dw_dl = (lm / tot) ** 2
-    dLm = K[None] * (dls_dlm[:, None, None] - 0.5 * dw_dlm[:, None, None] * t2)
-    dL = K[None] * (dls_dl[:, None, None] - 0.5 * dw_dl[:, None, None] * t2)
-    return K, Kunit, dLm, dL
+    block = kfu_block(sqdiff(X, W), out, lat)
+    c_S, d_Lm, d_L = kfu_coeffs([out], lat)
+    return block.K, c_S[0] * block.unit, d_Lm.expand(block), d_L.expand(block)
 
 
 def kff_matrix_grads(X, out: OutputKernelParams, lat: LatentKernelParams):
     """Same-output covariance block and derivatives: (Kff, dS, dLm, dL)."""
-    X = _as_2d(X)
-    l, lm = lat.L, out.Lm
-    v = 2.0 / lm + 1.0 / l
-    wt = 1.0 / v
-    scale = np.prod(1.0 / np.sqrt(l * v))
-    Kunit = _backend.gauss_gram(X, X, wt, scale)
-    K = out.S * out.S * Kunit
-    t2 = _backend.sqdiff_dims(X, X)
-    # common factor through v: d/dv [log scale] = -1/(2v), d/dv [w] = -1/v^2
-    dv = (-0.5 / v)[:, None, None] + (0.5 / (v * v))[:, None, None] * t2
-    dLm = K[None] * dv * (-2.0 / (lm * lm))[:, None, None]
-    dL = K[None] * (
-        (-0.5 / l)[:, None, None] + dv * (-1.0 / (l * l))[:, None, None]
-    )
-    dS = 2.0 * out.S * Kunit
-    return K, dS, dLm, dL
-
-
-def kff_diag_value_grads(out: OutputKernelParams, lat: LatentKernelParams):
-    """Prior variance of f_m and its derivatives: (value, dS, dLm, dL)."""
-    l, lm = lat.L, out.Lm
-    v = 2.0 / lm + 1.0 / l
-    scale = np.prod(1.0 / np.sqrt(l * v))
-    value = out.S * out.S * scale
-    dS = 2.0 * out.S * scale
-    # at tau = 0 the only dependence is through the normalizer
-    dv = -0.5 / v
-    dLm = value * dv * (-2.0 / (lm * lm))
-    dL = value * (-0.5 / l + dv * (-1.0 / (l * l)))
-    return float(value), float(dS), dLm, dL
+    block = kff_block(sqdiff(X, X), out, lat)
+    c_S, d_Lm, d_L = kff_coeffs([out], lat)
+    return block.K, c_S[0] * block.unit, d_Lm.expand(block), d_L.expand(block)
 
 
 def se_matrix_grads(X, X2, p: SEKernelParams):
     """SE block and derivatives w.r.t. (amp, prec): (K, dAmp, dPrec)."""
-    X, X2 = _as_2d(X), _as_2d(X2)
-    K = _backend.gauss_gram(X, X2, p.prec, p.amp * p.amp)
-    t2 = _backend.sqdiff_dims(X, X2)
-    dAmp = 2.0 / p.amp * K
-    dPrec = -0.5 * t2 * K[None]
-    return K, dAmp, dPrec
+    block = se_block(sqdiff(X, X2), p)
+    c_amp, d_prec = se_coeffs([p])
+    return block.K, c_amp[0] * block.unit, d_prec.expand(block)

@@ -1,6 +1,7 @@
 """Data containers, label priors, configuration and variational state."""
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +16,8 @@ class Dataset:
 
     labels uses 0 for "unlabeled" and 1..M otherwise.  prior_pi holds one
     simplex row per *labeled* observation (rows of unlabeled observations
-    are NaN and never read).
+    are NaN and never read).  The bounds read it through log_prior, which
+    is computed on first use: change prior_pi in place only before that.
     """
 
     X: np.ndarray
@@ -51,6 +53,21 @@ class Dataset:
     @property
     def n_unlabeled(self):
         return self.n - self.n_labeled
+
+    @cached_property
+    def log_prior(self):
+        """log of the floored prior rows, (N, M); NaN on unlabeled rows.
+
+        The priors are fixed data, so the bounds floor and log them once
+        per dataset, on first use, not on every evaluation.  The floor
+        works row by row, so the rows of any selection read the values
+        the full dataset gives them.
+        """
+        out = np.full(self.prior_pi.shape, np.nan)
+        labeled = self.labeled_mask
+        if np.any(labeled):
+            out[labeled] = np.log(floor_simplex(self.prior_pi[labeled]))
+        return out
 
 
 def make_dataset(X, y, labels=None, prior_pi=None, n_outputs=None):

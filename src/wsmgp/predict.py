@@ -77,7 +77,7 @@ def posterior_predict(ds, cfg, hp, state, x_star, per_block_weighting=False):
     for m, out in enumerate(hp.outputs):
         k_star_u = kernels.kfu_matrix(x_star, hp.inducing.W, out, hp.latent)
         if per_block_weighting:
-            kuf_m = sys.Kfu_blocks[m].T
+            kuf_m = sys.fu_blocks[m].K.T
             weights = engine.solve_A(sys, kuf_m @ sys.alpha[m])
             mean[m] = k_star_u @ weights
         else:

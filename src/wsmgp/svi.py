@@ -24,8 +24,9 @@ gathered equal those built on the gathered rows bit for bit.
 elbo_svb and elbo_svb_with_grad build the constants at their rows on
 every call.  The trainer's E-phase holds the hyperparameters fixed for a
 round, so it builds them once per round over all N rows (row_tables: one
-N-row kfu_matrix and one Kuu solve with Q x N right-hand sides per
-output, O(M N Q^2); they hold M N (Q + 1) doubles, 2.0 MB at N = 4000,
+N-row Kfu block and one Kuu solve with Q x N right-hand sides per
+output, the blocks sharing one set of squared differences, O(M N Q^2);
+they hold M N (Q + 1) doubles, 2.0 MB at N = 4000,
 M = 2, Q = 30).  A mini-batch step (gradients.svb_variational_grad) then
 gathers its rows and does only the q(u) part, O(|batch| M Q^2 + Q^3),
 with no kernel matrix and no Kuu solve; what stays O(N) per step is the
@@ -76,8 +77,9 @@ def row_tables(X, hp, cho_kuu):
     M, N, Q = hp.n_outputs, X.shape[0], cho_kuu[0].shape[0]
     phi = np.empty((M, N, Q))
     r = np.empty((M, N))
+    t2 = kernels.sqdiff(X, hp.inducing.W)
     for m, out in enumerate(hp.outputs):
-        kfu = kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent)
+        kfu = kernels.kfu_block(t2, out, hp.latent).K
         phi[m], r[m] = _row_constants(cho_kuu, kfu, kernels.kff_diag_value(out, hp.latent))
     return RowTables(phi, r)
 
@@ -127,10 +129,14 @@ def expected_loglik_terms(y, mu, var, pi_col, sigma_m):
     return 0.5 * np.log(prec) - 0.5 * _LOG2PI - 0.5 * prec * (resid * resid + var)
 
 
-def _jittered_kuu(hp):
-    kuu_raw = kernels.kuu_matrix(hp.inducing.W, hp.latent)
+def _jittered(kuu_raw):
+    """(Kuu with chol_jitter's jitter on its diagonal, its Cholesky factor)."""
     cho, jitter = kernels.chol_jitter(kuu_raw)
     return kuu_raw + jitter * np.eye(kuu_raw.shape[0]), cho
+
+
+def _jittered_kuu(hp):
+    return _jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
 
 
 def elbo_svb(ds, cfg, hp, state, batch=None):
@@ -169,8 +175,9 @@ def optimal_qu(ds, cfg, hp, state):
     C = np.zeros((Q, Q))
     rhs = np.zeros(Q)
     D = compute_D(state, hp.noise)
+    t2 = kernels.sqdiff(ds.X, hp.inducing.W)
     for m, out in enumerate(hp.outputs):
-        kfu = kernels.kfu_matrix(ds.X, hp.inducing.W, out, hp.latent)
+        kfu = kernels.kfu_block(t2, out, hp.latent).K
         dinv = 1.0 / D.block(m)
         C += engine._gemm(kfu.T, kfu * dinv[:, None])
         rhs += kfu.T @ (dinv * ds.y)

@@ -240,7 +240,7 @@ class TestEngineDenseReference:
 
     @staticmethod
     def _dense(sys):
-        Kfu = np.vstack(sys.Kfu_blocks)
+        Kfu = np.vstack([b.K for b in sys.fu_blocks])
         Sigma = Kfu @ cho_solve(sys.cho_Kuu, Kfu.T)
         sizes = [len(yb) for yb in sys.y_blocks]
         start = np.cumsum([0] + sizes)

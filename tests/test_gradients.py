@@ -8,15 +8,17 @@ import pytest
 from scipy.linalg import cho_solve
 from scipy.special import digamma
 
-from wsmgp import checks, engine, gradients, svi
-from wsmgp.bounds import scmgp_loglik, vterm_rows
+from wsmgp import bounds, checks, engine, gradients, kernels, model, svi
+from wsmgp.bounds import build_cvb_system, elbo_cvb, scmgp_loglik, vterm_rows
 from wsmgp.gradients import finite_diff_check
 from wsmgp.kernels import (
     HyperParams,
+    IndependentSEHyperParams,
     InducingInputs,
     LatentKernelParams,
     NoiseParams,
     OutputKernelParams,
+    SEKernelParams,
 )
 from wsmgp.model import (
     EPS_PI,
@@ -433,3 +435,208 @@ class TestBlasRouting:
         # elbo_svb, 2 in svb_variational_grad and 1 in optimal_qu
         assert len(calls) == cfg.M * (2 * 4 + 2 * 1 + 2 + 1)
         assert all(max(sa[0], sb[0]) >= len(rows) for sa, sb in calls)
+
+
+def _two_dim(seed, with_qu=False):
+    """A d = 2 instance; with_qu gives q(u) a random mean and covariance."""
+    ds, cfg, hp, state = checks.random_instance(seed, n=10, M=2, Q=4, d=2)
+    if with_qu:
+        rng = np.random.default_rng(seed + 1)
+        A = rng.normal(size=(4, 4))
+        state.Su = 0.5 * np.eye(4) + A @ A.T / 4
+        state.mu_u = rng.normal(size=4)
+    return ds, cfg, hp, state
+
+
+def _independent(hp):
+    """Independent SE kernels with the convolved instance's noise and scales."""
+    outs = [SEKernelParams(amp=abs(o.S), prec=0.5 * o.Lm) for o in hp.outputs]
+    return IndependentSEHyperParams(outputs=outs, noise=hp.noise)
+
+
+class TestTwoDimensionalInputs:
+    """Finite-difference checks at d = 2, where each input dimension has its own t2."""
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_collapsed(self, seed):
+        x0, value, grad, _ = checks.packed_cvb(*_two_dim(seed))
+        rep = finite_diff_check(value, grad, x0)
+        assert rep.max_rel_error < 1e-6, str(rep)
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_collapsed_independent_kernels(self, seed):
+        ds, cfg, hp, state = _two_dim(seed)
+        x0, value, grad, _ = checks.packed_cvb(ds, cfg, _independent(hp), state)
+        rep = finite_diff_check(value, grad, x0)
+        assert rep.max_rel_error < 1e-6, str(rep)
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_scmgp(self, seed):
+        ds, cfg, hp, _ = _two_dim(seed)
+        pack = ParamPack(ds, cfg, hp, with_pi=False)
+        x0 = pack.pack(hp)
+
+        def value(x):
+            return scmgp_loglik(ds, cfg, pack.unpack_hyper(x)[0])
+
+        def grad(x):
+            _, b = gradients.scmgp_loglik_with_grad(ds, cfg, pack.unpack_hyper(x)[0])
+            return pack.hyper_grad_to_vec(b)
+
+        rep = finite_diff_check(value, grad, x0)
+        assert rep.max_rel_error < 1e-6, str(rep)
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    @pytest.mark.parametrize("batch", [None, [7, 2, 9, 0, 4]])
+    def test_stochastic(self, seed, batch):
+        ds, cfg, hp, state = _two_dim(seed, with_qu=True)
+        x0, value, grad, _ = checks.packed_svb(ds, cfg, hp, state, batch=batch)
+        rep = finite_diff_check(value, grad, x0)
+        assert rep.max_rel_error < 1e-6, str(rep)
+
+
+def _tensor_chain(X, rows, hp, mg):
+    """Unconstrained (d_S, d_Lm, d_L) from full derivative tensors summed with einsum.
+
+    The derivative tensors are written out from the closed forms here,
+    independently of kernels' coefficients.
+    """
+    W, l = hp.inducing.W, hp.latent.L
+
+    def t2_of(A, B):
+        return np.moveaxis((A[:, None, :] - B[None, :, :]) ** 2, -1, 0)
+
+    d_S = np.zeros(hp.n_outputs)
+    d_Lm = np.zeros((hp.n_outputs, len(l)))
+    Kuu = kernels.kuu_matrix(W, hp.latent)
+    d_L = np.einsum("qp,dqp->d", mg.dKuu, -0.5 * t2_of(W, W) * Kuu)
+    for m, out in enumerate(hp.outputs):
+        Xm, lm = X[rows[m]], out.Lm
+        if Xm.shape[0] == 0:
+            continue
+        # Kfu: scale prod sqrt(lm / (lm + l)), weight lm l / (lm + l)
+        K = kernels.kfu_matrix(Xm, W, out, hp.latent)
+        t2, tot = t2_of(Xm, W), (lm + l)[:, None, None]
+        lm_, l_ = lm[:, None, None], l[:, None, None]
+        dLm = K * (0.5 * l_ / (lm_ * tot) - 0.5 * (l_ / tot) ** 2 * t2)
+        dL = K * (-0.5 / tot - 0.5 * (lm_ / tot) ** 2 * t2)
+        G = mg.dKfu_blocks[m]
+        scale = np.prod(np.sqrt(lm / (lm + l)))
+        d_S[m] += np.sum(G * scale * np.exp(-0.5 * np.einsum("dnq,d->nq", t2, lm * l / (lm + l))))
+        d_Lm[m] += np.einsum("nq,dnq->d", G, dLm)
+        d_L += np.einsum("nq,dnq->d", G, dL)
+        # Kff: everything through v = 2/lm + 1/l
+        K = kernels.kff_matrix(Xm, Xm, out, out, hp.latent)
+        t2 = t2_of(Xm, Xm)
+        v = (2.0 / lm + 1.0 / l)[:, None, None]
+        dv = -0.5 / v + 0.5 / v**2 * t2
+        G = mg.dE_blocks[m]
+        scale = np.prod(1.0 / np.sqrt(l * (2.0 / lm + 1.0 / l)))
+        d_S[m] += np.sum(G * 2.0 * out.S * scale
+                         * np.exp(-0.5 * np.einsum("dnp,d->np", t2, 1.0 / v[:, 0, 0])))
+        d_Lm[m] += np.einsum("np,dnp->d", G, K * dv * (-2.0 / lm_**2))
+        d_L += np.einsum("np,dnp->d", G, K * (-0.5 / l_ + dv * (-1.0 / l_**2)))
+    return d_S, d_Lm * np.stack([o.Lm for o in hp.outputs]), d_L * l
+
+
+class TestContractedChain:
+    """The contraction against the forward blocks equals the tensor chain."""
+
+    @staticmethod
+    def _assert_blocks_close(got, ref):
+        for g, r in zip(got, ref):
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12 * np.max(np.abs(r)))
+
+    @staticmethod
+    def _system(ds, hp, state, selection):
+        if selection == "stacked":
+            return build_cvb_system(ds, ModelConfig(M=2, Q=4), hp, state)
+        rows = [np.flatnonzero(ds.labels == 1), np.zeros(0, dtype=int)]
+        d_blocks = [np.full(len(r), s**2) for r, s in zip(rows, hp.noise.sigma)]
+        return engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("selection", ["stacked", "one output empty"])
+    @pytest.mark.parametrize("zero_amplitude", [False, True])
+    def test_equals_the_tensor_chain(self, d, selection, zero_amplitude):
+        ds, _, hp, state = checks.random_instance(50 + d, n=10, M=2, Q=4, d=d)
+        if zero_amplitude:
+            hp = replace(hp, outputs=[OutputKernelParams(S=0.0, Lm=hp.outputs[0].Lm),
+                                      hp.outputs[1]])
+        sys = self._system(ds, hp, state, selection)
+        mg = engine.gauss_loglik_grads(sys)
+        got = gradients._chain_convolved(hp, mg, sys.kuu_block, sys.fu_blocks, sys.ff_blocks)
+        self._assert_blocks_close(got, _tensor_chain(ds.X, sys.rows, hp, mg))
+        if zero_amplitude:
+            # the precision derivatives vanish with S; dKfu/dS does not, but
+            # with the other output empty the bound is even in S
+            assert np.all(got[1][0] == 0.0)
+            assert (got[0][0] != 0.0) == (selection == "stacked")
+
+    @pytest.mark.parametrize("selection", ["stacked", "one output empty"])
+    def test_independent_kernels_equal_the_tensor_chain(self, selection):
+        ds, _, hp, state = checks.random_instance(52, n=10, M=2, Q=4, d=2)
+        hpi = _independent(hp)
+        sys = self._system(ds, hpi, state, selection)
+        mg = engine.gauss_loglik_grads(sys)
+        d_amp, d_prec = gradients._chain_independent(hpi, mg, sys.ff_blocks)
+        ref_amp, ref_prec = np.zeros(2), np.zeros((2, 2))
+        for m, out in enumerate(hpi.outputs):
+            Xm = ds.X[sys.rows[m]]
+            if Xm.shape[0] == 0:
+                continue
+            K = kernels.se_matrix(Xm, Xm, out)
+            t2 = np.moveaxis((Xm[:, None, :] - Xm[None, :, :]) ** 2, -1, 0)
+            ref_amp[m] = np.sum(mg.dE_blocks[m] * 2.0 / out.amp * K) * out.amp
+            ref_prec[m] = np.einsum("np,dnp->d", mg.dE_blocks[m], -0.5 * t2 * K) * out.prec
+        self._assert_blocks_close((d_amp, d_prec), (ref_amp, ref_prec))
+
+
+class TestOneForwardPass:
+    """The value the gradient functions return is the bound itself, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [60, 61])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_collapsed(self, seed, d):
+        ds, cfg, hp, state = checks.random_instance(seed, n=12, M=2, Q=5, d=d)
+        for h in (hp, _independent(hp)):
+            assert gradients.elbo_cvb_with_grad(ds, cfg, h, state)[0] == elbo_cvb(ds, cfg, h, state)
+
+    @pytest.mark.parametrize("seed", [60, 61])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scmgp(self, seed, d):
+        ds, cfg, hp, _ = checks.random_instance(seed, n=12, M=2, Q=5, d=d)
+        for h in (hp, _independent(hp)):
+            assert gradients.scmgp_loglik_with_grad(ds, cfg, h)[0] == scmgp_loglik(ds, cfg, h)
+
+
+class TestLogPrior:
+    """The labeled priors are floored and logged once per dataset."""
+
+    def test_values_and_unlabeled_rows(self):
+        ds, _, _, _ = _batch_instance(True)
+        ds_h, _ = _with_hard_prior_row(ds)
+        labeled = ds_h.labeled_mask
+        expect = np.log(floor_simplex(ds_h.prior_pi[labeled]))
+        np.testing.assert_array_equal(ds_h.log_prior[labeled], expect)
+        assert np.all(np.isnan(ds_h.log_prior[~labeled]))
+        assert ds_h.log_prior is ds_h.log_prior
+
+    def test_evaluations_do_not_floor_the_priors(self, monkeypatch):
+        ds, cfg, hp, state = _batch_instance(True)
+        ds.log_prior  # the one computation, on first use
+        calls = []
+
+        def counting(rows, *args):
+            calls.append(len(rows))
+            return floor_simplex(rows, *args)
+
+        for module in (model, bounds):
+            monkeypatch.setattr(module, "floor_simplex", counting)
+        rows = _batch(ds, "mixed")
+        vterm_rows(state, ds, cfg, hp.noise)
+        vterm_rows(state, ds, cfg, hp.noise, rows=rows)
+        gradients.vterm_partials(state, ds, cfg, hp.noise, rows=rows)
+        gradients.elbo_cvb_with_grad(ds, cfg, hp, state)
+        gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=rows)
+        assert calls == []

@@ -14,6 +14,7 @@ from wsmgp.kernels import (
     LatentKernelParams,
     NoiseParams,
     OutputKernelParams,
+    SEKernelParams,
     chol_jitter,
     eval_cross_ff,
     eval_cross_fu,
@@ -157,7 +158,7 @@ class TestAssembly:
         hp = random_hp(rng, M=2, Q=4)
         sys = build_system(X, hp)
         assert sys.Kuu.shape == (4, 4)
-        assert np.vstack(sys.Kfu_blocks).shape == (20, 4)
+        assert np.vstack([b.K for b in sys.fu_blocks]).shape == (20, 4)
         assert len(sys.B_blocks) == 2 and sys.B_blocks[0].shape == (10, 10)
 
     def test_assembled_covariance_psd(self):
@@ -166,7 +167,7 @@ class TestAssembly:
             X = rng.uniform(0, 1, (10, 1))
             hp = random_hp(rng, M=2, Q=4)
             sys = build_system(X, hp)
-            Kfu = np.vstack(sys.Kfu_blocks)
+            Kfu = np.vstack([b.K for b in sys.fu_blocks])
             nystrom = Kfu @ np.linalg.solve(sys.Kuu, Kfu.T)
             full = nystrom.copy()
             for m in range(2):
@@ -249,16 +250,6 @@ class TestCholJitter:
 
 
 class TestBackends:
-    def test_gauss_gram_agrees(self):
-        rng = np.random.default_rng(9)
-        X1 = rng.normal(size=(7, 2))
-        X2 = rng.normal(size=(5, 2))
-        w = rng.uniform(0.5, 3.0, 2)
-        a = _backend.gauss_gram_numpy(X1, X2, w, 1.7)
-        if _backend.HAS_NUMBA:
-            b = _backend.gauss_gram_numba(X1, X2, w, 1.7)
-            np.testing.assert_allclose(a, b, rtol=1e-13)
-
     def test_sqdiff_agrees(self):
         rng = np.random.default_rng(10)
         X1 = rng.normal(size=(4, 3))
@@ -315,3 +306,132 @@ class TestDerivativeBuilders:
         out_h = OutputKernelParams(S=-1.5, Lm=out.Lm + h)
         up = kernels.kff_matrix(X, X, out_h, out_h, LAT)
         np.testing.assert_allclose((up - K) / h, dLm[0], rtol=1e-3, atol=1e-8)
+
+
+def _central(build, p0, dim, rel=1e-5):
+    """Central difference of the matrix build(p) w.r.t. entry `dim` of the vector p0."""
+    step = rel * abs(p0[dim])
+    up, dn = p0.copy(), p0.copy()
+    up[dim] += step
+    dn[dim] -= step
+    return (build(up) - build(dn)) / (2.0 * step)
+
+
+def _assert_close(fd, analytic):
+    np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8 * np.max(np.abs(analytic)))
+
+
+class TestDerivativeCoefficients:
+    """Every coefficient, per input dimension, against central differences at d = 2."""
+
+    rng = np.random.default_rng(14)
+    X = rng.uniform(0, 1, (6, 2))
+    W = rng.uniform(0, 1, (4, 2))
+    lat = LatentKernelParams(L=np.array([90.0, 140.0]))
+    out = OutputKernelParams(S=-1.7, Lm=np.array([70.0, 210.0]))
+
+    def test_kuu(self):
+        _, dL = kernels.kuu_matrix_grads(self.W, self.lat)
+        for k in range(2):
+            fd = _central(lambda L: kernels.kuu_matrix(self.W, LatentKernelParams(L=L)),
+                          self.lat.L, k)
+            _assert_close(fd, dL[k])
+
+    def test_kfu(self):
+        X, W, out, lat = self.X, self.W, self.out, self.lat
+        _, dS, dLm, dL = kernels.kfu_matrix_grads(X, W, out, lat)
+        fd = _central(lambda S: kernels.kfu_matrix(X, W, OutputKernelParams(S=S[0], Lm=out.Lm), lat),
+                      np.array([out.S]), 0)
+        _assert_close(fd, dS)
+        for k in range(2):
+            fd = _central(lambda Lm: kernels.kfu_matrix(X, W, OutputKernelParams(S=out.S, Lm=Lm), lat),
+                          out.Lm, k)
+            _assert_close(fd, dLm[k])
+            fd = _central(lambda L: kernels.kfu_matrix(X, W, out, LatentKernelParams(L=L)),
+                          lat.L, k)
+            _assert_close(fd, dL[k])
+
+    def test_kff(self):
+        X, out, lat = self.X, self.out, self.lat
+
+        def same(o, l=lat):
+            return kernels.kff_matrix(X, X, o, o, l)
+
+        _, dS, dLm, dL = kernels.kff_matrix_grads(X, out, lat)
+        fd = _central(lambda S: same(OutputKernelParams(S=S[0], Lm=out.Lm)), np.array([out.S]), 0)
+        _assert_close(fd, dS)
+        for k in range(2):
+            fd = _central(lambda Lm: same(OutputKernelParams(S=out.S, Lm=Lm)), out.Lm, k)
+            _assert_close(fd, dLm[k])
+            fd = _central(lambda L: same(out, LatentKernelParams(L=L)), lat.L, k)
+            _assert_close(fd, dL[k])
+
+    def test_se(self):
+        p = SEKernelParams(amp=1.3, prec=np.array([30.0, 80.0]))
+        _, dAmp, dPrec = kernels.se_matrix_grads(self.X, self.W, p)
+        fd = _central(lambda a: kernels.se_matrix(self.X, self.W, SEKernelParams(amp=a[0], prec=p.prec)),
+                      np.array([p.amp]), 0)
+        _assert_close(fd, dAmp)
+        for k in range(2):
+            fd = _central(lambda q: kernels.se_matrix(self.X, self.W, SEKernelParams(amp=p.amp, prec=q)),
+                          p.prec, k)
+            _assert_close(fd, dPrec[k])
+
+    def test_coefficients_at_zero_amplitude(self):
+        # Kfu is linear in S, Kff quadratic: at S = 0 only dKfu/dS survives
+        out0 = OutputKernelParams(S=0.0, Lm=self.out.Lm)
+        c_fu, c_ff = kernels.kfu_coeffs([out0], self.lat), kernels.kff_coeffs([out0], self.lat)
+        assert c_fu[0][0] == kernels._fu_scale_weight(out0.Lm, self.lat.L)[0] > 0.0
+        assert c_ff[0][0] == 0.0
+        for c in c_fu[1:] + c_ff[1:]:
+            assert np.all(c.c0 == 0.0) and np.all(c.c2 == 0.0)
+
+    def test_contraction_equals_the_summed_tensors(self):
+        rng = np.random.default_rng(15)
+        block = kernels.kfu_block(kernels.sqdiff(self.X, self.W), self.out, self.lat)
+        G = rng.normal(size=block.K.shape)
+        _, c_Lm, _ = kernels.kfu_coeffs([self.out], self.lat)
+        a, b = kernels.contract(G, block)
+        expect = np.einsum("nq,dnq->d", G, c_Lm.expand(block))
+        np.testing.assert_allclose(c_Lm.contract(a, b)[0], expect, rtol=1e-13)
+        assert a == pytest.approx(np.sum(G * block.unit), rel=1e-14)
+
+
+class TestBlocks:
+    """The blocks the engine builds equal the closed forms, and share their t2."""
+
+    def test_blocks_match_the_pointwise_forms(self):
+        rng = np.random.default_rng(16)
+        hp = random_hp(rng, d=2)
+        X = rng.uniform(0, 1, (5, 2))
+        W = hp.inducing.W
+        out, lat = hp.outputs[0], hp.latent
+        fu = kernels.kfu_block(kernels.sqdiff(X, W), out, lat)
+        ff = kernels.kff_block(kernels.sqdiff(X, X), out, lat)
+        uu = kernels.kuu_block(kernels.sqdiff(W, W), lat)
+        for i in range(5):
+            for q in range(W.shape[0]):
+                assert fu.K[i, q] == pytest.approx(eval_cross_fu(X[i], W[q], out, lat), rel=1e-13)
+            for j in range(5):
+                assert ff.K[i, j] == pytest.approx(eval_cross_ff(X[i], X[j], out, out, lat), rel=1e-13)
+        for q in range(W.shape[0]):
+            for p in range(W.shape[0]):
+                assert uu.K[q, p] == pytest.approx(eval_kuu(W[q], W[p], lat), rel=1e-13)
+        scale, _ = kernels._fu_scale_weight(out.Lm, lat.L)
+        np.testing.assert_array_equal(fu.K, (out.S * scale) * fu.unit)
+        assert np.all(ff.unit <= 1.0) and np.all(np.diag(ff.unit) == 1.0)
+
+    def test_stacked_selection_computes_t2_once(self):
+        rng = np.random.default_rng(17)
+        hp = random_hp(rng, M=3, d=2)
+        X = rng.uniform(0, 1, (7, 2))
+        rows = [np.arange(7)] * 3
+        sys = engine.build_system(X, rng.normal(size=7), hp, rows, [np.full(7, 0.1)] * 3)
+        assert all(b.t2 is sys.ff_blocks[0].t2 for b in sys.ff_blocks)
+        assert all(b.t2 is sys.fu_blocks[0].t2 for b in sys.fu_blocks)
+        for m, out in enumerate(hp.outputs):
+            np.testing.assert_array_equal(
+                sys.ff_blocks[m].K, kernels.kff_matrix(X, X, out, out, hp.latent))
+            np.testing.assert_array_equal(
+                sys.fu_blocks[m].K, kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent))
+        np.testing.assert_array_equal(sys.kuu_block.K, kernels.kuu_matrix(hp.inducing.W, hp.latent))
