@@ -16,7 +16,9 @@ the stochastic bound's batch rows.  Each matrix-level gradient G is
 reduced to a = sum(G o unit) and b_d = sum(G o unit o t2_d)
 (kernels.contract), and every amplitude and precision derivative is a
 combination of a and b_d with the coefficients of kernels.*_coeffs; no
-gram or derivative tensor is built a second time.
+gram or derivative tensor is built a second time.  Each same-output
+block Kff_m is differentiated by kernels.kff_matrix_grads with G and the
+block, which does that contraction for one output.
 
 Every path is validated against central finite differences in the test
 suite; where printed derivative formulas were ambiguous, the finite
@@ -158,21 +160,25 @@ def _chain_convolved(hp, mg: engine.MatrixGrads, kuu_block, fu_blocks, ff_blocks
     M = hp.n_outputs
     d = hp.latent.L.shape[0]
     a_fu, b_fu = np.zeros(M), np.zeros((M, d))
-    a_ff, b_ff = np.zeros(M), np.zeros((M, d))
+    ff_S, ff_Lm, ff_L = np.zeros(M), np.zeros((M, d)), np.zeros((M, d))
+    if batch_diag is not None:
+        e_S, e_Lm, e_L = kernels.kff_coeffs(hp.outputs, hp.latent)
     for m in range(M):
         if fu_blocks[m].K.shape[0] == 0:
             continue
         a_fu[m], b_fu[m] = kernels.contract(mg.dKfu_blocks[m], fu_blocks[m])
         if batch_diag is None:
-            a_ff[m], b_ff[m] = kernels.contract(mg.dE_blocks[m], ff_blocks[m])
+            _, ff_S[m], ff_Lm[m], ff_L[m] = kernels.kff_matrix_grads(
+                None, hp.outputs[m], hp.latent, G=mg.dE_blocks[m], block=ff_blocks[m]
+            )
         else:
-            # on the diagonal unit = 1 and t2 = 0
-            a_ff[m] = np.sum(batch_diag[m])
+            # on the diagonal unit = 1 and t2 = 0, so only the c0 terms remain
+            a = np.sum(batch_diag[m])
+            ff_S[m], ff_Lm[m], ff_L[m] = e_S[m] * a, e_Lm.c0[m] * a, e_L.c0[m] * a
     c_S, c_Lm, c_L = kernels.kfu_coeffs(hp.outputs, hp.latent)
-    e_S, e_Lm, e_L = kernels.kff_coeffs(hp.outputs, hp.latent)
-    d_S = c_S * a_fu + e_S * a_ff
-    d_Lm = c_Lm.contract(a_fu, b_fu) + e_Lm.contract(a_ff, b_ff)
-    d_L = np.sum(c_L.contract(a_fu, b_fu) + e_L.contract(a_ff, b_ff), axis=0)
+    d_S = c_S * a_fu + ff_S
+    d_Lm = c_Lm.contract(a_fu, b_fu) + ff_Lm
+    d_L = np.sum(c_L.contract(a_fu, b_fu) + ff_L, axis=0)
     if mg.dKuu is not None:
         d_L += kernels.kuu_coeffs(hp.latent).contract(*kernels.contract(mg.dKuu, kuu_block))[0]
     # to unconstrained coordinates: amplitudes free, precisions in log space

@@ -34,8 +34,11 @@ dimension d.  Which function does what:
   this for every block the forward pass built, so no gradient path
   rebuilds a gram or a (d, n1, n2) derivative tensor.  The
   *_matrix_grads functions expand the same coefficients into those
-  tensors (`PrecCoeffs.expand`); the tests check them by finite
-  differences, and no evaluation calls them.
+  tensors (`PrecCoeffs.expand`), and the tests check them by finite
+  differences.  `kff_matrix_grads` also takes a matrix-level gradient G
+  and a built block and then returns the contracted derivatives; the
+  chain differentiates each same-output block Kff_m that way, so one
+  evaluation calls it once per output and builds no tensor.
 """
 
 from dataclasses import dataclass
@@ -449,11 +452,22 @@ def kfu_matrix_grads(X, W, out: OutputKernelParams, lat: LatentKernelParams):
     return block.K, c_S[0] * block.unit, d_Lm.expand(block), d_L.expand(block)
 
 
-def kff_matrix_grads(X, out: OutputKernelParams, lat: LatentKernelParams):
-    """Same-output covariance block and derivatives: (Kff, dS, dLm, dL)."""
-    block = kff_block(sqdiff(X, X), out, lat)
+def kff_matrix_grads(X, out: OutputKernelParams, lat: LatentKernelParams, G=None, block=None):
+    """Same-output covariance block and derivatives: (Kff, dS, dLm, dL).
+
+    Without G the derivatives are tensors: dS (n, n), dLm and dL (d, n, n).
+    Given a matrix-level gradient G of a scalar f, they are contracted
+    against it instead: df/dS (a scalar), df/dLm and df/dL (d,), in
+    constrained coordinates.  block, if given, is the kff_block over X
+    that the caller already built; it is used as is and X is not read.
+    """
+    if block is None:
+        block = kff_block(sqdiff(X, X), out, lat)
     c_S, d_Lm, d_L = kff_coeffs([out], lat)
-    return block.K, c_S[0] * block.unit, d_Lm.expand(block), d_L.expand(block)
+    if G is None:
+        return block.K, c_S[0] * block.unit, d_Lm.expand(block), d_L.expand(block)
+    a, b = contract(G, block)
+    return block.K, c_S[0] * a, d_Lm.contract(a, b)[0], d_L.contract(a, b)[0]
 
 
 def se_matrix_grads(X, X2, p: SEKernelParams):

@@ -396,6 +396,18 @@ class TestDerivativeCoefficients:
         np.testing.assert_allclose(c_Lm.contract(a, b)[0], expect, rtol=1e-13)
         assert a == pytest.approx(np.sum(G * block.unit), rel=1e-14)
 
+    def test_kff_grads_given_g_are_the_contracted_tensors(self):
+        rng = np.random.default_rng(16)
+        G = rng.normal(size=(6, 6))
+        K, dS, dLm, dL = kernels.kff_matrix_grads(self.X, self.out, self.lat)
+        block = kernels.kff_block(kernels.sqdiff(self.X, self.X), self.out, self.lat)
+        for got in (kernels.kff_matrix_grads(self.X, self.out, self.lat, G=G),
+                    kernels.kff_matrix_grads(None, self.out, self.lat, G=G, block=block)):
+            assert np.array_equal(got[0], K)
+            assert got[1] == pytest.approx(np.sum(G * dS), rel=1e-13)
+            np.testing.assert_allclose(got[2], np.einsum("ij,dij->d", G, dLm), rtol=1e-13)
+            np.testing.assert_allclose(got[3], np.einsum("ij,dij->d", G, dL), rtol=1e-13)
+
 
 class TestBlocks:
     """The blocks the engine builds equal the closed forms, and share their t2."""
