@@ -20,6 +20,21 @@ gram or derivative tensor is built a second time.  Each same-output
 block Kff_m is differentiated by kernels.kff_matrix_grads with G and the
 block, which does that contraction for one output.
 
+The stochastic bound has one forward pass (_svb_forward: Kuu, its
+factor and Kuu^-1 from engine.cho_inverse, the rows' Kfu blocks, their
+row constants and the data term's moments and weights, stacked over the
+outputs by _svb_data_terms) and two halves that read it, so each phase
+of trainer.fit_svb_em computes only the blocks it moves:
+  * _svb_hyper: the bound value and the kernel-hyperparameter, sigma and
+    alpha0 blocks (the Kfu and Kuu paths, V and the KL).  The M-phase's
+    L-BFGS-B calls it through svb_hyper_grad (full batch).
+  * _svb_variational: the assignment-logit and q(u) blocks (one
+    Phi' (Phi o w) product over all outputs' rows, the V partials of the
+    rows and the chol(Su) chain).  Each E-step calls it through
+    svb_variational_grad, on rows gathered from the round's tables.
+elbo_svb_with_grad is both halves on one forward pass, so its blocks
+equal those of svb_hyper_grad and svb_variational_grad bit for bit.
+
 Every path is validated against central finite differences in the test
 suite; where printed derivative formulas were ambiguous, the finite
 differences were treated as the arbiter.
@@ -29,20 +44,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 from scipy.special import digamma
 
 from . import engine, kernels
 from .bounds import build_cvb_system, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig
-from .svi import (
-    _jittered,
-    _qu_moments,
-    _row_constants,
-    expected_loglik_terms,
-    gaussian_kl_u,
-)
+from .svi import _jittered, _qu_moments, _tables_of, expected_loglik_terms, gaussian_kl_u
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -98,17 +107,20 @@ def _vterm_partials(pi, labeled, log_prior, cfg, noise):
     M = pi.shape[1]
     d_pi, dg = _vterm_pi_partials(pi, labeled, log_prior, cfg, noise)
     d_sigma = np.sum(1.0 - pi, axis=0)  # already in log-sigma coords
-    d_alpha0 = 0.0
-    if dg is not None:
-        a0 = cfg.alpha0
-        n_u = dg.shape[0]
-        d_alpha0 = float(
-            np.sum(dg)
-            - n_u * M * digamma(M * a0 + 1.0)
-            - n_u * M * digamma(a0)
-            + n_u * M * digamma(M * a0)
-        )
+    d_alpha0 = 0.0 if dg is None else _alpha0_partial(dg, cfg, M)
     return d_pi, d_alpha0, d_sigma
+
+
+def _alpha0_partial(dg, cfg, M):
+    """dV/dalpha0 from dg = digamma(alpha0 + pi) of the unlabeled rows (Dirichlet prior)."""
+    a0 = cfg.alpha0
+    n_u = dg.shape[0]
+    return float(
+        np.sum(dg)
+        - n_u * M * digamma(M * a0 + 1.0)
+        - n_u * M * digamma(a0)
+        + n_u * M * digamma(M * a0)
+    )
 
 
 def _vterm_pi_partials(pi, labeled, log_prior, cfg, noise):
@@ -275,11 +287,13 @@ def scmgp_loglik_with_grad(ds, cfg, hp):
 # ---------------------------------------------------------------------------
 
 
-class _OutputTerms(NamedTuple):
-    """One output's moments of q(f_m) at the rows, and its data-term weights.
+class _DataTerms(NamedTuple):
+    """Every output's moments of q(f_m) at the rows, and the data term's weights.
 
-    With dtil = pi_m / sigma_m^2: a = dtil (y - mu), w = -dtil / 2, and
-    dD = d/d dtil of each row's expected log-likelihood.
+    Stacked over the outputs: phi and phi_su are (M, rows, Q), the rest
+    (M, rows).  With dtil = pi_m / sigma_m^2: a = dtil (y - mu),
+    w = -dtil / 2, and dD = d/d dtil of each row's expected
+    log-likelihood.
     """
 
     phi: np.ndarray  # Kfu Kuu^-1
@@ -291,46 +305,154 @@ class _OutputTerms(NamedTuple):
     dD: np.ndarray
 
 
-def _svb_data_partials(phi, r, y, pi, sigma, mu_u, Su):
-    """The data term's per-output moments and variational partials at the given rows.
+def _svb_data_terms(phi, r, y, pi, sigma, mu_u, Su):
+    """The data term's moments and weights at the rows, for all outputs in one pass.
 
-    phi[m] and r[m] are output m's row constants at the rows
-    (svi._row_constants); the moments come from svi._qu_moments.
-    Returns (per-output _OutputTerms, d_mu_u, d_S (Q, Q), d_pi (rows, M)),
-    none of them scaled.
+    phi (M, rows, Q) and r (M, rows) are the row constants at the rows
+    (svi.RowTables, C-ordered); the moments come from svi._qu_moments.
+    pi is (rows, M) and y (rows,).  Nothing is scaled.
     """
-    Q = len(mu_u)
-    d_mu_u = np.zeros(Q)
-    d_S = np.zeros((Q, Q))
-    d_pi = np.empty_like(pi)
-    terms = []
-    for m, sig in enumerate(sigma):
-        mu, var, phi_su = _qu_moments(phi[m], r[m], mu_u, Su)
-        sig2 = sig**2
-        dtil = pi[:, m] / sig2
-        a = dtil * (y - mu)
-        w = -0.5 * dtil
-        d_mu_u += phi[m].T @ a
-        d_S += engine._gemm(phi[m].T, phi[m] * w[:, None])
-        resid2 = (y - mu) ** 2
-        dD = 0.5 / dtil - 0.5 * (resid2 + var)
-        d_pi[:, m] = dD * (1.0 / sig2)
-        terms.append(_OutputTerms(phi[m], phi_su, mu, var, a, w, dD))
-    return terms, d_mu_u, d_S, d_pi
+    mu, var, phi_su = _qu_moments(phi, r, mu_u, Su)
+    dtil = pi.T / (sigma**2)[:, None]
+    resid = y - mu
+    dD = 0.5 / dtil - 0.5 * (resid * resid + var)
+    return _DataTerms(phi, phi_su, mu, var, dtil * resid, -0.5 * dtil, dD)
 
 
-def _svb_qu_grads(d_mu_u, d_S, cho, kuu_inv, mu_u, Su):
+class _SvbForward(NamedTuple):
+    """The stochastic bound's forward pass at its rows, which both gradient paths read.
+
+    rows is None for the full batch.  y, pi, labeled and log_prior are
+    the rows' entries (pi, labeled and log_prior from bounds.select_rows),
+    fu_blocks the rows' Kfu blocks and data the stacked _DataTerms.
+    """
+
+    rows: np.ndarray
+    scale: float
+    y: np.ndarray
+    pi: np.ndarray
+    labeled: np.ndarray
+    log_prior: np.ndarray
+    kuu_block: kernels.GaussBlock
+    kuu: np.ndarray  # jittered
+    kuu_inv: np.ndarray
+    fu_blocks: list
+    data: _DataTerms
+
+
+def _svb_forward(ds, hp, state, batch):
+    """_SvbForward at the batch rows (all N when batch is None)."""
+    if not isinstance(hp, HyperParams):
+        raise TypeError("the stochastic bound requires the convolved sparse model")
+    W = hp.inducing.W
+    kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
+    kuu, cho = _jittered(kuu_block.K)
+    if batch is None:
+        rows, scale, X, y = None, 1.0, ds.X, ds.y
+    else:
+        rows = np.asarray(batch, dtype=int)
+        scale, X, y = ds.n / len(rows), ds.X[rows], ds.y[rows]
+    pi, labeled, log_prior = select_rows(state, ds, rows)
+    t2 = kernels.sqdiff(X, W)
+    fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
+    tables = _tables_of([b.K for b in fu_blocks], hp, cho)
+    data = _svb_data_terms(tables.phi, tables.r, y, pi, hp.noise.sigma, state.mu_u, state.Su)
+    return _SvbForward(rows, scale, y, pi, labeled, log_prior, kuu_block, kuu,
+                       engine.cho_inverse(cho), fu_blocks, data)
+
+
+def _svb_hyper(ds, cfg, hp, state, f: _SvbForward):
+    """Bound value and the hyperparameter, sigma and alpha0 blocks from the forward pass."""
+    t = f.data
+    M, n_rows, Q = t.phi.shape
+    mu_u, Su, kuu_inv = state.mu_u, state.Su, f.kuu_inv
+    sigma = hp.noise.sigma
+    value = float(np.sum(expected_loglik_terms(f.y, t.mu, t.var, f.pi.T, sigma[:, None])))
+    value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=f.rows)))
+    # dPhi = a mu' + diag(w) (2 Phi Su - Kfu), every output's rows stacked
+    dPhi = 2.0 * t.phi_su
+    for m, b in enumerate(f.fu_blocks):
+        dPhi[m] -= b.K
+    dPhi *= t.w[:, :, None]
+    dPhi += t.a[:, :, None] * mu_u
+    dPhi = dPhi.reshape(-1, Q)
+    dKfu = engine._gemm(dPhi, kuu_inv).reshape(M, n_rows, Q)
+    dKfu -= t.w[:, :, None] * t.phi
+    dKuu = -(engine._gemm(t.phi.reshape(-1, Q).T, dPhi) @ kuu_inv)
+    # log-sigma chain: d dtil/d log sigma = -2 pi/sigma^2; then V's third term
+    d_sigma = np.sum(t.dD * (-2.0 * f.pi.T / (sigma**2)[:, None]), axis=1)
+    d_sigma += np.sum(1.0 - f.pi.T, axis=1)
+    d_alpha0 = 0.0
+    unlabeled = ~f.labeled
+    if cfg.use_dirichlet and np.any(unlabeled):
+        d_alpha0 = _alpha0_partial(digamma(cfg.alpha0 + f.pi[unlabeled]), cfg, M)
+
+    # scale the data terms, then subtract the (unscaled) KL and its Kuu partial
+    s = f.scale
+    value = s * value - gaussian_kl_u(mu_u, Su, f.kuu)
+    kinv_mu = kuu_inv @ mu_u
+    dKuu *= s
+    dKuu -= 0.5 * (kuu_inv - kuu_inv @ Su @ kuu_inv - np.outer(kinv_mu, kinv_mu))
+    dKfu *= s
+    mg = engine.MatrixGrads(dE_blocks=[None] * M, dKfu_blocks=list(dKfu), dKuu=dKuu)
+    d_S, d_Lm, d_L = _chain_convolved(hp, mg, f.kuu_block, f.fu_blocks, batch_diag=s * t.w)
+    bundle = GradientBundle(
+        d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=s * d_sigma,
+        d_alpha0=s * d_alpha0 * cfg.alpha0,
+    )
+    return value, bundle
+
+
+def _svb_variational(t: _DataTerms, pi, labeled, log_prior, cfg, noise, scale, kuu_inv,
+                     mu_u, Su):
+    """The variational blocks from the data terms: (d_pi_logits of the rows, d_mu_u, d_su_chol).
+
+    The q(u) partials of the data term are one matrix-vector product and
+    one product Phi' (Phi o w) over all outputs' rows stacked.
+    """
+    flat = t.phi.reshape(-1, t.phi.shape[-1])
+    d_mu_u = flat.T @ t.a.ravel()
+    d_S = engine._gemm(flat.T, flat * t.w.reshape(-1, 1))
+    d_pi, _ = _vterm_pi_partials(pi, labeled, log_prior, cfg, noise)
+    d_pi += (t.dD * (1.0 / noise.sigma**2)[:, None]).T
+    d_pi *= scale
+    d_mu_u *= scale
+    d_S *= scale
+    d_mu_u, d_Lc = _svb_qu_grads(d_mu_u, d_S, kuu_inv, mu_u, Su)
+    return softmax_chain(pi, d_pi), d_mu_u, d_Lc
+
+
+def _svb_qu_grads(d_mu_u, d_S, kuu_inv, mu_u, Su):
     """Add the KL's partials to the scaled data partials of q(u); chain Su to chol(Su).
 
-    Su = Lc Lc' with a log-diagonal parameterization.  Returns
-    (d_mu_u, d_su_chol); the inputs are updated in place.
+    Su = Lc Lc' with a log-diagonal parameterization, and Lc is Su's
+    LAPACK factor.  The KL's Su partial is -(Kuu^-1 - Su^-1) / 2, and
+    Su^-1 never has to be formed: its share of (dS + dS') Lc is
+    Su^-1 Lc = Lc^-T, whose lower triangle is diag(1 / Lc_ii), so it adds
+    exactly 1 to each log-diagonal entry.  Returns (d_mu_u, d_su_chol);
+    the inputs are updated in place.
     """
-    d_mu_u -= cho_solve(cho, mu_u)
-    d_S -= 0.5 * (kuu_inv - np.linalg.inv(Su))
-    Lc = np.linalg.cholesky(Su)
+    Lc, info = dpotrf(Su, lower=1, clean=1)
+    if info:
+        raise np.linalg.LinAlgError("Su is not positive definite (dpotrf info = %d)" % info)
+    d_mu_u -= kuu_inv @ mu_u
+    d_S -= 0.5 * kuu_inv
     d_Lc = np.tril((d_S + d_S.T) @ Lc)
-    d_Lc[np.diag_indices(len(mu_u))] *= np.diag(Lc)
+    diag = np.diag_indices(len(mu_u))
+    d_Lc[diag] *= np.diag(Lc)
+    d_Lc[diag] += 1.0
     return d_mu_u, d_Lc
+
+
+def svb_hyper_grad(ds, cfg, hp, state):
+    """Full-batch stochastic bound and its hyperparameter gradient alone.
+
+    Returns (value, GradientBundle) with d_S, d_Lm, d_L, d_sigma and
+    d_alpha0 set, the same numbers as those of elbo_svb_with_grad; the
+    assignment and q(u) blocks, which the hyperparameter phase of
+    trainer.fit_svb_em does not move, are not computed.
+    """
+    return _svb_hyper(ds, cfg, hp, state, _svb_forward(ds, hp, state, None))
 
 
 def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
@@ -338,123 +460,43 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
 
     Only the batch rows of the data are read.  Rows of d_pi_logits
     outside the batch are zero, and d_alpha0 and d_sigma count only the
-    batch rows (scaled by N/|batch|).
+    batch rows (scaled by N/|batch|).  The hyperparameter blocks are those
+    of svb_hyper_grad and the variational blocks those of
+    svb_variational_grad, computed from one forward pass.
     """
-    if not isinstance(hp, HyperParams):
-        raise TypeError("the stochastic bound requires the convolved sparse model")
-    W = hp.inducing.W
-    kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
-    kuu, cho = _jittered(kuu_block.K)
-    Q = kuu.shape[0]
-    if batch is None:
-        rows_idx = np.arange(ds.n)
-        scale = 1.0
+    f = _svb_forward(ds, hp, state, batch)
+    value, bundle = _svb_hyper(ds, cfg, hp, state, f)
+    d_pi, bundle.d_mu_u, bundle.d_su_chol = _svb_variational(
+        f.data, f.pi, f.labeled, f.log_prior, cfg, hp.noise, f.scale, f.kuu_inv,
+        state.mu_u, state.Su,
+    )
+    if f.rows is None:
+        bundle.d_pi_logits = d_pi
     else:
-        rows_idx = np.asarray(batch, dtype=int)
-        scale = ds.n / len(rows_idx)
-    yb = ds.y[rows_idx]
-    pi_b = state.pi_hat[rows_idx]
-    mu_u, Su = state.mu_u, state.Su
-    kuu_inv = cho_solve(cho, np.eye(Q))
-    t2 = kernels.sqdiff(ds.X[rows_idx], W)
-    fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
-    kfu = [b.K for b in fu_blocks]
-    phi, r = zip(*(
-        _row_constants(cho, kfu_m, kernels.kff_diag_value(out, hp.latent))
-        for kfu_m, out in zip(kfu, hp.outputs)
-    ))
-    terms, d_mu_u, d_S_mat, d_pi_data = _svb_data_partials(
-        phi, r, yb, pi_b, hp.noise.sigma, mu_u, Su
-    )
-
-    value = 0.0
-    dKuu = np.zeros((Q, Q))
-    dKfu_blocks = []
-    for m, t in enumerate(terms):
-        sig = hp.noise.sigma[m]
-        value += float(np.sum(expected_loglik_terms(yb, t.mu, t.var, pi_b[:, m], sig)))
-        # dPhi: a mu' + diag(w) (2 Phi Su - Kfu)
-        dPhi = np.outer(t.a, mu_u) + t.w[:, None] * (2.0 * t.phi_su - kfu[m])
-        dKfu_blocks.append(engine._gemm(dPhi, kuu_inv) - t.w[:, None] * t.phi)
-        dKuu -= engine._gemm(t.phi.T, dPhi) @ kuu_inv
-    # V rows of the batch only: nothing outside it is read
-    d_pi_raw, d_alpha0, _ = vterm_partials(state, ds, cfg, hp.noise, rows=rows_idx)
-    value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=rows_idx)))
-    d_pi_raw += d_pi_data
-    d_sigma = np.zeros(cfg.M)
-    for m, t in enumerate(terms):
-        # log-sigma chain: d dtil/d log sigma = -2 pi/sigma^2
-        d_sigma[m] += float(np.sum(t.dD * (-2.0 * pi_b[:, m] / hp.noise.sigma[m] ** 2)))
-        # third-term rows in batch; summed per output, since the axis-0 sum
-        # of vterm_partials rounds differently
-        d_sigma[m] += float(np.sum(1.0 - pi_b[:, m]))
-
-    # scale data terms, then subtract the (unscaled) KL and its gradients
-    value *= scale
-    d_mu_u *= scale
-    d_S_mat *= scale
-    dKuu *= scale
-    d_sigma *= scale
-    d_pi_raw *= scale
-    d_alpha0 *= scale
-    d_pi_logits = np.zeros_like(state.pi_hat)
-    d_pi_logits[rows_idx] = softmax_chain(pi_b, d_pi_raw)
-
-    value -= gaussian_kl_u(mu_u, Su, kuu)
-    d_mu_u, d_Lc = _svb_qu_grads(d_mu_u, d_S_mat, cho, kuu_inv, mu_u, Su)
-    kinv_mu = cho_solve(cho, mu_u)
-    dKuu -= 0.5 * (kuu_inv - kuu_inv @ Su @ kuu_inv - np.outer(kinv_mu, kinv_mu))
-    # the Kuu path carries the data term and the KL
-    mg = engine.MatrixGrads(
-        dE_blocks=[None] * cfg.M,
-        dKfu_blocks=[scale * b for b in dKfu_blocks],
-        dKuu=dKuu,
-    )
-    d_S, d_Lm, d_L = _chain_convolved(
-        hp, mg, kuu_block, fu_blocks, batch_diag=[scale * t.w for t in terms]
-    )
-
-    bundle = GradientBundle(
-        d_S=d_S,
-        d_Lm=d_Lm,
-        d_L=d_L,
-        d_sigma=d_sigma,
-        d_pi_logits=d_pi_logits,
-        d_alpha0=d_alpha0 * cfg.alpha0 if cfg.use_dirichlet else 0.0,
-        d_mu_u=d_mu_u,
-        d_su_chol=d_Lc,
-    )
+        bundle.d_pi_logits = np.zeros_like(state.pi_hat)
+        bundle.d_pi_logits[f.rows] = d_pi
     return value, bundle
 
 
-def svb_variational_grad(ds, cfg, hp, tables, cho, kuu_inv, rows, pi_b, mu_u, Su):
+def svb_variational_grad(ds, cfg, hp, tables, kuu_inv, rows, pi_b, mu_u, Su):
     """Mini-batch gradient of the stochastic bound w.r.t. the variational block alone.
 
     The block Adam moves in the E-phase: the batch rows' logits, mu_u and
     chol(Su).  hp is fixed there, so the caller builds its row constants
-    over all N rows (`tables`, from svi.row_tables), its Kuu factor `cho`
-    (from svi._jittered_kuu) and Kuu^-1 once per round; a step gathers
-    its rows of the tables and computes only what depends on q(u) and
-    the assignment rows, with no kernel matrix, no Kuu solve and no
-    hyperparameter or alpha0 partial.  pi_b holds the batch rows of
-    pi_hat; no other row is read.  Returns (d_pi_logits of the batch rows
-    (|rows|, M), d_mu_u, d_su_chol), the same numbers as those blocks of
-    elbo_svb_with_grad(batch=rows).
+    over all N rows (`tables`, from svi.row_tables) and Kuu^-1
+    (engine.cho_inverse of the factor from svi._jittered_kuu) once per
+    round; a step gathers its rows of the tables and computes only what
+    depends on q(u) and the assignment rows, with no kernel matrix, no
+    Kuu solve and no hyperparameter or alpha0 partial.  pi_b holds the
+    batch rows of pi_hat; no other row is read.  Returns (d_pi_logits of
+    the batch rows (|rows|, M), d_mu_u, d_su_chol), the same numbers as
+    those blocks of elbo_svb_with_grad(batch=rows).
     """
     rows = np.asarray(rows, dtype=int)
-    scale = ds.n / len(rows)
     phi, r = tables.gather(rows)
-    _, d_mu_u, d_S, d_pi_data = _svb_data_partials(
-        phi, r, ds.y[rows], pi_b, hp.noise.sigma, mu_u, Su
-    )
-    labeled = ds.labels[rows] > 0
-    d_pi_raw, _ = _vterm_pi_partials(pi_b, labeled, ds.log_prior[rows], cfg, hp.noise)
-    d_pi_raw += d_pi_data
-    d_pi_raw *= scale
-    d_mu_u *= scale
-    d_S *= scale
-    d_mu_u, d_Lc = _svb_qu_grads(d_mu_u, d_S, cho, kuu_inv, mu_u, Su)
-    return softmax_chain(pi_b, d_pi_raw), d_mu_u, d_Lc
+    t = _svb_data_terms(phi, r, ds.y[rows], pi_b, hp.noise.sigma, mu_u, Su)
+    return _svb_variational(t, pi_b, ds.labels[rows] > 0, ds.log_prior[rows], cfg, hp.noise,
+                            ds.n / len(rows), kuu_inv, mu_u, Su)
 
 
 def grad_svb(ds, cfg, hp, state, batch=None):

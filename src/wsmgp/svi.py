@@ -19,24 +19,33 @@ Phi_m = Kfu_m Kuu^-1 and r_m = diag(Kff_m) - rowsum(Phi_m o Kfu_m)
 them into mu = Phi mu_u and var = r + rowsum(Phi Su o Phi).  Each row's
 constants are computed on their own (the triangular solves column by
 column, the sums row by row), so constants built on all N rows and then
-gathered equal those built on the gathered rows bit for bit.
+gathered equal those built on the gathered rows bit for bit.  Every
+output's constants are held as one (M, rows, Q) stack (RowTables), and
+_qu_moments treats the stack as one operand of M |rows| rows: one
+matrix-vector product gives every mu and one product Phi Su every
+variance, with no loop over the outputs.
 
-elbo_svb and elbo_svb_with_grad build the constants at their rows on
-every call.  The trainer's E-phase holds the hyperparameters fixed for a
-round, so it builds them once per round over all N rows (row_tables: one
-N-row Kfu block and one Kuu solve with Q x N right-hand sides per
-output, the blocks sharing one set of squared differences, O(M N Q^2);
-they hold M N (Q + 1) doubles, 2.0 MB at N = 4000,
-M = 2, Q = 30).  A mini-batch step (gradients.svb_variational_grad) then
-gathers its rows and does only the q(u) part, O(|batch| M Q^2 + Q^3),
-with no kernel matrix and no Kuu solve; what stays O(N) per step is the
-flat gradient vector and the dense Adam update.
+Who calls what:
+  * elbo_svb (the bound alone; trainer.fit_svb_em records it once per
+    round) and gradients.elbo_svb_with_grad / gradients.svb_hyper_grad
+    build the constants at their rows on every call.
+  * The trainer's E-phase holds the hyperparameters fixed for a round,
+    so it builds them once per round over all N rows (row_tables: one
+    N-row Kfu block and one Kuu solve with Q x N right-hand sides per
+    output, the blocks sharing one set of squared differences,
+    O(M N Q^2); they hold M N (Q + 1) doubles, 2.0 MB at N = 4000,
+    M = 2, Q = 30).  A mini-batch step (gradients.svb_variational_grad)
+    then gathers its rows and does only the q(u) part,
+    O(|batch| M Q^2 + Q^3), with no kernel matrix and no Kuu solve; what
+    stays O(N) per step is the flat gradient vector and the dense Adam
+    update.
+  * optimal_qu, the closed-form q(u), ends every round of the fit.
 
 The matrix products with a batch-row operand (Phi Su here, Kuf Dinv Kfu
 in optimal_qu, and those of the gradients built on these moments) run
 in scipy's BLAS through engine._gemm, the library that also runs the
 Cholesky solves, so an evaluation uses one OpenBLAS thread pool; the
-engine docstring says why.  Phi Su is computed once per output and
+engine docstring says why.  Phi Su is computed once for all outputs and
 handed to the gradients.
 """
 
@@ -74,13 +83,18 @@ class RowTables(NamedTuple):
 
 def row_tables(X, hp, cho_kuu):
     """RowTables at the rows of X, with Kuu factored as cho_kuu (from _jittered_kuu)."""
-    M, N, Q = hp.n_outputs, X.shape[0], cho_kuu[0].shape[0]
+    t2 = kernels.sqdiff(X, hp.inducing.W)
+    return _tables_of([kernels.kfu_block(t2, out, hp.latent).K for out in hp.outputs], hp,
+                      cho_kuu)
+
+
+def _tables_of(kfu, hp, cho_kuu):
+    """RowTables of the rows of every output's Kfu block kfu[m] (rows, Q)."""
+    M, (N, Q) = len(kfu), kfu[0].shape
     phi = np.empty((M, N, Q))
     r = np.empty((M, N))
-    t2 = kernels.sqdiff(X, hp.inducing.W)
     for m, out in enumerate(hp.outputs):
-        kfu = kernels.kfu_block(t2, out, hp.latent).K
-        phi[m], r[m] = _row_constants(cho_kuu, kfu, kernels.kff_diag_value(out, hp.latent))
+        phi[m], r[m] = _row_constants(cho_kuu, kfu[m], kernels.kff_diag_value(out, hp.latent))
     return RowTables(phi, r)
 
 
@@ -95,15 +109,19 @@ def _row_constants(cho_kuu, kfu, kff_diag):
 
 
 def _qu_moments(phi, r, mu_u, Su):
-    """Moments of q(f_m) from the row constants: (mu, var clamped at 0, Phi Su).
+    """Moments of q(f) from the row constants: (mu, var clamped at 0, Phi Su).
 
     mu = Phi mu_u and var = diag(Kff + Phi (Su - Kuu) Phi') = r + rowsum(Phi Su o Phi);
-    Phi Su is returned for the callers' gradients.
+    Phi Su is returned for the callers' gradients.  phi is one output's
+    (rows, Q) block or every output's (M, rows, Q) stack with r shaped
+    like phi without its last axis; a stack is one (M rows, Q) operand, so
+    Phi Su is a single product over all outputs.
     """
-    mu = phi @ mu_u
-    phi_su = engine._gemm(phi, Su)
-    var = r + np.sum(phi_su * phi, axis=1)
-    return mu, np.maximum(var, 0.0), phi_su
+    flat = phi.reshape(-1, phi.shape[-1])
+    mu = (flat @ mu_u).reshape(r.shape)
+    phi_su = engine._gemm(flat, Su)
+    var = r + np.sum(phi_su * flat, axis=1).reshape(r.shape)
+    return mu, np.maximum(var, 0.0), phi_su.reshape(phi.shape)
 
 
 def gaussian_kl_u(mu_u, Su, Kuu):
@@ -119,10 +137,11 @@ def gaussian_kl_u(mu_u, Su, Kuu):
 
 
 def expected_loglik_terms(y, mu, var, pi_col, sigma_m):
-    """Closed-form per-datum expectation terms for one output.
+    """Closed-form per-datum expectation terms for one output, or for a stack of them.
 
     E[log N(y | f, sigma^2/pi)] with f ~ N(mu, var) equals
-    log N(y | mu, sigma^2/pi) - 0.5 * (pi/sigma^2) * var.
+    log N(y | mu, sigma^2/pi) - 0.5 * (pi/sigma^2) * var.  For the stack,
+    mu, var and pi_col are (M, rows) and sigma_m is (M, 1).
     """
     prec = pi_col / sigma_m**2
     resid = y - mu
@@ -148,15 +167,11 @@ def elbo_svb(ds, cfg, hp, state, batch=None):
     else:
         rows = np.asarray(batch, dtype=int)
         scale = ds.n / len(rows)
-    yb = ds.y[rows]
-    pi_b = state.pi_hat[rows]
     tables = row_tables(ds.X[rows], hp, cho)
-    data = 0.0
-    for m in range(hp.n_outputs):
-        mu, var, _ = _qu_moments(tables.phi[m], tables.r[m], state.mu_u, state.Su)
-        data += float(
-            np.sum(expected_loglik_terms(yb, mu, var, pi_b[:, m], hp.noise.sigma[m]))
-        )
+    mu, var, _ = _qu_moments(tables.phi, tables.r, state.mu_u, state.Su)
+    data = float(np.sum(expected_loglik_terms(
+        ds.y[rows], mu, var, state.pi_hat[rows].T, hp.noise.sigma[:, None]
+    )))
     v_rows = vterm_rows(state, ds, cfg, hp.noise, rows=rows)
     kl = gaussian_kl_u(state.mu_u, state.Su, kuu)
     return scale * (data + float(np.sum(v_rows))) - kl

@@ -3,25 +3,31 @@
 The collapsed bound is maximized with L-BFGS-B over a single flat vector
 of unconstrained parameters (log precisions, log noise, free amplitudes,
 row-softmax logits with one pinned logit per row, log alpha0).  The
-stochastic bound is handled with variational EM: blocks of mini-batch
-Adam steps on the variational parameters (assignment logits, inducing
-posterior) with a 1/sqrt(t) step-size decay, alternating with full-batch
-L-BFGS-B steps on the hyperparameters.  The hyperparameters are fixed
-during the Adam block, so everything that depends on them alone is built
-once per round: Kuu's factor, Kuu^-1 and the row tables of
-svi.row_tables (Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m over
-all N rows, M N Q + M N doubles).  Each step gathers its batch rows of
-the tables and differentiates only the variational block.
+stochastic bound is handled with variational EM; each round of
+fit_svb_em has three phases, and each calls only what it moves:
+  * E-phase: mini-batch Adam steps on the variational block (assignment
+    logits, inducing posterior) with a 1/sqrt(t) step-size decay.  The
+    hyperparameters are fixed, so everything that depends on them alone
+    is built once per round: Kuu's factor, Kuu^-1 (engine.cho_inverse)
+    and the row tables of svi.row_tables (Phi_m = Kfu_m Kuu^-1 and the
+    Nystrom residuals r_m over all N rows, M N Q + M N doubles).  Each
+    step gathers its batch rows of the tables and calls
+    gradients.svb_variational_grad, which computes the logit and q(u)
+    blocks only.
+  * M-phase: full-batch L-BFGS-B on the hyperparameter block with the
+    variational block frozen; each evaluation calls
+    gradients.svb_hyper_grad, the bound and its hyperparameter, sigma and
+    alpha0 blocks only.
+  * q(u) restart: svi.optimal_qu, then svi.elbo_svb records the bound.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
-from . import gradients, kernels, svi
+from . import engine, gradients, kernels, svi
 from .kernels import (
     HyperParams,
     IndependentSEHyperParams,
@@ -538,7 +544,9 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     only the variational block (gradients.svb_variational_grad); it
     builds no kernel matrix and makes no Kuu solve.  Adam itself stays
     dense: its momentum moves rows outside the batch too.  The M-phase
-    decodes the frozen assignment rows and q(u) once per round.
+    decodes the frozen assignment rows and q(u) once per round, and each
+    of its evaluations (gradients.svb_hyper_grad) computes only the
+    hyperparameter block L-BFGS-B reads.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -577,9 +585,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
 
     def hyp_objective(xh, state_frozen):
         hp_x, alpha0 = pack.unpack_hyper(xh)
-        val, bundle = gradients.elbo_svb_with_grad(
-            ds, cfg.with_alpha0(alpha0), hp_x, state_frozen
-        )
+        val, bundle = gradients.svb_hyper_grad(ds, cfg.with_alpha0(alpha0), hp_x, state_frozen)
         eval_counter[0] += 1
         return -val, -pack.hyper_grad_to_vec(bundle)
 
@@ -592,13 +598,13 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         hp, alpha0 = pack.unpack_hyper(x)
         cfg_t = cfg.with_alpha0(alpha0)
         _, cho = svi._jittered_kuu(hp)
-        kuu_inv = cho_solve(cho, np.eye(pack.Q))
+        kuu_inv = engine.cho_inverse(cho)
         tables = svi.row_tables(ds.X, hp, cho)
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
             mu_u, Su = pack.unpack_qu(x)
             grads = gradients.svb_variational_grad(
-                ds, cfg_t, hp, tables, cho, kuu_inv, rows, pack.pi_rows(x, rows), mu_u, Su
+                ds, cfg_t, hp, tables, kuu_inv, rows, pack.pi_rows(x, rows), mu_u, Su
             )
             adam.update(x[stat], pack.variational_grad_to_vec(rows, *grads), lr_stat)
             evaluations += 1

@@ -80,3 +80,33 @@ def test_build_system_factors_residual_plus_noise():
                                    rtol=0, atol=1e-12)
         expect = cho_factor(sys.B_blocks[m] + np.diag(sys.d_blocks[m]), lower=True)[0]
         np.testing.assert_array_equal(sys.cho_E[m][0], expect)
+
+
+def _spd(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    return A @ A.T / n + np.eye(n)
+
+
+def _factors(n, seed):
+    """Factors of one SPD matrix as the package makes them: (name, (c, lower))."""
+    K = _spd(n, seed)
+    return [
+        ("cho_factor lower", cho_factor(K, lower=True)),
+        ("cho_factor upper", cho_factor(K, lower=False)),
+        ("chol_jitter", kernels.chol_jitter(K)[0]),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 144])
+def test_cho_inverse_equals_the_solve_and_is_symmetric(n):
+    for name, cho in _factors(n, n):
+        if n > 1 and name != "cho_factor upper":
+            # the factored matrix is still above the diagonal; only the factor is read
+            assert np.any(np.triu(cho[0], 1) != 0.0), name
+        factor = cho[0].copy()
+        inv = engine.cho_inverse(cho)
+        ref = cho_solve(cho, np.eye(n))
+        np.testing.assert_array_equal(inv, inv.T, err_msg=name)
+        assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max(), name
+        np.testing.assert_array_equal(cho[0], factor, err_msg=name)

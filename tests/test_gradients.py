@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 from scipy.special import digamma
 
 from wsmgp import bounds, checks, engine, gradients, kernels, model, svi
@@ -310,15 +309,15 @@ class TestVariationalGrad:
 
     @staticmethod
     def _round(ds, hp):
-        """What fit_svb_em builds once per round: (row tables of all N rows, cho, Kuu^-1)."""
+        """What fit_svb_em builds once per round: (row tables of all N rows, Kuu^-1)."""
         _, cho = svi._jittered_kuu(hp)
-        kuu_inv = cho_solve(cho, np.eye(cho[0].shape[0]))
-        return svi.row_tables(ds.X, hp, cho), cho, kuu_inv
+        return svi.row_tables(ds.X, hp, cho), engine.cho_inverse(cho)
 
     @pytest.mark.parametrize("n", [4000, 1236])
     def test_gathered_tables_equal_the_tables_of_the_rows(self, n):
         ds, _, hp, _ = checks.random_instance(n, n=n, M=2, Q=30)
-        tables, cho, _ = self._round(ds, hp)
+        tables, _ = self._round(ds, hp)
+        _, cho = svi._jittered_kuu(hp)
         assert tables.phi.shape == (2, n, 30) and tables.r.shape == (2, n)
         rng = np.random.default_rng(n)
         for size in (1, 2, 17, 100):
@@ -375,6 +374,50 @@ class TestVariationalGrad:
         assert np.all(d_pi[outside] == 0.0)
 
 
+class TestHyperGrad:
+    """svb_hyper_grad is elbo_svb_with_grad's hyperparameter half, and differentiates the bound."""
+
+    @pytest.mark.parametrize("M,d", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("use_dirichlet", [True, False])
+    @pytest.mark.parametrize("with_alpha0", [True, False])
+    def test_equals_the_full_gradient(self, M, d, use_dirichlet, with_alpha0):
+        ds, cfg, hp, state = checks.random_instance(60 + M + d, n=14, M=M, Q=4, d=d)
+        cfg = replace(cfg, use_dirichlet=use_dirichlet)
+        rng = np.random.default_rng(M + d)
+        A = rng.normal(size=(4, 4))
+        state.Su = 0.5 * np.eye(4) + A @ A.T / 4
+        state.mu_u = rng.normal(size=4)
+        value, hyper = gradients.svb_hyper_grad(ds, cfg, hp, state)
+        ref_value, ref = gradients.elbo_svb_with_grad(ds, cfg, hp, state)
+        assert value == ref_value
+        for name in ("d_S", "d_Lm", "d_L", "d_sigma", "d_alpha0"):
+            np.testing.assert_array_equal(getattr(hyper, name), getattr(ref, name), err_msg=name)
+        assert hyper.d_pi_logits is None and hyper.d_mu_u is None and hyper.d_su_chol is None
+        # the vector the M-phase's L-BFGS-B reads
+        pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=with_alpha0, with_qu=True)
+        np.testing.assert_array_equal(pack.hyper_grad_to_vec(hyper), pack.hyper_grad_to_vec(ref))
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    @pytest.mark.parametrize("use_dirichlet", [True, False])
+    def test_finite_difference_match(self, seed, use_dirichlet):
+        ds, cfg, hp, state = _two_dim(seed, with_qu=True)
+        cfg = replace(cfg, use_dirichlet=use_dirichlet)
+        pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=use_dirichlet, with_qu=True)
+        x0 = pack.pack(hp, alpha0=cfg.alpha0, state=state)[: pack.n_hyp]
+
+        def value(x):
+            hp_x, a0 = pack.unpack_hyper(x)
+            return svi.elbo_svb(ds, cfg.with_alpha0(a0), hp_x, state)
+
+        def grad(x):
+            hp_x, a0 = pack.unpack_hyper(x)
+            _, b = gradients.svb_hyper_grad(ds, cfg.with_alpha0(a0), hp_x, state)
+            return pack.hyper_grad_to_vec(b)
+
+        rep = finite_diff_check(value, grad, x0)
+        assert rep.max_rel_error < 1e-6, str(rep)
+
+
 def _with_hard_prior_row(ds):
     """ds with its first labeled prior row set one-hot; (dataset, that row)."""
     hard = np.flatnonzero(ds.labeled_mask)[0]
@@ -389,23 +432,25 @@ class TestBlasRouting:
 
     Every output is computed twice: as is, and with engine._gemm replaced
     by numpy's matmul, which records each call.  The outputs must agree
-    bit for bit (a wrong transpose flag or operand breaks that), and each
-    output m must make the routed calls (a call site computed in numpy
-    instead shows as a missing call).
+    bit for bit (a wrong transpose flag or operand breaks that), and every
+    routed call must be made (a call site computed in numpy instead shows
+    as a missing call).
     """
 
     @staticmethod
     def _outputs(ds, cfg, hp, state, rows):
         _, cho = svi._jittered_kuu(hp)
-        kuu_inv = cho_solve(cho, np.eye(len(state.mu_u)))
+        kuu_inv = engine.cho_inverse(cho)
         tables = svi.row_tables(ds.X, hp, cho)
         out = {}
         for tag, batch in (("full", None), ("batch", rows)):
             val, b = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=batch)
             out["elbo_svb_with_grad." + tag] = [val] + list(vars(b).values())
             out["elbo_svb." + tag] = [svi.elbo_svb(ds, cfg, hp, state, batch=batch)]
+        val, b = gradients.svb_hyper_grad(ds, cfg, hp, state)
+        out["svb_hyper_grad"] = [val] + list(vars(b).values())
         out["svb_variational_grad"] = gradients.svb_variational_grad(
-            ds, cfg, hp, tables, cho, kuu_inv, rows, state.pi_hat[rows], state.mu_u, state.Su
+            ds, cfg, hp, tables, kuu_inv, rows, state.pi_hat[rows], state.mu_u, state.Su
         )
         out["optimal_qu"] = svi.optimal_qu(ds, cfg, hp, state)
         return out
@@ -431,9 +476,10 @@ class TestBlasRouting:
         for name, values in routed.items():
             for got, ref in zip(values, plain[name]):
                 np.testing.assert_array_equal(got, ref, err_msg=name)
-        # per output: 4 products in each elbo_svb_with_grad call, 1 in each
-        # elbo_svb, 2 in svb_variational_grad and 1 in optimal_qu
-        assert len(calls) == cfg.M * (2 * 4 + 2 * 1 + 2 + 1)
+        # all outputs' rows stacked: 4 products in each elbo_svb_with_grad
+        # call, 3 in svb_hyper_grad, 1 in each elbo_svb and 2 in
+        # svb_variational_grad; optimal_qu makes 1 per output
+        assert len(calls) == 2 * 4 + 3 + 2 * 1 + 2 + cfg.M
         assert all(max(sa[0], sb[0]) >= len(rows) for sa, sb in calls)
 
 
