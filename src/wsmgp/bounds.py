@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from . import _backend, engine, kernels
+from . import engine, kernels
 from .model import (
     Dataset,
     ModelConfig,
@@ -202,12 +202,54 @@ def assignment_log_weights(ds: Dataset, cfg: ModelConfig):
     return logw
 
 
+def _enumerate_mixture(Kpair, sig2, y, logw, chunk=1024):
+    """Log-density of every group assignment of a Gaussian mixture-of-rows.
+
+    Kpair : (M, M, N, N) cross-covariance blocks between output pairs.
+    sig2  : (M,) per-output noise variances added on the diagonal.
+    logw  : (N, M) log prior weight of assigning row n to output m.
+
+    Returns an (M**N,) array; entry t corresponds to the assignment whose
+    base-M digits (row 0 least significant) are the per-row output choices.
+    Assignments are factored in chunks of `chunk`; Cholesky failures are
+    retried with an escalating diagonal jitter.
+    """
+    M = Kpair.shape[0]
+    N = y.shape[0]
+    total = M**N
+    out = np.empty(total)
+    idx = np.arange(N)
+    digits = M ** idx
+    for start in range(0, total, chunk):
+        t = np.arange(start, min(start + chunk, total))
+        z = (t[:, None] // digits[None, :]) % M  # (c, N)
+        Kz = Kpair[z[:, :, None], z[:, None, :], idx[:, None], idx[None, :]]
+        Kz[:, idx, idx] += sig2[z]
+        jitter = 0.0
+        base = np.mean(Kz[:, idx, idx])
+        while True:
+            try:
+                L = np.linalg.cholesky(Kz + jitter * np.eye(N))
+                break
+            except np.linalg.LinAlgError:
+                jitter = 1e-6 * base if jitter == 0.0 else jitter * 10.0
+                if jitter > 1e-2 * base:
+                    raise
+        a = np.linalg.solve(L, np.broadcast_to(y, (len(t), N))[..., None])[..., 0]
+        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+        quad = np.sum(a * a, axis=1)
+        lprior = np.sum(logw[idx[None, :], z], axis=1)
+        out[t] = -0.5 * (N * _LOG2PI + logdet + quad) + lprior
+    return out
+
+
 def exact_marglik_oracle(ds, cfg, hp):
     """Exact marginal log-likelihood by enumerating all M^N assignments.
 
     Uses the dense covariance (no inducing approximation): for an
     assignment z, the data covariance has entries
-    k_ff(x_i, x_j; z_i, z_j) + delta_ij sigma_{z_i}^2, and the mixture is
+    k_ff(x_i, x_j; z_i, z_j) + delta_ij sigma_{z_i}^2.  `_enumerate_mixture`
+    gives the log-density of every assignment, and the mixture is
     combined with a deterministic log-sum-exp.
     """
     total = cfg.M**ds.n
@@ -219,5 +261,5 @@ def exact_marglik_oracle(ds, cfg, hp):
     Kpair = kernels.exact_kff_pairs(ds.X, hp)
     logw = assignment_log_weights(ds, cfg)
     sig2 = hp.noise.sigma**2
-    per_assignment = _backend.enumerate_mixture(Kpair, sig2, ds.y, logw)
+    per_assignment = _enumerate_mixture(Kpair, sig2, ds.y, logw)
     return float(logsumexp(per_assignment))

@@ -335,15 +335,3 @@ def gauss_loglik_grads(sys: StackedSystem):
         dKfu.append(dKfu_m)
     dKuu = 0.5 * Kuu_inv @ (KufGKfu - KufGpKfu) @ Kuu_inv
     return MatrixGrads(dE_blocks=dE, dKfu_blocks=dKfu, dKuu=dKuu)
-
-
-def solve_A(sys: StackedSystem, B):
-    return cho_solve(sys.cho_A, B)
-
-
-def solve_Kuu(sys: StackedSystem, B):
-    return cho_solve(sys.cho_Kuu, B)
-
-
-def solve_E(sys: StackedSystem, m, b):
-    return cho_solve(sys.cho_E[m], b)

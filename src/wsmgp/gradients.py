@@ -254,10 +254,6 @@ def elbo_cvb_with_grad(ds, cfg, hp, state):
     return value, bundle
 
 
-def grad_cvb(ds, cfg, hp, state):
-    return elbo_cvb_with_grad(ds, cfg, hp, state)[1]
-
-
 def scmgp_loglik_with_grad(ds, cfg, hp):
     """Fully-labeled sparse likelihood and its (theta, sigma) gradient."""
     from .bounds import labeled_selection
@@ -497,10 +493,6 @@ def svb_variational_grad(ds, cfg, hp, tables, kuu_inv, rows, pi_b, mu_u, Su):
     t = _svb_data_terms(phi, r, ds.y[rows], pi_b, hp.noise.sigma, mu_u, Su)
     return _svb_variational(t, pi_b, ds.labels[rows] > 0, ds.log_prior[rows], cfg, hp.noise,
                             ds.n / len(rows), kuu_inv, mu_u, Su)
-
-
-def grad_svb(ds, cfg, hp, state, batch=None):
-    return elbo_svb_with_grad(ds, cfg, hp, state, batch)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_factor
 
-from . import _backend
-
 
 class IllConditionedKernelError(ValueError):
     """Raised when the inducing kernel cannot be factorized after jitter escalation."""
@@ -236,8 +234,13 @@ class GaussBlock(NamedTuple):
 
 
 def sqdiff(X1, X2):
-    """Per-dimension squared differences of two input sets, shape (d, n1, n2)."""
-    return _backend.sqdiff_dims(_as_2d(X1), _as_2d(X2))
+    """Per-dimension squared differences of two input sets, shape (d, n1, n2).
+
+    The result is C-contiguous with the input dimension first, so each
+    t2_d is a contiguous (n1, n2) slab.
+    """
+    diff = _as_2d(X1)[:, None, :] - _as_2d(X2)[None, :, :]
+    return np.ascontiguousarray(np.moveaxis(diff * diff, -1, 0))
 
 
 def _gauss_block(t2, w, amp):

@@ -6,11 +6,11 @@ inducing representation:
     mean_m(x*) = K_{f*_m,u} A^-1 K_{u,f} (B + D)^-1 y_tiled
     var_m(x*)  = diag(B*_m) + diag(K_{f*_m,u} A^-1 K_{u,f*_m}) + sigma_m^2
 
-with A = Kuu + K_{u,f} (B + D)^-1 K_{f,u}.  The default weights the full
-stacked data vector; an alternative reading that weights only block m's
-observations is retained behind ``per_block_weighting`` for comparison.
-For the independent-kernel baselines (no inducing layer, zero
-cross-covariance) the posterior is exact per-output dense conditioning.
+with A = Kuu + K_{u,f} (B + D)^-1 K_{f,u}.  Every output's mean weights
+the full stacked data vector, as dense conditioning on the stacked prior
+Kfu Kuu^-1 Kuf + B + D does.  For the independent-kernel baselines (no
+inducing layer, zero cross-covariance) the posterior is exact per-output
+dense conditioning.
 """
 
 from dataclasses import dataclass
@@ -51,7 +51,7 @@ def _build_predict_system(ds, cfg, hp, state):
     return engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
 
 
-def posterior_predict(ds, cfg, hp, state, x_star, per_block_weighting=False):
+def posterior_predict(ds, cfg, hp, state, x_star):
     """Predictive mean and variance for every output at x_star."""
     x_star = np.asarray(x_star, dtype=float)
     if x_star.ndim == 1:
@@ -69,23 +69,18 @@ def posterior_predict(ds, cfg, hp, state, x_star, per_block_weighting=False):
             Xm = ds.X[sys.rows[m]]
             k_star = kernels.se_matrix(x_star, Xm, out)
             mean[m] = k_star @ sys.alpha[m]
-            w = engine.solve_E(sys, m, k_star.T) if len(Xm) else np.zeros((0, n_star))
+            w = cho_solve(sys.cho_E[m], k_star.T) if len(Xm) else np.zeros((0, n_star))
             prior = out.amp**2
             var[m] = prior - np.sum(k_star * w.T, axis=1) + hp.noise.sigma[m] ** 2
         return Prediction(x_star=x_star, mean=mean, var_diag=var)
 
     for m, out in enumerate(hp.outputs):
         k_star_u = kernels.kfu_matrix(x_star, hp.inducing.W, out, hp.latent)
-        if per_block_weighting:
-            kuf_m = sys.fu_blocks[m].K.T
-            weights = engine.solve_A(sys, kuf_m @ sys.alpha[m])
-            mean[m] = k_star_u @ weights
-        else:
-            mean[m] = k_star_u @ sys.c
+        mean[m] = k_star_u @ sys.c
         # B*_m diag + Nystrom-through-A diag + noise
         prior = kernels.kff_diag_value(out, hp.latent)
-        kuu_solve = engine.solve_Kuu(sys, k_star_u.T)
-        a_solve = engine.solve_A(sys, k_star_u.T)
+        kuu_solve = cho_solve(sys.cho_Kuu, k_star_u.T)
+        a_solve = cho_solve(sys.cho_A, k_star_u.T)
         b_star = prior - np.sum(k_star_u * kuu_solve.T, axis=1)
         var[m] = b_star + np.sum(k_star_u * a_solve.T, axis=1) + hp.noise.sigma[m] ** 2
     return Prediction(x_star=x_star, mean=mean, var_diag=var)

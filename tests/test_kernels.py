@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.linalg import cho_factor
 
-from wsmgp import _backend, engine, kernels
+from wsmgp import engine, kernels
 from wsmgp.checks import _quad_ff, _quad_fu
 from wsmgp.kernels import (
     HyperParams,
@@ -247,34 +247,6 @@ class TestCholJitter:
         with pytest.raises(IllConditionedKernelError):
             chol_jitter(K)
         np.testing.assert_array_equal(K, K_before)
-
-
-class TestBackends:
-    def test_sqdiff_agrees(self):
-        rng = np.random.default_rng(10)
-        X1 = rng.normal(size=(4, 3))
-        X2 = rng.normal(size=(6, 3))
-        a = _backend.sqdiff_dims_numpy(X1, X2)
-        if _backend.HAS_NUMBA:
-            b = _backend.sqdiff_dims_numba(X1, X2)
-            np.testing.assert_allclose(a, b, rtol=1e-13)
-
-    def test_enumerate_mixture_agrees(self):
-        rng = np.random.default_rng(11)
-        N, M = 5, 2
-        base = rng.normal(size=(N, N))
-        K0 = base @ base.T + N * np.eye(N)
-        Kpair = np.empty((M, M, N, N))
-        for a in range(M):
-            for b in range(M):
-                Kpair[a, b] = K0 * (0.5 if a != b else 1.0)
-        sig2 = np.array([0.3, 0.5])
-        y = rng.normal(size=N)
-        logw = np.log(rng.dirichlet(np.ones(M), size=N))
-        a = _backend.enumerate_mixture_numpy(Kpair, sig2, y, logw)
-        if _backend.HAS_NUMBA:
-            b = _backend.enumerate_mixture_numba(Kpair, sig2, y, logw)
-            np.testing.assert_allclose(a, b, rtol=1e-10)
 
 
 class TestDerivativeBuilders:

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from wsmgp import checks, kernels
+from wsmgp.bounds import compute_D
 from wsmgp.kernels import (
     HyperParams,
     InducingInputs,
@@ -62,6 +63,37 @@ def dense_oracle(ds, hp, x_star):
     return mu, var
 
 
+def stacked_dense_oracle(ds, hp, state, x_star):
+    """Dense conditioning on the stacked prior Kfu Kuu^-1 Kuf + bdiag(B_m) + D.
+
+    Every row appears under every output with noise sigma_m^2 / pi_hat,
+    as in the collapsed bound; the test points' residuals are independent
+    of the training rows.
+    """
+    X, lat, W = ds.X, hp.latent, hp.inducing.W
+    Kuu_raw = kernels.kuu_matrix(W, lat)
+    _, jit = kernels.chol_jitter(Kuu_raw)
+    Kuu = Kuu_raw + jit * np.eye(W.shape[0])
+    Kfu = np.vstack([kernels.kfu_matrix(X, W, out, lat) for out in hp.outputs])
+    C = Kfu @ np.linalg.solve(Kuu, Kfu.T)
+    n = ds.n
+    for m, out in enumerate(hp.outputs):
+        blk = slice(m * n, (m + 1) * n)
+        C[blk, blk] = kernels.kff_matrix(X, X, out, out, lat)
+    C[np.diag_indices_from(C)] += compute_D(state, hp.noise).diag
+    co = cho_factor(C, lower=True)
+    y_tiled = np.tile(ds.y, len(hp.outputs))
+    mu, var = [], []
+    for m, out in enumerate(hp.outputs):
+        Ksu = kernels.kfu_matrix(x_star, W, out, lat)
+        Kcross = Ksu @ np.linalg.solve(Kuu, Kfu.T)
+        mu.append(Kcross @ cho_solve(co, y_tiled))
+        kss = kernels.kff_diag_value(out, lat)
+        s2 = hp.noise.sigma[m] ** 2
+        var.append(kss - np.sum(Kcross * cho_solve(co, Kcross.T).T, axis=1) + s2)
+    return np.array(mu), np.array(var)
+
+
 class TestOracle:
     def test_matches_dense_gp_conditioning(self):
         ds, cfg, hp, st = single_output_instance()
@@ -72,12 +104,16 @@ class TestOracle:
         assert np.max(np.abs(pred.mean[0] - mu_o)) / scale < 1e-6
         assert np.max(np.abs(pred.var_diag[0] - var_o) / var_o) < 1e-6
 
-    def test_per_block_flag_agrees_for_single_output(self):
-        ds, cfg, hp, st = single_output_instance(seed=12)
-        xs = np.linspace(0, 1, 9)[:, None]
-        a = posterior_predict(ds, cfg, hp, st, xs)
-        b = posterior_predict(ds, cfg, hp, st, xs, per_block_weighting=True)
-        np.testing.assert_allclose(a.mean, b.mean, rtol=1e-10)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_outputs_match_stacked_dense_conditioning(self, seed):
+        ds, cfg, hp, st = checks.random_instance(seed, n=10, M=2, Q=4)
+        xs = np.linspace(-0.2, 1.2, 15)[:, None]
+        pred = posterior_predict(ds, cfg, hp, st, xs)
+        mu_o, var_o = stacked_dense_oracle(ds, hp, st, xs)
+        for m in range(cfg.M):
+            scale = np.max(np.abs(mu_o[m]))
+            assert np.max(np.abs(pred.mean[m] - mu_o[m])) / scale < 1e-10
+            assert np.max(np.abs(pred.var_diag[m] - var_o[m]) / var_o[m]) < 1e-10
 
 
 class TestLimits:
