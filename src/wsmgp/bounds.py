@@ -61,9 +61,24 @@ def compute_D(state: VariationalState, noise: kernels.NoiseParams):
 # ---------------------------------------------------------------------------
 
 
+def _sum_last(x):
+    """np.sum(x, axis=-1), bit for bit, without a reduction per row.
+
+    numpy adds a row of fewer than 8 entries in index order, so a loop
+    over the columns gives the same sums; longer rows keep np.sum.
+    """
+    M = x.shape[-1]
+    if M >= 8:
+        return np.sum(x, axis=-1)
+    out = x[..., 0].copy()
+    for j in range(1, M):
+        out += x[..., j]
+    return out
+
+
 def _log_beta(a):
     """Multivariate Beta through log-gamma; a is (..., M)."""
-    return np.sum(gammaln(a), axis=-1) - gammaln(np.sum(a, axis=-1))
+    return _sum_last(gammaln(a)) - gammaln(_sum_last(a))
 
 
 def kl_acuteness(pi_row, alpha0):
@@ -91,26 +106,25 @@ def select_rows(state: VariationalState, ds: Dataset, rows=None):
 
 
 def vterm_rows(state: VariationalState, ds: Dataset, cfg: ModelConfig, noise, rows=None):
-    """Per-observation contributions to V, one per entry of `rows` (all N when None)."""
+    """Per-observation contributions to V, one per entry of `rows` (all N when None).
+
+    Both KL forms are evaluated on every row and each row keeps its own;
+    every step is elementwise or a sum within a row, so a row's value
+    does not depend on which other rows are selected.
+    """
     pi, labeled, log_prior = select_rows(state, ds, rows)
-    sig2 = noise.sigma**2
-    log2pis = np.log(2.0 * np.pi * sig2)
-    third = 0.5 * np.sum((1.0 - pi) * log2pis[None, :] - np.log(pi), axis=1)
-    out = third.copy()
-    if np.any(labeled):
-        pl = pi[labeled]
-        out[labeled] -= np.sum(pl * (np.log(pl) - log_prior[labeled]), axis=1)
-    if np.any(~labeled):
-        pu = pi[~labeled]
-        ent = np.sum(pu * np.log(pu), axis=1)
-        if cfg.use_dirichlet:
-            lb_opt = _log_beta(cfg.alpha0 + pu)
-            lb_ref = _log_beta(np.full(cfg.M, cfg.alpha0))
-            kl = ent - (lb_opt - lb_ref)
-        else:
-            kl = ent + np.log(cfg.M)
-        out[~labeled] -= kl
-    return out
+    log_pi = np.log(pi)
+    log2pis = np.log(2.0 * np.pi * noise.sigma**2)
+    third = 0.5 * _sum_last((1.0 - pi) * log2pis[None, :] - log_pi)
+    # log_prior is NaN on unlabeled rows, which take the other branch
+    kl_labeled = _sum_last(pi * (log_pi - log_prior))
+    ent = _sum_last(pi * log_pi)
+    if cfg.use_dirichlet:
+        lb_ref = _log_beta(np.full(cfg.M, cfg.alpha0))
+        kl_unlabeled = ent - (_log_beta(cfg.alpha0 + pi) - lb_ref)
+    else:
+        kl_unlabeled = ent + np.log(cfg.M)
+    return third - np.where(labeled, kl_labeled, kl_unlabeled)
 
 
 def vterm(state, ds, cfg, noise):

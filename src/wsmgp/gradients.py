@@ -21,17 +21,23 @@ block Kff_m is differentiated by kernels.kff_matrix_grads with G and the
 block, which does that contraction for one output.
 
 The stochastic bound has one forward pass (_svb_forward: Kuu, its
-factor and Kuu^-1 from engine.cho_inverse, the rows' Kfu blocks, their
-row constants and the data term's moments and weights, stacked over the
-outputs by _svb_data_terms) and two halves that read it, so each phase
-of trainer.fit_svb_em computes only the blocks it moves:
+factor and Kuu^-1 from engine.cho_inverse, the rows' Kfu blocks and
+their row constants Phi and r, stacked over the outputs) and two halves
+that read it, so each phase of trainer.fit_svb_em computes only the
+blocks it moves:
   * _svb_hyper: the bound value and the kernel-hyperparameter, sigma and
-    alpha0 blocks (the Kfu and Kuu paths, V and the KL).  The M-phase's
-    L-BFGS-B calls it through svb_hyper_grad (full batch).
-  * _svb_variational: the assignment-logit and q(u) blocks (one
-    Phi' (Phi o w) product over all outputs' rows, the V partials of the
-    rows and the chol(Su) chain).  Each E-step calls it through
-    svb_variational_grad, on rows gathered from the round's tables.
+    alpha0 blocks (the Kfu and Kuu paths, V and the KL).  It sums the
+    data term in Q x Q form: per output one product Phi' [d o Phi, a]
+    and, over all outputs' rows, one product [d o Phi, a] [-T; mt'] for
+    dKfu, so no per-row variance or derivative of Phi is formed.  The
+    M-phase's L-BFGS-B calls it through svb_hyper_grad (full batch),
+    and elbo_svb_with_grad calls it at any batch.
+  * _svb_variational: the assignment-logit and q(u) blocks, from the
+    per-row weights of _svb_data_terms (the moments of q(f), whose
+    variances d_pi needs; one Phi' (Phi o w) product over all outputs'
+    rows, the V partials of the rows and the chol(Su) chain).  Each
+    E-step calls it through svb_variational_grad, on rows gathered from
+    the round's tables.
 elbo_svb_with_grad is both halves on one forward pass, so its blocks
 equal those of svb_hyper_grad and svb_variational_grad bit for bit.
 
@@ -51,7 +57,7 @@ from . import engine, kernels
 from .bounds import build_cvb_system, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig
-from .svi import _jittered, _qu_moments, _tables_of, expected_loglik_terms, gaussian_kl_u
+from .svi import RowTables, _jittered, _qu_moments, _tables_of, gaussian_kl_u
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -107,7 +113,10 @@ def _vterm_partials(pi, labeled, log_prior, cfg, noise):
     M = pi.shape[1]
     d_pi, dg = _vterm_pi_partials(pi, labeled, log_prior, cfg, noise)
     d_sigma = np.sum(1.0 - pi, axis=0)  # already in log-sigma coords
-    d_alpha0 = 0.0 if dg is None else _alpha0_partial(dg, cfg, M)
+    unlabeled = ~labeled
+    d_alpha0 = 0.0
+    if dg is not None and np.any(unlabeled):
+        d_alpha0 = _alpha0_partial(dg[unlabeled], cfg, M)
     return d_pi, d_alpha0, d_sigma
 
 
@@ -124,26 +133,28 @@ def _alpha0_partial(dg, cfg, M):
 
 
 def _vterm_pi_partials(pi, labeled, log_prior, cfg, noise):
-    """dPi of V alone at rows already selected, and digamma(alpha0 + pi) of their unlabeled rows.
+    """dPi of V alone at rows already selected, and digamma(alpha0 + pi) of every row.
 
-    The digamma array, which the alpha0 partial reuses, is None without
-    the Dirichlet prior or without unlabeled rows.
+    Both rows' forms are evaluated on every row and each row keeps its
+    own, so no row set is gathered or scattered.  The digamma array,
+    which the alpha0 partial reads on the unlabeled rows, is None
+    without the Dirichlet prior.
     """
     M = pi.shape[1]
+    log_pi = np.log(pi)
     log2pis = np.log(2.0 * np.pi * noise.sigma**2)
     # third term: 0.5 * sum (1 - pi) log(2 pi sigma^2) - log pi
     d_pi = 0.5 * (-log2pis[None, :] - 1.0 / pi)
-    if np.any(labeled):
-        d_pi[labeled] += -(np.log(pi[labeled]) - log_prior[labeled] + 1.0)
+    # log_prior is NaN on unlabeled rows, which take the other branch
+    d_labeled = -(log_pi - log_prior + 1.0)
     dg = None
-    if np.any(~labeled):
-        pu = pi[~labeled]
-        if cfg.use_dirichlet:
-            a0 = cfg.alpha0
-            dg = digamma(a0 + pu)
-            d_pi[~labeled] += -(np.log(pu) + 1.0) + dg - digamma(M * a0 + 1.0)
-        else:
-            d_pi[~labeled] += -(np.log(pu) + 1.0 + np.log(M))
+    if cfg.use_dirichlet:
+        a0 = cfg.alpha0
+        dg = digamma(a0 + pi)
+        d_unlabeled = -(log_pi + 1.0) + dg - digamma(M * a0 + 1.0)
+    else:
+        d_unlabeled = -(log_pi + 1.0 + np.log(M))
+    d_pi += np.where(labeled[:, None], d_labeled, d_unlabeled)
     return d_pi, dg
 
 
@@ -284,35 +295,31 @@ def scmgp_loglik_with_grad(ds, cfg, hp):
 
 
 class _DataTerms(NamedTuple):
-    """Every output's moments of q(f_m) at the rows, and the data term's weights.
+    """The E-step's per-row weights of the data term, stacked over the outputs.
 
-    Stacked over the outputs: phi and phi_su are (M, rows, Q), the rest
-    (M, rows).  With dtil = pi_m / sigma_m^2: a = dtil (y - mu),
-    w = -dtil / 2, and dD = d/d dtil of each row's expected
-    log-likelihood.
+    phi is (M, rows, Q), the rest (M, rows).  With dtil = pi_m / sigma_m^2:
+    a = dtil (y - mu), w = -dtil / 2, and dD = d/d dtil of each row's
+    expected log-likelihood.
     """
 
     phi: np.ndarray  # Kfu Kuu^-1
-    phi_su: np.ndarray  # Phi Su
-    mu: np.ndarray
-    var: np.ndarray
     a: np.ndarray
     w: np.ndarray
     dD: np.ndarray
 
 
 def _svb_data_terms(phi, r, y, pi, sigma, mu_u, Su):
-    """The data term's moments and weights at the rows, for all outputs in one pass.
+    """The data term's per-row weights at the rows, for all outputs in one pass.
 
     phi (M, rows, Q) and r (M, rows) are the row constants at the rows
     (svi.RowTables, C-ordered); the moments come from svi._qu_moments.
     pi is (rows, M) and y (rows,).  Nothing is scaled.
     """
-    mu, var, phi_su = _qu_moments(phi, r, mu_u, Su)
+    mu, var = _qu_moments(phi, r, mu_u, Su)
     dtil = pi.T / (sigma**2)[:, None]
     resid = y - mu
     dD = 0.5 / dtil - 0.5 * (resid * resid + var)
-    return _DataTerms(phi, phi_su, mu, var, dtil * resid, -0.5 * dtil, dD)
+    return _DataTerms(phi, dtil * resid, -0.5 * dtil, dD)
 
 
 class _SvbForward(NamedTuple):
@@ -320,7 +327,7 @@ class _SvbForward(NamedTuple):
 
     rows is None for the full batch.  y, pi, labeled and log_prior are
     the rows' entries (pi, labeled and log_prior from bounds.select_rows),
-    fu_blocks the rows' Kfu blocks and data the stacked _DataTerms.
+    fu_blocks the rows' Kfu blocks and tables their row constants.
     """
 
     rows: np.ndarray
@@ -333,7 +340,7 @@ class _SvbForward(NamedTuple):
     kuu: np.ndarray  # jittered
     kuu_inv: np.ndarray
     fu_blocks: list
-    data: _DataTerms
+    tables: RowTables
 
 
 def _svb_forward(ds, hp, state, batch):
@@ -352,46 +359,67 @@ def _svb_forward(ds, hp, state, batch):
     t2 = kernels.sqdiff(X, W)
     fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
     tables = _tables_of([b.K for b in fu_blocks], hp, cho)
-    data = _svb_data_terms(tables.phi, tables.r, y, pi, hp.noise.sigma, state.mu_u, state.Su)
     return _SvbForward(rows, scale, y, pi, labeled, log_prior, kuu_block, kuu,
-                       engine.cho_inverse(cho), fu_blocks, data)
+                       engine.cho_inverse(cho), fu_blocks, tables)
 
 
 def _svb_hyper(ds, cfg, hp, state, f: _SvbForward):
-    """Bound value and the hyperparameter, sigma and alpha0 blocks from the forward pass."""
-    t = f.data
-    M, n_rows, Q = t.phi.shape
+    """Bound value and the hyperparameter, sigma and alpha0 blocks from the forward pass.
+
+    The data term is summed in Q x Q form, so no per-row variance and no
+    (M, rows, Q) derivative of Phi is formed.  Per output, with
+    d = pi / sigma^2, a = d o (y - Phi mu_u), C = Phi' diag(d) Phi,
+    mt = Kuu^-1 mu_u and T = Su Kuu^-1 - I:
+      sum d o var = sum d o r + tr(C Su),
+      dKfu = -(d o Phi) T + a mt'   (one product over all outputs' rows),
+      dKuu = -sum_m [-C_m (2 Su - Kuu) / 2 + (Phi_m' a_m) mu_u'] Kuu^-1.
+    Phi itself is computed row by row (svi._row_constants); expanding C
+    and Phi' a through Kuu^-1-weighted sums of Kfu instead loses about
+    three more digits at cond(Kuu) ~ 1e7.  A batch is scaled by
+    N / |batch|, the KL term is not.
+    """
+    phi, r = f.tables
+    M, n_rows, Q = phi.shape
     mu_u, Su, kuu_inv = state.mu_u, state.Su, f.kuu_inv
     sigma = hp.noise.sigma
-    value = float(np.sum(expected_loglik_terms(f.y, t.mu, t.var, f.pi.T, sigma[:, None])))
+    flat = phi.reshape(-1, Q)
+    d = f.pi.T / (sigma**2)[:, None]
+    resid = f.y - (flat @ mu_u).reshape(M, n_rows)
+    a = d * resid
+    # [d o Phi, a] per output: Phi' [d o Phi, a] = [C, Phi' a] in one product
+    da = np.empty((M, n_rows, Q + 1))
+    np.multiply(phi, d[:, :, None], out=da[:, :, :Q])
+    da[:, :, Q] = a
+    C = np.stack([engine._gemm(phi[m].T, da[m]) for m in range(M)])
+    phi_a = np.sum(C[:, :, Q], axis=0)
+    C = C[:, :, :Q]
+    # per output: sum of d o resid^2 and of d o var
+    d_res2 = np.sum(a * resid, axis=1)
+    d_var = np.sum(d * r, axis=1) + np.einsum("mij,ji->m", C, Su)
+    value = 0.5 * float(np.sum(np.log(d)) - d.size * _LOG2PI - np.sum(d_res2 + d_var))
     value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=f.rows)))
-    # dPhi = a mu' + diag(w) (2 Phi Su - Kfu), every output's rows stacked
-    dPhi = 2.0 * t.phi_su
-    for m, b in enumerate(f.fu_blocks):
-        dPhi[m] -= b.K
-    dPhi *= t.w[:, :, None]
-    dPhi += t.a[:, :, None] * mu_u
-    dPhi = dPhi.reshape(-1, Q)
-    dKfu = engine._gemm(dPhi, kuu_inv).reshape(M, n_rows, Q)
-    dKfu -= t.w[:, :, None] * t.phi
-    dKuu = -(engine._gemm(t.phi.reshape(-1, Q).T, dPhi) @ kuu_inv)
-    # log-sigma chain: d dtil/d log sigma = -2 pi/sigma^2; then V's third term
-    d_sigma = np.sum(t.dD * (-2.0 * f.pi.T / (sigma**2)[:, None]), axis=1)
-    d_sigma += np.sum(1.0 - f.pi.T, axis=1)
+    kinv_mu = kuu_inv @ mu_u
+    T = Su @ kuu_inv
+    T[np.diag_indices(Q)] -= 1.0
+    # dKfu = [d o Phi, a] [-T; mt'], every output's rows in one product
+    s = f.scale
+    dKfu = engine._gemm(da.reshape(-1, Q + 1), s * np.vstack([-T, kinv_mu]))
+    dKuu = (np.sum(C, axis=0) @ (Su - 0.5 * f.kuu) - np.outer(phi_a, mu_u)) @ kuu_inv
+    # log-sigma chain: d d/d log sigma = -2 d; then V's third term
+    d_sigma = d_res2 + d_var - n_rows + np.sum(1.0 - f.pi, axis=0)
     d_alpha0 = 0.0
     unlabeled = ~f.labeled
     if cfg.use_dirichlet and np.any(unlabeled):
         d_alpha0 = _alpha0_partial(digamma(cfg.alpha0 + f.pi[unlabeled]), cfg, M)
 
-    # scale the data terms, then subtract the (unscaled) KL and its Kuu partial
-    s = f.scale
+    # scale the data terms (dKfu is scaled already), then subtract the
+    # (unscaled) KL and its Kuu partial
     value = s * value - gaussian_kl_u(mu_u, Su, f.kuu)
-    kinv_mu = kuu_inv @ mu_u
     dKuu *= s
     dKuu -= 0.5 * (kuu_inv - kuu_inv @ Su @ kuu_inv - np.outer(kinv_mu, kinv_mu))
-    dKfu *= s
-    mg = engine.MatrixGrads(dE_blocks=[None] * M, dKfu_blocks=list(dKfu), dKuu=dKuu)
-    d_S, d_Lm, d_L = _chain_convolved(hp, mg, f.kuu_block, f.fu_blocks, batch_diag=s * t.w)
+    dKfu = list(dKfu.reshape(M, n_rows, Q))
+    mg = engine.MatrixGrads(dE_blocks=[None] * M, dKfu_blocks=dKfu, dKuu=dKuu)
+    d_S, d_Lm, d_L = _chain_convolved(hp, mg, f.kuu_block, f.fu_blocks, batch_diag=-0.5 * s * d)
     bundle = GradientBundle(
         d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=s * d_sigma,
         d_alpha0=s * d_alpha0 * cfg.alpha0,
@@ -462,8 +490,9 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
     """
     f = _svb_forward(ds, hp, state, batch)
     value, bundle = _svb_hyper(ds, cfg, hp, state, f)
+    t = _svb_data_terms(*f.tables, f.y, f.pi, hp.noise.sigma, state.mu_u, state.Su)
     d_pi, bundle.d_mu_u, bundle.d_su_chol = _svb_variational(
-        f.data, f.pi, f.labeled, f.log_prior, cfg, hp.noise, f.scale, f.kuu_inv,
+        t, f.pi, f.labeled, f.log_prior, cfg, hp.noise, f.scale, f.kuu_inv,
         state.mu_u, state.Su,
     )
     if f.rows is None:

@@ -14,45 +14,48 @@ the data and V terms; per-observation terms are rescaled by N/|batch|
 while the KL term is not.
 
 The moments come from one forward pass in two parts.  The row constants
-Phi_m = Kfu_m Kuu^-1 and r_m = diag(Kff_m) - rowsum(Phi_m o Kfu_m)
-(_row_constants) depend on the hyperparameters alone; _qu_moments turns
-them into mu = Phi mu_u and var = r + rowsum(Phi Su o Phi).  Each row's
-constants are computed on their own (the triangular solves column by
-column, the sums row by row), so constants built on all N rows and then
-gathered equal those built on the gathered rows bit for bit.  Every
-output's constants are held as one (M, rows, Q) stack (RowTables), and
-_qu_moments treats the stack as one operand of M |rows| rows: one
-matrix-vector product gives every mu and one product Phi Su every
-variance, with no loop over the outputs.
+Phi_m = Kfu_m Kuu^-1 and r_m = diag(Kff_m) - rowsum(Psi_m o Psi_m) with
+Psi_m = Kfu_m L^-T (_row_constants: two right-side triangular solves
+with Kuu's Cholesky factor L, O(rows Q^2) per output) depend on the
+hyperparameters alone; _qu_moments turns them into mu = Phi mu_u and
+var = r + rowsum(Phi Su o Phi).  Each row's constants are computed on
+their own, so constants built on all N rows and then gathered equal
+those built on the gathered rows bit for bit.  Every output's constants
+are held as one (M, rows, Q) stack (RowTables), and _qu_moments treats
+the stack as one operand of M |rows| rows: one matrix-vector product
+gives every mu and one product Phi Su every variance, with no loop over
+the outputs.
 
 Who calls what:
   * elbo_svb (the bound alone; trainer.fit_svb_em records it once per
     round) and gradients.elbo_svb_with_grad / gradients.svb_hyper_grad
-    build the constants at their rows on every call.
+    build the constants at their rows on every call.  The
+    hyperparameter half of the gradient (gradients._svb_hyper) reads
+    the constants only; it sums the data term in Q x Q form and needs
+    neither the per-row variances nor Phi Su.
   * The trainer's E-phase holds the hyperparameters fixed for a round,
     so it builds them once per round over all N rows (row_tables: one
-    N-row Kfu block and one Kuu solve with Q x N right-hand sides per
-    output, the blocks sharing one set of squared differences,
-    O(M N Q^2); they hold M N (Q + 1) doubles, 2.0 MB at N = 4000,
-    M = 2, Q = 30).  A mini-batch step (gradients.svb_variational_grad)
-    then gathers its rows and does only the q(u) part,
-    O(|batch| M Q^2 + Q^3), with no kernel matrix and no Kuu solve; what
-    stays O(N) per step is the flat gradient vector and the dense Adam
-    update.
+    N-row Kfu block and two N-row triangular solves per output, the
+    blocks sharing one set of squared differences, O(M N Q^2); they
+    hold M N (Q + 1) doubles, 2.0 MB at N = 4000, M = 2, Q = 30).  A
+    mini-batch step (gradients.svb_variational_grad) then gathers its
+    rows and does only the q(u) part, O(|batch| M Q^2 + Q^3), with no
+    kernel matrix and no Kuu solve; what stays O(N) per step is the flat
+    gradient vector and the dense Adam update.
   * optimal_qu, the closed-form q(u), ends every round of the fit.
 
 The matrix products with a batch-row operand (Phi Su here, Kuf Dinv Kfu
-in optimal_qu, and those of the gradients built on these moments) run
-in scipy's BLAS through engine._gemm, the library that also runs the
-Cholesky solves, so an evaluation uses one OpenBLAS thread pool; the
-engine docstring says why.  Phi Su is computed once for all outputs and
-handed to the gradients.
+in optimal_qu, and those of the gradients) run in scipy's BLAS through
+engine._gemm, the library that also runs the triangular solves and the
+Cholesky factorizations, so an evaluation uses one OpenBLAS thread
+pool; the engine docstring says why.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
 
 from . import engine, kernels
 from .bounds import compute_D, vterm_rows
@@ -63,8 +66,8 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 class RowTables(NamedTuple):
     """Every output's row constants at a set of rows, for one set of hyperparameters.
 
-    phi[m] = Kfu_m Kuu^-1 (rows, Q) and r[m] = diag(Kff_m) - rowsum(phi[m] o Kfu_m)
-    (rows,).  Gathering rows from tables built on all N rows gives the
+    phi[m] = Kfu_m Kuu^-1 (rows, Q) and r[m] (rows,), the Nystrom residual
+    diag(Kff_m - Kfu_m Kuu^-1 Kuf_m), from _row_constants.  Gathering rows from tables built on all N rows gives the
     tables of those rows bit for bit.
     """
 
@@ -101,27 +104,39 @@ def _tables_of(kfu, hp, cho_kuu):
 def _row_constants(cho_kuu, kfu, kff_diag):
     """The part of q(f_m)'s moments that q(u) does not enter: (Phi, r) at the rows of kfu.
 
-    Phi = Kfu Kuu^-1 and r = diag(Kff) - rowsum(Phi o Kfu), the Nystrom
-    residual of each row's prior variance.
+    With Kuu = L L', Psi = Kfu L^-T and Phi = Psi L^-1 = Kfu Kuu^-1 come
+    from two right-side triangular solves (LAPACK dtrsm) on a
+    column-major copy of the rows, and r = diag(Kff) - rowsum(Psi o Psi)
+    is the Nystrom residual of each row's prior variance.  OpenBLAS
+    solves a one-row block by another path than the rows of a larger
+    one, and rounds differently there, so a single row is solved with a
+    zero row beside it.  Phi is returned column-major.
     """
-    phi = cho_solve(cho_kuu, kfu.T).T  # Kfu Kuu^-1
-    return phi, kff_diag - np.sum(phi * kfu, axis=1)
+    c, lower = cho_kuu
+    n = kfu.shape[0]
+    psi = np.zeros((max(n, 2), kfu.shape[1]), order="F")
+    psi[:n] = kfu
+    # an upper factor U (Kuu = U'U) is L', so its solves take the other transpose
+    low = int(lower)
+    psi = dtrsm(1.0, c, psi, side=1, lower=low, trans_a=low, overwrite_b=1)
+    # einsum sums each row in the same order whatever the number of rows
+    r = kff_diag - np.einsum("nq,nq->n", psi[:n], psi[:n])
+    phi = dtrsm(1.0, c, psi, side=1, lower=low, trans_a=1 - low, overwrite_b=1)
+    return phi[:n], r
 
 
 def _qu_moments(phi, r, mu_u, Su):
-    """Moments of q(f) from the row constants: (mu, var clamped at 0, Phi Su).
+    """Moments of q(f) from the row constants: (mu, var clamped at 0).
 
-    mu = Phi mu_u and var = diag(Kff + Phi (Su - Kuu) Phi') = r + rowsum(Phi Su o Phi);
-    Phi Su is returned for the callers' gradients.  phi is one output's
-    (rows, Q) block or every output's (M, rows, Q) stack with r shaped
-    like phi without its last axis; a stack is one (M rows, Q) operand, so
-    Phi Su is a single product over all outputs.
+    mu = Phi mu_u and var = diag(Kff + Phi (Su - Kuu) Phi') = r + rowsum(Phi Su o Phi).
+    phi is one output's (rows, Q) block or every output's (M, rows, Q)
+    stack with r shaped like phi without its last axis; a stack is one
+    (M rows, Q) operand, so Phi Su is a single product over all outputs.
     """
     flat = phi.reshape(-1, phi.shape[-1])
     mu = (flat @ mu_u).reshape(r.shape)
-    phi_su = engine._gemm(flat, Su)
-    var = r + np.sum(phi_su * flat, axis=1).reshape(r.shape)
-    return mu, np.maximum(var, 0.0), phi_su.reshape(phi.shape)
+    var = r + np.sum(engine._gemm(flat, Su) * flat, axis=1).reshape(r.shape)
+    return mu, np.maximum(var, 0.0)
 
 
 def gaussian_kl_u(mu_u, Su, Kuu):
@@ -168,7 +183,7 @@ def elbo_svb(ds, cfg, hp, state, batch=None):
         rows = np.asarray(batch, dtype=int)
         scale = ds.n / len(rows)
     tables = row_tables(ds.X[rows], hp, cho)
-    mu, var, _ = _qu_moments(tables.phi, tables.r, state.mu_u, state.Su)
+    mu, var = _qu_moments(tables.phi, tables.r, state.mu_u, state.Su)
     data = float(np.sum(expected_loglik_terms(
         ds.y[rows], mu, var, state.pi_hat[rows].T, hp.noise.sigma[:, None]
     )))

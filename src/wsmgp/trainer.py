@@ -17,7 +17,8 @@ fit_svb_em has three phases, and each calls only what it moves:
   * M-phase: full-batch L-BFGS-B on the hyperparameter block with the
     variational block frozen; each evaluation calls
     gradients.svb_hyper_grad, the bound and its hyperparameter, sigma and
-    alpha0 blocks only.
+    alpha0 blocks only: per output, the N-row Kfu block, two triangular
+    solves for its row constants and two N-row products.
   * q(u) restart: svi.optimal_qu, then svi.elbo_svb records the bound.
 """
 
@@ -537,9 +538,9 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
 
     The hyperparameters do not move during the E-phase, so once per
     round Kuu is built and factored, Kuu^-1 is formed, and the row
-    tables Phi_m = Kfu_m Kuu^-1 and r_m = diag(Kff_m) - rowsum(Phi_m o
-    Kfu_m) are built over all N rows (svi.row_tables, one Kuu solve
-    with Q x N right-hand sides per output).  Each step decodes only its
+    tables Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m are built
+    over all N rows (svi.row_tables, two N-row triangular solves per
+    output).  Each step decodes only its
     batch rows, gathers their rows of the tables, and differentiates
     only the variational block (gradients.svb_variational_grad); it
     builds no kernel matrix and makes no Kuu solve.  Adam itself stays

@@ -8,6 +8,7 @@ from scipy.special import gammaln, logsumexp
 from wsmgp import checks, engine, kernels
 from wsmgp.bounds import (
     OracleTooLargeError,
+    _sum_last,
     assignment_log_weights,
     build_cvb_system,
     compute_D,
@@ -112,6 +113,15 @@ class TestVTerm:
                 (1 - pi) * np.log(2 * np.pi * noise.sigma**2)[None, :] - np.log(pi)
             )
             assert vterm(state, ds, cfg, noise) <= third + 1e-12
+
+    @pytest.mark.parametrize("M", range(1, 11))
+    def test_row_sums_equal_numpy_sums(self, M):
+        """V's column-loop row sums equal np.sum(axis=-1) bit for bit, on rows of every length."""
+        rng = np.random.default_rng(M)
+        x = rng.normal(size=(257, M)) * 10.0 ** rng.integers(-8, 9, size=(257, M))
+        np.testing.assert_array_equal(_sum_last(x), np.sum(x, axis=-1))
+        np.testing.assert_array_equal(_sum_last(x[5]), np.sum(x[5]))
+        np.testing.assert_array_equal(_sum_last(x[:1]), np.sum(x[:1], axis=-1))
 
 
 class TestAcuteness:

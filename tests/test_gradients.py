@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from wsmgp import bounds, checks, engine, gradients, kernels, model, svi
+from wsmgp import bounds, checks, engine, experiments, gradients, kernels, model, svi, trainer
 from wsmgp.bounds import build_cvb_system, elbo_cvb, scmgp_loglik, vterm_rows
 from wsmgp.gradients import finite_diff_check
 from wsmgp.kernels import (
@@ -417,6 +417,130 @@ class TestHyperGrad:
         rep = finite_diff_check(value, grad, x0)
         assert rep.max_rel_error < 1e-6, str(rep)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_finite_difference_match_at_a_fitted_point(self, seed):
+        """The same check where a short fit ends, with Q = 30 inducing inputs on the unit interval.
+
+        There cond(Kuu) stays above 1e6.  The step is 3e-6: at the
+        default 1e-5 the truncation error of the log-L coordinate alone
+        is 4e-7 to 8e-7 of its derivative.
+        """
+        sc = experiments.SyntheticConfig(M=2, per_source_count=60, gamma=1.0, l_frac=0.2,
+                                         x_range=(0.0, 1.0), seed=seed)
+        ds, _ = experiments.generate_synthetic(sc)
+        cfg = model.ModelConfig(M=2, Q=30, alpha0=0.3)
+        opt = trainer.OptimizerConfig(em_outer_iters=2, em_inner_stat_iters=20,
+                                      em_inner_hyp_iters=2, batch_size=30, seed=seed)
+        fit = trainer.fit_svb_em(ds, cfg, None, opt)
+        hp, state = fit.final_hp, fit.final_state
+        cfg = cfg.with_alpha0(fit.final_alpha0)
+        kuu, _ = svi._jittered_kuu(hp)
+        assert np.linalg.cond(kuu) >= 1e6
+        pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=True, with_qu=True)
+        x0 = pack.pack(hp, alpha0=cfg.alpha0, state=state)[: pack.n_hyp]
+
+        def value(x):
+            hp_x, a0 = pack.unpack_hyper(x)
+            return svi.elbo_svb(ds, cfg.with_alpha0(a0), hp_x, state)
+
+        def grad(x):
+            hp_x, a0 = pack.unpack_hyper(x)
+            _, b = gradients.svb_hyper_grad(ds, cfg.with_alpha0(a0), hp_x, state)
+            return pack.hyper_grad_to_vec(b)
+
+        rep = finite_diff_check(value, grad, x0, h=3e-6)
+        assert rep.max_rel_error < 1e-6, str(rep)
+
+
+def _ld_inverse(A):
+    """(A^-1, log|A|) in long double, by Cholesky and forward substitution."""
+    A = A.astype(np.longdouble)
+    n = len(A)
+    L = np.zeros_like(A)
+    for j in range(n):
+        L[j, j] = np.sqrt(A[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    eye = np.eye(n, dtype=np.longdouble)
+    Linv = np.zeros_like(A)
+    for i in range(n):
+        Linv[i] = (eye[i] - L[i, :i] @ Linv[:i]) / L[i, i]
+    return Linv.T @ Linv, 2 * np.sum(np.log(np.diag(L)))
+
+
+def _ld_reference(ds, cfg, hp, state):
+    """The stochastic bound's per-row formulas in long double, on the float64 kernel blocks.
+
+    Returns (value, [(r, dKfu) per output], dKuu), the matrix-level
+    gradients before the kernel chain.  V is taken from vterm_rows.
+    """
+    ld = np.longdouble
+    kuu, _ = svi._jittered_kuu(hp)
+    kinv, logdet_k = _ld_inverse(kuu)
+    _, logdet_s = _ld_inverse(state.Su)
+    mu_u, Su = state.mu_u.astype(ld), state.Su.astype(ld)
+    t2 = kernels.sqdiff(ds.X, hp.inducing.W)
+    value, dKuu, per_output = ld(0), np.zeros(kinv.shape, dtype=ld), []
+    for m, out in enumerate(hp.outputs):
+        kfu = kernels.kfu_block(t2, out, hp.latent).K.astype(ld)
+        phi = kfu @ kinv
+        r = ld(kernels.kff_diag_value(out, hp.latent)) - np.sum(phi * kfu, axis=1)
+        var = r + np.sum((phi @ Su) * phi, axis=1)
+        d = state.pi_hat[:, m].astype(ld) / ld(hp.noise.sigma[m]) ** 2
+        resid = ds.y.astype(ld) - phi @ mu_u
+        value += np.sum(0.5 * np.log(d / (2 * ld(np.pi))) - 0.5 * d * (resid**2 + var))
+        w = -0.5 * d
+        dphi = (d * resid)[:, None] * mu_u + w[:, None] * (2 * phi @ Su - kfu)
+        per_output.append((r, dphi @ kinv - w[:, None] * phi))
+        dKuu -= phi.T @ dphi @ kinv
+    kinv_mu = kinv @ mu_u
+    dKuu -= 0.5 * (kinv - kinv @ Su @ kinv - np.outer(kinv_mu, kinv_mu))
+    kl = 0.5 * (np.trace(kinv @ Su) + mu_u @ kinv_mu - len(mu_u) + logdet_k - logdet_s)
+    value += ld(float(np.sum(vterm_rows(state, ds, cfg, hp.noise)))) - kl
+    return value, per_output, dKuu
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+class TestHyperGradLongDouble:
+    """svb_hyper_grad against the per-row formulas evaluated in long double.
+
+    The instance is small and ill-conditioned: n = 200, Q = 30 inducing
+    inputs packed on the unit interval (cond(Kuu) 8.5e6 to 1.0e7) and
+    q(u) at its optimum.  The reference takes the float64 kernel blocks
+    and the jittered Kuu as exact.  On seeds 0-3 the largest errors were
+    4.2e-13 of kff for r, 2.3e-13 relative for the value, and 2.1e-10
+    and 4.6e-9 of the largest entry for dKfu and dKuu; the tolerances
+    are about four times those.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_the_per_row_formulas(self, seed, monkeypatch):
+        ds, cfg, hp, state = checks.random_instance(seed, n=200, M=2, Q=30, dense_w=True)
+        state.mu_u, state.Su = svi.optimal_qu(ds, cfg, hp, state)
+        ref_value, ref_outputs, ref_dKuu = _ld_reference(ds, cfg, hp, state)
+
+        seen = []
+        chain = gradients._chain_convolved
+
+        def spy(hp_, mg, *args, **kwargs):
+            seen.append(mg)
+            return chain(hp_, mg, *args, **kwargs)
+
+        monkeypatch.setattr(gradients, "_chain_convolved", spy)
+        value, _ = gradients.svb_hyper_grad(ds, cfg, hp, state)
+        mg = seen[0]
+        _, cho = svi._jittered_kuu(hp)
+        r = svi.row_tables(ds.X, hp, cho).r
+
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        # the bound alone, from the per-row moments
+        assert abs(value - svi.elbo_svb(ds, cfg, hp, state)) <= 1e-12 * abs(value)
+        for m, (ref_r, ref_dKfu) in enumerate(ref_outputs):
+            kff = kernels.kff_diag_value(hp.outputs[m], hp.latent)
+            assert np.max(np.abs(r[m] - ref_r)) <= 2e-12 * kff
+            assert np.max(np.abs(mg.dKfu_blocks[m] - ref_dKfu)) <= 1e-9 * np.max(np.abs(ref_dKfu))
+        assert np.max(np.abs(mg.dKuu - ref_dKuu)) <= 2e-8 * np.max(np.abs(ref_dKuu))
+
 
 def _with_hard_prior_row(ds):
     """ds with its first labeled prior row set one-hot; (dataset, that row)."""
@@ -476,10 +600,15 @@ class TestBlasRouting:
         for name, values in routed.items():
             for got, ref in zip(values, plain[name]):
                 np.testing.assert_array_equal(got, ref, err_msg=name)
-        # all outputs' rows stacked: 4 products in each elbo_svb_with_grad
-        # call, 3 in svb_hyper_grad, 1 in each elbo_svb and 2 in
-        # svb_variational_grad; optimal_qu makes 1 per output
-        assert len(calls) == 2 * 4 + 3 + 2 * 1 + 2 + cfg.M
+        # the hyperparameter half makes 1 product per output (Phi' [d o Phi, a])
+        # and 1 over all outputs' rows ([d o Phi, a] [-T; mt']); the
+        # variational half makes 2 over all outputs' rows (Phi Su for the
+        # moments, Phi' (Phi o w)).  So each elbo_svb_with_grad call makes
+        # both halves' products, svb_hyper_grad the first and
+        # svb_variational_grad the second; each elbo_svb makes 1 (Phi Su)
+        # and optimal_qu 1 per output
+        hyper, variational = cfg.M + 1, 2
+        assert len(calls) == 2 * (hyper + variational) + hyper + 2 * 1 + variational + cfg.M
         assert all(max(sa[0], sb[0]) >= len(rows) for sa, sb in calls)
 
 

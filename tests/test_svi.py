@@ -22,7 +22,7 @@ def _qf_moments(sys, hp, m, mu_u, Su):
     """Moments of q(f_m) at every row, from the engine's factors of Kuu and Kfu_m."""
     kffd = np.full(len(sys.rows[m]), kernels.kff_diag_value(hp.outputs[m], hp.latent))
     phi, r = svi._row_constants(sys.cho_Kuu, sys.fu_blocks[m].K, kffd)
-    mu, var, _ = svi._qu_moments(phi, r, mu_u, Su)
+    mu, var = svi._qu_moments(phi, r, mu_u, Su)
     return mu, var, kffd
 
 
