@@ -108,9 +108,9 @@ def _row_constants(cho_kuu, kfu, kff_diag):
     from two right-side triangular solves (LAPACK dtrsm) on a
     column-major copy of the rows, and r = diag(Kff) - rowsum(Psi o Psi)
     is the Nystrom residual of each row's prior variance.  OpenBLAS
-    solves a one-row block by another path than the rows of a larger
-    one, and rounds differently there, so a single row is solved with a
-    zero row beside it.  Phi is returned column-major.
+    rounds a one-row block differently from the same row inside a
+    larger block, so a single row is solved with a zero row beside it.
+    Phi is returned column-major.
     """
     c, lower = cho_kuu
     n = kfu.shape[0]
