@@ -155,13 +155,13 @@ def packed_cvb(ds, cfg, hp, state, with_alpha0=True):
     x0 = pack.pack(hp, alpha0=cfg.alpha0, state=state)
 
     def value(x):
-        hp_x, a0, pi, _, _ = pack.unpack(x)
+        hp_x, a0, pi = pack.unpack(x)
         cfg_x = cfg.with_alpha0(a0)
         st = _state_with(ds, cfg_x, a0, pi)
         return elbo_cvb(ds, cfg_x, hp_x, st)
 
     def grad(x):
-        hp_x, a0, pi, _, _ = pack.unpack(x)
+        hp_x, a0, pi = pack.unpack(x)
         cfg_x = cfg.with_alpha0(a0)
         st = _state_with(ds, cfg_x, a0, pi)
         _, bundle = gradients.elbo_cvb_with_grad(ds, cfg_x, hp_x, st)
@@ -171,22 +171,23 @@ def packed_cvb(ds, cfg, hp, state, with_alpha0=True):
 
 
 def packed_svb(ds, cfg, hp, state, batch=None, with_alpha0=True):
-    """(x0, value_fn, grad_fn, pack) for the stochastic bound."""
-    pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=with_alpha0, with_qu=True)
-    x0 = pack.pack(hp, alpha0=cfg.alpha0, state=state)
+    """(x0, value_fn, grad_fn, pack) for the stochastic bound's hyperparameter block.
+
+    q(pi) and q(u) stay at `state`: the stochastic fit moves them by
+    closed-form steps, not along this gradient.
+    """
+    pack = ParamPack(ds, cfg, hp, with_pi=False, with_alpha0=with_alpha0)
+    x0 = pack.pack(hp, alpha0=cfg.alpha0)
 
     def value(x):
-        hp_x, a0, pi, mu_u, Su = pack.unpack(x)
-        cfg_x = cfg.with_alpha0(a0)
-        st = _state_with(ds, cfg_x, a0, pi, mu_u=mu_u, Su=Su)
-        return svi.elbo_svb(ds, cfg_x, hp_x, st, batch=batch)
+        hp_x, a0 = pack.unpack_hyper(x)
+        return svi.elbo_svb(ds, cfg.with_alpha0(a0), hp_x, state, batch=batch)
 
     def grad(x):
-        hp_x, a0, pi, mu_u, Su = pack.unpack(x)
-        cfg_x = cfg.with_alpha0(a0)
-        st = _state_with(ds, cfg_x, a0, pi, mu_u=mu_u, Su=Su)
-        _, bundle = gradients.elbo_svb_with_grad(ds, cfg_x, hp_x, st, batch=batch)
-        return pack.grad_to_vec(bundle)
+        hp_x, a0 = pack.unpack_hyper(x)
+        _, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(a0), hp_x, state,
+                                                 batch=batch)
+        return pack.hyper_grad_to_vec(bundle)
 
     return x0, value, grad, pack
 

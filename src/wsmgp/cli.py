@@ -103,7 +103,6 @@ def optimizer_config_from(cfg_map, seed):
         em_inner_stat_iters=_get(cfg_map, "emInnerStatIters", int, 25),
         em_inner_hyp_iters=_get(cfg_map, "emInnerHypIters", int, 10),
         batch_size=_get(cfg_map, "batchSize", int, 0),
-        step_size=_get(cfg_map, "stepSize", float, 1e-2),
         seed=seed,
         restarts=_get(cfg_map, "restarts", int, 3),
         optimize_alpha0=_get(cfg_map, "optimizeAlpha0", bool, False),

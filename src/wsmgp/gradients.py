@@ -1,10 +1,9 @@
 """Analytic gradients of both bounds, with a finite-difference harness.
 
 Gradients are returned in the unconstrained coordinates the optimizer
-works in: log noise, log precisions, log alpha0, free amplitudes,
+works in: log noise, log precisions, log alpha0, free amplitudes and
 row-softmax logits for the assignment probabilities (one pinned logit
-per row), and a Cholesky factor with log-diagonal for the inducing
-posterior covariance.  Matrix-level derivatives of the Gaussian term
+per row).  Matrix-level derivatives of the Gaussian term
 come from the shared engine; this module chains them to the kernel
 hyperparameters and adds the assignment-term partials.
 
@@ -20,26 +19,15 @@ gram or derivative tensor is built a second time.  Each same-output
 block Kff_m is differentiated by kernels.kff_matrix_grads with G and the
 block, which does that contraction for one output.
 
-The stochastic bound has one forward pass (_svb_forward: Kuu, its
-factor and Kuu^-1 from engine.cho_inverse, the rows' Kfu blocks and
-their row constants Phi and r, stacked over the outputs) and two halves
-that read it, so each phase of trainer.fit_svb_em computes only the
-blocks it moves:
-  * _svb_hyper: the bound value and the kernel-hyperparameter, sigma and
-    alpha0 blocks (the Kfu and Kuu paths, V and the KL).  It sums the
-    data term in Q x Q form: per output one product Phi' [d o Phi, a]
-    and, over all outputs' rows, one product [d o Phi, a] [-T; mt'] for
-    dKfu, so no per-row variance or derivative of Phi is formed.  The
-    M-phase's L-BFGS-B calls it through svb_hyper_grad (full batch),
-    and elbo_svb_with_grad calls it at any batch.
-  * _svb_variational: the assignment-logit and q(u) blocks, from the
-    per-row weights of _svb_data_terms (the moments of q(f), whose
-    variances d_pi needs; one Phi' (Phi o w) product over all outputs'
-    rows, the V partials of the rows and the chol(Su) chain).  Each
-    E-step calls it through svb_variational_grad, on rows gathered from
-    the round's tables.
-elbo_svb_with_grad is both halves on one forward pass, so its blocks
-equal those of svb_hyper_grad and svb_variational_grad bit for bit.
+The stochastic bound's gradient (elbo_svb_with_grad) covers the
+hyperparameters, sigma and alpha0 only, at the full batch or a
+mini-batch.  trainer.fit_svb_em's M-phase calls it at the full batch;
+its E-phase moves q(pi) and q(u) by closed-form steps (svi.batch_step),
+so no gradient of the variational parameters of that bound is needed.
+It sums the data term in Q x Q form: per output one product
+Phi' [d o Phi, a] and, over all outputs' rows, one product
+[d o Phi, a] [-T; mt'] for dKfu, so no per-row variance or derivative of
+Phi is formed.
 
 Every path is validated against central finite differences in the test
 suite; where printed derivative formulas were ambiguous, the finite
@@ -47,29 +35,29 @@ differences were treated as the arbiter.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 from scipy.special import digamma
 
 from . import engine, kernels
 from .bounds import build_cvb_system, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig
-from .svi import RowTables, _jittered, _qu_moments, _tables_of, gaussian_kl_u
+from .svi import _jittered, _tables_of, gaussian_kl_u
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
 class GradientBundle:
-    """Gradient of a bound w.r.t. every free parameter (unconstrained coords).
+    """Gradient of a bound w.r.t. its free parameters (unconstrained coords).
 
     d_S / d_Lm hold the per-output kernel gradients; for the independent
     squared-exponential model they carry (log-amplitude, log-precision)
-    instead and d_L is None.  d_mu_u / d_su_chol are only set for the
-    stochastic bound.
+    instead and d_L is None.  d_pi_logits is set for the collapsed bound
+    only: the stochastic bound's gradient covers the hyperparameters,
+    sigma and alpha0, because its fit moves q(pi) and q(u) by
+    closed-form steps instead.
     """
 
     d_S: np.ndarray = None  # (M,)
@@ -78,8 +66,6 @@ class GradientBundle:
     d_sigma: np.ndarray = None  # (M,)
     d_pi_logits: np.ndarray = None  # (N, M), rows sum to ~0
     d_alpha0: float = 0.0
-    d_mu_u: np.ndarray = None  # (Q,)
-    d_su_chol: np.ndarray = None  # (Q, Q) lower triangular
 
 
 def softmax_chain(pi, grad_pi):
@@ -294,77 +280,14 @@ def scmgp_loglik_with_grad(ds, cfg, hp):
 # ---------------------------------------------------------------------------
 
 
-class _DataTerms(NamedTuple):
-    """The E-step's per-row weights of the data term, stacked over the outputs.
+def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
+    """Stochastic bound value and its hyperparameter gradient (mini-batch scaled like the bound).
 
-    phi is (M, rows, Q), the rest (M, rows).  With dtil = pi_m / sigma_m^2:
-    a = dtil (y - mu), w = -dtil / 2, and dD = d/d dtil of each row's
-    expected log-likelihood.
-    """
-
-    phi: np.ndarray  # Kfu Kuu^-1
-    a: np.ndarray
-    w: np.ndarray
-    dD: np.ndarray
-
-
-def _svb_data_terms(phi, r, y, pi, sigma, mu_u, Su):
-    """The data term's per-row weights at the rows, for all outputs in one pass.
-
-    phi (M, rows, Q) and r (M, rows) are the row constants at the rows
-    (svi.RowTables, C-ordered); the moments come from svi._qu_moments.
-    pi is (rows, M) and y (rows,).  Nothing is scaled.
-    """
-    mu, var = _qu_moments(phi, r, mu_u, Su)
-    dtil = pi.T / (sigma**2)[:, None]
-    resid = y - mu
-    dD = 0.5 / dtil - 0.5 * (resid * resid + var)
-    return _DataTerms(phi, dtil * resid, -0.5 * dtil, dD)
-
-
-class _SvbForward(NamedTuple):
-    """The stochastic bound's forward pass at its rows, which both gradient paths read.
-
-    rows is None for the full batch.  y, pi, labeled and log_prior are
-    the rows' entries (pi, labeled and log_prior from bounds.select_rows),
-    fu_blocks the rows' Kfu blocks and tables their row constants.
-    """
-
-    rows: np.ndarray
-    scale: float
-    y: np.ndarray
-    pi: np.ndarray
-    labeled: np.ndarray
-    log_prior: np.ndarray
-    kuu_block: kernels.GaussBlock
-    kuu: np.ndarray  # jittered
-    kuu_inv: np.ndarray
-    fu_blocks: list
-    tables: RowTables
-
-
-def _svb_forward(ds, hp, state, batch):
-    """_SvbForward at the batch rows (all N when batch is None)."""
-    if not isinstance(hp, HyperParams):
-        raise TypeError("the stochastic bound requires the convolved sparse model")
-    W = hp.inducing.W
-    kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
-    kuu, cho = _jittered(kuu_block.K)
-    if batch is None:
-        rows, scale, X, y = None, 1.0, ds.X, ds.y
-    else:
-        rows = np.asarray(batch, dtype=int)
-        scale, X, y = ds.n / len(rows), ds.X[rows], ds.y[rows]
-    pi, labeled, log_prior = select_rows(state, ds, rows)
-    t2 = kernels.sqdiff(X, W)
-    fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
-    tables = _tables_of([b.K for b in fu_blocks], hp, cho)
-    return _SvbForward(rows, scale, y, pi, labeled, log_prior, kuu_block, kuu,
-                       engine.cho_inverse(cho), fu_blocks, tables)
-
-
-def _svb_hyper(ds, cfg, hp, state, f: _SvbForward):
-    """Bound value and the hyperparameter, sigma and alpha0 blocks from the forward pass.
+    Returns (value, GradientBundle) with d_S, d_Lm, d_L, d_sigma and
+    d_alpha0 set; q(pi) and q(u) are held fixed (the fit moves them by
+    closed-form steps, svi.batch_step).  Only the batch rows of the data
+    are read; d_alpha0 and d_sigma count only the batch rows, scaled by
+    N/|batch|, and the KL term is not scaled.
 
     The data term is summed in Q x Q form, so no per-row variance and no
     (M, rows, Q) derivative of Phi is formed.  Per output, with
@@ -375,16 +298,30 @@ def _svb_hyper(ds, cfg, hp, state, f: _SvbForward):
       dKuu = -sum_m [-C_m (2 Su - Kuu) / 2 + (Phi_m' a_m) mu_u'] Kuu^-1.
     Phi itself is computed row by row (svi._row_constants); expanding C
     and Phi' a through Kuu^-1-weighted sums of Kfu instead loses about
-    three more digits at cond(Kuu) ~ 1e7.  A batch is scaled by
-    N / |batch|, the KL term is not.
+    three more digits at cond(Kuu) ~ 1e7.
     """
-    phi, r = f.tables
+    if not isinstance(hp, HyperParams):
+        raise TypeError("the stochastic bound requires the convolved sparse model")
+    W = hp.inducing.W
+    kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
+    kuu, cho = _jittered(kuu_block.K)
+    if batch is None:
+        rows, s, X, y = None, 1.0, ds.X, ds.y
+    else:
+        rows = np.asarray(batch, dtype=int)
+        s, X, y = ds.n / len(rows), ds.X[rows], ds.y[rows]
+    pi, labeled, _ = select_rows(state, ds, rows)
+    t2 = kernels.sqdiff(X, W)
+    fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
+    phi, r = _tables_of([b.K for b in fu_blocks], hp, cho)
+    kuu_inv = engine.cho_inverse(cho)
+
     M, n_rows, Q = phi.shape
-    mu_u, Su, kuu_inv = state.mu_u, state.Su, f.kuu_inv
+    mu_u, Su = state.mu_u, state.Su
     sigma = hp.noise.sigma
     flat = phi.reshape(-1, Q)
-    d = f.pi.T / (sigma**2)[:, None]
-    resid = f.y - (flat @ mu_u).reshape(M, n_rows)
+    d = pi.T / (sigma**2)[:, None]
+    resid = y - (flat @ mu_u).reshape(M, n_rows)
     a = d * resid
     # [d o Phi, a] per output: Phi' [d o Phi, a] = [C, Phi' a] in one product
     da = np.empty((M, n_rows, Q + 1))
@@ -397,131 +334,33 @@ def _svb_hyper(ds, cfg, hp, state, f: _SvbForward):
     d_res2 = np.sum(a * resid, axis=1)
     d_var = np.sum(d * r, axis=1) + np.einsum("mij,ji->m", C, Su)
     value = 0.5 * float(np.sum(np.log(d)) - d.size * _LOG2PI - np.sum(d_res2 + d_var))
-    value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=f.rows)))
+    value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=rows)))
     kinv_mu = kuu_inv @ mu_u
     T = Su @ kuu_inv
     T[np.diag_indices(Q)] -= 1.0
     # dKfu = [d o Phi, a] [-T; mt'], every output's rows in one product
-    s = f.scale
     dKfu = engine._gemm(da.reshape(-1, Q + 1), s * np.vstack([-T, kinv_mu]))
-    dKuu = (np.sum(C, axis=0) @ (Su - 0.5 * f.kuu) - np.outer(phi_a, mu_u)) @ kuu_inv
+    dKuu = (np.sum(C, axis=0) @ (Su - 0.5 * kuu) - np.outer(phi_a, mu_u)) @ kuu_inv
     # log-sigma chain: d d/d log sigma = -2 d; then V's third term
-    d_sigma = d_res2 + d_var - n_rows + np.sum(1.0 - f.pi, axis=0)
+    d_sigma = d_res2 + d_var - n_rows + np.sum(1.0 - pi, axis=0)
     d_alpha0 = 0.0
-    unlabeled = ~f.labeled
+    unlabeled = ~labeled
     if cfg.use_dirichlet and np.any(unlabeled):
-        d_alpha0 = _alpha0_partial(digamma(cfg.alpha0 + f.pi[unlabeled]), cfg, M)
+        d_alpha0 = _alpha0_partial(digamma(cfg.alpha0 + pi[unlabeled]), cfg, M)
 
     # scale the data terms (dKfu is scaled already), then subtract the
     # (unscaled) KL and its Kuu partial
-    value = s * value - gaussian_kl_u(mu_u, Su, f.kuu)
+    value = s * value - gaussian_kl_u(mu_u, Su, kuu)
     dKuu *= s
     dKuu -= 0.5 * (kuu_inv - kuu_inv @ Su @ kuu_inv - np.outer(kinv_mu, kinv_mu))
     dKfu = list(dKfu.reshape(M, n_rows, Q))
     mg = engine.MatrixGrads(dE_blocks=[None] * M, dKfu_blocks=dKfu, dKuu=dKuu)
-    d_S, d_Lm, d_L = _chain_convolved(hp, mg, f.kuu_block, f.fu_blocks, batch_diag=-0.5 * s * d)
+    d_S, d_Lm, d_L = _chain_convolved(hp, mg, kuu_block, fu_blocks, batch_diag=-0.5 * s * d)
     bundle = GradientBundle(
         d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=s * d_sigma,
         d_alpha0=s * d_alpha0 * cfg.alpha0,
     )
     return value, bundle
-
-
-def _svb_variational(t: _DataTerms, pi, labeled, log_prior, cfg, noise, scale, kuu_inv,
-                     mu_u, Su):
-    """The variational blocks from the data terms: (d_pi_logits of the rows, d_mu_u, d_su_chol).
-
-    The q(u) partials of the data term are one matrix-vector product and
-    one product Phi' (Phi o w) over all outputs' rows stacked.
-    """
-    flat = t.phi.reshape(-1, t.phi.shape[-1])
-    d_mu_u = flat.T @ t.a.ravel()
-    d_S = engine._gemm(flat.T, flat * t.w.reshape(-1, 1))
-    d_pi, _ = _vterm_pi_partials(pi, labeled, log_prior, cfg, noise)
-    d_pi += (t.dD * (1.0 / noise.sigma**2)[:, None]).T
-    d_pi *= scale
-    d_mu_u *= scale
-    d_S *= scale
-    d_mu_u, d_Lc = _svb_qu_grads(d_mu_u, d_S, kuu_inv, mu_u, Su)
-    return softmax_chain(pi, d_pi), d_mu_u, d_Lc
-
-
-def _svb_qu_grads(d_mu_u, d_S, kuu_inv, mu_u, Su):
-    """Add the KL's partials to the scaled data partials of q(u); chain Su to chol(Su).
-
-    Su = Lc Lc' with a log-diagonal parameterization, and Lc is Su's
-    LAPACK factor.  The KL's Su partial is -(Kuu^-1 - Su^-1) / 2, and
-    Su^-1 never has to be formed: its share of (dS + dS') Lc is
-    Su^-1 Lc = Lc^-T, whose lower triangle is diag(1 / Lc_ii), so it adds
-    exactly 1 to each log-diagonal entry.  Returns (d_mu_u, d_su_chol);
-    the inputs are updated in place.
-    """
-    Lc, info = dpotrf(Su, lower=1, clean=1)
-    if info:
-        raise np.linalg.LinAlgError("Su is not positive definite (dpotrf info = %d)" % info)
-    d_mu_u -= kuu_inv @ mu_u
-    d_S -= 0.5 * kuu_inv
-    d_Lc = np.tril((d_S + d_S.T) @ Lc)
-    diag = np.diag_indices(len(mu_u))
-    d_Lc[diag] *= np.diag(Lc)
-    d_Lc[diag] += 1.0
-    return d_mu_u, d_Lc
-
-
-def svb_hyper_grad(ds, cfg, hp, state):
-    """Full-batch stochastic bound and its hyperparameter gradient alone.
-
-    Returns (value, GradientBundle) with d_S, d_Lm, d_L, d_sigma and
-    d_alpha0 set, the same numbers as those of elbo_svb_with_grad; the
-    assignment and q(u) blocks, which the hyperparameter phase of
-    trainer.fit_svb_em does not move, are not computed.
-    """
-    return _svb_hyper(ds, cfg, hp, state, _svb_forward(ds, hp, state, None))
-
-
-def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
-    """Stochastic bound value and gradient (mini-batch scaled like the bound).
-
-    Only the batch rows of the data are read.  Rows of d_pi_logits
-    outside the batch are zero, and d_alpha0 and d_sigma count only the
-    batch rows (scaled by N/|batch|).  The hyperparameter blocks are those
-    of svb_hyper_grad and the variational blocks those of
-    svb_variational_grad, computed from one forward pass.
-    """
-    f = _svb_forward(ds, hp, state, batch)
-    value, bundle = _svb_hyper(ds, cfg, hp, state, f)
-    t = _svb_data_terms(*f.tables, f.y, f.pi, hp.noise.sigma, state.mu_u, state.Su)
-    d_pi, bundle.d_mu_u, bundle.d_su_chol = _svb_variational(
-        t, f.pi, f.labeled, f.log_prior, cfg, hp.noise, f.scale, f.kuu_inv,
-        state.mu_u, state.Su,
-    )
-    if f.rows is None:
-        bundle.d_pi_logits = d_pi
-    else:
-        bundle.d_pi_logits = np.zeros_like(state.pi_hat)
-        bundle.d_pi_logits[f.rows] = d_pi
-    return value, bundle
-
-
-def svb_variational_grad(ds, cfg, hp, tables, kuu_inv, rows, pi_b, mu_u, Su):
-    """Mini-batch gradient of the stochastic bound w.r.t. the variational block alone.
-
-    The block Adam moves in the E-phase: the batch rows' logits, mu_u and
-    chol(Su).  hp is fixed there, so the caller builds its row constants
-    over all N rows (`tables`, from svi.row_tables) and Kuu^-1
-    (engine.cho_inverse of the factor from svi._jittered_kuu) once per
-    round; a step gathers its rows of the tables and computes only what
-    depends on q(u) and the assignment rows, with no kernel matrix, no
-    Kuu solve and no hyperparameter or alpha0 partial.  pi_b holds the
-    batch rows of pi_hat; no other row is read.  Returns (d_pi_logits of
-    the batch rows (|rows|, M), d_mu_u, d_su_chol), the same numbers as
-    those blocks of elbo_svb_with_grad(batch=rows).
-    """
-    rows = np.asarray(rows, dtype=int)
-    phi, r = tables.gather(rows)
-    t = _svb_data_terms(phi, r, ds.y[rows], pi_b, hp.noise.sigma, mu_u, Su)
-    return _svb_variational(t, pi_b, ds.labels[rows] > 0, ds.log_prior[rows], cfg, hp.noise,
-                            ds.n / len(rows), kuu_inv, mu_u, Su)
 
 
 # ---------------------------------------------------------------------------

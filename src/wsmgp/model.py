@@ -146,6 +146,13 @@ def floor_simplex(rows, eps=EPS_PI):
     return out
 
 
+def softmax_simplex(z):
+    """Stable row softmax of z (shifted in place), floored onto the simplex."""
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return floor_simplex(e / e.sum(axis=1, keepdims=True))
+
+
 def validate_dataset(ds: Dataset, cfg: ModelConfig):
     """Check all Dataset invariants; raises DatasetError with a reason."""
     if ds.X.shape[0] != ds.n or ds.labels.shape[0] != ds.n:

@@ -28,27 +28,32 @@ the outputs.
 
 Who calls what:
   * elbo_svb (the bound alone; trainer.fit_svb_em records it once per
-    round) and gradients.elbo_svb_with_grad / gradients.svb_hyper_grad
-    build the constants at their rows on every call.  The
-    hyperparameter half of the gradient (gradients._svb_hyper) reads
-    the constants only; it sums the data term in Q x Q form and needs
-    neither the per-row variances nor Phi Su.
+    round) and gradients.elbo_svb_with_grad build the constants at
+    their rows on every call.  The gradient reads the constants only; it
+    sums the data term in Q x Q form and needs neither the per-row
+    variances nor Phi Su.
   * The trainer's E-phase holds the hyperparameters fixed for a round,
     so it builds them once per round over all N rows (row_tables: one
     N-row Kfu block and two N-row triangular solves per output, the
     blocks sharing one set of squared differences, O(M N Q^2); they
-    hold M N (Q + 1) doubles, 2.0 MB at N = 4000, M = 2, Q = 30).  A
-    mini-batch step (gradients.svb_variational_grad) then gathers its
-    rows and does only the q(u) part, O(|batch| M Q^2 + Q^3), with no
-    kernel matrix and no Kuu solve; what stays O(N) per step is the flat
-    gradient vector and the dense Adam update.
+    hold M N (Q + 1) doubles, 2.0 MB at N = 4000, M = 2, Q = 30).  Each
+    mini-batch step (batch_step) gathers its rows and takes two
+    closed-form coordinate steps, O(|batch| M Q^2 + Q^3) with no kernel
+    matrix, no Kuu solve and no O(N) work: the batch rows' assignment
+    probabilities are set to their optimum given q(u)
+    (_assignment_rows), then q(u)'s natural parameters (Su^-1,
+    Su^-1 mu_u) move a step rho = |batch| / N toward the batch estimate
+    of their optimum (_qu_estimate), the stochastic variational inference
+    step of Hoffman, Blei, Wang & Paisley (2013) and Hensman, Fusi &
+    Lawrence (2013).  At the full batch rho = 1 and the step lands on
+    optimal_qu's q(u).
   * optimal_qu, the closed-form q(u), ends every round of the fit.
 
-The matrix products with a batch-row operand (Phi Su here, Kuf Dinv Kfu
-in optimal_qu, and those of the gradients) run in scipy's BLAS through
-engine._gemm, the library that also runs the triangular solves and the
-Cholesky factorizations, so an evaluation uses one OpenBLAS thread
-pool; the engine docstring says why.
+The matrix products with a batch-row operand (Phi Su, Phi' D Phi in
+_qu_estimate, Kuf Dinv Kfu in optimal_qu, and those of the gradient) run
+in scipy's BLAS through engine._gemm, the library that also runs the
+triangular solves and the Cholesky factorizations, so an evaluation uses
+one OpenBLAS thread pool; the engine docstring says why.
 """
 
 from typing import NamedTuple
@@ -56,9 +61,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
+from scipy.special import digamma
 
 from . import engine, kernels
 from .bounds import compute_D, vterm_rows
+from .model import softmax_simplex
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -220,3 +227,90 @@ def optimal_qu(ds, cfg, hp, state):
     Su += 1e-10 * float(np.mean(np.diag(kuu))) * np.eye(Q)
     mu_u = kuu @ cho_solve(cho_A, rhs)
     return mu_u, Su
+
+
+# ---------------------------------------------------------------------------
+# the closed-form steps of the stochastic fit's E-phase
+# ---------------------------------------------------------------------------
+
+
+class NaturalQu(NamedTuple):
+    """q(u) = N(mu_u, Su) in natural parameters: lam = Su^-1 and h = Su^-1 mu_u."""
+
+    lam: np.ndarray
+    h: np.ndarray
+
+    @classmethod
+    def of(cls, mu_u, Su):
+        cho = cho_factor(Su, lower=True)
+        return cls(engine.cho_inverse(cho), cho_solve(cho, mu_u))
+
+    def moments(self):
+        """(mu_u, Su)."""
+        cho = cho_factor(self.lam, lower=True)
+        return cho_solve(cho, self.h), engine.cho_inverse(cho)
+
+
+def _assignment_rows(mu, var, y, sigma, pi, labeled, log_prior, cfg):
+    """The rows' assignment probabilities at their optimum given q(u).
+
+    mu and var are the rows' moments of q(f) (M, rows) from _qu_moments;
+    y, pi, labeled and log_prior are the rows' entries.  With
+    c_nm = -[((y_n - mu_nm)^2 + var_nm) / sigma_m^2 + log 2 pi sigma_m^2] / 2
+    a row's share of the bound is sum_m pi_nm c_nm minus that row's KL
+    (the log pi_nm / 2 of the expected log-likelihood cancels V's), and
+    no N / |batch| scale enters.  So the new row is softmax(log prior + c)
+    on a labeled row and softmax(c) on an unlabeled row without the
+    Dirichlet prior.  With it, the bounds hold q(Pi_n) at its optimum
+    Dir(alpha0 + pi_n) given the old row, and softmax(c + digamma(alpha0 + pi_n))
+    is the exact coordinate step of q(Z_n) given that q(Pi_n); moving
+    q(Pi_n) to its optimum at the new row can only raise the bound
+    again, so one such mean-field sweep never lowers the bound.  Rows
+    keep the simplex floor.
+    """
+    s2 = (sigma**2)[:, None]
+    resid = y - mu
+    c = -0.5 * ((resid * resid + var) / s2 + np.log(2.0 * np.pi * s2))
+    unlabeled = digamma(cfg.alpha0 + pi) if cfg.use_dirichlet else 0.0
+    # log_prior is NaN on unlabeled rows, which take the other branch
+    return softmax_simplex(c.T + np.where(labeled[:, None], log_prior, unlabeled))
+
+
+def _qu_estimate(phi, y, pi, sigma, kuu_inv, scale):
+    """The batch estimate of the optimal q(u)'s natural parameters, as a NaturalQu.
+
+    lam = Kuu^-1 + scale sum_m Phi_m' diag(pi_m / sigma_m^2) Phi_m and
+    h = scale sum_m Phi_m' (pi_m / sigma_m^2 o y), with phi the rows'
+    (M, rows, Q) constants and pi, y their entries.  At the full batch
+    (scale 1) these are the natural parameters of optimal_qu's q(u).
+    """
+    Q = phi.shape[-1]
+    d = pi.T / (sigma**2)[:, None]
+    flat = phi.reshape(-1, Q)
+    lam = engine._gemm(flat.T, flat * d.reshape(-1, 1))
+    lam *= scale
+    lam += kuu_inv
+    return NaturalQu(lam, scale * (flat.T @ (d * y).ravel()))
+
+
+def batch_step(ds, cfg, sigma, tables, kuu_inv, rows, pi, qu):
+    """One E-phase step on the batch rows: pi's rows in place, and q(u)'s new NaturalQu.
+
+    tables are the round's RowTables over all N rows and kuu_inv the
+    round's Kuu^-1.  The batch rows of pi are set by _assignment_rows at
+    the current q(u); then q(u) moves a step rho = |rows| / N from qu
+    toward _qu_estimate at the new rows, theta <- (1 - rho) theta +
+    rho theta_hat in natural parameters, which is the natural-gradient
+    step of size rho.  Only the batch rows of the tables, the data and
+    pi are read.
+    """
+    rows = np.asarray(rows, dtype=int)
+    phi, r = tables.gather(rows)
+    y = ds.y[rows]
+    mu, var = _qu_moments(phi, r, *qu.moments())
+    pi_b = _assignment_rows(mu, var, y, sigma, pi[rows], ds.labels[rows] > 0,
+                            ds.log_prior[rows], cfg)
+    pi[rows] = pi_b
+    rho = len(rows) / ds.n
+    est = _qu_estimate(phi, y, pi_b, sigma, kuu_inv, ds.n / len(rows))
+    return NaturalQu(*((1.0 - rho) * old + rho * new for old, new in zip(qu, est)))

@@ -5,20 +5,22 @@ of unconstrained parameters (log precisions, log noise, free amplitudes,
 row-softmax logits with one pinned logit per row, log alpha0).  The
 stochastic bound is handled with variational EM; each round of
 fit_svb_em has three phases, and each calls only what it moves:
-  * E-phase: mini-batch Adam steps on the variational block (assignment
-    logits, inducing posterior) with a 1/sqrt(t) step-size decay.  The
-    hyperparameters are fixed, so everything that depends on them alone
-    is built once per round: Kuu's factor, Kuu^-1 (engine.cho_inverse)
-    and the row tables of svi.row_tables (Phi_m = Kfu_m Kuu^-1 and the
-    Nystrom residuals r_m over all N rows, M N Q + M N doubles).  Each
-    step gathers its batch rows of the tables and calls
-    gradients.svb_variational_grad, which computes the logit and q(u)
-    blocks only.
-  * M-phase: full-batch L-BFGS-B on the hyperparameter block with the
-    variational block frozen; each evaluation calls
-    gradients.svb_hyper_grad, the bound and its hyperparameter, sigma and
-    alpha0 blocks only: per output, the N-row Kfu block, two triangular
-    solves for its row constants and two N-row products.
+  * E-phase: stochastic variational inference on q(pi) and q(u), with
+    no step size to set.  The hyperparameters are fixed, so everything
+    that depends on them alone is built once per round: Kuu's factor,
+    Kuu^-1 (engine.cho_inverse) and the row tables of svi.row_tables
+    (Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m over all N rows,
+    M N Q + M N doubles).  Each mini-batch step (svi.batch_step) gathers
+    its rows of the tables and takes two closed-form steps: the batch
+    rows' assignment probabilities go to their optimum given q(u) (one
+    mean-field sweep where the Dirichlet prior couples a row to its
+    q(Pi_n)), and q(u)'s natural parameters move a step
+    rho = |batch| / N toward the batch estimate of their optimum.
+  * M-phase: full-batch L-BFGS-B on the hyperparameter block with q(pi)
+    and q(u) frozen; each evaluation calls gradients.elbo_svb_with_grad,
+    the bound and its hyperparameter, sigma and alpha0 blocks: per
+    output, the N-row Kfu block, two triangular solves for its row
+    constants and two N-row products.
   * q(u) restart: svi.optimal_qu, then svi.elbo_svb records the bound.
 """
 
@@ -38,7 +40,15 @@ from .kernels import (
     OutputKernelParams,
     SEKernelParams,
 )
-from .model import Dataset, ModelConfig, VariationalState, floor_simplex, init_state, refresh_alpha_hat
+from .model import (
+    Dataset,
+    ModelConfig,
+    VariationalState,
+    floor_simplex,
+    init_state,
+    refresh_alpha_hat,
+    softmax_simplex,
+)
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,6 @@ class OptimizerConfig:
     em_inner_stat_iters: int = 25
     em_inner_hyp_iters: int = 10
     batch_size: int = 0  # 0 means full batch
-    step_size: float = 1e-2
     seed: int = 0
     restarts: int = 3
     optimize_alpha0: bool = True
@@ -59,6 +68,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iter < 1 or self.em_outer_iters < 1:
             raise ValueError("iteration counts must be positive")
+        for name in ("batch_size", "em_inner_stat_iters", "em_inner_hyp_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be >= 0, got %r" % (name, getattr(self, name)))
 
 
 @dataclass
@@ -109,25 +121,21 @@ def pi_to_logits(pi):
 
 def logits_to_pi(logits):
     """Stable row softmax of [logits, 0], floored."""
-    full = np.concatenate([logits, np.zeros((logits.shape[0], 1))], axis=1)
-    full -= full.max(axis=1, keepdims=True)
-    e = np.exp(full)
-    return floor_simplex(e / e.sum(axis=1, keepdims=True))
+    return softmax_simplex(np.concatenate([logits, np.zeros((logits.shape[0], 1))], axis=1))
 
 
 class ParamPack:
     """Flat-vector view of the free parameters of one fit.
 
     Layout (convolved model):
-      [log L | per output: S, log Lm | log sigma | log alpha0?
-       | pi logits (N x (M-1))? | mu_u?, chol(Su) (log diag + strict lower)?]
+      [log L | per output: S, log Lm | log sigma | log alpha0? | pi logits (N x (M-1))?]
     The independent-SE model replaces the first two groups by per-output
     (log amp, log prec) and has no latent block.  The hyperparameter
     block (everything up to and including log alpha0) is the head
-    x[:n_hyp]; the variational block is the tail x[n_hyp:].
+    x[:n_hyp].
     """
 
-    def __init__(self, ds, cfg, hp0, with_pi=True, with_alpha0=False, with_qu=False):
+    def __init__(self, ds, cfg, hp0, with_pi=True, with_alpha0=False):
         self.ds = ds
         self.cfg = cfg
         self.kind = (
@@ -135,7 +143,6 @@ class ParamPack:
         )
         self.with_pi = with_pi
         self.with_alpha0 = with_alpha0
-        self.with_qu = with_qu
         self.M = cfg.M
         self.N = ds.n
         if self.kind == "convolved":
@@ -145,12 +152,10 @@ class ParamPack:
         else:
             self.d = hp0.outputs[0].prec.shape[0]
             self.Q = cfg.Q
-        self._tril = np.tril_indices(self.Q, -1)
         n_kernel = (self.d if self.kind == "convolved" else 0) + self.M * (1 + self.d)
         self.n_hyp = n_kernel + self.M + (1 if with_alpha0 else 0)
         self.n_pi = self.N * (self.M - 1) if with_pi else 0
-        self.n_qu = self.Q + self.Q + self.Q * (self.Q - 1) // 2 if with_qu else 0
-        self.size = self.n_hyp + self.n_pi + self.n_qu
+        self.size = self.n_hyp + self.n_pi
 
     def pack(self, hp, alpha0=None, state=None):
         parts = []
@@ -166,22 +171,13 @@ class ParamPack:
             parts.append(np.r_[np.log(alpha0)])
         if self.with_pi:
             parts.append(pi_to_logits(state.pi_hat).ravel())
-        if self.with_qu:
-            parts.append(self.pack_qu(state.mu_u, state.Su))
         return np.concatenate(parts)
 
-    def pack_qu(self, mu_u, Su):
-        """The inducing-posterior block x[n_hyp + n_pi:]: mu_u, then chol(Su)."""
-        lc = np.linalg.cholesky(Su)
-        return np.concatenate([mu_u, np.log(np.diag(lc)), lc[self._tril]])
-
     def unpack(self, x):
-        """Returns (hp, alpha0, pi or None, mu_u or None, Su or None)."""
+        """Returns (hp, alpha0, pi or None)."""
         assert len(x) == self.size
         hp, alpha0 = self.unpack_hyper(x)
-        pi = self.pi_rows(x) if self.with_pi else None
-        mu_u, Su = self.unpack_qu(x) if self.with_qu else (None, None)
-        return hp, alpha0, pi, mu_u, Su
+        return hp, alpha0, self.pi_rows(x) if self.with_pi else None
 
     def unpack_hyper(self, x):
         """(hp, alpha0) from the hyperparameter block; x may be the block alone."""
@@ -219,28 +215,10 @@ class ParamPack:
             alpha0 = float(np.exp(x[i]))
         return hp, alpha0
 
-    def pi_rows(self, x, rows=None):
-        """Assignment probabilities of `rows` (all N when None); only their logits are read.
-
-        Each row is decoded on its own, so a row's values do not depend
-        on which other rows are decoded with it.
-        """
+    def pi_rows(self, x):
+        """Assignment probabilities of all N rows, decoded from their logits."""
         logits = x[self.n_hyp : self.n_hyp + self.n_pi].reshape(self.N, self.M - 1)
-        return logits_to_pi(logits if rows is None else logits[rows])
-
-    def unpack_qu(self, x):
-        """(mu_u, Su) from the inducing-posterior block, copied out of x."""
-        i = self.n_hyp + self.n_pi
-        mu_u = x[i : i + self.Q].copy()
-        i += self.Q
-        lc = np.zeros((self.Q, self.Q))
-        lc[np.diag_indices(self.Q)] = np.exp(x[i : i + self.Q])
-        i += self.Q
-        lc[self._tril] = x[i:]
-        Su = lc @ lc.T
-        # roundoff guard: the product must stay factorizable
-        Su[np.diag_indices(self.Q)] += 1e-12 * max(float(np.diag(Su).mean()), 1e-30)
-        return mu_u, Su
+        return logits_to_pi(logits)
 
     def hyper_grad_to_vec(self, b: gradients.GradientBundle):
         """The hyperparameter block of grad_to_vec(b)."""
@@ -258,28 +236,12 @@ class ParamPack:
         parts = [self.hyper_grad_to_vec(b)]
         if self.with_pi:
             parts.append(b.d_pi_logits[:, :-1].ravel())
-        if self.with_qu:
-            parts.append(self._qu_grad(b.d_mu_u, b.d_su_chol))
         return np.concatenate(parts)
-
-    def variational_grad_to_vec(self, rows, d_pi_logits, d_mu_u, d_su_chol):
-        """The variational block of the gradient (the tail x[n_hyp:]).
-
-        d_pi_logits holds the logit gradient of `rows` only (distinct
-        rows); every other row's entries are zero.
-        """
-        g = np.zeros(self.n_pi + self.n_qu)
-        g[: self.n_pi].reshape(self.N, self.M - 1)[rows] = d_pi_logits[:, :-1]
-        g[self.n_pi :] = self._qu_grad(d_mu_u, d_su_chol)
-        return g
-
-    def _qu_grad(self, d_mu_u, d_su_chol):
-        return np.concatenate([d_mu_u, np.diag(d_su_chol), d_su_chol[self._tril]])
 
     def box_bounds(self):
         """Sane box constraints keeping log-precisions and log-noise finite.
 
-        Amplitudes, logits and the inducing posterior stay unbounded; the
+        Amplitudes and logits stay unbounded; the
         limits only rule out degenerate kernels (length scales beyond
         float range), not plausible optima.
         """
@@ -293,16 +255,13 @@ class ParamPack:
         bounds += [(lo_sig, hi_sig)] * self.M
         if self.with_alpha0:
             bounds += [(np.log(1e-4), np.log(1e6))]
-        bounds += [(None, None)] * (self.n_pi + self.n_qu)
+        bounds += [(None, None)] * self.n_pi
         return bounds
 
 
-def _state_with(ds, cfg, alpha0, pi, mu_u=None, Su=None, template=None):
+def _state_with(ds, cfg, alpha0, pi):
     state = VariationalState(
-        pi_hat=pi,
-        alpha_hat=np.empty((ds.n_unlabeled, cfg.M)),
-        mu_u=mu_u if mu_u is not None else (template.mu_u if template else None),
-        Su=Su if Su is not None else (template.Su if template else None),
+        pi_hat=pi, alpha_hat=np.empty((ds.n_unlabeled, cfg.M)), mu_u=None, Su=None
     )
     refresh_alpha_hat(state, ds, alpha0)
     return state
@@ -374,7 +333,7 @@ def _make_cvb_objective(ds, cfg, pack, counter):
     cache = {}
 
     def objective(x):
-        hp, alpha0, pi, _, _ = pack.unpack(x)
+        hp, alpha0, pi = pack.unpack(x)
         cfg_t = cfg.with_alpha0(alpha0)
         if pack.with_pi:
             state = _state_with(ds, cfg_t, alpha0, pi)
@@ -414,9 +373,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
             and not scmgp
             and ds.n_unlabeled > 0
         )
-        pack = ParamPack(
-            ds, cfg, hp_r, with_pi=not scmgp, with_alpha0=with_alpha0, with_qu=False
-        )
+        pack = ParamPack(ds, cfg, hp_r, with_pi=not scmgp, with_alpha0=with_alpha0)
         if scmgp:
             x0 = pack.pack(hp_r)
         else:
@@ -467,7 +424,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         if best is None or final_bound > best[0]:
             best = (final_bound, res.x, pack, traj, bool(res.success), rs)
     bound, x, pack, traj, ok, rs = best
-    hp, alpha0, pi, _, _ = pack.unpack(x)
+    hp, alpha0, pi = pack.unpack(x)
     if scmgp:
         state = None
     else:
@@ -493,61 +450,38 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
 # ---------------------------------------------------------------------------
 
 
-class _Adam:
-    """Adam ascent on a vector, updated in place; every coordinate moves every step."""
-
-    def __init__(self, n, b1=0.9, b2=0.999, eps=1e-8):
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.t = 0
-        self.b1, self.b2, self.eps = b1, b2, eps
-
-    def update(self, x, g, lr):
-        self.t += 1
-        self.m *= self.b1
-        self.m += (1 - self.b1) * g
-        self.v *= self.b2
-        self.v += (1 - self.b2) * g**2
-        mhat = self.m / (1 - self.b1**self.t)
-        vhat = self.v / (1 - self.b2**self.t)
-        x += lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def _refresh_qu(ds, cfg, pack, x):
-    """Closed-form restart of q(u) at the remaining parameters of x, in place.
-
-    Only the q(u) block is written: re-packing the rest would send every
-    logit through softmax, the simplex floor and log again.
-    """
-    hp, alpha0 = pack.unpack_hyper(x)
-    cfg_t = cfg.with_alpha0(alpha0)
-    state = _state_with(ds, cfg_t, alpha0, pack.pi_rows(x))
-    x[pack.n_hyp + pack.n_pi :] = pack.pack_qu(*svi.optimal_qu(ds, cfg_t, hp, state))
-
-
 def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     """Variational-EM ascent of the stochastic bound.
 
-    Each round runs em_inner_stat_iters mini-batch Adam steps on the
-    variational block (assignment logits, inducing posterior), then a
+    Each round runs em_inner_stat_iters mini-batch steps of stochastic
+    variational inference on q(pi) and q(u) (svi.batch_step), then a
     deterministic quasi-Newton update of the hyperparameter block
-    (em_inner_hyp_iters iterations, state frozen), and finally restores
-    the inducing posterior to its closed-form optimum, which is far too
-    sensitive to hyperparameter moves to be left stale.  The full-batch
-    bound is recorded once per round.
+    (em_inner_hyp_iters iterations, q(pi) and q(u) frozen), and finally
+    restores q(u) to its closed-form optimum, which is far too sensitive
+    to hyperparameter moves to be left stale.  The full-batch bound is
+    recorded once per round.
+
+    A step is two closed-form coordinate steps.  The batch rows' pi go
+    to their optimum given q(u): softmax(log prior + c) on labeled rows
+    and softmax(c) on unlabeled rows, with c the rows' expected
+    log-likelihood terms.  Under the Dirichlet prior an unlabeled row
+    takes one mean-field sweep, softmax(c + digamma(alpha0 + pi_old)),
+    the exact step of q(Z_n) given q(Pi_n) = Dir(alpha0 + pi_old), so
+    the bound, which keeps q(Pi_n) at its optimum, cannot fall.  Then
+    q(u)'s natural parameters (Su^-1, Su^-1 mu_u) move to
+    (1 - rho) theta + rho theta_hat, where theta_hat is the batch
+    estimate of optimal_qu's (scaled by N / |batch|) and
+    rho = |batch| / N; at the full batch the step is optimal_qu.
 
     The hyperparameters do not move during the E-phase, so once per
     round Kuu is built and factored, Kuu^-1 is formed, and the row
     tables Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m are built
     over all N rows (svi.row_tables, two N-row triangular solves per
-    output).  Each step decodes only its
-    batch rows, gathers their rows of the tables, and differentiates
-    only the variational block (gradients.svb_variational_grad); it
-    builds no kernel matrix and makes no Kuu solve.  Adam itself stays
-    dense: its momentum moves rows outside the batch too.  The M-phase
-    decodes the frozen assignment rows and q(u) once per round, and each
-    of its evaluations (gradients.svb_hyper_grad) computes only the
-    hyperparameter block L-BFGS-B reads.
+    output).  A step gathers its rows of the tables; it builds no kernel
+    matrix, makes no Kuu solve and does no O(N) work.  pi, mu_u and Su
+    are plain arrays, and only the hyperparameters are packed; each
+    M-phase evaluation (gradients.elbo_svb_with_grad, full batch)
+    computes only the hyperparameter block L-BFGS-B reads.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -561,81 +495,71 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
 
     kuu = kernels.kuu_matrix(hp0.inducing.W, hp0.latent)
     state = init_state(ds, cfg, opt_cfg.seed, kuu=kuu)
-    mu0, Su0 = svi.optimal_qu(ds, cfg, hp0, state)
-    state.mu_u, state.Su = mu0, Su0
+    state.mu_u, state.Su = svi.optimal_qu(ds, cfg, hp0, state)
 
     with_alpha0 = cfg.use_dirichlet and opt_cfg.optimize_alpha0 and ds.n_unlabeled > 0
-    pack = ParamPack(ds, cfg, hp0, with_pi=True, with_alpha0=with_alpha0, with_qu=True)
-    x = pack.pack(hp0, alpha0=cfg.alpha0, state=state)
-    hyp, stat = slice(0, pack.n_hyp), slice(pack.n_hyp, None)
-    adam = _Adam(pack.n_pi + pack.n_qu)
+    pack = ParamPack(ds, cfg, hp0, with_pi=False, with_alpha0=with_alpha0)
+    x = pack.pack(hp0, alpha0=cfg.alpha0)
 
-    def full_bound(xv):
-        hp, alpha0, pi, mu_u, Su = pack.unpack(xv)
-        cfg_t = cfg.with_alpha0(alpha0)
-        st = _state_with(ds, cfg_t, alpha0, pi, mu_u=mu_u, Su=Su)
-        return svi.elbo_svb(ds, cfg_t, hp, st)
+    # the bounds never read alpha_hat; it is refreshed once, at the end
+    def full_bound(xh):
+        hp, alpha0 = pack.unpack_hyper(xh)
+        return svi.elbo_svb(ds, cfg.with_alpha0(alpha0), hp, state)
 
     initial = full_bound(x)
     if not np.isfinite(initial):
         raise NonFiniteBoundError(
             "non-finite bound at initialization; parameters: %r" % (x,)
         )
-    hyp_bounds = pack.box_bounds()[hyp]
+    hyp_bounds = pack.box_bounds()
     eval_counter = [0]
 
-    def hyp_objective(xh, state_frozen):
+    def hyp_objective(xh):
         hp_x, alpha0 = pack.unpack_hyper(xh)
-        val, bundle = gradients.svb_hyper_grad(ds, cfg.with_alpha0(alpha0), hp_x, state_frozen)
+        val, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(alpha0), hp_x, state)
         eval_counter[0] += 1
         return -val, -pack.hyper_grad_to_vec(bundle)
 
     traj = [initial]
     termination = []
     evaluations = 0
-    for outer in range(opt_cfg.em_outer_iters):
-        # 1/sqrt(t) decay damps the mini-batch noise of the E-phase
-        lr_stat = opt_cfg.step_size / np.sqrt(outer + 1.0)
+    for _ in range(opt_cfg.em_outer_iters):
         hp, alpha0 = pack.unpack_hyper(x)
         cfg_t = cfg.with_alpha0(alpha0)
         _, cho = svi._jittered_kuu(hp)
         kuu_inv = engine.cho_inverse(cho)
         tables = svi.row_tables(ds.X, hp, cho)
+        qu = svi.NaturalQu.of(state.mu_u, state.Su)
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
-            mu_u, Su = pack.unpack_qu(x)
-            grads = gradients.svb_variational_grad(
-                ds, cfg_t, hp, tables, kuu_inv, rows, pack.pi_rows(x, rows), mu_u, Su
-            )
-            adam.update(x[stat], pack.variational_grad_to_vec(rows, *grads), lr_stat)
+            qu = svi.batch_step(ds, cfg_t, hp.noise.sigma, tables, kuu_inv, rows,
+                                state.pi_hat, qu)
             evaluations += 1
-        # pi and q(u) are frozen in the M-phase; the bounds never read alpha_hat
-        mu_u, Su = pack.unpack_qu(x)
-        frozen = VariationalState(pi_hat=pack.pi_rows(x), alpha_hat=None, mu_u=mu_u, Su=Su)
+        state.mu_u, state.Su = qu.moments()
         res = minimize(
             hyp_objective,
-            x[hyp].copy(),
-            args=(frozen,),
+            x.copy(),
             jac=True,
             method="L-BFGS-B",
             bounds=hyp_bounds,
             options={"maxiter": opt_cfg.em_inner_hyp_iters},
         )
-        x[hyp] = res.x
+        x = res.x
         termination.append(_termination(res))
         evaluations += eval_counter[0]
         eval_counter[0] = 0
         # the inducing posterior is extremely sensitive to hyperparameter
         # moves; its closed-form optimum ends every round (E-step for u)
-        _refresh_qu(ds, cfg, pack, x)
+        hp, alpha0 = pack.unpack_hyper(x)
+        state.mu_u, state.Su = svi.optimal_qu(ds, cfg.with_alpha0(alpha0), hp, state)
         traj.append(full_bound(x))
     final = traj[-1]
     if not final >= initial - 0.5:
         raise RuntimeError(
             "stochastic fit regressed: initial %.6f -> final %.6f" % (initial, final)
         )
-    hp, alpha0, pi, mu_u, Su = pack.unpack(x)
-    state = _state_with(ds, cfg.with_alpha0(alpha0), alpha0, pi, mu_u=mu_u, Su=Su)
+    hp, alpha0 = pack.unpack_hyper(x)
+    refresh_alpha_hat(state, ds, alpha0)
     rel_change = abs(traj[-1] - traj[-2]) / max(1.0, abs(traj[-1]))
     return FitReport(
         bound_trajectory=traj,

@@ -104,3 +104,12 @@ def test_predict_rejects_other_data(workdir, change):
                   "--out", str(workdir / "pred")])
     assert fitted["sha256"] in str(exc.value) and given["sha256"] in str(exc.value)
     assert not (workdir / "pred").exists()
+
+
+@pytest.mark.parametrize("key,field", [
+    ("batchSize", "batch_size"), ("emInnerStatIters", "em_inner_stat_iters"),
+    ("emInnerHypIters", "em_inner_hyp_iters"),
+])
+def test_negative_counts_are_rejected_by_name(key, field):
+    with pytest.raises(ValueError, match=field):
+        cli.optimizer_config_from({key: "-5"}, seed=0)

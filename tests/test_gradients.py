@@ -133,25 +133,6 @@ class TestGradSvb:
         rep = checks.gradcheck_svb(11, batch=[0, 3, 7])
         assert rep.max_rel_error < 1e-4, str(rep)
 
-    def test_prior_q_mu_gradient_form(self):
-        # q(u) = prior, mu_u = 0: dMuU = sum_m Phi' a_m exactly
-        ds, cfg, hp, state = checks.random_instance(7, n=6, M=2, Q=3)
-        from scipy.linalg import cho_solve
-        from wsmgp import kernels, svi
-
-        kuu, cho = svi._jittered_kuu(hp)
-        state.mu_u = np.zeros(3)
-        state.Su = kuu.copy()
-        _, bundle = gradients.elbo_svb_with_grad(ds, cfg, hp, state)
-        expect = np.zeros(3)
-        for m, out in enumerate(hp.outputs):
-            kfu = kernels.kfu_matrix(ds.X, hp.inducing.W, out, hp.latent)
-            phi = cho_solve(cho, kfu.T).T
-            mu = phi @ state.mu_u
-            a = state.pi_hat[:, m] / hp.noise.sigma[m] ** 2 * (ds.y - mu)
-            expect += phi.T @ a
-        np.testing.assert_allclose(bundle.d_mu_u, expect, rtol=1e-10)
-
     def test_batch_average_equals_full_gradient(self):
         ds, cfg, hp, state = checks.random_instance(8, n=6, M=2, Q=3)
         rng = np.random.default_rng(8)
@@ -272,7 +253,6 @@ class TestBatchRows:
                 continue
             assert np.all(np.isfinite(g_p)), name
             np.testing.assert_array_equal(g_p, g, err_msg=name)
-        assert np.all(bundle_p.d_pi_logits[outside] == 0.0)
 
         svb_p = svi.elbo_svb(ds_p, cfg, hp, state_p, batch=rows)
         assert np.isfinite(svb_p)
@@ -305,7 +285,7 @@ class TestBatchRows:
 
 
 class TestVariationalGrad:
-    """The table-fed E-step gradient equals elbo_svb_with_grad's variational blocks bit for bit."""
+    """The E-phase's closed-form step (svi.batch_step) reads only the batch rows."""
 
     @staticmethod
     def _round(ds, hp):
@@ -331,79 +311,44 @@ class TestVariationalGrad:
                 assert all(p.flags.c_contiguous for p in phi)
 
     @_BATCH_CASES
-    def test_equals_the_full_step(self, kind, use_dirichlet):
-        ds, cfg, hp, state = _batch_instance(use_dirichlet)
-        round_tables = self._round(ds, hp)
-        rng = np.random.default_rng(21)
-        batches = [_batch(ds, kind)]
-        batches += [rng.choice(ds.n, size=size, replace=False) for size in (1, 2, 7, ds.n)]
-        for rows in batches:
-            _, ref = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=rows)
-            d_pi, d_mu_u, d_su_chol = gradients.svb_variational_grad(
-                ds, cfg, hp, *round_tables, rows, state.pi_hat[rows], state.mu_u, state.Su
-            )
-            np.testing.assert_array_equal(d_pi, ref.d_pi_logits[rows])
-            np.testing.assert_array_equal(d_mu_u, ref.d_mu_u)
-            np.testing.assert_array_equal(d_su_chol, ref.d_su_chol)
-
-    @_BATCH_CASES
     def test_rows_outside_batch_are_not_read(self, kind, use_dirichlet):
         ds, cfg, hp, state = _batch_instance(use_dirichlet)
         rows = _batch(ds, kind)
-        pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=True, with_qu=True)
-        x = pack.pack(hp, alpha0=cfg.alpha0, state=state)
         outside = np.ones(ds.n, dtype=bool)
         outside[rows] = False
-        x_p = x.copy()
-        x_p[pack.n_hyp : pack.n_hyp + pack.n_pi].reshape(ds.n, -1)[outside] = np.nan
         prior = ds.prior_pi.copy()
         prior[outside] = np.nan
-        ds_p = Dataset(X=ds.X, y=ds.y, labels=ds.labels, prior_pi=prior)
+        y = ds.y.copy()
+        y[outside] = np.nan
+        ds_p = Dataset(X=ds.X, y=y, labels=ds.labels, prior_pi=prior)
+        pi_p = state.pi_hat.copy()
+        pi_p[outside] = np.nan
 
-        round_tables = self._round(ds, hp)
-        grads = []
-        for d, xv in ((ds, x), (ds_p, x_p)):
-            mu_u, Su = pack.unpack_qu(xv)
-            g = gradients.svb_variational_grad(
-                d, cfg, hp, *round_tables, rows, pack.pi_rows(xv, rows), mu_u, Su
-            )
-            grads.append(pack.variational_grad_to_vec(rows, *g))
-        assert np.all(np.isfinite(grads[1]))
-        np.testing.assert_array_equal(grads[1], grads[0])
-        d_pi = grads[0][: pack.n_pi].reshape(ds.n, -1)
-        assert np.all(d_pi[outside] == 0.0)
+        tables, kuu_inv = self._round(ds, hp)
+        qu = svi.NaturalQu.of(state.mu_u, state.Su)
+        steps = []
+        for d, pi in ((ds, state.pi_hat.copy()), (ds_p, pi_p)):
+            new = svi.batch_step(d, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
+            steps.append((pi, new))
+        (pi, new), (pi_p, new_p) = steps
+        assert np.all(np.isfinite(pi_p[rows]))
+        np.testing.assert_array_equal(pi_p[rows], pi[rows])
+        assert np.all(np.isnan(pi_p[outside]))
+        for got, ref in zip(new_p, new):
+            assert np.all(np.isfinite(got))
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestHyperGrad:
-    """svb_hyper_grad is elbo_svb_with_grad's hyperparameter half, and differentiates the bound."""
-
-    @pytest.mark.parametrize("M,d", [(2, 1), (3, 1), (2, 2), (3, 2)])
-    @pytest.mark.parametrize("use_dirichlet", [True, False])
-    @pytest.mark.parametrize("with_alpha0", [True, False])
-    def test_equals_the_full_gradient(self, M, d, use_dirichlet, with_alpha0):
-        ds, cfg, hp, state = checks.random_instance(60 + M + d, n=14, M=M, Q=4, d=d)
-        cfg = replace(cfg, use_dirichlet=use_dirichlet)
-        rng = np.random.default_rng(M + d)
-        A = rng.normal(size=(4, 4))
-        state.Su = 0.5 * np.eye(4) + A @ A.T / 4
-        state.mu_u = rng.normal(size=4)
-        value, hyper = gradients.svb_hyper_grad(ds, cfg, hp, state)
-        ref_value, ref = gradients.elbo_svb_with_grad(ds, cfg, hp, state)
-        assert value == ref_value
-        for name in ("d_S", "d_Lm", "d_L", "d_sigma", "d_alpha0"):
-            np.testing.assert_array_equal(getattr(hyper, name), getattr(ref, name), err_msg=name)
-        assert hyper.d_pi_logits is None and hyper.d_mu_u is None and hyper.d_su_chol is None
-        # the vector the M-phase's L-BFGS-B reads
-        pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=with_alpha0, with_qu=True)
-        np.testing.assert_array_equal(pack.hyper_grad_to_vec(hyper), pack.hyper_grad_to_vec(ref))
+    """elbo_svb_with_grad's hyperparameter gradient differentiates the bound."""
 
     @pytest.mark.parametrize("seed", [40, 41])
     @pytest.mark.parametrize("use_dirichlet", [True, False])
     def test_finite_difference_match(self, seed, use_dirichlet):
         ds, cfg, hp, state = _two_dim(seed, with_qu=True)
         cfg = replace(cfg, use_dirichlet=use_dirichlet)
-        pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=use_dirichlet, with_qu=True)
-        x0 = pack.pack(hp, alpha0=cfg.alpha0, state=state)[: pack.n_hyp]
+        pack = ParamPack(ds, cfg, hp, with_pi=False, with_alpha0=use_dirichlet)
+        x0 = pack.pack(hp, alpha0=cfg.alpha0)
 
         def value(x):
             hp_x, a0 = pack.unpack_hyper(x)
@@ -411,7 +356,7 @@ class TestHyperGrad:
 
         def grad(x):
             hp_x, a0 = pack.unpack_hyper(x)
-            _, b = gradients.svb_hyper_grad(ds, cfg.with_alpha0(a0), hp_x, state)
+            _, b = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(a0), hp_x, state)
             return pack.hyper_grad_to_vec(b)
 
         rep = finite_diff_check(value, grad, x0)
@@ -436,8 +381,8 @@ class TestHyperGrad:
         cfg = cfg.with_alpha0(fit.final_alpha0)
         kuu, _ = svi._jittered_kuu(hp)
         assert np.linalg.cond(kuu) >= 1e6
-        pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=True, with_qu=True)
-        x0 = pack.pack(hp, alpha0=cfg.alpha0, state=state)[: pack.n_hyp]
+        pack = ParamPack(ds, cfg, hp, with_pi=False, with_alpha0=True)
+        x0 = pack.pack(hp, alpha0=cfg.alpha0)
 
         def value(x):
             hp_x, a0 = pack.unpack_hyper(x)
@@ -445,7 +390,7 @@ class TestHyperGrad:
 
         def grad(x):
             hp_x, a0 = pack.unpack_hyper(x)
-            _, b = gradients.svb_hyper_grad(ds, cfg.with_alpha0(a0), hp_x, state)
+            _, b = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(a0), hp_x, state)
             return pack.hyper_grad_to_vec(b)
 
         rep = finite_diff_check(value, grad, x0, h=3e-6)
@@ -502,7 +447,7 @@ def _ld_reference(ds, cfg, hp, state):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is no wider than double here")
 class TestHyperGradLongDouble:
-    """svb_hyper_grad against the per-row formulas evaluated in long double.
+    """elbo_svb_with_grad against the per-row formulas evaluated in long double.
 
     The instance is small and ill-conditioned: n = 200, Q = 30 inducing
     inputs packed on the unit interval (cond(Kuu) 8.5e6 to 1.0e7) and
@@ -527,7 +472,7 @@ class TestHyperGradLongDouble:
             return chain(hp_, mg, *args, **kwargs)
 
         monkeypatch.setattr(gradients, "_chain_convolved", spy)
-        value, _ = gradients.svb_hyper_grad(ds, cfg, hp, state)
+        value, _ = gradients.elbo_svb_with_grad(ds, cfg, hp, state)
         mg = seen[0]
         _, cho = svi._jittered_kuu(hp)
         r = svi.row_tables(ds.X, hp, cho).r
@@ -571,11 +516,10 @@ class TestBlasRouting:
             val, b = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=batch)
             out["elbo_svb_with_grad." + tag] = [val] + list(vars(b).values())
             out["elbo_svb." + tag] = [svi.elbo_svb(ds, cfg, hp, state, batch=batch)]
-        val, b = gradients.svb_hyper_grad(ds, cfg, hp, state)
-        out["svb_hyper_grad"] = [val] + list(vars(b).values())
-        out["svb_variational_grad"] = gradients.svb_variational_grad(
-            ds, cfg, hp, tables, kuu_inv, rows, state.pi_hat[rows], state.mu_u, state.Su
-        )
+        pi = state.pi_hat.copy()
+        qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi,
+                            svi.NaturalQu.of(state.mu_u, state.Su))
+        out["batch_step"] = [pi, *qu]
         out["optimal_qu"] = svi.optimal_qu(ds, cfg, hp, state)
         return out
 
@@ -600,15 +544,12 @@ class TestBlasRouting:
         for name, values in routed.items():
             for got, ref in zip(values, plain[name]):
                 np.testing.assert_array_equal(got, ref, err_msg=name)
-        # the hyperparameter half makes 1 product per output (Phi' [d o Phi, a])
-        # and 1 over all outputs' rows ([d o Phi, a] [-T; mt']); the
-        # variational half makes 2 over all outputs' rows (Phi Su for the
-        # moments, Phi' (Phi o w)).  So each elbo_svb_with_grad call makes
-        # both halves' products, svb_hyper_grad the first and
-        # svb_variational_grad the second; each elbo_svb makes 1 (Phi Su)
-        # and optimal_qu 1 per output
-        hyper, variational = cfg.M + 1, 2
-        assert len(calls) == 2 * (hyper + variational) + hyper + 2 * 1 + variational + cfg.M
+        # each elbo_svb_with_grad makes 1 product per output (Phi' [d o Phi, a])
+        # and 1 over all outputs' rows ([d o Phi, a] [-T; mt']); each
+        # elbo_svb makes 1 (Phi Su), the batch step 2 over all outputs'
+        # rows (Phi Su for the moments, Phi' (d o Phi) for q(u)), and
+        # optimal_qu 1 per output
+        assert len(calls) == 2 * (cfg.M + 1) + 2 * 1 + 2 + cfg.M
         assert all(max(sa[0], sb[0]) >= len(rows) for sa, sb in calls)
 
 
