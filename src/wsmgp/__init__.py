@@ -6,7 +6,6 @@ from .bounds import (
     compute_D,
     elbo_cvb,
     exact_marglik_oracle,
-    kl_acuteness,
     scmgp_loglik,
     vterm,
 )

@@ -28,7 +28,6 @@ from .model import (
     Dataset,
     ModelConfig,
     VariationalState,
-    floor_simplex,
 )
 
 _LOG2PI = float(np.log(2.0 * np.pi))
@@ -79,19 +78,6 @@ def _sum_last(x):
 def _log_beta(a):
     """Multivariate Beta through log-gamma; a is (..., M)."""
     return _sum_last(gammaln(a)) - gammaln(_sum_last(a))
-
-
-def kl_acuteness(pi_row, alpha0):
-    """Per-observation KL of the unlabeled assignment block.
-
-    sum_m pi log pi - log[B(alpha0 + pi) / B(alpha0 * 1)], the quantity
-    whose curvature in pi flips with alpha0 (small alpha0 rewards
-    one-hot rows, large alpha0 rewards uniform rows).
-    """
-    pi = floor_simplex(np.atleast_2d(pi_row))[0]
-    M = pi.shape[0]
-    ent = float(np.sum(pi * np.log(pi)))
-    return ent - float(_log_beta(alpha0 + pi) - _log_beta(np.full(M, alpha0)))
 
 
 def select_rows(state: VariationalState, ds: Dataset, rows=None):

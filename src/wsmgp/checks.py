@@ -19,8 +19,8 @@ from .kernels import (
     NoiseParams,
     OutputKernelParams,
 )
-from .model import ModelConfig, init_state, make_dataset, set_pi_hat
-from .trainer import ParamPack, _state_with
+from .model import ModelConfig, VariationalState, floor_simplex, init_state, make_dataset
+from .trainer import ParamPack
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +72,7 @@ def random_instance(seed, n=10, M=2, Q=3, d=1, labeled_frac=0.5, x_span=1.0,
     )
     state = init_state(ds, cfg, seed, kuu=kernels.kuu_matrix(W, hp.latent))
     # resample pi away from the floor
-    pi = rng.dirichlet(np.full(M, 4.0), size=n)
-    set_pi_hat(state, ds, cfg.alpha0, pi)
+    state.pi_hat = floor_simplex(rng.dirichlet(np.full(M, 4.0), size=n))
     return ds, cfg, hp, state
 
 
@@ -156,15 +155,12 @@ def packed_cvb(ds, cfg, hp, state, with_alpha0=True):
 
     def value(x):
         hp_x, a0, pi = pack.unpack(x)
-        cfg_x = cfg.with_alpha0(a0)
-        st = _state_with(ds, cfg_x, a0, pi)
-        return elbo_cvb(ds, cfg_x, hp_x, st)
+        return elbo_cvb(ds, cfg.with_alpha0(a0), hp_x, VariationalState(pi))
 
     def grad(x):
         hp_x, a0, pi = pack.unpack(x)
-        cfg_x = cfg.with_alpha0(a0)
-        st = _state_with(ds, cfg_x, a0, pi)
-        _, bundle = gradients.elbo_cvb_with_grad(ds, cfg_x, hp_x, st)
+        _, bundle = gradients.elbo_cvb_with_grad(ds, cfg.with_alpha0(a0), hp_x,
+                                                 VariationalState(pi))
         return pack.grad_to_vec(bundle)
 
     return x0, value, grad, pack
@@ -220,14 +216,13 @@ def gradcheck_vterm(seed, n=8, M=2, h=1e-6):
     def value(x):
         pi = logits_to_pi(x[:-1].reshape(shape))
         a0 = float(np.exp(x[-1]))
-        st = _state_with(ds, cfg.with_alpha0(a0), a0, pi)
-        return vterm(st, ds, cfg.with_alpha0(a0), hp.noise)
+        return vterm(VariationalState(pi), ds, cfg.with_alpha0(a0), hp.noise)
 
     def grad(x):
         pi = logits_to_pi(x[:-1].reshape(shape))
         a0 = float(np.exp(x[-1]))
-        st = _state_with(ds, cfg.with_alpha0(a0), a0, pi)
-        d_logits, d_a0 = gradients.grad_vterm(st, ds, cfg.with_alpha0(a0), hp.noise)
+        d_logits, d_a0 = gradients.grad_vterm(VariationalState(pi), ds, cfg.with_alpha0(a0),
+                                               hp.noise)
         return np.concatenate([d_logits[:, :-1].ravel(), [d_a0]])
 
     return gradients.finite_diff_check(value, grad, x0, h=h)

@@ -11,12 +11,12 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from . import checks, experiments, kernels
+from . import checks
 from .experiments import (
     EVAL_GRID_SIZE,
     SyntheticConfig,
@@ -50,6 +50,21 @@ from .predict import posterior_predict
 from .trainer import OptimizerConfig
 
 
+# the keys some subcommand reads, so that one file can serve generate, fit and
+# benchmark; S<m>, Lm<m> and sigma<m> are the synthetic config's per-output keys
+_KNOWN_KEY = re.compile(
+    r"M|Q|alpha0|useDirichlet|maxIter|tolRelBound|emOuterIters|emInnerStatIters"
+    r"|emInnerHypIters|batchSize|restarts|optimizeAlpha0|perSourceCount|gamma|lFrac|bias"
+    r"|noiseLabelFlip|L|xRange|gammas|lFracs|models|replicates|(S|Lm|sigma)[1-9][0-9]*")
+
+
+def _check_keys(keys, where=None):
+    """Raise ValueError naming the first of `keys` no subcommand reads (and `where` it was read)."""
+    for key in keys:
+        if not _KNOWN_KEY.fullmatch(key):
+            raise ValueError("%sunknown config key %r" % (where + ": " if where else "", key))
+
+
 def parse_config(path):
     """Flat key/value config: `key = value`, `#` comments, commas for lists."""
     out = {}
@@ -63,7 +78,9 @@ def parse_config(path):
             for sep in ("=", ":"):
                 if sep in line:
                     key, _, value = line.partition(sep)
-                    out[key.strip()] = value.strip()
+                    key = key.strip()
+                    _check_keys([key], "%s: line %d" % (path, lineno))
+                    out[key] = value.strip()
                     break
             else:
                 raise ValueError("%s: line %d is not `key = value`" % (path, lineno))
@@ -86,6 +103,7 @@ def _get_list(cfg, key, cast, default):
 
 
 def model_config_from(cfg_map, args):
+    _check_keys(cfg_map)
     alpha0 = args.alpha0 if args.alpha0 is not None else _get(cfg_map, "alpha0", float, 0.3)
     return ModelConfig(
         M=_get(cfg_map, "M", int, 2),
@@ -96,6 +114,7 @@ def model_config_from(cfg_map, args):
 
 
 def optimizer_config_from(cfg_map, seed):
+    _check_keys(cfg_map)
     return OptimizerConfig(
         max_iter=_get(cfg_map, "maxIter", int, 200),
         tol_rel_bound=_get(cfg_map, "tolRelBound", float, 1e-7),
@@ -110,6 +129,7 @@ def optimizer_config_from(cfg_map, seed):
 
 
 def synthetic_config_from(cfg_map, seed):
+    _check_keys(cfg_map)
     M = _get(cfg_map, "M", int, 2)
     xr = _get_list(cfg_map, "xRange", float, [-1.0, 1.0])
     hp = paper_generating_hyperparams(M)
@@ -200,12 +220,11 @@ def save_model(path, report, cfg, ds):
         "bound": report.bound_trajectory[-1],
         "data": data_fingerprint(ds),
     }
-    if report.final_state is not None:
-        doc["state"] = {
-            "pi_hat": report.final_state.pi_hat.tolist(),
-            "mu_u": np.asarray(report.final_state.mu_u).tolist(),
-            "Su": np.asarray(report.final_state.Su).tolist(),
-        }
+    state = report.final_state
+    if state is not None:
+        doc["state"] = {"pi_hat": state.pi_hat.tolist()}
+        if state.mu_u is not None:
+            doc["state"].update(mu_u=state.mu_u.tolist(), Su=state.Su.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -231,13 +250,9 @@ def load_model(path):
     state = None
     if "state" in doc:
         st = doc["state"]
-        pi = np.array(st["pi_hat"])
-        state = VariationalState(
-            pi_hat=pi,
-            alpha_hat=np.empty((0, cfg.M)),
-            mu_u=np.array(st["mu_u"]),
-            Su=np.array(st["Su"]),
-        )
+        state = VariationalState(np.array(st["pi_hat"]))
+        if "mu_u" in st:
+            state.mu_u, state.Su = np.array(st["mu_u"]), np.array(st["Su"])
     return hp, cfg, state, doc.get("data")
 
 
@@ -338,10 +353,7 @@ def cmd_evaluate(args):
     if args.pihat and args.truth_labels:
         pihat = np.loadtxt(args.pihat, delimiter=",", skiprows=1)[:, 1:]
         labels = np.loadtxt(args.truth_labels, delimiter=",", skiprows=1)[:, 1].astype(int)
-        state = VariationalState(
-            pi_hat=pihat, alpha_hat=np.empty((0, M)), mu_u=None, Su=None
-        )
-        metrics["label_accuracy"] = label_accuracy(state, labels)
+        metrics["label_accuracy"] = label_accuracy(VariationalState(pihat), labels)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "metrics.json")
     with open(path, "w", encoding="utf-8") as fh:

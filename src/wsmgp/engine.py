@@ -16,10 +16,9 @@ Which BLAS runs the products: every matrix-matrix product with an
 n_m-row operand goes through `_gemm`, i.e. scipy's `dgemm`, the same
 OpenBLAS that runs the `cho_factor` / `cho_solve` calls here.  The
 stochastic bound does the same with its batch-row products, calling
-`engine._gemm`: Phi Su for the moments in `svi`, Kuf Dinv Kfu in
-`svi.optimal_qu`, Phi' [d o Phi, a] per output and
-[d o Phi, a] [-T; mt'] over all outputs in the hyperparameter half of
-`gradients`, and Phi' (Phi o w) in its variational half.  Its row
+`engine._gemm`: Phi Su for the moments and Phi' (d o Phi) for q(u)'s
+natural parameters in `svi`, and Phi' [d o Phi, a] per output and
+[d o Phi, a] [-T; mt'] over all outputs in `gradients`.  Its row
 constants come from scipy's `dtrsm` (`svi._row_constants`), in the same
 library.  The numpy and scipy wheels each bundle their
 own OpenBLAS with its own thread pool; when an evaluation alternates

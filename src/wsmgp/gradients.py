@@ -88,8 +88,8 @@ def vterm_partials(state, ds: Dataset, cfg: ModelConfig, noise, rows=None):
 
     Only the V rows selected by `rows` (all N when None) are
     differentiated.  dPi rows may contain row-constant components; the
-    softmax chain removes them.  dAlpha0 accounts for the analytic
-    optimum alpha_hat = alpha0 + pi_hat moving with alpha0.
+    softmax chain removes them.  dAlpha0 accounts for q(Pi_n) sitting at
+    its analytic optimum Dir(alpha0 + pi_n), which moves with alpha0.
     """
     return _vterm_partials(*select_rows(state, ds, rows), cfg, noise)
 
@@ -234,15 +234,10 @@ def elbo_cvb_with_grad(ds, cfg, hp, state):
     d_pi_raw += v_pi
 
     if isinstance(hp, IndependentSEHyperParams):
-        d_amp, d_prec = _chain_independent(hp, mg, sys.ff_blocks)
-        bundle = GradientBundle(
-            d_S=d_amp, d_Lm=d_prec, d_L=None, d_sigma=d_sigma,
-            d_pi_logits=softmax_chain(pi, d_pi_raw),
-            d_alpha0=v_alpha0 * cfg.alpha0 if cfg.use_dirichlet else 0.0,
-        )
-        return value, bundle
-
-    d_S, d_Lm, d_L = _chain_convolved(hp, mg, sys.kuu_block, sys.fu_blocks, sys.ff_blocks)
+        d_S, d_Lm = _chain_independent(hp, mg, sys.ff_blocks)
+        d_L = None
+    else:
+        d_S, d_Lm, d_L = _chain_convolved(hp, mg, sys.kuu_block, sys.fu_blocks, sys.ff_blocks)
     bundle = GradientBundle(
         d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=d_sigma,
         d_pi_logits=softmax_chain(pi, d_pi_raw),

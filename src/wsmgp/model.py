@@ -117,17 +117,16 @@ class ModelConfig:
 class VariationalState:
     """Variational posterior parameters.
 
-    pi_hat rows live on the floored simplex; alpha_hat is kept at its
-    analytic optimum alpha0 + pi_hat over the unlabeled rows (same row
-    order as the dataset restricted to unlabeled rows).  mu_u and Su
-    parameterize the Gaussian inducing posterior used by the stochastic
-    bound.
+    pi_hat rows live on the floored simplex.  q(Pi) is never stored: the
+    bounds hold it at its analytic optimum Dir(alpha0 + pi_hat) of each
+    unlabeled row.  mu_u and Su parameterize the Gaussian inducing
+    posterior q(u) of the stochastic bound; they are None in a state of
+    the collapsed bound, which integrates u out.
     """
 
     pi_hat: np.ndarray
-    alpha_hat: np.ndarray
-    mu_u: np.ndarray
-    Su: np.ndarray
+    mu_u: np.ndarray = None
+    Su: np.ndarray = None
 
 
 class DatasetError(ValueError):
@@ -187,8 +186,8 @@ def init_state(ds: Dataset, cfg: ModelConfig, seed, kuu=None):
 
     Labeled rows start at their (floored) prior; unlabeled rows at the
     uniform distribution perturbed by seeded Dirichlet(1) noise mixed at
-    weight 0.05.  mu_u = 0 and Su is a copy of Kuu when given (identity
-    otherwise, for callers that have not assembled the kernel yet).
+    weight 0.05.  Given kuu, q(u) starts at the prior: mu_u = 0 and Su a
+    copy of Kuu; without it the state has no q(u).
     """
     rng = np.random.default_rng(seed)
     M = cfg.M
@@ -198,27 +197,8 @@ def init_state(ds: Dataset, cfg: ModelConfig, seed, kuu=None):
     # one draw per unlabeled row, in row order
     noise = rng.dirichlet(np.ones(M), size=ds.n_unlabeled)
     pi[~labeled] = 0.95 * np.full(M, 1.0 / M) + 0.05 * noise
-    pi = floor_simplex(pi)
-    if kuu is None:
-        Su = np.eye(cfg.Q)
-    else:
-        Su = np.array(kuu, dtype=float, copy=True)
-    state = VariationalState(
-        pi_hat=pi,
-        alpha_hat=np.empty((ds.n_unlabeled, M)),
-        mu_u=np.zeros(Su.shape[0]),
-        Su=Su,
-    )
-    refresh_alpha_hat(state, ds, cfg.alpha0)
+    state = VariationalState(pi_hat=floor_simplex(pi))
+    if kuu is not None:
+        state.Su = np.array(kuu, dtype=float, copy=True)
+        state.mu_u = np.zeros(state.Su.shape[0])
     return state
-
-
-def refresh_alpha_hat(state: VariationalState, ds: Dataset, alpha0):
-    """Restore alpha_hat to its analytic optimum alpha0 + pi_hat (unlabeled rows)."""
-    state.alpha_hat = alpha0 + state.pi_hat[~ds.labeled_mask]
-
-
-def set_pi_hat(state: VariationalState, ds: Dataset, alpha0, pi_rows):
-    """Update pi_hat (flooring the simplex) and keep alpha_hat analytic."""
-    state.pi_hat = floor_simplex(pi_rows)
-    refresh_alpha_hat(state, ds, alpha0)

@@ -45,12 +45,15 @@ Who calls what:
     Su^-1 mu_u) move a step rho = |batch| / N toward the batch estimate
     of their optimum (_qu_estimate), the stochastic variational inference
     step of Hoffman, Blei, Wang & Paisley (2013) and Hensman, Fusi &
-    Lawrence (2013).  At the full batch rho = 1 and the step lands on
-    optimal_qu's q(u).
-  * optimal_qu, the closed-form q(u), ends every round of the fit.
+    Lawrence (2013).
+  * q(u) has one closed form, _qu_estimate at scale 1 on every row:
+    the full-batch step, where rho = 1.  optimal_qu takes it from tables
+    it builds; the trainer takes it from the round's tables before the
+    first round and after each M-phase, and those tables, Kuu^-1 and
+    the NaturalQu serve the next round's E-phase.
 
 The matrix products with a batch-row operand (Phi Su, Phi' D Phi in
-_qu_estimate, Kuf Dinv Kfu in optimal_qu, and those of the gradient) run
+_qu_estimate, and those of the gradient) run
 in scipy's BLAS through engine._gemm, the library that also runs the
 triangular solves and the Cholesky factorizations, so an evaluation uses
 one OpenBLAS thread pool; the engine docstring says why.
@@ -64,7 +67,7 @@ from scipy.linalg.blas import dtrsm
 from scipy.special import digamma
 
 from . import engine, kernels
-from .bounds import compute_D, vterm_rows
+from .bounds import vterm_rows
 from .model import softmax_simplex
 
 _LOG2PI = float(np.log(2.0 * np.pi))
@@ -202,31 +205,16 @@ def elbo_svb(ds, cfg, hp, state, batch=None):
 def optimal_qu(ds, cfg, hp, state):
     """Closed-form maximizer (mu_u, Su) of the bound at fixed remaining parameters.
 
-    Written through the push-through identity to avoid explicit Kuu
-    inverses:  Su = Kuu (Kuu + C)^-1 Kuu  and
-    mu_u = Kuu (Kuu + C)^-1 Kuf Dinv y_tiled, with
-    C = Kuf Dinv Kfu and Dinv holding pi_hat/sigma^2.
+    The full-batch natural parameters of _qu_estimate at scale 1,
+    Su^-1 = Kuu^-1 + sum_m Phi_m' diag(pi_m / sigma_m^2) Phi_m and
+    Su^-1 mu_u = sum_m Phi_m' (pi_m / sigma_m^2 o y), from the row
+    tables over all N rows; the full-batch step of stochastic variational
+    inference (Hensman, Fusi & Lawrence, 2013).
     """
-    kuu, cho = _jittered_kuu(hp)
-    Q = kuu.shape[0]
-    C = np.zeros((Q, Q))
-    rhs = np.zeros(Q)
-    D = compute_D(state, hp.noise)
-    t2 = kernels.sqdiff(ds.X, hp.inducing.W)
-    for m, out in enumerate(hp.outputs):
-        kfu = kernels.kfu_block(t2, out, hp.latent).K
-        dinv = 1.0 / D.block(m)
-        C += engine._gemm(kfu.T, kfu * dinv[:, None])
-        rhs += kfu.T @ (dinv * ds.y)
-    A = kuu + C
-    A = 0.5 * (A + A.T)
-    cho_A = cho_factor(A, lower=True)
-    Su = kuu @ cho_solve(cho_A, kuu)
-    Su = 0.5 * (Su + Su.T)
-    # keep Su factorizable when the optimum is numerically singular
-    Su += 1e-10 * float(np.mean(np.diag(kuu))) * np.eye(Q)
-    mu_u = kuu @ cho_solve(cho_A, rhs)
-    return mu_u, Su
+    _, cho = _jittered_kuu(hp)
+    tables = row_tables(ds.X, hp, cho)
+    return _qu_estimate(tables.phi, ds.y, state.pi_hat, hp.noise.sigma,
+                        engine.cho_inverse(cho), 1.0).moments()
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,27 @@ stochastic bound is handled with variational EM; each round of
 fit_svb_em has three phases, and each calls only what it moves:
   * E-phase: stochastic variational inference on q(pi) and q(u), with
     no step size to set.  The hyperparameters are fixed, so everything
-    that depends on them alone is built once per round: Kuu's factor,
-    Kuu^-1 (engine.cho_inverse) and the row tables of svi.row_tables
-    (Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m over all N rows,
-    M N Q + M N doubles).  Each mini-batch step (svi.batch_step) gathers
-    its rows of the tables and takes two closed-form steps: the batch
-    rows' assignment probabilities go to their optimum given q(u) (one
-    mean-field sweep where the Dirichlet prior couples a row to its
-    q(Pi_n)), and q(u)'s natural parameters move a step
-    rho = |batch| / N toward the batch estimate of their optimum.
+    that depends on them alone comes from the q(u) restart that ended
+    the previous round: Kuu^-1 (engine.cho_inverse) and the row tables
+    of svi.row_tables (Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals
+    r_m over all N rows, M N Q + M N doubles).  Each mini-batch step
+    (svi.batch_step) gathers its rows of the tables and takes two
+    closed-form steps: the batch rows' assignment probabilities go to
+    their optimum given q(u) (one mean-field sweep where the Dirichlet
+    prior couples a row to its q(Pi_n)), and q(u)'s natural parameters
+    move a step rho = |batch| / N toward the batch estimate of their
+    optimum.
   * M-phase: full-batch L-BFGS-B on the hyperparameter block with q(pi)
     and q(u) frozen; each evaluation calls gradients.elbo_svb_with_grad,
     the bound and its hyperparameter, sigma and alpha0 blocks: per
     output, the N-row Kfu block, two triangular solves for its row
     constants and two N-row products.
-  * q(u) restart: svi.optimal_qu, then svi.elbo_svb records the bound.
+  * q(u) restart: at the new hyperparameters, Kuu^-1 and the row tables
+    are built once, q(u) is set to the closed form they give (the
+    full-batch natural-parameter estimate, svi._qu_estimate at scale 1)
+    and svi.elbo_svb records the bound.  The same tables, Kuu^-1 and
+    q(u) start the next round's E-phase; the same step before the first
+    round sets the starting q(u).
 """
 
 import time
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import engine, gradients, kernels, svi
+from . import engine, gradients, svi
 from .kernels import (
     HyperParams,
     IndependentSEHyperParams,
@@ -46,7 +52,6 @@ from .model import (
     VariationalState,
     floor_simplex,
     init_state,
-    refresh_alpha_hat,
     softmax_simplex,
 )
 
@@ -136,7 +141,6 @@ class ParamPack:
     """
 
     def __init__(self, ds, cfg, hp0, with_pi=True, with_alpha0=False):
-        self.ds = ds
         self.cfg = cfg
         self.kind = (
             "independent" if isinstance(hp0, IndependentSEHyperParams) else "convolved"
@@ -148,10 +152,8 @@ class ParamPack:
         if self.kind == "convolved":
             self.d = hp0.latent.L.shape[0]
             self.W = hp0.inducing.W
-            self.Q = self.W.shape[0]
         else:
             self.d = hp0.outputs[0].prec.shape[0]
-            self.Q = cfg.Q
         n_kernel = (self.d if self.kind == "convolved" else 0) + self.M * (1 + self.d)
         self.n_hyp = n_kernel + self.M + (1 if with_alpha0 else 0)
         self.n_pi = self.N * (self.M - 1) if with_pi else 0
@@ -259,14 +261,6 @@ class ParamPack:
         return bounds
 
 
-def _state_with(ds, cfg, alpha0, pi):
-    state = VariationalState(
-        pi_hat=pi, alpha_hat=np.empty((ds.n_unlabeled, cfg.M)), mu_u=None, Su=None
-    )
-    refresh_alpha_hat(state, ds, alpha0)
-    return state
-
-
 # ---------------------------------------------------------------------------
 # default hyperparameters and restart jitter
 # ---------------------------------------------------------------------------
@@ -336,8 +330,7 @@ def _make_cvb_objective(ds, cfg, pack, counter):
         hp, alpha0, pi = pack.unpack(x)
         cfg_t = cfg.with_alpha0(alpha0)
         if pack.with_pi:
-            state = _state_with(ds, cfg_t, alpha0, pi)
-            val, bundle = gradients.elbo_cvb_with_grad(ds, cfg_t, hp, state)
+            val, bundle = gradients.elbo_cvb_with_grad(ds, cfg_t, hp, VariationalState(pi))
         else:
             val, bundle = gradients.scmgp_loglik_with_grad(ds, cfg_t, hp)
         counter[0] += 1
@@ -377,11 +370,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         if scmgp:
             x0 = pack.pack(hp_r)
         else:
-            kuu = kernels.kuu_matrix(
-                hp_r.inducing.W, hp_r.latent
-            ) if kind == "convolved" else np.eye(cfg.Q)
-            state0 = init_state(ds, cfg, rs, kuu=kuu)
-            x0 = pack.pack(hp_r, alpha0=cfg.alpha0, state=state0)
+            x0 = pack.pack(hp_r, alpha0=cfg.alpha0, state=init_state(ds, cfg, rs))
         counter = [0]
         objective, cache = _make_cvb_objective(ds, cfg, pack, counter)
         try:
@@ -425,16 +414,10 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
             best = (final_bound, res.x, pack, traj, bool(res.success), rs)
     bound, x, pack, traj, ok, rs = best
     hp, alpha0, pi = pack.unpack(x)
-    if scmgp:
-        state = None
-    else:
-        state = _state_with(ds, cfg.with_alpha0(alpha0), alpha0, pi)
-        state.mu_u = np.zeros(pack.Q)
-        state.Su = np.eye(pack.Q)
     return FitReport(
         bound_trajectory=traj,
         final_hp=hp,
-        final_state=state,
+        final_state=None if scmgp else VariationalState(pi),
         final_alpha0=alpha0,
         converged=ok,
         wall_clock=time.perf_counter() - t0,
@@ -457,9 +440,9 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     variational inference on q(pi) and q(u) (svi.batch_step), then a
     deterministic quasi-Newton update of the hyperparameter block
     (em_inner_hyp_iters iterations, q(pi) and q(u) frozen), and finally
-    restores q(u) to its closed-form optimum, which is far too sensitive
-    to hyperparameter moves to be left stale.  The full-batch bound is
-    recorded once per round.
+    sets q(u) to its closed-form optimum, which is far too sensitive to
+    hyperparameter moves to be left stale.  The full-batch bound is
+    recorded there, once per round.
 
     A step is two closed-form coordinate steps.  The batch rows' pi go
     to their optimum given q(u): softmax(log prior + c) on labeled rows
@@ -470,18 +453,22 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     the bound, which keeps q(Pi_n) at its optimum, cannot fall.  Then
     q(u)'s natural parameters (Su^-1, Su^-1 mu_u) move to
     (1 - rho) theta + rho theta_hat, where theta_hat is the batch
-    estimate of optimal_qu's (scaled by N / |batch|) and
-    rho = |batch| / N; at the full batch the step is optimal_qu.
+    estimate of the closed-form optimum's (scaled by N / |batch|) and
+    rho = |batch| / N; at the full batch the step is that optimum.
 
-    The hyperparameters do not move during the E-phase, so once per
-    round Kuu is built and factored, Kuu^-1 is formed, and the row
-    tables Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m are built
-    over all N rows (svi.row_tables, two N-row triangular solves per
-    output).  A step gathers its rows of the tables; it builds no kernel
-    matrix, makes no Kuu solve and does no O(N) work.  pi, mu_u and Su
-    are plain arrays, and only the hyperparameters are packed; each
-    M-phase evaluation (gradients.elbo_svb_with_grad, full batch)
-    computes only the hyperparameter block L-BFGS-B reads.
+    q(u) is set once per hyperparameter setting, before the first round
+    and after each M-phase: Kuu is built and factored, Kuu^-1 is formed,
+    the row tables Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m
+    are built over all N rows (svi.row_tables, two N-row triangular
+    solves per output), and q(u) is the full-batch estimate from them
+    (svi._qu_estimate at scale 1, the form svi.optimal_qu computes).
+    The hyperparameters do not move during the E-phase, so the next
+    round starts from those same tables, Kuu^-1 and natural parameters.
+    A step gathers its rows of the tables; it builds no kernel matrix,
+    makes no Kuu solve and does no O(N) work.  pi, mu_u and Su are plain
+    arrays, and only the hyperparameters are packed; each M-phase
+    evaluation (gradients.elbo_svb_with_grad, full batch) computes only
+    the hyperparameter block L-BFGS-B reads.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -493,20 +480,28 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     batch = opt_cfg.batch_size or ds.n
     batch = min(batch, ds.n)
 
-    kuu = kernels.kuu_matrix(hp0.inducing.W, hp0.latent)
-    state = init_state(ds, cfg, opt_cfg.seed, kuu=kuu)
-    state.mu_u, state.Su = svi.optimal_qu(ds, cfg, hp0, state)
-
+    state = init_state(ds, cfg, opt_cfg.seed)
     with_alpha0 = cfg.use_dirichlet and opt_cfg.optimize_alpha0 and ds.n_unlabeled > 0
     pack = ParamPack(ds, cfg, hp0, with_pi=False, with_alpha0=with_alpha0)
     x = pack.pack(hp0, alpha0=cfg.alpha0)
 
-    # the bounds never read alpha_hat; it is refreshed once, at the end
-    def full_bound(xh):
-        hp, alpha0 = pack.unpack_hyper(xh)
-        return svi.elbo_svb(ds, cfg.with_alpha0(alpha0), hp, state)
+    def set_qu(xh):
+        """q(u) to its closed form at xh; (the round's constants, the full-batch bound).
 
-    initial = full_bound(x)
+        The constants are the hyperparameters, the config, the row
+        tables, Kuu^-1 and q(u)'s NaturalQu, which the next E-phase
+        starts from.
+        """
+        hp, alpha0 = pack.unpack_hyper(xh)
+        cfg_x = cfg.with_alpha0(alpha0)
+        _, cho = svi._jittered_kuu(hp)
+        kuu_inv = engine.cho_inverse(cho)
+        tables = svi.row_tables(ds.X, hp, cho)
+        qu = svi._qu_estimate(tables.phi, ds.y, state.pi_hat, hp.noise.sigma, kuu_inv, 1.0)
+        state.mu_u, state.Su = qu.moments()
+        return (hp, cfg_x, tables, kuu_inv, qu), svi.elbo_svb(ds, cfg_x, hp, state)
+
+    round_, initial = set_qu(x)
     if not np.isfinite(initial):
         raise NonFiniteBoundError(
             "non-finite bound at initialization; parameters: %r" % (x,)
@@ -524,12 +519,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     termination = []
     evaluations = 0
     for _ in range(opt_cfg.em_outer_iters):
-        hp, alpha0 = pack.unpack_hyper(x)
-        cfg_t = cfg.with_alpha0(alpha0)
-        _, cho = svi._jittered_kuu(hp)
-        kuu_inv = engine.cho_inverse(cho)
-        tables = svi.row_tables(ds.X, hp, cho)
-        qu = svi.NaturalQu.of(state.mu_u, state.Su)
+        hp, cfg_t, tables, kuu_inv, qu = round_
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
             qu = svi.batch_step(ds, cfg_t, hp.noise.sigma, tables, kuu_inv, rows,
@@ -550,16 +540,14 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         eval_counter[0] = 0
         # the inducing posterior is extremely sensitive to hyperparameter
         # moves; its closed-form optimum ends every round (E-step for u)
-        hp, alpha0 = pack.unpack_hyper(x)
-        state.mu_u, state.Su = svi.optimal_qu(ds, cfg.with_alpha0(alpha0), hp, state)
-        traj.append(full_bound(x))
+        round_, bound = set_qu(x)
+        traj.append(bound)
     final = traj[-1]
     if not final >= initial - 0.5:
         raise RuntimeError(
             "stochastic fit regressed: initial %.6f -> final %.6f" % (initial, final)
         )
     hp, alpha0 = pack.unpack_hyper(x)
-    refresh_alpha_hat(state, ds, alpha0)
     rel_change = abs(traj[-1] - traj[-2]) / max(1.0, abs(traj[-1]))
     return FitReport(
         bound_trajectory=traj,

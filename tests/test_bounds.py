@@ -15,7 +15,6 @@ from wsmgp.bounds import (
     elbo_cvb,
     exact_marglik_oracle,
     gauss_term_cvb,
-    kl_acuteness,
     scmgp_loglik,
     vterm,
     vterm_rows,
@@ -25,20 +24,13 @@ from wsmgp.model import (
     EPS_PI,
     ModelConfig,
     VariationalState,
+    floor_simplex,
     make_dataset,
-    refresh_alpha_hat,
 )
 
 
-def state_from_pi(pi, ds, alpha0):
-    st = VariationalState(
-        pi_hat=np.asarray(pi, dtype=float),
-        alpha_hat=np.empty((0, np.asarray(pi).shape[1])),
-        mu_u=None,
-        Su=None,
-    )
-    refresh_alpha_hat(st, ds, alpha0)
-    return st
+def state_from_pi(pi):
+    return VariationalState(pi_hat=np.asarray(pi, dtype=float))
 
 
 class TestComputeD:
@@ -78,7 +70,7 @@ class TestVTerm:
         ds = make_dataset(np.zeros((1, 1)), np.zeros(1), labels=[1],
                           prior_pi=np.array([[0.7, 0.3]]), n_outputs=2)
         cfg = ModelConfig(M=2, Q=2)
-        st = state_from_pi([[0.7, 0.3]], ds, cfg.alpha0)
+        st = state_from_pi([[0.7, 0.3]])
         noise = NoiseParams(sigma=np.array([0.25, 0.25]))
         rows = vterm_rows(st, ds, cfg, noise)
         third = 0.5 * np.sum(
@@ -90,7 +82,7 @@ class TestVTerm:
         # M=2, pi=(.5,.5), alpha0=1: contribution 2*0.5*log 0.5 - log[B(1.5,1.5)/B(1,1)]
         ds = make_dataset(np.zeros((1, 1)), np.zeros(1), labels=[0], n_outputs=2)
         cfg = ModelConfig(M=2, Q=2, alpha0=1.0)
-        st = state_from_pi([[0.5, 0.5]], ds, cfg.alpha0)
+        st = state_from_pi([[0.5, 0.5]])
         noise = NoiseParams(sigma=np.array([0.25, 0.25]))
         expect_kl = 2 * 0.5 * np.log(0.5) - (
             (2 * gammaln(1.5) - gammaln(3.0)) - (2 * gammaln(1.0) - gammaln(2.0))
@@ -124,20 +116,38 @@ class TestVTerm:
         np.testing.assert_array_equal(_sum_last(x[:1]), np.sum(x[:1], axis=-1))
 
 
+def unlabeled_kl(pi_row, alpha0):
+    """The KL of V's unlabeled assignment block at one row, through vterm_rows.
+
+    sum_m pi log pi - log[B(alpha0 + pi) / B(alpha0 * 1)], whose
+    curvature in pi flips with alpha0 (small alpha0 rewards one-hot rows,
+    large alpha0 uniform ones).  The row is floored as the bounds see it,
+    and V is taken on a one-row unlabeled dataset with
+    log(2 pi sigma^2) = 0, where V's third term is -sum(log pi) / 2.
+    """
+    pi = floor_simplex(np.atleast_2d(pi_row))
+    M = pi.shape[1]
+    ds = make_dataset(np.zeros((1, 1)), np.zeros(1), n_outputs=M)
+    noise = NoiseParams(sigma=np.full(M, np.sqrt(0.5 / np.pi)))
+    cfg = ModelConfig(M=M, Q=1, alpha0=alpha0)
+    v = vterm_rows(VariationalState(pi_hat=pi), ds, cfg, noise)[0]
+    return -0.5 * np.sum(np.log(pi)) - v
+
+
 class TestAcuteness:
     def test_large_alpha_prefers_uniform(self):
-        assert kl_acuteness([1.0, 0.0], 5.0) > kl_acuteness([0.5, 0.5], 5.0)
+        assert unlabeled_kl([1.0, 0.0], 5.0) > unlabeled_kl([0.5, 0.5], 5.0)
 
     def test_small_alpha_prefers_onehot(self):
-        assert kl_acuteness([0.5, 0.5], 0.1) > kl_acuteness([1.0, 0.0], 0.1)
+        assert unlabeled_kl([0.5, 0.5], 0.1) > unlabeled_kl([1.0, 0.0], 0.1)
 
     def test_value_at_alpha_one(self):
-        assert kl_acuteness([0.5, 0.5], 1.0) == pytest.approx(0.2417, abs=2e-4)
+        assert unlabeled_kl([0.5, 0.5], 1.0) == pytest.approx(0.2417, abs=2e-4)
 
     def test_converges_to_categorical_kl(self):
         # at the uniform row the alpha0 -> inf limit is 0
-        d1 = abs(kl_acuteness([0.5, 0.5], 1e2))
-        d2 = abs(kl_acuteness([0.5, 0.5], 1e4))
+        d1 = abs(unlabeled_kl([0.5, 0.5], 1e2))
+        d2 = abs(unlabeled_kl([0.5, 0.5], 1e4))
         assert d2 < d1
 
 
@@ -149,7 +159,6 @@ class TestElboCvb:
         ds = make_dataset(ds.X, ds.y, labels=np.ones(ds.n, dtype=int),
                           prior_pi=prior, n_outputs=1)
         state.pi_hat = np.ones((ds.n, 1))
-        refresh_alpha_hat(state, ds, cfg.alpha0)
         assert elbo_cvb(ds, cfg, hp, state) == pytest.approx(
             scmgp_loglik(ds, cfg, hp), rel=1e-10
         )
@@ -170,7 +179,7 @@ class TestElboCvb:
         for eps in (1e-4, 1e-6, 1e-8):
             pi = np.full((ds.n, 2), eps)
             pi[np.arange(ds.n), assign - 1] = 1 - eps
-            st = state_from_pi(pi, ds, cfg.alpha0)
+            st = state_from_pi(pi)
             third = 0.5 * np.sum(
                 (1 - st.pi_hat) * np.log(2 * np.pi * hp.noise.sigma**2)[None, :]
                 - np.log(st.pi_hat)

@@ -53,6 +53,9 @@ def test_round_trip(workdir, model, bound):
     fit = _fit(workdir, gen, bound, model)
     doc = json.loads((fit / "model.json").read_text())
     assert doc["data"]["n"] == 24
+    # only a stochastic fit has a q(u); a collapsed one integrates u out
+    state = doc.get("state", {})
+    assert ("mu_u" in state) == ("Su" in state) == (bound == "svb")
     # one stopping record per restart (restarts = 1) or per EM round (emOuterIters = 2)
     termination = json.loads((fit / "fitreport.json").read_text())["termination"]
     assert len(termination) == {"cvb": 1, "svb": 2}[bound]
@@ -113,3 +116,20 @@ def test_predict_rejects_other_data(workdir, change):
 def test_negative_counts_are_rejected_by_name(key, field):
     with pytest.raises(ValueError, match=field):
         cli.optimizer_config_from({key: "-5"}, seed=0)
+
+
+@pytest.mark.parametrize("key", ["stepSize", "batchsize"])
+def test_unknown_config_keys_are_rejected_by_name(workdir, key):
+    # a deleted option and a misspelt one; neither may fall back to the defaults
+    with pytest.raises(ValueError, match="unknown config key '%s'" % key):
+        cli.optimizer_config_from({key: "10"}, seed=0)
+    bad = workdir / "bad.txt"
+    bad.write_text(CONFIG + "%s = 10\n" % key)
+    with pytest.raises(ValueError, match="line %d: unknown config key '%s'"
+                       % (CONFIG.count("\n") + 1, key)) as exc:
+        cli.main(["fit", "--config", str(bad), "--data", str(workdir / "dataset.csv")])
+    assert str(bad) in str(exc.value)
+    # per-output keys of the synthetic config are known for any output index
+    good = workdir / "good.txt"
+    good.write_text(CONFIG + "S1 = 4\nLm2 = 150\nsigma2 = 0.3\n")
+    assert cli.parse_config(good)["sigma2"] == "0.3"

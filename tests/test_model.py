@@ -11,8 +11,6 @@ from wsmgp.model import (
     floor_simplex,
     init_state,
     make_dataset,
-    refresh_alpha_hat,
-    set_pi_hat,
     validate_dataset,
 )
 
@@ -79,12 +77,6 @@ class TestInitState:
         st = init_state(ds, ModelConfig(M=2, Q=3), seed=1)
         assert np.all(np.abs(st.pi_hat[2:] - 0.5) <= 0.05)
 
-    def test_alpha_hat_analytic(self):
-        ds = small_ds()
-        cfg = ModelConfig(M=2, Q=3, alpha0=0.7)
-        st = init_state(ds, cfg, seed=2)
-        np.testing.assert_allclose(st.alpha_hat, 0.7 + st.pi_hat[2:], atol=1e-15)
-
     def test_su_copies_kuu(self):
         ds = small_ds()
         kuu = np.array([[2.0, 0.1], [0.1, 1.0]])
@@ -93,6 +85,9 @@ class TestInitState:
         st.Su[0, 0] = 5.0
         assert kuu[0, 0] == 2.0  # a copy, not a view
         assert np.all(st.mu_u == 0.0)
+        # without Kuu (a collapsed fit) the state has no q(u)
+        st = init_state(ds, ModelConfig(M=2, Q=2), seed=0)
+        assert st.mu_u is None and st.Su is None
 
     @pytest.mark.parametrize("M", [2, 3])
     def test_equals_per_row_draws(self, M):
@@ -109,12 +104,3 @@ class TestInitState:
             else:
                 ref[i] = 0.95 * np.full(M, 1.0 / M) + 0.05 * rng.dirichlet(np.ones(M))
         np.testing.assert_array_equal(st.pi_hat, floor_simplex(ref))
-
-    def test_set_pi_hat_keeps_alpha_analytic(self):
-        ds = small_ds()
-        cfg = ModelConfig(M=2, Q=3, alpha0=0.4)
-        st = init_state(ds, cfg, seed=3)
-        new = np.array([[0.9, 0.1]] * 4)
-        set_pi_hat(st, ds, cfg.alpha0, new)
-        np.testing.assert_allclose(st.alpha_hat, 0.4 + st.pi_hat[2:])
-        assert np.all(st.pi_hat >= EPS_PI * 0.5)

@@ -17,7 +17,6 @@ from wsmgp.model import (
     ModelConfig,
     VariationalState,
     make_dataset,
-    refresh_alpha_hat,
 )
 from wsmgp.predict import posterior_predict
 
@@ -39,9 +38,7 @@ def single_output_instance(seed=11, n=15):
     ds = make_dataset(X, y, labels=np.ones(n, dtype=int), n_outputs=1)
     cfg = ModelConfig(M=1, Q=n)
     pi = np.ones((n, 1))
-    st = VariationalState(pi_hat=pi, alpha_hat=np.empty((0, 1)), mu_u=None, Su=None)
-    refresh_alpha_hat(st, ds, cfg.alpha0)
-    return ds, cfg, hp, st
+    return ds, cfg, hp, VariationalState(pi_hat=pi)
 
 
 def dense_oracle(ds, hp, x_star):
