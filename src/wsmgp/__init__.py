@@ -2,11 +2,8 @@
 
 from .baselines import BaselineKind, fit_omgp, fit_omgp_ws, fit_scmgp
 from .bounds import (
-    DMatrix,
-    compute_D,
     elbo_cvb,
     exact_marglik_oracle,
-    scmgp_loglik,
     vterm,
 )
 from .gradients import (

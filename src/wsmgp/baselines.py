@@ -53,15 +53,11 @@ def fit_scmgp(ds, cfg: ModelConfig, opt_cfg: OptimizerConfig = None, hp0=None):
     """Sparse convolved model on the labeled rows only (exact likelihood)."""
     if ds.n_labeled == 0:
         raise NoLabeledDataError("SCMGP requires at least one labeled observation")
-    keep = ds.labeled_mask
-    ds_lab = make_dataset(
-        ds.X[keep], ds.y[keep], labels=ds.labels[keep], n_outputs=cfg.M
-    )
     if hp0 is None:
-        hp0 = default_hyperparams(ds_lab, cfg, kind="convolved")
-    report = fit_cvb(ds_lab, cfg, hp0, opt_cfg, scmgp=True)
-    report.final_state = None
-    return report
+        keep = ds.labeled_mask
+        hp0 = default_hyperparams(make_dataset(ds.X[keep], ds.y[keep]), cfg, kind="convolved")
+    # the selection without a state (bounds.cvb_selection) reads the labeled rows only
+    return fit_cvb(ds, cfg, hp0, opt_cfg, scmgp=True)
 
 
 def fit_baseline(kind: BaselineKind, ds, cfg, opt_cfg=None, hp0=None):

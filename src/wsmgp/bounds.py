@@ -16,9 +16,12 @@ the unlabeled KL reduces to the closed form
 sum pi log pi - log[B(alpha0 + pi) / B(alpha0 * 1)] per row, evaluated
 through log-gamma.  Removing the Dirichlet prior replaces it with the
 plain categorical KL against a fixed uniform prior.
-"""
 
-from dataclasses import dataclass
+One function, cvb_selection, says which rows sit under which output and
+with what noise, for the bound and for the fully-labeled SCMGP alike;
+build_cvb_system builds the engine's system over it for the bound, the
+SCMGP likelihood, both gradients and predict.posterior_predict.
+"""
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -33,26 +36,6 @@ from .model import (
 _LOG2PI = float(np.log(2.0 * np.pi))
 
 ORACLE_MAX_ASSIGNMENTS = 2**20
-
-
-@dataclass
-class DMatrix:
-    """Stacked heteroscedastic diagonal, output-major ordering."""
-
-    diag: np.ndarray
-    n: int
-    m: int
-
-    def block(self, m):
-        return self.diag[m * self.n : (m + 1) * self.n]
-
-
-def compute_D(state: VariationalState, noise: kernels.NoiseParams):
-    """Noise-inflation diagonal with entries sigma_m^2 / pi_hat[n, m]."""
-    pi = state.pi_hat
-    n, m = pi.shape
-    diag = np.concatenate([noise.sigma[j] ** 2 / pi[:, j] for j in range(m)])
-    return DMatrix(diag=diag, n=n, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -119,34 +102,7 @@ def vterm(state, ds, cfg, noise):
 
 
 # ---------------------------------------------------------------------------
-# collapsed bound
-# ---------------------------------------------------------------------------
-
-
-def _full_selection(ds: Dataset, M):
-    rows = np.arange(ds.n)
-    return [rows] * M
-
-
-def build_cvb_system(ds, cfg, hp, state):
-    D = compute_D(state, hp.noise)
-    d_blocks = [D.block(m) for m in range(cfg.M)]
-    return engine.build_system(ds.X, ds.y, hp, _full_selection(ds, cfg.M), d_blocks)
-
-
-def gauss_term_cvb(ds, cfg, hp, state):
-    """The Gaussian data term of the collapsed bound (no V)."""
-    return engine.gauss_loglik(build_cvb_system(ds, cfg, hp, state))
-
-
-def elbo_cvb(ds, cfg, hp, state):
-    """KL-corrected variational bound on the marginal log-likelihood."""
-    return gauss_term_cvb(ds, cfg, hp, state) + vterm(state, ds, cfg, hp.noise)
-
-
-# ---------------------------------------------------------------------------
-# fully-labeled sparse likelihood (used by the labeled-only baseline and
-# the one-hot limit checks)
+# collapsed Gaussian term: WSMGP, SCMGP and prediction
 # ---------------------------------------------------------------------------
 
 
@@ -154,29 +110,37 @@ class NoLabeledDataError(ValueError):
     pass
 
 
-def labeled_selection(ds: Dataset, M):
+def cvb_selection(ds, cfg, hp, state):
+    """(rows, noise): which rows sit under which output, with what noise diagonal.
+
+    With a variational state (WSMGP, OMGP, OMGP-WS) every row sits under
+    every output with noise sigma_m^2 / pi_hat[n, m].  Without one (the
+    fully-labeled SCMGP), each labeled row sits once, under its label,
+    with plain sigma_m^2, and unlabeled rows are never read.
+    """
+    sigma = hp.noise.sigma
+    if state is not None:
+        rows = np.arange(ds.n)
+        return [rows] * cfg.M, [sigma[m] ** 2 / state.pi_hat[:, m] for m in range(cfg.M)]
     if ds.n_labeled == 0:
         raise NoLabeledDataError("no labeled observations")
-    return [np.flatnonzero(ds.labels == m + 1) for m in range(M)]
+    rows = [np.flatnonzero(ds.labels == m + 1) for m in range(cfg.M)]
+    return rows, [np.full(len(r), sigma[m] ** 2) for m, r in enumerate(rows)]
 
 
-def scmgp_loglik(ds, cfg, hp, labels=None):
-    """Exact sparse-model marginal log-likelihood of the labeled rows.
+def build_cvb_system(ds, cfg, hp, state):
+    """The engine's stacked system over cvb_selection; state None is SCMGP's."""
+    return engine.build_system(ds.X, ds.y, hp, *cvb_selection(ds, cfg, hp, state))
 
-    Each labeled row enters once, under its label, with plain noise
-    sigma_m^2; unlabeled rows are ignored.  Passing `labels` overrides
-    the dataset's labels (used by relabeling checks).
-    """
-    if labels is None:
-        labels = ds.labels
-    else:
-        labels = np.asarray(labels, dtype=int).ravel()
-    if not np.any(labels > 0):
-        raise NoLabeledDataError("no labeled observations")
-    rows = [np.flatnonzero(labels == m + 1) for m in range(cfg.M)]
-    d_blocks = [np.full(len(r), hp.noise.sigma[m] ** 2) for m, r in enumerate(rows)]
-    sys = engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
-    return engine.gauss_loglik(sys)
+
+def gauss_term_cvb(ds, cfg, hp, state):
+    """The collapsed bound's Gaussian term (no V); with state None, SCMGP's likelihood."""
+    return engine.gauss_loglik(build_cvb_system(ds, cfg, hp, state))
+
+
+def elbo_cvb(ds, cfg, hp, state):
+    """KL-corrected variational bound on the marginal log-likelihood."""
+    return gauss_term_cvb(ds, cfg, hp, state) + vterm(state, ds, cfg, hp.noise)
 
 
 # ---------------------------------------------------------------------------

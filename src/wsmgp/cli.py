@@ -2,9 +2,9 @@
 plus the gradcheck and oracle-check verification commands.
 
 Configuration files are flat ``key = value`` text; keys mirror the
-ModelConfig / OptimizerConfig / SyntheticConfig field names (camelCase as
-documented in the README), lists are comma-separated, and ``#`` starts a
-comment.
+ModelConfig / OptimizerConfig / SyntheticConfig field names in camelCase
+(``_KNOWN_KEY`` below lists every key some subcommand reads), lists are
+comma-separated, and ``#`` starts a comment.
 """
 
 import argparse
@@ -45,7 +45,7 @@ from .kernels import (
     OutputKernelParams,
     SEKernelParams,
 )
-from .model import ModelConfig, VariationalState
+from .model import ModelConfig, VariationalState, validate_dataset
 from .predict import posterior_predict
 from .trainer import OptimizerConfig
 
@@ -280,6 +280,7 @@ def cmd_fit(args):
     cfg_map = parse_config(args.config)
     ds = ingest_csv(args.data, n_outputs=_get(cfg_map, "M", int, None))
     cfg = model_config_from(cfg_map, args)
+    validate_dataset(ds, cfg)
     opt = optimizer_config_from(cfg_map, args.seed)
     report = fit_model(args.model, ds, cfg, opt, bound=args.bound)
     os.makedirs(args.out, exist_ok=True)

@@ -184,8 +184,7 @@ def build_system(X, y, hp, rows, d_blocks):
     elif isinstance(hp, HyperParams):
         W = hp.inducing.W
         kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
-        cho_Kuu, jitter = kernels.chol_jitter(kuu_block.K)
-        Kuu = kuu_block.K + jitter * np.eye(W.shape[0])
+        Kuu, cho_Kuu = kernels.jittered(kuu_block.K)
         t2_fu = _sqdiff_per_output(X, rows, W)
         ff_blocks = []
         fu_blocks = []

@@ -7,6 +7,10 @@ per row).  Matrix-level derivatives of the Gaussian term
 come from the shared engine; this module chains them to the kernel
 hyperparameters and adds the assignment-term partials.
 
+The collapsed bound and the SCMGP likelihood share one gradient body
+(_gauss_term_with_grad, over bounds.build_cvb_system's one selection);
+each adds only the partials of its own noise diagonal.
+
 The chain (_chain_convolved, _chain_independent) differentiates the
 kernel blocks the forward pass built (kernels.GaussBlock: t2, the
 unit-amplitude gram and K), kept on engine.StackedSystem for the
@@ -43,7 +47,7 @@ from . import engine, kernels
 from .bounds import build_cvb_system, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig
-from .svi import _jittered, _tables_of, gaussian_kl_u
+from .svi import _tables_of, gaussian_kl_u
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -83,26 +87,33 @@ def softmax_chain(pi, grad_pi):
 # ---------------------------------------------------------------------------
 
 
-def vterm_partials(state, ds: Dataset, cfg: ModelConfig, noise, rows=None):
-    """Raw partials of V: (dPi (|rows|, M), dAlpha0, dSigma (M,)), constrained coords.
+def vterm_partials(state, ds: Dataset, cfg: ModelConfig, noise):
+    """Raw partials of V: (dPi (N, M), dAlpha0, dSigma (M,)), constrained coords.
 
-    Only the V rows selected by `rows` (all N when None) are
-    differentiated.  dPi rows may contain row-constant components; the
-    softmax chain removes them.  dAlpha0 accounts for q(Pi_n) sitting at
-    its analytic optimum Dir(alpha0 + pi_n), which moves with alpha0.
+    dPi rows may contain row-constant components; the softmax chain
+    removes them.  Both rows' forms are evaluated on every row and each
+    row keeps its own.  dAlpha0 accounts for q(Pi_n) sitting at its
+    analytic optimum Dir(alpha0 + pi_n), which moves with alpha0.
     """
-    return _vterm_partials(*select_rows(state, ds, rows), cfg, noise)
-
-
-def _vterm_partials(pi, labeled, log_prior, cfg, noise):
-    """vterm_partials on rows already selected: their pi, labeled mask and log prior."""
+    pi, labeled, log_prior = state.pi_hat, ds.labeled_mask, ds.log_prior
     M = pi.shape[1]
-    d_pi, dg = _vterm_pi_partials(pi, labeled, log_prior, cfg, noise)
-    d_sigma = np.sum(1.0 - pi, axis=0)  # already in log-sigma coords
-    unlabeled = ~labeled
+    log_pi = np.log(pi)
+    log2pis = np.log(2.0 * np.pi * noise.sigma**2)
+    # third term: 0.5 * sum (1 - pi) log(2 pi sigma^2) - log pi
+    d_pi = 0.5 * (-log2pis[None, :] - 1.0 / pi)
+    # log_prior is NaN on unlabeled rows, which take the other branch
+    d_labeled = -(log_pi - log_prior + 1.0)
     d_alpha0 = 0.0
-    if dg is not None and np.any(unlabeled):
-        d_alpha0 = _alpha0_partial(dg[unlabeled], cfg, M)
+    if cfg.use_dirichlet:
+        a0 = cfg.alpha0
+        dg = digamma(a0 + pi)
+        d_unlabeled = -(log_pi + 1.0) + dg - digamma(M * a0 + 1.0)
+        if np.any(~labeled):
+            d_alpha0 = _alpha0_partial(dg[~labeled], cfg, M)
+    else:
+        d_unlabeled = -(log_pi + 1.0 + np.log(M))
+    d_pi += np.where(labeled[:, None], d_labeled, d_unlabeled)
+    d_sigma = np.sum(1.0 - pi, axis=0)  # already in log-sigma coords
     return d_pi, d_alpha0, d_sigma
 
 
@@ -116,32 +127,6 @@ def _alpha0_partial(dg, cfg, M):
         - n_u * M * digamma(a0)
         + n_u * M * digamma(M * a0)
     )
-
-
-def _vterm_pi_partials(pi, labeled, log_prior, cfg, noise):
-    """dPi of V alone at rows already selected, and digamma(alpha0 + pi) of every row.
-
-    Both rows' forms are evaluated on every row and each row keeps its
-    own, so no row set is gathered or scattered.  The digamma array,
-    which the alpha0 partial reads on the unlabeled rows, is None
-    without the Dirichlet prior.
-    """
-    M = pi.shape[1]
-    log_pi = np.log(pi)
-    log2pis = np.log(2.0 * np.pi * noise.sigma**2)
-    # third term: 0.5 * sum (1 - pi) log(2 pi sigma^2) - log pi
-    d_pi = 0.5 * (-log2pis[None, :] - 1.0 / pi)
-    # log_prior is NaN on unlabeled rows, which take the other branch
-    d_labeled = -(log_pi - log_prior + 1.0)
-    dg = None
-    if cfg.use_dirichlet:
-        a0 = cfg.alpha0
-        dg = digamma(a0 + pi)
-        d_unlabeled = -(log_pi + 1.0) + dg - digamma(M * a0 + 1.0)
-    else:
-        d_unlabeled = -(log_pi + 1.0 + np.log(M))
-    d_pi += np.where(labeled[:, None], d_labeled, d_unlabeled)
-    return d_pi, dg
 
 
 def grad_vterm(state, ds, cfg, noise):
@@ -215,11 +200,25 @@ def _chain_independent(hp, mg: engine.MatrixGrads, ff_blocks):
 # ---------------------------------------------------------------------------
 
 
-def elbo_cvb_with_grad(ds, cfg, hp, state):
-    """Bound value and full gradient bundle in one pass."""
+def _gauss_term_with_grad(ds, cfg, hp, state):
+    """(value, matrix-level grads, kernel-only GradientBundle) of bounds.gauss_term_cvb.
+
+    Each caller adds the partials of its own noise diagonal.
+    """
     sys = build_cvb_system(ds, cfg, hp, state)
     value = engine.gauss_loglik(sys)
     mg = engine.gauss_loglik_grads(sys)
+    if isinstance(hp, IndependentSEHyperParams):
+        d_S, d_Lm = _chain_independent(hp, mg, sys.ff_blocks)
+        d_L = None
+    else:
+        d_S, d_Lm, d_L = _chain_convolved(hp, mg, sys.kuu_block, sys.fu_blocks, sys.ff_blocks)
+    return value, mg, GradientBundle(d_S=d_S, d_Lm=d_Lm, d_L=d_L)
+
+
+def elbo_cvb_with_grad(ds, cfg, hp, state):
+    """Bound value and full gradient bundle in one pass."""
+    value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, state)
     pi = state.pi_hat
     sigma = hp.noise.sigma
 
@@ -230,44 +229,19 @@ def elbo_cvb_with_grad(ds, cfg, hp, state):
 
     v_pi, v_alpha0, v_sigma = vterm_partials(state, ds, cfg, hp.noise)
     value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise)))
-    d_sigma += v_sigma
-    d_pi_raw += v_pi
-
-    if isinstance(hp, IndependentSEHyperParams):
-        d_S, d_Lm = _chain_independent(hp, mg, sys.ff_blocks)
-        d_L = None
-    else:
-        d_S, d_Lm, d_L = _chain_convolved(hp, mg, sys.kuu_block, sys.fu_blocks, sys.ff_blocks)
-    bundle = GradientBundle(
-        d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=d_sigma,
-        d_pi_logits=softmax_chain(pi, d_pi_raw),
-        d_alpha0=v_alpha0 * cfg.alpha0 if cfg.use_dirichlet else 0.0,
-    )
+    bundle.d_sigma = d_sigma + v_sigma
+    bundle.d_pi_logits = softmax_chain(pi, d_pi_raw + v_pi)
+    bundle.d_alpha0 = v_alpha0 * cfg.alpha0 if cfg.use_dirichlet else 0.0
     return value, bundle
 
 
 def scmgp_loglik_with_grad(ds, cfg, hp):
     """Fully-labeled sparse likelihood and its (theta, sigma) gradient."""
-    from .bounds import labeled_selection
-
-    rows = labeled_selection(ds, cfg.M)
-    d_blocks = [np.full(len(r), hp.noise.sigma[m] ** 2) for m, r in enumerate(rows)]
-    sys = engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
-    value = engine.gauss_loglik(sys)
-    mg = engine.gauss_loglik_grads(sys)
-    d_sigma = np.array(
-        [
-            2.0 * hp.noise.sigma[m] ** 2 * np.trace(mg.dE_blocks[m])
-            if len(rows[m])
-            else 0.0
-            for m in range(cfg.M)
-        ]
-    )
-    if isinstance(hp, IndependentSEHyperParams):
-        d_amp, d_prec = _chain_independent(hp, mg, sys.ff_blocks)
-        return value, GradientBundle(d_S=d_amp, d_Lm=d_prec, d_sigma=d_sigma)
-    d_S, d_Lm, d_L = _chain_convolved(hp, mg, sys.kuu_block, sys.fu_blocks, sys.ff_blocks)
-    return value, GradientBundle(d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=d_sigma)
+    value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, None)
+    # D = sigma^2 on the selected rows; an empty output's trace is 0
+    s = hp.noise.sigma
+    bundle.d_sigma = np.array([2.0 * s[m] ** 2 * np.trace(G) for m, G in enumerate(mg.dE_blocks)])
+    return value, bundle
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +273,7 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
         raise TypeError("the stochastic bound requires the convolved sparse model")
     W = hp.inducing.W
     kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
-    kuu, cho = _jittered(kuu_block.K)
+    kuu, cho = kernels.jittered(kuu_block.K)
     if batch is None:
         rows, s, X, y = None, 1.0, ds.X, ds.y
     else:

@@ -41,6 +41,7 @@ dimension d.  Which function does what:
   evaluation calls it once per output and builds no tensor.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -168,17 +169,31 @@ class IndependentSEHyperParams:
 # ---------------------------------------------------------------------------
 
 
+# The two pointwise kernels are what the quadrature oracle integrates, in
+# plain floats: numpy's per-call overhead took almost all of its time.
+
+
+def _floats(x):
+    """A point (a float or a sequence) as a list of Python floats."""
+    return [x] if isinstance(x, float) else np.ravel(x).tolist()
+
+
 def eval_kuu(w, w2, p: LatentKernelParams):
     """Latent-kernel value exp(-0.5 (w-w2)' L (w-w2)); symmetric, in (0, 1]."""
-    tau = _as_1d(w) - _as_1d(w2)
-    return float(np.exp(-0.5 * np.sum(p.L * tau * tau)))
+    q = 0.0
+    for l, a, b in zip(p.L.tolist(), _floats(w), _floats(w2)):
+        t = a - b
+        q += l * t * t
+    return math.exp(-0.5 * q)
+
 
 def eval_smoothing(tau, p: OutputKernelParams):
     """Smoothing-kernel value S |Lm|^(1/2) (2*pi)^(-d/2) exp(-0.5 tau' Lm tau)."""
-    tau = _as_1d(tau)
-    d = tau.shape[0]
-    scale = p.S * np.sqrt(np.prod(p.Lm)) * (2.0 * np.pi) ** (-0.5 * d)
-    return float(scale * np.exp(-0.5 * np.sum(p.Lm * tau * tau)))
+    q, det, tau = 0.0, 1.0, _floats(tau)
+    for lm, t in zip(p.Lm.tolist(), tau):
+        q += lm * t * t
+        det *= lm
+    return p.S * math.sqrt(det) * (2.0 * math.pi) ** (-0.5 * len(tau)) * math.exp(-0.5 * q)
 
 
 def _fu_scale_weight(lm, l):
@@ -352,6 +367,12 @@ def chol_jitter(K):
     )
 
 
+def jittered(K):
+    """(K + jitter I, its Cholesky factor), with chol_jitter's jitter."""
+    cho, jitter = chol_jitter(K)
+    return K + jitter * np.eye(K.shape[0]), cho
+
+
 # ---------------------------------------------------------------------------
 # derivative coefficients
 # ---------------------------------------------------------------------------
@@ -471,10 +492,3 @@ def kff_matrix_grads(X, out: OutputKernelParams, lat: LatentKernelParams, G=None
         return block.K, c_S[0] * block.unit, d_Lm.expand(block), d_L.expand(block)
     a, b = contract(G, block)
     return block.K, c_S[0] * a, d_Lm.contract(a, b)[0], d_L.contract(a, b)[0]
-
-
-def se_matrix_grads(X, X2, p: SEKernelParams):
-    """SE block and derivatives w.r.t. (amp, prec): (K, dAmp, dPrec)."""
-    block = se_block(sqdiff(X, X2), p)
-    c_amp, d_prec = se_coeffs([p])
-    return block.K, c_amp[0] * block.unit, d_prec.expand(block)

@@ -11,6 +11,9 @@ the full stacked data vector, as dense conditioning on the stacked prior
 Kfu Kuu^-1 Kuf + B + D does.  For the independent-kernel baselines (no
 inducing layer, zero cross-covariance) the posterior is exact per-output
 dense conditioning.
+
+The system conditioned on is the fit's own: bounds.build_cvb_system over
+the one row selection, which is SCMGP's when there is no state.
 """
 
 from dataclasses import dataclass
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from . import engine, kernels
-from .bounds import compute_D, labeled_selection
-from .kernels import HyperParams, IndependentSEHyperParams
+from . import kernels
+from .bounds import build_cvb_system
+from .kernels import IndependentSEHyperParams
 
 
 @dataclass
@@ -32,25 +35,6 @@ class Prediction:
     var_diag: np.ndarray  # (M, N*)
 
 
-def _build_predict_system(ds, cfg, hp, state):
-    """Stacked system matching the fitted model's likelihood structure.
-
-    With a variational state, every row appears under every output with
-    noise sigma^2/pi_hat; without one (fully-labeled baseline), labeled
-    rows appear once under their label with plain sigma^2.
-    """
-    if state is not None:
-        rows = [np.arange(ds.n)] * cfg.M
-        D = compute_D(state, hp.noise)
-        d_blocks = [D.block(m) for m in range(cfg.M)]
-    else:
-        rows = labeled_selection(ds, cfg.M)
-        d_blocks = [
-            np.full(len(r), hp.noise.sigma[m] ** 2) for m, r in enumerate(rows)
-        ]
-    return engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
-
-
 def posterior_predict(ds, cfg, hp, state, x_star):
     """Predictive mean and variance for every output at x_star."""
     x_star = np.asarray(x_star, dtype=float)
@@ -58,7 +42,7 @@ def posterior_predict(ds, cfg, hp, state, x_star):
         x_star = x_star[:, None]
     if not np.all(np.isfinite(x_star)):
         raise ValueError("non-finite prediction inputs")
-    sys = _build_predict_system(ds, cfg, hp, state)
+    sys = build_cvb_system(ds, cfg, hp, state)
     M = cfg.M
     n_star = x_star.shape[0]
     mean = np.empty((M, n_star))

@@ -47,10 +47,11 @@ Who calls what:
     step of Hoffman, Blei, Wang & Paisley (2013) and Hensman, Fusi &
     Lawrence (2013).
   * q(u) has one closed form, _qu_estimate at scale 1 on every row:
-    the full-batch step, where rho = 1.  optimal_qu takes it from tables
-    it builds; the trainer takes it from the round's tables before the
-    first round and after each M-phase, and those tables, Kuu^-1 and
-    the NaturalQu serve the next round's E-phase.
+    the full-batch step, where rho = 1.  qu_restart builds Kuu^-1 and
+    the tables over all N rows and takes it from them; optimal_qu
+    returns its moments, and the trainer calls qu_restart before the
+    first round and after each M-phase, so its tables, Kuu^-1 and
+    NaturalQu serve the next round's E-phase.
 
 The matrix products with a batch-row operand (Phi Su, Phi' D Phi in
 _qu_estimate, and those of the gradient) run
@@ -95,7 +96,7 @@ class RowTables(NamedTuple):
 
 
 def row_tables(X, hp, cho_kuu):
-    """RowTables at the rows of X, with Kuu factored as cho_kuu (from _jittered_kuu)."""
+    """RowTables at the rows of X, with Kuu factored as cho_kuu (from kernels.jittered)."""
     t2 = kernels.sqdiff(X, hp.inducing.W)
     return _tables_of([kernels.kfu_block(t2, out, hp.latent).K for out in hp.outputs], hp,
                       cho_kuu)
@@ -173,19 +174,9 @@ def expected_loglik_terms(y, mu, var, pi_col, sigma_m):
     return 0.5 * np.log(prec) - 0.5 * _LOG2PI - 0.5 * prec * (resid * resid + var)
 
 
-def _jittered(kuu_raw):
-    """(Kuu with chol_jitter's jitter on its diagonal, its Cholesky factor)."""
-    cho, jitter = kernels.chol_jitter(kuu_raw)
-    return kuu_raw + jitter * np.eye(kuu_raw.shape[0]), cho
-
-
-def _jittered_kuu(hp):
-    return _jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
-
-
 def elbo_svb(ds, cfg, hp, state, batch=None):
     """Stochastic variational bound; full-batch when batch is None."""
-    kuu, cho = _jittered_kuu(hp)
+    kuu, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
     if batch is None:
         rows = np.arange(ds.n)
         scale = 1.0
@@ -202,19 +193,29 @@ def elbo_svb(ds, cfg, hp, state, batch=None):
     return scale * (data + float(np.sum(v_rows))) - kl
 
 
+def qu_restart(ds, hp, pi):
+    """q(u)'s closed form at hp and pi, with what it is built from: (Kuu^-1, tables, NaturalQu).
+
+    Kuu is jittered and factored, Kuu^-1 formed, the row tables built
+    over all N rows, and q(u) is _qu_estimate at scale 1 from them.  The
+    trainer starts each E-phase from all three.
+    """
+    _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
+    kuu_inv = engine.cho_inverse(cho)
+    tables = row_tables(ds.X, hp, cho)
+    return kuu_inv, tables, _qu_estimate(tables.phi, ds.y, pi, hp.noise.sigma, kuu_inv, 1.0)
+
+
 def optimal_qu(ds, cfg, hp, state):
     """Closed-form maximizer (mu_u, Su) of the bound at fixed remaining parameters.
 
-    The full-batch natural parameters of _qu_estimate at scale 1,
+    The full-batch natural parameters of _qu_estimate at scale 1 (qu_restart),
     Su^-1 = Kuu^-1 + sum_m Phi_m' diag(pi_m / sigma_m^2) Phi_m and
     Su^-1 mu_u = sum_m Phi_m' (pi_m / sigma_m^2 o y), from the row
     tables over all N rows; the full-batch step of stochastic variational
     inference (Hensman, Fusi & Lawrence, 2013).
     """
-    _, cho = _jittered_kuu(hp)
-    tables = row_tables(ds.X, hp, cho)
-    return _qu_estimate(tables.phi, ds.y, state.pi_hat, hp.noise.sigma,
-                        engine.cho_inverse(cho), 1.0).moments()
+    return qu_restart(ds, hp, state.pi_hat)[2].moments()
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +228,6 @@ class NaturalQu(NamedTuple):
 
     lam: np.ndarray
     h: np.ndarray
-
-    @classmethod
-    def of(cls, mu_u, Su):
-        cho = cho_factor(Su, lower=True)
-        return cls(engine.cho_inverse(cho), cho_solve(cho, mu_u))
 
     def moments(self):
         """(mu_u, Su)."""

@@ -22,10 +22,10 @@ fit_svb_em has three phases, and each calls only what it moves:
     the bound and its hyperparameter, sigma and alpha0 blocks: per
     output, the N-row Kfu block, two triangular solves for its row
     constants and two N-row products.
-  * q(u) restart: at the new hyperparameters, Kuu^-1 and the row tables
-    are built once, q(u) is set to the closed form they give (the
-    full-batch natural-parameter estimate, svi._qu_estimate at scale 1)
-    and svi.elbo_svb records the bound.  The same tables, Kuu^-1 and
+  * q(u) restart (svi.qu_restart): at the new hyperparameters, Kuu^-1
+    and the row tables are built once, q(u) is set to the closed form
+    they give (the full-batch natural-parameter estimate) and
+    svi.elbo_svb records the bound.  The same tables, Kuu^-1 and
     q(u) start the next round's E-phase; the same step before the first
     round sets the starting q(u).
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import engine, gradients, svi
+from . import gradients, svi
 from .kernels import (
     HyperParams,
     IndependentSEHyperParams,
@@ -459,9 +459,9 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     q(u) is set once per hyperparameter setting, before the first round
     and after each M-phase: Kuu is built and factored, Kuu^-1 is formed,
     the row tables Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m
-    are built over all N rows (svi.row_tables, two N-row triangular
-    solves per output), and q(u) is the full-batch estimate from them
-    (svi._qu_estimate at scale 1, the form svi.optimal_qu computes).
+    are built over all N rows (two N-row triangular solves per output),
+    and q(u) is the full-batch estimate from them (svi.qu_restart, the
+    form svi.optimal_qu computes).
     The hyperparameters do not move during the E-phase, so the next
     round starts from those same tables, Kuu^-1 and natural parameters.
     A step gathers its rows of the tables; it builds no kernel matrix,
@@ -494,10 +494,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         """
         hp, alpha0 = pack.unpack_hyper(xh)
         cfg_x = cfg.with_alpha0(alpha0)
-        _, cho = svi._jittered_kuu(hp)
-        kuu_inv = engine.cho_inverse(cho)
-        tables = svi.row_tables(ds.X, hp, cho)
-        qu = svi._qu_estimate(tables.phi, ds.y, state.pi_hat, hp.noise.sigma, kuu_inv, 1.0)
+        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
         state.mu_u, state.Su = qu.moments()
         return (hp, cfg_x, tables, kuu_inv, qu), svi.elbo_svb(ds, cfg_x, hp, state)
 

@@ -1,67 +1,72 @@
 """The collapsed bound, its V term, and the exact enumeration oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln, logsumexp
 
-from wsmgp import checks, engine, kernels
+from wsmgp import checks, engine, gradients, kernels
 from wsmgp.bounds import (
     OracleTooLargeError,
     _sum_last,
     assignment_log_weights,
     build_cvb_system,
-    compute_D,
+    cvb_selection,
     elbo_cvb,
     exact_marglik_oracle,
     gauss_term_cvb,
-    scmgp_loglik,
     vterm,
     vterm_rows,
 )
-from wsmgp.kernels import NoiseParams
+from wsmgp.kernels import IndependentSEHyperParams, NoiseParams, SEKernelParams
 from wsmgp.model import (
     EPS_PI,
+    Dataset,
     ModelConfig,
     VariationalState,
     floor_simplex,
     make_dataset,
 )
+from wsmgp.predict import posterior_predict
 
 
 def state_from_pi(pi):
     return VariationalState(pi_hat=np.asarray(pi, dtype=float))
 
 
+def noise_diagonal(ds, cfg, hp, state, sigma):
+    """The per-output noise diagonals of the collapsed selection at noise sigma."""
+    return cvb_selection(ds, cfg, replace(hp, noise=NoiseParams(sigma=sigma)), state)[1]
+
+
 class TestComputeD:
+    """The noise diagonal sigma_m^2 / pi_hat[n, m] of the collapsed selection."""
+
     def test_direct_values(self):
         ds, cfg, hp, state = checks.random_instance(0, n=3, M=2)
         state.pi_hat = np.array([[1.0, 0.5], [0.5, 0.5], [0.25, 0.75]])
-        D = compute_D(state, NoiseParams(sigma=np.array([0.25, 0.25])))
-        assert D.block(0)[0] == pytest.approx(0.0625)
-        assert D.block(1)[0] == pytest.approx(0.125)
+        D = noise_diagonal(ds, cfg, hp, state, np.array([0.25, 0.25]))
+        assert D[0][0] == pytest.approx(0.0625)
+        assert D[1][0] == pytest.approx(0.125)
 
     def test_floor_entry_finite_and_huge(self):
         ds, cfg, hp, state = checks.random_instance(0, n=2, M=2)
         state.pi_hat = np.array([[1.0 - EPS_PI, EPS_PI]] * 2)
-        D = compute_D(state, NoiseParams(sigma=np.array([0.25, 0.25])))
-        assert np.isfinite(D.block(1)[0])
-        assert D.block(1)[0] == pytest.approx(0.0625 / EPS_PI, rel=1e-9)
+        D = noise_diagonal(ds, cfg, hp, state, np.array([0.25, 0.25]))
+        assert np.isfinite(D[1][0])
+        assert D[1][0] == pytest.approx(0.0625 / EPS_PI, rel=1e-9)
 
     def test_argmax_invariant_under_common_noise_scale(self):
         rng = np.random.default_rng(1)
         ds, cfg, hp, state = checks.random_instance(1, n=6, M=3, Q=3)
-        base = compute_D(state, NoiseParams(sigma=rng.uniform(0.1, 0.4, 3)))
-        scaled = compute_D(state, NoiseParams(sigma=7.3 * rng.uniform(0.1, 0.4, 3)))
-        # same sigma draw is required for the comparison
-        rng = np.random.default_rng(1)
-        ds2, cfg2, hp2, state2 = checks.random_instance(1, n=6, M=3, Q=3)
         sig = rng.uniform(0.1, 0.4, 3)
-        a = compute_D(state, NoiseParams(sigma=sig))
-        b = compute_D(state, NoiseParams(sigma=7.3 * sig))
+        a = noise_diagonal(ds, cfg, hp, state, sig)
+        b = noise_diagonal(ds, cfg, hp, state, 7.3 * sig)
         for n in range(6):
-            row_a = np.array([a.block(m)[n] for m in range(3)])
-            row_b = np.array([b.block(m)[n] for m in range(3)])
+            row_a = np.array([a[m][n] for m in range(3)])
+            row_b = np.array([b[m][n] for m in range(3)])
             assert np.array_equal(np.argsort(row_a), np.argsort(row_b))
 
 
@@ -151,6 +156,35 @@ class TestAcuteness:
         assert d2 < d1
 
 
+class TestCvbSelection:
+    """One row selection serves the bound, the SCMGP likelihood and prediction."""
+
+    @pytest.mark.parametrize("kind", ["convolved", "independent"])
+    def test_scmgp_reads_no_unlabeled_row(self, kind):
+        # NaN in the unlabeled rows' inputs and outputs changes no bit of
+        # the SCMGP value, its gradient or the stateless prediction
+        ds, cfg, hp, _ = checks.random_instance(7, n=12, M=2, Q=4)
+        if kind == "independent":
+            outs = [SEKernelParams(amp=abs(o.S), prec=0.5 * o.Lm) for o in hp.outputs]
+            hp = IndependentSEHyperParams(outputs=outs, noise=hp.noise)
+        X, y = ds.X.copy(), ds.y.copy()
+        X[~ds.labeled_mask] = np.nan
+        y[~ds.labeled_mask] = np.nan
+        ds_nan = Dataset(X=X, y=y, labels=ds.labels, prior_pi=ds.prior_pi)
+        assert 0 < ds.n_labeled < ds.n
+        x_star = np.linspace(-0.1, 1.1, 9)
+
+        def outputs(d):
+            value, bundle = gradients.scmgp_loglik_with_grad(d, cfg, hp)
+            pred = posterior_predict(d, cfg, hp, None, x_star)
+            grads = [g for g in vars(bundle).values() if g is not None]
+            return [value, *grads, pred.mean, pred.var_diag]
+
+        for got, ref in zip(outputs(ds_nan), outputs(ds)):
+            assert np.all(np.isfinite(got))
+            np.testing.assert_array_equal(got, ref)
+
+
 class TestElboCvb:
     def test_single_output_reduces_to_sparse_likelihood(self):
         ds, cfg, hp, state = checks.random_instance(3, n=8, M=1, Q=4,
@@ -160,7 +194,7 @@ class TestElboCvb:
                           prior_pi=prior, n_outputs=1)
         state.pi_hat = np.ones((ds.n, 1))
         assert elbo_cvb(ds, cfg, hp, state) == pytest.approx(
-            scmgp_loglik(ds, cfg, hp), rel=1e-10
+            gauss_term_cvb(ds, cfg, hp, None), rel=1e-10
         )
 
     def test_bounded_by_oracle(self):
@@ -174,7 +208,8 @@ class TestElboCvb:
         ds, cfg, hp, _ = checks.random_instance(9, n=9, M=2, Q=6, labeled_frac=0.4)
         rng = np.random.default_rng(9)
         assign = rng.integers(1, 3, size=ds.n)
-        ref = scmgp_loglik(ds, cfg, hp, labels=assign)
+        relabeled = make_dataset(ds.X, ds.y, labels=assign, n_outputs=2)
+        ref = gauss_term_cvb(relabeled, cfg, hp, None)
         prev = np.inf
         for eps in (1e-4, 1e-6, 1e-8):
             pi = np.full((ds.n, 2), eps)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wsmgp import cli
+from wsmgp.model import DatasetError
 
 CONFIG = """\
 M = 2
@@ -133,3 +134,14 @@ def test_unknown_config_keys_are_rejected_by_name(workdir, key):
     good = workdir / "good.txt"
     good.write_text(CONFIG + "S1 = 4\nLm2 = 150\nsigma2 = 0.3\n")
     assert cli.parse_config(good)["sigma2"] == "0.3"
+
+
+@pytest.mark.parametrize("prior", [("0.3", "0.3"), ("-0.5", "1.5")])
+def test_fit_rejects_an_invalid_label_prior_by_row(workdir, prior):
+    data = workdir / "bad_prior.csv"
+    rows = ["0.1,0.5,,,", "0.2,0.4,1,0.9,0.1", "0.3,0.2,2,%s,%s" % prior, "0.4,0.1,,,"]
+    data.write_text("x,y,label,pi_1,pi_2\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DatasetError, match="prior row 2 "):
+        cli.main(["fit", "--config", str(workdir / "cfg.txt"), "--data", str(data),
+                  "--out", str(workdir / "fit")])
+    assert not (workdir / "fit").exists()

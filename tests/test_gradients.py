@@ -8,7 +8,7 @@ import pytest
 from scipy.special import digamma
 
 from wsmgp import checks, engine, experiments, gradients, kernels, model, svi, trainer
-from wsmgp.bounds import build_cvb_system, elbo_cvb, scmgp_loglik, vterm_rows
+from wsmgp.bounds import build_cvb_system, elbo_cvb, gauss_term_cvb, vterm_rows
 from wsmgp.gradients import finite_diff_check
 from wsmgp.kernels import (
     HyperParams,
@@ -75,7 +75,7 @@ class TestGradCvb:
             hp_s = HyperParams(latent=hp.latent, outputs=hp.outputs,
                                noise=NoiseParams(sigma=np.array([s])),
                                inducing=hp.inducing)
-            return scmgp_loglik(ds, cfg, hp_s)
+            return gauss_term_cvb(ds, cfg, hp_s, None)
         s0 = hp.noise.sigma[0]
         fd = (at_sigma(s0 * np.exp(h)) - at_sigma(s0 * np.exp(-h))) / (2 * h)
         assert bundle.d_sigma[0] == pytest.approx(fd, rel=1e-5)
@@ -207,20 +207,21 @@ class TestBatchRows:
 
     @_BATCH_CASES
     def test_vterm_partials_restriction(self, kind, use_dirichlet):
+        # on a dataset of the batch rows alone: each row's dPi is its row
+        # of the full dataset's, and sigma and alpha0 sum over its rows
         ds, cfg, hp, state = _batch_instance(use_dirichlet)
         rows = _batch(ds, kind)
-        d_pi, d_alpha0, d_sigma = gradients.vterm_partials(
-            state, ds, cfg, hp.noise, rows=rows
-        )
+        ds_b = Dataset(X=ds.X[rows], y=ds.y[rows], labels=ds.labels[rows],
+                       prior_pi=ds.prior_pi[rows])
+        state_b = replace(state, pi_hat=state.pi_hat[rows])
+        d_pi, d_alpha0, d_sigma = gradients.vterm_partials(state_b, ds_b, cfg, hp.noise)
         full_pi, _, _ = gradients.vterm_partials(state, ds, cfg, hp.noise)
         np.testing.assert_array_equal(d_pi, full_pi[rows])
-        pi_b = state.pi_hat[rows]
+        pi_b = state_b.pi_hat
         per_output = [np.sum(1.0 - pi_b[:, m]) for m in range(cfg.M)]
         np.testing.assert_allclose(d_sigma, per_output, rtol=1e-14)
-        # alpha0 partial over the unlabeled batch rows, summed in row order
-        in_batch = np.zeros(ds.n, dtype=bool)
-        in_batch[rows] = True
-        pu = state.pi_hat[in_batch & ~ds.labeled_mask]
+        # alpha0 partial over the unlabeled rows
+        pu = pi_b[~ds_b.labeled_mask]
         n_u, M, a0 = pu.shape[0], cfg.M, cfg.alpha0
         expect = 0.0
         if use_dirichlet:
@@ -285,17 +286,11 @@ class TestBatchRows:
 class TestVariationalGrad:
     """The E-phase's closed-form step (svi.batch_step) reads only the batch rows."""
 
-    @staticmethod
-    def _round(ds, hp):
-        """What fit_svb_em builds once per round: (row tables of all N rows, Kuu^-1)."""
-        _, cho = svi._jittered_kuu(hp)
-        return svi.row_tables(ds.X, hp, cho), engine.cho_inverse(cho)
-
     @pytest.mark.parametrize("n", [4000, 1236])
     def test_gathered_tables_equal_the_tables_of_the_rows(self, n):
-        ds, _, hp, _ = checks.random_instance(n, n=n, M=2, Q=30)
-        tables, _ = self._round(ds, hp)
-        _, cho = svi._jittered_kuu(hp)
+        ds, _, hp, state = checks.random_instance(n, n=n, M=2, Q=30)
+        _, tables, _ = svi.qu_restart(ds, hp, state.pi_hat)
+        _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
         assert tables.phi.shape == (2, n, 30) and tables.r.shape == (2, n)
         rng = np.random.default_rng(n)
         for size in (1, 2, 17, 100):
@@ -322,8 +317,7 @@ class TestVariationalGrad:
         pi_p = state.pi_hat.copy()
         pi_p[outside] = np.nan
 
-        tables, kuu_inv = self._round(ds, hp)
-        qu = svi.NaturalQu.of(state.mu_u, state.Su)
+        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
         steps = []
         for d, pi in ((ds, state.pi_hat.copy()), (ds_p, pi_p)):
             new = svi.batch_step(d, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
@@ -377,7 +371,7 @@ class TestHyperGrad:
         fit = trainer.fit_svb_em(ds, cfg, None, opt)
         hp, state = fit.final_hp, fit.final_state
         cfg = cfg.with_alpha0(fit.final_alpha0)
-        kuu, _ = svi._jittered_kuu(hp)
+        kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
         assert np.linalg.cond(kuu) >= 1e6
         pack = ParamPack(ds, cfg, hp, with_pi=False, with_alpha0=True)
         x0 = pack.pack(hp, alpha0=cfg.alpha0)
@@ -417,7 +411,7 @@ def _ld_reference(ds, cfg, hp, state):
     gradients before the kernel chain.  V is taken from vterm_rows.
     """
     ld = np.longdouble
-    kuu, _ = svi._jittered_kuu(hp)
+    kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
     kinv, logdet_k = _ld_inverse(kuu)
     _, logdet_s = _ld_inverse(state.Su)
     mu_u, Su = state.mu_u.astype(ld), state.Su.astype(ld)
@@ -472,7 +466,7 @@ class TestHyperGradLongDouble:
         monkeypatch.setattr(gradients, "_chain_convolved", spy)
         value, _ = gradients.elbo_svb_with_grad(ds, cfg, hp, state)
         mg = seen[0]
-        _, cho = svi._jittered_kuu(hp)
+        _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
         r = svi.row_tables(ds.X, hp, cho).r
 
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
@@ -505,7 +499,7 @@ class TestOptimalQuLongDouble:
     def test_matches_the_long_double_optimum(self, seed):
         ld = np.longdouble
         ds, cfg, hp, state = checks.random_instance(seed, n=200, M=2, Q=30, dense_w=True)
-        kuu, _ = svi._jittered_kuu(hp)
+        kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
         kinv, _ = _ld_inverse(kuu)
         t2 = kernels.sqdiff(ds.X, hp.inducing.W)
         lam, h = kinv.copy(), np.zeros(len(kuu), dtype=ld)
@@ -543,19 +537,15 @@ class TestBlasRouting:
 
     @staticmethod
     def _outputs(ds, cfg, hp, state, rows):
-        _, cho = svi._jittered_kuu(hp)
-        kuu_inv = engine.cho_inverse(cho)
-        tables = svi.row_tables(ds.X, hp, cho)
-        out = {}
+        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
+        out = {"qu_restart": [kuu_inv, *tables, *qu]}
         for tag, batch in (("full", None), ("batch", rows)):
             val, b = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=batch)
             out["elbo_svb_with_grad." + tag] = [val] + list(vars(b).values())
             out["elbo_svb." + tag] = [svi.elbo_svb(ds, cfg, hp, state, batch=batch)]
         pi = state.pi_hat.copy()
-        qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi,
-                            svi.NaturalQu.of(state.mu_u, state.Su))
+        qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
         out["batch_step"] = [pi, *qu]
-        out["optimal_qu"] = svi.optimal_qu(ds, cfg, hp, state)
         return out
 
     @pytest.mark.parametrize("seed", [1001, 2003])
@@ -583,7 +573,7 @@ class TestBlasRouting:
         # and 1 over all outputs' rows ([d o Phi, a] [-T; mt']); each
         # elbo_svb makes 1 (Phi Su), the batch step 2 over all outputs'
         # rows (Phi Su for the moments, Phi' (d o Phi) for q(u)), and
-        # optimal_qu 1 over all outputs' rows (Phi' (d o Phi))
+        # qu_restart 1 over all outputs' rows (Phi' (d o Phi))
         assert len(calls) == 2 * (cfg.M + 1) + 2 * 1 + 2 + 1
         assert all(max(sa[0], sb[0]) >= len(rows) for sa, sb in calls)
 
@@ -628,7 +618,7 @@ class TestTwoDimensionalInputs:
         x0 = pack.pack(hp)
 
         def value(x):
-            return scmgp_loglik(ds, cfg, pack.unpack_hyper(x)[0])
+            return gauss_term_cvb(ds, cfg, pack.unpack_hyper(x)[0], None)
 
         def grad(x):
             _, b = gradients.scmgp_loglik_with_grad(ds, cfg, pack.unpack_hyper(x)[0])
@@ -758,7 +748,7 @@ class TestOneForwardPass:
     def test_scmgp(self, seed, d):
         ds, cfg, hp, _ = checks.random_instance(seed, n=12, M=2, Q=5, d=d)
         for h in (hp, _independent(hp)):
-            assert gradients.scmgp_loglik_with_grad(ds, cfg, h)[0] == scmgp_loglik(ds, cfg, h)
+            assert gradients.scmgp_loglik_with_grad(ds, cfg, h)[0] == gauss_term_cvb(ds, cfg, h, None)
 
 
 class TestLogPrior:
@@ -787,7 +777,6 @@ class TestLogPrior:
         rows = _batch(ds, "mixed")
         vterm_rows(state, ds, cfg, hp.noise)
         vterm_rows(state, ds, cfg, hp.noise, rows=rows)
-        gradients.vterm_partials(state, ds, cfg, hp.noise, rows=rows)
         gradients.elbo_cvb_with_grad(ds, cfg, hp, state)
         gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=rows)
         assert calls == []

@@ -340,7 +340,9 @@ class TestDerivativeCoefficients:
 
     def test_se(self):
         p = SEKernelParams(amp=1.3, prec=np.array([30.0, 80.0]))
-        _, dAmp, dPrec = kernels.se_matrix_grads(self.X, self.W, p)
+        block = kernels.se_block(kernels.sqdiff(self.X, self.W), p)
+        c_amp, d_prec = kernels.se_coeffs([p])
+        dAmp, dPrec = c_amp[0] * block.unit, d_prec.expand(block)
         fd = _central(lambda a: kernels.se_matrix(self.X, self.W, SEKernelParams(amp=a[0], prec=p.prec)),
                       np.array([p.amp]), 0)
         _assert_close(fd, dAmp)

@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from wsmgp import checks, kernels
-from wsmgp.bounds import compute_D
 from wsmgp.kernels import (
     HyperParams,
     InducingInputs,
@@ -77,7 +76,8 @@ def stacked_dense_oracle(ds, hp, state, x_star):
     for m, out in enumerate(hp.outputs):
         blk = slice(m * n, (m + 1) * n)
         C[blk, blk] = kernels.kff_matrix(X, X, out, out, lat)
-    C[np.diag_indices_from(C)] += compute_D(state, hp.noise).diag
+    # D, output-major: sigma_m^2 / pi_hat[n, m]
+    C[np.diag_indices_from(C)] += (hp.noise.sigma**2 / state.pi_hat).T.ravel()
     co = cho_factor(C, lower=True)
     y_tiled = np.tile(ds.y, len(hp.outputs))
     mu, var = [], []

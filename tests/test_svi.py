@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma
 
-from wsmgp import checks, engine, kernels, svi
+from wsmgp import checks, kernels, svi
 from wsmgp.bounds import build_cvb_system, elbo_cvb
 from wsmgp.model import EPS_PI, floor_simplex
 from wsmgp.svi import elbo_svb, expected_loglik_terms, gaussian_kl_u, optimal_qu
@@ -95,7 +95,7 @@ class TestElboSvb:
         rng = np.random.default_rng(5)
         state.Su = rand_spd(rng, 3)
         state.mu_u = rng.normal(size=3)
-        kuu, _ = svi._jittered_kuu(hp)
+        kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
         kl = gaussian_kl_u(state.mu_u, state.Su, kuu)
         parts = [np.arange(0, 3), np.arange(3, 6), np.arange(6, 9)]
         unscaled = sum(
@@ -125,7 +125,7 @@ class TestElboSvb:
         pi = np.full((3, 2), eps)
         pi[np.arange(3), assign - 1] = 1 - eps
         state.pi_hat = pi
-        kuu, cho = svi._jittered_kuu(hp)
+        kuu, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
         state.mu_u = np.zeros(3)
         state.Su = kuu.copy()
         got = elbo_svb(ds, cfg, hp, state)
@@ -190,23 +190,23 @@ class TestOptimalQu:
 
 
 def _step_instance(seed, use_dirichlet, sigma=0.3):
-    """An instance at the optimal q(u), and its round constants: (ds, cfg, hp, state, tables, Kuu^-1).
+    """An instance at the optimal q(u), and its round: (ds, cfg, hp, state, svi.qu_restart's triple).
 
     There the stepped rows come out soft at sigma = 0.3 and at the
     simplex floor at sigma = 0.02.
     """
     ds, cfg, hp, state = checks.random_instance(seed, n=30, M=3, Q=5, sigma=sigma)
     cfg = replace(cfg, use_dirichlet=use_dirichlet)
-    state.mu_u, state.Su = optimal_qu(ds, cfg, hp, state)
-    _, cho = svi._jittered_kuu(hp)
-    return ds, cfg, hp, state, svi.row_tables(ds.X, hp, cho), engine.cho_inverse(cho)
+    round_ = svi.qu_restart(ds, hp, state.pi_hat)
+    state.mu_u, state.Su = round_[2].moments()
+    return ds, cfg, hp, state, round_
 
 
-def _local_step(ds, cfg, hp, state, tables, kuu_inv, rows):
-    """state with its batch rows of pi_hat stepped by svi.batch_step at the state's q(u)."""
+def _local_step(ds, cfg, hp, state, round_, rows):
+    """state with its batch rows of pi_hat stepped by svi.batch_step at the round's q(u)."""
+    kuu_inv, tables, qu = round_
     pi = state.pi_hat.copy()
-    svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi,
-                   svi.NaturalQu.of(state.mu_u, state.Su))
+    svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
     return replace(state, pi_hat=pi)
 
 
@@ -216,9 +216,8 @@ class TestBatchStep:
     def test_natural_parameters_round_trip(self):
         rng = np.random.default_rng(4)
         mu_u, Su = rng.normal(size=6), rand_spd(rng, 6, 0.3)
-        qu = svi.NaturalQu.of(mu_u, Su)
-        np.testing.assert_allclose(qu.lam @ Su, np.eye(6), atol=1e-12)
-        np.testing.assert_allclose(Su @ qu.h, mu_u, rtol=1e-12)
+        lam = np.linalg.inv(Su)
+        qu = svi.NaturalQu(lam, lam @ mu_u)
         back_mu, back_Su = qu.moments()
         np.testing.assert_allclose(back_mu, mu_u, rtol=1e-12)
         np.testing.assert_allclose(back_Su, Su, rtol=1e-12)
@@ -229,10 +228,10 @@ class TestBatchStep:
     def test_no_perturbation_of_a_stepped_row_raises_the_bound(self, seed, sigma):
         # without the Dirichlet prior the row step is the row's exact optimum;
         # sigma = 0.02 sends every stepped row to the simplex floor
-        ds, cfg, hp, state, tables, kuu_inv = _step_instance(seed, False, sigma)
+        ds, cfg, hp, state, round_ = _step_instance(seed, False, sigma)
         rng = np.random.default_rng(seed + 100)
         rows = rng.choice(ds.n, size=15, replace=False)
-        stepped = _local_step(ds, cfg, hp, state, tables, kuu_inv, rows)
+        stepped = _local_step(ds, cfg, hp, state, round_, rows)
         best = elbo_svb(ds, cfg, hp, stepped)
         p = stepped.pi_hat[rows]
         assert np.any(p <= 2 * EPS_PI) if sigma < 0.1 else np.any(p.max(axis=1) < 0.9)
@@ -246,11 +245,11 @@ class TestBatchStep:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("sigma", [0.3, 0.02])
     def test_dirichlet_step_never_lowers_the_bound(self, seed, sigma):
-        ds, cfg, hp, state, tables, kuu_inv = _step_instance(seed, True, sigma)
+        ds, cfg, hp, state, round_ = _step_instance(seed, True, sigma)
         rng = np.random.default_rng(seed + 200)
         value = elbo_svb(ds, cfg, hp, state)
         for _ in range(20):
-            state = _local_step(ds, cfg, hp, state, tables, kuu_inv,
+            state = _local_step(ds, cfg, hp, state, round_,
                                 rng.choice(ds.n, size=7, replace=False))
             new = elbo_svb(ds, cfg, hp, state)
             assert new >= value - 1e-12 * abs(value)
@@ -271,10 +270,10 @@ class TestBatchStep:
 
     @pytest.mark.parametrize("use_dirichlet", [True, False])
     def test_labeled_row_is_the_prior_times_exp_c(self, use_dirichlet):
-        ds, cfg, hp, state, tables, kuu_inv = _step_instance(3, use_dirichlet)
+        ds, cfg, hp, state, round_ = _step_instance(3, use_dirichlet)
         rows = np.flatnonzero(ds.labeled_mask)[::-1]
-        stepped = _local_step(ds, cfg, hp, state, tables, kuu_inv, rows)
-        c = self._c(ds, hp, state, tables, rows)
+        stepped = _local_step(ds, cfg, hp, state, round_, rows)
+        c = self._c(ds, hp, state, round_[1], rows)
         expect = self._normalised(np.log(ds.prior_pi[rows]) + c)
         assert np.sum(expect.max(axis=1) < 0.9) >= 10
         # exp turns c's rounding into a relative error of about |c| eps
@@ -285,10 +284,10 @@ class TestBatchStep:
         # exp(c) alone without the Dirichlet prior; with it, times
         # exp(digamma(alpha0 + pi_old)), E[log Pi_n] under Dir(alpha0 + pi_old)
         # up to a row constant
-        ds, cfg, hp, state, tables, kuu_inv = _step_instance(3, use_dirichlet)
+        ds, cfg, hp, state, round_ = _step_instance(3, use_dirichlet)
         rows = np.flatnonzero(~ds.labeled_mask)
-        stepped = _local_step(ds, cfg, hp, state, tables, kuu_inv, rows)
-        log_w = self._c(ds, hp, state, tables, rows)
+        stepped = _local_step(ds, cfg, hp, state, round_, rows)
+        log_w = self._c(ds, hp, state, round_[1], rows)
         if use_dirichlet:
             log_w += digamma(cfg.alpha0 + state.pi_hat[rows])
         expect = self._normalised(log_w)
@@ -308,13 +307,11 @@ class TestBatchStep:
         four times those.
         """
         ds, cfg, hp, state = checks.random_instance(seed, n=200, M=2, Q=30, dense_w=True)
-        state.mu_u, state.Su = optimal_qu(ds, cfg, hp, state)
-        _, cho = svi._jittered_kuu(hp)
-        tables, kuu_inv = svi.row_tables(ds.X, hp, cho), engine.cho_inverse(cho)
+        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
+        state.mu_u, state.Su = qu.moments()
         pi = state.pi_hat.copy()
         rows = np.random.default_rng(seed).permutation(ds.n)
-        qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi,
-                            svi.NaturalQu.of(state.mu_u, state.Su))
+        qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
         stepped = replace(state, pi_hat=pi)
         mu_u, Su = qu.moments()
         mu_o, Su_o = optimal_qu(ds, cfg, hp, stepped)
