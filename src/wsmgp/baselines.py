@@ -51,9 +51,11 @@ def fit_omgp_ws(ds, cfg: ModelConfig, opt_cfg: OptimizerConfig = None, hp0=None)
 
 def fit_scmgp(ds, cfg: ModelConfig, opt_cfg: OptimizerConfig = None, hp0=None):
     """Sparse convolved model on the labeled rows only (exact likelihood)."""
-    if ds.n_labeled == 0:
-        raise NoLabeledDataError("SCMGP requires at least one labeled observation")
     if hp0 is None:
+        # fit_cvb raises the same error, but the defaults are fitted to the
+        # labeled rows first, and zero rows have no span to fit
+        if ds.n_labeled == 0:
+            raise NoLabeledDataError("SCMGP requires at least one labeled observation")
         keep = ds.labeled_mask
         hp0 = default_hyperparams(make_dataset(ds.X[keep], ds.y[keep]), cfg, kind="convolved")
     # the selection without a state (bounds.cvb_selection) reads the labeled rows only

@@ -16,11 +16,13 @@ Which BLAS runs the products: every matrix-matrix product with an
 n_m-row operand goes through `_gemm`, i.e. scipy's `dgemm`, the same
 OpenBLAS that runs the `cho_factor` / `cho_solve` calls here.  The
 stochastic bound does the same with its batch-row products, calling
-`engine._gemm`: Phi Su for the moments and Phi' (d o Phi) for q(u)'s
-natural parameters in `svi`, and Phi' [d o Phi, a] per output and
-[d o Phi, a] [-T; mt'] over all outputs in `gradients`.  Its row
-constants come from scipy's `dtrsm` (`svi._row_constants`), in the same
-library.  The numpy and scipy wheels each bundle their
+`engine._gemm`: in `svi`, Phi Su for the bound's moments, Phi L^-T for
+a mini-batch step's variances (L the Cholesky factor of q(u)'s
+precision, L^-1 from scipy's `dtrtri`) and Phi' (d o Phi) for q(u)'s
+natural parameters; in `gradients`, Phi' [d o Phi, a] per output and
+[d o Phi, a] [-T; mt'] over all outputs.  Its row constants come from
+scipy's `dtrsm` (`svi._row_constants`) and q(u)'s factor and mean from
+its `dpotrf` and `dpotrs`, in the same library.  The numpy and scipy wheels each bundle their
 own OpenBLAS with its own thread pool; when an evaluation alternates
 between the two, both pools spin on the same cores and the small
 factorizations wait on the other pool's busy threads (at 2 threads this

@@ -249,14 +249,16 @@ def scmgp_loglik_with_grad(ds, cfg, hp):
 # ---------------------------------------------------------------------------
 
 
-def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
+def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None):
     """Stochastic bound value and its hyperparameter gradient (mini-batch scaled like the bound).
 
     Returns (value, GradientBundle) with d_S, d_Lm, d_L, d_sigma and
     d_alpha0 set; q(pi) and q(u) are held fixed (the fit moves them by
     closed-form steps, svi.batch_step).  Only the batch rows of the data
     are read; d_alpha0 and d_sigma count only the batch rows, scaled by
-    N/|batch|, and the KL term is not scaled.
+    N/|batch|, and the KL term is not scaled.  t2 is
+    kernels.sqdiff(X, W) at the evaluated rows X (all N rows when batch
+    is None), computed here unless the caller passes it.
 
     The data term is summed in Q x Q form, so no per-row variance and no
     (M, rows, Q) derivative of Phi is formed.  Per output, with
@@ -280,7 +282,8 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None):
         rows = np.asarray(batch, dtype=int)
         s, X, y = ds.n / len(rows), ds.X[rows], ds.y[rows]
     pi, labeled, _ = select_rows(state, ds, rows)
-    t2 = kernels.sqdiff(X, W)
+    if t2 is None:
+        t2 = kernels.sqdiff(X, W)
     fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
     phi, r = _tables_of([b.K for b in fu_blocks], hp, cho)
     kuu_inv = engine.cho_inverse(cho)

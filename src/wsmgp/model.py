@@ -138,7 +138,7 @@ def floor_simplex(rows, eps=EPS_PI):
     rows = np.asarray(rows, dtype=float)
     if rows.min() >= eps:
         return rows
-    hit = np.unique(np.nonzero(rows < eps)[0])
+    hit = (rows < eps).any(axis=1)
     out = rows.copy()
     clamped = np.maximum(rows[hit], eps)
     out[hit] = clamped / clamped.sum(axis=1, keepdims=True)
@@ -146,10 +146,11 @@ def floor_simplex(rows, eps=EPS_PI):
 
 
 def softmax_simplex(z):
-    """Stable row softmax of z (shifted in place), floored onto the simplex."""
+    """Stable row softmax of z, floored onto the simplex; z is overwritten."""
     z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return floor_simplex(e / e.sum(axis=1, keepdims=True))
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return floor_simplex(z)
 
 
 def validate_dataset(ds: Dataset, cfg: ModelConfig):

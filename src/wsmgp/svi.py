@@ -27,17 +27,20 @@ gives every mu and one product Phi Su every variance, with no loop over
 the outputs.
 
 Who calls what:
-  * elbo_svb (the bound alone; trainer.fit_svb_em records it once per
-    round) and gradients.elbo_svb_with_grad build the constants at
-    their rows on every call.  The gradient reads the constants only; it
-    sums the data term in Q x Q form and needs neither the per-row
-    variances nor Phi Su.
+  * elbo_svb (the bound alone) and gradients.elbo_svb_with_grad build
+    the constants at their rows on every call, unless the caller
+    passes them: trainer.fit_svb_em computes the squared differences
+    between the rows and the inducing inputs, which it never moves, once
+    per fit for qu_restart and every M-phase evaluation, and records each
+    round's bound from the tables qu_restart built.  The gradient reads
+    the constants only; it sums the data term in Q x Q form and needs
+    neither the per-row variances nor Phi Su.
   * The trainer's E-phase holds the hyperparameters fixed for a round,
     so it builds them once per round over all N rows (row_tables: one
     N-row Kfu block and two N-row triangular solves per output, the
     blocks sharing one set of squared differences, O(M N Q^2); they
     hold M N (Q + 1) doubles, 2.0 MB at N = 4000, M = 2, Q = 30).  Each
-    mini-batch step (batch_step) gathers its rows and takes two
+    mini-batch step (batch_step) gathers its rows once and takes two
     closed-form coordinate steps, O(|batch| M Q^2 + Q^3) with no kernel
     matrix, no Kuu solve and no O(N) work: the batch rows' assignment
     probabilities are set to their optimum given q(u)
@@ -45,7 +48,11 @@ Who calls what:
     Su^-1 mu_u) move a step rho = |batch| / N toward the batch estimate
     of their optimum (_qu_estimate), the stochastic variational inference
     step of Hoffman, Blei, Wang & Paisley (2013) and Hensman, Fusi &
-    Lawrence (2013).
+    Lawrence (2013).  The step forms no Su: one Cholesky factor L of
+    Su^-1 (NaturalQu.factor, LAPACK dpotrf) gives mu_u by dpotrs and
+    the variances through Phi L^-T, and the row update and the
+    natural-parameter step work in place on the step's own arrays.
+    NaturalQu.moments forms Su once per E-phase, for the M-phase.
   * q(u) has one closed form, _qu_estimate at scale 1 on every row:
     the full-batch step, where rho = 1.  qu_restart builds Kuu^-1 and
     the tables over all N rows and takes it from them; optimal_qu
@@ -53,11 +60,12 @@ Who calls what:
     first round and after each M-phase, so its tables, Kuu^-1 and
     NaturalQu serve the next round's E-phase.
 
-The matrix products with a batch-row operand (Phi Su, Phi' D Phi in
-_qu_estimate, and those of the gradient) run
-in scipy's BLAS through engine._gemm, the library that also runs the
-triangular solves and the Cholesky factorizations, so an evaluation uses
-one OpenBLAS thread pool; the engine docstring says why.
+The matrix products with a batch-row operand (Phi Su in _qu_moments,
+Phi L^-T in batch_step, Phi' D Phi in _qu_estimate, and those of the
+gradient) run in scipy's BLAS through engine._gemm, the library that
+also runs the triangular solves and inverses and the Cholesky
+factorizations, so an evaluation uses one OpenBLAS thread pool; the
+engine docstring says why.
 """
 
 from typing import NamedTuple
@@ -65,6 +73,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from scipy.special import digamma
 
 from . import engine, kernels
@@ -95,9 +104,14 @@ class RowTables(NamedTuple):
         return np.take(self.phi, rows, axis=1), np.take(self.r, rows, axis=1)
 
 
-def row_tables(X, hp, cho_kuu):
-    """RowTables at the rows of X, with Kuu factored as cho_kuu (from kernels.jittered)."""
-    t2 = kernels.sqdiff(X, hp.inducing.W)
+def row_tables(X, hp, cho_kuu, t2=None):
+    """RowTables at the rows of X, with Kuu factored as cho_kuu (from kernels.jittered).
+
+    t2 is kernels.sqdiff(X, hp.inducing.W), computed here unless the
+    caller passes it.
+    """
+    if t2 is None:
+        t2 = kernels.sqdiff(X, hp.inducing.W)
     return _tables_of([kernels.kfu_block(t2, out, hp.latent).K for out in hp.outputs], hp,
                       cho_kuu)
 
@@ -174,8 +188,12 @@ def expected_loglik_terms(y, mu, var, pi_col, sigma_m):
     return 0.5 * np.log(prec) - 0.5 * _LOG2PI - 0.5 * prec * (resid * resid + var)
 
 
-def elbo_svb(ds, cfg, hp, state, batch=None):
-    """Stochastic variational bound; full-batch when batch is None."""
+def elbo_svb(ds, cfg, hp, state, batch=None, tables=None):
+    """Stochastic variational bound; full-batch when batch is None.
+
+    tables are the RowTables of the batch rows (of all N rows when batch
+    is None) at hp, built here unless the caller passes them.
+    """
     kuu, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
     if batch is None:
         rows = np.arange(ds.n)
@@ -183,7 +201,8 @@ def elbo_svb(ds, cfg, hp, state, batch=None):
     else:
         rows = np.asarray(batch, dtype=int)
         scale = ds.n / len(rows)
-    tables = row_tables(ds.X[rows], hp, cho)
+    if tables is None:
+        tables = row_tables(ds.X[rows], hp, cho)
     mu, var = _qu_moments(tables.phi, tables.r, state.mu_u, state.Su)
     data = float(np.sum(expected_loglik_terms(
         ds.y[rows], mu, var, state.pi_hat[rows].T, hp.noise.sigma[:, None]
@@ -193,16 +212,17 @@ def elbo_svb(ds, cfg, hp, state, batch=None):
     return scale * (data + float(np.sum(v_rows))) - kl
 
 
-def qu_restart(ds, hp, pi):
+def qu_restart(ds, hp, pi, t2=None):
     """q(u)'s closed form at hp and pi, with what it is built from: (Kuu^-1, tables, NaturalQu).
 
     Kuu is jittered and factored, Kuu^-1 formed, the row tables built
-    over all N rows, and q(u) is _qu_estimate at scale 1 from them.  The
-    trainer starts each E-phase from all three.
+    over all N rows (from t2 = kernels.sqdiff(ds.X, hp.inducing.W) when
+    the caller passes it), and q(u) is _qu_estimate at scale 1 from
+    them.  The trainer starts each E-phase from all three.
     """
     _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
     kuu_inv = engine.cho_inverse(cho)
-    tables = row_tables(ds.X, hp, cho)
+    tables = row_tables(ds.X, hp, cho, t2)
     return kuu_inv, tables, _qu_estimate(tables.phi, ds.y, pi, hp.noise.sigma, kuu_inv, 1.0)
 
 
@@ -229,17 +249,33 @@ class NaturalQu(NamedTuple):
     lam: np.ndarray
     h: np.ndarray
 
+    def factor(self):
+        """The lower Cholesky factor of lam (LAPACK dpotrf), its other triangle zero.
+
+        It is the factor cho_factor(lam, lower=True) gives, with the same
+        guards: a non-finite lam or h raises ValueError and a lam that is
+        not positive definite np.linalg.LinAlgError.
+        """
+        if not (np.isfinite(self.lam).all() and np.isfinite(self.h).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        c, info = dpotrf(self.lam, lower=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                "%d-th leading minor of the array is not positive definite" % info)
+        return c
+
     def moments(self):
         """(mu_u, Su)."""
-        cho = cho_factor(self.lam, lower=True)
-        return cho_solve(cho, self.h), engine.cho_inverse(cho)
+        c = self.factor()
+        return dpotrs(c, self.h, lower=1)[0], engine.cho_inverse((c, True))
 
 
 def _assignment_rows(mu, var, y, sigma, pi, labeled, log_prior, cfg):
     """The rows' assignment probabilities at their optimum given q(u).
 
-    mu and var are the rows' moments of q(f) (M, rows) from _qu_moments;
-    y, pi, labeled and log_prior are the rows' entries.  With
+    mu and var are the rows' moments of q(f) (M, rows); y, pi, labeled
+    and log_prior are the rows' entries, gathered for this call: mu and
+    pi are overwritten.  With
     c_nm = -[((y_n - mu_nm)^2 + var_nm) / sigma_m^2 + log 2 pi sigma_m^2] / 2
     a row's share of the bound is sum_m pi_nm c_nm minus that row's KL
     (the log pi_nm / 2 of the expected log-likelihood cancels V's), and
@@ -253,11 +289,20 @@ def _assignment_rows(mu, var, y, sigma, pi, labeled, log_prior, cfg):
     keep the simplex floor.
     """
     s2 = (sigma**2)[:, None]
-    resid = y - mu
-    c = -0.5 * ((resid * resid + var) / s2 + np.log(2.0 * np.pi * s2))
-    unlabeled = digamma(cfg.alpha0 + pi) if cfg.use_dirichlet else 0.0
-    # log_prior is NaN on unlabeled rows, which take the other branch
-    return softmax_simplex(c.T + np.where(labeled[:, None], log_prior, unlabeled))
+    c = np.subtract(y, mu, out=mu)
+    c *= c
+    c += var
+    c /= s2
+    c += np.log(2.0 * np.pi * s2)
+    c *= -0.5
+    if cfg.use_dirichlet:
+        z = digamma(np.add(pi, cfg.alpha0, out=pi), out=pi)
+    else:
+        z = np.zeros_like(pi)
+    # log_prior is NaN on unlabeled rows, which keep the other term
+    np.copyto(z, log_prior, where=labeled[:, None])
+    z += c.T
+    return softmax_simplex(z)
 
 
 def _qu_estimate(phi, y, pi, sigma, kuu_inv, scale):
@@ -286,15 +331,29 @@ def batch_step(ds, cfg, sigma, tables, kuu_inv, rows, pi, qu):
     toward _qu_estimate at the new rows, theta <- (1 - rho) theta +
     rho theta_hat in natural parameters, which is the natural-gradient
     step of size rho.  Only the batch rows of the tables, the data and
-    pi are read.
+    pi are read, each gathered once.
+
+    q(u)'s moments at the rows come from one Cholesky factor L of lam
+    (NaturalQu.factor), with no Su formed: mu = Phi mu_u with mu_u from
+    L, and var = r + rowsum(Psi o Psi) with Psi = Phi L^-T, since
+    Phi Su Phi' = Psi Psi'.  L^-1 is LAPACK's dtrtri of L, the first half
+    of the dpotri that would form Su, and Psi one product in engine._gemm.
     """
     rows = np.asarray(rows, dtype=int)
     phi, r = tables.gather(rows)
     y = ds.y[rows]
-    mu, var = _qu_moments(phi, r, *qu.moments())
+    c = qu.factor()
+    flat = phi.reshape(-1, phi.shape[-1])
+    mu = (flat @ dpotrs(c, qu.h, lower=1)[0]).reshape(r.shape)
+    psi = engine._gemm(flat, dtrtri(c, lower=1)[0].T)
+    var = r + np.einsum("nq,nq->n", psi, psi).reshape(r.shape)
+    np.maximum(var, 0.0, out=var)
     pi_b = _assignment_rows(mu, var, y, sigma, pi[rows], ds.labels[rows] > 0,
                             ds.log_prior[rows], cfg)
     pi[rows] = pi_b
     rho = len(rows) / ds.n
     est = _qu_estimate(phi, y, pi_b, sigma, kuu_inv, ds.n / len(rows))
-    return NaturalQu(*((1.0 - rho) * old + rho * new for old, new in zip(qu, est)))
+    for new, old in zip(est, qu):
+        new *= rho
+        new += (1.0 - rho) * old
+    return est

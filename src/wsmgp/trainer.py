@@ -11,12 +11,14 @@ fit_svb_em has three phases, and each calls only what it moves:
     the previous round: Kuu^-1 (engine.cho_inverse) and the row tables
     of svi.row_tables (Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals
     r_m over all N rows, M N Q + M N doubles).  Each mini-batch step
-    (svi.batch_step) gathers its rows of the tables and takes two
+    (svi.batch_step) gathers its rows of the tables once and takes two
     closed-form steps: the batch rows' assignment probabilities go to
     their optimum given q(u) (one mean-field sweep where the Dirichlet
     prior couples a row to its q(Pi_n)), and q(u)'s natural parameters
     move a step rho = |batch| / N toward the batch estimate of their
-    optimum.
+    optimum.  q(u) stays in natural form through the E-phase: a step
+    reads its moments at the rows from one Cholesky factor of Su^-1 and
+    forms no Su; Su is formed once, when the E-phase ends.
   * M-phase: full-batch L-BFGS-B on the hyperparameter block with q(pi)
     and q(u) frozen; each evaluation calls gradients.elbo_svb_with_grad,
     the bound and its hyperparameter, sigma and alpha0 blocks: per
@@ -25,9 +27,12 @@ fit_svb_em has three phases, and each calls only what it moves:
   * q(u) restart (svi.qu_restart): at the new hyperparameters, Kuu^-1
     and the row tables are built once, q(u) is set to the closed form
     they give (the full-batch natural-parameter estimate) and
-    svi.elbo_svb records the bound.  The same tables, Kuu^-1 and
-    q(u) start the next round's E-phase; the same step before the first
-    round sets the starting q(u).
+    svi.elbo_svb records the bound from the same tables.  The same
+    tables, Kuu^-1 and q(u) start the next round's E-phase; the same
+    step before the first round sets the starting q(u).
+The inducing inputs W never move, so the squared differences between
+the N rows and W are computed once per fit, for every q(u) restart and
+every M-phase evaluation.
 """
 
 import time
@@ -36,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import gradients, svi
+from . import gradients, kernels, svi
+from .bounds import NoLabeledDataError
 from .kernels import (
     HyperParams,
     IndependentSEHyperParams,
@@ -375,6 +381,8 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         objective, cache = _make_cvb_objective(ds, cfg, pack, counter)
         try:
             f0, _ = objective(x0)
+        except NoLabeledDataError:
+            raise
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise NonFiniteBoundError(
                 "bound evaluation failed at initialization (%s); parameters: %r"
@@ -464,11 +472,16 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     form svi.optimal_qu computes).
     The hyperparameters do not move during the E-phase, so the next
     round starts from those same tables, Kuu^-1 and natural parameters.
-    A step gathers its rows of the tables; it builds no kernel matrix,
-    makes no Kuu solve and does no O(N) work.  pi, mu_u and Su are plain
-    arrays, and only the hyperparameters are packed; each M-phase
-    evaluation (gradients.elbo_svb_with_grad, full batch) computes only
-    the hyperparameter block L-BFGS-B reads.
+    A step gathers its rows of the tables once; it builds no kernel
+    matrix, makes no Kuu solve and does no O(N) work.  It factors q(u)'s
+    precision Su^-1 once (LAPACK dpotrf) and takes the mean and the rows'
+    variances from that factor, so no Su is formed until the E-phase
+    ends.  pi, mu_u and Su are plain arrays, and only the hyperparameters
+    are packed; each M-phase evaluation (gradients.elbo_svb_with_grad,
+    full batch) computes only the hyperparameter block L-BFGS-B reads.
+    The squared differences between the rows and the inducing inputs,
+    which the fit never moves, are computed once per fit, and each
+    round's bound reads the row tables of its q(u) restart.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -484,19 +497,23 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     with_alpha0 = cfg.use_dirichlet and opt_cfg.optimize_alpha0 and ds.n_unlabeled > 0
     pack = ParamPack(ds, cfg, hp0, with_pi=False, with_alpha0=with_alpha0)
     x = pack.pack(hp0, alpha0=cfg.alpha0)
+    # the inducing inputs never move, so neither do their squared
+    # differences to the rows
+    t2 = kernels.sqdiff(ds.X, hp0.inducing.W)
 
     def set_qu(xh):
         """q(u) to its closed form at xh; (the round's constants, the full-batch bound).
 
         The constants are the hyperparameters, the config, the row
         tables, Kuu^-1 and q(u)'s NaturalQu, which the next E-phase
-        starts from.
+        starts from; the bound reads the same tables.
         """
         hp, alpha0 = pack.unpack_hyper(xh)
         cfg_x = cfg.with_alpha0(alpha0)
-        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
+        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat, t2)
         state.mu_u, state.Su = qu.moments()
-        return (hp, cfg_x, tables, kuu_inv, qu), svi.elbo_svb(ds, cfg_x, hp, state)
+        return (hp, cfg_x, tables, kuu_inv, qu), svi.elbo_svb(ds, cfg_x, hp, state,
+                                                               tables=tables)
 
     round_, initial = set_qu(x)
     if not np.isfinite(initial):
@@ -508,7 +525,8 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
 
     def hyp_objective(xh):
         hp_x, alpha0 = pack.unpack_hyper(xh)
-        val, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(alpha0), hp_x, state)
+        val, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(alpha0), hp_x, state,
+                                                   t2=t2)
         eval_counter[0] += 1
         return -val, -pack.hyper_grad_to_vec(bundle)
 

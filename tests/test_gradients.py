@@ -572,8 +572,10 @@ class TestBlasRouting:
         # each elbo_svb_with_grad makes 1 product per output (Phi' [d o Phi, a])
         # and 1 over all outputs' rows ([d o Phi, a] [-T; mt']); each
         # elbo_svb makes 1 (Phi Su), the batch step 2 over all outputs'
-        # rows (Phi Su for the moments, Phi' (d o Phi) for q(u)), and
-        # qu_restart 1 over all outputs' rows (Phi' (d o Phi))
+        # rows (Phi L^-T for the variances, with L the Cholesky factor of
+        # q(u)'s precision and L^-1 from LAPACK's dtrtri, which forms no
+        # Su; Phi' (d o Phi) for q(u)), and qu_restart 1 over all outputs'
+        # rows (Phi' (d o Phi))
         assert len(calls) == 2 * (cfg.M + 1) + 2 * 1 + 2 + 1
         assert all(max(sa[0], sb[0]) >= len(rows) for sa, sb in calls)
 

@@ -56,6 +56,32 @@ class TestFloor:
         assert out[0, 1] >= EPS_PI * 0.5
         assert out[0].sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("M", [2, 3, 9])
+    def test_equals_the_floor_of_the_unique_hit_rows(self, M):
+        # the hit rows found by row index through np.unique, as the floor
+        # once found them; rows with and without hits, soft and hard
+        def unique_floor(rows, eps=EPS_PI):
+            if rows.min() >= eps:
+                return rows
+            hit = np.unique(np.nonzero(rows < eps)[0])
+            out = rows.copy()
+            clamped = np.maximum(rows[hit], eps)
+            out[hit] = clamped / clamped.sum(axis=1, keepdims=True)
+            return out
+
+        rng = np.random.default_rng(M)
+        rows = rng.dirichlet(np.full(M, 0.5), size=200)
+        # one entry of a fifth of the rows each to 0 and to 1e-12
+        for value in (0.0, 1e-12):
+            picked = rng.choice(len(rows), size=40, replace=False)
+            rows[picked, rng.integers(M, size=40)] = value
+        rows /= rows.sum(axis=1, keepdims=True)
+        hit = np.any(rows < EPS_PI, axis=1)
+        assert 0 < np.sum(hit) < len(rows)
+        np.testing.assert_array_equal(floor_simplex(rows), unique_floor(rows))
+        soft = rows[~hit]
+        assert floor_simplex(soft) is soft
+
 
 class TestInitState:
     def test_deterministic(self):

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma
 
-from wsmgp import checks, kernels, svi
+from wsmgp import checks, gradients, kernels, svi
 from wsmgp.bounds import build_cvb_system, elbo_cvb
 from wsmgp.model import EPS_PI, floor_simplex
 from wsmgp.svi import elbo_svb, expected_loglik_terms, gaussian_kl_u, optimal_qu
@@ -320,3 +320,85 @@ class TestBatchStep:
         got = elbo_svb(ds, cfg, hp, replace(stepped, mu_u=mu_u, Su=Su))
         ref = elbo_svb(ds, cfg, hp, replace(stepped, mu_u=mu_o, Su=Su_o))
         assert abs(got - ref) <= 3e-14 * abs(ref)
+
+
+def _reference_step(ds, cfg, sigma, tables, kuu_inv, rows, pi, qu):
+    """batch_step written out from Su: cho_factor, cho_solve and an explicit inverse."""
+    phi, r = tables.gather(rows)
+    M, b, Q = phi.shape
+    cho = cho_factor(qu.lam, lower=True)
+    mu_u = cho_solve(cho, qu.h)
+    Su = cho_solve(cho, np.eye(Q))
+    Su = 0.5 * (Su + Su.T)
+    flat = phi.reshape(-1, Q)
+    mu = (flat @ mu_u).reshape(M, b)
+    var = np.maximum(r + np.sum((flat @ Su) * flat, axis=1).reshape(M, b), 0.0)
+    s2 = (sigma**2)[:, None]
+    y = ds.y[rows]
+    c = -0.5 * (((y - mu) ** 2 + var) / s2 + np.log(2 * np.pi * s2))
+    labeled = ds.labels[rows] > 0
+    other = digamma(cfg.alpha0 + pi[rows]) if cfg.use_dirichlet else np.zeros((b, M))
+    log_w = c.T + np.where(labeled[:, None], ds.log_prior[rows], other)
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    pi[rows] = floor_simplex(w / w.sum(axis=1, keepdims=True))
+    d = pi[rows].T / s2
+    scale = ds.n / b
+    lam = kuu_inv + scale * np.einsum("mnq,mn,mnp->qp", phi, d, phi)
+    h = scale * np.einsum("mnq,mn->q", phi, d * y)
+    rho = b / ds.n
+    return svi.NaturalQu((1 - rho) * qu.lam + rho * lam, (1 - rho) * qu.h + rho * h)
+
+
+class TestFusedStep:
+    """batch_step takes q(u)'s moments from one factor of its precision, with no Su."""
+
+    @pytest.mark.parametrize("use_dirichlet", [True, False])
+    @pytest.mark.parametrize("sigma", [0.3, 0.02])
+    def test_two_hundred_steps_match_the_step_written_from_su(self, sigma, use_dirichlet):
+        ds, cfg, hp, state, (kuu_inv, tables, qu) = _step_instance(5, use_dirichlet, sigma)
+        rng = np.random.default_rng(7)
+        pi, pi_ref, qu_ref = state.pi_hat.copy(), state.pi_hat.copy(), qu
+        for _ in range(200):
+            rows = rng.choice(ds.n, size=7, replace=False)
+            qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
+            qu_ref = _reference_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi_ref,
+                                     qu_ref)
+        if sigma < 0.1:
+            assert np.any(pi <= 2 * EPS_PI)
+        np.testing.assert_allclose(pi, pi_ref, rtol=1e-11, atol=0)
+        for got, ref in zip(qu, qu_ref):
+            assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("field", ["lam", "h"])
+    def test_non_finite_natural_parameters_raise_value_error(self, field):
+        ds, cfg, hp, state, (kuu_inv, tables, qu) = _step_instance(0, True)
+        bad = getattr(qu, field).copy()
+        bad[(0,) * bad.ndim] = np.nan
+        qu = qu._replace(**{field: bad})
+        with pytest.raises(ValueError):
+            svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, [0, 1], state.pi_hat, qu)
+
+    def test_indefinite_precision_raises_linalg_error(self):
+        ds, cfg, hp, state, (kuu_inv, tables, qu) = _step_instance(0, True)
+        qu = qu._replace(lam=qu.lam - 2 * np.max(np.linalg.eigvalsh(qu.lam)) * np.eye(5))
+        with pytest.raises(np.linalg.LinAlgError):
+            svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, [0, 1], state.pi_hat, qu)
+
+
+class TestPerFitConstants:
+    """The squared differences and row tables a caller already has give the same values."""
+
+    def test_given_constants_change_no_value(self):
+        ds, cfg, hp, state = checks.random_instance(11, n=40, M=2, Q=6)
+        t2 = kernels.sqdiff(ds.X, hp.inducing.W)
+        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
+        given = svi.qu_restart(ds, hp, state.pi_hat, t2)
+        for got, ref in zip([given[0], *given[1], *given[2]], [kuu_inv, *tables, *qu]):
+            np.testing.assert_array_equal(got, ref)
+        state.mu_u, state.Su = qu.moments()
+        assert elbo_svb(ds, cfg, hp, state, tables=tables) == elbo_svb(ds, cfg, hp, state)
+        val, bundle = gradients.elbo_svb_with_grad(ds, cfg, hp, state, t2=t2)
+        val_ref, bundle_ref = gradients.elbo_svb_with_grad(ds, cfg, hp, state)
+        assert val == val_ref
+        for name, g in vars(bundle_ref).items():
+            np.testing.assert_array_equal(getattr(bundle, name), g, err_msg=name)

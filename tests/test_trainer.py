@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wsmgp import checks
-from wsmgp.bounds import elbo_cvb
+from wsmgp.baselines import fit_scmgp
+from wsmgp.bounds import NoLabeledDataError, elbo_cvb
 from wsmgp.experiments import SyntheticConfig, generate_synthetic
 from wsmgp.model import ModelConfig
 from wsmgp.trainer import (
@@ -119,6 +120,16 @@ class TestFitCvb:
             sig = rep.final_hp.noise.sigma[0]
             hits += 0.125 <= sig <= 0.375
         assert hits >= 8
+
+    def test_no_labeled_rows_raise_no_labeled_data_error(self):
+        # SCMGP fits the labeled rows alone; with none the error says so
+        # instead of reporting a bound that failed to evaluate
+        ds, cfg, hp, _ = checks.random_instance(0, n=10, labeled_frac=0.0)
+        with pytest.raises(NoLabeledDataError):
+            fit_cvb(ds, cfg, None, OptimizerConfig(restarts=1), scmgp=True)
+        for hp0 in (None, hp):
+            with pytest.raises(NoLabeledDataError):
+                fit_scmgp(ds, cfg, OptimizerConfig(restarts=1), hp0)
 
     def test_nonfinite_initial_bound_raises(self):
         ds, _ = tiny_two_output_ds(7)
