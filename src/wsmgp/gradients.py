@@ -256,9 +256,8 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None):
     d_alpha0 set; q(pi) and q(u) are held fixed (the fit moves them by
     closed-form steps, svi.batch_step).  Only the batch rows of the data
     are read; d_alpha0 and d_sigma count only the batch rows, scaled by
-    N/|batch|, and the KL term is not scaled.  t2 is
-    kernels.sqdiff(X, W) at the evaluated rows X (all N rows when batch
-    is None), computed here unless the caller passes it.
+    N/|batch|, and the KL term is not scaled.  t2 is kernels.sqdiff(X, W)
+    at the evaluated rows X if the caller has it.
 
     The data term is summed in Q x Q form, so no per-row variance and no
     (M, rows, Q) derivative of Phi is formed.  Per output, with

@@ -28,13 +28,11 @@ the outputs.
 
 Who calls what:
   * elbo_svb (the bound alone) and gradients.elbo_svb_with_grad build
-    the constants at their rows on every call, unless the caller
-    passes them: trainer.fit_svb_em computes the squared differences
-    between the rows and the inducing inputs, which it never moves, once
-    per fit for qu_restart and every M-phase evaluation, and records each
-    round's bound from the tables qu_restart built.  The gradient reads
-    the constants only; it sums the data term in Q x Q form and needs
-    neither the per-row variances nor Phi Su.
+    the constants at their rows unless the caller passes them:
+    trainer.fit_svb_em passes its once-per-fit squared differences and
+    records each round's bound from qu_restart's tables.  The gradient
+    reads the constants only; it sums the data term in Q x Q form and
+    needs neither the per-row variances nor Phi Su.
   * The trainer's E-phase holds the hyperparameters fixed for a round,
     so it builds them once per round over all N rows (row_tables: one
     N-row Kfu block and two N-row triangular solves per output, the
@@ -48,11 +46,9 @@ Who calls what:
     Su^-1 mu_u) move a step rho = |batch| / N toward the batch estimate
     of their optimum (_qu_estimate), the stochastic variational inference
     step of Hoffman, Blei, Wang & Paisley (2013) and Hensman, Fusi &
-    Lawrence (2013).  The step forms no Su: one Cholesky factor L of
-    Su^-1 (NaturalQu.factor, LAPACK dpotrf) gives mu_u by dpotrs and
-    the variances through Phi L^-T, and the row update and the
-    natural-parameter step work in place on the step's own arrays.
-    NaturalQu.moments forms Su once per E-phase, for the M-phase.
+    Lawrence (2013).  The step forms no Su: one Cholesky factor of
+    Su^-1 gives mu_u and the variances, and NaturalQu.moments forms Su
+    once per E-phase, for the M-phase.
   * q(u) has one closed form, _qu_estimate at scale 1 on every row:
     the full-batch step, where rho = 1.  qu_restart builds Kuu^-1 and
     the tables over all N rows and takes it from them; optimal_qu
@@ -107,8 +103,7 @@ class RowTables(NamedTuple):
 def row_tables(X, hp, cho_kuu, t2=None):
     """RowTables at the rows of X, with Kuu factored as cho_kuu (from kernels.jittered).
 
-    t2 is kernels.sqdiff(X, hp.inducing.W), computed here unless the
-    caller passes it.
+    t2 is kernels.sqdiff(X, hp.inducing.W) if the caller has it.
     """
     if t2 is None:
         t2 = kernels.sqdiff(X, hp.inducing.W)
@@ -191,8 +186,7 @@ def expected_loglik_terms(y, mu, var, pi_col, sigma_m):
 def elbo_svb(ds, cfg, hp, state, batch=None, tables=None):
     """Stochastic variational bound; full-batch when batch is None.
 
-    tables are the RowTables of the batch rows (of all N rows when batch
-    is None) at hp, built here unless the caller passes them.
+    tables are the RowTables of the evaluated rows at hp if the caller has them.
     """
     kuu, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
     if batch is None:
@@ -216,9 +210,8 @@ def qu_restart(ds, hp, pi, t2=None):
     """q(u)'s closed form at hp and pi, with what it is built from: (Kuu^-1, tables, NaturalQu).
 
     Kuu is jittered and factored, Kuu^-1 formed, the row tables built
-    over all N rows (from t2 = kernels.sqdiff(ds.X, hp.inducing.W) when
-    the caller passes it), and q(u) is _qu_estimate at scale 1 from
-    them.  The trainer starts each E-phase from all three.
+    over all N rows (with row_tables' t2), and q(u) is _qu_estimate at
+    scale 1 from them.  The trainer starts each E-phase from all three.
     """
     _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
     kuu_inv = engine.cho_inverse(cho)
@@ -252,9 +245,9 @@ class NaturalQu(NamedTuple):
     def factor(self):
         """The lower Cholesky factor of lam (LAPACK dpotrf), its other triangle zero.
 
-        It is the factor cho_factor(lam, lower=True) gives, with the same
-        guards: a non-finite lam or h raises ValueError and a lam that is
-        not positive definite np.linalg.LinAlgError.
+        Its lower triangle is cho_factor(lam, lower=True)'s, with the
+        same guards: a non-finite lam or h raises ValueError and a lam
+        that is not positive definite np.linalg.LinAlgError.
         """
         if not (np.isfinite(self.lam).all() and np.isfinite(self.h).all()):
             raise ValueError("array must not contain infs or NaNs")
@@ -333,11 +326,11 @@ def batch_step(ds, cfg, sigma, tables, kuu_inv, rows, pi, qu):
     step of size rho.  Only the batch rows of the tables, the data and
     pi are read, each gathered once.
 
-    q(u)'s moments at the rows come from one Cholesky factor L of lam
-    (NaturalQu.factor), with no Su formed: mu = Phi mu_u with mu_u from
-    L, and var = r + rowsum(Psi o Psi) with Psi = Phi L^-T, since
+    q(u)'s moments at the rows come from one Cholesky factor L of lam,
+    with no Su formed: mu = Phi mu_u with mu_u from L (dpotrs), and
+    var = r + rowsum(Psi o Psi) with Psi = Phi L^-T, since
     Phi Su Phi' = Psi Psi'.  L^-1 is LAPACK's dtrtri of L, the first half
-    of the dpotri that would form Su, and Psi one product in engine._gemm.
+    of the dpotri that would form Su.
     """
     rows = np.asarray(rows, dtype=int)
     phi, r = tables.gather(rows)

@@ -16,9 +16,8 @@ fit_svb_em has three phases, and each calls only what it moves:
     their optimum given q(u) (one mean-field sweep where the Dirichlet
     prior couples a row to its q(Pi_n)), and q(u)'s natural parameters
     move a step rho = |batch| / N toward the batch estimate of their
-    optimum.  q(u) stays in natural form through the E-phase: a step
-    reads its moments at the rows from one Cholesky factor of Su^-1 and
-    forms no Su; Su is formed once, when the E-phase ends.
+    optimum.  A step reads q(u)'s moments at its rows from one Cholesky
+    factor of Su^-1; Su is formed once, when the E-phase ends.
   * M-phase: full-batch L-BFGS-B on the hyperparameter block with q(pi)
     and q(u) frozen; each evaluation calls gradients.elbo_svb_with_grad,
     the bound and its hyperparameter, sigma and alpha0 blocks: per
@@ -30,9 +29,8 @@ fit_svb_em has three phases, and each calls only what it moves:
     svi.elbo_svb records the bound from the same tables.  The same
     tables, Kuu^-1 and q(u) start the next round's E-phase; the same
     step before the first round sets the starting q(u).
-The inducing inputs W never move, so the squared differences between
-the N rows and W are computed once per fit, for every q(u) restart and
-every M-phase evaluation.
+W never moves, so the squared differences between the rows and W are
+computed once per fit, for every q(u) restart and M-phase evaluation.
 """
 
 import time
@@ -473,15 +471,10 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     The hyperparameters do not move during the E-phase, so the next
     round starts from those same tables, Kuu^-1 and natural parameters.
     A step gathers its rows of the tables once; it builds no kernel
-    matrix, makes no Kuu solve and does no O(N) work.  It factors q(u)'s
-    precision Su^-1 once (LAPACK dpotrf) and takes the mean and the rows'
-    variances from that factor, so no Su is formed until the E-phase
-    ends.  pi, mu_u and Su are plain arrays, and only the hyperparameters
-    are packed; each M-phase evaluation (gradients.elbo_svb_with_grad,
-    full batch) computes only the hyperparameter block L-BFGS-B reads.
-    The squared differences between the rows and the inducing inputs,
-    which the fit never moves, are computed once per fit, and each
-    round's bound reads the row tables of its q(u) restart.
+    matrix, makes no Kuu solve, forms no Su and does no O(N) work.  pi,
+    mu_u and Su are plain arrays, and only the hyperparameters are
+    packed; each M-phase evaluation (gradients.elbo_svb_with_grad, full
+    batch) computes only the hyperparameter block L-BFGS-B reads.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -497,16 +490,14 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     with_alpha0 = cfg.use_dirichlet and opt_cfg.optimize_alpha0 and ds.n_unlabeled > 0
     pack = ParamPack(ds, cfg, hp0, with_pi=False, with_alpha0=with_alpha0)
     x = pack.pack(hp0, alpha0=cfg.alpha0)
-    # the inducing inputs never move, so neither do their squared
-    # differences to the rows
-    t2 = kernels.sqdiff(ds.X, hp0.inducing.W)
+    t2 = kernels.sqdiff(ds.X, hp0.inducing.W)  # W never moves
 
     def set_qu(xh):
         """q(u) to its closed form at xh; (the round's constants, the full-batch bound).
 
         The constants are the hyperparameters, the config, the row
         tables, Kuu^-1 and q(u)'s NaturalQu, which the next E-phase
-        starts from; the bound reads the same tables.
+        starts from.
         """
         hp, alpha0 = pack.unpack_hyper(xh)
         cfg_x = cfg.with_alpha0(alpha0)
