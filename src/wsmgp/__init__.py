@@ -6,11 +6,7 @@ from .bounds import (
     exact_marglik_oracle,
     vterm,
 )
-from .gradients import (
-    GradientBundle,
-    finite_diff_check,
-    grad_vterm,
-)
+from .gradients import GradientBundle, finite_diff_check
 from .kernels import (
     HyperParams,
     IndependentSEHyperParams,

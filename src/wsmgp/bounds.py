@@ -21,16 +21,21 @@ One function, cvb_selection, says which rows sit under which output and
 with what noise, for the bound and for the fully-labeled SCMGP alike;
 build_cvb_system builds the engine's system over it for the bound, the
 SCMGP likelihood, both gradients and predict.posterior_predict.
+
+Both bounds move pi by one closed-form step, assignment_rows, fed q(f)'s
+moments at the rows: under q(u) at a batch (svi.batch_step), or under the
+collapsed posterior at all N rows (cvb_pi_step).
 """
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import digamma, gammaln, logsumexp
 
 from . import engine, kernels
 from .model import (
     Dataset,
     ModelConfig,
     VariationalState,
+    softmax_simplex,
 )
 
 _LOG2PI = float(np.log(2.0 * np.pi))
@@ -141,6 +146,61 @@ def gauss_term_cvb(ds, cfg, hp, state):
 def elbo_cvb(ds, cfg, hp, state):
     """KL-corrected variational bound on the marginal log-likelihood."""
     return gauss_term_cvb(ds, cfg, hp, state) + vterm(state, ds, cfg, hp.noise)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form assignment step of both bounds
+# ---------------------------------------------------------------------------
+
+
+def assignment_rows(mu, var, y, sigma, pi, labeled, log_prior, cfg):
+    """The rows' assignment probabilities at their optimum given q(f)'s moments there.
+
+    mu and var are the rows' moments of q(f) (M, rows); y, pi, labeled
+    and log_prior are the rows' entries: mu and pi are overwritten.  With
+    c_nm = -[((y_n - mu_nm)^2 + var_nm) / sigma_m^2 + log 2 pi sigma_m^2] / 2
+    a row's share of either bound is sum_m pi_nm c_nm minus that row's KL
+    (the log pi_nm / 2 of the expected log-likelihood cancels V's), with
+    no N / |batch| scale; the collapsed bound is the maximum over a
+    Gaussian q(f) of those shares minus KL(q(f) || p(f)), reached at its
+    posterior.  So the new row is softmax(log prior + c) on a labeled row
+    and softmax(c) on an unlabeled row without the Dirichlet prior.  With it, the bounds hold
+    q(Pi_n) at its optimum Dir(alpha0 + pi_n) given the old row, and
+    softmax(c + digamma(alpha0 + pi_n)) is the exact coordinate step of
+    q(Z_n) given that q(Pi_n); moving q(Pi_n) to its optimum at the new
+    row can only raise the bound again, so one such mean-field sweep
+    never lowers the bound.  Rows keep the simplex floor.
+    """
+    s2 = (sigma**2)[:, None]
+    c = np.subtract(y, mu, out=mu)
+    c *= c
+    c += var
+    c /= s2
+    c += np.log(2.0 * np.pi * s2)
+    c *= -0.5
+    if cfg.use_dirichlet:
+        z = digamma(np.add(pi, cfg.alpha0, out=pi), out=pi)
+    else:
+        z = np.zeros_like(pi)
+    # log_prior is NaN on unlabeled rows, which keep the other term
+    np.copyto(z, log_prior, where=labeled[:, None])
+    z += c.T
+    return softmax_simplex(z)
+
+
+def cvb_pi_step(ds, cfg, hp, state):
+    """One full-batch pi step of the collapsed bound: (elbo_cvb at state, the stepped pi_hat).
+
+    One system build gives both the bound at state.pi_hat and q(f)'s
+    moments at every row (engine.posterior_moments), from which
+    assignment_rows takes every row to its optimum.  state.pi_hat is
+    overwritten.
+    """
+    sys = build_cvb_system(ds, cfg, hp, state)
+    bound = engine.gauss_loglik(sys) + vterm(state, ds, cfg, hp.noise)
+    mu, var = (np.stack(v) for v in engine.posterior_moments(sys))
+    return bound, assignment_rows(mu, var, ds.y, hp.noise.sigma, state.pi_hat,
+                                  ds.labeled_mask, ds.log_prior, cfg)
 
 
 # ---------------------------------------------------------------------------

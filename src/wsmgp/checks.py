@@ -11,7 +11,7 @@ import numpy as np
 from scipy import integrate
 
 from . import gradients, kernels, svi
-from .bounds import elbo_cvb, exact_marglik_oracle
+from .bounds import elbo_cvb, exact_marglik_oracle, vterm
 from .kernels import (
     HyperParams,
     InducingInputs,
@@ -19,7 +19,7 @@ from .kernels import (
     NoiseParams,
     OutputKernelParams,
 )
-from .model import ModelConfig, VariationalState, floor_simplex, init_state, make_dataset
+from .model import ModelConfig, floor_simplex, init_state, make_dataset
 from .trainer import ParamPack
 
 
@@ -148,42 +148,45 @@ def kernel_quadrature_check(seed=0, n_draws=100):
 # ---------------------------------------------------------------------------
 
 
-def packed_cvb(ds, cfg, hp, state, with_alpha0=True):
-    """(x0, value_fn, grad_fn, pack) for the collapsed bound."""
-    pack = ParamPack(ds, cfg, hp, with_pi=True, with_alpha0=with_alpha0)
-    x0 = pack.pack(hp, alpha0=cfg.alpha0, state=state)
+def packed_cvb(ds, cfg, hp, state):
+    """(x0, value_fn, grad_fn, pack) for the collapsed bound's hyperparameter block.
+
+    pi stays at `state`: the collapsed fit moves it by closed-form steps,
+    not along a gradient.
+    """
+    pack = ParamPack(cfg, hp, with_alpha0=True)
+    x0 = pack.pack(hp, alpha0=cfg.alpha0)
 
     def value(x):
-        hp_x, a0, pi = pack.unpack(x)
-        return elbo_cvb(ds, cfg.with_alpha0(a0), hp_x, VariationalState(pi))
+        hp_x, a0 = pack.unpack(x)
+        return elbo_cvb(ds, cfg.with_alpha0(a0), hp_x, state)
 
     def grad(x):
-        hp_x, a0, pi = pack.unpack(x)
-        _, bundle = gradients.elbo_cvb_with_grad(ds, cfg.with_alpha0(a0), hp_x,
-                                                 VariationalState(pi))
+        hp_x, a0 = pack.unpack(x)
+        _, bundle = gradients.elbo_cvb_with_grad(ds, cfg.with_alpha0(a0), hp_x, state)
         return pack.grad_to_vec(bundle)
 
     return x0, value, grad, pack
 
 
-def packed_svb(ds, cfg, hp, state, batch=None, with_alpha0=True):
+def packed_svb(ds, cfg, hp, state, batch=None):
     """(x0, value_fn, grad_fn, pack) for the stochastic bound's hyperparameter block.
 
     q(pi) and q(u) stay at `state`: the stochastic fit moves them by
     closed-form steps, not along this gradient.
     """
-    pack = ParamPack(ds, cfg, hp, with_pi=False, with_alpha0=with_alpha0)
+    pack = ParamPack(cfg, hp, with_alpha0=True)
     x0 = pack.pack(hp, alpha0=cfg.alpha0)
 
     def value(x):
-        hp_x, a0 = pack.unpack_hyper(x)
+        hp_x, a0 = pack.unpack(x)
         return svi.elbo_svb(ds, cfg.with_alpha0(a0), hp_x, state, batch=batch)
 
     def grad(x):
-        hp_x, a0 = pack.unpack_hyper(x)
+        hp_x, a0 = pack.unpack(x)
         _, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(a0), hp_x, state,
                                                  batch=batch)
-        return pack.hyper_grad_to_vec(bundle)
+        return pack.grad_to_vec(bundle)
 
     return x0, value, grad, pack
 
@@ -205,25 +208,17 @@ def gradcheck_svb(seed, n=10, M=2, Q=3, h=1e-5, batch=None):
 
 
 def gradcheck_vterm(seed, n=8, M=2, h=1e-6):
+    """V's partials in log sigma and log alpha0 (gradients.vterm_partials) at fixed pi."""
     ds, cfg, hp, state = random_instance(seed, n=n, M=M, Q=3)
-    from .bounds import vterm
-    from .trainer import logits_to_pi, pi_to_logits
-
-    logits0 = pi_to_logits(state.pi_hat)
-    shape = logits0.shape
-    x0 = np.concatenate([logits0.ravel(), [np.log(cfg.alpha0)]])
+    x0 = np.r_[np.log(hp.noise.sigma), np.log(cfg.alpha0)]
 
     def value(x):
-        pi = logits_to_pi(x[:-1].reshape(shape))
-        a0 = float(np.exp(x[-1]))
-        return vterm(VariationalState(pi), ds, cfg.with_alpha0(a0), hp.noise)
+        return vterm(state, ds, cfg.with_alpha0(np.exp(x[-1])), NoiseParams(np.exp(x[:-1])))
 
     def grad(x):
-        pi = logits_to_pi(x[:-1].reshape(shape))
         a0 = float(np.exp(x[-1]))
-        d_logits, d_a0 = gradients.grad_vterm(VariationalState(pi), ds, cfg.with_alpha0(a0),
-                                               hp.noise)
-        return np.concatenate([d_logits[:, :-1].ravel(), [d_a0]])
+        d_a0, d_sigma = gradients.vterm_partials(state, ds, cfg.with_alpha0(a0))
+        return np.r_[d_sigma, d_a0 * a0]
 
     return gradients.finite_diff_check(value, grad, x0, h=h)
 

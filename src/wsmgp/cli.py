@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .trainer import OptimizerConfig
 # the keys some subcommand reads, so that one file can serve generate, fit and
 # benchmark; S<m>, Lm<m> and sigma<m> are the synthetic config's per-output keys
 _KNOWN_KEY = re.compile(
-    r"M|Q|alpha0|useDirichlet|maxIter|tolRelBound|emOuterIters|emInnerStatIters"
+    r"M|Q|alpha0|useDirichlet|tolRelBound|emOuterIters|emInnerStatIters"
     r"|emInnerHypIters|batchSize|restarts|optimizeAlpha0|perSourceCount|gamma|lFrac|bias"
     r"|noiseLabelFlip|L|xRange|gammas|lFracs|models|replicates|(S|Lm|sigma)[1-9][0-9]*")
 
@@ -114,18 +115,14 @@ def model_config_from(cfg_map, args):
 
 
 def optimizer_config_from(cfg_map, seed):
+    """OptimizerConfig(seed=seed) with the fields the file sets; the others keep their defaults."""
     _check_keys(cfg_map)
-    return OptimizerConfig(
-        max_iter=_get(cfg_map, "maxIter", int, 200),
-        tol_rel_bound=_get(cfg_map, "tolRelBound", float, 1e-7),
-        em_outer_iters=_get(cfg_map, "emOuterIters", int, 30),
-        em_inner_stat_iters=_get(cfg_map, "emInnerStatIters", int, 25),
-        em_inner_hyp_iters=_get(cfg_map, "emInnerHypIters", int, 10),
-        batch_size=_get(cfg_map, "batchSize", int, 0),
-        seed=seed,
-        restarts=_get(cfg_map, "restarts", int, 3),
-        optimize_alpha0=_get(cfg_map, "optimizeAlpha0", bool, False),
-    )
+    given = {}
+    for f in fields(OptimizerConfig):
+        key = re.sub(r"_([a-z0-9])", lambda m: m.group(1).upper(), f.name)
+        if key in cfg_map:
+            given[f.name] = _get(cfg_map, key, f.type, None)
+    return OptimizerConfig(seed=seed, **given)
 
 
 def synthetic_config_from(cfg_map, seed):

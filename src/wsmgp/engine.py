@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dpotri
 
 from . import kernels
@@ -254,6 +254,35 @@ def build_system(X, y, hp, rows, d_blocks):
         beta=beta,
         c=c,
     )
+
+
+def posterior_moments(sys: StackedSystem):
+    """Per-output (mean, variance) of the posterior of f at the rows, none empty.
+
+    With K the prior covariance of the stacked f and Sigma = K + D, these
+    are K Sigma^-1 y and diag(K - K Sigma^-1 K), taken from the system's
+    factors without forming any matrix over all outputs' rows.  Since
+    Kfu_m - B_m V_m = D_m V_m and B_m - B_m E_m^-1 B_m = B_m E_m^-1 D_m,
+      mean_m = B_m alpha_m + (D_m V_m) c,
+      var_m = d_m o rowsum(E_m^-1 o B_m) + rowsum((D_m V_m L_A^-T)^2)
+    (L_A the Cholesky factor of A; without inducing inputs the second
+    terms drop).  No term subtracts two large numbers, so rows with a
+    small noise diagonal and rows at the simplex floor, where D reaches
+    1e10 sigma^2, keep their digits; y - D Sigma^-1 y would lose them.
+    """
+    means, variances = [], []
+    for m, B_m in enumerate(sys.B_blocks):
+        d_m = sys.d_blocks[m]
+        mean = B_m @ sys.alpha[m]
+        var = d_m * np.einsum("ij,ij->i", cho_inverse(sys.cho_E[m]), B_m)
+        if sys.has_inducing:
+            dv = d_m[:, None] * sys.V[m]
+            mean += dv @ sys.c
+            p = dtrsm(1.0, sys.cho_A[0], dv, side=1, lower=1, trans_a=1)
+            var += np.einsum("nq,nq->n", p, p)
+        means.append(mean)
+        variances.append(var)
+    return means, variances
 
 
 def _logdet_from_cho(cho):

@@ -222,15 +222,11 @@ MODEL_NAMES = ("wsmgp", "wsmgp-nodir", "omgp", "omgp-ws", "scmgp")
 
 def fit_model(name, ds, cfg: ModelConfig, opt_cfg: OptimizerConfig, bound="cvb"):
     """Dispatch a model name to its fit routine."""
-    if name == "wsmgp":
-        if bound == "svb":
-            return fit_svb_em(ds, cfg, None, opt_cfg)
-        return fit_cvb(ds, cfg, None, opt_cfg)
-    if name == "wsmgp-nodir":
-        cfg_nd = replace(cfg, use_dirichlet=False)
-        if bound == "svb":
-            return fit_svb_em(ds, cfg_nd, None, opt_cfg)
-        return fit_cvb(ds, cfg_nd, None, opt_cfg)
+    if name in ("wsmgp", "wsmgp-nodir"):
+        if name == "wsmgp-nodir":
+            cfg = replace(cfg, use_dirichlet=False)
+        fit = fit_svb_em if bound == "svb" else fit_cvb
+        return fit(ds, cfg, None, opt_cfg)
     if name in ("omgp", "omgp-ws", "scmgp"):
         if bound == "svb":
             raise ValueError("baseline %r supports the collapsed bound only" % name)

@@ -1,11 +1,12 @@
 """Analytic gradients of both bounds, with a finite-difference harness.
 
-Gradients are returned in the unconstrained coordinates the optimizer
-works in: log noise, log precisions, log alpha0, free amplitudes and
-row-softmax logits for the assignment probabilities (one pinned logit
-per row).  Matrix-level derivatives of the Gaussian term
-come from the shared engine; this module chains them to the kernel
-hyperparameters and adds the assignment-term partials.
+Gradients cover the hyperparameters only, in the unconstrained
+coordinates the M-phase works in: log noise, log precisions, log alpha0
+and free amplitudes.  Both fits move the variational factors by
+closed-form steps (trainer's E-phases), so no gradient of pi or q(u) is
+needed.  Matrix-level derivatives of the Gaussian term come from the
+shared engine; this module chains them to the kernel hyperparameters
+and adds V's sigma and alpha0 partials (vterm_partials).
 
 The collapsed bound and the SCMGP likelihood share one gradient body
 (_gauss_term_with_grad, over bounds.build_cvb_system's one selection);
@@ -23,12 +24,9 @@ gram or derivative tensor is built a second time.  Each same-output
 block Kff_m is differentiated by kernels.kff_matrix_grads with G and the
 block, which does that contraction for one output.
 
-The stochastic bound's gradient (elbo_svb_with_grad) covers the
-hyperparameters, sigma and alpha0 only, at the full batch or a
-mini-batch.  trainer.fit_svb_em's M-phase calls it at the full batch;
-its E-phase moves q(pi) and q(u) by closed-form steps (svi.batch_step),
-so no gradient of the variational parameters of that bound is needed.
-It sums the data term in Q x Q form: per output one product
+The stochastic bound's gradient (elbo_svb_with_grad) takes the full
+batch, as trainer.fit_svb_em's M-phase does, or a mini-batch.  It sums
+the data term in Q x Q form: per output one product
 Phi' [d o Phi, a] and, over all outputs' rows, one product
 [d o Phi, a] [-T; mt'] for dKfu, so no per-row variance or derivative of
 Phi is formed.
@@ -54,32 +52,18 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class GradientBundle:
-    """Gradient of a bound w.r.t. its free parameters (unconstrained coords).
+    """Gradient of a bound w.r.t. its hyperparameters (unconstrained coords).
 
     d_S / d_Lm hold the per-output kernel gradients; for the independent
     squared-exponential model they carry (log-amplitude, log-precision)
-    instead and d_L is None.  d_pi_logits is set for the collapsed bound
-    only: the stochastic bound's gradient covers the hyperparameters,
-    sigma and alpha0, because its fit moves q(pi) and q(u) by
-    closed-form steps instead.
+    instead and d_L is None.
     """
 
     d_S: np.ndarray = None  # (M,)
     d_Lm: np.ndarray = None  # (M, d)
     d_L: np.ndarray = None  # (d,)
     d_sigma: np.ndarray = None  # (M,)
-    d_pi_logits: np.ndarray = None  # (N, M), rows sum to ~0
     d_alpha0: float = 0.0
-
-
-def softmax_chain(pi, grad_pi):
-    """Chain d/dpi to d/dlogits through a row softmax.
-
-    grad w.r.t. logit j is pi_j * (g_j - sum_k pi_k g_k); row-constant
-    components of grad_pi are annihilated.
-    """
-    inner = np.sum(pi * grad_pi, axis=1, keepdims=True)
-    return pi * (grad_pi - inner)
 
 
 # ---------------------------------------------------------------------------
@@ -87,34 +71,18 @@ def softmax_chain(pi, grad_pi):
 # ---------------------------------------------------------------------------
 
 
-def vterm_partials(state, ds: Dataset, cfg: ModelConfig, noise):
-    """Raw partials of V: (dPi (N, M), dAlpha0, dSigma (M,)), constrained coords.
+def vterm_partials(state, ds: Dataset, cfg: ModelConfig):
+    """Partials of V at fixed pi: (dAlpha0, dSigma (M,) in log-sigma coords).
 
-    dPi rows may contain row-constant components; the softmax chain
-    removes them.  Both rows' forms are evaluated on every row and each
-    row keeps its own.  dAlpha0 accounts for q(Pi_n) sitting at its
+    dAlpha0 is in alpha0 itself and accounts for q(Pi_n) sitting at its
     analytic optimum Dir(alpha0 + pi_n), which moves with alpha0.
     """
-    pi, labeled, log_prior = state.pi_hat, ds.labeled_mask, ds.log_prior
-    M = pi.shape[1]
-    log_pi = np.log(pi)
-    log2pis = np.log(2.0 * np.pi * noise.sigma**2)
-    # third term: 0.5 * sum (1 - pi) log(2 pi sigma^2) - log pi
-    d_pi = 0.5 * (-log2pis[None, :] - 1.0 / pi)
-    # log_prior is NaN on unlabeled rows, which take the other branch
-    d_labeled = -(log_pi - log_prior + 1.0)
+    pi, labeled = state.pi_hat, ds.labeled_mask
     d_alpha0 = 0.0
-    if cfg.use_dirichlet:
-        a0 = cfg.alpha0
-        dg = digamma(a0 + pi)
-        d_unlabeled = -(log_pi + 1.0) + dg - digamma(M * a0 + 1.0)
-        if np.any(~labeled):
-            d_alpha0 = _alpha0_partial(dg[~labeled], cfg, M)
-    else:
-        d_unlabeled = -(log_pi + 1.0 + np.log(M))
-    d_pi += np.where(labeled[:, None], d_labeled, d_unlabeled)
-    d_sigma = np.sum(1.0 - pi, axis=0)  # already in log-sigma coords
-    return d_pi, d_alpha0, d_sigma
+    if cfg.use_dirichlet and np.any(~labeled):
+        d_alpha0 = _alpha0_partial(digamma(cfg.alpha0 + pi[~labeled]), cfg, pi.shape[1])
+    # V's third term, 0.5 * sum (1 - pi) log(2 pi sigma^2) - log pi
+    return d_alpha0, np.sum(1.0 - pi, axis=0)
 
 
 def _alpha0_partial(dg, cfg, M):
@@ -127,12 +95,6 @@ def _alpha0_partial(dg, cfg, M):
         - n_u * M * digamma(a0)
         + n_u * M * digamma(M * a0)
     )
-
-
-def grad_vterm(state, ds, cfg, noise):
-    """Gradient of V alone: (logit gradient (N, M), d log alpha0)."""
-    d_pi, d_alpha0, _ = vterm_partials(state, ds, cfg, noise)
-    return softmax_chain(state.pi_hat, d_pi), d_alpha0 * cfg.alpha0
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +179,15 @@ def _gauss_term_with_grad(ds, cfg, hp, state):
 
 
 def elbo_cvb_with_grad(ds, cfg, hp, state):
-    """Bound value and full gradient bundle in one pass."""
+    """Bound value and its hyperparameter gradient bundle in one pass, pi held fixed."""
     value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, state)
-    pi = state.pi_hat
     sigma = hp.noise.sigma
-
-    # D-path: dL/dD_nm with D = sigma^2/pi
+    # D-path: dL/dD_nm with D = sigma^2/pi, then to log sigma
     dD = np.stack([np.diag(mg.dE_blocks[m]) for m in range(cfg.M)], axis=1)  # (N, M)
-    d_sigma = np.sum(dD * (2.0 * sigma[None, :] ** 2 / pi), axis=0)  # log-sigma
-    d_pi_raw = dD * (-(sigma[None, :] ** 2) / pi**2)
-
-    v_pi, v_alpha0, v_sigma = vterm_partials(state, ds, cfg, hp.noise)
+    v_alpha0, v_sigma = vterm_partials(state, ds, cfg)
     value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise)))
-    bundle.d_sigma = d_sigma + v_sigma
-    bundle.d_pi_logits = softmax_chain(pi, d_pi_raw + v_pi)
-    bundle.d_alpha0 = v_alpha0 * cfg.alpha0 if cfg.use_dirichlet else 0.0
+    bundle.d_sigma = np.sum(dD * (2.0 * sigma[None, :] ** 2 / state.pi_hat), axis=0) + v_sigma
+    bundle.d_alpha0 = v_alpha0 * cfg.alpha0
     return value, bundle
 
 

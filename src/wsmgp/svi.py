@@ -26,35 +26,25 @@ the stack as one operand of M |rows| rows: one matrix-vector product
 gives every mu and one product Phi Su every variance, with no loop over
 the outputs.
 
-Who calls what:
-  * elbo_svb (the bound alone) and gradients.elbo_svb_with_grad build
-    the constants at their rows unless the caller passes them:
-    trainer.fit_svb_em passes its once-per-fit squared differences and
-    records each round's bound from qu_restart's tables.  The gradient
-    reads the constants only; it sums the data term in Q x Q form and
-    needs neither the per-row variances nor Phi Su.
-  * The trainer's E-phase holds the hyperparameters fixed for a round,
-    so it builds them once per round over all N rows (row_tables: one
-    N-row Kfu block and two N-row triangular solves per output, the
-    blocks sharing one set of squared differences, O(M N Q^2); they
-    hold M N (Q + 1) doubles, 2.0 MB at N = 4000, M = 2, Q = 30).  Each
-    mini-batch step (batch_step) gathers its rows once and takes two
-    closed-form coordinate steps, O(|batch| M Q^2 + Q^3) with no kernel
-    matrix, no Kuu solve and no O(N) work: the batch rows' assignment
-    probabilities are set to their optimum given q(u)
-    (_assignment_rows), then q(u)'s natural parameters (Su^-1,
-    Su^-1 mu_u) move a step rho = |batch| / N toward the batch estimate
-    of their optimum (_qu_estimate), the stochastic variational inference
-    step of Hoffman, Blei, Wang & Paisley (2013) and Hensman, Fusi &
-    Lawrence (2013).  The step forms no Su: one Cholesky factor of
-    Su^-1 gives mu_u and the variances, and NaturalQu.moments forms Su
-    once per E-phase, for the M-phase.
-  * q(u) has one closed form, _qu_estimate at scale 1 on every row:
-    the full-batch step, where rho = 1.  qu_restart builds Kuu^-1 and
-    the tables over all N rows and takes it from them; optimal_qu
-    returns its moments, and the trainer calls qu_restart before the
-    first round and after each M-phase, so its tables, Kuu^-1 and
-    NaturalQu serve the next round's E-phase.
+What the stochastic fit's E-phase reads (trainer describes the driver):
+  * row_tables builds the constants once per hyperparameter setting over
+    all N rows (one N-row Kfu block and two N-row triangular solves per
+    output, O(M N Q^2); M N (Q + 1) doubles, 2.0 MB at N = 4000, M = 2,
+    Q = 30), and qu_restart takes q(u)'s one closed form from them:
+    _qu_estimate at scale 1 on every row, whose moments optimal_qu
+    returns.  elbo_svb and gradients.elbo_svb_with_grad build the
+    constants at their rows unless the caller passes them.
+  * batch_step gathers its rows of the tables once and takes two
+    closed-form coordinate steps in O(|batch| M Q^2 + Q^3), with no
+    kernel matrix, no Kuu solve and no O(N) work: the rows' assignment
+    probabilities go to their optimum given q(u)
+    (bounds.assignment_rows), then q(u)'s natural parameters
+    (Su^-1, Su^-1 mu_u) move a step rho = |batch| / N toward the batch
+    estimate of their optimum (_qu_estimate), the stochastic
+    variational inference step of Hoffman, Blei, Wang & Paisley (2013)
+    and Hensman, Fusi & Lawrence (2013).  One Cholesky factor of Su^-1
+    gives mu_u and the variances; NaturalQu.moments forms Su once per
+    E-phase, for the M-phase.
 
 The matrix products with a batch-row operand (Phi Su in _qu_moments,
 Phi L^-T in batch_step, Phi' D Phi in _qu_estimate, and those of the
@@ -70,11 +60,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
-from scipy.special import digamma
 
 from . import engine, kernels
-from .bounds import vterm_rows
-from .model import softmax_simplex
+from .bounds import assignment_rows, vterm_rows
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -263,41 +251,6 @@ class NaturalQu(NamedTuple):
         return dpotrs(c, self.h, lower=1)[0], engine.cho_inverse((c, True))
 
 
-def _assignment_rows(mu, var, y, sigma, pi, labeled, log_prior, cfg):
-    """The rows' assignment probabilities at their optimum given q(u).
-
-    mu and var are the rows' moments of q(f) (M, rows); y, pi, labeled
-    and log_prior are the rows' entries, gathered for this call: mu and
-    pi are overwritten.  With
-    c_nm = -[((y_n - mu_nm)^2 + var_nm) / sigma_m^2 + log 2 pi sigma_m^2] / 2
-    a row's share of the bound is sum_m pi_nm c_nm minus that row's KL
-    (the log pi_nm / 2 of the expected log-likelihood cancels V's), and
-    no N / |batch| scale enters.  So the new row is softmax(log prior + c)
-    on a labeled row and softmax(c) on an unlabeled row without the
-    Dirichlet prior.  With it, the bounds hold q(Pi_n) at its optimum
-    Dir(alpha0 + pi_n) given the old row, and softmax(c + digamma(alpha0 + pi_n))
-    is the exact coordinate step of q(Z_n) given that q(Pi_n); moving
-    q(Pi_n) to its optimum at the new row can only raise the bound
-    again, so one such mean-field sweep never lowers the bound.  Rows
-    keep the simplex floor.
-    """
-    s2 = (sigma**2)[:, None]
-    c = np.subtract(y, mu, out=mu)
-    c *= c
-    c += var
-    c /= s2
-    c += np.log(2.0 * np.pi * s2)
-    c *= -0.5
-    if cfg.use_dirichlet:
-        z = digamma(np.add(pi, cfg.alpha0, out=pi), out=pi)
-    else:
-        z = np.zeros_like(pi)
-    # log_prior is NaN on unlabeled rows, which keep the other term
-    np.copyto(z, log_prior, where=labeled[:, None])
-    z += c.T
-    return softmax_simplex(z)
-
-
 def _qu_estimate(phi, y, pi, sigma, kuu_inv, scale):
     """The batch estimate of the optimal q(u)'s natural parameters, as a NaturalQu.
 
@@ -319,7 +272,7 @@ def batch_step(ds, cfg, sigma, tables, kuu_inv, rows, pi, qu):
     """One E-phase step on the batch rows: pi's rows in place, and q(u)'s new NaturalQu.
 
     tables are the round's RowTables over all N rows and kuu_inv the
-    round's Kuu^-1.  The batch rows of pi are set by _assignment_rows at
+    round's Kuu^-1.  The batch rows of pi are set by bounds.assignment_rows at
     the current q(u); then q(u) moves a step rho = |rows| / N from qu
     toward _qu_estimate at the new rows, theta <- (1 - rho) theta +
     rho theta_hat in natural parameters, which is the natural-gradient
@@ -341,8 +294,8 @@ def batch_step(ds, cfg, sigma, tables, kuu_inv, rows, pi, qu):
     psi = engine._gemm(flat, dtrtri(c, lower=1)[0].T)
     var = r + np.einsum("nq,nq->n", psi, psi).reshape(r.shape)
     np.maximum(var, 0.0, out=var)
-    pi_b = _assignment_rows(mu, var, y, sigma, pi[rows], ds.labels[rows] > 0,
-                            ds.log_prior[rows], cfg)
+    pi_b = assignment_rows(mu, var, y, sigma, pi[rows], ds.labels[rows] > 0,
+                           ds.log_prior[rows], cfg)
     pi[rows] = pi_b
     rho = len(rows) / ds.n
     est = _qu_estimate(phi, y, pi_b, sigma, kuu_inv, ds.n / len(rows))

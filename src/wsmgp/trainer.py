@@ -1,45 +1,43 @@
-"""Parameter transforms and the two optimizers.
+"""Both fits: one variational-EM driver with one E-phase per bound.
 
-The collapsed bound is maximized with L-BFGS-B over a single flat vector
-of unconstrained parameters (log precisions, log noise, free amplitudes,
-row-softmax logits with one pinned logit per row, log alpha0).  The
-stochastic bound is handled with variational EM; each round of
-fit_svb_em has three phases, and each calls only what it moves:
-  * E-phase: stochastic variational inference on q(pi) and q(u), with
-    no step size to set.  The hyperparameters are fixed, so everything
-    that depends on them alone comes from the q(u) restart that ended
-    the previous round: Kuu^-1 (engine.cho_inverse) and the row tables
-    of svi.row_tables (Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals
-    r_m over all N rows, M N Q + M N doubles).  Each mini-batch step
-    (svi.batch_step) gathers its rows of the tables once and takes two
-    closed-form steps: the batch rows' assignment probabilities go to
-    their optimum given q(u) (one mean-field sweep where the Dirichlet
-    prior couples a row to its q(Pi_n)), and q(u)'s natural parameters
-    move a step rho = |batch| / N toward the batch estimate of their
-    optimum.  A step reads q(u)'s moments at its rows from one Cholesky
-    factor of Su^-1; Su is formed once, when the E-phase ends.
-  * M-phase: full-batch L-BFGS-B on the hyperparameter block with q(pi)
-    and q(u) frozen; each evaluation calls gradients.elbo_svb_with_grad,
-    the bound and its hyperparameter, sigma and alpha0 blocks: per
-    output, the N-row Kfu block, two triangular solves for its row
-    constants and two N-row products.
-  * q(u) restart (svi.qu_restart): at the new hyperparameters, Kuu^-1
-    and the row tables are built once, q(u) is set to the closed form
-    they give (the full-batch natural-parameter estimate) and
-    svi.elbo_svb records the bound from the same tables.  The same
-    tables, Kuu^-1 and q(u) start the next round's E-phase; the same
-    step before the first round sets the starting q(u).
-W never moves, so the squared differences between the rows and W are
-computed once per fit, for every q(u) restart and M-phase evaluation.
+_variational_em alternates two phases and keeps one bound trajectory,
+one scipy termination record per M-phase and one evaluation count:
+  * E-phase: the variational factors move by closed-form coordinate
+    steps at fixed hyperparameters.  The assignment probabilities go to
+    their optimum given q(f)'s moments at the rows, by the one step both
+    bounds share (bounds.assignment_rows; one mean-field sweep where the
+    Dirichlet prior couples a row to its q(Pi_n)), so no step lowers the
+    bound.
+      - Collapsed bound (fit_cvb): full-batch pi steps
+        (bounds.cvb_pi_step).  Each is one system build, whose bound
+        enters the trajectory and whose factors give the posterior
+        moments of f at all N rows (engine.posterior_moments).
+      - Stochastic bound (fit_svb_em): mini-batch steps of stochastic
+        variational inference on q(pi) and q(u) (svi.batch_step), from
+        the row tables, Kuu^-1 and q(u) of the q(u) restart that ended
+        the previous round; q(u)'s natural parameters move a step
+        rho = |batch| / N toward the batch estimate of their optimum.
+  * M-phase: L-BFGS-B on the hyperparameter block alone (ParamPack: log
+    precisions, free amplitudes, log noise and log alpha0), the factors
+    held, for at most em_inner_hyp_iters iterations; each evaluation is
+    gradients.elbo_cvb_with_grad, gradients.scmgp_loglik_with_grad or
+    gradients.elbo_svb_with_grad.  The stochastic fit then restarts q(u)
+    at its closed form (svi.qu_restart), which also records the round's
+    full-batch bound.
+SCMGP has no assignment state, so it runs the M-phase alone.  The
+collapsed fit stops once a round changes the bound by less than
+tol_rel_bound relative; the stochastic fit runs every round.
+W never moves, so the stochastic fit computes the squared differences
+between the rows and W once, for every q(u) restart and M-phase
+evaluation.
 """
-
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import gradients, kernels, svi
+from . import bounds, gradients, kernels, svi
 from .bounds import NoLabeledDataError
 from .kernels import (
     HyperParams,
@@ -50,21 +48,13 @@ from .kernels import (
     OutputKernelParams,
     SEKernelParams,
 )
-from .model import (
-    Dataset,
-    ModelConfig,
-    VariationalState,
-    floor_simplex,
-    init_state,
-    softmax_simplex,
-)
+from .model import Dataset, ModelConfig, VariationalState, init_state
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Optimization settings (none of these are prescribed by the model)."""
 
-    max_iter: int = 200
     tol_rel_bound: float = 1e-7
     em_outer_iters: int = 30
     em_inner_stat_iters: int = 25
@@ -75,8 +65,8 @@ class OptimizerConfig:
     optimize_alpha0: bool = True
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.em_outer_iters < 1:
-            raise ValueError("iteration counts must be positive")
+        if self.em_outer_iters < 1:
+            raise ValueError("em_outer_iters must be positive")
         for name in ("batch_size", "em_inner_stat_iters", "em_inner_hyp_iters"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0, got %r" % (name, getattr(self, name)))
@@ -87,8 +77,7 @@ class FitReport:
     """Outcome of one fit (best restart).
 
     termination holds scipy's stopping record (message, nit, nfev,
-    success) of every optimizer run: one per restart of fit_cvb, one per
-    hyperparameter phase of fit_svb_em.
+    success) of every M-phase, over all restarts.
     """
 
     bound_trajectory: list
@@ -122,48 +111,31 @@ class NonFiniteBoundError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def pi_to_logits(pi):
-    """Row logits with the last component pinned to zero."""
-    logpi = np.log(floor_simplex(pi))
-    return logpi[:, :-1] - logpi[:, -1:]
-
-
-def logits_to_pi(logits):
-    """Stable row softmax of [logits, 0], floored."""
-    return softmax_simplex(np.concatenate([logits, np.zeros((logits.shape[0], 1))], axis=1))
-
-
 class ParamPack:
-    """Flat-vector view of the free parameters of one fit.
+    """Flat-vector view of the hyperparameters of one fit, the block L-BFGS-B moves.
 
     Layout (convolved model):
-      [log L | per output: S, log Lm | log sigma | log alpha0? | pi logits (N x (M-1))?]
+      [log L | per output: S, log Lm | log sigma | log alpha0?]
     The independent-SE model replaces the first two groups by per-output
-    (log amp, log prec) and has no latent block.  The hyperparameter
-    block (everything up to and including log alpha0) is the head
-    x[:n_hyp].
+    (log amp, log prec) and has no latent block.
     """
 
-    def __init__(self, ds, cfg, hp0, with_pi=True, with_alpha0=False):
+    def __init__(self, cfg, hp0, with_alpha0=False):
         self.cfg = cfg
         self.kind = (
             "independent" if isinstance(hp0, IndependentSEHyperParams) else "convolved"
         )
-        self.with_pi = with_pi
         self.with_alpha0 = with_alpha0
         self.M = cfg.M
-        self.N = ds.n
         if self.kind == "convolved":
             self.d = hp0.latent.L.shape[0]
             self.W = hp0.inducing.W
         else:
             self.d = hp0.outputs[0].prec.shape[0]
         n_kernel = (self.d if self.kind == "convolved" else 0) + self.M * (1 + self.d)
-        self.n_hyp = n_kernel + self.M + (1 if with_alpha0 else 0)
-        self.n_pi = self.N * (self.M - 1) if with_pi else 0
-        self.size = self.n_hyp + self.n_pi
+        self.size = n_kernel + self.M + (1 if with_alpha0 else 0)
 
-    def pack(self, hp, alpha0=None, state=None):
+    def pack(self, hp, alpha0=None):
         parts = []
         if self.kind == "convolved":
             parts.append(np.log(hp.latent.L))
@@ -175,18 +147,11 @@ class ParamPack:
         parts.append(np.log(hp.noise.sigma))
         if self.with_alpha0:
             parts.append(np.r_[np.log(alpha0)])
-        if self.with_pi:
-            parts.append(pi_to_logits(state.pi_hat).ravel())
         return np.concatenate(parts)
 
     def unpack(self, x):
-        """Returns (hp, alpha0, pi or None)."""
+        """(hp, alpha0) from x."""
         assert len(x) == self.size
-        hp, alpha0 = self.unpack_hyper(x)
-        return hp, alpha0, self.pi_rows(x) if self.with_pi else None
-
-    def unpack_hyper(self, x):
-        """(hp, alpha0) from the hyperparameter block; x may be the block alone."""
         i = 0
         if self.kind == "convolved":
             L = np.exp(x[i : i + self.d])
@@ -221,13 +186,7 @@ class ParamPack:
             alpha0 = float(np.exp(x[i]))
         return hp, alpha0
 
-    def pi_rows(self, x):
-        """Assignment probabilities of all N rows, decoded from their logits."""
-        logits = x[self.n_hyp : self.n_hyp + self.n_pi].reshape(self.N, self.M - 1)
-        return logits_to_pi(logits)
-
-    def hyper_grad_to_vec(self, b: gradients.GradientBundle):
-        """The hyperparameter block of grad_to_vec(b)."""
+    def grad_to_vec(self, b: gradients.GradientBundle):
         parts = []
         if self.kind == "convolved":
             parts.append(b.d_L)
@@ -238,18 +197,11 @@ class ParamPack:
             parts.append(np.r_[b.d_alpha0])
         return np.concatenate(parts)
 
-    def grad_to_vec(self, b: gradients.GradientBundle):
-        parts = [self.hyper_grad_to_vec(b)]
-        if self.with_pi:
-            parts.append(b.d_pi_logits[:, :-1].ravel())
-        return np.concatenate(parts)
-
     def box_bounds(self):
         """Sane box constraints keeping log-precisions and log-noise finite.
 
-        Amplitudes and logits stay unbounded; the
-        limits only rule out degenerate kernels (length scales beyond
-        float range), not plausible optima.
+        Amplitudes stay unbounded; the limits only rule out degenerate
+        kernels (length scales beyond float range), not plausible optima.
         """
         lo_prec, hi_prec = np.log(1e-4), np.log(1e9)
         lo_sig, hi_sig = np.log(1e-4), np.log(1e4)
@@ -261,7 +213,6 @@ class ParamPack:
         bounds += [(lo_sig, hi_sig)] * self.M
         if self.with_alpha0:
             bounds += [(np.log(1e-4), np.log(1e6))]
-        bounds += [(None, None)] * self.n_pi
         return bounds
 
 
@@ -323,39 +274,109 @@ def _jitter_hp(hp, rng, amount=0.3):
 
 
 # ---------------------------------------------------------------------------
+# the variational-EM driver
+# ---------------------------------------------------------------------------
+
+
+def _variational_em(x, start, e_phase, objective, box, opt_cfg, end_round=None, tol=0.0):
+    """Alternate E-phases with L-BFGS-B M-phases on the hyperparameter block x.
+
+    start(x) is the bound at the start, the first entry of the
+    trajectory; NonFiniteBoundError if it fails or is not finite.  Each
+    round calls e_phase(x, traj), which moves the variational factors
+    at x, appends any bound it measures to the trajectory and returns
+    its evaluation count, then runs L-BFGS-B for at most
+    em_inner_hyp_iters iterations on objective(x) -> (-bound, -gradient)
+    with the factors held, and appends the round's final bound:
+    end_round(x) at the new x, or the M-phase's own value there.  The
+    driver stops after em_outer_iters rounds, or after a round that
+    changed the bound by less than tol relative.  With e_phase None there
+    are no factors, and one M-phase gets the whole iteration budget.
+    Returns (x, trajectory, the termination record of every M-phase,
+    evaluations, converged): evaluations counts the E-phases' and every
+    objective call, and converged says the last round changed the bound
+    by less than max(tol_rel_bound, 1e-6) relative.
+    """
+    try:
+        traj = [start(x)]
+    except NoLabeledDataError:
+        raise
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise NonFiniteBoundError(
+            "bound evaluation failed at initialization (%s); parameters: %r" % (exc, x)
+        )
+    if not np.isfinite(traj[0]):
+        raise NonFiniteBoundError("non-finite bound at initialization; parameters: %r" % (x,))
+    calls = [0]
+    values = {}  # objective values of the current M-phase, by point
+
+    def counted(xh):
+        calls[0] += 1
+        values[xh.tobytes()] = out = objective(xh)
+        return out
+
+    rounds, hyp_iters = opt_cfg.em_outer_iters, opt_cfg.em_inner_hyp_iters
+    if e_phase is None:
+        # nothing alternates with the M-phase, and each new L-BFGS-B run
+        # would discard its curvature pairs
+        rounds, hyp_iters = 1, rounds * hyp_iters
+    termination = []
+    evaluations = 0
+    rel_change = np.inf
+    for _ in range(rounds):
+        before = traj[-1]
+        if e_phase is not None:
+            evaluations += e_phase(x, traj)
+        values.clear()
+        res = minimize(
+            counted,
+            x.copy(),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=box,
+            options={"maxiter": hyp_iters},
+        )
+        x = res.x
+        termination.append(_termination(res))
+        # res.fun need not be the value at res.x: after an abnormal line
+        # search scipy returns the best point with the previous iterate's value
+        traj.append(-float(values[x.tobytes()][0]) if end_round is None else end_round(x))
+        rel_change = abs(traj[-1] - before) / max(1.0, abs(traj[-1]))
+        if rel_change < tol:
+            break
+    evaluations += calls[0]
+    converged = rel_change < max(opt_cfg.tol_rel_bound, 1e-6)
+    return x, traj, termination, evaluations, converged
+
+
+# ---------------------------------------------------------------------------
 # collapsed-bound fit
 # ---------------------------------------------------------------------------
 
 
-def _make_cvb_objective(ds, cfg, pack, counter):
-    cache = {}
-
-    def objective(x):
-        hp, alpha0, pi = pack.unpack(x)
-        cfg_t = cfg.with_alpha0(alpha0)
-        if pack.with_pi:
-            val, bundle = gradients.elbo_cvb_with_grad(ds, cfg_t, hp, VariationalState(pi))
-        else:
-            val, bundle = gradients.scmgp_loglik_with_grad(ds, cfg_t, hp)
-        counter[0] += 1
-        cache[x.tobytes()] = val
-        return -val, -pack.grad_to_vec(bundle)
-
-    return objective, cache
-
-
 def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
-    """Maximize the collapsed bound with seeded multi-start L-BFGS-B.
+    """Maximize the collapsed bound by variational EM from seeded restarts.
 
-    With scmgp=True the assignment state is dropped and the exact
+    Each round's E-phase takes up to em_inner_stat_iters full-batch pi
+    steps (bounds.cvb_pi_step), except the first round's, which takes
+    none; it stops early once a step raised the bound by less than
+    tol_rel_bound relative.  Each step is one system build, whose bound
+    enters the trajectory and counts as an evaluation.  The M-phase is
+    _variational_em's L-BFGS-B on the hyperparameters and log alpha0
+    with pi held.  Restart r > 0 starts from jittered hyperparameters
+    and its own seeded pi; the best final bound wins.
+
+    With scmgp=True there is no assignment state: the exact
     fully-labeled sparse likelihood of the labeled rows is maximized
-    instead (same engine, no V term).
+    instead (same engine, no V term), by the M-phase alone.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
-    kind = "independent" if isinstance(hp0, IndependentSEHyperParams) else "convolved"
     if hp0 is None:
-        hp0 = default_hyperparams(ds, cfg, kind)
+        hp0 = default_hyperparams(ds, cfg)
     t0 = time.perf_counter()
+    with_alpha0 = (cfg.use_dirichlet and opt_cfg.optimize_alpha0 and not scmgp
+                   and ds.n_unlabeled > 0)
+    tol = opt_cfg.tol_rel_bound
     best = None
     restart_bounds = []
     termination = []
@@ -364,66 +385,48 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         rs = opt_cfg.seed + 7919 * r
         rng = np.random.default_rng(rs)
         hp_r = hp0 if r == 0 else _jitter_hp(hp0, rng)
-        with_alpha0 = (
-            cfg.use_dirichlet
-            and opt_cfg.optimize_alpha0
-            and not scmgp
-            and ds.n_unlabeled > 0
-        )
-        pack = ParamPack(ds, cfg, hp_r, with_pi=not scmgp, with_alpha0=with_alpha0)
-        if scmgp:
-            x0 = pack.pack(hp_r)
-        else:
-            x0 = pack.pack(hp_r, alpha0=cfg.alpha0, state=init_state(ds, cfg, rs))
-        counter = [0]
-        objective, cache = _make_cvb_objective(ds, cfg, pack, counter)
-        try:
-            f0, _ = objective(x0)
-        except NoLabeledDataError:
-            raise
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise NonFiniteBoundError(
-                "bound evaluation failed at initialization (%s); parameters: %r"
-                % (exc, x0)
-            )
-        if not np.isfinite(f0):
-            raise NonFiniteBoundError(
-                "non-finite bound at initialization; parameters: %r" % (x0,)
-            )
-        traj = [-f0]
+        pack = ParamPack(cfg, hp_r, with_alpha0=with_alpha0)
+        state = None if scmgp else init_state(ds, cfg, rs)
 
-        def callback(xk):
-            key = xk.tobytes()
-            if key in cache:
-                traj.append(cache[key])
+        def objective(x):
+            hp, alpha0 = pack.unpack(x)
+            cfg_x = cfg.with_alpha0(alpha0)
+            if scmgp:
+                val, bundle = gradients.scmgp_loglik_with_grad(ds, cfg_x, hp)
             else:
-                traj.append(-objective(xk)[0])
+                val, bundle = gradients.elbo_cvb_with_grad(ds, cfg_x, hp, state)
+            return -val, -pack.grad_to_vec(bundle)
 
-        res = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=pack.box_bounds(),
-            callback=callback,
-            options={
-                "maxiter": opt_cfg.max_iter,
-                "ftol": opt_cfg.tol_rel_bound,
-                "gtol": 1e-9,
-            },
+        def pi_steps(x, traj):
+            if len(traj) == 1:
+                # the first M-phase fits the start's pi before any step: steps
+                # taken at the default hyperparameters can lock rows into a
+                # poor assignment
+                return 0
+            hp, alpha0 = pack.unpack(x)
+            cfg_x = cfg.with_alpha0(alpha0)
+            for i in range(opt_cfg.em_inner_stat_iters):
+                bound, state.pi_hat = bounds.cvb_pi_step(ds, cfg_x, hp, state)
+                traj.append(bound)
+                if i and traj[-1] - traj[-2] < tol * max(1.0, abs(traj[-1])):
+                    return i + 1
+            return opt_cfg.em_inner_stat_iters
+
+        x, traj, term, n_evals, ok = _variational_em(
+            pack.pack(hp_r, alpha0=cfg.alpha0), lambda x: -objective(x)[0],
+            None if scmgp else pi_steps, objective, pack.box_bounds(), opt_cfg, tol=tol,
         )
-        evaluations += counter[0]
-        final_bound = -res.fun
-        restart_bounds.append(final_bound)
-        termination.append(_termination(res))
-        if best is None or final_bound > best[0]:
-            best = (final_bound, res.x, pack, traj, bool(res.success), rs)
-    bound, x, pack, traj, ok, rs = best
-    hp, alpha0, pi = pack.unpack(x)
+        evaluations += 1 + n_evals  # the start's evaluation too
+        termination += term
+        restart_bounds.append(traj[-1])
+        if best is None or traj[-1] > best[0]:
+            best = (traj[-1], x, pack, traj, ok, state)
+    _, x, pack, traj, ok, state = best
+    hp, alpha0 = pack.unpack(x)
     return FitReport(
         bound_trajectory=traj,
         final_hp=hp,
-        final_state=None if scmgp else VariationalState(pi),
+        final_state=state,
         final_alpha0=alpha0,
         converged=ok,
         wall_clock=time.perf_counter() - t0,
@@ -442,39 +445,23 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
 def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     """Variational-EM ascent of the stochastic bound.
 
-    Each round runs em_inner_stat_iters mini-batch steps of stochastic
-    variational inference on q(pi) and q(u) (svi.batch_step), then a
-    deterministic quasi-Newton update of the hyperparameter block
-    (em_inner_hyp_iters iterations, q(pi) and q(u) frozen), and finally
-    sets q(u) to its closed-form optimum, which is far too sensitive to
-    hyperparameter moves to be left stale.  The full-batch bound is
-    recorded there, once per round.
+    Each round's E-phase runs em_inner_stat_iters mini-batch steps of
+    stochastic variational inference on q(pi) and q(u) (svi.batch_step,
+    one evaluation each); the M-phase is _variational_em's L-BFGS-B on
+    the hyperparameter block with q(pi) and q(u) frozen; then q(u) is
+    set to its closed-form optimum (svi.qu_restart), which is far too
+    sensitive to hyperparameter moves to be left stale, and the
+    full-batch bound recorded there ends the round.  Every round runs:
+    between mini-batch E-phases the bound's change is partly sampling
+    noise, not a sign of convergence.
 
-    A step is two closed-form coordinate steps.  The batch rows' pi go
-    to their optimum given q(u): softmax(log prior + c) on labeled rows
-    and softmax(c) on unlabeled rows, with c the rows' expected
-    log-likelihood terms.  Under the Dirichlet prior an unlabeled row
-    takes one mean-field sweep, softmax(c + digamma(alpha0 + pi_old)),
-    the exact step of q(Z_n) given q(Pi_n) = Dir(alpha0 + pi_old), so
-    the bound, which keeps q(Pi_n) at its optimum, cannot fall.  Then
-    q(u)'s natural parameters (Su^-1, Su^-1 mu_u) move to
-    (1 - rho) theta + rho theta_hat, where theta_hat is the batch
-    estimate of the closed-form optimum's (scaled by N / |batch|) and
-    rho = |batch| / N; at the full batch the step is that optimum.
-
-    q(u) is set once per hyperparameter setting, before the first round
-    and after each M-phase: Kuu is built and factored, Kuu^-1 is formed,
-    the row tables Phi_m = Kfu_m Kuu^-1 and the Nystrom residuals r_m
-    are built over all N rows (two N-row triangular solves per output),
-    and q(u) is the full-batch estimate from them (svi.qu_restart, the
-    form svi.optimal_qu computes).
-    The hyperparameters do not move during the E-phase, so the next
-    round starts from those same tables, Kuu^-1 and natural parameters.
-    A step gathers its rows of the tables once; it builds no kernel
-    matrix, makes no Kuu solve, forms no Su and does no O(N) work.  pi,
-    mu_u and Su are plain arrays, and only the hyperparameters are
-    packed; each M-phase evaluation (gradients.elbo_svb_with_grad, full
-    batch) computes only the hyperparameter block L-BFGS-B reads.
+    The hyperparameters do not move during the E-phase, so it starts
+    from the tables, Kuu^-1 and natural parameters that the last q(u)
+    restart built; a step builds no kernel matrix, makes no Kuu solve,
+    forms no Su and does no O(N) work.  pi, mu_u and Su are plain
+    arrays, and only the hyperparameters are packed; each M-phase
+    evaluation (gradients.elbo_svb_with_grad, full batch) computes only
+    the hyperparameter block L-BFGS-B reads.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -488,79 +475,55 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
 
     state = init_state(ds, cfg, opt_cfg.seed)
     with_alpha0 = cfg.use_dirichlet and opt_cfg.optimize_alpha0 and ds.n_unlabeled > 0
-    pack = ParamPack(ds, cfg, hp0, with_pi=False, with_alpha0=with_alpha0)
+    pack = ParamPack(cfg, hp0, with_alpha0=with_alpha0)
     x = pack.pack(hp0, alpha0=cfg.alpha0)
     t2 = kernels.sqdiff(ds.X, hp0.inducing.W)  # W never moves
+    round_ = None
 
     def set_qu(xh):
-        """q(u) to its closed form at xh; (the round's constants, the full-batch bound).
+        """q(u) to its closed form at xh; returns the full-batch bound there.
 
-        The constants are the hyperparameters, the config, the row
-        tables, Kuu^-1 and q(u)'s NaturalQu, which the next E-phase
-        starts from.
+        The round's constants (the hyperparameters, the config, the row
+        tables, Kuu^-1 and q(u)'s NaturalQu) start the next E-phase.
         """
-        hp, alpha0 = pack.unpack_hyper(xh)
+        nonlocal round_
+        hp, alpha0 = pack.unpack(xh)
         cfg_x = cfg.with_alpha0(alpha0)
         kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat, t2)
         state.mu_u, state.Su = qu.moments()
-        return (hp, cfg_x, tables, kuu_inv, qu), svi.elbo_svb(ds, cfg_x, hp, state,
-                                                               tables=tables)
+        round_ = (hp, cfg_x, tables, kuu_inv, qu)
+        return svi.elbo_svb(ds, cfg_x, hp, state, tables=tables)
 
-    round_, initial = set_qu(x)
-    if not np.isfinite(initial):
-        raise NonFiniteBoundError(
-            "non-finite bound at initialization; parameters: %r" % (x,)
-        )
-    hyp_bounds = pack.box_bounds()
-    eval_counter = [0]
-
-    def hyp_objective(xh):
-        hp_x, alpha0 = pack.unpack_hyper(xh)
-        val, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(alpha0), hp_x, state,
-                                                   t2=t2)
-        eval_counter[0] += 1
-        return -val, -pack.hyper_grad_to_vec(bundle)
-
-    traj = [initial]
-    termination = []
-    evaluations = 0
-    for _ in range(opt_cfg.em_outer_iters):
+    def e_phase(xh, traj):
         hp, cfg_t, tables, kuu_inv, qu = round_
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
             qu = svi.batch_step(ds, cfg_t, hp.noise.sigma, tables, kuu_inv, rows,
                                 state.pi_hat, qu)
-            evaluations += 1
         state.mu_u, state.Su = qu.moments()
-        res = minimize(
-            hyp_objective,
-            x.copy(),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=hyp_bounds,
-            options={"maxiter": opt_cfg.em_inner_hyp_iters},
-        )
-        x = res.x
-        termination.append(_termination(res))
-        evaluations += eval_counter[0]
-        eval_counter[0] = 0
-        # the inducing posterior is extremely sensitive to hyperparameter
-        # moves; its closed-form optimum ends every round (E-step for u)
-        round_, bound = set_qu(x)
-        traj.append(bound)
-    final = traj[-1]
+        return opt_cfg.em_inner_stat_iters
+
+    def objective(xh):
+        hp_x, alpha0 = pack.unpack(xh)
+        val, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(alpha0), hp_x, state,
+                                                   t2=t2)
+        return -val, -pack.grad_to_vec(bundle)
+
+    x, traj, termination, evaluations, ok = _variational_em(
+        x, set_qu, e_phase, objective, pack.box_bounds(), opt_cfg, end_round=set_qu,
+    )
+    initial, final = traj[0], traj[-1]
     if not final >= initial - 0.5:
         raise RuntimeError(
             "stochastic fit regressed: initial %.6f -> final %.6f" % (initial, final)
         )
-    hp, alpha0 = pack.unpack_hyper(x)
-    rel_change = abs(traj[-1] - traj[-2]) / max(1.0, abs(traj[-1]))
+    hp, alpha0 = pack.unpack(x)
     return FitReport(
         bound_trajectory=traj,
         final_hp=hp,
         final_state=state,
         final_alpha0=alpha0,
-        converged=rel_change < max(opt_cfg.tol_rel_bound, 1e-6),
+        converged=ok,
         wall_clock=time.perf_counter() - t0,
         evaluations=evaluations,
         seed=opt_cfg.seed,

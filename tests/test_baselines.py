@@ -1,0 +1,72 @@
+"""The baselines: each is the documented configuration of the shared fit."""
+
+import numpy as np
+import pytest
+
+from wsmgp import baselines
+from wsmgp.experiments import SyntheticConfig, generate_synthetic
+from wsmgp.model import Dataset, ModelConfig, floor_simplex, make_dataset
+from wsmgp.trainer import OptimizerConfig
+
+CFG = ModelConfig(M=2, Q=8, alpha0=0.3)
+
+
+def _data(seed):
+    """N = 30, 9 rows labeled with hard one-hot priors."""
+    return generate_synthetic(SyntheticConfig(M=2, per_source_count=20, gamma=0.5,
+                                              l_frac=0.3, seed=seed))[0]
+
+
+def _opt(seed):
+    return OptimizerConfig(seed=seed, restarts=2, em_outer_iters=4)
+
+
+def _assert_same_fit(a, b):
+    assert a.bound_trajectory == b.bound_trajectory
+    assert a.restart_bounds == b.restart_bounds
+    for out_a, out_b in zip(a.final_hp.outputs, b.final_hp.outputs):
+        assert out_a.amp == out_b.amp
+        np.testing.assert_array_equal(out_a.prec, out_b.prec)
+    np.testing.assert_array_equal(a.final_hp.noise.sigma, b.final_hp.noise.sigma)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_omgp_ignores_the_labels(seed):
+    ds = _data(seed)
+    ref = baselines.fit_omgp(ds, CFG, _opt(seed))
+    rng = np.random.default_rng(seed)
+    relabelled = make_dataset(ds.X, ds.y, labels=rng.permutation(ds.labels), n_outputs=2)
+    swapped = make_dataset(ds.X, ds.y, labels=np.where(ds.labels > 0, 3 - ds.labels, 0),
+                           n_outputs=2)
+    unlabeled = make_dataset(ds.X, ds.y, n_outputs=2)
+    for other in (relabelled, swapped, unlabeled):
+        _assert_same_fit(baselines.fit_omgp(other, CFG, _opt(seed)), ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_omgp_ws_keeps_labeled_rows_at_their_floored_prior(seed):
+    ds = _data(seed)
+    rep = baselines.fit_omgp_ws(ds, CFG, _opt(seed))
+    labeled = ds.labeled_mask
+    pi = rep.final_state.pi_hat
+    np.testing.assert_allclose(pi[labeled], floor_simplex(ds.prior_pi[labeled]), rtol=0,
+                               atol=1e-9)
+    # while the pi steps moved unlabeled rows away from the start's near-uniform rows
+    assert np.sum(pi[~labeled].max(axis=1) > 0.9) >= 5
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scmgp_reads_no_unlabeled_output(seed):
+    ds = _data(seed)
+    ref = baselines.fit_scmgp(ds, CFG, _opt(seed))
+    y = ds.y.copy()
+    y[~ds.labeled_mask] += np.random.default_rng(seed).normal(0.0, 10.0, ds.n_unlabeled)
+    other = Dataset(X=ds.X, y=y, labels=ds.labels, prior_pi=ds.prior_pi)
+    rep = baselines.fit_scmgp(other, CFG, _opt(seed))
+    assert rep.final_state is None
+    assert rep.bound_trajectory == ref.bound_trajectory
+    np.testing.assert_array_equal(rep.final_hp.noise.sigma, ref.final_hp.noise.sigma)
+    np.testing.assert_array_equal(rep.final_hp.latent.L, ref.final_hp.latent.L)
+    for out, out_ref in zip(rep.final_hp.outputs, ref.final_hp.outputs):
+        assert out.S == out_ref.S
+        np.testing.assert_array_equal(out.Lm, out_ref.Lm)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaln, logsumexp
+from scipy.special import digamma, gammaln, logsumexp
 
 from wsmgp import checks, engine, gradients, kernels
 from wsmgp.bounds import (
@@ -13,6 +13,7 @@ from wsmgp.bounds import (
     _sum_last,
     assignment_log_weights,
     build_cvb_system,
+    cvb_pi_step,
     cvb_selection,
     elbo_cvb,
     exact_marglik_oracle,
@@ -225,6 +226,65 @@ class TestElboCvb:
         assert prev < 1e-3
 
 
+class TestCvbPiStep:
+    """bounds.cvb_pi_step: one build gives elbo_cvb at the old rows and the stepped rows."""
+
+    @pytest.mark.parametrize("use_dirichlet", [True, False])
+    @pytest.mark.parametrize("kind", ["convolved", "independent"])
+    def test_rows_are_the_softmax_of_the_bound_derivative(self, kind, use_dirichlet):
+        # c_nm is the derivative in pi_nm of the Gaussian term plus V's third
+        # term, which engine.gauss_loglik_grads gives through D = sigma^2 / pi
+        ds, cfg, hp, state = checks.random_instance(9, n=30, M=3, Q=6)
+        cfg = replace(cfg, use_dirichlet=use_dirichlet)
+        if kind == "independent":
+            hp = IndependentSEHyperParams(
+                outputs=[SEKernelParams(amp=abs(o.S), prec=0.5 * o.Lm) for o in hp.outputs],
+                noise=hp.noise)
+        pi, s2 = state.pi_hat, hp.noise.sigma**2
+        mg = engine.gauss_loglik_grads(build_cvb_system(ds, cfg, hp, state))
+        dE = np.stack([np.diag(g) for g in mg.dE_blocks], axis=1)
+        c = -s2 / pi**2 * dE - 0.5 * np.log(2 * np.pi * s2) - 0.5 / pi
+        if use_dirichlet:
+            c += np.where(ds.labeled_mask[:, None], 0.0, digamma(cfg.alpha0 + pi))
+        c[ds.labeled_mask] += ds.log_prior[ds.labeled_mask]
+        expect = np.exp(c - c.max(axis=1, keepdims=True))
+        expect /= expect.sum(axis=1, keepdims=True)
+        assert np.sum(expect.max(axis=1) < 0.9) >= 10
+        _, got = cvb_pi_step(ds, cfg, hp, state_from_pi(pi.copy()))
+        np.testing.assert_allclose(got, expect, rtol=1e-9)
+
+    @pytest.mark.parametrize("use_dirichlet", [True, False])
+    @pytest.mark.parametrize("sigma", [0.3, 0.02])
+    @pytest.mark.parametrize("kind", ["convolved", "independent"])
+    def test_never_lowers_the_bound(self, kind, sigma, use_dirichlet):
+        # hard one-hot label priors, so labeled rows sit at the simplex floor;
+        # stepped unlabeled rows reach it too
+        ds, cfg, hp, _ = checks.random_instance(8, n=40, M=2, Q=8, sigma=sigma)
+        ds = make_dataset(ds.X, ds.y, labels=ds.labels, n_outputs=cfg.M)
+        cfg = replace(cfg, use_dirichlet=use_dirichlet)
+        if kind == "independent":
+            hp = IndependentSEHyperParams(
+                outputs=[SEKernelParams(amp=abs(o.S), prec=0.5 * o.Lm) for o in hp.outputs],
+                noise=hp.noise)
+        labeled = ds.labeled_mask
+        rng = np.random.default_rng(8)
+        at_floor = 0
+        for _ in range(5):
+            # random rows, then three steps from them
+            pi = floor_simplex(rng.dirichlet(np.full(cfg.M, 0.5), size=ds.n))
+            pi[labeled] = np.exp(ds.log_prior[labeled])
+            value = elbo_cvb(ds, cfg, hp, state_from_pi(pi))
+            for _ in range(3):
+                bound, pi = cvb_pi_step(ds, cfg, hp, state_from_pi(pi.copy()))
+                assert bound == pytest.approx(value, rel=1e-14)
+                new = elbo_cvb(ds, cfg, hp, state_from_pi(pi))
+                assert new >= value - 1e-12 * abs(value)
+                value = new
+            np.testing.assert_allclose(pi.sum(axis=1), 1.0, rtol=1e-14)
+            at_floor += np.sum(pi[~labeled] <= 2 * EPS_PI)
+        assert at_floor > 0
+
+
 class TestOracle:
     def test_single_output_single_gaussian(self):
         ds, cfg, hp, _ = checks.random_instance(5, n=6, M=1, Q=3, labeled_frac=1.0)
@@ -302,6 +362,36 @@ class TestEngineDenseReference:
             blk = slice(start[m], start[m + 1])
             Sigma[blk, blk] += B_m + np.diag(sys.d_blocks[m])
         return Sigma, np.concatenate(sys.y_blocks), start
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    @pytest.mark.parametrize("kind", ["convolved", "independent"])
+    def test_posterior_moments(self, seed, kind):
+        """K Sigma^-1 y and diag(K - K Sigma^-1 K), with K = Sigma - D, at rows away from the floor.
+
+        The largest errors were 1.6e-10 (means) and 4.1e-11 (variances)
+        of the largest entry, for the convolved model (cond(A) 1e9 to
+        3e9), and 1e-13 for the independent one.
+        """
+        ds, cfg, hp, state = checks.random_instance(seed, n=60, M=2, Q=10)
+        if kind == "independent":
+            hp = IndependentSEHyperParams(
+                outputs=[SEKernelParams(amp=abs(o.S), prec=0.5 * o.Lm) for o in hp.outputs],
+                noise=hp.noise)
+        assert state.pi_hat.min() > 1e-3
+        sys = build_cvb_system(ds, cfg, hp, state)
+        n = ds.n
+        K = np.zeros((cfg.M * n, cfg.M * n))
+        if sys.has_inducing:
+            Kfu = np.vstack([b.K for b in sys.fu_blocks])
+            K += Kfu @ cho_solve(sys.cho_Kuu, Kfu.T)
+        for m, B_m in enumerate(sys.B_blocks):
+            K[m * n : (m + 1) * n, m * n : (m + 1) * n] += B_m
+        cho = cho_factor(K + np.diag(np.concatenate(sys.d_blocks)), lower=True)
+        mean = K @ cho_solve(cho, np.tile(ds.y, cfg.M))
+        var = np.diag(K - K @ cho_solve(cho, K))
+        got_mean, got_var = (np.concatenate(v) for v in engine.posterior_moments(sys))
+        np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-9 * np.abs(mean).max())
+        np.testing.assert_allclose(got_var, var, rtol=0, atol=1e-9 * var.max())
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_loglik_and_block_gradients(self, seed):

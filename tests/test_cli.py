@@ -7,6 +7,7 @@ import pytest
 
 from wsmgp import cli
 from wsmgp.model import DatasetError
+from wsmgp.trainer import OptimizerConfig
 
 CONFIG = """\
 M = 2
@@ -15,7 +16,6 @@ perSourceCount = 12
 gamma = 1.0
 lFrac = 0.5
 restarts = 1
-maxIter = 8
 emOuterIters = 2
 emInnerStatIters = 4
 emInnerHypIters = 2
@@ -57,9 +57,10 @@ def test_round_trip(workdir, model, bound):
     # only a stochastic fit has a q(u); a collapsed one integrates u out
     state = doc.get("state", {})
     assert ("mu_u" in state) == ("Su" in state) == (bound == "svb")
-    # one stopping record per restart (restarts = 1) or per EM round (emOuterIters = 2)
+    # one stopping record per M-phase: one per EM round (emOuterIters = 2,
+    # restarts = 1), or the single run of SCMGP, which has no E-phase
     termination = json.loads((fit / "fitreport.json").read_text())["termination"]
-    assert len(termination) == {"cvb": 1, "svb": 2}[bound]
+    assert len(termination) == (1 if model == "scmgp" else 2)
     assert all(set(t) == {"message", "nit", "nfev", "success"} for t in termination)
     pred = workdir / "pred"
     _run("predict", "--config", workdir / "cfg.txt", "--data", gen / "dataset.csv",
@@ -117,6 +118,13 @@ def test_predict_rejects_other_data(workdir, change):
 def test_negative_counts_are_rejected_by_name(key, field):
     with pytest.raises(ValueError, match=field):
         cli.optimizer_config_from({key: "-5"}, seed=0)
+
+
+def test_optimizer_defaults_are_the_config_class_defaults():
+    assert cli.optimizer_config_from({}, 7) == OptimizerConfig(seed=7)
+    # a key the file sets is read; the others keep their defaults
+    assert cli.optimizer_config_from({"optimizeAlpha0": "false"}, 7) == OptimizerConfig(
+        seed=7, optimize_alpha0=False)
 
 
 @pytest.mark.parametrize("key", ["stepSize", "batchsize"])
