@@ -25,7 +25,8 @@ block Kff_m is differentiated by kernels.kff_matrix_grads with G and the
 block, which does that contraction for one output.
 
 The stochastic bound's gradient (elbo_svb_with_grad) takes the full
-batch, as trainer.fit_svb_em's M-phase does, or a mini-batch.  It sums
+batch or a mini-batch, at state's q(u) or at q(u)'s closed-form optimum,
+which is where trainer.fit_svb_em's M-phase evaluates it.  It sums
 the data term in Q x Q form: per output one product
 Phi' [d o Phi, a] and, over all outputs' rows, one product
 [d o Phi, a] [-T; mt'] for dKfu, so no per-row variance or derivative of
@@ -45,7 +46,7 @@ from . import engine, kernels
 from .bounds import build_cvb_system, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig
-from .svi import _tables_of, gaussian_kl_u
+from .svi import _qu_estimate, _tables_of, gaussian_kl_u
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -205,7 +206,7 @@ def scmgp_loglik_with_grad(ds, cfg, hp):
 # ---------------------------------------------------------------------------
 
 
-def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None):
+def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=False):
     """Stochastic bound value and its hyperparameter gradient (mini-batch scaled like the bound).
 
     Returns (value, GradientBundle) with d_S, d_Lm, d_L, d_sigma and
@@ -214,6 +215,11 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None):
     are read; d_alpha0 and d_sigma count only the batch rows, scaled by
     N/|batch|, and the KL term is not scaled.  t2 is kernels.sqdiff(X, W)
     at the evaluated rows X if the caller has it.
+
+    With qu_optimum, q(u) is not state's but its closed-form optimum at
+    hp and pi (svi._qu_estimate from the evaluated rows' tables), so the
+    value is the bound maximised over q(u), L*(hp), and by the envelope
+    theorem the gradient at that q(u) held fixed is L*'s gradient.
 
     The data term is summed in Q x Q form, so no per-row variance and no
     (M, rows, Q) derivative of Phi is formed.  Per output, with
@@ -244,8 +250,11 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None):
     kuu_inv = engine.cho_inverse(cho)
 
     M, n_rows, Q = phi.shape
-    mu_u, Su = state.mu_u, state.Su
     sigma = hp.noise.sigma
+    if qu_optimum:
+        mu_u, Su = _qu_estimate(phi, y, pi, sigma, kuu_inv, s).moments()
+    else:
+        mu_u, Su = state.mu_u, state.Su
     flat = phi.reshape(-1, Q)
     d = pi.T / (sigma**2)[:, None]
     resid = y - (flat @ mu_u).reshape(M, n_rows)

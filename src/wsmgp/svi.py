@@ -43,8 +43,7 @@ What the stochastic fit's E-phase reads (trainer describes the driver):
     estimate of their optimum (_qu_estimate), the stochastic
     variational inference step of Hoffman, Blei, Wang & Paisley (2013)
     and Hensman, Fusi & Lawrence (2013).  One Cholesky factor of Su^-1
-    gives mu_u and the variances; NaturalQu.moments forms Su once per
-    E-phase, for the M-phase.
+    gives mu_u and the variances; no step forms Su.
 
 The matrix products with a batch-row operand (Phi Su in _qu_moments,
 Phi L^-T in batch_step, Phi' D Phi in _qu_estimate, and those of the

@@ -12,24 +12,22 @@ one scipy termination record per M-phase and one evaluation count:
         (bounds.cvb_pi_step).  Each is one system build, whose bound
         enters the trajectory and whose factors give the posterior
         moments of f at all N rows (engine.posterior_moments).
-      - Stochastic bound (fit_svb_em): mini-batch steps of stochastic
-        variational inference on q(pi) and q(u) (svi.batch_step), from
-        the row tables, Kuu^-1 and q(u) of the q(u) restart that ended
-        the previous round; q(u)'s natural parameters move a step
+      - Stochastic bound (fit_svb_em): q(u) restarts at its closed form
+        (svi.qu_restart), then mini-batch steps of stochastic variational
+        inference on q(pi) and q(u) (svi.batch_step) share the restart's
+        row tables and Kuu^-1; q(u)'s natural parameters move a step
         rho = |batch| / N toward the batch estimate of their optimum.
-  * M-phase: L-BFGS-B on the hyperparameter block alone (ParamPack: log
-    precisions, free amplitudes, log noise and log alpha0), the factors
-    held, for at most em_inner_hyp_iters iterations; each evaluation is
-    gradients.elbo_cvb_with_grad, gradients.scmgp_loglik_with_grad or
-    gradients.elbo_svb_with_grad.  The stochastic fit then restarts q(u)
-    at its closed form (svi.qu_restart), which also records the round's
-    full-batch bound.
-SCMGP has no assignment state, so it runs the M-phase alone.  The
-collapsed fit stops once a round changes the bound by less than
-tol_rel_bound relative; the stochastic fit runs every round.
-W never moves, so the stochastic fit computes the squared differences
-between the rows and W once, for every q(u) restart and M-phase
-evaluation.
+  * M-phase (_m_phase): L-BFGS-B on the hyperparameter block alone
+    (ParamPack: log precisions, free amplitudes, log noise and log
+    alpha0) with pi held, for at most em_inner_hyp_iters iterations;
+    each evaluation is gradients.elbo_cvb_with_grad, or
+    gradients.elbo_svb_with_grad with q(u) at its optimum for the
+    evaluated hyperparameters.
+SCMGP has no assignment state: fit_cvb runs one M-phase on its
+likelihood instead.  The collapsed fit stops once a round changes the
+bound by less than tol_rel_bound relative; the stochastic fit runs
+every round.  W never moves, so the stochastic fit computes the squared
+differences between the rows and W once.
 """
 import time
 from dataclasses import dataclass, field
@@ -278,73 +276,73 @@ def _jitter_hp(hp, rng, amount=0.3):
 # ---------------------------------------------------------------------------
 
 
-def _variational_em(x, start, e_phase, objective, box, opt_cfg, end_round=None, tol=0.0):
-    """Alternate E-phases with L-BFGS-B M-phases on the hyperparameter block x.
-
-    start(x) is the bound at the start, the first entry of the
-    trajectory; NonFiniteBoundError if it fails or is not finite.  Each
-    round calls e_phase(x, traj), which moves the variational factors
-    at x, appends any bound it measures to the trajectory and returns
-    its evaluation count, then runs L-BFGS-B for at most
-    em_inner_hyp_iters iterations on objective(x) -> (-bound, -gradient)
-    with the factors held, and appends the round's final bound:
-    end_round(x) at the new x, or the M-phase's own value there.  The
-    driver stops after em_outer_iters rounds, or after a round that
-    changed the bound by less than tol relative.  With e_phase None there
-    are no factors, and one M-phase gets the whole iteration budget.
-    Returns (x, trajectory, the termination record of every M-phase,
-    evaluations, converged): evaluations counts the E-phases' and every
-    objective call, and converged says the last round changed the bound
-    by less than max(tol_rel_bound, 1e-6) relative.
-    """
+def _bound_at_start(objective, x):
+    """The bound -objective(x)[0]; NonFiniteBoundError if it fails or is not finite."""
     try:
-        traj = [start(x)]
+        bound = -objective(x)[0]
     except NoLabeledDataError:
         raise
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise NonFiniteBoundError(
             "bound evaluation failed at initialization (%s); parameters: %r" % (exc, x)
         )
-    if not np.isfinite(traj[0]):
+    if not np.isfinite(bound):
         raise NonFiniteBoundError("non-finite bound at initialization; parameters: %r" % (x,))
+    return bound
+
+
+def _m_phase(objective, x, box, options):
+    """L-BFGS-B on objective(x) -> (-bound, -gradient) from x.
+
+    Returns (x, the bound there, the termination record, objective
+    calls).  The bound is read from the call at the returned point:
+    after an abnormal line search scipy returns the best point with the
+    previous iterate's res.fun.
+    """
+    values = {}
     calls = [0]
-    values = {}  # objective values of the current M-phase, by point
 
     def counted(xh):
         calls[0] += 1
         values[xh.tobytes()] = out = objective(xh)
         return out
 
-    rounds, hyp_iters = opt_cfg.em_outer_iters, opt_cfg.em_inner_hyp_iters
-    if e_phase is None:
-        # nothing alternates with the M-phase, and each new L-BFGS-B run
-        # would discard its curvature pairs
-        rounds, hyp_iters = 1, rounds * hyp_iters
+    res = minimize(counted, x.copy(), jac=True, method="L-BFGS-B", bounds=box,
+                   options=options)
+    return res.x, -float(values[res.x.tobytes()][0]), _termination(res), calls[0]
+
+
+def _variational_em(x, e_phase, objective, box, opt_cfg, tol=0.0):
+    """Alternate E-phases with L-BFGS-B M-phases on the hyperparameter block x.
+
+    The trajectory starts at the bound at x (_bound_at_start).  Round k
+    calls e_phase(k, x, traj), which moves the variational factors at x,
+    appends any bound it measures to the trajectory and returns its
+    evaluation count, then runs an M-phase (_m_phase, at most
+    em_inner_hyp_iters iterations) on objective(x) -> (-bound,
+    -gradient), and appends the bound it ends at.  The driver stops
+    after em_outer_iters rounds, or after a round that changed the bound
+    by less than tol relative.  Returns (x, trajectory, the termination
+    record of every M-phase, evaluations, converged): evaluations counts
+    the start, the E-phases' and every objective call, and converged
+    says the last round changed the bound by less than
+    max(tol_rel_bound, 1e-6) relative.
+    """
+    traj = [_bound_at_start(objective, x)]
     termination = []
-    evaluations = 0
+    evaluations = 1
     rel_change = np.inf
-    for _ in range(rounds):
+    for k in range(opt_cfg.em_outer_iters):
         before = traj[-1]
-        if e_phase is not None:
-            evaluations += e_phase(x, traj)
-        values.clear()
-        res = minimize(
-            counted,
-            x.copy(),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=box,
-            options={"maxiter": hyp_iters},
-        )
-        x = res.x
-        termination.append(_termination(res))
-        # res.fun need not be the value at res.x: after an abnormal line
-        # search scipy returns the best point with the previous iterate's value
-        traj.append(-float(values[x.tobytes()][0]) if end_round is None else end_round(x))
-        rel_change = abs(traj[-1] - before) / max(1.0, abs(traj[-1]))
+        evaluations += e_phase(k, x, traj)
+        x, bound, term, calls = _m_phase(objective, x, box,
+                                         {"maxiter": opt_cfg.em_inner_hyp_iters})
+        traj.append(bound)
+        termination.append(term)
+        evaluations += calls
+        rel_change = abs(bound - before) / max(1.0, abs(bound))
         if rel_change < tol:
             break
-    evaluations += calls[0]
     converged = rel_change < max(opt_cfg.tol_rel_bound, 1e-6)
     return x, traj, termination, evaluations, converged
 
@@ -357,10 +355,12 @@ def _variational_em(x, start, e_phase, objective, box, opt_cfg, end_round=None, 
 def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
     """Maximize the collapsed bound by variational EM from seeded restarts.
 
-    Each round's E-phase takes up to em_inner_stat_iters full-batch pi
-    steps (bounds.cvb_pi_step), except the first round's, which takes
-    none; it stops early once a step raised the bound by less than
-    tol_rel_bound relative.  Each step is one system build, whose bound
+    Each round after the first starts with an E-phase of up to
+    em_inner_stat_iters full-batch pi steps (bounds.cvb_pi_step), which
+    stops early once a step raised the bound by less than tol_rel_bound
+    relative; the first round's M-phase fits the start's pi before any
+    step, since steps taken at the default hyperparameters can lock rows
+    into a poor assignment.  Each step is one system build, whose bound
     enters the trajectory and counts as an evaluation.  The M-phase is
     _variational_em's L-BFGS-B on the hyperparameters and log alpha0
     with pi held.  Restart r > 0 starts from jittered hyperparameters
@@ -368,7 +368,9 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
 
     With scmgp=True there is no assignment state: the exact
     fully-labeled sparse likelihood of the labeled rows is maximized
-    instead (same engine, no V term), by the M-phase alone.
+    instead (same engine, no V term) by one L-BFGS-B run of at most
+    em_outer_iters * em_inner_hyp_iters iterations that stops on a
+    relative change of tol_rel_bound.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -386,6 +388,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         rng = np.random.default_rng(rs)
         hp_r = hp0 if r == 0 else _jitter_hp(hp0, rng)
         pack = ParamPack(cfg, hp_r, with_alpha0=with_alpha0)
+        x0 = pack.pack(hp_r, alpha0=cfg.alpha0)
         state = None if scmgp else init_state(ds, cfg, rs)
 
         def objective(x):
@@ -397,11 +400,8 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
                 val, bundle = gradients.elbo_cvb_with_grad(ds, cfg_x, hp, state)
             return -val, -pack.grad_to_vec(bundle)
 
-        def pi_steps(x, traj):
-            if len(traj) == 1:
-                # the first M-phase fits the start's pi before any step: steps
-                # taken at the default hyperparameters can lock rows into a
-                # poor assignment
+        def pi_steps(k, x, traj):
+            if k == 0:
                 return 0
             hp, alpha0 = pack.unpack(x)
             cfg_x = cfg.with_alpha0(alpha0)
@@ -412,11 +412,17 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
                     return i + 1
             return opt_cfg.em_inner_stat_iters
 
-        x, traj, term, n_evals, ok = _variational_em(
-            pack.pack(hp_r, alpha0=cfg.alpha0), lambda x: -objective(x)[0],
-            None if scmgp else pi_steps, objective, pack.box_bounds(), opt_cfg, tol=tol,
-        )
-        evaluations += 1 + n_evals  # the start's evaluation too
+        if scmgp:
+            traj = [_bound_at_start(objective, x0)]
+            budget = opt_cfg.em_outer_iters * opt_cfg.em_inner_hyp_iters
+            x, bound, term, calls = _m_phase(objective, x0, pack.box_bounds(),
+                                             {"maxiter": budget, "ftol": tol, "gtol": 1e-9})
+            traj.append(bound)
+            term, n_evals, ok = [term], 1 + calls, term["success"]
+        else:
+            x, traj, term, n_evals, ok = _variational_em(
+                x0, pi_steps, objective, pack.box_bounds(), opt_cfg, tol=tol)
+        evaluations += n_evals
         termination += term
         restart_bounds.append(traj[-1])
         if best is None or traj[-1] > best[0]:
@@ -445,23 +451,23 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
 def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     """Variational-EM ascent of the stochastic bound.
 
-    Each round's E-phase runs em_inner_stat_iters mini-batch steps of
-    stochastic variational inference on q(pi) and q(u) (svi.batch_step,
-    one evaluation each); the M-phase is _variational_em's L-BFGS-B on
-    the hyperparameter block with q(pi) and q(u) frozen; then q(u) is
-    set to its closed-form optimum (svi.qu_restart), which is far too
-    sensitive to hyperparameter moves to be left stale, and the
-    full-batch bound recorded there ends the round.  Every round runs:
-    between mini-batch E-phases the bound's change is partly sampling
-    noise, not a sign of convergence.
+    Each round's E-phase sets q(u) to its closed form at the current
+    hyperparameters (svi.qu_restart), then runs em_inner_stat_iters
+    mini-batch steps of stochastic variational inference on q(pi) and
+    q(u) (svi.batch_step, one evaluation each).  The M-phase is
+    _variational_em's L-BFGS-B on the hyperparameter block with q(pi)
+    frozen and q(u) at its optimum for each trial point
+    (gradients.elbo_svb_with_grad with qu_optimum, full batch): q(u) is
+    far too sensitive to hyperparameter moves to be held where the
+    E-phase left it.  Every round runs: between mini-batch E-phases the
+    bound's change is partly sampling noise, not a sign of convergence.
 
-    The hyperparameters do not move during the E-phase, so it starts
-    from the tables, Kuu^-1 and natural parameters that the last q(u)
-    restart built; a step builds no kernel matrix, makes no Kuu solve,
-    forms no Su and does no O(N) work.  pi, mu_u and Su are plain
-    arrays, and only the hyperparameters are packed; each M-phase
-    evaluation (gradients.elbo_svb_with_grad, full batch) computes only
-    the hyperparameter block L-BFGS-B reads.
+    The hyperparameters do not move during the E-phase, so its steps
+    share the tables, Kuu^-1 and natural parameters of the restart; a
+    step builds no kernel matrix, makes no Kuu solve, forms no Su and
+    does no O(N) work.  pi, mu_u and Su are plain arrays, and only the
+    hyperparameters are packed.  The returned state's q(u) is the
+    closed form at the final hyperparameters.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -476,41 +482,26 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     state = init_state(ds, cfg, opt_cfg.seed)
     with_alpha0 = cfg.use_dirichlet and opt_cfg.optimize_alpha0 and ds.n_unlabeled > 0
     pack = ParamPack(cfg, hp0, with_alpha0=with_alpha0)
-    x = pack.pack(hp0, alpha0=cfg.alpha0)
     t2 = kernels.sqdiff(ds.X, hp0.inducing.W)  # W never moves
-    round_ = None
 
-    def set_qu(xh):
-        """q(u) to its closed form at xh; returns the full-batch bound there.
-
-        The round's constants (the hyperparameters, the config, the row
-        tables, Kuu^-1 and q(u)'s NaturalQu) start the next E-phase.
-        """
-        nonlocal round_
+    def e_phase(k, xh, traj):
         hp, alpha0 = pack.unpack(xh)
         cfg_x = cfg.with_alpha0(alpha0)
         kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat, t2)
-        state.mu_u, state.Su = qu.moments()
-        round_ = (hp, cfg_x, tables, kuu_inv, qu)
-        return svi.elbo_svb(ds, cfg_x, hp, state, tables=tables)
-
-    def e_phase(xh, traj):
-        hp, cfg_t, tables, kuu_inv, qu = round_
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
-            qu = svi.batch_step(ds, cfg_t, hp.noise.sigma, tables, kuu_inv, rows,
+            qu = svi.batch_step(ds, cfg_x, hp.noise.sigma, tables, kuu_inv, rows,
                                 state.pi_hat, qu)
-        state.mu_u, state.Su = qu.moments()
         return opt_cfg.em_inner_stat_iters
 
     def objective(xh):
         hp_x, alpha0 = pack.unpack(xh)
         val, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(alpha0), hp_x, state,
-                                                   t2=t2)
+                                                   t2=t2, qu_optimum=True)
         return -val, -pack.grad_to_vec(bundle)
 
     x, traj, termination, evaluations, ok = _variational_em(
-        x, set_qu, e_phase, objective, pack.box_bounds(), opt_cfg, end_round=set_qu,
+        pack.pack(hp0, alpha0=cfg.alpha0), e_phase, objective, pack.box_bounds(), opt_cfg,
     )
     initial, final = traj[0], traj[-1]
     if not final >= initial - 0.5:
@@ -518,6 +509,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
             "stochastic fit regressed: initial %.6f -> final %.6f" % (initial, final)
         )
     hp, alpha0 = pack.unpack(x)
+    state.mu_u, state.Su = svi.qu_restart(ds, hp, state.pi_hat, t2)[2].moments()
     return FitReport(
         bound_trajectory=traj,
         final_hp=hp,

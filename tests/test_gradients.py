@@ -351,17 +351,7 @@ class TestHyperGrad:
         default 1e-5 the truncation error of the log-L coordinate alone
         is 4e-7 to 8e-7 of its derivative.
         """
-        sc = experiments.SyntheticConfig(M=2, per_source_count=60, gamma=1.0, l_frac=0.2,
-                                         x_range=(0.0, 1.0), seed=seed)
-        ds, _ = experiments.generate_synthetic(sc)
-        cfg = model.ModelConfig(M=2, Q=30, alpha0=0.3)
-        opt = trainer.OptimizerConfig(em_outer_iters=2, em_inner_stat_iters=20,
-                                      em_inner_hyp_iters=2, batch_size=30, seed=seed)
-        fit = trainer.fit_svb_em(ds, cfg, None, opt)
-        hp, state = fit.final_hp, fit.final_state
-        cfg = cfg.with_alpha0(fit.final_alpha0)
-        kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
-        assert np.linalg.cond(kuu) >= 1e6
+        ds, cfg, hp, state = _fitted_point(seed)
         pack = ParamPack(cfg, hp, with_alpha0=True)
         x0 = pack.pack(hp, alpha0=cfg.alpha0)
 
@@ -376,6 +366,61 @@ class TestHyperGrad:
 
         rep = finite_diff_check(value, grad, x0, h=3e-6)
         assert rep.max_rel_error < 1e-6, str(rep)
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_qu_optimum_differentiates_the_bound_maximised_over_qu(self, seed):
+        ds, cfg, hp, state = _two_dim(seed)
+        rep = _check_qu_optimum(ds, cfg, hp, state, h=1e-5)
+        assert rep.max_rel_error < 1e-6, str(rep)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_qu_optimum_at_a_fitted_point(self, seed):
+        ds, cfg, hp, state = _fitted_point(seed)
+        rep = _check_qu_optimum(ds, cfg, hp, state, h=3e-6)
+        assert rep.max_rel_error < 1e-6, str(rep)
+
+
+def _fitted_point(seed):
+    """(ds, cfg, hp, state) where a short stochastic fit ends, with cond(Kuu) >= 1e6.
+
+    Q = 30 inducing inputs on the unit interval; cfg carries the fitted alpha0.
+    """
+    sc = experiments.SyntheticConfig(M=2, per_source_count=60, gamma=1.0, l_frac=0.2,
+                                     x_range=(0.0, 1.0), seed=seed)
+    ds, _ = experiments.generate_synthetic(sc)
+    cfg = model.ModelConfig(M=2, Q=30, alpha0=0.3)
+    opt = trainer.OptimizerConfig(em_outer_iters=2, em_inner_stat_iters=20,
+                                  em_inner_hyp_iters=2, batch_size=30, seed=seed)
+    fit = trainer.fit_svb_em(ds, cfg, None, opt)
+    hp = fit.final_hp
+    kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
+    assert np.linalg.cond(kuu) >= 1e6
+    return ds, cfg.with_alpha0(fit.final_alpha0), hp, fit.final_state
+
+
+def _check_qu_optimum(ds, cfg, hp, state, h):
+    """elbo_svb_with_grad with qu_optimum against L*(hp), elbo_svb at optimal_qu(hp).
+
+    The value must equal L* to 1e-10 relative at hp; returns the finite
+    difference report of the gradient against L*.
+    """
+    pack = ParamPack(cfg, hp, with_alpha0=True)
+    x0 = pack.pack(hp, alpha0=cfg.alpha0)
+
+    def value(x):
+        hp_x, a0 = pack.unpack(x)
+        at = VariationalState(state.pi_hat)
+        at.mu_u, at.Su = svi.optimal_qu(ds, cfg.with_alpha0(a0), hp_x, at)
+        return svi.elbo_svb(ds, cfg.with_alpha0(a0), hp_x, at)
+
+    def evaluate(x):
+        hp_x, a0 = pack.unpack(x)
+        val, b = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(a0), hp_x,
+                                              VariationalState(state.pi_hat), qu_optimum=True)
+        return val, pack.grad_to_vec(b)
+
+    assert evaluate(x0)[0] == pytest.approx(value(x0), rel=1e-10)
+    return finite_diff_check(value, lambda x: evaluate(x)[1], x0, h=h)
 
 
 def _ld_inverse(A):
