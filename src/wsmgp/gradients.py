@@ -46,7 +46,7 @@ from . import engine, kernels
 from .bounds import build_cvb_system, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig
-from .svi import _qu_estimate, _tables_of, gaussian_kl_u
+from .svi import NaturalQu, _tables_of, gaussian_kl_u
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -217,14 +217,15 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
     at the evaluated rows X if the caller has it.
 
     With qu_optimum, q(u) is not state's but its closed-form optimum at
-    hp and pi (svi._qu_estimate from the evaluated rows' tables), so the
-    value is the bound maximised over q(u), L*(hp), and by the envelope
-    theorem the gradient at that q(u) held fixed is L*'s gradient.
+    hp and pi (svi._qu_estimate's natural parameters, from this call's
+    C and Phi' (d o y)), so the value is the bound maximised over q(u),
+    L*(hp), and by the envelope theorem the gradient at that q(u) held
+    fixed is L*'s gradient.
 
     The data term is summed in Q x Q form, so no per-row variance and no
     (M, rows, Q) derivative of Phi is formed.  Per output, with
-    d = pi / sigma^2, a = d o (y - Phi mu_u), C = Phi' diag(d) Phi,
-    mt = Kuu^-1 mu_u and T = Su Kuu^-1 - I:
+    d = pi / sigma^2, a = d o (y - Phi mu_u), C = Phi' diag(d) Phi
+    (one product with Phi' (d o y)), mt = Kuu^-1 mu_u and T = Su Kuu^-1 - I:
       sum d o var = sum d o r + tr(C Su),
       dKfu = -(d o Phi) T + a mt'   (one product over all outputs' rows),
       dKuu = -sum_m [-C_m (2 Su - Kuu) / 2 + (Phi_m' a_m) mu_u'] Kuu^-1.
@@ -251,21 +252,24 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
 
     M, n_rows, Q = phi.shape
     sigma = hp.noise.sigma
-    if qu_optimum:
-        mu_u, Su = _qu_estimate(phi, y, pi, sigma, kuu_inv, s).moments()
-    else:
-        mu_u, Su = state.mu_u, state.Su
     flat = phi.reshape(-1, Q)
     d = pi.T / (sigma**2)[:, None]
-    resid = y - (flat @ mu_u).reshape(M, n_rows)
-    a = d * resid
-    # [d o Phi, a] per output: Phi' [d o Phi, a] = [C, Phi' a] in one product
+    # per output, Phi' [d o Phi, d o y] = [C, Phi' (d o y)] in one product
     da = np.empty((M, n_rows, Q + 1))
     np.multiply(phi, d[:, :, None], out=da[:, :, :Q])
-    da[:, :, Q] = a
+    da[:, :, Q] = d * y
     C = np.stack([engine._gemm(phi[m].T, da[m]) for m in range(M)])
-    phi_a = np.sum(C[:, :, Q], axis=0)
+    if qu_optimum:
+        # the natural parameters of svi._qu_estimate, from the same sums
+        mu_u, Su = NaturalQu(kuu_inv + s * np.sum(C[:, :, :Q], axis=0),
+                             s * np.sum(C[:, :, Q], axis=0)).moments()
+    else:
+        mu_u, Su = state.mu_u, state.Su
     C = C[:, :, :Q]
+    resid = y - (flat @ mu_u).reshape(M, n_rows)
+    a = d * resid
+    da[:, :, Q] = a  # [d o Phi, a] for dKfu below
+    phi_a = flat.T @ a.ravel()
     # per output: sum of d o resid^2 and of d o var
     d_res2 = np.sum(a * resid, axis=1)
     d_var = np.sum(d * r, axis=1) + np.einsum("mij,ji->m", C, Su)

@@ -300,16 +300,14 @@ def _m_phase(objective, x, box, options):
     previous iterate's res.fun.
     """
     values = {}
-    calls = [0]
 
-    def counted(xh):
-        calls[0] += 1
+    def recorded(xh):
         values[xh.tobytes()] = out = objective(xh)
         return out
 
-    res = minimize(counted, x.copy(), jac=True, method="L-BFGS-B", bounds=box,
+    res = minimize(recorded, x.copy(), jac=True, method="L-BFGS-B", bounds=box,
                    options=options)
-    return res.x, -float(values[res.x.tobytes()][0]), _termination(res), calls[0]
+    return res.x, -float(values[res.x.tobytes()][0]), _termination(res), int(res.nfev)
 
 
 def _variational_em(x, e_phase, objective, box, opt_cfg, tol=0.0):
