@@ -133,9 +133,14 @@ def cvb_selection(ds, cfg, hp, state):
     return rows, [np.full(len(r), sigma[m] ** 2) for m, r in enumerate(rows)]
 
 
-def build_cvb_system(ds, cfg, hp, state):
-    """The engine's stacked system over cvb_selection; state None is SCMGP's."""
-    return engine.build_system(ds.X, ds.y, hp, *cvb_selection(ds, cfg, hp, state))
+def build_cvb_system(ds, cfg, hp, state, kernel=None, t2=None):
+    """The engine's stacked system over cvb_selection; state None is SCMGP's.
+
+    kernel and t2 are engine.build_system's: the kernel half of an
+    earlier system at hp, or the squared differences over all N rows.
+    """
+    return engine.build_system(ds.X, ds.y, hp, *cvb_selection(ds, cfg, hp, state),
+                               kernel=kernel, t2=t2)
 
 
 def gauss_term_cvb(ds, cfg, hp, state):
@@ -188,15 +193,20 @@ def assignment_rows(mu, var, y, sigma, pi, labeled, log_prior, cfg):
     return softmax_simplex(z)
 
 
-def cvb_pi_step(ds, cfg, hp, state):
+def cvb_pi_step(ds, cfg, hp, state, sys=None):
     """One full-batch pi step of the collapsed bound: (elbo_cvb at state, the stepped pi_hat).
 
-    One system build gives both the bound at state.pi_hat and q(f)'s
-    moments at every row (engine.posterior_moments), from which
-    assignment_rows takes every row to its optimum.  state.pi_hat is
-    overwritten.
+    One system gives both the bound at state.pi_hat and q(f)'s moments at
+    every row (engine.posterior_moments), from which assignment_rows
+    takes every row to its optimum.  sys is build_cvb_system's system at
+    hp and state if the caller has it, such as the one the M-phase's
+    last evaluation built, or one whose noise half alone was factored on
+    an earlier step's kernel half; otherwise it is built here.  It is
+    only read, so the step equals one on a fresh build bit for bit.
+    state.pi_hat is overwritten.
     """
-    sys = build_cvb_system(ds, cfg, hp, state)
+    if sys is None:
+        sys = build_cvb_system(ds, cfg, hp, state)
     bound = engine.gauss_loglik(sys) + vterm(state, ds, cfg, hp.noise)
     mu, var = (np.stack(v) for v in engine.posterior_moments(sys))
     return bound, assignment_rows(mu, var, ds.y, hp.noise.sigma, state.pi_hat,

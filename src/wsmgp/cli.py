@@ -88,12 +88,20 @@ def parse_config(path):
     return out
 
 
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
 def _get(cfg, key, cast, default):
     if key not in cfg:
         return default
     v = cfg[key]
     if cast is bool:
-        return v.strip().lower() in ("1", "true", "yes", "on")
+        word = v.strip().lower()
+        if word not in _BOOLS:
+            raise ValueError("config key %s: %r is not a boolean (true/false, yes/no, on/off, 1/0)"
+                             % (key, v))
+        return _BOOLS[word]
     return cast(v)
 
 

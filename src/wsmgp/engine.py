@@ -14,7 +14,9 @@ documented to have.
 
 Which BLAS runs the products: every matrix-matrix product with an
 n_m-row operand goes through `_gemm`, i.e. scipy's `dgemm`, the same
-OpenBLAS that runs the `cho_factor` / `cho_solve` calls here.  The
+OpenBLAS whose LAPACK `dpotrf` / `dpotrs` factor and solve here
+(kernels.cho_factor / cho_solve: scipy's cho_factor / cho_solve
+results, guards included, without the wrappers' per-call overhead).  The
 stochastic bound does the same with its batch-row products, calling
 `engine._gemm`: in `svi`, Phi Su for the bound's moments, Phi L^-T for
 a mini-batch step's variances (L the Cholesky factor of q(u)'s
@@ -50,27 +52,36 @@ cho_inverse, LAPACK's dpotri in scipy's library; gauss_loglik reads
 none of them, so the bound's value does not depend on how they are
 formed.
 
-Kernel blocks: build_system builds each block once per evaluation
-(kernels.kuu_block, kfu_block, kff_block or se_block, over squared
-differences computed once per distinct row set, so the stacked selection
-computes them once for all outputs) and keeps them on StackedSystem as
-kernels.GaussBlock values.  gauss_loglik_grads returns the matrix-level
-gradients, and gradients._chain_convolved / _chain_independent contract
-them against those same blocks.
+Two halves: a StackedSystem is a KernelHalf plus a noise half.  The
+kernel half depends on the hyperparameters and the selection alone: each
+kernel block (kernels.kuu_block, kfu_block, kff_block or se_block, kept
+as kernels.GaussBlock values), the jittered Kuu with its factor and the
+Nystrom residuals B_m.  The noise half factors E_m = B_m + D_m and A and
+holds alpha, V, beta and c.  build_system builds both, or, given the
+kernel half of an earlier system at the same hyperparameters, only the
+noise half: the collapsed fit's pi steps move D alone, so each E-phase
+shares one kernel half, and its first step reads the system the M-phase's
+last evaluation built at the same point (trainer).  Squared differences
+are computed once per distinct row set, so the stacked selection computes
+them once for all outputs, or are taken from the caller's, computed once
+per fit.  gauss_loglik_grads returns the matrix-level gradients, and
+gradients._chain_convolved / _chain_independent contract them against
+the kernel half's blocks.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dpotri
 
 from . import kernels
-from .kernels import HyperParams, IndependentSEHyperParams
+from .kernels import HyperParams, IndependentSEHyperParams, cho_factor, cho_solve
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 _MIRROR_BLOCK = 64  # columns per step of cho_inverse's mirror
+# above the diagonal of a diagonal block of the mirror (a leading slice for a smaller one)
+_ABOVE = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), k=1)
 
 
 def _gemm(a, b):
@@ -109,7 +120,8 @@ def cho_inverse(cho):
     for j0 in range(0, n, _MIRROR_BLOCK):
         j1 = j0 + _MIRROR_BLOCK
         diag = inv[j0:j1, j0:j1]
-        np.copyto(diag, diag.T, where=np.tri(diag.shape[0], k=-1, dtype=bool).T)
+        b = diag.shape[0]
+        np.copyto(diag, diag.T, where=_ABOVE[:b, :b])
         inv[j0:j1, j1:] = inv[j1:, j0:j1].T
     return inv
 
@@ -125,18 +137,34 @@ def _as_fortran_operand(x):
 
 
 @dataclass
-class StackedSystem:
-    """Factorized covariance pieces of one stacked Gaussian evaluation."""
+class KernelHalf:
+    """The part of a stacked system that the hyperparameters and the selection alone fix.
+
+    pi does not enter it, so every pi step of an E-phase shares one.
+    """
 
     rows: list  # per-output row-index arrays
-    y_blocks: list  # per-output data vectors
-    d_blocks: list  # per-output heteroscedastic noise diagonals
-    B_blocks: list  # per-output residual (or full) covariance blocks
     ff_blocks: list  # per-output kernels.GaussBlock of Kff_m (or of the SE kernel)
     fu_blocks: list  # per-output kernels.GaussBlock of Kfu_m, or None (independent model)
     kuu_block: kernels.GaussBlock  # unjittered Kuu, or None
     Kuu: np.ndarray  # jittered, or None
     cho_Kuu: tuple
+    B_blocks: list  # per-output residual (or full) covariance blocks
+
+    @property
+    def has_inducing(self):
+        return self.fu_blocks is not None
+
+
+@dataclass
+class StackedSystem(KernelHalf):
+    """Factorized covariance pieces of one stacked Gaussian evaluation.
+
+    The KernelHalf fields come first; the noise half follows.
+    """
+
+    y_blocks: list  # per-output data vectors
+    d_blocks: list  # per-output heteroscedastic noise diagonals
     cho_E: list  # cho_factor of E_m = B_m + D_m
     A: np.ndarray
     cho_A: tuple
@@ -145,91 +173,112 @@ class StackedSystem:
     beta: np.ndarray  # sum_m Kfu_m' alpha_m
     c: np.ndarray  # A^-1 beta
 
-    @property
-    def has_inducing(self):
-        return self.fu_blocks is not None
 
-
-def _sqdiff_per_output(X, rows, X2=None):
+def _sqdiff_per_output(X, rows, X2=None, t2=None):
     """sqdiff(X[r], X[r] or X2) per output; one array when outputs share their rows.
 
     The stacked selection lists one row array under every output, so its
-    squared differences are computed once per evaluation.
+    squared differences are computed once per evaluation.  t2, if given,
+    is sqdiff(X, X or X2) over all rows of X, and each output's array is
+    taken from it: the same entries, C-ordered like sqdiff's, and t2
+    itself when the output selects every row in order.
     """
     out = []
     for m, r in enumerate(rows):
         if m and r is rows[m - 1]:
             out.append(out[-1])
-        else:
+        elif t2 is None:
             Xr = X[r]
             out.append(kernels.sqdiff(Xr, Xr if X2 is None else X2))
+        elif np.array_equal(r, np.arange(t2.shape[1])):
+            out.append(t2)
+        else:
+            t = np.take(t2, r, axis=1)
+            out.append(t if X2 is not None else np.take(t, r, axis=2))
     return out
 
 
-def build_system(X, y, hp, rows, d_blocks):
+def _kernel_half(X, hp, rows, t2):
+    """The KernelHalf of build_system: every kernel block, Kuu's factor and each B_m."""
+    t2_xx, t2_xw = (None, None) if t2 is None else t2
+    t2_ff = _sqdiff_per_output(X, rows, t2=t2_xx)
+    if isinstance(hp, IndependentSEHyperParams):
+        ff_blocks = [kernels.se_block(t2_m, out) for t2_m, out in zip(t2_ff, hp.outputs)]
+        return KernelHalf(rows=rows, ff_blocks=ff_blocks, fu_blocks=None, kuu_block=None,
+                          Kuu=None, cho_Kuu=None, B_blocks=[b.K for b in ff_blocks])
+    if not isinstance(hp, HyperParams):
+        raise TypeError("unsupported hyperparameter container: %r" % type(hp))
+    W = hp.inducing.W
+    kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
+    Kuu, cho_Kuu = kernels.jittered(kuu_block.K)
+    t2_fu = _sqdiff_per_output(X, rows, W, t2=t2_xw)
+    ff_blocks = []
+    fu_blocks = []
+    B_blocks = []
+    for t2_m, t2_fu_m, out in zip(t2_ff, t2_fu, hp.outputs):
+        ff_m = kernels.kff_block(t2_m, out, hp.latent)
+        fu_m = kernels.kfu_block(t2_fu_m, out, hp.latent)
+        Kfu_m = fu_m.K
+        B_m = ff_m.K - _gemm(Kfu_m, cho_solve(cho_Kuu, Kfu_m.T))
+        B_blocks.append(0.5 * (B_m + B_m.T))
+        ff_blocks.append(ff_m)
+        fu_blocks.append(fu_m)
+    return KernelHalf(rows=rows, ff_blocks=ff_blocks, fu_blocks=fu_blocks, kuu_block=kuu_block,
+                      Kuu=Kuu, cho_Kuu=cho_Kuu, B_blocks=B_blocks)
+
+
+def build_system(X, y, hp, rows, d_blocks, kernel=None, t2=None):
     """Assemble and factorize the stacked system for a selection.
 
     hp may be HyperParams (convolved sparse model) or
     IndependentSEHyperParams (independent per-output kernels; the
     cross-covariance between outputs is exactly zero by construction).
-    Each kernel block is built once, as a kernels.GaussBlock, and kept on
-    the system for the gradient chain.
+
+    The system has two halves.  The kernel half (KernelHalf) holds each
+    kernel block, built once as a kernels.GaussBlock and kept for the
+    gradient chain, the jittered Kuu with its factor and the residuals
+    B_m; it depends on hp and the rows alone.  The noise half factors
+    E_m = B_m + diag(d_m) and A and solves for alpha, V, beta and c.
+    kernel, if given, is the kernel half of an earlier system (any
+    StackedSystem) at the same hp and rows: it is reused as is, only the
+    noise half is factored, and the result equals a fresh build bit for
+    bit.  Otherwise the kernel half is built, with t2, if given, being
+    (kernels.sqdiff(X, X), kernels.sqdiff(X, W) or None) over all rows of
+    X, from which each output's squared differences are taken.
     """
+    if kernel is None:
+        kernel = _kernel_half(X, hp, rows, t2)
     y = np.asarray(y, dtype=float).ravel()
     y_blocks = [y[r] for r in rows]
-    t2_ff = _sqdiff_per_output(X, rows)
-    if isinstance(hp, IndependentSEHyperParams):
-        ff_blocks = [kernels.se_block(t2, out) for t2, out in zip(t2_ff, hp.outputs)]
-        B_blocks = [b.K for b in ff_blocks]
-        fu_blocks = None
-        kuu_block = Kuu = cho_Kuu = None
-    elif isinstance(hp, HyperParams):
-        W = hp.inducing.W
-        kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
-        Kuu, cho_Kuu = kernels.jittered(kuu_block.K)
-        t2_fu = _sqdiff_per_output(X, rows, W)
-        ff_blocks = []
-        fu_blocks = []
-        B_blocks = []
-        for t2_m, t2_fu_m, out in zip(t2_ff, t2_fu, hp.outputs):
-            ff_m = kernels.kff_block(t2_m, out, hp.latent)
-            fu_m = kernels.kfu_block(t2_fu_m, out, hp.latent)
-            Kfu_m = fu_m.K
-            B_m = ff_m.K - _gemm(Kfu_m, cho_solve(cho_Kuu, Kfu_m.T))
-            B_blocks.append(0.5 * (B_m + B_m.T))
-            ff_blocks.append(ff_m)
-            fu_blocks.append(fu_m)
-    else:
-        raise TypeError("unsupported hyperparameter container: %r" % type(hp))
-    Kfu_blocks = None if fu_blocks is None else [b.K for b in fu_blocks]
+    Kfu_blocks = None if kernel.fu_blocks is None else [b.K for b in kernel.fu_blocks]
 
     cho_E = []
     alpha = []
     V = []
-    for m, B_m in enumerate(B_blocks):
-        # E_m = B_m + diag(d_m); B_m itself stays the residual
-        E_m = B_m.copy()
-        E_m.flat[:: E_m.shape[0] + 1] += d_blocks[m]
-        if E_m.shape[0] == 0:
+    for m, B_m in enumerate(kernel.B_blocks):
+        if B_m.shape[0] == 0:
             cho_E.append(None)
             alpha.append(np.zeros(0))
             V.append(None)
             continue
-        cho_E.append(cho_factor(E_m, lower=True))
+        # E_m = B_m + diag(d_m), factored in place; B_m itself stays the residual
+        E_m = np.array(B_m, order="F")
+        E_m.flat[:: E_m.shape[0] + 1] += d_blocks[m]
+        cho_E.append(cho_factor(E_m, overwrite_a=True))
         alpha.append(cho_solve(cho_E[m], y_blocks[m]))
         if Kfu_blocks is not None:
             V.append(cho_solve(cho_E[m], Kfu_blocks[m]))
 
     if Kfu_blocks is not None:
-        Q = Kuu.shape[0]
-        A = Kuu.copy()
+        Q = kernel.Kuu.shape[0]
+        A = kernel.Kuu.copy()
         beta = np.zeros(Q)
         for m in range(len(rows)):
             if Kfu_blocks[m].shape[0]:
                 A += _gemm(Kfu_blocks[m].T, V[m])
                 beta += Kfu_blocks[m].T @ alpha[m]
         A = 0.5 * (A + A.T)
-        cho_A = cho_factor(A, lower=True)
+        cho_A = cho_factor(A)
         c = cho_solve(cho_A, beta)
     else:
         A = cho_A = None
@@ -237,15 +286,9 @@ def build_system(X, y, hp, rows, d_blocks):
         V = [None] * len(rows)
 
     return StackedSystem(
-        rows=rows,
+        **{f.name: getattr(kernel, f.name) for f in fields(KernelHalf)},
         y_blocks=y_blocks,
         d_blocks=d_blocks,
-        B_blocks=B_blocks,
-        ff_blocks=ff_blocks,
-        fu_blocks=fu_blocks,
-        kuu_block=kuu_block,
-        Kuu=Kuu,
-        cho_Kuu=cho_Kuu,
         cho_E=cho_E,
         A=A,
         cho_A=cho_A,

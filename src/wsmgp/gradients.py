@@ -163,12 +163,15 @@ def _chain_independent(hp, mg: engine.MatrixGrads, ff_blocks):
 # ---------------------------------------------------------------------------
 
 
-def _gauss_term_with_grad(ds, cfg, hp, state):
+def _gauss_term_with_grad(ds, cfg, hp, state, sys):
     """(value, matrix-level grads, kernel-only GradientBundle) of bounds.gauss_term_cvb.
 
-    Each caller adds the partials of its own noise diagonal.
+    sys is build_cvb_system's system at these arguments, or None to
+    build it here.  Each caller adds the partials of its own noise
+    diagonal.
     """
-    sys = build_cvb_system(ds, cfg, hp, state)
+    if sys is None:
+        sys = build_cvb_system(ds, cfg, hp, state)
     value = engine.gauss_loglik(sys)
     mg = engine.gauss_loglik_grads(sys)
     if isinstance(hp, IndependentSEHyperParams):
@@ -179,9 +182,13 @@ def _gauss_term_with_grad(ds, cfg, hp, state):
     return value, mg, GradientBundle(d_S=d_S, d_Lm=d_Lm, d_L=d_L)
 
 
-def elbo_cvb_with_grad(ds, cfg, hp, state):
-    """Bound value and its hyperparameter gradient bundle in one pass, pi held fixed."""
-    value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, state)
+def elbo_cvb_with_grad(ds, cfg, hp, state, sys=None):
+    """Bound value and its hyperparameter gradient bundle in one pass, pi held fixed.
+
+    sys is bounds.build_cvb_system's system at these arguments if the
+    caller has built it; it is only read.
+    """
+    value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, state, sys)
     sigma = hp.noise.sigma
     # D-path: dL/dD_nm with D = sigma^2/pi, then to log sigma
     dD = np.stack([np.diag(mg.dE_blocks[m]) for m in range(cfg.M)], axis=1)  # (N, M)
@@ -192,9 +199,13 @@ def elbo_cvb_with_grad(ds, cfg, hp, state):
     return value, bundle
 
 
-def scmgp_loglik_with_grad(ds, cfg, hp):
-    """Fully-labeled sparse likelihood and its (theta, sigma) gradient."""
-    value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, None)
+def scmgp_loglik_with_grad(ds, cfg, hp, sys=None):
+    """Fully-labeled sparse likelihood and its (theta, sigma) gradient.
+
+    sys is bounds.build_cvb_system's system for SCMGP (state None) at hp
+    if the caller has built it; it is only read.
+    """
+    value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, None, sys)
     # D = sigma^2 on the selected rows; an empty output's trace is 0
     s = hp.noise.sigma
     bundle.d_sigma = np.array([2.0 * s[m] ** 2 * np.trace(G) for m, G in enumerate(mg.dE_blocks)])
@@ -220,7 +231,10 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
     hp and pi (svi._qu_estimate's natural parameters, from this call's
     C and Phi' (d o y)), so the value is the bound maximised over q(u),
     L*(hp), and by the envelope theorem the gradient at that q(u) held
-    fixed is L*'s gradient.
+    fixed is L*'s gradient.  The call then returns a third item, what it
+    built at hp: (Kuu^-1, the RowTables of the evaluated rows, q(u)'s
+    NaturalQu).  On the full batch that is svi.qu_restart's triple, up
+    to the rounding of q(u)'s per-output sums.
 
     The data term is summed in Q x Q form, so no per-row variance and no
     (M, rows, Q) derivative of Phi is formed.  Per output, with
@@ -247,7 +261,8 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
     if t2 is None:
         t2 = kernels.sqdiff(X, W)
     fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
-    phi, r = _tables_of([b.K for b in fu_blocks], hp, cho)
+    tables = _tables_of([b.K for b in fu_blocks], hp, cho)
+    phi, r = tables
     kuu_inv = engine.cho_inverse(cho)
 
     M, n_rows, Q = phi.shape
@@ -261,8 +276,8 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
     C = np.stack([engine._gemm(phi[m].T, da[m]) for m in range(M)])
     if qu_optimum:
         # the natural parameters of svi._qu_estimate, from the same sums
-        mu_u, Su = NaturalQu(kuu_inv + s * np.sum(C[:, :, :Q], axis=0),
-                             s * np.sum(C[:, :, Q], axis=0)).moments()
+        qu = NaturalQu(kuu_inv + s * np.sum(C[:, :, :Q], axis=0), s * np.sum(C[:, :, Q], axis=0))
+        mu_u, Su = qu.moments()
     else:
         mu_u, Su = state.mu_u, state.Su
     C = C[:, :, :Q]
@@ -300,6 +315,8 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
         d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=s * d_sigma,
         d_alpha0=s * d_alpha0 * cfg.alpha0,
     )
+    if qu_optimum:
+        return value, bundle, (kuu_inv, tables, qu)
     return value, bundle
 
 

@@ -20,10 +20,12 @@ dimension d.  Which function does what:
 * Building.  `sqdiff` gives t2; `kuu_block`, `kfu_block`, `kff_block`
   and `se_block` turn it into a `GaussBlock` (t2, unit, K).
   `engine.build_system` builds every block of an evaluation this way,
-  with t2 computed once per pair of input sets, and keeps the blocks on
-  its `StackedSystem`; `gradients.elbo_svb_with_grad` does the same for
-  its batch rows, and `svi` for its row tables.  The *_matrix builders
-  return the K of a block, for callers that need nothing else
+  with t2 computed once per pair of input sets (or taken from the
+  caller's, which `trainer.fit_cvb` computes once per fit), and keeps
+  the blocks on its system's kernel half, which the noise-only builds of
+  a collapsed E-phase share; `gradients.elbo_svb_with_grad` does the
+  same for its batch rows, and `svi` for its row tables.  The *_matrix
+  builders return the K of a block, for callers that need nothing else
   (prediction, the synthetic generator, the dense oracles).
 * Differentiating.  `kuu_coeffs`, `kfu_coeffs`, `kff_coeffs` and
   `se_coeffs` give the coefficients of each derivative in unit and
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class IllConditionedKernelError(ValueError):
@@ -332,8 +334,46 @@ def exact_kff_pairs(X, hp: HyperParams):
 
 
 # ---------------------------------------------------------------------------
-# jittered Cholesky factor
+# Cholesky factor and solve, and the jittered factor
 # ---------------------------------------------------------------------------
+
+
+def _check_finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def cho_factor(a, overwrite_a=False):
+    """(c, True): a's lower Cholesky factor as scipy.linalg.cho_factor(a, lower=True) gives it.
+
+    LAPACK's dpotrf, the routine cho_factor calls, without the wrapper's
+    batching and argument handling, so c is the same bit for bit: its
+    lower triangle is the factor and its upper one keeps a's entries.
+    With overwrite_a a Fortran-ordered a is factored in place.  The
+    wrapper's guards stay: a non-finite a raises ValueError and one that
+    is not positive definite np.linalg.LinAlgError, each with
+    cho_factor's message.
+    """
+    _check_finite(a)
+    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=overwrite_a)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            "%d-th leading minor of the array is not positive definite" % info)
+    return c, True
+
+
+def cho_solve(cho, b):
+    """scipy.linalg.cho_solve(cho, b) through LAPACK's dpotrs, the routine it calls.
+
+    cho is a (c, lower) pair from cho_factor; a non-finite b raises
+    ValueError, as cho_solve's check does.
+    """
+    _check_finite(b)
+    c, lower = cho
+    x, info = dpotrs(c, b, lower=lower)
+    if info:
+        raise ValueError("illegal value in %dth argument of internal potrs" % -info)
+    return x
 
 
 def chol_jitter(K):
@@ -343,9 +383,10 @@ def chol_jitter(K):
     1e-2 * mean(diag), then raises with a condition-number estimate.
 
     Each attempt copies K into one Fortran-ordered working array, adds
-    the jitter to its diagonal and lets LAPACK factor it in place; that
-    array is the returned factor.  K itself is never modified, and the
-    factor equals cho_factor(K + jitter * I, lower=True) bit for bit
+    the jitter to its diagonal and lets LAPACK factor it in place
+    (cho_factor); that array is the returned factor.  K itself is never
+    modified, and the factor equals
+    scipy.linalg.cho_factor(K + jitter * I, lower=True) bit for bit
     (upper triangle included) without an n x n identity or sum.
     """
     base = float(np.mean(np.diag(K)))
@@ -357,8 +398,7 @@ def chol_jitter(K):
         np.copyto(work, K)
         work.flat[:: n + 1] += jitter
         try:
-            c, low = cho_factor(work, lower=True, overwrite_a=True)
-            return (c, low), jitter
+            return cho_factor(work, overwrite_a=True), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise IllConditionedKernelError(

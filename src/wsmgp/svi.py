@@ -27,13 +27,16 @@ gives every mu and one product Phi Su every variance, with no loop over
 the outputs.
 
 What the stochastic fit's E-phase reads (trainer describes the driver):
-  * row_tables builds the constants once per hyperparameter setting over
-    all N rows (one N-row Kfu block and two N-row triangular solves per
-    output, O(M N Q^2); M N (Q + 1) doubles, 2.0 MB at N = 4000, M = 2,
-    Q = 30), and qu_restart takes q(u)'s one closed form from them:
-    _qu_estimate at scale 1 on every row, whose moments optimal_qu
-    returns.  elbo_svb and gradients.elbo_svb_with_grad build the
-    constants at their rows unless the caller passes them.
+  * row tables over all N rows, once per hyperparameter setting (one
+    N-row Kfu block and two N-row triangular solves per output,
+    O(M N Q^2); M N (Q + 1) doubles, 2.0 MB at N = 4000, M = 2, Q = 30),
+    with Kuu^-1 and q(u)'s closed form at scale 1 on every row.  The fit
+    takes all three from gradients.elbo_svb_with_grad's full-batch call
+    with qu_optimum at the round's hyperparameters, which builds them
+    anyway; qu_restart builds the same from scratch (row_tables and
+    _qu_estimate), and optimal_qu returns its q(u)'s moments.  elbo_svb
+    and gradients.elbo_svb_with_grad build the constants at their rows
+    unless the caller passes them.
   * batch_step gathers its rows of the tables once and takes two
     closed-form coordinate steps in O(|batch| M Q^2 + Q^3), with no
     kernel matrix, no Kuu solve and no O(N) work: the rows' assignment
@@ -87,13 +90,9 @@ class RowTables(NamedTuple):
         return np.take(self.phi, rows, axis=1), np.take(self.r, rows, axis=1)
 
 
-def row_tables(X, hp, cho_kuu, t2=None):
-    """RowTables at the rows of X, with Kuu factored as cho_kuu (from kernels.jittered).
-
-    t2 is kernels.sqdiff(X, hp.inducing.W) if the caller has it.
-    """
-    if t2 is None:
-        t2 = kernels.sqdiff(X, hp.inducing.W)
+def row_tables(X, hp, cho_kuu):
+    """RowTables at the rows of X, with Kuu factored as cho_kuu (from kernels.jittered)."""
+    t2 = kernels.sqdiff(X, hp.inducing.W)
     return _tables_of([kernels.kfu_block(t2, out, hp.latent).K for out in hp.outputs], hp,
                       cho_kuu)
 
@@ -193,16 +192,18 @@ def elbo_svb(ds, cfg, hp, state, batch=None, tables=None):
     return scale * (data + float(np.sum(v_rows))) - kl
 
 
-def qu_restart(ds, hp, pi, t2=None):
+def qu_restart(ds, hp, pi):
     """q(u)'s closed form at hp and pi, with what it is built from: (Kuu^-1, tables, NaturalQu).
 
     Kuu is jittered and factored, Kuu^-1 formed, the row tables built
-    over all N rows (with row_tables' t2), and q(u) is _qu_estimate at
-    scale 1 from them.  The trainer starts each E-phase from all three.
+    over all N rows, and q(u) is _qu_estimate at scale 1 from them.
+    gradients.elbo_svb_with_grad with qu_optimum returns the same triple
+    on the full batch, its q(u) summed per output, so equal up to
+    rounding.
     """
     _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
     kuu_inv = engine.cho_inverse(cho)
-    tables = row_tables(ds.X, hp, cho, t2)
+    tables = row_tables(ds.X, hp, cho)
     return kuu_inv, tables, _qu_estimate(tables.phi, ds.y, pi, hp.noise.sigma, kuu_inv, 1.0)
 
 

@@ -9,25 +9,36 @@ one scipy termination record per M-phase and one evaluation count:
     Dirichlet prior couples a row to its q(Pi_n)), so no step lowers the
     bound.
       - Collapsed bound (fit_cvb): full-batch pi steps
-        (bounds.cvb_pi_step).  Each is one system build, whose bound
-        enters the trajectory and whose factors give the posterior
-        moments of f at all N rows (engine.posterior_moments).
-      - Stochastic bound (fit_svb_em): q(u) restarts at its closed form
-        (svi.qu_restart), then mini-batch steps of stochastic variational
-        inference on q(pi) and q(u) (svi.batch_step) share the restart's
-        row tables and Kuu^-1; q(u)'s natural parameters move a step
-        rho = |batch| / N toward the batch estimate of their optimum.
+        (bounds.cvb_pi_step).  Each step's system gives the bound that
+        enters the trajectory and, from its factors, the posterior
+        moments of f at all N rows (engine.posterior_moments).  The
+        hyperparameters do not move, so the steps share one kernel half
+        (engine.KernelHalf): the first step reads the system the
+        M-phase's last evaluation built at the same point, and every
+        later step factors only its noise half.
+      - Stochastic bound (fit_svb_em): q(u) starts at its closed form,
+        then mini-batch steps of stochastic variational inference on
+        q(pi) and q(u) (svi.batch_step) share one set of row tables and
+        Kuu^-1; q(u)'s natural parameters move a step rho = |batch| / N
+        toward the batch estimate of their optimum.  All three come from
+        the M-phase's last evaluation at the same point.
   * M-phase (_m_phase): L-BFGS-B on the hyperparameter block alone
     (ParamPack: log precisions, free amplitudes, log noise and log
     alpha0) with pi held, for at most em_inner_hyp_iters iterations;
-    each evaluation is gradients.elbo_cvb_with_grad, or
-    gradients.elbo_svb_with_grad with q(u) at its optimum for the
-    evaluated hyperparameters.
+    each evaluation is gradients.elbo_cvb_with_grad on the system
+    bounds.build_cvb_system built, or gradients.elbo_svb_with_grad with
+    q(u) at its optimum for the evaluated hyperparameters.
+The hand-off between the phases is explicit: an objective returns what
+it built next to the bound and gradient, the M-phase keeps what its
+last call built when that call was at the returned point, and the next
+E-phase starts from it (round 0 from the start's evaluation).  Without
+it (after an abnormal line search) the E-phase builds its own, with the
+same results bit for bit.
 SCMGP has no assignment state: fit_cvb runs one M-phase on its
 likelihood instead.  The collapsed fit stops once a round changes the
 bound by less than tol_rel_bound relative; the stochastic fit runs
-every round.  W never moves, so the stochastic fit computes the squared
-differences between the rows and W once.
+every round.  X and W never move, so each fit computes the squared
+differences it needs between them once.
 """
 import time
 from dataclasses import dataclass, field
@@ -277,64 +288,79 @@ def _jitter_hp(hp, rng, amount=0.3):
 
 
 def _bound_at_start(objective, x):
-    """The bound -objective(x)[0]; NonFiniteBoundError if it fails or is not finite."""
+    """(bound, built) of objective(x) -> (-bound, -gradient, built).
+
+    NonFiniteBoundError if the evaluation fails or the bound is not finite.
+    """
     try:
-        bound = -objective(x)[0]
+        f, _, built = objective(x)
     except NoLabeledDataError:
         raise
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise NonFiniteBoundError(
             "bound evaluation failed at initialization (%s); parameters: %r" % (exc, x)
         )
-    if not np.isfinite(bound):
+    if not np.isfinite(f):
         raise NonFiniteBoundError("non-finite bound at initialization; parameters: %r" % (x,))
-    return bound
+    return -f, built
 
 
 def _m_phase(objective, x, box, options):
-    """L-BFGS-B on objective(x) -> (-bound, -gradient) from x.
+    """L-BFGS-B on objective(x) -> (-bound, -gradient, built) from x.
 
     Returns (x, the bound there, the termination record, objective
-    calls).  The bound is read from the call at the returned point:
-    after an abnormal line search scipy returns the best point with the
-    previous iterate's res.fun.
+    calls, built at x).  The bound is read from the call at the returned
+    point: after an abnormal line search scipy returns the best point
+    with the previous iterate's res.fun.  built is what the last call
+    built when that call was at the returned point, and None otherwise
+    (after an abnormal line search, for one).
     """
     values = {}
+    last = [None, None]
 
     def recorded(xh):
-        values[xh.tobytes()] = out = objective(xh)
-        return out
+        f, g, built = objective(xh)
+        last[:] = xh.tobytes(), built
+        values[last[0]] = f
+        return f, g
 
     res = minimize(recorded, x.copy(), jac=True, method="L-BFGS-B", bounds=box,
                    options=options)
-    return res.x, -float(values[res.x.tobytes()][0]), _termination(res), int(res.nfev)
+    key = res.x.tobytes()
+    built = last[1] if last[0] == key else None
+    return res.x, -float(values[key]), _termination(res), int(res.nfev), built
 
 
 def _variational_em(x, e_phase, objective, box, opt_cfg, tol=0.0):
     """Alternate E-phases with L-BFGS-B M-phases on the hyperparameter block x.
 
-    The trajectory starts at the bound at x (_bound_at_start).  Round k
-    calls e_phase(k, x, traj), which moves the variational factors at x,
-    appends any bound it measures to the trajectory and returns its
-    evaluation count, then runs an M-phase (_m_phase, at most
-    em_inner_hyp_iters iterations) on objective(x) -> (-bound,
-    -gradient), and appends the bound it ends at.  The driver stops
-    after em_outer_iters rounds, or after a round that changed the bound
-    by less than tol relative.  Returns (x, trajectory, the termination
-    record of every M-phase, evaluations, converged): evaluations counts
-    the start, the E-phases' and every objective call, and converged
-    says the last round changed the bound by less than
-    max(tol_rel_bound, 1e-6) relative.
+    objective(x) -> (-bound, -gradient, built) returns, as its third
+    item, what the evaluation built at x that an E-phase at x can start
+    from.  The trajectory starts at the bound at x (_bound_at_start).
+    Round k calls e_phase(k, x, traj, built), with built what the
+    objective built at x (by the start's call in round 0, by the last
+    M-phase's call at its returned point after that, or None, see
+    _m_phase); it moves the variational factors at x, appends any bound
+    it measures to the trajectory and returns its evaluation count.
+    Then an M-phase (_m_phase, at most em_inner_hyp_iters iterations)
+    runs on objective, and the bound it ends at is appended.  The driver
+    stops after em_outer_iters rounds, or after a round that changed the
+    bound by less than tol relative.  Returns (x, trajectory, the
+    termination record of every M-phase, evaluations, converged, built
+    at x): evaluations counts the start, the E-phases' and every
+    objective call, and converged says the last round changed the bound
+    by less than max(tol_rel_bound, 1e-6) relative.
     """
-    traj = [_bound_at_start(objective, x)]
+    bound, built = _bound_at_start(objective, x)
+    traj = [bound]
     termination = []
     evaluations = 1
     rel_change = np.inf
     for k in range(opt_cfg.em_outer_iters):
         before = traj[-1]
-        evaluations += e_phase(k, x, traj)
-        x, bound, term, calls = _m_phase(objective, x, box,
-                                         {"maxiter": opt_cfg.em_inner_hyp_iters})
+        evaluations += e_phase(k, x, traj, built)
+        x, bound, term, calls, built = _m_phase(objective, x, box,
+                                                {"maxiter": opt_cfg.em_inner_hyp_iters})
         traj.append(bound)
         termination.append(term)
         evaluations += calls
@@ -342,7 +368,7 @@ def _variational_em(x, e_phase, objective, box, opt_cfg, tol=0.0):
         if rel_change < tol:
             break
     converged = rel_change < max(opt_cfg.tol_rel_bound, 1e-6)
-    return x, traj, termination, evaluations, converged
+    return x, traj, termination, evaluations, converged, built
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +384,17 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
     stops early once a step raised the bound by less than tol_rel_bound
     relative; the first round's M-phase fits the start's pi before any
     step, since steps taken at the default hyperparameters can lock rows
-    into a poor assignment.  Each step is one system build, whose bound
-    enters the trajectory and counts as an evaluation.  The M-phase is
-    _variational_em's L-BFGS-B on the hyperparameters and log alpha0
-    with pi held.  Restart r > 0 starts from jittered hyperparameters
-    and its own seeded pi; the best final bound wins.
+    into a poor assignment.  Each step's bound enters the trajectory and
+    counts as an evaluation.  The first step of a round reads the system
+    the M-phase's last evaluation built at the round's hyperparameters,
+    and each later one factors only the noise half of its system against
+    that system's kernel half, so a step builds no kernel block; the
+    results are those of a fresh build per step, bit for bit.  The
+    M-phase is _variational_em's L-BFGS-B on the hyperparameters and log
+    alpha0 with pi held.  Restart r > 0 starts from jittered
+    hyperparameters and its own seeded pi; the best final bound wins.
+    The squared differences sqdiff(X, X) and sqdiff(X, W) are computed
+    once for all restarts.
 
     With scmgp=True there is no assignment state: the exact
     fully-labeled sparse likelihood of the labeled rows is maximized
@@ -377,6 +409,10 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
     with_alpha0 = (cfg.use_dirichlet and opt_cfg.optimize_alpha0 and not scmgp
                    and ds.n_unlabeled > 0)
     tol = opt_cfg.tol_rel_bound
+    # X and W never move (restarts keep W), so their squared differences
+    # are taken once; SCMGP's selections read their rows of them
+    t2_xw = kernels.sqdiff(ds.X, hp0.inducing.W) if isinstance(hp0, HyperParams) else None
+    t2 = (kernels.sqdiff(ds.X, ds.X), t2_xw)
     best = None
     restart_bounds = []
     termination = []
@@ -392,33 +428,38 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         def objective(x):
             hp, alpha0 = pack.unpack(x)
             cfg_x = cfg.with_alpha0(alpha0)
+            sys = bounds.build_cvb_system(ds, cfg_x, hp, state, t2=t2)
             if scmgp:
-                val, bundle = gradients.scmgp_loglik_with_grad(ds, cfg_x, hp)
+                val, bundle = gradients.scmgp_loglik_with_grad(ds, cfg_x, hp, sys)
             else:
-                val, bundle = gradients.elbo_cvb_with_grad(ds, cfg_x, hp, state)
-            return -val, -pack.grad_to_vec(bundle)
+                val, bundle = gradients.elbo_cvb_with_grad(ds, cfg_x, hp, state, sys)
+            return -val, -pack.grad_to_vec(bundle), sys
 
-        def pi_steps(k, x, traj):
+        def pi_steps(k, x, traj, sys):
             if k == 0:
                 return 0
             hp, alpha0 = pack.unpack(x)
             cfg_x = cfg.with_alpha0(alpha0)
             for i in range(opt_cfg.em_inner_stat_iters):
-                bound, state.pi_hat = bounds.cvb_pi_step(ds, cfg_x, hp, state)
+                # the first step reads the M-phase's system at (x, pi); later
+                # ones factor only the noise half against its kernel half
+                if i or sys is None:
+                    sys = bounds.build_cvb_system(ds, cfg_x, hp, state, kernel=sys, t2=t2)
+                bound, state.pi_hat = bounds.cvb_pi_step(ds, cfg_x, hp, state, sys)
                 traj.append(bound)
                 if i and traj[-1] - traj[-2] < tol * max(1.0, abs(traj[-1])):
                     return i + 1
             return opt_cfg.em_inner_stat_iters
 
         if scmgp:
-            traj = [_bound_at_start(objective, x0)]
+            traj = [_bound_at_start(objective, x0)[0]]
             budget = opt_cfg.em_outer_iters * opt_cfg.em_inner_hyp_iters
-            x, bound, term, calls = _m_phase(objective, x0, pack.box_bounds(),
-                                             {"maxiter": budget, "ftol": tol, "gtol": 1e-9})
+            x, bound, term, calls, _ = _m_phase(objective, x0, pack.box_bounds(),
+                                                {"maxiter": budget, "ftol": tol, "gtol": 1e-9})
             traj.append(bound)
             term, n_evals, ok = [term], 1 + calls, term["success"]
         else:
-            x, traj, term, n_evals, ok = _variational_em(
+            x, traj, term, n_evals, ok, _ = _variational_em(
                 x0, pi_steps, objective, pack.box_bounds(), opt_cfg, tol=tol)
         evaluations += n_evals
         termination += term
@@ -449,23 +490,27 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
 def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     """Variational-EM ascent of the stochastic bound.
 
-    Each round's E-phase sets q(u) to its closed form at the current
-    hyperparameters (svi.qu_restart), then runs em_inner_stat_iters
-    mini-batch steps of stochastic variational inference on q(pi) and
-    q(u) (svi.batch_step, one evaluation each).  The M-phase is
-    _variational_em's L-BFGS-B on the hyperparameter block with q(pi)
-    frozen and q(u) at its optimum for each trial point
-    (gradients.elbo_svb_with_grad with qu_optimum, full batch): q(u) is
-    far too sensitive to hyperparameter moves to be held where the
-    E-phase left it.  Every round runs: between mini-batch E-phases the
-    bound's change is partly sampling noise, not a sign of convergence.
+    Each round's E-phase starts q(u) at its closed form at the current
+    hyperparameters, then runs em_inner_stat_iters mini-batch steps of
+    stochastic variational inference on q(pi) and q(u) (svi.batch_step,
+    one evaluation each).  The M-phase is _variational_em's L-BFGS-B on
+    the hyperparameter block with q(pi) frozen and q(u) at its optimum
+    for each trial point (gradients.elbo_svb_with_grad with qu_optimum,
+    full batch): q(u) is far too sensitive to hyperparameter moves to be
+    held where the E-phase left it.  Every round runs: between
+    mini-batch E-phases the bound's change is partly sampling noise, not
+    a sign of convergence.
 
     The hyperparameters do not move during the E-phase, so its steps
-    share the tables, Kuu^-1 and natural parameters of the restart; a
-    step builds no kernel matrix, makes no Kuu solve, forms no Su and
-    does no O(N) work.  pi, mu_u and Su are plain arrays, and only the
-    hyperparameters are packed.  The returned state's q(u) is the
-    closed form at the final hyperparameters.
+    share one Kuu^-1, one set of RowTables over all N rows and the
+    starting q(u)'s natural parameters: those the M-phase's last
+    evaluation built at the round's hyperparameters (round 0: the
+    start's evaluation; only if the M-phase ended elsewhere, one more
+    evaluation at its point, not counted).  A step builds no kernel
+    matrix, makes no Kuu solve, forms no Su and does no O(N) work.  pi,
+    mu_u and Su are plain arrays, and only the hyperparameters are
+    packed.  The returned state's q(u) is the closed form at the final
+    hyperparameters, from the same source.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -482,23 +527,27 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     pack = ParamPack(cfg, hp0, with_alpha0=with_alpha0)
     t2 = kernels.sqdiff(ds.X, hp0.inducing.W)  # W never moves
 
-    def e_phase(k, xh, traj):
+    def objective(xh):
+        hp_x, alpha0 = pack.unpack(xh)
+        val, bundle, built = gradients.elbo_svb_with_grad(
+            ds, cfg.with_alpha0(alpha0), hp_x, state, t2=t2, qu_optimum=True)
+        return -val, -pack.grad_to_vec(bundle), built
+
+    def products(xh, built):
+        """(Kuu^-1, RowTables, NaturalQu) at xh: the objective's call there, or a new one."""
+        return built if built is not None else objective(xh)[2]
+
+    def e_phase(k, xh, traj, built):
         hp, alpha0 = pack.unpack(xh)
         cfg_x = cfg.with_alpha0(alpha0)
-        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat, t2)
+        kuu_inv, tables, qu = products(xh, built)
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
             qu = svi.batch_step(ds, cfg_x, hp.noise.sigma, tables, kuu_inv, rows,
                                 state.pi_hat, qu)
         return opt_cfg.em_inner_stat_iters
 
-    def objective(xh):
-        hp_x, alpha0 = pack.unpack(xh)
-        val, bundle = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(alpha0), hp_x, state,
-                                                   t2=t2, qu_optimum=True)
-        return -val, -pack.grad_to_vec(bundle)
-
-    x, traj, termination, evaluations, ok = _variational_em(
+    x, traj, termination, evaluations, ok, built = _variational_em(
         pack.pack(hp0, alpha0=cfg.alpha0), e_phase, objective, pack.box_bounds(), opt_cfg,
     )
     initial, final = traj[0], traj[-1]
@@ -507,7 +556,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
             "stochastic fit regressed: initial %.6f -> final %.6f" % (initial, final)
         )
     hp, alpha0 = pack.unpack(x)
-    state.mu_u, state.Su = svi.qu_restart(ds, hp, state.pi_hat, t2)[2].moments()
+    state.mu_u, state.Su = products(x, built)[2].moments()
     return FitReport(
         bound_trajectory=traj,
         final_hp=hp,

@@ -1,6 +1,6 @@
 """The collapsed bound, its V term, and the exact enumeration oracle."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from wsmgp.model import (
     ModelConfig,
     VariationalState,
     floor_simplex,
+    init_state,
     make_dataset,
 )
 from wsmgp.predict import posterior_predict
@@ -283,6 +284,89 @@ class TestCvbPiStep:
             np.testing.assert_allclose(pi.sum(axis=1), 1.0, rtol=1e-14)
             at_floor += np.sum(pi[~labeled] <= 2 * EPS_PI)
         assert at_floor > 0
+
+
+def hand_off_instance(kind, model, seed=21, d=1):
+    """(ds, cfg, hp, state) for a WSMGP or OMGP-WS state on the convolved or the SE model."""
+    ds, cfg, hp, state = checks.random_instance(seed, n=24, M=2, Q=6, d=d)
+    if model == "omgp-ws":
+        # hard one-hot label priors and no Dirichlet prior, as baselines.fit_omgp_ws
+        ds = make_dataset(ds.X, ds.y, labels=ds.labels, n_outputs=cfg.M)
+        cfg = replace(cfg, use_dirichlet=False)
+        state = init_state(ds, cfg, seed)
+    if kind == "independent":
+        hp = IndependentSEHyperParams(
+            outputs=[SEKernelParams(amp=abs(o.S), prec=0.5 * o.Lm) for o in hp.outputs],
+            noise=hp.noise)
+    return ds, cfg, hp, state
+
+
+def assert_same(got, ref, name):
+    """got equals ref bit for bit through lists, tuples and blocks; arrays in the same layout."""
+    if isinstance(ref, (list, tuple)):
+        assert type(got) is type(ref) and len(got) == len(ref), name
+        for g, r in zip(got, ref):
+            assert_same(g, r, name)
+    elif isinstance(ref, np.ndarray):
+        np.testing.assert_array_equal(got, ref, err_msg=name)
+        layout = lambda x: (x.dtype, x.flags.c_contiguous, x.flags.f_contiguous)  # noqa: E731
+        assert layout(got) == layout(ref), name
+    else:
+        assert got == ref, name
+
+
+def assert_systems_equal(got, ref):
+    for f in fields(engine.StackedSystem):
+        assert_same(getattr(got, f.name), getattr(ref, f.name), f.name)
+
+
+HAND_OFF_CASES = [(kind, model) for kind in ("convolved", "independent")
+                  for model in ("wsmgp", "omgp-ws")]
+
+
+class TestHandOff:
+    """A pi step on a system built elsewhere, and systems built on a handed kernel half or t2."""
+
+    @pytest.mark.parametrize("kind, model", HAND_OFF_CASES)
+    def test_pi_step_on_a_handed_system_equals_its_own_build(self, kind, model):
+        ds, cfg, hp, state = hand_off_instance(kind, model)
+        pi = state.pi_hat.copy()
+        # as in the fit: the M-phase's evaluation reads the system first
+        sys = build_cvb_system(ds, cfg, hp, state)
+        value, bundle = gradients.elbo_cvb_with_grad(ds, cfg, hp, state, sys)
+        value_ref, bundle_ref = gradients.elbo_cvb_with_grad(ds, cfg, hp, state)
+        assert value == value_ref
+        assert_same(list(vars(bundle).values()), list(vars(bundle_ref).values()), "bundle")
+        got = cvb_pi_step(ds, cfg, hp, state_from_pi(pi.copy()), sys)
+        ref = cvb_pi_step(ds, cfg, hp, state_from_pi(pi.copy()))
+        assert got[0] == ref[0]
+        assert_same(got[1], ref[1], "pi")
+
+    @pytest.mark.parametrize("kind, model", HAND_OFF_CASES)
+    def test_system_on_a_handed_kernel_half_equals_a_fresh_build(self, kind, model):
+        ds, cfg, hp, state = hand_off_instance(kind, model)
+        # the kernel half of a system at other rows' pi, as an E-phase's earlier step
+        earlier = build_cvb_system(ds, cfg, hp, state)
+        _, state.pi_hat = cvb_pi_step(ds, cfg, hp, state, earlier)
+        got = build_cvb_system(ds, cfg, hp, state, kernel=earlier)
+        assert_systems_equal(got, build_cvb_system(ds, cfg, hp, state))
+        assert not np.array_equal(got.d_blocks[0], earlier.d_blocks[0])
+        for f in fields(engine.KernelHalf):
+            assert getattr(got, f.name) is getattr(earlier, f.name), f.name
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("scmgp", [False, True])
+    @pytest.mark.parametrize("kind", ["convolved", "independent"])
+    def test_system_from_the_fits_squared_differences_equals_a_fresh_build(self, kind, scmgp, d):
+        # WSMGP's stacked selection reads t2 itself, SCMGP's per-label
+        # selections their rows of it
+        ds, cfg, hp, state = hand_off_instance(kind, "wsmgp", d=d)
+        state = None if scmgp else state
+        t2_xw = None if kind == "independent" else kernels.sqdiff(ds.X, hp.inducing.W)
+        t2 = (kernels.sqdiff(ds.X, ds.X), t2_xw)
+        got = build_cvb_system(ds, cfg, hp, state, t2=t2)
+        assert_systems_equal(got, build_cvb_system(ds, cfg, hp, state))
+        assert (got.ff_blocks[0].t2 is t2[0]) != scmgp
 
 
 class TestOracle:

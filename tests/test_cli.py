@@ -1,5 +1,6 @@
 """The CLI chain generate -> fit -> predict -> evaluate on the files it writes itself."""
 
+import argparse
 import json
 
 import numpy as np
@@ -125,6 +126,27 @@ def test_optimizer_defaults_are_the_config_class_defaults():
     # a key the file sets is read; the others keep their defaults
     assert cli.optimizer_config_from({"optimizeAlpha0": "false"}, 7) == OptimizerConfig(
         seed=7, optimize_alpha0=False)
+
+
+_NO_ALPHA0 = argparse.Namespace(alpha0=None)  # no --alpha0 on the command line
+
+
+@pytest.mark.parametrize("word, value", [
+    ("true", True), ("Yes", True), (" on ", True), ("1", True),
+    ("false", False), ("NO", False), ("off", False), ("0", False),
+])
+def test_booleans_read_the_listed_words(word, value):
+    assert cli.optimizer_config_from({"optimizeAlpha0": word}, 0).optimize_alpha0 is value
+    assert cli.model_config_from({"useDirichlet": word}, _NO_ALPHA0).use_dirichlet is value
+
+
+@pytest.mark.parametrize("word", ["flase", "ture", "", "2", "none"])
+def test_other_boolean_words_are_rejected_by_key_and_value(word):
+    # an unrecognised word used to read as false
+    with pytest.raises(ValueError, match="optimizeAlpha0: %r" % word):
+        cli.optimizer_config_from({"optimizeAlpha0": word}, 0)
+    with pytest.raises(ValueError, match="useDirichlet: %r" % word):
+        cli.model_config_from({"useDirichlet": word}, _NO_ALPHA0)
 
 
 @pytest.mark.parametrize("key", ["stepSize", "batchsize"])

@@ -110,3 +110,48 @@ def test_cho_inverse_equals_the_solve_and_is_symmetric(n):
         np.testing.assert_array_equal(inv, inv.T, err_msg=name)
         assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max(), name
         np.testing.assert_array_equal(cho[0], factor, err_msg=name)
+
+
+class TestFactorGuards:
+    """build_system's factors keep scipy's guards: ValueError on non-finite input,
+    LinAlgError with cho_factor's message when not positive definite."""
+
+    @staticmethod
+    def _instance():
+        ds, cfg, hp, state = random_instance(4, n=20, M=2, Q=5)
+        rows, d_blocks = [np.arange(ds.n)] * cfg.M, [np.full(ds.n, 0.1)] * cfg.M
+        return ds, hp, rows, d_blocks
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_e_raises_value_error(self, bad):
+        ds, hp, rows, d_blocks = self._instance()
+        d_blocks[1] = d_blocks[1].copy()
+        d_blocks[1][7] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
+
+    def test_non_positive_definite_e_raises_cho_factors_error(self):
+        ds, hp, rows, d_blocks = self._instance()
+        B_1 = engine.build_system(ds.X, ds.y, hp, rows, d_blocks).B_blocks[1]
+        d_blocks[1] = np.full(ds.n, -1.0)
+        with pytest.raises(np.linalg.LinAlgError) as ref:
+            cho_factor(B_1 + np.diag(d_blocks[1]), lower=True)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("kuu_scale, error", [(np.nan, ValueError),
+                                                  (-1e6, np.linalg.LinAlgError)])
+    def test_bad_a_raises_the_same_errors(self, kuu_scale, error, monkeypatch):
+        # A = Kuu + sum_m Kfu_m' V_m is factored by the same helper; a Kuu
+        # that is not finite, or far from positive definite, spoils it
+        ds, hp, rows, d_blocks = self._instance()
+        jittered = kernels.jittered
+
+        def spoiled(K):
+            Kuu, cho = jittered(K)
+            return kuu_scale * np.eye(len(Kuu)), cho
+
+        monkeypatch.setattr(kernels, "jittered", spoiled)
+        with pytest.raises(error, match="infs or NaNs|leading minor of the array is not"):
+            engine.build_system(ds.X, ds.y, hp, rows, d_blocks)

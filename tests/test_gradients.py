@@ -415,8 +415,8 @@ def _check_qu_optimum(ds, cfg, hp, state, h):
 
     def evaluate(x):
         hp_x, a0 = pack.unpack(x)
-        val, b = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(a0), hp_x,
-                                              VariationalState(state.pi_hat), qu_optimum=True)
+        val, b, _ = gradients.elbo_svb_with_grad(ds, cfg.with_alpha0(a0), hp_x,
+                                                 VariationalState(state.pi_hat), qu_optimum=True)
         return val, pack.grad_to_vec(b)
 
     assert evaluate(x0)[0] == pytest.approx(value(x0), rel=1e-10)

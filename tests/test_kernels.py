@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
 
 from wsmgp import engine, kernels
 from wsmgp.checks import _quad_ff, _quad_fu
@@ -247,6 +247,51 @@ class TestCholJitter:
         with pytest.raises(IllConditionedKernelError):
             chol_jitter(K)
         np.testing.assert_array_equal(K, K_before)
+
+
+class TestLapackHelpers:
+    """kernels.cho_factor / cho_solve: LAPACK's dpotrf / dpotrs with scipy's results and guards."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 30, 144])
+    def test_equal_scipy_bit_for_bit(self, n, order):
+        K = np.asarray(_needs_escalations(0, n=max(n, 2), seed=n)[:n, :n], order=order)
+        rng = np.random.default_rng(n)
+        ref = cho_factor(K, lower=True)
+        got = kernels.cho_factor(K)
+        assert got[1] is True
+        # the upper triangle keeps K's entries, as cho_factor's does
+        np.testing.assert_array_equal(got[0], ref[0])
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=(3, n)).T):
+            np.testing.assert_array_equal(kernels.cho_solve(got, b), cho_solve(ref, b))
+
+    def test_factors_a_fortran_array_in_place(self):
+        K = np.asfortranarray(_needs_escalations(0))
+        ref = cho_factor(K, lower=True)[0]
+        c, _ = kernels.cho_factor(K, overwrite_a=True)
+        assert np.shares_memory(c, K)
+        np.testing.assert_array_equal(c, ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        K = _needs_escalations(0)
+        cho = kernels.cho_factor(K)
+        K_bad = K.copy()
+        K_bad[3, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            kernels.cho_factor(K_bad)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            kernels.cho_solve(cho, np.r_[np.ones(5), bad])
+
+    @pytest.mark.parametrize("escalations", [1, 2])
+    def test_not_positive_definite_raises_scipys_linalg_error(self, escalations):
+        K = _needs_escalations(escalations)
+        with pytest.raises(np.linalg.LinAlgError) as ref:
+            cho_factor(K, lower=True)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            kernels.cho_factor(K)
+        assert str(got.value) == str(ref.value)
+        assert "not positive definite" in str(got.value)
 
 
 class TestDerivativeBuilders:

@@ -391,10 +391,7 @@ class TestPerFitConstants:
     def test_given_constants_change_no_value(self):
         ds, cfg, hp, state = checks.random_instance(11, n=40, M=2, Q=6)
         t2 = kernels.sqdiff(ds.X, hp.inducing.W)
-        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
-        given = svi.qu_restart(ds, hp, state.pi_hat, t2)
-        for got, ref in zip([given[0], *given[1], *given[2]], [kuu_inv, *tables, *qu]):
-            np.testing.assert_array_equal(got, ref)
+        _, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
         state.mu_u, state.Su = qu.moments()
         assert elbo_svb(ds, cfg, hp, state, tables=tables) == elbo_svb(ds, cfg, hp, state)
         val, bundle = gradients.elbo_svb_with_grad(ds, cfg, hp, state, t2=t2)

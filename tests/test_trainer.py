@@ -1,14 +1,16 @@
 """The hyperparameter pack, and both fits through the variational-EM driver."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wsmgp import checks
+from wsmgp import bounds, checks, engine, gradients, svi, trainer
 from wsmgp.baselines import fit_scmgp
 from wsmgp.bounds import NoLabeledDataError, elbo_cvb
 from wsmgp.experiments import SyntheticConfig, generate_synthetic
+from wsmgp.kernels import OutputKernelParams
 from wsmgp.model import ModelConfig
 from wsmgp.trainer import (
     NonFiniteBoundError,
@@ -125,6 +127,108 @@ class TestFitCvb:
             fit_cvb(ds, cfg, None, OptimizerConfig(seed=0, restarts=1, em_outer_iters=1))
 
 
+    def test_nonfinite_kernel_at_the_start_raises(self):
+        # an amplitude whose square overflows makes Kff, hence E_m, non-finite:
+        # the factor's ValueError becomes NonFiniteBoundError
+        ds, _ = tiny_two_output_ds(7)
+        cfg = ModelConfig(M=2, Q=6)
+        hp = trainer.default_hyperparams(ds, cfg)
+        outs = [hp.outputs[0], OutputKernelParams(S=1e200, Lm=hp.outputs[1].Lm)]
+        hp0 = replace(hp, outputs=outs)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteBoundError, match="infs or NaNs"):
+            fit_cvb(ds, cfg, hp0, OptimizerConfig(seed=0, restarts=1, em_outer_iters=1))
+
+
+def _recording_objective(gradient_sign):
+    """objective(x) -> (f, g, built) of f = |x - 1|^2, built a copy of x, and its calls."""
+    calls = []
+
+    def objective(x):
+        calls.append(x.copy())
+        return float(np.sum((x - 1.0) ** 2)), gradient_sign * 2.0 * (x - 1.0), x.copy()
+
+    return objective, calls
+
+
+class TestMPhaseHandOff:
+    """_m_phase hands on what the objective built at the returned point, when it has it."""
+
+    def test_built_at_the_returned_point(self):
+        objective, calls = _recording_objective(1.0)
+        x, bound, term, n, built = trainer._m_phase(objective, np.zeros(3), None, {"maxiter": 5})
+        assert n == len(calls) and term["nfev"] == n
+        np.testing.assert_array_equal(calls[-1], x)
+        np.testing.assert_array_equal(built, x)
+        assert bound == -float(np.sum((x - 1.0) ** 2))
+
+    def test_none_when_the_last_call_was_elsewhere(self):
+        # a gradient of the wrong sign fails the first line search, and
+        # scipy returns the start, which was not the last point tried
+        objective, calls = _recording_objective(-1.0)
+        x, bound, term, n, built = trainer._m_phase(objective, np.zeros(3), None, {"maxiter": 5})
+        assert term["message"].startswith("ABNORMAL")
+        assert not np.array_equal(calls[-1], x)
+        assert built is None
+        assert bound == -3.0
+
+    def test_fit_equals_one_with_nothing_handed_on(self, monkeypatch):
+        # each E-phase's first pi step then builds its own system and the
+        # later steps their own kernel halves; the fit must not change a bit
+        ds, _ = tiny_two_output_ds(3)
+        cfg = ModelConfig(M=2, Q=8, alpha0=0.3)
+        opt = OptimizerConfig(seed=5, restarts=2, em_outer_iters=4)
+        handed = fit_cvb(ds, cfg, None, opt)
+        m_phase = trainer._m_phase
+        monkeypatch.setattr(trainer, "_m_phase", lambda *a: m_phase(*a)[:4] + (None,))
+        own = fit_cvb(ds, cfg, None, opt)
+        assert handed.bound_trajectory == own.bound_trajectory
+        assert handed.restart_bounds == own.restart_bounds
+        assert handed.evaluations == own.evaluations
+        assert handed.termination == own.termination
+        np.testing.assert_array_equal(handed.final_state.pi_hat, own.final_state.pi_hat)
+
+    def test_stochastic_fit_equals_one_with_nothing_handed_on(self, monkeypatch):
+        # each E-phase then takes its tables and q(u) from one more
+        # evaluation at the M-phase's point, which must give the same ones
+        ds, _ = tiny_two_output_ds(8, n_per=15)
+        cfg = ModelConfig(M=2, Q=6, alpha0=0.3)
+        opt = OptimizerConfig(seed=3, em_outer_iters=3, em_inner_stat_iters=10,
+                              em_inner_hyp_iters=3, batch_size=8)
+        handed = fit_svb_em(ds, cfg, None, opt)
+        m_phase = trainer._m_phase
+        monkeypatch.setattr(trainer, "_m_phase", lambda *a: m_phase(*a)[:4] + (None,))
+        own = fit_svb_em(ds, cfg, None, opt)
+        assert handed.bound_trajectory == own.bound_trajectory
+        assert handed.evaluations == own.evaluations
+        for name in ("pi_hat", "mu_u", "Su"):
+            np.testing.assert_array_equal(getattr(handed.final_state, name),
+                                          getattr(own.final_state, name))
+
+    def test_pi_steps_build_no_kernel_half(self, monkeypatch):
+        # every kernel half of the collapsed fit is built by an M-phase
+        # evaluation (or the start's); pi steps reuse them
+        ds, _ = tiny_two_output_ds(3)
+        cfg = ModelConfig(M=2, Q=8, alpha0=0.3)
+        counts = {"kernel": 0, "grad": 0, "pi": 0}
+
+        def counted(name, fn):
+            def wrapper(*a, **kw):
+                counts[name] += 1
+                return fn(*a, **kw)
+            return wrapper
+
+        monkeypatch.setattr(engine, "_kernel_half", counted("kernel", engine._kernel_half))
+        monkeypatch.setattr(gradients, "elbo_cvb_with_grad",
+                            counted("grad", gradients.elbo_cvb_with_grad))
+        monkeypatch.setattr(bounds, "cvb_pi_step", counted("pi", bounds.cvb_pi_step))
+        rep = fit_cvb(ds, cfg, None, OptimizerConfig(seed=5, restarts=1, em_outer_iters=4))
+        assert not any(t["message"].startswith("ABNORMAL") for t in rep.termination)
+        assert counts["pi"] > 0
+        assert counts["kernel"] == counts["grad"]
+        assert rep.evaluations == counts["grad"] + counts["pi"]
+
+
 def assert_termination(rep, runs, iter_cap):
     """One scipy stopping record per optimizer run, each within its iteration cap."""
     assert len(rep.termination) == runs
@@ -150,6 +254,26 @@ class TestFitSvbEm:
         # steps and the M-phases' evaluations
         assert_termination(rep, runs=5, iter_cap=5)
         assert 1 + 5 * 10 + sum(t["nfev"] for t in rep.termination) == rep.evaluations
+
+    def test_q_u_comes_from_the_m_phase_evaluations(self, monkeypatch):
+        # each round's E-phase and the final state take Kuu^-1, the row
+        # tables and q(u) from elbo_svb_with_grad's call at the M-phase's
+        # returned point (round 0: the start's), so svi.qu_restart never runs
+        def no_restart(*a, **kw):
+            raise AssertionError("svi.qu_restart ran")
+
+        monkeypatch.setattr(svi, "qu_restart", no_restart)
+        ds, _ = tiny_two_output_ds(8, n_per=15)
+        cfg = ModelConfig(M=2, Q=6, alpha0=0.3)
+        opt = OptimizerConfig(seed=3, em_outer_iters=3, em_inner_stat_iters=10,
+                              em_inner_hyp_iters=3, batch_size=8)
+        rep = fit_svb_em(ds, cfg, None, opt)
+        _, _, (_, _, qu) = gradients.elbo_svb_with_grad(
+            ds, cfg.with_alpha0(rep.final_alpha0), rep.final_hp, rep.final_state,
+            qu_optimum=True)
+        mu_u, Su = qu.moments()
+        np.testing.assert_array_equal(rep.final_state.mu_u, mu_u)
+        np.testing.assert_array_equal(rep.final_state.Su, Su)
 
     def test_tracks_collapsed_fit_within_two_nats(self):
         sc = SyntheticConfig(M=2, per_source_count=30, gamma=1.0, l_frac=0.5,
