@@ -3,7 +3,9 @@
 * OMGP: independent per-output squared-exponential kernels, labels
   discarded (every row gets the fixed uniform assignment prior), no
   Dirichlet hyperprior; assignment probabilities are still optimized.
-* OMGP-WS: as OMGP but labeled rows keep a hard (floored) one-hot prior.
+* OMGP-WS: as OMGP but labeled rows keep a hard one-hot prior, so each
+  sits under its label's output alone (bounds.cvb_selection) and its
+  assignment row equals the prior exactly.
 * SCMGP: the fully-labeled sparse convolved model fitted on labeled
   rows only; unlabeled rows are never read.
 

@@ -2,25 +2,28 @@
 
 The collapsed bound is
 
-    L = log N(y_tiled | 0, B + Kfu Kuu^-1 Kuf + D) + V
+    L = log N(y_sel | 0, B + Kfu Kuu^-1 Kuf + W^-1) + V
 
-where D is the block-diagonal heteroscedastic matrix with entries
-sigma_m^2 / pi_hat[n, m] and V collects
+where W is block-diagonal with the precision weights
+pi_hat[n, m] / sigma_m^2 and V collects
 
     - KL(q(Z_labeled) || p(Z_labeled | prior))
     - KL(q(Z_unlabeled) q(Pi) || p(Z_unlabeled | Pi) p(Pi))
     + 0.5 * sum_{n,m} log[(2 pi sigma_m^2)^(1 - pi_hat) / pi_hat].
 
-With the Dirichlet parameter at its analytic optimum alpha0 + pi_hat,
-the unlabeled KL reduces to the closed form
+The Gaussian's noise normaliser -1/2 log(2 pi sigma_m^2 / pi_hat) and
+V's last term sum to -1/2 pi_hat log 2 pi sigma_m^2 per pair (n, m); V
+carries that sum (vterm_rows, with 0 log 0 = 0), so a pair at pi_hat = 0
+adds nothing.  With the Dirichlet parameter at its analytic optimum
+alpha0 + pi_hat, the unlabeled KL reduces to the closed form
 sum pi log pi - log[B(alpha0 + pi) / B(alpha0 * 1)] per row, evaluated
 through log-gamma.  Removing the Dirichlet prior replaces it with the
 plain categorical KL against a fixed uniform prior.
 
 One function, cvb_selection, says which rows sit under which output and
-with what noise, for the bound and for the fully-labeled SCMGP alike;
-build_cvb_system builds the engine's system over it for the bound, the
-SCMGP likelihood, both gradients and predict.posterior_predict.
+with what precision weights, for the bound and for the fully-labeled
+SCMGP alike; build_cvb_system builds the engine's system over it for the
+bound, the SCMGP likelihood, both gradients and predict.posterior_predict.
 
 Both bounds move pi by one closed-form step, assignment_rows, fed q(f)'s
 moments at the rows: under q(u) at a batch (svi.batch_step), or under the
@@ -28,15 +31,10 @@ collapsed posterior at all N rows (cvb_pi_step).
 """
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, gammaln, logsumexp, xlogy
 
 from . import engine, kernels
-from .model import (
-    Dataset,
-    ModelConfig,
-    VariationalState,
-    softmax_simplex,
-)
+from .model import Dataset, ModelConfig, VariationalState
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -69,14 +67,14 @@ def _log_beta(a):
 
 
 def select_rows(state: VariationalState, ds: Dataset, rows=None):
-    """(pi_hat, labeled mask, log of the floored prior) restricted to `rows`; all rows when None.
+    """(pi_hat, labeled mask, prior) restricted to `rows`; all rows when None.
 
     Only the selected rows are read, so the per-row parts of V cost
     O(|rows| M) however large the dataset is.
     """
     if rows is None:
-        return state.pi_hat, ds.labeled_mask, ds.log_prior
-    return state.pi_hat[rows], ds.labels[rows] > 0, ds.log_prior[rows]
+        return state.pi_hat, ds.labeled_mask, ds.prior_pi
+    return state.pi_hat[rows], ds.labels[rows] > 0, ds.prior_pi[rows]
 
 
 def vterm_rows(state: VariationalState, ds: Dataset, cfg: ModelConfig, noise, rows=None):
@@ -86,23 +84,22 @@ def vterm_rows(state: VariationalState, ds: Dataset, cfg: ModelConfig, noise, ro
     every step is elementwise or a sum within a row, so a row's value
     does not depend on which other rows are selected.
     """
-    pi, labeled, log_prior = select_rows(state, ds, rows)
-    log_pi = np.log(pi)
+    pi, labeled, prior = select_rows(state, ds, rows)
     log2pis = np.log(2.0 * np.pi * noise.sigma**2)
-    third = 0.5 * _sum_last((1.0 - pi) * log2pis[None, :] - log_pi)
-    # log_prior is NaN on unlabeled rows, which take the other branch
-    kl_labeled = _sum_last(pi * (log_pi - log_prior))
-    ent = _sum_last(pi * log_pi)
+    norm = -0.5 * _sum_last(pi * log2pis[None, :])
+    ent = _sum_last(xlogy(pi, pi))
+    # prior is NaN on unlabeled rows, which take the other branch
+    kl_labeled = ent - _sum_last(xlogy(pi, prior))
     if cfg.use_dirichlet:
         lb_ref = _log_beta(np.full(cfg.M, cfg.alpha0))
         kl_unlabeled = ent - (_log_beta(cfg.alpha0 + pi) - lb_ref)
     else:
         kl_unlabeled = ent + np.log(cfg.M)
-    return third - np.where(labeled, kl_labeled, kl_unlabeled)
+    return norm - np.where(labeled, kl_labeled, kl_unlabeled)
 
 
 def vterm(state, ds, cfg, noise):
-    """The V term of both bounds (KL corrections plus the log-normalizer sum)."""
+    """The V term of both bounds (KL corrections plus the noise normaliser sum)."""
     return float(np.sum(vterm_rows(state, ds, cfg, noise)))
 
 
@@ -116,21 +113,25 @@ class NoLabeledDataError(ValueError):
 
 
 def cvb_selection(ds, cfg, hp, state):
-    """(rows, noise): which rows sit under which output, with what noise diagonal.
+    """(rows, weights): which rows sit under which output, with what precision weights.
 
-    With a variational state (WSMGP, OMGP, OMGP-WS) every row sits under
-    every output with noise sigma_m^2 / pi_hat[n, m].  Without one (the
-    fully-labeled SCMGP), each labeled row sits once, under its label,
-    with plain sigma_m^2, and unlabeled rows are never read.
+    With a variational state (WSMGP, OMGP, OMGP-WS) output m holds the
+    rows its prior allows (every unlabeled row), with weights
+    pi_hat[n, m] / sigma_m^2; they are fixed per dataset, so the pi steps
+    of a fit share one kernel half.  Without one (the fully-labeled
+    SCMGP), each labeled row sits once, under its label, with weight
+    1 / sigma_m^2, and unlabeled rows are never read.
     """
-    sigma = hp.noise.sigma
+    s2 = hp.noise.sigma**2
     if state is not None:
-        rows = np.arange(ds.n)
-        return [rows] * cfg.M, [sigma[m] ** 2 / state.pi_hat[:, m] for m in range(cfg.M)]
+        every = np.arange(ds.n)
+        allowed = ~ds.labeled_mask[:, None] | (ds.prior_pi > 0)
+        rows = [every if a.all() else np.flatnonzero(a) for a in allowed.T]
+        return rows, [state.pi_hat[r, m] / s2[m] for m, r in enumerate(rows)]
     if ds.n_labeled == 0:
         raise NoLabeledDataError("no labeled observations")
     rows = [np.flatnonzero(ds.labels == m + 1) for m in range(cfg.M)]
-    return rows, [np.full(len(r), sigma[m] ** 2) for m, r in enumerate(rows)]
+    return rows, [np.full(len(r), 1.0 / s2[m]) for m, r in enumerate(rows)]
 
 
 def build_cvb_system(ds, cfg, hp, state, kernel=None, t2=None):
@@ -143,9 +144,18 @@ def build_cvb_system(ds, cfg, hp, state, kernel=None, t2=None):
                                kernel=kernel, t2=t2)
 
 
+def scmgp_normaliser(counts, sigma):
+    """-1/2 sum_m n_m log 2 pi sigma_m^2, SCMGP's noise normaliser, from its row counts n_m."""
+    return -0.5 * float(np.sum(np.asarray(counts) * np.log(2.0 * np.pi * sigma**2)))
+
+
 def gauss_term_cvb(ds, cfg, hp, state):
     """The collapsed bound's Gaussian term (no V); with state None, SCMGP's likelihood."""
-    return engine.gauss_loglik(build_cvb_system(ds, cfg, hp, state))
+    sys = build_cvb_system(ds, cfg, hp, state)
+    value = engine.gauss_loglik(sys)
+    if state is None:
+        value += scmgp_normaliser([len(r) for r in sys.rows], hp.noise.sigma)
+    return value
 
 
 def elbo_cvb(ds, cfg, hp, state):
@@ -164,9 +174,8 @@ def assignment_rows(mu, var, y, sigma, pi, labeled, log_prior, cfg):
     mu and var are the rows' moments of q(f) (M, rows); y, pi, labeled
     and log_prior are the rows' entries: mu and pi are overwritten.  With
     c_nm = -[((y_n - mu_nm)^2 + var_nm) / sigma_m^2 + log 2 pi sigma_m^2] / 2
-    a row's share of either bound is sum_m pi_nm c_nm minus that row's KL
-    (the log pi_nm / 2 of the expected log-likelihood cancels V's), with
-    no N / |batch| scale; the collapsed bound is the maximum over a
+    a row's share of either bound is sum_m pi_nm c_nm minus that row's KL,
+    with no N / |batch| scale; the collapsed bound is the maximum over a
     Gaussian q(f) of those shares minus KL(q(f) || p(f)), reached at its
     posterior.  So the new row is softmax(log prior + c) on a labeled row
     and softmax(c) on an unlabeled row without the Dirichlet prior.  With it, the bounds hold
@@ -174,7 +183,8 @@ def assignment_rows(mu, var, y, sigma, pi, labeled, log_prior, cfg):
     softmax(c + digamma(alpha0 + pi_n)) is the exact coordinate step of
     q(Z_n) given that q(Pi_n); moving q(Pi_n) to its optimum at the new
     row can only raise the bound again, so one such mean-field sweep
-    never lowers the bound.  Rows keep the simplex floor.
+    never lowers the bound.  A labeled row's entry whose prior is 0
+    (log_prior = -inf) comes out exactly 0.
     """
     s2 = (sigma**2)[:, None]
     c = np.subtract(y, mu, out=mu)
@@ -190,25 +200,33 @@ def assignment_rows(mu, var, y, sigma, pi, labeled, log_prior, cfg):
     # log_prior is NaN on unlabeled rows, which keep the other term
     np.copyto(z, log_prior, where=labeled[:, None])
     z += c.T
-    return softmax_simplex(z)
+    # a stable row softmax; -inf entries come out exactly 0
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def cvb_pi_step(ds, cfg, hp, state, sys=None):
     """One full-batch pi step of the collapsed bound: (elbo_cvb at state, the stepped pi_hat).
 
     One system gives both the bound at state.pi_hat and q(f)'s moments at
-    every row (engine.posterior_moments), from which assignment_rows
-    takes every row to its optimum.  sys is build_cvb_system's system at
-    hp and state if the caller has it, such as the one the M-phase's
-    last evaluation built, or one whose noise half alone was factored on
-    an earlier step's kernel half; otherwise it is built here.  It is
-    only read, so the step equals one on a fresh build bit for bit.
-    state.pi_hat is overwritten.
+    each output's rows (engine.posterior_moments, 0 elsewhere, where the
+    prior keeps the entry at 0), from which assignment_rows takes every
+    row to its optimum.  sys is build_cvb_system's system at hp and state
+    if the caller has it, such as the one the M-phase's last evaluation
+    built, or one whose noise half alone was factored on an earlier
+    step's kernel half; otherwise it is built here.  It is only read, so
+    the step equals one on a fresh build bit for bit.  state.pi_hat is
+    overwritten.
     """
     if sys is None:
         sys = build_cvb_system(ds, cfg, hp, state)
     bound = engine.gauss_loglik(sys) + vterm(state, ds, cfg, hp.noise)
-    mu, var = (np.stack(v) for v in engine.posterior_moments(sys))
+    mu, var = np.zeros((cfg.M, ds.n)), np.zeros((cfg.M, ds.n))
+    for m, (mean, v) in enumerate(zip(*engine.posterior_moments(sys))):
+        mu[m, sys.rows[m]] = mean
+        var[m, sys.rows[m]] = v
     return bound, assignment_rows(mu, var, ds.y, hp.noise.sigma, state.pi_hat,
                                   ds.labeled_mask, ds.log_prior, cfg)
 
@@ -230,9 +248,7 @@ def assignment_log_weights(ds: Dataset, cfg: ModelConfig):
     """
     logw = np.full((ds.n, cfg.M), -np.log(cfg.M))
     labeled = ds.labeled_mask
-    if np.any(labeled):
-        with np.errstate(divide="ignore"):
-            logw[labeled] = np.log(ds.prior_pi[labeled])
+    logw[labeled] = ds.log_prior[labeled]
     return logw
 
 

@@ -19,7 +19,7 @@ from .kernels import (
     NoiseParams,
     OutputKernelParams,
 )
-from .model import ModelConfig, floor_simplex, init_state, make_dataset
+from .model import ModelConfig, init_state, make_dataset
 from .trainer import ParamPack
 
 
@@ -32,8 +32,12 @@ def random_instance(seed, n=10, M=2, Q=3, d=1, labeled_frac=0.5, x_span=1.0,
                     sigma=0.3, dense_w=False):
     """A seeded random dataset/config/hyperparameter/state quadruple.
 
-    Assignment probabilities are sampled away from the simplex floor so
-    finite-difference checks stay in the smooth region.
+    Some assignment probabilities are exactly 0, so every check covers
+    rows that drop out of an output's system: every other labeled row
+    has a one-hot prior (the others a soft one leaning toward the
+    label), pi_hat is 0 wherever the prior is, and, with M > 1, at the
+    first entry of the first unlabeled row.  The other entries are drawn
+    from Dirichlet(4), well inside the simplex.
     """
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, x_span, size=(n, d))
@@ -49,6 +53,8 @@ def random_instance(seed, n=10, M=2, Q=3, d=1, labeled_frac=0.5, x_span=1.0,
             # keep the prior leaning toward the observed label
             prior[i, labels[i] - 1] += 1.0
             prior[i] /= prior[i].sum()
+    hard = np.flatnonzero(labels)[::2]
+    prior[hard] = np.eye(M)[labels[hard] - 1]
     ds = make_dataset(X, y, labels=labels, prior_pi=prior, n_outputs=M)
     cfg = ModelConfig(M=M, Q=Q, alpha0=float(rng.uniform(0.3, 2.0)))
     if dense_w:
@@ -71,8 +77,13 @@ def random_instance(seed, n=10, M=2, Q=3, d=1, labeled_frac=0.5, x_span=1.0,
         inducing=InducingInputs(W=W),
     )
     state = init_state(ds, cfg, seed, kuu=kernels.kuu_matrix(W, hp.latent))
-    # resample pi away from the floor
-    state.pi_hat = floor_simplex(rng.dirichlet(np.full(M, 4.0), size=n))
+    pi = rng.dirichlet(np.full(M, 4.0), size=n)
+    pi[hard] = prior[hard]
+    if M > 1 and n_lab < n:
+        u = np.argmin(labels)  # the first unlabeled row
+        pi[u, 0] = 0.0
+        pi[u] /= pi[u].sum()
+    state.pi_hat = pi
     return ds, cfg, hp, state
 
 

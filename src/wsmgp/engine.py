@@ -1,12 +1,22 @@
 """Shared linear-algebra core for the stacked multi-output Gaussian term.
 
 Every bound and predictor in the package evaluates (or differentiates)
-log N(y_sel | 0, bdiag(B_m + D_m) + Kfu Kuu^-1 Kuf) over a *selection*:
-a list of row-index arrays, one per output, saying which observations
-appear under which output.  The weakly-supervised model stacks every row
-under every output; the fully-labeled baseline selects each row once
-under its label; the independent-kernel baselines have no inducing
-structure at all (Kfu absent, B_m a dense per-output kernel block).
+log N(y_sel | 0, bdiag(B_m + W_m^-1) + Kfu Kuu^-1 Kuf) over a
+*selection*: a list of row-index arrays, one per output, saying which
+observations appear under which output, with precision weights
+W_m = diag(w_m).  The weakly-supervised model selects each row under
+every output its prior allows; the fully-labeled baseline selects each
+row once under its label; the independent-kernel baselines have no
+inducing structure at all (Kfu absent, B_m a dense per-output kernel
+block).
+
+The noise half is in precision form (Rasmussen & Williams 2006,
+Algorithm 2.1): with S_m = diag(sqrt(w_m)) it factors
+P_m = I + S_m B_m S_m, so E_m^-1 = S_m P_m^-1 S_m and
+log|B_m + W_m^-1| = log|P_m| - sum log w_m.  A zero weight is a zero
+row of S_m: no expression divides by a weight, and the row drops out.
+gauss_loglik leaves out the noise normaliser -1/2 sum log(2 pi / w),
+which the bounds carry in V and SCMGP adds itself.
 
 Exploiting the block structure, one evaluation costs
 O(sum_m n_m^3 + (sum_m n_m) Q^2), matching the cost the bound is
@@ -46,7 +56,7 @@ them to numpy's OpenBLAS pool between scipy's factorizations: with
 16.0 ms against 6.4-6.8 ms with `np.einsum` (2 BLAS threads on 2
 cores, three instances).
 
-Explicit inverses (E_m^-1, A^-1 and Kuu^-1 in gauss_loglik_grads, and
+Explicit inverses (P_m^-1, A^-1 and Kuu^-1 in gauss_loglik_grads, and
 Kuu^-1 in the stochastic bound) come from the Cholesky factors through
 cho_inverse, LAPACK's dpotri in scipy's library; gauss_loglik reads
 none of them, so the bound's value does not depend on how they are
@@ -56,10 +66,10 @@ Two halves: a StackedSystem is a KernelHalf plus a noise half.  The
 kernel half depends on the hyperparameters and the selection alone: each
 kernel block (kernels.kuu_block, kfu_block, kff_block or se_block, kept
 as kernels.GaussBlock values), the jittered Kuu with its factor and the
-Nystrom residuals B_m.  The noise half factors E_m = B_m + D_m and A and
-holds alpha, V, beta and c.  build_system builds both, or, given the
-kernel half of an earlier system at the same hyperparameters, only the
-noise half: the collapsed fit's pi steps move D alone, so each E-phase
+Nystrom residuals B_m.  The noise half factors P_m and A and holds
+alpha, V, beta and c.  build_system builds both, or, given the kernel
+half of an earlier system at the same hyperparameters, only the noise
+half: the collapsed fit's pi steps move the weights alone, so each E-phase
 shares one kernel half, and its first step reads the system the M-phase's
 last evaluation built at the same point (trainer).  Squared differences
 are computed once per distinct row set, so the stacked selection computes
@@ -78,7 +88,6 @@ from scipy.linalg.lapack import dpotri
 from . import kernels
 from .kernels import HyperParams, IndependentSEHyperParams, cho_factor, cho_solve
 
-_LOG2PI = float(np.log(2.0 * np.pi))
 _MIRROR_BLOCK = 64  # columns per step of cho_inverse's mirror
 # above the diagonal of a diagonal block of the mirror (a leading slice for a smaller one)
 _ABOVE = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), k=1)
@@ -160,17 +169,18 @@ class KernelHalf:
 class StackedSystem(KernelHalf):
     """Factorized covariance pieces of one stacked Gaussian evaluation.
 
-    The KernelHalf fields come first; the noise half follows.
+    The KernelHalf fields come first; the noise half follows, with alpha
+    and V in the scaled space of P_m (E_m^-1 y_m = S_m alpha_m).
     """
 
     y_blocks: list  # per-output data vectors
-    d_blocks: list  # per-output heteroscedastic noise diagonals
-    cho_E: list  # cho_factor of E_m = B_m + D_m
-    A: np.ndarray
+    s_blocks: list  # per-output sqrt(w_m), the diagonal of S_m
+    cho_P: list  # cho_factor of P_m = I + S_m B_m S_m
+    A: np.ndarray  # Kuu + sum_m Kuf_m E_m^-1 Kfu_m
     cho_A: tuple
-    alpha: list  # E_m^-1 y_m
-    V: list  # E_m^-1 Kfu_m
-    beta: np.ndarray  # sum_m Kfu_m' alpha_m
+    alpha: list  # P_m^-1 S_m y_m
+    V: list  # P_m^-1 S_m Kfu_m
+    beta: np.ndarray  # sum_m Kuf_m E_m^-1 y_m
     c: np.ndarray  # A^-1 beta
 
 
@@ -227,18 +237,19 @@ def _kernel_half(X, hp, rows, t2):
                       Kuu=Kuu, cho_Kuu=cho_Kuu, B_blocks=B_blocks)
 
 
-def build_system(X, y, hp, rows, d_blocks, kernel=None, t2=None):
+def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
     """Assemble and factorize the stacked system for a selection.
 
     hp may be HyperParams (convolved sparse model) or
     IndependentSEHyperParams (independent per-output kernels; the
     cross-covariance between outputs is exactly zero by construction).
+    w_blocks[m] holds the precision weights (>= 0) of output m's rows.
 
     The system has two halves.  The kernel half (KernelHalf) holds each
     kernel block, built once as a kernels.GaussBlock and kept for the
     gradient chain, the jittered Kuu with its factor and the residuals
     B_m; it depends on hp and the rows alone.  The noise half factors
-    E_m = B_m + diag(d_m) and A and solves for alpha, V, beta and c.
+    P_m = I + S_m B_m S_m and A and solves for alpha, V, beta and c.
     kernel, if given, is the kernel half of an earlier system (any
     StackedSystem) at the same hp and rows: it is reused as is, only the
     noise half is factored, and the result equals a fresh build bit for
@@ -250,33 +261,33 @@ def build_system(X, y, hp, rows, d_blocks, kernel=None, t2=None):
         kernel = _kernel_half(X, hp, rows, t2)
     y = np.asarray(y, dtype=float).ravel()
     y_blocks = [y[r] for r in rows]
-    Kfu_blocks = None if kernel.fu_blocks is None else [b.K for b in kernel.fu_blocks]
+    if kernel.has_inducing:
+        A = kernel.Kuu.copy()
+        beta = np.zeros(A.shape[0])
 
-    cho_E = []
+    s_blocks = [np.sqrt(w) for w in w_blocks]
+    cho_P = []
     alpha = []
     V = []
     for m, B_m in enumerate(kernel.B_blocks):
         if B_m.shape[0] == 0:
-            cho_E.append(None)
+            cho_P.append(None)
             alpha.append(np.zeros(0))
             V.append(None)
             continue
-        # E_m = B_m + diag(d_m), factored in place; B_m itself stays the residual
-        E_m = np.array(B_m, order="F")
-        E_m.flat[:: E_m.shape[0] + 1] += d_blocks[m]
-        cho_E.append(cho_factor(E_m, overwrite_a=True))
-        alpha.append(cho_solve(cho_E[m], y_blocks[m]))
-        if Kfu_blocks is not None:
-            V.append(cho_solve(cho_E[m], Kfu_blocks[m]))
+        # P_m = I + S_m B_m S_m, factored in place; B_m itself stays the residual
+        s_m = s_blocks[m]
+        P_m = np.multiply(B_m, np.multiply.outer(s_m, s_m), order="F")
+        P_m.flat[:: P_m.shape[0] + 1] += 1.0
+        cho_P.append(cho_factor(P_m, overwrite_a=True))
+        alpha.append(cho_solve(cho_P[m], s_m * y_blocks[m]))
+        if kernel.has_inducing:
+            sk = s_m[:, None] * kernel.fu_blocks[m].K
+            V.append(cho_solve(cho_P[m], sk))
+            A += _gemm(sk.T, V[m])
+            beta += sk.T @ alpha[m]
 
-    if Kfu_blocks is not None:
-        Q = kernel.Kuu.shape[0]
-        A = kernel.Kuu.copy()
-        beta = np.zeros(Q)
-        for m in range(len(rows)):
-            if Kfu_blocks[m].shape[0]:
-                A += _gemm(Kfu_blocks[m].T, V[m])
-                beta += Kfu_blocks[m].T @ alpha[m]
+    if kernel.has_inducing:
         A = 0.5 * (A + A.T)
         cho_A = cho_factor(A)
         c = cho_solve(cho_A, beta)
@@ -288,8 +299,8 @@ def build_system(X, y, hp, rows, d_blocks, kernel=None, t2=None):
     return StackedSystem(
         **{f.name: getattr(kernel, f.name) for f in fields(KernelHalf)},
         y_blocks=y_blocks,
-        d_blocks=d_blocks,
-        cho_E=cho_E,
+        s_blocks=s_blocks,
+        cho_P=cho_P,
         A=A,
         cho_A=cho_A,
         alpha=alpha,
@@ -300,28 +311,33 @@ def build_system(X, y, hp, rows, d_blocks, kernel=None, t2=None):
 
 
 def posterior_moments(sys: StackedSystem):
-    """Per-output (mean, variance) of the posterior of f at the rows, none empty.
+    """Per-output (mean, variance) of the posterior of f at the rows.
 
-    With K the prior covariance of the stacked f and Sigma = K + D, these
-    are K Sigma^-1 y and diag(K - K Sigma^-1 K), taken from the system's
-    factors without forming any matrix over all outputs' rows.  Since
-    Kfu_m - B_m V_m = D_m V_m and B_m - B_m E_m^-1 B_m = B_m E_m^-1 D_m,
-      mean_m = B_m alpha_m + (D_m V_m) c,
-      var_m = d_m o rowsum(E_m^-1 o B_m) + rowsum((D_m V_m L_A^-T)^2)
-    (L_A the Cholesky factor of A; without inducing inputs the second
-    terms drop).  No term subtracts two large numbers, so rows with a
-    small noise diagonal and rows at the simplex floor, where D reaches
-    1e10 sigma^2, keep their digits; y - D Sigma^-1 y would lose them.
+    With K the prior covariance of the stacked f and Sigma = K + W^-1,
+    these are K Sigma^-1 y and diag(K - K Sigma^-1 K), taken from the
+    system's factors without forming any matrix over all outputs' rows.
+    Given u the outputs are independent, and u's posterior is
+    N(Kuu c, Kuu A^-1 Kuu).  So with X_m = Kfu_m - B_m S_m V_m and
+    T_m = L_P^-1 S_m B_m (L_P, L_A the Cholesky factors of P_m and A),
+      mean_m = B_m S_m alpha_m + X_m c,
+      var_m = diag(B_m) - colsum(T_m^2) + rowsum((X_m L_A^-T)^2)
+    (without inducing inputs the X_m terms drop); a row with w = 0 gets
+    the moments the other rows imply.
     """
     means, variances = [], []
     for m, B_m in enumerate(sys.B_blocks):
-        d_m = sys.d_blocks[m]
-        mean = B_m @ sys.alpha[m]
-        var = d_m * np.einsum("ij,ij->i", cho_inverse(sys.cho_E[m]), B_m)
+        if B_m.shape[0] == 0:  # an output that no row's prior allows
+            means.append(np.zeros(0))
+            variances.append(np.zeros(0))
+            continue
+        bs = B_m * sys.s_blocks[m]  # B_m S_m, the transpose of S_m B_m
+        mean = bs @ sys.alpha[m]
+        t = dtrsm(1.0, sys.cho_P[m][0], bs.T, lower=1)
+        var = np.diag(B_m) - np.einsum("ij,ij->j", t, t)
         if sys.has_inducing:
-            dv = d_m[:, None] * sys.V[m]
-            mean += dv @ sys.c
-            p = dtrsm(1.0, sys.cho_A[0], dv, side=1, lower=1, trans_a=1)
+            x = sys.fu_blocks[m].K - _gemm(bs, sys.V[m])
+            mean += x @ sys.c
+            p = dtrsm(1.0, sys.cho_A[0], x, side=1, lower=1, trans_a=1)
             var += np.einsum("nq,nq->n", p, p)
         means.append(mean)
         variances.append(var)
@@ -333,81 +349,80 @@ def _logdet_from_cho(cho):
 
 
 def gauss_loglik(sys: StackedSystem):
-    """log N(y_sel | 0, bdiag(E_m) + Kfu Kuu^-1 Kuf) via the Woodbury identity."""
-    total_n = sum(len(yb) for yb in sys.y_blocks)
+    """log N(y_sel | 0, Sigma) without its noise normaliser, via the Woodbury identity.
+
+    That is -1/2 (sum_m log|P_m| + log|A| - log|Kuu| + y' Sigma^-1 y).
+    """
     logdet = 0.0
     quad = 0.0
     for m, yb in enumerate(sys.y_blocks):
         if len(yb) == 0:
             continue
-        logdet += _logdet_from_cho(sys.cho_E[m])
-        quad += float(yb @ sys.alpha[m])
+        logdet += _logdet_from_cho(sys.cho_P[m])
+        quad += float((sys.s_blocks[m] * yb) @ sys.alpha[m])
     if sys.has_inducing:
         logdet += _logdet_from_cho(sys.cho_A) - _logdet_from_cho(sys.cho_Kuu)
         quad -= float(sys.beta @ sys.c)
-    return -0.5 * (total_n * _LOG2PI + logdet + quad)
+    return -0.5 * (logdet + quad)
 
 
 @dataclass
 class MatrixGrads:
     """Matrix-level partial derivatives of gauss_loglik.
 
-    dE_blocks[m] is the derivative w.r.t. E_m = B_m + D_m (it doubles as
-    the derivative w.r.t. the same-output covariance block K_ff_m, whose
-    diagonal carries the D_m chain as well); dKfu_blocks and dKuu carry
-    the total derivatives w.r.t. the cross and inducing blocks with the
-    Nystrom-residual paths already folded in.
+    dE_blocks[m] is the derivative w.r.t. the same-output covariance
+    block Kff_m; dKfu_blocks and dKuu carry the total derivatives w.r.t.
+    the cross and inducing blocks with the Nystrom-residual paths
+    already folded in.  dlogw_blocks[m] is the derivative w.r.t. log w_m,
+    -w o ((y - mean)^2 + var) / 2 with posterior_moments' mean and var.
     """
 
     dE_blocks: list
     dKfu_blocks: list
     dKuu: np.ndarray
+    dlogw_blocks: list = None
 
 
 def gauss_loglik_grads(sys: StackedSystem):
-    """Matrix-level gradient of gauss_loglik for the current system."""
+    """Matrix-level gradient of gauss_loglik for the current system.
+
+    Each output's products run in P_m's scaled space: with
+    G = Sigma^-1 - Sigma^-1 y y' Sigma^-1, G_mm = S_m G~_m S_m, and
+    w o ((y - mean)^2 + var) = 1 - diag(G~_m).
+    """
     M = len(sys.rows)
-    if not sys.has_inducing:
-        dE = []
-        for m in range(M):
-            if len(sys.y_blocks[m]) == 0:
-                dE.append(np.zeros((0, 0)))
-                continue
-            Em_inv = cho_inverse(sys.cho_E[m])
-            r_m = sys.alpha[m]
-            dE.append(-0.5 * (Em_inv - np.outer(r_m, r_m)))
-        return MatrixGrads(dE_blocks=dE, dKfu_blocks=[None] * M, dKuu=None)
-
-    Ainv = cho_inverse(sys.cho_A)
-    Kuu_inv = cho_inverse(sys.cho_Kuu)
-    c = sys.c
-    s = sys.Kuu @ c  # = Kuf (Sigma_t^-1 y)
-    r = [sys.alpha[m] - (sys.V[m] @ c if sys.V[m] is not None else 0.0) for m in range(M)]
-
-    dE = []
-    dKfu = []
-    # accumulators for the Kuu derivative: Kuf G Kfu and its blockwise part
-    KufGKfu = np.zeros_like(sys.A)
-    KufGpKfu = np.zeros_like(sys.A)
-    M1 = sys.A - sys.Kuu
-    KufGKfu += M1 - M1 @ Ainv @ M1 - np.outer(s, s)
+    if sys.has_inducing:
+        Ainv = cho_inverse(sys.cho_A)
+        Kuu_inv = cho_inverse(sys.cho_Kuu)
+        kr = sys.Kuu @ sys.c  # = Kuf (Sigma^-1 y)
+        M1 = sys.A - sys.Kuu
+        # accumulators for the Kuu derivative: Kuf G Kfu and its blockwise part
+        KufGKfu = M1 - M1 @ Ainv @ M1 - np.outer(kr, kr)
+        KufGpKfu = np.zeros_like(sys.A)
+    dE, dlogw, dKfu = [], [], []
     for m in range(M):
-        n_m = len(sys.y_blocks[m])
-        if n_m == 0:
+        s_m = sys.s_blocks[m]
+        if len(s_m) == 0:
             dE.append(np.zeros((0, 0)))
-            dKfu.append(np.zeros((0, sys.Kuu.shape[0])))
+            dlogw.append(np.zeros(0))
+            dKfu.append(np.zeros((0, len(sys.c))) if sys.has_inducing else None)
             continue
-        Em_inv = cho_inverse(sys.cho_E[m])
-        Vm = sys.V[m]
-        G_mm = Em_inv - _gemm(_gemm(Vm, Ainv), Vm.T) - np.outer(r[m], r[m])
-        dE.append(-0.5 * G_mm)
-        Kfu_m = sys.fu_blocks[m].K
-        M1_m = _gemm(Kfu_m.T, Vm)
-        s_m = Kfu_m.T @ r[m]
-        KufGpKfu += M1_m - M1_m @ Ainv @ M1_m - np.outer(s_m, s_m)
-        # (G Kfu)_m and the residual-path correction +G_mm Kfu_m
-        GKfu_m = Vm - _gemm(Vm, Ainv @ M1) - np.outer(r[m], s)
-        dKfu_m = _gemm(-GKfu_m + _gemm(G_mm, Kfu_m), Kuu_inv)
-        dKfu.append(dKfu_m)
-    dKuu = 0.5 * Kuu_inv @ (KufGKfu - KufGpKfu) @ Kuu_inv
-    return MatrixGrads(dE_blocks=dE, dKfu_blocks=dKfu, dKuu=dKuu)
+        G = cho_inverse(sys.cho_P[m])
+        r = sys.alpha[m]  # the scaled residual S^-1 Sigma^-1 y
+        if sys.has_inducing:
+            Vm = sys.V[m]
+            r = r - Vm @ sys.c
+            G -= _gemm(_gemm(Vm, Ainv), Vm.T)
+        G -= np.outer(r, r)
+        dE.append(G * np.multiply.outer(-0.5 * s_m, s_m))
+        dlogw.append(0.5 * (np.diag(G) - 1.0))
+        if sys.has_inducing:
+            sk = s_m[:, None] * sys.fu_blocks[m].K
+            M1_m = _gemm(sk.T, Vm)
+            kr_m = sk.T @ r
+            KufGpKfu += M1_m - M1_m @ Ainv @ M1_m - np.outer(kr_m, kr_m)
+            # (G Kfu)_m and the residual-path correction +G_mm Kfu_m, scaled
+            GKfu_m = Vm - _gemm(Vm, Ainv @ M1) - np.outer(r, kr)
+            dKfu.append(_gemm(s_m[:, None] * (_gemm(G, sk) - GKfu_m), Kuu_inv))
+    dKuu = 0.5 * Kuu_inv @ (KufGKfu - KufGpKfu) @ Kuu_inv if sys.has_inducing else None
+    return MatrixGrads(dE_blocks=dE, dKfu_blocks=dKfu, dKuu=dKuu, dlogw_blocks=dlogw)

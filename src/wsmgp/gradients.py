@@ -10,7 +10,9 @@ and adds V's sigma and alpha0 partials (vterm_partials).
 
 The collapsed bound and the SCMGP likelihood share one gradient body
 (_gauss_term_with_grad, over bounds.build_cvb_system's one selection);
-each adds only the partials of its own noise diagonal.
+each adds its own noise normaliser's partials.  Either bound's log-sigma
+partial is sum_n w_nm [(y_n - mean_nm)^2 + var_nm] - sum_n pi_nm, with
+w = pi / sigma^2 and q(f)'s moments at the rows (SCMGP: n_m for the last).
 
 The chain (_chain_convolved, _chain_independent) differentiates the
 kernel blocks the forward pass built (kernels.GaussBlock: t2, the
@@ -43,12 +45,10 @@ import numpy as np
 from scipy.special import digamma
 
 from . import engine, kernels
-from .bounds import build_cvb_system, select_rows, vterm_rows
+from .bounds import build_cvb_system, scmgp_normaliser, select_rows, vterm_rows
 from .kernels import HyperParams, IndependentSEHyperParams
 from .model import Dataset, ModelConfig
 from .svi import NaturalQu, _tables_of, gaussian_kl_u
-
-_LOG2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -72,30 +72,21 @@ class GradientBundle:
 # ---------------------------------------------------------------------------
 
 
-def vterm_partials(state, ds: Dataset, cfg: ModelConfig):
-    """Partials of V at fixed pi: (dAlpha0, dSigma (M,) in log-sigma coords).
+def vterm_partials(state, ds: Dataset, cfg: ModelConfig, rows=None):
+    """Partials of V at fixed pi, over `rows` (all N when None): (dAlpha0, dSigma (M,)).
 
-    dAlpha0 is in alpha0 itself and accounts for q(Pi_n) sitting at its
-    analytic optimum Dir(alpha0 + pi_n), which moves with alpha0.
+    dSigma is in log-sigma coordinates.  dAlpha0 is in alpha0 itself and
+    accounts for q(Pi_n) sitting at its analytic optimum
+    Dir(alpha0 + pi_n), which moves with alpha0.
     """
-    pi, labeled = state.pi_hat, ds.labeled_mask
+    pi, labeled, _ = select_rows(state, ds, rows)
     d_alpha0 = 0.0
     if cfg.use_dirichlet and np.any(~labeled):
-        d_alpha0 = _alpha0_partial(digamma(cfg.alpha0 + pi[~labeled]), cfg, pi.shape[1])
-    # V's third term, 0.5 * sum (1 - pi) log(2 pi sigma^2) - log pi
-    return d_alpha0, np.sum(1.0 - pi, axis=0)
-
-
-def _alpha0_partial(dg, cfg, M):
-    """dV/dalpha0 from dg = digamma(alpha0 + pi) of the unlabeled rows (Dirichlet prior)."""
-    a0 = cfg.alpha0
-    n_u = dg.shape[0]
-    return float(
-        np.sum(dg)
-        - n_u * M * digamma(M * a0 + 1.0)
-        - n_u * M * digamma(a0)
-        + n_u * M * digamma(M * a0)
-    )
+        a0, M, n_u = cfg.alpha0, pi.shape[1], np.sum(~labeled)
+        d_alpha0 = float(np.sum(digamma(a0 + pi[~labeled]))
+                         - n_u * M * (digamma(M * a0 + 1.0) + digamma(a0) - digamma(M * a0)))
+    # V's noise term, -0.5 * sum pi log(2 pi sigma^2)
+    return d_alpha0, -np.sum(pi, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +158,7 @@ def _gauss_term_with_grad(ds, cfg, hp, state, sys):
     """(value, matrix-level grads, kernel-only GradientBundle) of bounds.gauss_term_cvb.
 
     sys is build_cvb_system's system at these arguments, or None to
-    build it here.  Each caller adds the partials of its own noise
-    diagonal.
+    build it here.  Each caller adds its log-sigma partial.
     """
     if sys is None:
         sys = build_cvb_system(ds, cfg, hp, state)
@@ -189,12 +179,10 @@ def elbo_cvb_with_grad(ds, cfg, hp, state, sys=None):
     caller has built it; it is only read.
     """
     value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, state, sys)
-    sigma = hp.noise.sigma
-    # D-path: dL/dD_nm with D = sigma^2/pi, then to log sigma
-    dD = np.stack([np.diag(mg.dE_blocks[m]) for m in range(cfg.M)], axis=1)  # (N, M)
     v_alpha0, v_sigma = vterm_partials(state, ds, cfg)
     value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise)))
-    bundle.d_sigma = np.sum(dD * (2.0 * sigma[None, :] ** 2 / state.pi_hat), axis=0) + v_sigma
+    # d log w / d log sigma = -2
+    bundle.d_sigma = -2.0 * np.array([np.sum(g) for g in mg.dlogw_blocks]) + v_sigma
     bundle.d_alpha0 = v_alpha0 * cfg.alpha0
     return value, bundle
 
@@ -206,9 +194,9 @@ def scmgp_loglik_with_grad(ds, cfg, hp, sys=None):
     if the caller has built it; it is only read.
     """
     value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, None, sys)
-    # D = sigma^2 on the selected rows; an empty output's trace is 0
-    s = hp.noise.sigma
-    bundle.d_sigma = np.array([2.0 * s[m] ** 2 * np.trace(G) for m, G in enumerate(mg.dE_blocks)])
+    counts = np.array([len(g) for g in mg.dlogw_blocks])
+    value += scmgp_normaliser(counts, hp.noise.sigma)
+    bundle.d_sigma = -2.0 * np.array([np.sum(g) for g in mg.dlogw_blocks]) - counts
     return value, bundle
 
 
@@ -257,7 +245,7 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
     else:
         rows = np.asarray(batch, dtype=int)
         s, X, y = ds.n / len(rows), ds.X[rows], ds.y[rows]
-    pi, labeled, _ = select_rows(state, ds, rows)
+    pi = select_rows(state, ds, rows)[0]
     if t2 is None:
         t2 = kernels.sqdiff(X, W)
     fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
@@ -288,7 +276,7 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
     # per output: sum of d o resid^2 and of d o var
     d_res2 = np.sum(a * resid, axis=1)
     d_var = np.sum(d * r, axis=1) + np.einsum("mij,ji->m", C, Su)
-    value = 0.5 * float(np.sum(np.log(d)) - d.size * _LOG2PI - np.sum(d_res2 + d_var))
+    value = -0.5 * float(np.sum(d_res2 + d_var))
     value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=rows)))
     kinv_mu = kuu_inv @ mu_u
     T = Su @ kuu_inv
@@ -296,16 +284,13 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
     # dKfu = [d o Phi, a] [-T; mt'], every output's rows in one product
     dKfu = engine._gemm(da.reshape(-1, Q + 1), s * np.vstack([-T, kinv_mu]))
     dKuu = (np.sum(C, axis=0) @ (Su - 0.5 * kuu) - np.outer(phi_a, mu_u)) @ kuu_inv
-    # log-sigma chain: d d/d log sigma = -2 d; then V's third term
-    d_sigma = d_res2 + d_var - n_rows + np.sum(1.0 - pi, axis=0)
-    d_alpha0 = 0.0
-    unlabeled = ~labeled
-    if cfg.use_dirichlet and np.any(unlabeled):
-        d_alpha0 = _alpha0_partial(digamma(cfg.alpha0 + pi[unlabeled]), cfg, M)
+    # log-sigma chain: d d/d log sigma = -2 d; then V's partials
+    v_alpha0, v_sigma = vterm_partials(state, ds, cfg, rows)
+    d_sigma = d_res2 + d_var + v_sigma
 
     # scale the data terms (dKfu is scaled already), then subtract the
     # (unscaled) KL and its Kuu partial
-    value = s * value - gaussian_kl_u(mu_u, Su, kuu)
+    value = s * value - gaussian_kl_u(mu_u, Su, cho)
     dKuu *= s
     dKuu -= 0.5 * (kuu_inv - kuu_inv @ Su @ kuu_inv - np.outer(kinv_mu, kinv_mu))
     dKfu = list(dKfu.reshape(M, n_rows, Q))
@@ -313,7 +298,7 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
     d_S, d_Lm, d_L = _chain_convolved(hp, mg, kuu_block, fu_blocks, batch_diag=-0.5 * s * d)
     bundle = GradientBundle(
         d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=s * d_sigma,
-        d_alpha0=s * d_alpha0 * cfg.alpha0,
+        d_alpha0=s * v_alpha0 * cfg.alpha0,
     )
     if qu_optimum:
         return value, bundle, (kuu_inv, tables, qu)

@@ -5,10 +5,6 @@ from functools import cached_property
 
 import numpy as np
 
-# Probability floor applied to every assignment-probability row so that
-# the heteroscedastic noise sigma^2/pi stays finite.
-EPS_PI = 1e-10
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -56,18 +52,13 @@ class Dataset:
 
     @cached_property
     def log_prior(self):
-        """log of the floored prior rows, (N, M); NaN on unlabeled rows.
+        """log prior_pi, (N, M), -inf where a prior is zero; read on labeled rows only.
 
-        The priors are fixed data, so the bounds floor and log them once
-        per dataset, on first use, not on every evaluation.  The floor
-        works row by row, so the rows of any selection read the values
-        the full dataset gives them.
+        The priors are fixed data, so the pi steps log them once per
+        dataset, on first use, not on every step.
         """
-        out = np.full(self.prior_pi.shape, np.nan)
-        labeled = self.labeled_mask
-        if np.any(labeled):
-            out[labeled] = np.log(floor_simplex(self.prior_pi[labeled]))
-        return out
+        with np.errstate(divide="ignore"):
+            return np.log(self.prior_pi)
 
 
 def make_dataset(X, y, labels=None, prior_pi=None, n_outputs=None):
@@ -117,7 +108,9 @@ class ModelConfig:
 class VariationalState:
     """Variational posterior parameters.
 
-    pi_hat rows live on the floored simplex.  q(Pi) is never stored: the
+    pi_hat rows live on the simplex; an entry may be exactly 0, such as
+    a labeled row's entry where its prior is 0, which no pi step moves
+    off 0.  q(Pi) is never stored: the
     bounds hold it at its analytic optimum Dir(alpha0 + pi_hat) of each
     unlabeled row.  mu_u and Su parameterize the Gaussian inducing
     posterior q(u) of the stochastic bound; they are None in a state of
@@ -131,26 +124,6 @@ class VariationalState:
 
 class DatasetError(ValueError):
     """Raised by validate_dataset on any violated invariant."""
-
-
-def floor_simplex(rows, eps=EPS_PI):
-    """Clamp entries to at least eps and renormalize rows that changed."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.min() >= eps:
-        return rows
-    hit = (rows < eps).any(axis=1)
-    out = rows.copy()
-    clamped = np.maximum(rows[hit], eps)
-    out[hit] = clamped / clamped.sum(axis=1, keepdims=True)
-    return out
-
-
-def softmax_simplex(z):
-    """Stable row softmax of z, floored onto the simplex; z is overwritten."""
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return floor_simplex(z)
 
 
 def validate_dataset(ds: Dataset, cfg: ModelConfig):
@@ -185,7 +158,7 @@ def validate_dataset(ds: Dataset, cfg: ModelConfig):
 def init_state(ds: Dataset, cfg: ModelConfig, seed, kuu=None):
     """Deterministic initial variational state.
 
-    Labeled rows start at their (floored) prior; unlabeled rows at the
+    Labeled rows start at their prior; unlabeled rows at the
     uniform distribution perturbed by seeded Dirichlet(1) noise mixed at
     weight 0.05.  Given kuu, q(u) starts at the prior: mu_u = 0 and Su a
     copy of Kuu; without it the state has no q(u).
@@ -198,7 +171,7 @@ def init_state(ds: Dataset, cfg: ModelConfig, seed, kuu=None):
     # one draw per unlabeled row, in row order
     noise = rng.dirichlet(np.ones(M), size=ds.n_unlabeled)
     pi[~labeled] = 0.95 * np.full(M, 1.0 / M) + 0.05 * noise
-    state = VariationalState(pi_hat=floor_simplex(pi))
+    state = VariationalState(pi_hat=pi)
     if kuu is not None:
         state.Su = np.array(kuu, dtype=float, copy=True)
         state.mu_u = np.zeros(state.Su.shape[0])

@@ -3,14 +3,14 @@
 For the sparse convolved model the posterior is computed through the
 inducing representation:
 
-    mean_m(x*) = K_{f*_m,u} A^-1 K_{u,f} (B + D)^-1 y_tiled
+    mean_m(x*) = K_{f*_m,u} A^-1 K_{u,f} E^-1 y_sel
     var_m(x*)  = diag(B*_m) + diag(K_{f*_m,u} A^-1 K_{u,f*_m}) + sigma_m^2
 
-with A = Kuu + K_{u,f} (B + D)^-1 K_{f,u}.  Every output's mean weights
-the full stacked data vector, as dense conditioning on the stacked prior
-Kfu Kuu^-1 Kuf + B + D does.  For the independent-kernel baselines (no
-inducing layer, zero cross-covariance) the posterior is exact per-output
-dense conditioning.
+with E = B + W^-1 (engine) and A = Kuu + K_{u,f} E^-1 K_{f,u}.  Every
+output's mean weights the full stacked data vector, as dense conditioning
+on the stacked prior Kfu Kuu^-1 Kuf + B + W^-1 does.  For the
+independent-kernel baselines (no inducing layer, zero cross-covariance)
+the posterior is exact per-output dense conditioning.
 
 The system conditioned on is the fit's own: bounds.build_cvb_system over
 the one row selection, which is SCMGP's when there is no state.
@@ -19,11 +19,9 @@ the one row selection, which is SCMGP's when there is no state.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-
 from . import kernels
 from .bounds import build_cvb_system
-from .kernels import IndependentSEHyperParams
+from .kernels import IndependentSEHyperParams, cho_solve
 
 
 @dataclass
@@ -50,12 +48,12 @@ def posterior_predict(ds, cfg, hp, state, x_star):
 
     if isinstance(hp, IndependentSEHyperParams):
         for m, out in enumerate(hp.outputs):
-            Xm = ds.X[sys.rows[m]]
-            k_star = kernels.se_matrix(x_star, Xm, out)
-            mean[m] = k_star @ sys.alpha[m]
-            w = cho_solve(sys.cho_E[m], k_star.T) if len(Xm) else np.zeros((0, n_star))
+            # with E_m^-1 = S P^-1 S, in the scaled space of P
+            ks = kernels.se_matrix(x_star, ds.X[sys.rows[m]], out) * sys.s_blocks[m]
+            mean[m] = ks @ sys.alpha[m]
+            w = cho_solve(sys.cho_P[m], ks.T) if ks.shape[1] else np.zeros((0, n_star))
             prior = out.amp**2
-            var[m] = prior - np.sum(k_star * w.T, axis=1) + hp.noise.sigma[m] ** 2
+            var[m] = prior - np.sum(ks * w.T, axis=1) + hp.noise.sigma[m] ** 2
         return Prediction(x_star=x_star, mean=mean, var_diag=var)
 
     for m, out in enumerate(hp.outputs):

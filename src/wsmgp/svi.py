@@ -5,7 +5,9 @@ expectations under q(f_m) = int p(f_m | u) q(u) du with
 q(u) = N(mu_u, Su):
 
     sum_{n,m} E[log N(y_n | [f_m]_n, sigma_m^2 / pi_hat[n,m])]
-    - KL(q(u) || p(u)) + V.
+    - KL(q(u) || p(u)) + V,
+
+with each expectation's noise normaliser carried in V (bounds).
 
 Only marginal means/variances of q(f_m) are ever materialized, and the
 per-row parts of V are evaluated on the batch rows alone, so a
@@ -59,14 +61,12 @@ engine docstring says why.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from . import engine, kernels
 from .bounds import assignment_rows, vterm_rows
-
-_LOG2PI = float(np.log(2.0 * np.pi))
+from .kernels import cho_factor, cho_solve
 
 
 class RowTables(NamedTuple):
@@ -145,28 +145,27 @@ def _qu_moments(phi, r, mu_u, Su):
     return mu, np.maximum(var, 0.0)
 
 
-def gaussian_kl_u(mu_u, Su, Kuu):
-    """KL(N(mu_u, Su) || N(0, Kuu)); both covariances must be PD."""
-    Q = len(mu_u)
-    cho_k = cho_factor(Kuu, lower=True)
-    cho_s = cho_factor(Su, lower=True)
-    logdet_k = 2.0 * np.sum(np.log(np.diag(cho_k[0])))
-    logdet_s = 2.0 * np.sum(np.log(np.diag(cho_s[0])))
-    trace = float(np.trace(cho_solve(cho_k, Su)))
-    quad = float(mu_u @ cho_solve(cho_k, mu_u))
-    return 0.5 * (trace + quad - Q + logdet_k - logdet_s)
+def gaussian_kl_u(mu_u, Su, cho_kuu):
+    """KL(N(mu_u, Su) || N(0, Kuu)), given Kuu's factor cho_kuu; Su must be PD."""
+    cho_s = cho_factor(Su)
+    trace = float(np.trace(cho_solve(cho_kuu, Su)))
+    quad = float(mu_u @ cho_solve(cho_kuu, mu_u))
+    logdets = engine._logdet_from_cho(cho_kuu) - engine._logdet_from_cho(cho_s)
+    return 0.5 * (trace + quad - len(mu_u) + logdets)
 
 
 def expected_loglik_terms(y, mu, var, pi_col, sigma_m):
-    """Closed-form per-datum expectation terms for one output, or for a stack of them.
+    """Per-datum expectation terms without their noise normaliser, one output or a stack.
 
     E[log N(y | f, sigma^2/pi)] with f ~ N(mu, var) equals
-    log N(y | mu, sigma^2/pi) - 0.5 * (pi/sigma^2) * var.  For the stack,
-    mu, var and pi_col are (M, rows) and sigma_m is (M, 1).
+    -0.5 * log(2 pi sigma^2 / pi) - 0.5 * (pi/sigma^2) * ((y - mu)^2 + var);
+    V carries the first part (bounds.vterm_rows), so this is the second,
+    0 where pi is.  For the stack, mu, var and pi_col are (M, rows) and
+    sigma_m is (M, 1).
     """
     prec = pi_col / sigma_m**2
     resid = y - mu
-    return 0.5 * np.log(prec) - 0.5 * _LOG2PI - 0.5 * prec * (resid * resid + var)
+    return -0.5 * prec * (resid * resid + var)
 
 
 def elbo_svb(ds, cfg, hp, state, batch=None, tables=None):
@@ -174,7 +173,7 @@ def elbo_svb(ds, cfg, hp, state, batch=None, tables=None):
 
     tables are the RowTables of the evaluated rows at hp if the caller has them.
     """
-    kuu, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
+    _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
     if batch is None:
         rows = np.arange(ds.n)
         scale = 1.0
@@ -188,7 +187,7 @@ def elbo_svb(ds, cfg, hp, state, batch=None, tables=None):
         ds.y[rows], mu, var, state.pi_hat[rows].T, hp.noise.sigma[:, None]
     )))
     v_rows = vterm_rows(state, ds, cfg, hp.noise, rows=rows)
-    kl = gaussian_kl_u(state.mu_u, state.Su, kuu)
+    kl = gaussian_kl_u(state.mu_u, state.Su, cho)
     return scale * (data + float(np.sum(v_rows))) - kl
 
 

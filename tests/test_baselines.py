@@ -5,7 +5,7 @@ import pytest
 
 from wsmgp import baselines
 from wsmgp.experiments import SyntheticConfig, generate_synthetic
-from wsmgp.model import Dataset, ModelConfig, floor_simplex, make_dataset
+from wsmgp.model import Dataset, ModelConfig, make_dataset
 from wsmgp.trainer import OptimizerConfig
 
 CFG = ModelConfig(M=2, Q=8, alpha0=0.3)
@@ -44,13 +44,14 @@ def test_omgp_ignores_the_labels(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_omgp_ws_keeps_labeled_rows_at_their_floored_prior(seed):
+def test_omgp_ws_keeps_labeled_rows_at_their_prior(seed):
     ds = _data(seed)
     rep = baselines.fit_omgp_ws(ds, CFG, _opt(seed))
     labeled = ds.labeled_mask
     pi = rep.final_state.pi_hat
-    np.testing.assert_allclose(pi[labeled], floor_simplex(ds.prior_pi[labeled]), rtol=0,
-                               atol=1e-9)
+    # one-hot priors, kept exactly: the other output's entry is 0, not floored
+    assert np.all(np.sum(ds.prior_pi[labeled] == 0.0, axis=1) == 1)
+    np.testing.assert_array_equal(pi[labeled], ds.prior_pi[labeled])
     # while the pi steps moved unlabeled rows away from the start's near-uniform rows
     assert np.sum(pi[~labeled].max(axis=1) > 0.9) >= 5
 

@@ -1,6 +1,8 @@
 """engine._gemm, the scipy-BLAS matrix product, against numpy's matmul, and
 the factored blocks of engine.build_system."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -69,17 +71,24 @@ def test_vector_shaped_result_within_a_few_ulp(shapes, layout_a, layout_b):
 
 
 def test_build_system_factors_residual_plus_noise():
-    # E_m = B_m + diag(d_m) is what gets factored; B_blocks keeps the residual
+    # in precision form: P_m = I + S_m B_m S_m is what gets factored, with
+    # S_m = diag(sqrt(w_m)); B_blocks keeps the residual
     ds, cfg, hp, state = random_instance(3, n=25, M=2, Q=6)
     sys = build_cvb_system(ds, cfg, hp, state)
     for m, out in enumerate(hp.outputs):
-        Kfu = kernels.kfu_matrix(ds.X, hp.inducing.W, out, hp.latent)
-        Kff = kernels.kff_matrix(ds.X, ds.X, out, out, hp.latent)
+        X = ds.X[sys.rows[m]]
+        Kfu = kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent)
+        Kff = kernels.kff_matrix(X, X, out, out, hp.latent)
         resid = Kff - Kfu @ cho_solve(sys.cho_Kuu, Kfu.T)
         np.testing.assert_allclose(sys.B_blocks[m], 0.5 * (resid + resid.T),
                                    rtol=0, atol=1e-12)
-        expect = cho_factor(sys.B_blocks[m] + np.diag(sys.d_blocks[m]), lower=True)[0]
-        np.testing.assert_array_equal(sys.cho_E[m][0], expect)
+        s_m = sys.s_blocks[m]
+        np.testing.assert_array_equal(s_m, np.sqrt(state.pi_hat[sys.rows[m], m]
+                                                   / hp.noise.sigma[m] ** 2))
+        P_m = np.outer(s_m, s_m) * sys.B_blocks[m] + np.eye(len(s_m))
+        expect = cho_factor(P_m, lower=True)[0]
+        np.testing.assert_allclose(np.tril(sys.cho_P[m][0]), np.tril(expect), rtol=0,
+                                   atol=1e-14 * np.abs(expect).max())
 
 
 def _spd(n, seed):
@@ -119,25 +128,27 @@ class TestFactorGuards:
     @staticmethod
     def _instance():
         ds, cfg, hp, state = random_instance(4, n=20, M=2, Q=5)
-        rows, d_blocks = [np.arange(ds.n)] * cfg.M, [np.full(ds.n, 0.1)] * cfg.M
-        return ds, hp, rows, d_blocks
+        rows, w_blocks = [np.arange(ds.n)] * cfg.M, [np.full(ds.n, 10.0)] * cfg.M
+        return ds, hp, rows, w_blocks
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_e_raises_value_error(self, bad):
-        ds, hp, rows, d_blocks = self._instance()
-        d_blocks[1] = d_blocks[1].copy()
-        d_blocks[1][7] = bad
+        ds, hp, rows, w_blocks = self._instance()
+        w_blocks[1] = w_blocks[1].copy()
+        w_blocks[1][7] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
+            engine.build_system(ds.X, ds.y, hp, rows, w_blocks)
 
     def test_non_positive_definite_e_raises_cho_factors_error(self):
-        ds, hp, rows, d_blocks = self._instance()
-        B_1 = engine.build_system(ds.X, ds.y, hp, rows, d_blocks).B_blocks[1]
-        d_blocks[1] = np.full(ds.n, -1.0)
+        # P_m = I + S_m B_m S_m is positive definite for a residual B_m; a
+        # kernel half whose B_1 is far from positive semi-definite spoils it
+        ds, hp, rows, w_blocks = self._instance()
+        half = engine.build_system(ds.X, ds.y, hp, rows, w_blocks)
+        spoiled = replace(half, B_blocks=[half.B_blocks[0], -np.eye(ds.n)])
         with pytest.raises(np.linalg.LinAlgError) as ref:
-            cho_factor(B_1 + np.diag(d_blocks[1]), lower=True)
+            cho_factor(np.eye(ds.n) - 10.0 * np.eye(ds.n), lower=True)
         with pytest.raises(np.linalg.LinAlgError) as got:
-            engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
+            engine.build_system(ds.X, ds.y, hp, rows, w_blocks, kernel=spoiled)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("kuu_scale, error", [(np.nan, ValueError),
@@ -145,7 +156,7 @@ class TestFactorGuards:
     def test_bad_a_raises_the_same_errors(self, kuu_scale, error, monkeypatch):
         # A = Kuu + sum_m Kfu_m' V_m is factored by the same helper; a Kuu
         # that is not finite, or far from positive definite, spoils it
-        ds, hp, rows, d_blocks = self._instance()
+        ds, hp, rows, w_blocks = self._instance()
         jittered = kernels.jittered
 
         def spoiled(K):
@@ -154,4 +165,4 @@ class TestFactorGuards:
 
         monkeypatch.setattr(kernels, "jittered", spoiled)
         with pytest.raises(error, match="infs or NaNs|leading minor of the array is not"):
-            engine.build_system(ds.X, ds.y, hp, rows, d_blocks)
+            engine.build_system(ds.X, ds.y, hp, rows, w_blocks)

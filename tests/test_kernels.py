@@ -127,8 +127,8 @@ def build_system(X, hp):
     """The engine's system with every row of X under every output."""
     n = X.shape[0]
     rows = [np.arange(n)] * hp.n_outputs
-    d_blocks = [np.full(n, s**2) for s in hp.noise.sigma]
-    return engine.build_system(X, np.zeros(n), hp, rows, d_blocks)
+    w_blocks = [np.full(n, s**-2) for s in hp.noise.sigma]
+    return engine.build_system(X, np.zeros(n), hp, rows, w_blocks)
 
 
 class TestAssembly:

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from wsmgp.model import (
-    EPS_PI,
-    Dataset,
     DatasetError,
     ModelConfig,
-    floor_simplex,
     init_state,
     make_dataset,
     validate_dataset,
@@ -45,42 +42,15 @@ class TestValidation:
             validate_dataset(ds, ModelConfig(M=2, Q=3))
 
 
-class TestFloor:
-    def test_untouched_when_above_floor(self):
-        rows = np.array([[0.4, 0.6]])
-        out = floor_simplex(rows)
-        assert out is rows
+class TestExactZeros:
+    """A prior's zero entries are kept: no floor moves them."""
 
-    def test_hard_row_floored(self):
-        out = floor_simplex(np.array([[1.0, 0.0]]))
-        assert out[0, 1] >= EPS_PI * 0.5
-        assert out[0].sum() == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("M", [2, 3, 9])
-    def test_equals_the_floor_of_the_unique_hit_rows(self, M):
-        # the hit rows found by row index through np.unique, as the floor
-        # once found them; rows with and without hits, soft and hard
-        def unique_floor(rows, eps=EPS_PI):
-            if rows.min() >= eps:
-                return rows
-            hit = np.unique(np.nonzero(rows < eps)[0])
-            out = rows.copy()
-            clamped = np.maximum(rows[hit], eps)
-            out[hit] = clamped / clamped.sum(axis=1, keepdims=True)
-            return out
-
-        rng = np.random.default_rng(M)
-        rows = rng.dirichlet(np.full(M, 0.5), size=200)
-        # one entry of a fifth of the rows each to 0 and to 1e-12
-        for value in (0.0, 1e-12):
-            picked = rng.choice(len(rows), size=40, replace=False)
-            rows[picked, rng.integers(M, size=40)] = value
-        rows /= rows.sum(axis=1, keepdims=True)
-        hit = np.any(rows < EPS_PI, axis=1)
-        assert 0 < np.sum(hit) < len(rows)
-        np.testing.assert_array_equal(floor_simplex(rows), unique_floor(rows))
-        soft = rows[~hit]
-        assert floor_simplex(soft) is soft
+    def test_log_prior_is_minus_infinity_where_the_prior_is_zero(self):
+        ds = small_ds((1, 2, 0, 0))
+        ds.prior_pi[1] = [0.25, 0.75]
+        np.testing.assert_array_equal(ds.log_prior[0], [0.0, -np.inf])
+        np.testing.assert_array_equal(ds.log_prior[1], np.log([0.25, 0.75]))
+        assert np.all(np.isnan(ds.log_prior[2:]))
 
 
 class TestInitState:
@@ -94,9 +64,8 @@ class TestInitState:
     def test_labeled_rows_start_at_prior(self):
         ds = small_ds((1, 2, 0, 0))
         st = init_state(ds, ModelConfig(M=2, Q=3), seed=0)
-        # hard one-hot prior is floored
-        assert st.pi_hat[0, 0] == pytest.approx(1.0, abs=1e-9)
-        assert st.pi_hat[0, 1] >= EPS_PI * 0.5
+        # a hard one-hot prior is kept exactly
+        np.testing.assert_array_equal(st.pi_hat[:2], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_unlabeled_rows_near_uniform(self):
         ds = small_ds()
@@ -129,4 +98,4 @@ class TestInitState:
                 ref[i] = ds.prior_pi[i]
             else:
                 ref[i] = 0.95 * np.full(M, 1.0 / M) + 0.05 * rng.dirichlet(np.ones(M))
-        np.testing.assert_array_equal(st.pi_hat, floor_simplex(ref))
+        np.testing.assert_array_equal(st.pi_hat, ref)

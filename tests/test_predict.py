@@ -62,9 +62,10 @@ def dense_oracle(ds, hp, x_star):
 def stacked_dense_oracle(ds, hp, state, x_star):
     """Dense conditioning on the stacked prior Kfu Kuu^-1 Kuf + bdiag(B_m) + D.
 
-    Every row appears under every output with noise sigma_m^2 / pi_hat,
-    as in the collapsed bound; the test points' residuals are independent
-    of the training rows.
+    Every (row, output) pair with pi_hat > 0 appears with noise
+    sigma_m^2 / pi_hat, as in the collapsed bound; a pair at pi_hat = 0
+    has infinite noise and is left out.  The test points' residuals are
+    independent of the training rows.
     """
     X, lat, W = ds.X, hp.latent, hp.inducing.W
     Kuu_raw = kernels.kuu_matrix(W, lat)
@@ -77,13 +78,16 @@ def stacked_dense_oracle(ds, hp, state, x_star):
         blk = slice(m * n, (m + 1) * n)
         C[blk, blk] = kernels.kff_matrix(X, X, out, out, lat)
     # D, output-major: sigma_m^2 / pi_hat[n, m]
-    C[np.diag_indices_from(C)] += (hp.noise.sigma**2 / state.pi_hat).T.ravel()
+    pi = state.pi_hat.T.ravel()
+    keep = pi > 0
+    C = C[np.ix_(keep, keep)]
+    C[np.diag_indices_from(C)] += np.repeat(hp.noise.sigma**2, n)[keep] / pi[keep]
     co = cho_factor(C, lower=True)
-    y_tiled = np.tile(ds.y, len(hp.outputs))
+    y_tiled = np.tile(ds.y, len(hp.outputs))[keep]
     mu, var = [], []
     for m, out in enumerate(hp.outputs):
         Ksu = kernels.kfu_matrix(x_star, W, out, lat)
-        Kcross = Ksu @ np.linalg.solve(Kuu, Kfu.T)
+        Kcross = Ksu @ np.linalg.solve(Kuu, Kfu[keep].T)
         mu.append(Kcross @ cho_solve(co, y_tiled))
         kss = kernels.kff_diag_value(out, lat)
         s2 = hp.noise.sigma[m] ** 2

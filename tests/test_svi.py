@@ -10,7 +10,7 @@ from scipy.special import digamma
 
 from wsmgp import checks, gradients, kernels, svi
 from wsmgp.bounds import build_cvb_system, elbo_cvb
-from wsmgp.model import EPS_PI, floor_simplex
+from wsmgp.model import make_dataset
 from wsmgp.svi import elbo_svb, expected_loglik_terms, gaussian_kl_u, optimal_qu
 
 _LOG2PI = np.log(2 * np.pi)
@@ -64,17 +64,19 @@ class TestGaussianKL:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(3)
         K = rand_spd(rng, 4)
-        assert gaussian_kl_u(np.zeros(4), K.copy(), K) == pytest.approx(0.0, abs=1e-10)
+        kl = gaussian_kl_u(np.zeros(4), K.copy(), kernels.cho_factor(K))
+        assert kl == pytest.approx(0.0, abs=1e-10)
 
     def test_unit_variance_mean_shift(self):
-        assert gaussian_kl_u(np.array([2.0]), np.eye(1), np.eye(1)) == pytest.approx(2.0)
+        kl = gaussian_kl_u(np.array([2.0]), np.eye(1), kernels.cho_factor(np.eye(1)))
+        assert kl == pytest.approx(2.0)
 
     def test_monte_carlo_estimate(self):
         rng = np.random.default_rng(4)
         Su = rand_spd(rng, 2, 0.7)
         Kuu = rand_spd(rng, 2, 1.3)
         mu = rng.normal(size=2)
-        exact = gaussian_kl_u(mu, Su, Kuu)
+        exact = gaussian_kl_u(mu, Su, kernels.cho_factor(Kuu))
         n_mc = 200_000
         Ls = np.linalg.cholesky(Su)
         z = mu[None, :] + rng.standard_normal((n_mc, 2)) @ Ls.T
@@ -95,8 +97,8 @@ class TestElboSvb:
         rng = np.random.default_rng(5)
         state.Su = rand_spd(rng, 3)
         state.mu_u = rng.normal(size=3)
-        kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
-        kl = gaussian_kl_u(state.mu_u, state.Su, kuu)
+        _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
+        kl = gaussian_kl_u(state.mu_u, state.Su, cho)
         parts = [np.arange(0, 3), np.arange(3, 6), np.arange(6, 9)]
         unscaled = sum(
             (len(p) / ds.n) * (elbo_svb(ds, cfg, hp, state, batch=p) + kl)
@@ -118,31 +120,30 @@ class TestElboSvb:
         assert np.mean(vals) == pytest.approx(full, abs=1e-8)
 
     def test_one_hot_closed_form_by_hand(self):
-        # 3 observations, q(u) = prior, one-hot (floored) assignments
+        # 3 unlabeled observations, q(u) = prior, exact one-hot assignments
         ds, cfg, hp, state = checks.random_instance(7, n=3, M=2, Q=3)
-        eps = 1e-10
+        ds = make_dataset(ds.X, ds.y, n_outputs=2)
         assign = np.array([1, 2, 1])
-        pi = np.full((3, 2), eps)
-        pi[np.arange(3), assign - 1] = 1 - eps
+        pi = np.zeros((3, 2))
+        pi[np.arange(3), assign - 1] = 1.0
         state.pi_hat = pi
         kuu, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
         state.mu_u = np.zeros(3)
         state.Su = kuu.copy()
         got = elbo_svb(ds, cfg, hp, state)
-        # hand expansion: sum over all (n, m) pairs of
-        # log N(y | 0, sig^2/pi) - 0.5 (pi/sig^2) kff_diag, plus V, minus KL(=0)
+        # hand expansion: sum over the (n, m) pairs with pi = 1 of
+        # log N(y | 0, sig^2) - 0.5 kff_diag / sig^2, plus the KL terms of V,
+        # minus KL(q(u) || p(u)) = 0; a pair at pi = 0 adds nothing
         data = 0.0
-        for m in range(2):
+        for n, m in enumerate(assign - 1):
             kffd = kernels.kff_diag_value(hp.outputs[m], hp.latent)
-            for n in range(3):
-                p = pi[n, m]
-                s2 = hp.noise.sigma[m] ** 2 / p
-                data += -0.5 * (np.log(2 * np.pi * s2) + ds.y[n] ** 2 / s2)
-                data += -0.5 * (p / hp.noise.sigma[m] ** 2) * kffd
+            s2 = hp.noise.sigma[m] ** 2
+            data += -0.5 * (np.log(2 * np.pi * s2) + ds.y[n] ** 2 / s2) - 0.5 * kffd / s2
         from wsmgp.bounds import vterm
 
-        expect = data + vterm(state, ds, cfg, hp.noise)
-        assert got == pytest.approx(expect, rel=1e-9)
+        noise_term = -0.5 * np.sum(pi * np.log(2 * np.pi * hp.noise.sigma**2))
+        expect = data + vterm(state, ds, cfg, hp.noise) - noise_term
+        assert got == pytest.approx(expect, rel=1e-12)
 
     def test_translation_consistency(self):
         rng = np.random.default_rng(8)
@@ -192,8 +193,8 @@ class TestOptimalQu:
 def _step_instance(seed, use_dirichlet, sigma=0.3):
     """An instance at the optimal q(u), and its round: (ds, cfg, hp, state, svi.qu_restart's triple).
 
-    There the stepped rows come out soft at sigma = 0.3 and at the
-    simplex floor at sigma = 0.02.
+    There the stepped rows come out soft at sigma = 0.3, and at sigma =
+    0.02 stepped unlabeled rows have entries that underflow to exactly 0.
     """
     ds, cfg, hp, state = checks.random_instance(seed, n=30, M=3, Q=5, sigma=sigma)
     cfg = replace(cfg, use_dirichlet=use_dirichlet)
@@ -226,20 +227,26 @@ class TestBatchStep:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("sigma", [0.3, 0.02])
     def test_no_perturbation_of_a_stepped_row_raises_the_bound(self, seed, sigma):
-        # without the Dirichlet prior the row step is the row's exact optimum;
-        # sigma = 0.02 sends every stepped row to the simplex floor
+        # without the Dirichlet prior the row step is the row's exact optimum
+        # over the entries its prior allows; at sigma = 0.02 stepped
+        # unlabeled rows have entries at exactly 0
         ds, cfg, hp, state, round_ = _step_instance(seed, False, sigma)
         rng = np.random.default_rng(seed + 100)
         rows = rng.choice(ds.n, size=15, replace=False)
         stepped = _local_step(ds, cfg, hp, state, round_, rows)
         best = elbo_svb(ds, cfg, hp, stepped)
         p = stepped.pi_hat[rows]
-        assert np.any(p <= 2 * EPS_PI) if sigma < 0.1 else np.any(p.max(axis=1) < 0.9)
+        if sigma < 0.1:
+            assert np.any(p[~ds.labeled_mask[rows]] == 0.0)
+        else:
+            assert np.any(p.max(axis=1) < 0.9)
+        allowed = ~ds.labeled_mask[:, None] | (ds.prior_pi > 0)
         for _ in range(100):
             i = rng.choice(rows)
             t = 10 ** rng.uniform(-8, -1)
             pi = stepped.pi_hat.copy()
-            pi[i] = floor_simplex(((1 - t) * pi[i] + t * rng.dirichlet(np.ones(cfg.M)))[None])[0]
+            d = rng.dirichlet(np.ones(cfg.M)) * allowed[i]
+            pi[i] = (1 - t) * pi[i] + t * d / d.sum()
             assert elbo_svb(ds, cfg, hp, replace(stepped, pi_hat=pi)) <= best + 1e-12 * abs(best)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -260,13 +267,16 @@ class TestBatchStep:
         """c_nm, the expected log-likelihood at pi_nm = 1, of the rows (rows, M)."""
         phi, r = tables.gather(rows)
         mu, var = svi._qu_moments(phi, r, state.mu_u, state.Su)
-        return expected_loglik_terms(ds.y[rows], mu, var, 1.0, hp.noise.sigma[:, None]).T
+        s = hp.noise.sigma[:, None]
+        # expected_loglik_terms leaves out the normaliser, which V carries
+        return (expected_loglik_terms(ds.y[rows], mu, var, 1.0, s)
+                - 0.5 * np.log(2 * np.pi * s**2)).T
 
     @staticmethod
     def _normalised(log_w):
         # a row-constant shift keeps exp in range and cancels
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-        return floor_simplex(w / w.sum(axis=1, keepdims=True))
+        return w / w.sum(axis=1, keepdims=True)
 
     @pytest.mark.parametrize("use_dirichlet", [True, False])
     def test_labeled_row_is_the_prior_times_exp_c(self, use_dirichlet):
@@ -274,8 +284,10 @@ class TestBatchStep:
         rows = np.flatnonzero(ds.labeled_mask)[::-1]
         stepped = _local_step(ds, cfg, hp, state, round_, rows)
         c = self._c(ds, hp, state, round_[1], rows)
-        expect = self._normalised(np.log(ds.prior_pi[rows]) + c)
-        assert np.sum(expect.max(axis=1) < 0.9) >= 10
+        expect = self._normalised(ds.log_prior[rows] + c)
+        # every other labeled row has a one-hot prior, which it keeps exactly
+        assert np.sum(expect.max(axis=1) < 0.9) >= 5
+        assert np.sum(expect.max(axis=1) == 1.0) >= 5
         # exp turns c's rounding into a relative error of about |c| eps
         np.testing.assert_allclose(stepped.pi_hat[rows], expect, rtol=1e-10)
 
@@ -340,7 +352,7 @@ def _reference_step(ds, cfg, sigma, tables, kuu_inv, rows, pi, qu):
     other = digamma(cfg.alpha0 + pi[rows]) if cfg.use_dirichlet else np.zeros((b, M))
     log_w = c.T + np.where(labeled[:, None], ds.log_prior[rows], other)
     w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-    pi[rows] = floor_simplex(w / w.sum(axis=1, keepdims=True))
+    pi[rows] = w / w.sum(axis=1, keepdims=True)
     d = pi[rows].T / s2
     scale = ds.n / b
     lam = kuu_inv + scale * np.einsum("mnq,mn,mnp->qp", phi, d, phi)
@@ -364,7 +376,7 @@ class TestFusedStep:
             qu_ref = _reference_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi_ref,
                                      qu_ref)
         if sigma < 0.1:
-            assert np.any(pi <= 2 * EPS_PI)
+            assert np.any(pi[~ds.labeled_mask] == 0.0)
         np.testing.assert_allclose(pi, pi_ref, rtol=1e-11, atol=0)
         for got, ref in zip(qu, qu_ref):
             assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
