@@ -49,7 +49,7 @@ def test_omgp_ws_keeps_labeled_rows_at_their_prior(seed):
     rep = baselines.fit_omgp_ws(ds, CFG, _opt(seed))
     labeled = ds.labeled_mask
     pi = rep.final_state.pi_hat
-    # one-hot priors, kept exactly: the other output's entry is 0, not floored
+    # one-hot priors, kept exactly: the other output's entry is 0
     assert np.all(np.sum(ds.prior_pi[labeled] == 0.0, axis=1) == 1)
     np.testing.assert_array_equal(pi[labeled], ds.prior_pi[labeled])
     # while the pi steps moved unlabeled rows away from the start's near-uniform rows

@@ -85,10 +85,9 @@ def test_build_system_factors_residual_plus_noise():
         s_m = sys.s_blocks[m]
         np.testing.assert_array_equal(s_m, np.sqrt(state.pi_hat[sys.rows[m], m]
                                                    / hp.noise.sigma[m] ** 2))
-        P_m = np.outer(s_m, s_m) * sys.B_blocks[m] + np.eye(len(s_m))
+        P_m = sys.B_blocks[m] * np.outer(s_m, s_m) + np.eye(len(s_m))
         expect = cho_factor(P_m, lower=True)[0]
-        np.testing.assert_allclose(np.tril(sys.cho_P[m][0]), np.tril(expect), rtol=0,
-                                   atol=1e-14 * np.abs(expect).max())
+        np.testing.assert_array_equal(sys.cho_P[m][0], expect)
 
 
 def _spd(n, seed):

@@ -43,7 +43,7 @@ class TestValidation:
 
 
 class TestExactZeros:
-    """A prior's zero entries are kept: no floor moves them."""
+    """A prior's zero entries are kept exactly."""
 
     def test_log_prior_is_minus_infinity_where_the_prior_is_zero(self):
         ds = small_ds((1, 2, 0, 0))
