@@ -144,9 +144,10 @@ def build_cvb_system(ds, cfg, hp, state, kernel=None, t2=None):
                                kernel=kernel, t2=t2)
 
 
-def scmgp_normaliser(counts, sigma):
-    """-1/2 sum_m n_m log 2 pi sigma_m^2, SCMGP's noise normaliser, from its row counts n_m."""
-    return -0.5 * float(np.sum(np.asarray(counts) * np.log(2.0 * np.pi * sigma**2)))
+def scmgp_normaliser(sys, sigma):
+    """SCMGP's noise normaliser -1/2 sum_m n_m log 2 pi sigma_m^2 over sys's rows, and -n_m."""
+    counts = np.array([len(r) for r in sys.rows], dtype=float)
+    return -0.5 * float(np.sum(counts * np.log(2.0 * np.pi * sigma**2))), -counts
 
 
 def gauss_term_cvb(ds, cfg, hp, state):
@@ -154,7 +155,7 @@ def gauss_term_cvb(ds, cfg, hp, state):
     sys = build_cvb_system(ds, cfg, hp, state)
     value = engine.gauss_loglik(sys)
     if state is None:
-        value += scmgp_normaliser([len(r) for r in sys.rows], hp.noise.sigma)
+        value += scmgp_normaliser(sys, hp.noise.sigma)[0]
     return value
 
 

@@ -277,7 +277,8 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
             continue
         # P_m = I + S_m B_m S_m, factored in place; B_m itself stays the residual
         s_m = s_blocks[m]
-        P_m = np.multiply(B_m, np.multiply.outer(s_m, s_m), order="F")
+        P_m = np.multiply(B_m, s_m, order="F")
+        P_m *= s_m[:, None]
         P_m.flat[:: P_m.shape[0] + 1] += 1.0
         cho_P.append(cho_factor(P_m, overwrite_a=True))
         alpha.append(cho_solve(cho_P[m], s_m * y_blocks[m]))
@@ -414,7 +415,6 @@ def gauss_loglik_grads(sys: StackedSystem):
             r = r - Vm @ sys.c
             G -= _gemm(_gemm(Vm, Ainv), Vm.T)
         G -= np.outer(r, r)
-        dE.append(G * np.multiply.outer(-0.5 * s_m, s_m))
         dlogw.append(0.5 * (np.diag(G) - 1.0))
         if sys.has_inducing:
             sk = s_m[:, None] * sys.fu_blocks[m].K
@@ -424,5 +424,8 @@ def gauss_loglik_grads(sys: StackedSystem):
             # (G Kfu)_m and the residual-path correction +G_mm Kfu_m, scaled
             GKfu_m = Vm - _gemm(Vm, Ainv @ M1) - np.outer(r, kr)
             dKfu.append(_gemm(s_m[:, None] * (_gemm(G, sk) - GKfu_m), Kuu_inv))
+        G *= -0.5 * s_m  # G_mm = S_m G~ S_m, after G~'s last read
+        G *= s_m[:, None]
+        dE.append(G)
     dKuu = 0.5 * Kuu_inv @ (KufGKfu - KufGpKfu) @ Kuu_inv if sys.has_inducing else None
     return MatrixGrads(dE_blocks=dE, dKfu_blocks=dKfu, dKuu=dKuu, dlogw_blocks=dlogw)

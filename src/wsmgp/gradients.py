@@ -10,9 +10,10 @@ and adds V's sigma and alpha0 partials (vterm_partials).
 
 The collapsed bound and the SCMGP likelihood share one gradient body
 (_gauss_term_with_grad, over bounds.build_cvb_system's one selection);
-each adds its own noise normaliser's partials.  Either bound's log-sigma
-partial is sum_n w_nm [(y_n - mean_nm)^2 + var_nm] - sum_n pi_nm, with
-w = pi / sigma^2 and q(f)'s moments at the rows (SCMGP: n_m for the last).
+each adds its noise normaliser, V or bounds.scmgp_normaliser.  Either
+bound's log-sigma partial is sum_n w_nm [(y_n - mean_nm)^2 + var_nm]
+- sum_n pi_nm, with w = pi / sigma^2 and q(f)'s moments at the rows
+(SCMGP: n_m for the last).
 
 The chain (_chain_convolved, _chain_independent) differentiates the
 kernel blocks the forward pass built (kernels.GaussBlock: t2, the
@@ -112,8 +113,6 @@ def _chain_convolved(hp, mg: engine.MatrixGrads, kuu_block, fu_blocks, ff_blocks
     if batch_diag is not None:
         e_S, e_Lm, e_L = kernels.kff_coeffs(hp.outputs, hp.latent)
     for m in range(M):
-        if fu_blocks[m].K.shape[0] == 0:
-            continue
         a_fu[m], b_fu[m] = kernels.contract(mg.dKfu_blocks[m], fu_blocks[m])
         if batch_diag is None:
             _, ff_S[m], ff_Lm[m], ff_L[m] = kernels.kff_matrix_grads(
@@ -141,8 +140,7 @@ def _chain_independent(hp, mg: engine.MatrixGrads, ff_blocks):
     d = hp.outputs[0].prec.shape[0]
     a, b = np.zeros(M), np.zeros((M, d))
     for m in range(M):
-        if ff_blocks[m].K.shape[0]:
-            a[m], b[m] = kernels.contract(mg.dE_blocks[m], ff_blocks[m])
+        a[m], b[m] = kernels.contract(mg.dE_blocks[m], ff_blocks[m])
     c_amp, c_prec = kernels.se_coeffs(hp.outputs)
     d_amp = c_amp * a * np.array([out.amp for out in hp.outputs])
     d_prec = c_prec.contract(a, b) * np.stack([out.prec for out in hp.outputs])
@@ -155,10 +153,10 @@ def _chain_independent(hp, mg: engine.MatrixGrads, ff_blocks):
 
 
 def _gauss_term_with_grad(ds, cfg, hp, state, sys):
-    """(value, matrix-level grads, kernel-only GradientBundle) of bounds.gauss_term_cvb.
+    """(engine.gauss_loglik, its GradientBundle, the system) over build_cvb_system's selection.
 
     sys is build_cvb_system's system at these arguments, or None to
-    build it here.  Each caller adds its log-sigma partial.
+    build it here.  Each caller adds its noise normaliser's value and partials.
     """
     if sys is None:
         sys = build_cvb_system(ds, cfg, hp, state)
@@ -169,7 +167,9 @@ def _gauss_term_with_grad(ds, cfg, hp, state, sys):
         d_L = None
     else:
         d_S, d_Lm, d_L = _chain_convolved(hp, mg, sys.kuu_block, sys.fu_blocks, sys.ff_blocks)
-    return value, mg, GradientBundle(d_S=d_S, d_Lm=d_Lm, d_L=d_L)
+    # d log w / d log sigma = -2
+    d_sigma = -2.0 * np.array([np.sum(g) for g in mg.dlogw_blocks])
+    return value, GradientBundle(d_S=d_S, d_Lm=d_Lm, d_L=d_L, d_sigma=d_sigma), sys
 
 
 def elbo_cvb_with_grad(ds, cfg, hp, state, sys=None):
@@ -178,11 +178,10 @@ def elbo_cvb_with_grad(ds, cfg, hp, state, sys=None):
     sys is bounds.build_cvb_system's system at these arguments if the
     caller has built it; it is only read.
     """
-    value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, state, sys)
+    value, bundle, _ = _gauss_term_with_grad(ds, cfg, hp, state, sys)
     v_alpha0, v_sigma = vterm_partials(state, ds, cfg)
     value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise)))
-    # d log w / d log sigma = -2
-    bundle.d_sigma = -2.0 * np.array([np.sum(g) for g in mg.dlogw_blocks]) + v_sigma
+    bundle.d_sigma += v_sigma
     bundle.d_alpha0 = v_alpha0 * cfg.alpha0
     return value, bundle
 
@@ -193,11 +192,10 @@ def scmgp_loglik_with_grad(ds, cfg, hp, sys=None):
     sys is bounds.build_cvb_system's system for SCMGP (state None) at hp
     if the caller has built it; it is only read.
     """
-    value, mg, bundle = _gauss_term_with_grad(ds, cfg, hp, None, sys)
-    counts = np.array([len(g) for g in mg.dlogw_blocks])
-    value += scmgp_normaliser(counts, hp.noise.sigma)
-    bundle.d_sigma = -2.0 * np.array([np.sum(g) for g in mg.dlogw_blocks]) - counts
-    return value, bundle
+    value, bundle, sys = _gauss_term_with_grad(ds, cfg, hp, None, sys)
+    norm, d_norm = scmgp_normaliser(sys, hp.noise.sigma)
+    bundle.d_sigma += d_norm
+    return value + norm, bundle
 
 
 # ---------------------------------------------------------------------------

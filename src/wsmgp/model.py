@@ -12,8 +12,8 @@ class Dataset:
 
     labels uses 0 for "unlabeled" and 1..M otherwise.  prior_pi holds one
     simplex row per *labeled* observation (rows of unlabeled observations
-    are NaN and never read).  The bounds read it through log_prior, which
-    is computed on first use: change prior_pi in place only before that.
+    are NaN and never read).  The bounds read it directly; the pi steps
+    read log_prior, cached on first use: change prior_pi in place only before that.
     """
 
     X: np.ndarray
@@ -72,11 +72,8 @@ def make_dataset(X, y, labels=None, prior_pi=None, n_outputs=None):
         n_outputs = max(int(labels.max(initial=1)), 1)
     if prior_pi is None:
         prior_pi = np.full((n, n_outputs), np.nan)
-        for i in range(n):
-            if labels[i] > 0:
-                row = np.zeros(n_outputs)
-                row[labels[i] - 1] = 1.0
-                prior_pi[i] = row
+        labeled = labels > 0
+        prior_pi[labeled] = np.eye(n_outputs)[labels[labeled] - 1]
     return Dataset(X=X, y=y, labels=labels, prior_pi=prior_pi)
 
 

@@ -283,6 +283,56 @@ def dense_posterior(sys):
     return value, mean, var, dSigma, pos
 
 
+def _ld_cholesky(C):
+    """The lower Cholesky factor of C, computed in long double."""
+    L = np.zeros_like(C)
+    for j in range(len(C)):
+        L[j, j] = np.sqrt(C[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1 :, j] = (C[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def _ld_forward(L, b):
+    """L^-1 b for a lower-triangular L, by forward substitution."""
+    z = np.zeros_like(b)
+    for i in range(len(L)):
+        z[i] = (b[i] - L[i, :i] @ z[:i]) / L[i, i]
+    return z
+
+
+class LongDoubleBound:
+    """elbo_cvb written out densely in long double, on the float64 kernel blocks of sys.
+
+    K, the prior covariance of the stacked f at every selected row, is
+    formed once from sys's kernel half, whose blocks are taken as exact;
+    then each pi gives the precision form -1/2 (log|P| + y' S P^-1 S y)
+    with P = I + S K S and S = diag(sqrt(pi / sigma^2)), plus V
+    (vterm, float64, which is accurate to about 1e-13 of itself).
+    """
+
+    def __init__(self, ds, cfg, hp, sys):
+        ld = np.longdouble
+        start = np.cumsum([0] + [len(r) for r in sys.rows])
+        K = np.zeros((start[-1], start[-1]), dtype=ld)
+        if sys.has_inducing:
+            X = _ld_forward(_ld_cholesky(sys.Kuu.astype(ld)),
+                            np.hstack([b.K.T for b in sys.fu_blocks]).astype(ld))
+            K += X.T @ X
+        for m, B_m in enumerate(sys.B_blocks):
+            K[start[m] : start[m + 1], start[m] : start[m + 1]] += B_m
+        self.K, self.rows, self.args = K, sys.rows, (ds, cfg, hp)
+        self.y = np.concatenate(sys.y_blocks).astype(ld)
+
+    def __call__(self, pi):
+        ds, cfg, hp = self.args
+        s2 = hp.noise.sigma.astype(np.longdouble) ** 2
+        s = np.sqrt(np.concatenate([pi[r, m] / s2[m] for m, r in enumerate(self.rows)]))
+        L = _ld_cholesky(s[:, None] * self.K * s + np.eye(len(s), dtype=np.longdouble))
+        z = _ld_forward(L, s * self.y)
+        gauss = -0.5 * (2 * np.sum(np.log(np.diag(L))) + z @ z)
+        return gauss + np.longdouble(vterm(state_from_pi(pi), ds, cfg, hp.noise))
+
+
 class TestCvbPiStep:
     """bounds.cvb_pi_step: one build gives elbo_cvb at the old rows and the stepped rows."""
 
@@ -319,17 +369,20 @@ class TestCvbPiStep:
         np.testing.assert_allclose(got, expect, rtol=1e-9)
         np.testing.assert_array_equal(got == 0.0, expect == 0.0)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
     @pytest.mark.parametrize("use_dirichlet", [True, False])
     @pytest.mark.parametrize("sigma", [0.3, 0.02])
     @pytest.mark.parametrize("kind", ["convolved", "independent"])
     def test_never_lowers_the_bound(self, kind, sigma, use_dirichlet):
         # hard one-hot label priors, so labeled rows have an entry at exactly
         # 0, which every step keeps there; at sigma = 0.02 stepped unlabeled
-        # rows underflow to exact zeros too.  There the bound is about -4.5e4,
-        # and a converged step moves entries by about 1e-12, which raises it
-        # by about 1e-9 (an 80-bit dense evaluation) while its float64
-        # evaluation is 4e-5 off and moves by up to 1.4e-6 between such
-        # neighbours; so a step may lower it by 1e-10 relative at most
+        # rows underflow to exact zeros too.  Each step is judged on the
+        # bound evaluated in long double.  At sigma = 0.3 the float64
+        # elbo_cvb must not drop either; at sigma = 0.02 (bound about -4.5e4)
+        # a converged step raises the bound by about 1e-9 nats, below the
+        # float64 evaluation's rounding between neighbouring rows (up to
+        # 1.4e-6 nats), so there only its finiteness is checked
         ds, cfg, hp, _ = checks.random_instance(8, n=40, M=2, Q=8, sigma=sigma)
         ds = make_dataset(ds.X, ds.y, labels=ds.labels, n_outputs=cfg.M)
         cfg = replace(cfg, use_dirichlet=use_dirichlet)
@@ -339,20 +392,26 @@ class TestCvbPiStep:
                 noise=hp.noise)
         labeled = ds.labeled_mask
         rng = np.random.default_rng(8)
+        exact = None
         at_zero = 0
         for _ in range(5):
             # random rows, then three steps from them
             pi = rng.dirichlet(np.full(cfg.M, 0.5), size=ds.n)
             pi[labeled] = ds.prior_pi[labeled]
-            value = elbo_cvb(ds, cfg, hp, state_from_pi(pi))
+            if exact is None:
+                exact = LongDoubleBound(ds, cfg, hp, build_cvb_system(ds, cfg, hp, state_from_pi(pi)))
+            value, value_ld = elbo_cvb(ds, cfg, hp, state_from_pi(pi)), exact(pi)
+            assert abs(value - value_ld) <= 1e-8 * abs(value_ld)
             for _ in range(3):
                 bound, pi = cvb_pi_step(ds, cfg, hp, state_from_pi(pi.copy()))
                 assert bound == pytest.approx(value, rel=1e-14)
                 np.testing.assert_array_equal(pi[labeled] == 0.0, ds.prior_pi[labeled] == 0.0)
-                new = elbo_cvb(ds, cfg, hp, state_from_pi(pi))
+                new, new_ld = elbo_cvb(ds, cfg, hp, state_from_pi(pi)), exact(pi)
                 assert np.isfinite(new)
-                assert new >= value - 1e-10 * abs(value)
-                value = new
+                assert new_ld >= value_ld - 1e-14 * abs(value_ld)
+                if sigma > 0.1:
+                    assert new >= value - 1e-12 * abs(value)
+                value, value_ld = new, new_ld
             np.testing.assert_allclose(pi.sum(axis=1), 1.0, rtol=1e-14)
             at_zero += np.sum(pi[~labeled] == 0.0)
         assert (at_zero > 0) == (sigma < 0.1)

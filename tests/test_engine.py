@@ -85,7 +85,7 @@ def test_build_system_factors_residual_plus_noise():
         s_m = sys.s_blocks[m]
         np.testing.assert_array_equal(s_m, np.sqrt(state.pi_hat[sys.rows[m], m]
                                                    / hp.noise.sigma[m] ** 2))
-        P_m = sys.B_blocks[m] * np.outer(s_m, s_m) + np.eye(len(s_m))
+        P_m = sys.B_blocks[m] * s_m * s_m[:, None] + np.eye(len(s_m))
         expect = cho_factor(P_m, lower=True)[0]
         np.testing.assert_array_equal(sys.cho_P[m][0], expect)
 
