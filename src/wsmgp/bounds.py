@@ -20,10 +20,11 @@ sum pi log pi - log[B(alpha0 + pi) / B(alpha0 * 1)] per row, evaluated
 through log-gamma.  Removing the Dirichlet prior replaces it with the
 plain categorical KL against a fixed uniform prior.
 
-One function, cvb_selection, says which rows sit under which output and
-with what precision weights, for the bound and for the fully-labeled
-SCMGP alike; build_cvb_system builds the engine's system over it for the
-bound, the SCMGP likelihood, both gradients and predict.posterior_predict.
+One function, cvb_rows, says which rows sit under which output, and
+cvb_selection adds their precision weights, for the bound and for the
+fully-labeled SCMGP alike; build_cvb_system builds the engine's system
+over them for the bound, the SCMGP likelihood, both gradients and
+predict.posterior_predict.
 
 Both bounds move pi by one closed-form step, assignment_rows, fed q(f)'s
 moments at the rows: under q(u) at a batch (svi.batch_step), or under the
@@ -112,35 +113,49 @@ class NoLabeledDataError(ValueError):
     pass
 
 
-def cvb_selection(ds, cfg, hp, state):
-    """(rows, weights): which rows sit under which output, with what precision weights.
+def cvb_rows(ds, cfg, scmgp):
+    """Which rows sit under which output: one row-index array per output.
 
     With a variational state (WSMGP, OMGP, OMGP-WS) output m holds the
-    rows its prior allows (every unlabeled row), with weights
-    pi_hat[n, m] / sigma_m^2; they are fixed per dataset, so the pi steps
-    of a fit share one kernel half.  Without one (the fully-labeled
-    SCMGP), each labeled row sits once, under its label, with weight
-    1 / sigma_m^2, and unlabeled rows are never read.
+    rows its prior allows (every unlabeled row).  The fully-labeled
+    SCMGP (scmgp=True) puts each labeled row once, under its label, and
+    never reads an unlabeled row.  Both depend on the dataset alone, so a
+    fit computes them once, and the pi steps of a fit share one kernel
+    half.
     """
-    s2 = hp.noise.sigma**2
-    if state is not None:
+    if not scmgp:
         every = np.arange(ds.n)
         allowed = ~ds.labeled_mask[:, None] | (ds.prior_pi > 0)
-        rows = [every if a.all() else np.flatnonzero(a) for a in allowed.T]
-        return rows, [state.pi_hat[r, m] / s2[m] for m, r in enumerate(rows)]
+        return [every if a.all() else np.flatnonzero(a) for a in allowed.T]
     if ds.n_labeled == 0:
         raise NoLabeledDataError("no labeled observations")
-    rows = [np.flatnonzero(ds.labels == m + 1) for m in range(cfg.M)]
+    return [np.flatnonzero(ds.labels == m + 1) for m in range(cfg.M)]
+
+
+def cvb_selection(ds, cfg, hp, state, rows=None):
+    """(rows, weights): cvb_rows, and each row's precision weight under its output.
+
+    The weights are pi_hat[n, m] / sigma_m^2 with a variational state and
+    1 / sigma_m^2 without one (SCMGP).  rows, if given, is cvb_rows' result
+    for ds and state, computed once by the caller.
+    """
+    if rows is None:
+        rows = cvb_rows(ds, cfg, scmgp=state is None)
+    s2 = hp.noise.sigma**2
+    if state is not None:
+        return rows, [state.pi_hat[r, m] / s2[m] for m, r in enumerate(rows)]
     return rows, [np.full(len(r), 1.0 / s2[m]) for m, r in enumerate(rows)]
 
 
 def build_cvb_system(ds, cfg, hp, state, kernel=None, t2=None):
     """The engine's stacked system over cvb_selection; state None is SCMGP's.
 
-    kernel and t2 are engine.build_system's: the kernel half of an
-    earlier system at hp, or the squared differences over all N rows.
+    kernel is engine.build_system's: the kernel half of an earlier system
+    at hp.  t2 is engine.row_sqdiffs over cvb_rows' rows for ds and
+    state, computed once per fit; its rows are used as they are.
     """
-    return engine.build_system(ds.X, ds.y, hp, *cvb_selection(ds, cfg, hp, state),
+    rows = None if t2 is None else t2.rows
+    return engine.build_system(ds.X, ds.y, hp, *cvb_selection(ds, cfg, hp, state, rows),
                                kernel=kernel, t2=t2)
 
 

@@ -24,9 +24,10 @@ documented to have.
 
 Which BLAS runs the products: every matrix-matrix product with an
 n_m-row operand goes through `_gemm`, i.e. scipy's `dgemm`, the same
-OpenBLAS whose LAPACK `dpotrf` / `dpotrs` factor and solve here
-(kernels.cho_factor / cho_solve: scipy's cho_factor / cho_solve
-results, guards included, without the wrappers' per-call overhead).  The
+OpenBLAS whose LAPACK `dpotrf`, `dpotri` and `dpotrs` factor, invert
+and solve here (kernels.cho_factor / cho_solve: scipy's cho_factor /
+cho_solve results, guards included, without the wrappers' per-call
+overhead; cho_inverse below).  The
 stochastic bound does the same with its batch-row products, calling
 `engine._gemm`: in `svi`, Phi Su for the bound's moments, Phi L^-T for
 a mini-batch step's variances (L the Cholesky factor of q(u)'s
@@ -56,30 +57,45 @@ them to numpy's OpenBLAS pool between scipy's factorizations: with
 16.0 ms against 6.4-6.8 ms with `np.einsum` (2 BLAS threads on 2
 cores, three instances).
 
-Explicit inverses (P_m^-1, A^-1 and Kuu^-1 in gauss_loglik_grads, and
-Kuu^-1 in the stochastic bound) come from the Cholesky factors through
-cho_inverse, LAPACK's dpotri in scipy's library; gauss_loglik reads
-none of them, so the bound's value does not depend on how they are
-formed.
+Explicit inverses come from Cholesky factors through cho_inverse,
+LAPACK's dpotri in scipy's library.  P = I + S B S is well conditioned
+by construction (its eigenvalues are at least 1), so build_system forms
+each P_m^-1 once, in place of its factor, after taking log|P_m| from
+that factor, and every later use reads it: alpha_m and V_m are products
+with it (so the bound's value depends on it), gauss_loglik_grads starts
+G~_m from it, and posterior_moments takes the pi step's variances from
+one product with it.  A^-1 and Kuu^-1 are formed in gauss_loglik_grads
+(and Kuu^-1 in the stochastic bound); the bound's value reads A and Kuu
+only through their factors.
 
 Two halves: a StackedSystem is a KernelHalf plus a noise half.  The
 kernel half depends on the hyperparameters and the selection alone: each
 kernel block (kernels.kuu_block, kfu_block, kff_block or se_block, kept
-as kernels.GaussBlock values), the jittered Kuu with its factor and the
-Nystrom residuals B_m.  The noise half factors P_m and A and holds
-alpha, V, beta and c.  build_system builds both, or, given the kernel
-half of an earlier system at the same hyperparameters, only the noise
-half: the collapsed fit's pi steps move the weights alone, so each E-phase
-shares one kernel half, and its first step reads the system the M-phase's
-last evaluation built at the same point (trainer).  Squared differences
-are computed once per distinct row set, so the stacked selection computes
-them once for all outputs, or are taken from the caller's, computed once
-per fit.  gauss_loglik_grads returns the matrix-level gradients, and
-gradients._chain_convolved / _chain_independent contract them against
-the kernel half's blocks.
+as kernels.GaussBlock values; a convolved Kff_m block keeps t2 and unit
+only, since B_m is formed in its K), the jittered Kuu with its factor
+and the Nystrom residuals B_m.  The noise half holds log|P_m|, P_m^-1,
+alpha, S_m Kfu_m, V, M1_m = (S_m Kfu_m)' V_m, A with its factor, beta
+and c.  build_system builds both, or, given the kernel half of an
+earlier system at the same hyperparameters, only the noise half: the
+collapsed fit's pi steps move the weights alone, so each E-phase shares
+one kernel half, and its first step reads the system the M-phase's last
+evaluation built at the same point (trainer).  The kernel half reads X
+and W only through each output's squared differences (row_sqdiffs: one
+array per distinct row array, so outputs that share their rows share
+it).  A collapsed fit computes them once and hands them to every build;
+a build without them computes them the same way.  gauss_loglik_grads
+returns the matrix-level gradients, and gradients._chain_convolved /
+_chain_independent contract them against the kernel half's blocks.
+
+The kernel half's n x n passes run in place where the result is the
+same bit for bit: kernels.sqdiff squares its differences in their own
+array, kernels' blocks turn the exponent into unit in place, and B_m is
+Kff_m less the Nystrom term in Kff_m's array before it is made
+symmetric.
 """
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
@@ -109,7 +125,7 @@ def _gemm(a, b):
     return dgemm(1.0, b_t, a_t, trans_a=trans_b, trans_b=trans_a).T
 
 
-def cho_inverse(cho):
+def cho_inverse(cho, overwrite=False):
     """The inverse of a symmetric positive-definite matrix from its Cholesky factor.
 
     cho is a (c, lower) pair as cho_factor and kernels.chol_jitter
@@ -117,11 +133,12 @@ def cho_inverse(cho):
     the factor in about a third of the flops of cho_solve(cho, eye(n));
     the other triangle of c still holds the factored matrix, so the
     result is mirrored from the computed triangle and is exactly
-    symmetric.
+    symmetric.  With overwrite, a Fortran-ordered c is turned into the
+    inverse in place, and the factor is lost.
     """
     c, lower = cho
     # an upper factor U (A = U'U) is the lower factor of A transposed
-    inv, info = dpotri(c if lower else c.T, lower=1)
+    inv, info = dpotri(c if lower else c.T, lower=1, overwrite_c=overwrite)
     if info:
         raise np.linalg.LinAlgError("dpotri failed (info = %d)" % info)
     # one block of columns at a time, so each transposed copy stays in cache
@@ -153,7 +170,7 @@ class KernelHalf:
     """
 
     rows: list  # per-output row-index arrays
-    ff_blocks: list  # per-output kernels.GaussBlock of Kff_m (or of the SE kernel)
+    ff_blocks: list  # per-output GaussBlock of Kff_m, K None (B_m took it), or of the SE kernel
     fu_blocks: list  # per-output kernels.GaussBlock of Kfu_m, or None (independent model)
     kuu_block: kernels.GaussBlock  # unjittered Kuu, or None
     Kuu: np.ndarray  # jittered, or None
@@ -175,63 +192,77 @@ class StackedSystem(KernelHalf):
 
     y_blocks: list  # per-output data vectors
     s_blocks: list  # per-output sqrt(w_m), the diagonal of S_m
-    cho_P: list  # cho_factor of P_m = I + S_m B_m S_m
-    A: np.ndarray  # Kuu + sum_m Kuf_m E_m^-1 Kfu_m
+    logdet_P: list  # log|P_m|, P_m = I + S_m B_m S_m
+    P_inv: list  # P_m^-1, formed in place of P_m's Cholesky factor
+    A: np.ndarray  # Kuu + sum_m M1_m
     cho_A: tuple
     alpha: list  # P_m^-1 S_m y_m
+    SKfu: list  # S_m Kfu_m
     V: list  # P_m^-1 S_m Kfu_m
+    M1: list  # Kuf_m E_m^-1 Kfu_m = (S_m Kfu_m)' V_m
     beta: np.ndarray  # sum_m Kuf_m E_m^-1 y_m
     c: np.ndarray  # A^-1 beta
 
 
-def _sqdiff_per_output(X, rows, X2=None, t2=None):
-    """sqdiff(X[r], X[r] or X2) per output; one array when outputs share their rows.
+class RowSqdiffs(NamedTuple):
+    """Each output's rows with their squared differences, fixed while X, W and the rows are.
 
-    The stacked selection lists one row array under every output, so its
-    squared differences are computed once per evaluation.  t2, if given,
-    is sqdiff(X, X or X2) over all rows of X, and each output's array is
-    taken from it: the same entries, C-ordered like sqdiff's, and t2
-    itself when the output selects every row in order.
+    One array serves consecutive outputs that share one row array.
     """
-    out = []
+
+    rows: list  # per-output row-index arrays
+    ff: list  # per-output kernels.sqdiff(X[r], X[r])
+    fu: list  # per-output kernels.sqdiff(X[r], W), or None without inducing inputs
+
+
+def row_sqdiffs(X, rows, W=None):
+    """RowSqdiffs over rows: what a kernel half needs of X and W.
+
+    The collapsed fit computes it once per fit (trainer.fit_cvb); a
+    system built without one computes it here, the same way.
+    """
+    ff, fu = [], []
     for m, r in enumerate(rows):
         if m and r is rows[m - 1]:
-            out.append(out[-1])
-        elif t2 is None:
-            Xr = X[r]
-            out.append(kernels.sqdiff(Xr, Xr if X2 is None else X2))
-        elif np.array_equal(r, np.arange(t2.shape[1])):
-            out.append(t2)
-        else:
-            t = np.take(t2, r, axis=1)
-            out.append(t if X2 is not None else np.take(t, r, axis=2))
-    return out
+            ff.append(ff[-1])
+            fu.append(fu[-1])
+            continue
+        Xr = X[r]
+        ff.append(kernels.sqdiff(Xr, Xr))
+        fu.append(None if W is None else kernels.sqdiff(Xr, W))
+    return RowSqdiffs(rows, ff, fu)
 
 
 def _kernel_half(X, hp, rows, t2):
     """The KernelHalf of build_system: every kernel block, Kuu's factor and each B_m."""
-    t2_xx, t2_xw = (None, None) if t2 is None else t2
-    t2_ff = _sqdiff_per_output(X, rows, t2=t2_xx)
     if isinstance(hp, IndependentSEHyperParams):
-        ff_blocks = [kernels.se_block(t2_m, out) for t2_m, out in zip(t2_ff, hp.outputs)]
+        if t2 is None:
+            t2 = row_sqdiffs(X, rows)
+        ff_blocks = [kernels.se_block(t2_m, out) for t2_m, out in zip(t2.ff, hp.outputs)]
         return KernelHalf(rows=rows, ff_blocks=ff_blocks, fu_blocks=None, kuu_block=None,
                           Kuu=None, cho_Kuu=None, B_blocks=[b.K for b in ff_blocks])
     if not isinstance(hp, HyperParams):
         raise TypeError("unsupported hyperparameter container: %r" % type(hp))
     W = hp.inducing.W
+    if t2 is None:
+        t2 = row_sqdiffs(X, rows, W)
     kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
     Kuu, cho_Kuu = kernels.jittered(kuu_block.K)
-    t2_fu = _sqdiff_per_output(X, rows, W, t2=t2_xw)
     ff_blocks = []
     fu_blocks = []
     B_blocks = []
-    for t2_m, t2_fu_m, out in zip(t2_ff, t2_fu, hp.outputs):
+    for t2_m, t2_fu_m, out in zip(t2.ff, t2.fu, hp.outputs):
         ff_m = kernels.kff_block(t2_m, out, hp.latent)
         fu_m = kernels.kfu_block(t2_fu_m, out, hp.latent)
         Kfu_m = fu_m.K
-        B_m = ff_m.K - _gemm(Kfu_m, cho_solve(cho_Kuu, Kfu_m.T))
-        B_blocks.append(0.5 * (B_m + B_m.T))
-        ff_blocks.append(ff_m)
+        # B_m = Kff_m - Kfu_m Kuu^-1 Kuf_m in Kff_m's array, then (B_m + B_m') / 2;
+        # Kff_m is not kept, since the chain reads only the block's t2 and unit
+        B_m = ff_m.K
+        B_m -= _gemm(Kfu_m, cho_solve(cho_Kuu, Kfu_m.T))
+        B_m = np.add(B_m, B_m.T)
+        B_m *= 0.5
+        B_blocks.append(B_m)
+        ff_blocks.append(ff_m._replace(K=None))
         fu_blocks.append(fu_m)
     return KernelHalf(rows=rows, ff_blocks=ff_blocks, fu_blocks=fu_blocks, kuu_block=kuu_block,
                       Kuu=Kuu, cho_Kuu=cho_Kuu, B_blocks=B_blocks)
@@ -249,44 +280,47 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
     kernel block, built once as a kernels.GaussBlock and kept for the
     gradient chain, the jittered Kuu with its factor and the residuals
     B_m; it depends on hp and the rows alone.  The noise half factors
-    P_m = I + S_m B_m S_m and A and solves for alpha, V, beta and c.
+    P_m = I + S_m B_m S_m, forms P_m^-1 from that factor once, and takes
+    alpha_m and V_m as products with it; it keeps S_m Kfu_m and
+    M1_m = (S_m Kfu_m)' V_m, whose sum over outputs is A - Kuu, for the
+    gradient, and factors A for beta and c.
     kernel, if given, is the kernel half of an earlier system (any
     StackedSystem) at the same hp and rows: it is reused as is, only the
     noise half is factored, and the result equals a fresh build bit for
-    bit.  Otherwise the kernel half is built, with t2, if given, being
-    (kernels.sqdiff(X, X), kernels.sqdiff(X, W) or None) over all rows of
-    X, from which each output's squared differences are taken.
+    bit.  Otherwise the kernel half is built from t2, row_sqdiffs(X, rows,
+    W) for these rows, which a caller that builds many systems over the
+    same rows computes once and passes in (None: computed here).
     """
     if kernel is None:
         kernel = _kernel_half(X, hp, rows, t2)
     y = np.asarray(y, dtype=float).ravel()
     y_blocks = [y[r] for r in rows]
+    M = len(rows)
     if kernel.has_inducing:
         A = kernel.Kuu.copy()
         beta = np.zeros(A.shape[0])
 
     s_blocks = [np.sqrt(w) for w in w_blocks]
-    cho_P = []
-    alpha = []
-    V = []
+    logdet_P, P_inv, alpha = [0.0] * M, [None] * M, [np.zeros(0)] * M
+    SKfu, V, M1 = [None] * M, [None] * M, [None] * M
     for m, B_m in enumerate(kernel.B_blocks):
         if B_m.shape[0] == 0:
-            cho_P.append(None)
-            alpha.append(np.zeros(0))
-            V.append(None)
             continue
         # P_m = I + S_m B_m S_m, factored in place; B_m itself stays the residual
         s_m = s_blocks[m]
         P_m = np.multiply(B_m, s_m, order="F")
         P_m *= s_m[:, None]
         P_m.flat[:: P_m.shape[0] + 1] += 1.0
-        cho_P.append(cho_factor(P_m, overwrite_a=True))
-        alpha.append(cho_solve(cho_P[m], s_m * y_blocks[m]))
+        cho_P = cho_factor(P_m, overwrite_a=True)
+        logdet_P[m] = _logdet_from_cho(cho_P)
+        P_inv[m] = cho_inverse(cho_P, overwrite=True)
+        alpha[m] = P_inv[m] @ (s_m * y_blocks[m])
         if kernel.has_inducing:
-            sk = s_m[:, None] * kernel.fu_blocks[m].K
-            V.append(cho_solve(cho_P[m], sk))
-            A += _gemm(sk.T, V[m])
-            beta += sk.T @ alpha[m]
+            SKfu[m] = s_m[:, None] * kernel.fu_blocks[m].K
+            V[m] = _gemm(P_inv[m], SKfu[m])
+            M1[m] = _gemm(SKfu[m].T, V[m])
+            A += M1[m]
+            beta += SKfu[m].T @ alpha[m]
 
     if kernel.has_inducing:
         A = 0.5 * (A + A.T)
@@ -295,17 +329,19 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
     else:
         A = cho_A = None
         beta = c = None
-        V = [None] * len(rows)
 
     return StackedSystem(
         **{f.name: getattr(kernel, f.name) for f in fields(KernelHalf)},
         y_blocks=y_blocks,
         s_blocks=s_blocks,
-        cho_P=cho_P,
+        logdet_P=logdet_P,
+        P_inv=P_inv,
         A=A,
         cho_A=cho_A,
         alpha=alpha,
+        SKfu=SKfu,
         V=V,
+        M1=M1,
         beta=beta,
         c=c,
     )
@@ -316,12 +352,14 @@ def posterior_moments(sys: StackedSystem):
 
     With K the prior covariance of the stacked f and Sigma = K + W^-1,
     these are K Sigma^-1 y and diag(K - K Sigma^-1 K), taken from the
-    system's factors without forming any matrix over all outputs' rows.
+    system's factors and P_m^-1 without forming any matrix over all
+    outputs' rows.
     Given u the outputs are independent, and u's posterior is
-    N(Kuu c, Kuu A^-1 Kuu).  So with X_m = Kfu_m - B_m S_m V_m and
-    T_m = L_P^-1 S_m B_m (L_P, L_A the Cholesky factors of P_m and A),
+    N(Kuu c, Kuu A^-1 Kuu).  So with X_m = Kfu_m - B_m S_m V_m and L_A
+    the Cholesky factor of A,
       mean_m = B_m S_m alpha_m + X_m c,
-      var_m = diag(B_m) - colsum(T_m^2) + rowsum((X_m L_A^-T)^2)
+      var_m = diag(B_m) - rowsum((B_m S_m P_m^-1) o (B_m S_m))
+              + rowsum((X_m L_A^-T)^2)
     (without inducing inputs the X_m terms drop); a row with w = 0 gets
     the moments the other rows imply.
     """
@@ -333,8 +371,7 @@ def posterior_moments(sys: StackedSystem):
             continue
         bs = B_m * sys.s_blocks[m]  # B_m S_m, the transpose of S_m B_m
         mean = bs @ sys.alpha[m]
-        t = dtrsm(1.0, sys.cho_P[m][0], bs.T, lower=1)
-        var = np.diag(B_m) - np.einsum("ij,ij->j", t, t)
+        var = np.diag(B_m) - np.einsum("ij,ij->i", _gemm(bs, sys.P_inv[m]), bs)
         if sys.has_inducing:
             x = sys.fu_blocks[m].K - _gemm(bs, sys.V[m])
             mean += x @ sys.c
@@ -359,7 +396,7 @@ def gauss_loglik(sys: StackedSystem):
     for m, yb in enumerate(sys.y_blocks):
         if len(yb) == 0:
             continue
-        logdet += _logdet_from_cho(sys.cho_P[m])
+        logdet += sys.logdet_P[m]
         quad += float((sys.s_blocks[m] * yb) @ sys.alpha[m])
     if sys.has_inducing:
         logdet += _logdet_from_cho(sys.cho_A) - _logdet_from_cho(sys.cho_Kuu)
@@ -388,8 +425,14 @@ def gauss_loglik_grads(sys: StackedSystem):
     """Matrix-level gradient of gauss_loglik for the current system.
 
     Each output's products run in P_m's scaled space: with
-    G = Sigma^-1 - Sigma^-1 y y' Sigma^-1, G_mm = S_m G~_m S_m, and
-    w o ((y - mean)^2 + var) = 1 - diag(G~_m).
+    G = Sigma^-1 - Sigma^-1 y y' Sigma^-1, G_mm = S_m G~_m S_m,
+    G~_m = P_m^-1 - [V_m A^-1, r_m] [V_m, r_m]' with r_m = alpha_m - V_m c,
+    and w o ((y - mean)^2 + var) = 1 - diag(G~_m).  G~_m starts from the
+    system's P_m^-1, which it does not modify.  The cross block needs
+    G~_m S_m Kfu_m - (G Kfu)_m, which is
+    V_m A^-1 (M1 - M1_m) - r_m (kr_m - kr)' with M1 = A - Kuu,
+    kr = Kuu c and kr_m = (S_m Kfu_m)' r_m, so no n_m x n_m matrix is
+    multiplied there.
     """
     M = len(sys.rows)
     if sys.has_inducing:
@@ -408,22 +451,24 @@ def gauss_loglik_grads(sys: StackedSystem):
             dlogw.append(np.zeros(0))
             dKfu.append(np.zeros((0, len(sys.c))) if sys.has_inducing else None)
             continue
-        G = cho_inverse(sys.cho_P[m])
         r = sys.alpha[m]  # the scaled residual S^-1 Sigma^-1 y
         if sys.has_inducing:
             Vm = sys.V[m]
             r = r - Vm @ sys.c
-            G -= _gemm(_gemm(Vm, Ainv), Vm.T)
-        G -= np.outer(r, r)
+            VAr = np.column_stack((_gemm(Vm, Ainv), r))  # [V_m A^-1, r]
+            G = _gemm(VAr, np.column_stack((Vm, r)).T)
+        else:
+            G = np.outer(r, r)
+        np.subtract(sys.P_inv[m], G, out=G)  # G~_m
         dlogw.append(0.5 * (np.diag(G) - 1.0))
         if sys.has_inducing:
-            sk = s_m[:, None] * sys.fu_blocks[m].K
-            M1_m = _gemm(sk.T, Vm)
-            kr_m = sk.T @ r
+            M1_m = sys.M1[m]
+            kr_m = sys.SKfu[m].T @ r
             KufGpKfu += M1_m - M1_m @ Ainv @ M1_m - np.outer(kr_m, kr_m)
-            # (G Kfu)_m and the residual-path correction +G_mm Kfu_m, scaled
-            GKfu_m = Vm - _gemm(Vm, Ainv @ M1) - np.outer(r, kr)
-            dKfu.append(_gemm(s_m[:, None] * (_gemm(G, sk) - GKfu_m), Kuu_inv))
+            # G~_m S_m Kfu_m - (G Kfu)_m = [V_m A^-1, r] [M1 - M1_m; (kr - kr_m)']
+            d = _gemm(VAr, np.vstack((M1 - M1_m, kr - kr_m)))
+            d *= s_m[:, None]
+            dKfu.append(_gemm(d, Kuu_inv))
         G *= -0.5 * s_m  # G_mm = S_m G~ S_m, after G~'s last read
         G *= s_m[:, None]
         dE.append(G)

@@ -20,8 +20,8 @@ dimension d.  Which function does what:
 * Building.  `sqdiff` gives t2; `kuu_block`, `kfu_block`, `kff_block`
   and `se_block` turn it into a `GaussBlock` (t2, unit, K).
   `engine.build_system` builds every block of an evaluation this way,
-  with t2 computed once per pair of input sets (or taken from the
-  caller's, which `trainer.fit_cvb` computes once per fit), and keeps
+  with t2 computed once per distinct row set (`engine.row_sqdiffs`), or
+  handed in by the caller, as `trainer.fit_cvb` does once per fit, and keeps
   the blocks on its system's kernel half, which the noise-only builds of
   a collapsed E-phase share; `gradients.elbo_svb_with_grad` does the
   same for its batch rows, and `svi` for its row tables.  The *_matrix
@@ -256,12 +256,17 @@ def sqdiff(X1, X2):
     The result is C-contiguous with the input dimension first, so each
     t2_d is a contiguous (n1, n2) slab.
     """
-    diff = _as_2d(X1)[:, None, :] - _as_2d(X2)[None, :, :]
-    return np.ascontiguousarray(np.moveaxis(diff * diff, -1, 0))
+    # broadcast straight into the (d, n1, n2) layout, then square in place
+    diff = np.subtract(_as_2d(X1).T[:, :, None], _as_2d(X2).T[:, None, :], order="C")
+    diff *= diff
+    return diff
 
 
 def _gauss_block(t2, w, amp):
-    unit = np.exp(-0.5 * np.einsum("dij,d->ij", t2, w))
+    # one exponent array turned into unit in place; K is the only other one
+    unit = np.einsum("dij,d->ij", t2, w)
+    unit *= -0.5
+    np.exp(unit, out=unit)
     return GaussBlock(t2, unit, amp * unit)
 
 

@@ -19,7 +19,7 @@ the one row selection, which is SCMGP's when there is no state.
 from dataclasses import dataclass
 
 import numpy as np
-from . import kernels
+from . import engine, kernels
 from .bounds import build_cvb_system
 from .kernels import IndependentSEHyperParams, cho_solve
 
@@ -51,7 +51,7 @@ def posterior_predict(ds, cfg, hp, state, x_star):
             # with E_m^-1 = S P^-1 S, in the scaled space of P
             ks = kernels.se_matrix(x_star, ds.X[sys.rows[m]], out) * sys.s_blocks[m]
             mean[m] = ks @ sys.alpha[m]
-            w = cho_solve(sys.cho_P[m], ks.T) if ks.shape[1] else np.zeros((0, n_star))
+            w = engine._gemm(sys.P_inv[m], ks.T) if ks.shape[1] else np.zeros((0, n_star))
             prior = out.amp**2
             var[m] = prior - np.sum(ks * w.T, axis=1) + hp.noise.sigma[m] ** 2
         return Prediction(x_star=x_star, mean=mean, var_diag=var)

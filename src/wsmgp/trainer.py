@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import bounds, gradients, kernels, svi
+from . import bounds, engine, gradients, kernels, svi
 from .bounds import NoLabeledDataError
 from .kernels import (
     HyperParams,
@@ -231,11 +231,20 @@ class ParamPack:
 
 
 def default_hyperparams(ds: Dataset, cfg: ModelConfig, kind="convolved"):
-    """Data-driven starting hyperparameters (no access to generating values)."""
+    """Data-driven starting hyperparameters (no access to generating values).
+
+    NonFiniteBoundError if the variance of y is not finite in float64,
+    since no starting scale, and hence no bound, would be.
+    """
     span = max(float(np.ptp(ds.X, axis=0).max()), 1e-3)
     ell = span / 8.0
     prec = 1.0 / ell**2
-    yvar = max(float(np.var(ds.y)), 1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        yvar = float(np.var(ds.y))
+    if not np.isfinite(yvar):
+        raise NonFiniteBoundError(
+            "the variance of y is not finite in float64 (%r); rescale y" % yvar)
+    yvar = max(yvar, 1e-6)
     sigma = np.full(cfg.M, 0.3 * np.sqrt(yvar))
     if kind == "independent":
         outs = [
@@ -313,13 +322,20 @@ def _m_phase(objective, x, box, options):
     point: after an abnormal line search scipy returns the best point
     with the previous iterate's res.fun.  built is what the last call
     built when that call was at the returned point, and None otherwise
-    (after an abnormal line search, for one).
+    (after an abnormal line search, for one).  A trial point whose
+    system is not numerically positive definite (LinAlgError, as at
+    amplitudes near 1e5 over noise near 1e-3) is infeasible: it reads as
+    +inf, so L-BFGS-B stops at its last good point instead of the fit
+    dying.
     """
     values = {}
     last = [None, None]
 
     def recorded(xh):
-        f, g, built = objective(xh)
+        try:
+            f, g, built = objective(xh)
+        except np.linalg.LinAlgError:
+            f, g, built = np.inf, np.zeros_like(xh), None
         last[:] = xh.tobytes(), built
         values[last[0]] = f
         return f, g
@@ -393,8 +409,9 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
     M-phase is _variational_em's L-BFGS-B on the hyperparameters and log
     alpha0 with pi held.  Restart r > 0 starts from jittered
     hyperparameters and its own seeded pi; the best final bound wins.
-    The squared differences sqdiff(X, X) and sqdiff(X, W) are computed
-    once for all restarts.
+    Each output's rows (bounds.cvb_rows) and their squared differences
+    (engine.row_sqdiffs) depend on the data and W alone, so they are
+    computed once for all restarts and handed to every build.
 
     With scmgp=True there is no assignment state: the exact
     fully-labeled sparse likelihood of the labeled rows is maximized
@@ -409,10 +426,10 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
     with_alpha0 = (cfg.use_dirichlet and opt_cfg.optimize_alpha0 and not scmgp
                    and ds.n_unlabeled > 0)
     tol = opt_cfg.tol_rel_bound
-    # X and W never move (restarts keep W), so their squared differences
-    # are taken once; SCMGP's selections read their rows of them
-    t2_xw = kernels.sqdiff(ds.X, hp0.inducing.W) if isinstance(hp0, HyperParams) else None
-    t2 = (kernels.sqdiff(ds.X, ds.X), t2_xw)
+    # X, W (restarts keep it) and each output's rows never move, so the
+    # rows and their squared differences are taken once for every build
+    W = hp0.inducing.W if isinstance(hp0, HyperParams) else None
+    t2 = engine.row_sqdiffs(ds.X, bounds.cvb_rows(ds, cfg, scmgp), W)
     best = None
     restart_bounds = []
     termination = []

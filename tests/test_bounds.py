@@ -14,6 +14,7 @@ from wsmgp.bounds import (
     assignment_log_weights,
     build_cvb_system,
     cvb_pi_step,
+    cvb_rows,
     cvb_selection,
     elbo_cvb,
     exact_marglik_oracle,
@@ -510,20 +511,25 @@ class TestHandOff:
     @pytest.mark.parametrize("scmgp", [False, True])
     @pytest.mark.parametrize("kind", ["convolved", "independent"])
     def test_system_from_the_fits_squared_differences_equals_a_fresh_build(self, kind, scmgp, d):
-        # an output that holds every row reads t2 itself, others (each
-        # output of SCMGP, and of WSMGP where one-hot priors rule rows out)
-        # their rows of it; without labels every output holds every row
+        # the fit's rows and squared differences, computed once, are read as
+        # they are: each output of SCMGP, and of WSMGP where one-hot priors
+        # rule rows out, has its own; without labels every output holds
+        # every row and the outputs share one array
         ds, cfg, hp, state = hand_off_instance(kind, "wsmgp", d=d)
         state = None if scmgp else state
-        t2_xw = None if kind == "independent" else kernels.sqdiff(ds.X, hp.inducing.W)
-        t2 = (kernels.sqdiff(ds.X, ds.X), t2_xw)
+        W = None if kind == "independent" else hp.inducing.W
         datasets = [ds] if scmgp else [ds, make_dataset(ds.X, ds.y, n_outputs=cfg.M)]
         for data in datasets:
+            t2 = engine.row_sqdiffs(data.X, cvb_rows(data, cfg, scmgp), W)
             got = build_cvb_system(data, cfg, hp, state, t2=t2)
             assert_systems_equal(got, build_cvb_system(data, cfg, hp, state))
+            assert got.rows is t2.rows
+            assert all(b.t2 is t2_m for b, t2_m in zip(got.ff_blocks, t2.ff))
+            if W is not None:
+                assert all(b.t2 is t2_m for b, t2_m in zip(got.fu_blocks, t2.fu))
             every = [len(r) == ds.n for r in got.rows]
-            assert [b.t2 is t2[0] for b in got.ff_blocks] == every
             assert all(every) == (data is not ds)
+            assert (t2.ff[0] is t2.ff[1]) == all(every)
 
 
 class TestOracle:

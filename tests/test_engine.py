@@ -1,14 +1,14 @@
 """engine._gemm, the scipy-BLAS matrix product, against numpy's matmul, and
-the factored blocks of engine.build_system."""
+the factored blocks and explicit inverses of engine.build_system."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from wsmgp import engine, kernels
-from wsmgp.bounds import build_cvb_system
+from wsmgp import engine, gradients, kernels
+from wsmgp.bounds import build_cvb_system, cvb_selection
 from wsmgp.checks import random_instance
 
 
@@ -71,8 +71,8 @@ def test_vector_shaped_result_within_a_few_ulp(shapes, layout_a, layout_b):
 
 
 def test_build_system_factors_residual_plus_noise():
-    # in precision form: P_m = I + S_m B_m S_m is what gets factored, with
-    # S_m = diag(sqrt(w_m)); B_blocks keeps the residual
+    # in precision form: P_m = I + S_m B_m S_m is what gets factored and
+    # inverted, with S_m = diag(sqrt(w_m)); B_blocks keeps the residual
     ds, cfg, hp, state = random_instance(3, n=25, M=2, Q=6)
     sys = build_cvb_system(ds, cfg, hp, state)
     for m, out in enumerate(hp.outputs):
@@ -86,8 +86,9 @@ def test_build_system_factors_residual_plus_noise():
         np.testing.assert_array_equal(s_m, np.sqrt(state.pi_hat[sys.rows[m], m]
                                                    / hp.noise.sigma[m] ** 2))
         P_m = sys.B_blocks[m] * s_m * s_m[:, None] + np.eye(len(s_m))
-        expect = cho_factor(P_m, lower=True)[0]
-        np.testing.assert_array_equal(sys.cho_P[m][0], expect)
+        cho = cho_factor(P_m, lower=True)
+        assert sys.logdet_P[m] == 2.0 * np.sum(np.log(np.diag(cho[0])))
+        np.testing.assert_array_equal(sys.P_inv[m], engine.cho_inverse(cho))
 
 
 def _spd(n, seed):
@@ -165,3 +166,158 @@ class TestFactorGuards:
         monkeypatch.setattr(kernels, "jittered", spoiled)
         with pytest.raises(error, match="infs or NaNs|leading minor of the array is not"):
             engine.build_system(ds.X, ds.y, hp, rows, w_blocks)
+
+
+class TestExplicitInverse:
+    """The noise half reads one P_m^-1 per output, against a dense reference.
+
+    The reference is the stacked Gaussian over the rows with w > 0,
+    Sigma = Kfu Kuu^-1 Kuf + bdiag(B_m) + W^-1, written out densely and
+    solved with numpy.  The instances are well conditioned
+    (cond(A) <= 1e4), so everything agrees to 1e-12 of its largest entry;
+    each has rows with w = 0 and labeled rows outside an output's rows.
+    """
+
+    SEEDS = [0, 8]
+
+    @staticmethod
+    def _instance(seed):
+        ds, cfg, hp, state = random_instance(seed, n=30, M=2, Q=4)
+        sys = build_cvb_system(ds, cfg, hp, state)
+        assert np.linalg.cond(sys.A) <= 1e4
+        assert any(np.any(s_m == 0.0) for s_m in sys.s_blocks)
+        assert any(len(r) < ds.n for r in sys.rows)
+        return sys
+
+    @staticmethod
+    def _dense(sys):
+        """(blocks, Kfu, Kuu^-1, K, w, y, pos, dSigma, mean, var, loglik) over all selected rows."""
+        start = np.cumsum([0] + [len(r) for r in sys.rows])
+        blocks = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
+        Kfu = np.vstack([b.K for b in sys.fu_blocks])
+        Kuu_inv = np.linalg.inv(sys.Kuu)
+        K = Kfu @ Kuu_inv @ Kfu.T
+        for blk, B_m in zip(blocks, sys.B_blocks):
+            K[blk, blk] += B_m
+        w = np.concatenate(sys.s_blocks) ** 2
+        y = np.concatenate(sys.y_blocks)
+        pos = w > 0
+        Sigma = K[np.ix_(pos, pos)] + np.diag(1.0 / w[pos])
+        Si = np.linalg.inv(Sigma)
+        a = Si @ y[pos]
+        dSigma = np.zeros_like(K)
+        dSigma[np.ix_(pos, pos)] = 0.5 * (np.outer(a, a) - Si)
+        mean = K[:, pos] @ a
+        var = np.diag(K) - np.einsum("ij,ij->i", K[:, pos] @ Si, K[:, pos])
+        _, logdet = np.linalg.slogdet(Sigma)
+        # without the noise normaliser, as gauss_loglik
+        loglik = -0.5 * (logdet + y[pos] @ a + np.sum(np.log(w[pos])))
+        return blocks, Kfu, Kuu_inv, K, w, y, pos, dSigma, mean, var, loglik
+
+    @staticmethod
+    def _close(got, ref, name, scale=None):
+        """got within 1e-12 of scale, by default ref's largest entry."""
+        scale = np.abs(ref).max() if scale is None else scale
+        err = np.abs(np.asarray(got) - ref).max()
+        assert err <= 1e-12 * scale, "%s: %.3g of %.3g" % (name, err, scale)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_solves_and_moments(self, seed):
+        sys = self._instance(seed)
+        blocks, Kfu, _, K, w, y, pos, _, mean, var, loglik = self._dense(sys)
+        assert engine.gauss_loglik(sys) == pytest.approx(loglik, rel=1e-12)
+        means, variances = engine.posterior_moments(sys)
+        for m, blk in enumerate(blocks):
+            # alpha_m = P_m^-1 S_m y_m and V_m = P_m^-1 S_m Kfu_m: S_m^-1 E_m^-1 (y_m, Kfu_m)
+            # on the rows with w > 0, 0 on the others, with E_m = B_m + W_m^-1
+            p, s_m = pos[blk], sys.s_blocks[m]
+            E = sys.B_blocks[m][np.ix_(p, p)] + np.diag(1.0 / w[blk][p])
+            alpha, V = np.zeros(len(s_m)), np.zeros((len(s_m), Kfu.shape[1]))
+            alpha[p] = np.linalg.solve(E, y[blk][p]) / s_m[p]
+            V[p] = np.linalg.solve(E, Kfu[blk][p]) / s_m[p, None]
+            self._close(sys.alpha[m], alpha, "alpha")
+            self._close(sys.V[m], V, "V")
+            P = np.eye(len(s_m)) + s_m[:, None] * sys.B_blocks[m] * s_m
+            self._close(sys.P_inv[m], np.linalg.inv(P), "P_inv")
+            assert sys.logdet_P[m] == pytest.approx(np.linalg.slogdet(P)[1], rel=1e-12)
+            self._close(sys.M1[m], (s_m[:, None] * Kfu[blk]).T @ V, "M1")
+            self._close(means[m], mean[blk], "mean")
+            # the variance is the prior variance less a term of its own size
+            self._close(variances[m], var[blk], "var", scale=np.diag(K).max())
+        self._close(sys.A - sys.Kuu, sum(sys.M1), "A - Kuu")
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matrix_grads(self, seed):
+        sys = self._instance(seed)
+        blocks, Kfu, Kuu_inv, _, w, y, _, dSigma, mean, var, _ = self._dense(sys)
+        mg = engine.gauss_loglik_grads(sys)
+        G = -2.0 * dSigma  # Sigma^-1 - Sigma^-1 y y' Sigma^-1, 0 on the rows with w = 0
+        Ainv = np.linalg.inv(sys.A)
+        kr = sys.Kuu @ sys.c
+        M1 = sys.A - sys.Kuu
+        partial = np.zeros_like(sys.Kuu)
+        for m, blk in enumerate(blocks):
+            s_m = sys.s_blocks[m]
+            self._close(mg.dE_blocks[m], dSigma[blk, blk], "dE")
+            # the total derivative w.r.t. Kfu_m, the residual path of B_m included
+            ref = 2.0 * (dSigma[blk] @ Kfu - dSigma[blk, blk] @ Kfu[blk]) @ Kuu_inv
+            self._close(mg.dKfu_blocks[m], ref, "dKfu")
+            # the identity the engine uses in place of an n_m x n_m product:
+            # S_m [V_m A^-1 (M1 - M1_m) - r_m (kr_m - kr)'] = G_mm Kfu_m - (G Kfu)_m
+            r = sys.alpha[m] - sys.V[m] @ sys.c
+            kr_m = (s_m[:, None] * Kfu[blk]).T @ r
+            lhs = s_m[:, None] * (sys.V[m] @ Ainv @ (M1 - sys.M1[m]) - np.outer(r, kr_m - kr))
+            self._close(lhs, G[blk, blk] @ Kfu[blk] - G[blk] @ Kfu, "dKfu identity")
+            self._close(mg.dlogw_blocks[m], -0.5 * w[blk] * ((y[blk] - mean[blk]) ** 2 + var[blk]),
+                        "dlogw")
+            partial += Kfu[blk].T @ dSigma[blk, blk] @ Kfu[blk]
+        self._close(mg.dKuu, -Kuu_inv @ (Kfu.T @ dSigma @ Kfu - partial) @ Kuu_inv, "dKuu")
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_handed_squared_differences_give_a_fresh_kernel_half(self, shared):
+        ds, cfg, hp, state = random_instance(5, n=30, M=2, Q=5, d=2)
+        rows, w_blocks = cvb_selection(ds, cfg, hp, state)
+        if shared:
+            rows = [np.arange(ds.n)] * cfg.M
+            w_blocks = [np.full(ds.n, 4.0)] * cfg.M
+        t2 = engine.row_sqdiffs(ds.X, rows, hp.inducing.W)
+        assert (t2.ff[0] is t2.ff[1]) == shared
+        got = engine.build_system(ds.X, ds.y, hp, rows, w_blocks, t2=t2)
+        ref = engine.build_system(ds.X, ds.y, hp, rows, w_blocks)
+        for f in fields(engine.StackedSystem):
+            a, b = getattr(got, f.name), getattr(ref, f.name)
+            if isinstance(b, list) and b and isinstance(b[0], kernels.GaussBlock):
+                a, b = [tuple(x) for x in a], [tuple(x) for x in b]
+            for x, z in zip(*(np.atleast_1d(np.asarray(v, dtype=object)).ravel()
+                              for v in (a, b))):
+                if isinstance(z, np.ndarray):
+                    np.testing.assert_array_equal(x, z, err_msg=f.name)
+                else:
+                    assert x == z or (x is None and z is None), f.name
+
+    def test_one_factor_and_one_inverse_per_output(self, monkeypatch):
+        # the gradient reads the inverse the build formed: each P_m is factored
+        # once and that factor is inverted once, in place
+        ds, cfg, hp, state = random_instance(8, n=30, M=2, Q=4)
+        rows = cvb_selection(ds, cfg, hp, state)[0]
+        sizes = {len(r) for r in rows}
+        assert cfg.Q not in sizes
+        factored, inverted = [], []
+        cho_factor_, cho_inverse_ = engine.cho_factor, engine.cho_inverse
+
+        def spy_factor(a, *args, **kwargs):
+            cho = cho_factor_(a, *args, **kwargs)
+            if cho[0].shape[0] in sizes:
+                factored.append(cho[0])
+            return cho
+
+        def spy_inverse(cho, *args, **kwargs):
+            if cho[0].shape[0] in sizes:
+                inverted.append(cho[0])
+            return cho_inverse_(cho, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "cho_factor", spy_factor)
+        monkeypatch.setattr(engine, "cho_inverse", spy_inverse)
+        gradients.elbo_cvb_with_grad(ds, cfg, hp, state)
+        assert len(factored) == cfg.M and len(inverted) == cfg.M
+        assert all(f is i for f, i in zip(factored, inverted))

@@ -461,8 +461,11 @@ class TestBlocks:
         assert all(b.t2 is sys.ff_blocks[0].t2 for b in sys.ff_blocks)
         assert all(b.t2 is sys.fu_blocks[0].t2 for b in sys.fu_blocks)
         for m, out in enumerate(hp.outputs):
-            np.testing.assert_array_equal(
-                sys.ff_blocks[m].K, kernels.kff_matrix(X, X, out, out, hp.latent))
-            np.testing.assert_array_equal(
-                sys.fu_blocks[m].K, kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent))
+            # Kff_m itself is not kept: B_m is formed from it in its array
+            Kfu = kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent)
+            resid = (kernels.kff_matrix(X, X, out, out, hp.latent)
+                     - engine._gemm(Kfu, kernels.cho_solve(sys.cho_Kuu, Kfu.T)))
+            assert sys.ff_blocks[m].K is None
+            np.testing.assert_array_equal(sys.B_blocks[m], 0.5 * (resid + resid.T))
+            np.testing.assert_array_equal(sys.fu_blocks[m].K, Kfu)
         np.testing.assert_array_equal(sys.kuu_block.K, kernels.kuu_matrix(hp.inducing.W, hp.latent))

@@ -172,6 +172,18 @@ class TestMPhaseHandOff:
         assert built is None
         assert bound == -3.0
 
+    def test_a_trial_point_that_is_not_positive_definite_ends_the_phase(self):
+        # beyond 0.5 the objective's factorization fails: the M-phase keeps
+        # its last good point and its bound, and the fit goes on
+        def objective(x):
+            if np.any(x > 0.5):
+                raise np.linalg.LinAlgError("the leading minor is not positive definite")
+            return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0), x.copy()
+
+        x, bound, term, n, built = trainer._m_phase(objective, np.zeros(3), None, {"maxiter": 5})
+        assert np.all(x <= 0.5) and bound == -float(np.sum((x - 1.0) ** 2))
+        assert n == term["nfev"] >= 2
+
     def test_fit_equals_one_with_nothing_handed_on(self, monkeypatch):
         # each E-phase's first pi step then builds its own system and the
         # later steps their own kernel halves; the fit must not change a bit
