@@ -284,16 +284,20 @@ class TestExplicitInverse:
         assert (t2.ff[0] is t2.ff[1]) == shared
         got = engine.build_system(ds.X, ds.y, hp, rows, w_blocks, t2=t2)
         ref = engine.build_system(ds.X, ds.y, hp, rows, w_blocks)
+
+        def same(a, b, name):
+            if isinstance(b, (list, tuple)):  # GaussBlock and cho_Kuu included
+                assert type(a) is type(b) and len(a) == len(b), name
+                for x, z in zip(a, b):
+                    same(x, z, name)
+            elif isinstance(b, np.ndarray):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+            else:
+                assert a == b, name
+
         for f in fields(engine.StackedSystem):
-            a, b = getattr(got, f.name), getattr(ref, f.name)
-            if isinstance(b, list) and b and isinstance(b[0], kernels.GaussBlock):
-                a, b = [tuple(x) for x in a], [tuple(x) for x in b]
-            for x, z in zip(*(np.atleast_1d(np.asarray(v, dtype=object)).ravel()
-                              for v in (a, b))):
-                if isinstance(z, np.ndarray):
-                    np.testing.assert_array_equal(x, z, err_msg=f.name)
-                else:
-                    assert x == z or (x is None and z is None), f.name
+            same(getattr(got, f.name), getattr(ref, f.name), f.name)
+        assert all(b.t2 is t2_m for b, t2_m in zip(got.ff_blocks, t2.ff))
 
     def test_one_factor_and_one_inverse_per_output(self, monkeypatch):
         # the gradient reads the inverse the build formed: each P_m is factored
