@@ -16,9 +16,12 @@ V's last term sum to -1/2 pi_hat log 2 pi sigma_m^2 per pair (n, m); V
 carries that sum (vterm_rows, with 0 log 0 = 0), so a pair at pi_hat = 0
 adds nothing.  With the Dirichlet parameter at its analytic optimum
 alpha0 + pi_hat, the unlabeled KL reduces to the closed form
-sum pi log pi - log[B(alpha0 + pi) / B(alpha0 * 1)] per row, evaluated
-through log-gamma.  Removing the Dirichlet prior replaces it with the
-plain categorical KL against a fixed uniform prior.
+sum pi log pi - log[B(alpha0 + pi) / B(alpha0 * 1)] per row.  A row
+sums to 1, so the log ratio is sum_m log poch(alpha0, pi_m) - log(M
+alpha0), with poch(a, x) = Gamma(a + x) / Gamma(a): a difference of
+log-gammas near 1.3e7 would lose 3e-9 nats a row at alpha0 = 1e6.
+Removing the Dirichlet prior replaces it with the plain categorical KL
+against a fixed uniform prior.
 
 One function, cvb_rows, says which rows sit under which output, and
 cvb_selection adds their precision weights, for the bound and for the
@@ -32,7 +35,7 @@ collapsed posterior at all N rows (cvb_pi_step).
 """
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp, xlogy
+from scipy.special import digamma, logsumexp, poch, xlogy
 
 from . import engine, kernels
 from .model import Dataset, ModelConfig, VariationalState
@@ -62,11 +65,6 @@ def _sum_last(x):
     return out
 
 
-def _log_beta(a):
-    """Multivariate Beta through log-gamma; a is (..., M)."""
-    return _sum_last(gammaln(a)) - gammaln(_sum_last(a))
-
-
 def select_rows(state: VariationalState, ds: Dataset, rows=None):
     """(pi_hat, labeled mask, prior) restricted to `rows`; all rows when None.
 
@@ -92,8 +90,9 @@ def vterm_rows(state: VariationalState, ds: Dataset, cfg: ModelConfig, noise, ro
     # prior is NaN on unlabeled rows, which take the other branch
     kl_labeled = ent - _sum_last(xlogy(pi, prior))
     if cfg.use_dirichlet:
-        lb_ref = _log_beta(np.full(cfg.M, cfg.alpha0))
-        kl_unlabeled = ent - (_log_beta(cfg.alpha0 + pi) - lb_ref)
+        # log[B(alpha0 + pi) / B(alpha0 * 1)] = sum_m log poch(alpha0, pi_m) - log(M alpha0)
+        log_ratio = _sum_last(np.log(poch(cfg.alpha0, pi))) - np.log(cfg.alpha0)
+        kl_unlabeled = ent - log_ratio + np.log(cfg.M)
     else:
         kl_unlabeled = ent + np.log(cfg.M)
     return norm - np.where(labeled, kl_labeled, kl_unlabeled)
@@ -230,9 +229,9 @@ def cvb_pi_step(ds, cfg, hp, state, sys=None):
     each output's rows (engine.posterior_moments, 0 elsewhere, where the
     prior keeps the entry at 0), from which assignment_rows takes every
     row to its optimum.  sys is build_cvb_system's system at hp and state
-    if the caller has it, such as the one the M-phase's last evaluation
-    built, or one whose noise half alone was factored on an earlier
-    step's kernel half; otherwise it is built here.  It is only read, so
+    if the caller has it, such as the one a fit's evaluation built at
+    hp, or one whose noise half alone was factored on an earlier step's
+    kernel half; otherwise it is built here.  It is only read, so
     the step equals one on a fresh build bit for bit.  state.pi_hat is
     overwritten.
     """

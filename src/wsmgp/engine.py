@@ -77,15 +77,15 @@ and the Nystrom residuals B_m.  The noise half holds log|P_m|, P_m^-1,
 alpha, S_m Kfu_m, V, M1_m = (S_m Kfu_m)' V_m, A with its factor, beta
 and c.  build_system builds both, or, given the kernel half of an
 earlier system at the same hyperparameters, only the noise half: the
-collapsed fit's pi steps move the weights alone, so each E-phase shares
-one kernel half, and its first step reads the system the M-phase's last
-evaluation built at the same point (trainer).  The kernel half reads X
-and W only through each output's squared differences (row_sqdiffs: one
-array per distinct row array, so outputs that share their rows share
-it).  A collapsed fit computes them once and hands them to every build;
-a build without them computes them the same way.  gauss_loglik_grads
-returns the matrix-level gradients, and gradients._chain_convolved /
-_chain_independent contract them against the kernel half's blocks.
+collapsed fit's pi steps move the weights alone, so the steps of one
+evaluation share the kernel half of the system it built (trainer).  The
+kernel half reads X and W only through each output's squared differences
+(row_sqdiffs: one array per distinct row array, so outputs that share
+their rows share it).  A collapsed fit computes them once and hands them
+to every build; a build without them computes them the same way.
+gauss_loglik_grads returns the matrix-level gradients, and
+gradients._chain_convolved / _chain_independent contract them against
+the kernel half's blocks.
 
 The kernel half's n x n passes run in place where the result is the
 same bit for bit: kernels.sqdiff squares its differences in their own
@@ -166,7 +166,7 @@ def _as_fortran_operand(x):
 class KernelHalf:
     """The part of a stacked system that the hyperparameters and the selection alone fix.
 
-    pi does not enter it, so every pi step of an E-phase shares one.
+    pi does not enter it, so the pi steps of one evaluation share one.
     """
 
     rows: list  # per-output row-index arrays

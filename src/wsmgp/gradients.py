@@ -1,12 +1,12 @@
 """Analytic gradients of both bounds, with a finite-difference harness.
 
 Gradients cover the hyperparameters only, in the unconstrained
-coordinates the M-phase works in: log noise, log precisions, log alpha0
+coordinates L-BFGS-B works in: log noise, log precisions, log alpha0
 and free amplitudes.  Both fits move the variational factors by
-closed-form steps (trainer's E-phases), so no gradient of pi or q(u) is
-needed.  Matrix-level derivatives of the Gaussian term come from the
-shared engine; this module chains them to the kernel hyperparameters
-and adds V's sigma and alpha0 partials (vterm_partials).
+closed-form steps (trainer), so no gradient of pi or q(u) is needed.
+Matrix-level derivatives of the Gaussian term come from the shared
+engine; this module chains them to the kernel hyperparameters and adds
+V's sigma and alpha0 partials (vterm_partials).
 
 The collapsed bound and the SCMGP likelihood share one gradient body
 (_gauss_term_with_grad, over bounds.build_cvb_system's one selection);
@@ -83,9 +83,8 @@ def vterm_partials(state, ds: Dataset, cfg: ModelConfig, rows=None):
     pi, labeled, _ = select_rows(state, ds, rows)
     d_alpha0 = 0.0
     if cfg.use_dirichlet and np.any(~labeled):
-        a0, M, n_u = cfg.alpha0, pi.shape[1], np.sum(~labeled)
-        d_alpha0 = float(np.sum(digamma(a0 + pi[~labeled]))
-                         - n_u * M * (digamma(M * a0 + 1.0) + digamma(a0) - digamma(M * a0)))
+        a0, n_u = cfg.alpha0, np.sum(~labeled)
+        d_alpha0 = float(np.sum(digamma(a0 + pi[~labeled]) - digamma(a0)) - n_u / a0)
     # V's noise term, -0.5 * sum pi log(2 pi sigma^2)
     return d_alpha0, -np.sum(pi, axis=0)
 

@@ -23,8 +23,8 @@ dimension d.  Which function does what:
   with t2 computed once per distinct row set (`engine.row_sqdiffs`), or
   handed in by the caller, as `trainer.fit_cvb` does once per fit, and keeps
   the blocks on its system's kernel half, which the noise-only builds of
-  a collapsed E-phase share; `gradients.elbo_svb_with_grad` does the
-  same for its batch rows, and `svi` for its row tables.  The *_matrix
+  a collapsed evaluation's pi steps share; `gradients.elbo_svb_with_grad`
+  does the same for its batch rows, and `svi` for its row tables.  The *_matrix
   builders return the K of a block, for callers that need nothing else
   (prediction, the synthetic generator, the dense oracles).
 * Differentiating.  `kuu_coeffs`, `kfu_coeffs`, `kff_coeffs` and

@@ -1,47 +1,33 @@
-"""Both fits: one variational-EM driver with one E-phase per bound.
+"""Both fits: L-BFGS-B on the hyperparameters, closed-form steps for the factors.
 
-_variational_em alternates two phases and keeps one bound trajectory,
-one scipy termination record per M-phase and one evaluation count:
-  * E-phase: the variational factors move by closed-form coordinate
-    steps at fixed hyperparameters.  The assignment probabilities go to
-    their optimum given q(f)'s moments at the rows, by the one step both
-    bounds share (bounds.assignment_rows; one mean-field sweep where the
-    Dirichlet prior couples a row to its q(Pi_n)), so no step lowers the
-    bound.
-      - Collapsed bound (fit_cvb): full-batch pi steps
-        (bounds.cvb_pi_step).  Each step's system gives the bound that
-        enters the trajectory and, from its factors, the posterior
-        moments of f at all N rows (engine.posterior_moments).  The
-        hyperparameters do not move, so the steps share one kernel half
-        (engine.KernelHalf): the first step reads the system the
-        M-phase's last evaluation built at the same point, and every
-        later step factors only its noise half.
-      - Stochastic bound (fit_svb_em): q(u) starts at its closed form,
-        then mini-batch steps of stochastic variational inference on
-        q(pi) and q(u) (svi.batch_step) share one set of row tables and
-        Kuu^-1; q(u)'s natural parameters move a step rho = |batch| / N
-        toward the batch estimate of their optimum.  All three come from
-        the M-phase's last evaluation at the same point.
-  * M-phase (_m_phase): L-BFGS-B on the hyperparameter block alone
-    (ParamPack: log precisions, free amplitudes, log noise and log
-    alpha0) with pi held, for at most em_inner_hyp_iters iterations;
-    each evaluation is gradients.elbo_cvb_with_grad on the system
-    bounds.build_cvb_system built, or gradients.elbo_svb_with_grad with
-    q(u) at its optimum for the evaluated hyperparameters.
-The hand-off between the phases is explicit: an objective returns what
-it built next to the bound and gradient, the M-phase keeps what its
-last call built when that call was at the returned point, and the next
-E-phase starts from it (round 0 from the start's evaluation).  Without
-it (after an abnormal line search) the E-phase builds its own, with the
-same results bit for bit.
-SCMGP has no assignment state: fit_cvb runs one M-phase on its
-likelihood instead.  The collapsed fit stops once a round changes the
-bound by less than tol_rel_bound relative; the stochastic fit runs
-every round.  X and W never move, so each fit computes the squared
+Each fit moves its hyperparameter block (ParamPack: log precisions,
+free amplitudes, log noise and log alpha0) by L-BFGS-B (_m_phase) and
+its variational factors by closed-form coordinate steps at fixed
+hyperparameters.  The assignment probabilities go to their optimum given
+q(f)'s moments at the rows, by the one step both bounds share
+(bounds.assignment_rows; one mean-field sweep where the Dirichlet prior
+couples a row to its q(Pi_n)), so no step lowers the bound.
+  * Collapsed bound (fit_cvb): pi is profiled out of one L-BFGS-B run.
+    Each evaluation at the hyperparameters theta takes full-batch pi
+    steps (bounds.cvb_pi_step) from the pi the previous one left, and
+    returns gradients.elbo_cvb_with_grad at the pi reached.  That pi
+    maximises the bound at theta, so by the envelope theorem the
+    gradient with pi held is the gradient of L*(theta) = max_pi
+    L(theta, pi).  SCMGP has no assignment state: the same run
+    maximises the labeled rows' likelihood.
+  * Stochastic bound (fit_svb_em): variational EM.  Each round's E-phase
+    takes mini-batch steps of stochastic variational inference on q(pi)
+    and q(u) (svi.batch_step) at fixed theta, and its M-phase runs
+    L-BFGS-B with pi held and q(u) at its optimum for each evaluated
+    theta (gradients.elbo_svb_with_grad).
+An objective returns what it built next to the bound and gradient, and
+_m_phase hands on what its last call built when that call was at the
+returned point.  X and W never move, so each fit computes the squared
 differences it needs between them once.
 """
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -86,7 +72,9 @@ class FitReport:
     """Outcome of one fit (best restart).
 
     termination holds scipy's stopping record (message, nit, nfev,
-    success) of every M-phase, over all restarts.
+    success) of every L-BFGS-B run, over all restarts: fit_cvb's two per
+    WSMGP restart (round 0 and the profiled run) and one per SCMGP
+    restart, and one per round of fit_svb_em.
     """
 
     bound_trajectory: list
@@ -292,7 +280,7 @@ def _jitter_hp(hp, rng, amount=0.3):
 
 
 # ---------------------------------------------------------------------------
-# the variational-EM driver
+# L-BFGS-B on the hyperparameter block
 # ---------------------------------------------------------------------------
 
 
@@ -347,77 +335,40 @@ def _m_phase(objective, x, box, options):
     return res.x, -float(values[key]), _termination(res), int(res.nfev), built
 
 
-def _variational_em(x, e_phase, objective, box, opt_cfg, tol=0.0):
-    """Alternate E-phases with L-BFGS-B M-phases on the hyperparameter block x.
-
-    objective(x) -> (-bound, -gradient, built) returns, as its third
-    item, what the evaluation built at x that an E-phase at x can start
-    from.  The trajectory starts at the bound at x (_bound_at_start).
-    Round k calls e_phase(k, x, traj, built), with built what the
-    objective built at x (by the start's call in round 0, by the last
-    M-phase's call at its returned point after that, or None, see
-    _m_phase); it moves the variational factors at x, appends any bound
-    it measures to the trajectory and returns its evaluation count.
-    Then an M-phase (_m_phase, at most em_inner_hyp_iters iterations)
-    runs on objective, and the bound it ends at is appended.  The driver
-    stops after em_outer_iters rounds, or after a round that changed the
-    bound by less than tol relative.  Returns (x, trajectory, the
-    termination record of every M-phase, evaluations, converged, built
-    at x): evaluations counts the start, the E-phases' and every
-    objective call, and converged says the last round changed the bound
-    by less than max(tol_rel_bound, 1e-6) relative.
-    """
-    bound, built = _bound_at_start(objective, x)
-    traj = [bound]
-    termination = []
-    evaluations = 1
-    rel_change = np.inf
-    for k in range(opt_cfg.em_outer_iters):
-        before = traj[-1]
-        evaluations += e_phase(k, x, traj, built)
-        x, bound, term, calls, built = _m_phase(objective, x, box,
-                                                {"maxiter": opt_cfg.em_inner_hyp_iters})
-        traj.append(bound)
-        termination.append(term)
-        evaluations += calls
-        rel_change = abs(bound - before) / max(1.0, abs(bound))
-        if rel_change < tol:
-            break
-    converged = rel_change < max(opt_cfg.tol_rel_bound, 1e-6)
-    return x, traj, termination, evaluations, converged, built
-
-
 # ---------------------------------------------------------------------------
 # collapsed-bound fit
 # ---------------------------------------------------------------------------
 
 
 def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
-    """Maximize the collapsed bound by variational EM from seeded restarts.
+    """Maximize the collapsed bound over the hyperparameters and pi from seeded restarts.
 
-    Each round after the first starts with an E-phase of up to
-    em_inner_stat_iters full-batch pi steps (bounds.cvb_pi_step), which
-    stops early once a step raised the bound by less than tol_rel_bound
-    relative; the first round's M-phase fits the start's pi before any
-    step, since steps taken at the default hyperparameters can lock rows
-    into a poor assignment.  Each step's bound enters the trajectory and
-    counts as an evaluation.  The first step of a round reads the system
-    the M-phase's last evaluation built at the round's hyperparameters,
-    and each later one factors only the noise half of its system against
-    that system's kernel half, so a step builds no kernel block; the
-    results are those of a fresh build per step, bit for bit.  The
-    M-phase is _variational_em's L-BFGS-B on the hyperparameters and log
-    alpha0 with pi held.  Restart r > 0 starts from jittered
-    hyperparameters and its own seeded pi; the best final bound wins.
-    Each output's rows (bounds.cvb_rows) and their squared differences
-    (engine.row_sqdiffs) depend on the data and W alone, so they are
-    computed once for all restarts and handed to every build.
+    Each restart is one L-BFGS-B run (_m_phase) on the hyperparameters
+    and log alpha0, of at most em_outer_iters * em_inner_hyp_iters
+    iterations, that stops on a relative change of tol_rel_bound.  pi is
+    profiled out: each evaluation takes up to em_inner_stat_iters
+    full-batch pi steps (bounds.cvb_pi_step) from the pi the previous one
+    left, until a step raised the bound by less than tol_rel_bound
+    relative, and returns the bound and its gradient at the pi reached.
+    The steps share the evaluation's kernel half: each factors only the
+    noise half of its system.  An evaluation whose system is not
+    numerically positive definite leaves pi where it found it.  Round 0,
+    before the run, fits the start's pi held for at most
+    em_inner_hyp_iters iterations: steps taken at the default
+    hyperparameters can lock rows into a poor assignment.  The run's
+    objective depends on the pi earlier calls left, so if its last call
+    was not at the returned point, one more there steps pi at it.
+
+    The trajectory holds the start's bound and each run's final one;
+    evaluations count every objective call and every pi step.  Restart
+    r > 0 starts from jittered hyperparameters and its own seeded pi;
+    the best final bound wins.  Each output's rows (bounds.cvb_rows) and
+    their squared differences (engine.row_sqdiffs) depend on the data
+    and W alone, so they are computed once and handed to every build.
 
     With scmgp=True there is no assignment state: the exact
     fully-labeled sparse likelihood of the labeled rows is maximized
-    instead (same engine, no V term) by one L-BFGS-B run of at most
-    em_outer_iters * em_inner_hyp_iters iterations that stops on a
-    relative change of tol_rel_bound.
+    instead (same engine, no V term) by the same run, without round 0.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
     if hp0 is None:
@@ -439,50 +390,56 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         rng = np.random.default_rng(rs)
         hp_r = hp0 if r == 0 else _jitter_hp(hp0, rng)
         pack = ParamPack(cfg, hp_r, with_alpha0=with_alpha0)
-        x0 = pack.pack(hp_r, alpha0=cfg.alpha0)
+        x = pack.pack(hp_r, alpha0=cfg.alpha0)
+        box = pack.box_bounds()
         state = None if scmgp else init_state(ds, cfg, rs)
 
-        def objective(x):
+        def objective(x, steps=0):
+            nonlocal evaluations
             hp, alpha0 = pack.unpack(x)
             cfg_x = cfg.with_alpha0(alpha0)
             sys = bounds.build_cvb_system(ds, cfg_x, hp, state, t2=t2)
             if scmgp:
                 val, bundle = gradients.scmgp_loglik_with_grad(ds, cfg_x, hp, sys)
-            else:
+                return -val, -pack.grad_to_vec(bundle), sys
+            start, before = state.pi_hat.copy(), None
+            try:
+                for _ in range(steps):
+                    bound, state.pi_hat = bounds.cvb_pi_step(ds, cfg_x, hp, state, sys)
+                    evaluations += 1
+                    # the step overwrote pi, so the system is rebuilt before
+                    # any return: only its noise half, on sys's kernel half
+                    sys = bounds.build_cvb_system(ds, cfg_x, hp, state, kernel=sys, t2=t2)
+                    if before is not None and bound - before < tol * max(1.0, abs(bound)):
+                        break
+                    before = bound
                 val, bundle = gradients.elbo_cvb_with_grad(ds, cfg_x, hp, state, sys)
+            except np.linalg.LinAlgError:
+                state.pi_hat = start
+                raise
             return -val, -pack.grad_to_vec(bundle), sys
 
-        def pi_steps(k, x, traj, sys):
-            if k == 0:
-                return 0
-            hp, alpha0 = pack.unpack(x)
-            cfg_x = cfg.with_alpha0(alpha0)
-            for i in range(opt_cfg.em_inner_stat_iters):
-                # the first step reads the M-phase's system at (x, pi); later
-                # ones factor only the noise half against its kernel half
-                if i or sys is None:
-                    sys = bounds.build_cvb_system(ds, cfg_x, hp, state, kernel=sys, t2=t2)
-                bound, state.pi_hat = bounds.cvb_pi_step(ds, cfg_x, hp, state, sys)
-                traj.append(bound)
-                if i and traj[-1] - traj[-2] < tol * max(1.0, abs(traj[-1])):
-                    return i + 1
-            return opt_cfg.em_inner_stat_iters
-
-        if scmgp:
-            traj = [_bound_at_start(objective, x0)[0]]
-            budget = opt_cfg.em_outer_iters * opt_cfg.em_inner_hyp_iters
-            x, bound, term, calls, _ = _m_phase(objective, x0, pack.box_bounds(),
-                                                {"maxiter": budget, "ftol": tol, "gtol": 1e-9})
+        traj = [_bound_at_start(objective, x)[0]]
+        evaluations += 1
+        if not scmgp:
+            x, bound, t, calls, _ = _m_phase(objective, x, box,
+                                             {"maxiter": opt_cfg.em_inner_hyp_iters})
             traj.append(bound)
-            term, n_evals, ok = [term], 1 + calls, term["success"]
-        else:
-            x, traj, term, n_evals, ok, _ = _variational_em(
-                x0, pi_steps, objective, pack.box_bounds(), opt_cfg, tol=tol)
-        evaluations += n_evals
-        termination += term
-        restart_bounds.append(traj[-1])
-        if best is None or traj[-1] > best[0]:
-            best = (traj[-1], x, pack, traj, ok, state)
+            termination.append(t)
+            evaluations += calls
+        profiled = partial(objective, steps=opt_cfg.em_inner_stat_iters)
+        x, bound, t, calls, built = _m_phase(
+            profiled, x, box, {"maxiter": opt_cfg.em_outer_iters * opt_cfg.em_inner_hyp_iters,
+                               "ftol": tol, "gtol": 1e-9})
+        evaluations += calls
+        if built is None and not scmgp:
+            bound = -profiled(x)[0]
+            evaluations += 1
+        traj.append(bound)
+        termination.append(t)
+        restart_bounds.append(bound)
+        if best is None or bound > best[0]:
+            best = (bound, x, pack, traj, t["success"], state)
     _, x, pack, traj, ok, state = best
     hp, alpha0 = pack.unpack(x)
     return FitReport(
@@ -510,13 +467,16 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     Each round's E-phase starts q(u) at its closed form at the current
     hyperparameters, then runs em_inner_stat_iters mini-batch steps of
     stochastic variational inference on q(pi) and q(u) (svi.batch_step,
-    one evaluation each).  The M-phase is _variational_em's L-BFGS-B on
-    the hyperparameter block with q(pi) frozen and q(u) at its optimum
-    for each trial point (gradients.elbo_svb_with_grad with qu_optimum,
-    full batch): q(u) is far too sensitive to hyperparameter moves to be
-    held where the E-phase left it.  Every round runs: between
-    mini-batch E-phases the bound's change is partly sampling noise, not
-    a sign of convergence.
+    one evaluation each).  The M-phase is _m_phase's L-BFGS-B, for at
+    most em_inner_hyp_iters iterations, on the hyperparameter block with
+    q(pi) frozen and q(u) at its optimum for each trial point
+    (gradients.elbo_svb_with_grad with qu_optimum, full batch): q(u) is
+    far too sensitive to hyperparameter moves to be held where the
+    E-phase left it.  All em_outer_iters rounds run: between mini-batch
+    E-phases the bound's change is partly sampling noise, not a sign of
+    convergence.  The trajectory holds the start's bound and each
+    M-phase's; evaluations count the start, every step and every
+    objective call.
 
     The hyperparameters do not move during the E-phase, so its steps
     share one Kuu^-1, one set of RowTables over all N rows and the
@@ -554,19 +514,25 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         """(Kuu^-1, RowTables, NaturalQu) at xh: the objective's call there, or a new one."""
         return built if built is not None else objective(xh)[2]
 
-    def e_phase(k, xh, traj, built):
-        hp, alpha0 = pack.unpack(xh)
+    x = pack.pack(hp0, alpha0=cfg.alpha0)
+    bound, built = _bound_at_start(objective, x)
+    traj, termination, evaluations = [bound], [], 1
+    for _ in range(opt_cfg.em_outer_iters):
+        # E-phase at x, on what the objective built there
+        hp, alpha0 = pack.unpack(x)
         cfg_x = cfg.with_alpha0(alpha0)
-        kuu_inv, tables, qu = products(xh, built)
+        kuu_inv, tables, qu = products(x, built)
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
             qu = svi.batch_step(ds, cfg_x, hp.noise.sigma, tables, kuu_inv, rows,
                                 state.pi_hat, qu)
-        return opt_cfg.em_inner_stat_iters
-
-    x, traj, termination, evaluations, ok, built = _variational_em(
-        pack.pack(hp0, alpha0=cfg.alpha0), e_phase, objective, pack.box_bounds(), opt_cfg,
-    )
+        x, bound, term, calls, built = _m_phase(objective, x, pack.box_bounds(),
+                                                {"maxiter": opt_cfg.em_inner_hyp_iters})
+        traj.append(bound)
+        termination.append(term)
+        evaluations += opt_cfg.em_inner_stat_iters + calls
+    # converged: the last round changed the bound by less than this relative
+    ok = abs(traj[-1] - traj[-2]) / max(1.0, abs(traj[-1])) < max(opt_cfg.tol_rel_bound, 1e-6)
     initial, final = traj[0], traj[-1]
     if not final >= initial - 0.5:
         raise RuntimeError(

@@ -2,6 +2,7 @@
 
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -143,6 +144,40 @@ class TestVTerm:
             pi = state.pi_hat
             noise_term = -0.5 * np.sum(pi * np.log(2 * np.pi * noise.sigma**2)[None, :])
             assert vterm(state, ds, cfg, noise) <= noise_term + 1e-12
+
+    @pytest.mark.parametrize("alpha0", [1e-4, 0.3, 1e3, 1e6])
+    def test_unlabeled_kl_matches_mpmath(self, alpha0):
+        """The unlabeled KL against log-gammas summed at 50 digits, a row at a time.
+
+        At alpha0 = 1e6 the log-gammas are near 1.3e7, and their
+        difference in float64 is off by up to 3e-9 nats a row.  Between
+        alpha0 = 1e3 and 1e4 scipy's poch itself differences log-gammas,
+        4e-12 nats a row at 1e3, hence the tolerance.  A one-hot row's
+        log[B(alpha0 + pi) / B(alpha0 * 1)] is -log M exactly, so its KL
+        is log M.
+        """
+        M = 3
+        pi = np.random.default_rng(4).dirichlet(np.full(M, 0.7), size=60)
+        pi[:M] = np.eye(M)
+        pi[M] = [0.5, 0.5, 0.0]
+        # unlabeled rows with log(2 pi sigma^2) = 0, where V is minus the KL
+        ds = make_dataset(np.zeros((len(pi), 1)), np.zeros(len(pi)), n_outputs=M)
+        noise = NoiseParams(sigma=np.full(M, np.sqrt(0.5 / np.pi)))
+        cfg = ModelConfig(M=M, Q=1, alpha0=alpha0)
+        kl = -vterm_rows(VariationalState(pi_hat=pi), ds, cfg, noise)
+        np.testing.assert_array_equal(kl[:M], np.log(M))
+        with mpmath.workdps(50):
+            a0 = mpmath.mpf(alpha0)
+
+            def exact(row):
+                ps = [mpmath.mpf(p) for p in row]
+                log_ratio = (mpmath.fsum(mpmath.loggamma(a0 + p) for p in ps)
+                             - mpmath.loggamma(M * a0 + mpmath.fsum(ps))
+                             - M * mpmath.loggamma(a0) + mpmath.loggamma(M * a0))
+                return mpmath.fsum(p * mpmath.log(p) for p in ps if p) - log_ratio
+
+            ref = np.array([float(exact(row)) for row in pi])
+        np.testing.assert_allclose(kl, ref, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("M", range(1, 11))
     def test_row_sums_equal_numpy_sums(self, M):

@@ -58,8 +58,9 @@ def test_round_trip(workdir, model, bound):
     # only a stochastic fit has a q(u); a collapsed one integrates u out
     state = doc.get("state", {})
     assert ("mu_u" in state) == ("Su" in state) == (bound == "svb")
-    # one stopping record per M-phase: one per EM round (emOuterIters = 2,
-    # restarts = 1), or the single run of SCMGP, which has no E-phase
+    # one stopping record per L-BFGS-B run (restarts = 1): a stochastic fit
+    # runs one per EM round (emOuterIters = 2), a collapsed WSMGP, OMGP or
+    # OMGP-WS fit round 0 and its profiled run, and SCMGP its single run
     termination = json.loads((fit / "fitreport.json").read_text())["termination"]
     assert len(termination) == (1 if model == "scmgp" else 2)
     assert all(set(t) == {"message", "nit", "nfev", "success"} for t in termination)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from wsmgp import checks, engine, experiments, gradients, kernels, model, svi, trainer
+from wsmgp import bounds, checks, engine, experiments, gradients, kernels, model, svi, trainer
 from wsmgp.bounds import build_cvb_system, elbo_cvb, gauss_term_cvb, vterm_rows
 from wsmgp.gradients import finite_diff_check
 from wsmgp.kernels import (
@@ -134,6 +134,42 @@ class TestGradCvb:
                                                fit.final_hp, fit.final_state)
         rep = finite_diff_check(value, grad, x0)
         assert rep.max_rel_error < 1e-6, str(rep)
+
+    @pytest.mark.parametrize("seed", [0, 8])
+    def test_gradient_at_the_stepped_pi_differentiates_the_profiled_bound(self, seed):
+        """The envelope theorem behind trainer.fit_cvb's objective.
+
+        L*(x) = max_pi L(x, pi) is evaluated by pi steps from the same
+        start at every point, until a step moves no entry by more than
+        1e-14; elbo_cvb_with_grad at the pi they reach, with pi held, is
+        L*'s gradient, log alpha0 included.  The convergence is taken on
+        pi, not on the bound: the gradient is off by the order of pi's
+        distance to its optimum, the bound only by its square.
+        cond(A) <= 1e4 keeps the bound's rounding noise far below the
+        differences.  The gradient with pi held at the start is not L*'s.
+        """
+        ds, cfg, hp, state = checks.random_instance(seed, n=30, M=2, Q=4)
+        assert np.linalg.cond(build_cvb_system(ds, cfg, hp, state).A) <= 1e4
+        pack = ParamPack(cfg, hp, with_alpha0=True)
+        x0 = pack.pack(hp, alpha0=cfg.alpha0)
+
+        def profiled(x):
+            """(L*(x), its gradient with pi held where the steps end)."""
+            hp_x, a0 = pack.unpack(x)
+            cfg_x = cfg.with_alpha0(a0)
+            st = VariationalState(pi_hat=state.pi_hat.copy())
+            for _ in range(2000):
+                before = st.pi_hat.copy()  # the step overwrites pi
+                st.pi_hat = bounds.cvb_pi_step(ds, cfg_x, hp_x, st)[1]
+                if np.max(np.abs(st.pi_hat - before)) <= 1e-14:
+                    value, bundle = gradients.elbo_cvb_with_grad(ds, cfg_x, hp_x, st)
+                    return value, pack.grad_to_vec(bundle)
+            raise AssertionError("the pi steps did not converge")
+
+        rep = finite_diff_check(lambda x: profiled(x)[0], lambda x: profiled(x)[1], x0)
+        assert rep.max_rel_error < 1e-6, str(rep)
+        held = checks.packed_cvb(ds, cfg, hp, state)[2](x0)
+        assert np.max(np.abs(held - rep.fd) / np.maximum(1.0, np.abs(rep.fd))) > 1e-2
 
     def test_one_hot_sweep_matches_scmgp_gradient(self):
         # unlabeled rows pushed toward a one-hot assignment: the kernel

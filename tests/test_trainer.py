@@ -1,4 +1,4 @@
-"""The hyperparameter pack, and both fits through the variational-EM driver."""
+"""The hyperparameter pack, and both fits through L-BFGS-B on the hyperparameters."""
 
 import time
 from dataclasses import replace
@@ -54,7 +54,10 @@ class TestFitCvb:
         b = fit_cvb(ds, cfg, None, opt)
         assert a.bound_trajectory == b.bound_trajectory
 
-    def test_trajectory_non_decreasing(self):
+    def test_trajectory_non_decreasing(self, monkeypatch):
+        pi_steps = []
+        step = bounds.cvb_pi_step
+        monkeypatch.setattr(bounds, "cvb_pi_step", lambda *a: pi_steps.append(1) or step(*a))
         ds, _ = tiny_two_output_ds(4)
         cfg = ModelConfig(M=2, Q=8, alpha0=0.3)
         opt = OptimizerConfig(seed=1, restarts=1, em_outer_iters=4, optimize_alpha0=False)
@@ -65,13 +68,49 @@ class TestFitCvb:
         # the trajectory ends at the bound of the returned fit
         fresh = elbo_cvb(ds, cfg.with_alpha0(rep.final_alpha0), rep.final_hp, rep.final_state)
         assert traj[-1] == pytest.approx(fresh, rel=1e-12)
-        # one record per M-phase; the trajectory holds the initial bound, one
-        # entry per pi step and one per M-phase, and evaluations count the
-        # initial one, every pi step and every objective call
-        assert_termination(rep, runs=4, iter_cap=10)
-        n_pi_steps = len(traj) - 1 - len(rep.termination)
-        assert n_pi_steps >= 4
-        assert rep.evaluations == 1 + n_pi_steps + sum(t["nfev"] for t in rep.termination)
+        # the trajectory holds the initial bound and the bound after each
+        # run: round 0 (pi held, at most em_inner_hyp_iters iterations) and
+        # the profiled run (em_outer_iters * em_inner_hyp_iters); evaluations
+        # count the initial one, every objective call and every pi step
+        assert len(traj) == 3
+        assert_termination(rep, runs=2, iter_cap=40)
+        assert rep.termination[0]["nit"] <= 10
+        assert len(pi_steps) >= 4
+        assert rep.evaluations == 1 + len(pi_steps) + sum(t["nfev"] for t in rep.termination)
+
+    def test_a_failed_evaluation_leaves_pi_where_it_found_it(self, monkeypatch):
+        # an evaluation that fails after its pi steps (as one whose system is
+        # not positive definite does) reads as infeasible; the next one must
+        # start from the pi the failed one started from
+        firsts, failed = [], []
+        seen = {"grads": 0, "first": True}
+        step, grad = bounds.cvb_pi_step, gradients.elbo_cvb_with_grad
+
+        def spied_step(*a):
+            if seen["first"]:
+                firsts.append(a[3].pi_hat.copy())
+                seen["first"] = False
+            return step(*a)
+
+        def failing_grad(*a):
+            seen["grads"] += 1
+            stepped, seen["first"] = not seen["first"], True
+            if seen["grads"] == 20:
+                assert stepped  # a call of the profiled run
+                failed.append((len(firsts) - 1, a[3].pi_hat.copy()))
+                raise np.linalg.LinAlgError("the leading minor is not positive definite")
+            return grad(*a)
+
+        monkeypatch.setattr(bounds, "cvb_pi_step", spied_step)
+        monkeypatch.setattr(gradients, "elbo_cvb_with_grad", failing_grad)
+        ds, _ = tiny_two_output_ds(3)
+        cfg = ModelConfig(M=2, Q=8, alpha0=0.3)
+        rep = fit_cvb(ds, cfg, None, OptimizerConfig(seed=5, restarts=1, em_outer_iters=4))
+        ((i, moved),) = failed
+        assert not np.array_equal(moved, firsts[i])
+        np.testing.assert_array_equal(firsts[i + 1], firsts[i])
+        fresh = elbo_cvb(ds, cfg.with_alpha0(rep.final_alpha0), rep.final_hp, rep.final_state)
+        assert rep.bound_trajectory[-1] == pytest.approx(fresh, rel=1e-12)
 
     def test_improves_by_more_than_one_nat(self):
         for seed in range(3):
@@ -185,8 +224,9 @@ class TestMPhaseHandOff:
         assert n == term["nfev"] >= 2
 
     def test_fit_equals_one_with_nothing_handed_on(self, monkeypatch):
-        # each E-phase's first pi step then builds its own system and the
-        # later steps their own kernel halves; the fit must not change a bit
+        # the profiled run then takes one more evaluation at its returned
+        # point, which steps pi there, so its path changes; round 0 holds pi
+        # and must not change a bit, and either fit ends at its fresh bound
         ds, _ = tiny_two_output_ds(3)
         cfg = ModelConfig(M=2, Q=8, alpha0=0.3)
         opt = OptimizerConfig(seed=5, restarts=2, em_outer_iters=4)
@@ -194,11 +234,13 @@ class TestMPhaseHandOff:
         m_phase = trainer._m_phase
         monkeypatch.setattr(trainer, "_m_phase", lambda *a: m_phase(*a)[:4] + (None,))
         own = fit_cvb(ds, cfg, None, opt)
-        assert handed.bound_trajectory == own.bound_trajectory
-        assert handed.restart_bounds == own.restart_bounds
-        assert handed.evaluations == own.evaluations
-        assert handed.termination == own.termination
-        np.testing.assert_array_equal(handed.final_state.pi_hat, own.final_state.pi_hat)
+        assert handed.bound_trajectory[0] == own.bound_trajectory[0]
+        assert handed.termination[0::2] == own.termination[0::2]
+        for rep in (handed, own):
+            fresh = elbo_cvb(ds, cfg.with_alpha0(rep.final_alpha0), rep.final_hp,
+                             rep.final_state)
+            assert rep.bound_trajectory[-1] == pytest.approx(fresh, rel=1e-12)
+            assert max(rep.restart_bounds) == rep.bound_trajectory[-1]
 
     def test_stochastic_fit_equals_one_with_nothing_handed_on(self, monkeypatch):
         # each E-phase then takes its tables and q(u) from one more
@@ -301,9 +343,9 @@ class TestFitSvbEm:
             em_inner_hyp_iters=10, batch_size=0, optimize_alpha0=False,
         )
         rep_s = fit_svb_em(ds, cfg, None, opt_s)
-        # one record per M-phase of either restart
-        assert 2 <= len(rep_c.termination) <= 2 * opt_c.em_outer_iters
-        assert_termination(rep_c, runs=len(rep_c.termination), iter_cap=10)
+        # round 0 and the profiled run of either restart
+        assert_termination(rep_c, runs=4, iter_cap=opt_c.em_outer_iters * opt_c.em_inner_hyp_iters)
+        assert all(t["nit"] <= opt_c.em_inner_hyp_iters for t in rep_c.termination[0::2])
         assert_termination(rep_s, runs=50, iter_cap=10)
         gap = abs(rep_c.bound_trajectory[-1] - rep_s.bound_trajectory[-1])
         assert gap <= 2.0, "gap %.3f nats" % gap
