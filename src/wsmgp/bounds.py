@@ -30,7 +30,7 @@ over them for the bound, the SCMGP likelihood, both gradients and
 predict.posterior_predict.
 
 Both bounds move pi by one closed-form step, assignment_rows, fed q(f)'s
-moments at the rows: under q(u) at a batch (svi.batch_step), or under the
+moments at the rows: under q(v) at a batch (svi.batch_step), or under the
 collapsed posterior at all N rows (cvb_pi_step).
 """
 

@@ -183,7 +183,7 @@ def packed_cvb(ds, cfg, hp, state):
 def packed_svb(ds, cfg, hp, state, batch=None):
     """(x0, value_fn, grad_fn, pack) for the stochastic bound's hyperparameter block.
 
-    q(pi) and q(u) stay at `state`: the stochastic fit moves them by
+    q(pi) and q(v) stay at `state`: the stochastic fit moves them by
     closed-form steps, not along this gradient.
     """
     pack = ParamPack(cfg, hp, with_alpha0=True)

@@ -18,6 +18,14 @@ row of S_m: no expression divides by a weight, and the row drops out.
 gauss_loglik leaves out the noise normaliser -1/2 sum log(2 pi / w),
 which the bounds carry in V and SCMGP adds itself.
 
+The inducing half is whitened (Hensman, Matthews & Ghahramani 2015):
+with u = L v, L chol_jitter's factor of Kuu, Kfu Kuu^-1 Kuf = Psi Psi'
+for Psi_m = Kfu_m L^-T (kernels.whiten), and the Woodbury system
+A = I + sum_m Psi_m' E_m^-1 Psi_m has eigenvalues of at least 1 however
+ill-conditioned Kuu is.  log|Sigma| = sum_m log|E_m| + log|A|, v's
+posterior is N(c, A^-1), and no Kuu^-1 is formed: gradients w.r.t. Psi
+reach Kfu and Kuu by kernels.whiten_grad_k and whiten_grad_kuu.
+
 Exploiting the block structure, one evaluation costs
 O(sum_m n_m^3 + (sum_m n_m) Q^2), matching the cost the bound is
 documented to have.
@@ -27,21 +35,16 @@ n_m-row operand goes through `_gemm`, i.e. scipy's `dgemm`, the same
 OpenBLAS whose LAPACK `dpotrf`, `dpotri` and `dpotrs` factor, invert
 and solve here (kernels.cho_factor / cho_solve: scipy's cho_factor /
 cho_solve results, guards included, without the wrappers' per-call
-overhead; cho_inverse below).  The
-stochastic bound does the same with its batch-row products, calling
-`engine._gemm`: in `svi`, Phi Su for the bound's moments, Phi L^-T for
-a mini-batch step's variances (L the Cholesky factor of q(u)'s
-precision, L^-1 from scipy's `dtrtri`) and Phi' (d o Phi) for q(u)'s
-natural parameters; in `gradients`, Phi' [d o Phi, a] per output and
-[d o Phi, a] [-T; mt'] over all outputs.  Its row constants come from
-scipy's `dtrsm` (`svi._row_constants`) and q(u)'s factor and mean from
-its `dpotrf` and `dpotrs`, in the same library.  The numpy and scipy wheels each bundle their
-own OpenBLAS with its own thread pool; when an evaluation alternates
-between the two, both pools spin on the same cores and the small
-factorizations wait on the other pool's busy threads (at 2 threads this
-made one collapsed-bound evaluation at N = 144 three to four times
-slower than at 1 thread, and one full-batch stochastic-bound gradient
-at N = 4000 about 1.5 times slower).  Where a result has at least 2
+overhead; cho_inverse below).  The stochastic bound (`svi`,
+`gradients`) routes its batch-row products through `_gemm` too, and
+takes its triangular solves and q(v)'s factor from the same library.
+The numpy and scipy wheels each bundle their own OpenBLAS with its own
+thread pool; when an evaluation alternates between the two, both pools
+spin on the same cores and the small factorizations wait on the other
+pool's busy threads (at 2 threads this made one collapsed-bound
+evaluation at N = 144 three to four times slower than at 1 thread, and
+one full-batch stochastic-bound gradient at N = 4000 about 1.5 times
+slower).  Where a result has at least 2
 rows and 2 columns, `_gemm` makes the same Fortran call numpy's `@`
 makes, so values are unchanged; a 1-row or 1-column result (a one-row
 batch or output block) may differ from numpy's by an ulp or so.
@@ -64,19 +67,18 @@ each P_m^-1 once, in place of its factor, after taking log|P_m| from
 that factor, and every later use reads it: alpha_m and V_m are products
 with it (so the bound's value depends on it), gauss_loglik_grads starts
 G~_m from it, and posterior_moments takes the pi step's variances from
-one product with it.  A^-1 and Kuu^-1 are formed in gauss_loglik_grads
-(and Kuu^-1 in the stochastic bound); the bound's value reads A and Kuu
-only through their factors.
+one product with it.  A^-1 is formed in gauss_loglik_grads; the value
+reads A only through its factor.
 
 Two halves: a StackedSystem is a KernelHalf plus a noise half.  The
 kernel half depends on the hyperparameters and the selection alone: each
 kernel block (kernels.kuu_block, kfu_block, kff_block or se_block, kept
 as kernels.GaussBlock values; a convolved Kff_m block keeps t2 and unit
-only, since B_m is formed in its K), the jittered Kuu with its factor
-and the Nystrom residuals B_m.  The noise half holds log|P_m|, P_m^-1,
-alpha, S_m Kfu_m, V, M1_m = (S_m Kfu_m)' V_m, A with its factor, beta
-and c.  build_system builds both, or, given the kernel half of an
-earlier system at the same hyperparameters, only the noise half: the
+only, since B_m is formed in its K), chol_jitter's factor L of Kuu,
+each Psi_m and the Nystrom residuals B_m.  The noise half holds
+log|P_m|, P_m^-1, alpha, S_m Psi_m, V, M1_m = (S_m Psi_m)' V_m, A with
+its factor, beta and c.  build_system builds both, or, given the kernel
+half of an earlier system at the same hyperparameters, only the noise half: the
 collapsed fit's pi steps move the weights alone, so the steps of one
 evaluation share the kernel half of the system it built (trainer).  The
 kernel half reads X and W only through each output's squared differences
@@ -98,7 +100,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotri
 
 from . import kernels
@@ -172,9 +174,9 @@ class KernelHalf:
     rows: list  # per-output row-index arrays
     ff_blocks: list  # per-output GaussBlock of Kff_m, K None (B_m took it), or of the SE kernel
     fu_blocks: list  # per-output kernels.GaussBlock of Kfu_m, or None (independent model)
-    kuu_block: kernels.GaussBlock  # unjittered Kuu, or None
-    Kuu: np.ndarray  # jittered, or None
-    cho_Kuu: tuple
+    kuu_block: kernels.GaussBlock  # Kuu without jitter, or None
+    cho_Kuu: tuple  # chol_jitter's factor L of Kuu, or None
+    Psi: list  # per-output Kfu_m L^-T (kernels.whiten), or None
     B_blocks: list  # per-output residual (or full) covariance blocks
 
     @property
@@ -194,13 +196,13 @@ class StackedSystem(KernelHalf):
     s_blocks: list  # per-output sqrt(w_m), the diagonal of S_m
     logdet_P: list  # log|P_m|, P_m = I + S_m B_m S_m
     P_inv: list  # P_m^-1, formed in place of P_m's Cholesky factor
-    A: np.ndarray  # Kuu + sum_m M1_m
+    A: np.ndarray  # I + sum_m M1_m
     cho_A: tuple
     alpha: list  # P_m^-1 S_m y_m
-    SKfu: list  # S_m Kfu_m
-    V: list  # P_m^-1 S_m Kfu_m
-    M1: list  # Kuf_m E_m^-1 Kfu_m = (S_m Kfu_m)' V_m
-    beta: np.ndarray  # sum_m Kuf_m E_m^-1 y_m
+    SPsi: list  # S_m Psi_m
+    V: list  # P_m^-1 S_m Psi_m
+    M1: list  # Psi_m' E_m^-1 Psi_m = (S_m Psi_m)' V_m
+    beta: np.ndarray  # sum_m Psi_m' E_m^-1 y_m
     c: np.ndarray  # A^-1 beta
 
 
@@ -240,32 +242,31 @@ def _kernel_half(X, hp, rows, t2):
             t2 = row_sqdiffs(X, rows)
         ff_blocks = [kernels.se_block(t2_m, out) for t2_m, out in zip(t2.ff, hp.outputs)]
         return KernelHalf(rows=rows, ff_blocks=ff_blocks, fu_blocks=None, kuu_block=None,
-                          Kuu=None, cho_Kuu=None, B_blocks=[b.K for b in ff_blocks])
+                          cho_Kuu=None, Psi=None, B_blocks=[b.K for b in ff_blocks])
     if not isinstance(hp, HyperParams):
         raise TypeError("unsupported hyperparameter container: %r" % type(hp))
     W = hp.inducing.W
     if t2 is None:
         t2 = row_sqdiffs(X, rows, W)
     kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
-    Kuu, cho_Kuu = kernels.jittered(kuu_block.K)
-    ff_blocks = []
-    fu_blocks = []
-    B_blocks = []
+    cho_Kuu = kernels.chol_jitter(kuu_block.K)[0]
+    ff_blocks, fu_blocks, Psi, B_blocks = [], [], [], []
     for t2_m, t2_fu_m, out in zip(t2.ff, t2.fu, hp.outputs):
         ff_m = kernels.kff_block(t2_m, out, hp.latent)
         fu_m = kernels.kfu_block(t2_fu_m, out, hp.latent)
-        Kfu_m = fu_m.K
-        # B_m = Kff_m - Kfu_m Kuu^-1 Kuf_m in Kff_m's array, then (B_m + B_m') / 2;
+        Psi_m = kernels.whiten(cho_Kuu, fu_m.K)
+        # B_m = Kff_m - Psi_m Psi_m' in Kff_m's array, then (B_m + B_m') / 2;
         # Kff_m is not kept, since the chain reads only the block's t2 and unit
         B_m = ff_m.K
-        B_m -= _gemm(Kfu_m, cho_solve(cho_Kuu, Kfu_m.T))
+        B_m -= _gemm(Psi_m, Psi_m.T)
         B_m = np.add(B_m, B_m.T)
         B_m *= 0.5
         B_blocks.append(B_m)
         ff_blocks.append(ff_m._replace(K=None))
         fu_blocks.append(fu_m)
+        Psi.append(Psi_m)
     return KernelHalf(rows=rows, ff_blocks=ff_blocks, fu_blocks=fu_blocks, kuu_block=kuu_block,
-                      Kuu=Kuu, cho_Kuu=cho_Kuu, B_blocks=B_blocks)
+                      cho_Kuu=cho_Kuu, Psi=Psi, B_blocks=B_blocks)
 
 
 def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
@@ -278,12 +279,13 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
 
     The system has two halves.  The kernel half (KernelHalf) holds each
     kernel block, built once as a kernels.GaussBlock and kept for the
-    gradient chain, the jittered Kuu with its factor and the residuals
-    B_m; it depends on hp and the rows alone.  The noise half factors
-    P_m = I + S_m B_m S_m, forms P_m^-1 from that factor once, and takes
-    alpha_m and V_m as products with it; it keeps S_m Kfu_m and
-    M1_m = (S_m Kfu_m)' V_m, whose sum over outputs is A - Kuu, for the
-    gradient, and factors A for beta and c.
+    gradient chain, chol_jitter's factor L of Kuu, each
+    Psi_m = Kfu_m L^-T and the residuals B_m; it depends on hp and the
+    rows alone.  The noise half factors P_m = I + S_m B_m S_m, forms
+    P_m^-1 from that factor once, and takes alpha_m and V_m as products
+    with it; it keeps S_m Psi_m and M1_m = (S_m Psi_m)' V_m, whose sum
+    over outputs is A - I, for the gradient, and factors A for beta and
+    c.
     kernel, if given, is the kernel half of an earlier system (any
     StackedSystem) at the same hp and rows: it is reused as is, only the
     noise half is factored, and the result equals a fresh build bit for
@@ -297,12 +299,12 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
     y_blocks = [y[r] for r in rows]
     M = len(rows)
     if kernel.has_inducing:
-        A = kernel.Kuu.copy()
+        A = np.eye(kernel.cho_Kuu[0].shape[0])
         beta = np.zeros(A.shape[0])
 
     s_blocks = [np.sqrt(w) for w in w_blocks]
     logdet_P, P_inv, alpha = [0.0] * M, [None] * M, [np.zeros(0)] * M
-    SKfu, V, M1 = [None] * M, [None] * M, [None] * M
+    SPsi, V, M1 = [None] * M, [None] * M, [None] * M
     for m, B_m in enumerate(kernel.B_blocks):
         if B_m.shape[0] == 0:
             continue
@@ -316,11 +318,11 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
         P_inv[m] = cho_inverse(cho_P, overwrite=True)
         alpha[m] = P_inv[m] @ (s_m * y_blocks[m])
         if kernel.has_inducing:
-            SKfu[m] = s_m[:, None] * kernel.fu_blocks[m].K
-            V[m] = _gemm(P_inv[m], SKfu[m])
-            M1[m] = _gemm(SKfu[m].T, V[m])
+            SPsi[m] = s_m[:, None] * kernel.Psi[m]
+            V[m] = _gemm(P_inv[m], SPsi[m])
+            M1[m] = _gemm(SPsi[m].T, V[m])
             A += M1[m]
-            beta += SKfu[m].T @ alpha[m]
+            beta += SPsi[m].T @ alpha[m]
 
     if kernel.has_inducing:
         A = 0.5 * (A + A.T)
@@ -339,7 +341,7 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
         A=A,
         cho_A=cho_A,
         alpha=alpha,
-        SKfu=SKfu,
+        SPsi=SPsi,
         V=V,
         M1=M1,
         beta=beta,
@@ -354,9 +356,9 @@ def posterior_moments(sys: StackedSystem):
     these are K Sigma^-1 y and diag(K - K Sigma^-1 K), taken from the
     system's factors and P_m^-1 without forming any matrix over all
     outputs' rows.
-    Given u the outputs are independent, and u's posterior is
-    N(Kuu c, Kuu A^-1 Kuu).  So with X_m = Kfu_m - B_m S_m V_m and L_A
-    the Cholesky factor of A,
+    Given v (u = L v) the outputs are independent, and v's posterior is
+    N(c, A^-1).  So with X_m = Psi_m - B_m S_m V_m and L_A the Cholesky
+    factor of A,
       mean_m = B_m S_m alpha_m + X_m c,
       var_m = diag(B_m) - rowsum((B_m S_m P_m^-1) o (B_m S_m))
               + rowsum((X_m L_A^-T)^2)
@@ -373,9 +375,9 @@ def posterior_moments(sys: StackedSystem):
         mean = bs @ sys.alpha[m]
         var = np.diag(B_m) - np.einsum("ij,ij->i", _gemm(bs, sys.P_inv[m]), bs)
         if sys.has_inducing:
-            x = sys.fu_blocks[m].K - _gemm(bs, sys.V[m])
+            x = sys.Psi[m] - _gemm(bs, sys.V[m])
             mean += x @ sys.c
-            p = dtrsm(1.0, sys.cho_A[0], x, side=1, lower=1, trans_a=1)
+            p = kernels.whiten(sys.cho_A, x)
             var += np.einsum("nq,nq->n", p, p)
         means.append(mean)
         variances.append(var)
@@ -389,7 +391,7 @@ def _logdet_from_cho(cho):
 def gauss_loglik(sys: StackedSystem):
     """log N(y_sel | 0, Sigma) without its noise normaliser, via the Woodbury identity.
 
-    That is -1/2 (sum_m log|P_m| + log|A| - log|Kuu| + y' Sigma^-1 y).
+    That is -1/2 (sum_m log|P_m| + log|A| + y' Sigma^-1 y).
     """
     logdet = 0.0
     quad = 0.0
@@ -399,7 +401,7 @@ def gauss_loglik(sys: StackedSystem):
         logdet += sys.logdet_P[m]
         quad += float((sys.s_blocks[m] * yb) @ sys.alpha[m])
     if sys.has_inducing:
-        logdet += _logdet_from_cho(sys.cho_A) - _logdet_from_cho(sys.cho_Kuu)
+        logdet += _logdet_from_cho(sys.cho_A)
         quad -= float(sys.beta @ sys.c)
     return -0.5 * (logdet + quad)
 
@@ -410,8 +412,9 @@ class MatrixGrads:
 
     dE_blocks[m] is the derivative w.r.t. the same-output covariance
     block Kff_m; dKfu_blocks and dKuu carry the total derivatives w.r.t.
-    the cross and inducing blocks with the Nystrom-residual paths
-    already folded in.  dlogw_blocks[m] is the derivative w.r.t. log w_m,
+    the cross and inducing blocks (dKuu symmetric, through Kuu's Cholesky
+    factor) with the Nystrom-residual paths already folded in.
+    dlogw_blocks[m] is the derivative w.r.t. log w_m,
     -w o ((y - mean)^2 + var) / 2 with posterior_moments' mean and var.
     """
 
@@ -428,21 +431,22 @@ def gauss_loglik_grads(sys: StackedSystem):
     G = Sigma^-1 - Sigma^-1 y y' Sigma^-1, G_mm = S_m G~_m S_m,
     G~_m = P_m^-1 - [V_m A^-1, r_m] [V_m, r_m]' with r_m = alpha_m - V_m c,
     and w o ((y - mean)^2 + var) = 1 - diag(G~_m).  G~_m starts from the
-    system's P_m^-1, which it does not modify.  The cross block needs
-    G~_m S_m Kfu_m - (G Kfu)_m, which is
-    V_m A^-1 (M1 - M1_m) - r_m (kr_m - kr)' with M1 = A - Kuu,
-    kr = Kuu c and kr_m = (S_m Kfu_m)' r_m, so no n_m x n_m matrix is
-    multiplied there.
+    system's P_m^-1, which it does not modify.  The derivative w.r.t.
+    Psi_m is Psi_bar_m = G_mm Psi_m - (G Psi)_m = S_m R_m with
+    R_m = G~_m S_m Psi_m - S_m^-1 (G Psi)_m
+        = V_m A^-1 (M1 - M1_m) - r_m (kr_m - kr)'
+    for M1 = A - I, kr = Psi' Sigma^-1 y = c and kr_m = (S_m Psi_m)' r_m,
+    so no n_m x n_m matrix is multiplied there.  dKfu_m = Psi_bar_m L^-1
+    takes L^-1 on the (Q + 1) x Q right factor [M1 - M1_m; (kr - kr_m)'],
+    and dKuu is the Cholesky pullback of
+    -Psi_bar' Psi = Psi' G Psi - sum_m Psi_m' G_mm Psi_m.
     """
     M = len(sys.rows)
     if sys.has_inducing:
         Ainv = cho_inverse(sys.cho_A)
-        Kuu_inv = cho_inverse(sys.cho_Kuu)
-        kr = sys.Kuu @ sys.c  # = Kuf (Sigma^-1 y)
-        M1 = sys.A - sys.Kuu
-        # accumulators for the Kuu derivative: Kuf G Kfu and its blockwise part
-        KufGKfu = M1 - M1 @ Ainv @ M1 - np.outer(kr, kr)
-        KufGpKfu = np.zeros_like(sys.A)
+        M1 = sys.A - np.eye(len(sys.c))
+        # L' Lbar = -Psi_bar' Psi: Psi' G Psi less its blockwise part, accumulated
+        X = M1 - M1 @ Ainv @ M1 - np.outer(sys.c, sys.c)
     dE, dlogw, dKfu = [], [], []
     for m in range(M):
         s_m = sys.s_blocks[m]
@@ -463,14 +467,15 @@ def gauss_loglik_grads(sys: StackedSystem):
         dlogw.append(0.5 * (np.diag(G) - 1.0))
         if sys.has_inducing:
             M1_m = sys.M1[m]
-            kr_m = sys.SKfu[m].T @ r
-            KufGpKfu += M1_m - M1_m @ Ainv @ M1_m - np.outer(kr_m, kr_m)
-            # G~_m S_m Kfu_m - (G Kfu)_m = [V_m A^-1, r] [M1 - M1_m; (kr - kr_m)']
-            d = _gemm(VAr, np.vstack((M1 - M1_m, kr - kr_m)))
+            kr_m = sys.SPsi[m].T @ r
+            X -= M1_m - M1_m @ Ainv @ M1_m - np.outer(kr_m, kr_m)
+            # dKfu_m = S_m [V_m A^-1, r] ([M1 - M1_m; (c - kr_m)'] L^-1)
+            right = np.vstack((M1 - M1_m, sys.c - kr_m))
+            d = _gemm(VAr, kernels.whiten_grad_k(sys.cho_Kuu, right))
             d *= s_m[:, None]
-            dKfu.append(_gemm(d, Kuu_inv))
+            dKfu.append(d)
         G *= -0.5 * s_m  # G_mm = S_m G~ S_m, after G~'s last read
         G *= s_m[:, None]
         dE.append(G)
-    dKuu = 0.5 * Kuu_inv @ (KufGKfu - KufGpKfu) @ Kuu_inv if sys.has_inducing else None
+    dKuu = kernels.whiten_grad_kuu(sys.cho_Kuu, X) if sys.has_inducing else None
     return MatrixGrads(dE_blocks=dE, dKfu_blocks=dKfu, dKuu=dKuu, dlogw_blocks=dlogw)

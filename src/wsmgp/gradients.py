@@ -3,7 +3,7 @@
 Gradients cover the hyperparameters only, in the unconstrained
 coordinates L-BFGS-B works in: log noise, log precisions, log alpha0
 and free amplitudes.  Both fits move the variational factors by
-closed-form steps (trainer), so no gradient of pi or q(u) is needed.
+closed-form steps (trainer), so no gradient of pi or q(v) is needed.
 Matrix-level derivatives of the Gaussian term come from the shared
 engine; this module chains them to the kernel hyperparameters and adds
 V's sigma and alpha0 partials (vterm_partials).
@@ -27,13 +27,17 @@ gram or derivative tensor is built a second time.  Each same-output
 block Kff_m is differentiated by kernels.kff_matrix_grads with G and the
 block, which does that contraction for one output.
 
+Both bounds read Kfu and Kuu through the whitened Psi = Kfu L^-T,
+Kuu = L L' (engine, svi).  A gradient D R w.r.t. Psi reaches Kfu as
+D (R L^-1), L^-1 applied to the small right factor R only, and Kuu by
+the Cholesky pullback of L' Lbar = -Psi_bar' Psi (kernels.whiten_grad_k
+and whiten_grad_kuu); no Kuu^-1 is formed.
+
 The stochastic bound's gradient (elbo_svb_with_grad) takes the full
-batch or a mini-batch, at state's q(u) or at q(u)'s closed-form optimum,
-which is where trainer.fit_svb_em's M-phase evaluates it.  It sums
-the data term in Q x Q form: per output one product
-Phi' [d o Phi, a] and, over all outputs' rows, one product
-[d o Phi, a] [-T; mt'] for dKfu, so no per-row variance or derivative of
-Phi is formed.
+batch or a mini-batch, at state's q(v) or at its closed-form optimum
+(where trainer.fit_svb_em's M-phase evaluates it), and sums the data
+term in Q x Q form; its KL, against N(0, I), has no hyperparameter
+partial.
 
 Every path is validated against central finite differences in the test
 suite; where printed derivative formulas were ambiguous, the finite
@@ -206,37 +210,30 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
     """Stochastic bound value and its hyperparameter gradient (mini-batch scaled like the bound).
 
     Returns (value, GradientBundle) with d_S, d_Lm, d_L, d_sigma and
-    d_alpha0 set; q(pi) and q(u) are held fixed (the fit moves them by
+    d_alpha0 set; q(pi) and q(v) are held fixed (the fit moves them by
     closed-form steps, svi.batch_step).  Only the batch rows of the data
     are read; d_alpha0 and d_sigma count only the batch rows, scaled by
     N/|batch|, and the KL term is not scaled.  t2 is kernels.sqdiff(X, W)
     at the evaluated rows X if the caller has it.
 
-    With qu_optimum, q(u) is not state's but its closed-form optimum at
-    hp and pi (svi._qu_estimate's natural parameters, from this call's
-    C and Phi' (d o y)), so the value is the bound maximised over q(u),
-    L*(hp), and by the envelope theorem the gradient at that q(u) held
-    fixed is L*'s gradient.  The call then returns a third item, what it
-    built at hp: (Kuu^-1, the RowTables of the evaluated rows, q(u)'s
-    NaturalQu).  On the full batch that is svi.qu_restart's triple, up
-    to the rounding of q(u)'s per-output sums.
+    With qu_optimum, q(v) is its closed-form optimum at hp and pi
+    (svi._qu_estimate's, from this call's sums), so the value is
+    L*(hp) = max over q(v), and by the envelope theorem the gradient at
+    that q(v) is L*'s.  The call then also returns what it built at hp,
+    (RowTables, NaturalQu): on the full batch svi.qu_restart's pair, up to
+    the rounding of q(v)'s per-output sums.
 
-    The data term is summed in Q x Q form, so no per-row variance and no
-    (M, rows, Q) derivative of Phi is formed.  Per output, with
-    d = pi / sigma^2, a = d o (y - Phi mu_u), C = Phi' diag(d) Phi
-    (one product with Phi' (d o y)), mt = Kuu^-1 mu_u and T = Su Kuu^-1 - I:
-      sum d o var = sum d o r + tr(C Su),
-      dKfu = -(d o Phi) T + a mt'   (one product over all outputs' rows),
-      dKuu = -sum_m [-C_m (2 Su - Kuu) / 2 + (Phi_m' a_m) mu_u'] Kuu^-1.
-    Phi itself is computed row by row (svi._row_constants); expanding C
-    and Phi' a through Kuu^-1-weighted sums of Kfu instead loses about
-    three more digits at cond(Kuu) ~ 1e7.
+    The data term is summed in Q x Q form.  With s = N/|batch|, per output
+    d = pi / sigma^2, a = d o (y - Psi m), C = Psi' diag(d) Psi and
+    T = S - I for q(v) = N(m, S): sum d o var = sum d o r + tr(C S),
+    Psi_bar = s [d o Psi, a] [-T; m'], so dKfu = s [d o Psi, a] ([-T; m'] L^-1)
+    and L' Lbar = -Psi_bar' Psi = s (T sum_m C_m - m (Psi' a)').
     """
     if not isinstance(hp, HyperParams):
         raise TypeError("the stochastic bound requires the convolved sparse model")
     W = hp.inducing.W
     kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
-    kuu, cho = kernels.jittered(kuu_block.K)
+    cho = kernels.chol_jitter(kuu_block.K)[0]
     if batch is None:
         rows, s, X, y = None, 1.0, ds.X, ds.y
     else:
@@ -247,49 +244,46 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
         t2 = kernels.sqdiff(X, W)
     fu_blocks = [kernels.kfu_block(t2, out, hp.latent) for out in hp.outputs]
     tables = _tables_of([b.K for b in fu_blocks], hp, cho)
-    phi, r = tables
-    kuu_inv = engine.cho_inverse(cho)
+    psi, r = tables
 
-    M, n_rows, Q = phi.shape
+    M, n_rows, Q = psi.shape
     sigma = hp.noise.sigma
-    flat = phi.reshape(-1, Q)
+    flat = psi.reshape(-1, Q)
     d = pi.T / (sigma**2)[:, None]
-    # per output, Phi' [d o Phi, d o y] = [C, Phi' (d o y)] in one product
+    # per output, Psi' [d o Psi, d o y] = [C, Psi' (d o y)] in one product
     da = np.empty((M, n_rows, Q + 1))
-    np.multiply(phi, d[:, :, None], out=da[:, :, :Q])
+    np.multiply(psi, d[:, :, None], out=da[:, :, :Q])
     da[:, :, Q] = d * y
-    C = np.stack([engine._gemm(phi[m].T, da[m]) for m in range(M)])
+    C = np.stack([engine._gemm(psi[m].T, da[m]) for m in range(M)])
     if qu_optimum:
         # the natural parameters of svi._qu_estimate, from the same sums
-        qu = NaturalQu(kuu_inv + s * np.sum(C[:, :, :Q], axis=0), s * np.sum(C[:, :, Q], axis=0))
+        lam = s * np.sum(C[:, :, :Q], axis=0)
+        lam[np.diag_indices(Q)] += 1.0
+        qu = NaturalQu(lam, s * np.sum(C[:, :, Q], axis=0))
         mu_u, Su = qu.moments()
     else:
         mu_u, Su = state.mu_u, state.Su
     C = C[:, :, :Q]
     resid = y - (flat @ mu_u).reshape(M, n_rows)
     a = d * resid
-    da[:, :, Q] = a  # [d o Phi, a] for dKfu below
-    phi_a = flat.T @ a.ravel()
+    da[:, :, Q] = a  # [d o Psi, a] for dKfu below
+    psi_a = flat.T @ a.ravel()
     # per output: sum of d o resid^2 and of d o var
     d_res2 = np.sum(a * resid, axis=1)
     d_var = np.sum(d * r, axis=1) + np.einsum("mij,ji->m", C, Su)
     value = -0.5 * float(np.sum(d_res2 + d_var))
     value += float(np.sum(vterm_rows(state, ds, cfg, hp.noise, rows=rows)))
-    kinv_mu = kuu_inv @ mu_u
-    T = Su @ kuu_inv
-    T[np.diag_indices(Q)] -= 1.0
-    # dKfu = [d o Phi, a] [-T; mt'], every output's rows in one product
-    dKfu = engine._gemm(da.reshape(-1, Q + 1), s * np.vstack([-T, kinv_mu]))
-    dKuu = (np.sum(C, axis=0) @ (Su - 0.5 * kuu) - np.outer(phi_a, mu_u)) @ kuu_inv
+    T = Su - np.eye(Q)
+    # dKfu = [d o Psi, a] ([-T; m'] L^-1), every output's rows in one product
+    dKfu = engine._gemm(da.reshape(-1, Q + 1),
+                        kernels.whiten_grad_k(cho, s * np.vstack([-T, mu_u])))
+    dKuu = kernels.whiten_grad_kuu(cho, s * (T @ np.sum(C, axis=0) - np.outer(mu_u, psi_a)))
     # log-sigma chain: d d/d log sigma = -2 d; then V's partials
     v_alpha0, v_sigma = vterm_partials(state, ds, cfg, rows)
     d_sigma = d_res2 + d_var + v_sigma
 
-    # scale the data terms (dKfu is scaled already), then subtract the
-    # (unscaled) KL and its Kuu partial
-    value = s * value - gaussian_kl_u(mu_u, Su, cho)
-    dKuu *= s
-    dKuu -= 0.5 * (kuu_inv - kuu_inv @ Su @ kuu_inv - np.outer(kinv_mu, kinv_mu))
+    # scale the data terms (dKfu and dKuu are scaled already), then subtract the KL
+    value = s * value - gaussian_kl_u(mu_u, Su)
     dKfu = list(dKfu.reshape(M, n_rows, Q))
     mg = engine.MatrixGrads(dE_blocks=[None] * M, dKfu_blocks=dKfu, dKuu=dKuu)
     d_S, d_Lm, d_L = _chain_convolved(hp, mg, kuu_block, fu_blocks, batch_diag=-0.5 * s * d)
@@ -298,7 +292,7 @@ def elbo_svb_with_grad(ds, cfg, hp, state, batch=None, *, t2=None, qu_optimum=Fa
         d_alpha0=s * v_alpha0 * cfg.alpha0,
     )
     if qu_optimum:
-        return value, bundle, (kuu_inv, tables, qu)
+        return value, bundle, (tables, qu)
     return value, bundle
 
 

@@ -41,6 +41,9 @@ dimension d.  Which function does what:
   and a built block and then returns the contracted derivatives; the
   chain differentiates each same-output block Kff_m that way, so one
   evaluation calls it once per output and builds no tensor.
+* Whitening.  `whiten` gives Psi = K L^-T from `chol_jitter`'s factor L of
+  Kuu, for every bound and prediction; `whiten_grad_k` and
+  `whiten_grad_kuu` chain a gradient w.r.t. Psi back to K and Kuu.
 """
 
 import math
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 
@@ -339,7 +343,7 @@ def exact_kff_pairs(X, hp: HyperParams):
 
 
 # ---------------------------------------------------------------------------
-# Cholesky factor and solve, and the jittered factor
+# Cholesky factor and solve, the factor with jitter, and whitening
 # ---------------------------------------------------------------------------
 
 
@@ -412,10 +416,33 @@ def chol_jitter(K):
     )
 
 
-def jittered(K):
-    """(K + jitter I, its Cholesky factor), with chol_jitter's jitter."""
-    cho, jitter = chol_jitter(K)
-    return K + jitter * np.eye(K.shape[0]), cho
+def whiten(cho, K):
+    """Psi = K L^-T for chol_jitter's factor cho = (L, True) of Kuu = L L', by LAPACK dtrsm.
+
+    Each row is solved on its own (a single row beside a zero row, since
+    OpenBLAS rounds a one-row block differently), so gathered rows of a
+    Psi over all N rows equal the Psi of those rows bit for bit.
+    """
+    n = K.shape[0]
+    psi = np.zeros((max(n, 2), K.shape[1]), order="F")
+    psi[:n] = K
+    return dtrsm(1.0, cho[0], psi, side=1, lower=1, trans_a=1, overwrite_b=1)[:n]
+
+
+def whiten_grad_k(cho, R):
+    """R L^-1: a gradient D R w.r.t. Psi = K L^-T is D (R L^-1) w.r.t. K; only R is solved."""
+    return dtrsm(1.0, cho[0], R, side=1, lower=1)
+
+
+def whiten_grad_kuu(cho, X):
+    """dKuu = sym(L^-T Phi(X) L^-1) from X = L' Lbar = -Psi_bar' Psi (Murray 2016).
+
+    Phi takes the lower triangle with its diagonal halved.
+    """
+    P = np.tril(X)
+    P[np.diag_indices_from(P)] *= 0.5
+    P = dtrsm(1.0, cho[0], dtrsm(1.0, cho[0], P, side=1, lower=1), lower=1, trans_a=1)
+    return 0.5 * (P + P.T)
 
 
 # ---------------------------------------------------------------------------

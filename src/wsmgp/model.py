@@ -1,4 +1,4 @@
-"""Data containers, label priors, configuration and variational state."""
+"""Data containers, label priors, configuration and variational state (q(v) whitened)."""
 
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -109,9 +109,10 @@ class VariationalState:
     a labeled row's entry where its prior is 0, which no pi step moves
     off 0.  q(Pi) is never stored: the
     bounds hold it at its analytic optimum Dir(alpha0 + pi_hat) of each
-    unlabeled row.  mu_u and Su parameterize the Gaussian inducing
-    posterior q(u) of the stochastic bound; they are None in a state of
-    the collapsed bound, which integrates u out.
+    unlabeled row.  mu_u and Su parameterize the stochastic bound's
+    Gaussian posterior q(v) = N(mu_u, Su) over the whitened inducing
+    variables v, u = L v with Kuu = L L' (svi); they are None in a state
+    of the collapsed bound, which integrates u out.
     """
 
     pi_hat: np.ndarray
@@ -157,8 +158,8 @@ def init_state(ds: Dataset, cfg: ModelConfig, seed, kuu=None):
 
     Labeled rows start at their prior; unlabeled rows at the
     uniform distribution perturbed by seeded Dirichlet(1) noise mixed at
-    weight 0.05.  Given kuu, q(u) starts at the prior: mu_u = 0 and Su a
-    copy of Kuu; without it the state has no q(u).
+    weight 0.05.  Given kuu, q(v) starts at its prior N(0, I): mu_u = 0
+    and Su the identity of Kuu's size; without it the state has no q(v).
     """
     rng = np.random.default_rng(seed)
     M = cfg.M
@@ -170,6 +171,6 @@ def init_state(ds: Dataset, cfg: ModelConfig, seed, kuu=None):
     pi[~labeled] = 0.95 * np.full(M, 1.0 / M) + 0.05 * noise
     state = VariationalState(pi_hat=pi)
     if kuu is not None:
-        state.Su = np.array(kuu, dtype=float, copy=True)
-        state.mu_u = np.zeros(state.Su.shape[0])
+        state.Su = np.eye(len(kuu))
+        state.mu_u = np.zeros(len(kuu))
     return state

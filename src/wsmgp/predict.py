@@ -1,14 +1,17 @@
 """Predictive posterior per output at new inputs.
 
 For the sparse convolved model the posterior is computed through the
-inducing representation:
+whitened inducing representation u = L v, Kuu = L L' (engine): with
+Psi*_m = K_{f*_m,u} L^-T (kernels.whiten) and the system's
+c = A^-1 Psi' E^-1 y_sel,
 
-    mean_m(x*) = K_{f*_m,u} A^-1 K_{u,f} E^-1 y_sel
-    var_m(x*)  = diag(B*_m) + diag(K_{f*_m,u} A^-1 K_{u,f*_m}) + sigma_m^2
+    mean_m(x*) = Psi*_m c
+    var_m(x*)  = diag(B*_m) + diag(Psi*_m A^-1 Psi*_m') + sigma_m^2
 
-with E = B + W^-1 (engine) and A = Kuu + K_{u,f} E^-1 K_{f,u}.  Every
-output's mean weights the full stacked data vector, as dense conditioning
-on the stacked prior Kfu Kuu^-1 Kuf + B + W^-1 does.  For the
+with E = B + W^-1, A = I + Psi' E^-1 Psi and
+diag(B*_m) = k_m(x*, x*) - diag(Psi*_m Psi*_m').  Every output's mean
+weights the full stacked data vector, as dense conditioning on the
+stacked prior Psi Psi' + B + W^-1 does.  For the
 independent-kernel baselines (no inducing layer, zero cross-covariance)
 the posterior is exact per-output dense conditioning.
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from . import engine, kernels
 from .bounds import build_cvb_system
-from .kernels import IndependentSEHyperParams, cho_solve
+from .kernels import IndependentSEHyperParams
 
 
 @dataclass
@@ -57,12 +60,10 @@ def posterior_predict(ds, cfg, hp, state, x_star):
         return Prediction(x_star=x_star, mean=mean, var_diag=var)
 
     for m, out in enumerate(hp.outputs):
-        k_star_u = kernels.kfu_matrix(x_star, hp.inducing.W, out, hp.latent)
-        mean[m] = k_star_u @ sys.c
-        # B*_m diag + Nystrom-through-A diag + noise
+        psi = kernels.whiten(sys.cho_Kuu, kernels.kfu_matrix(x_star, hp.inducing.W, out, hp.latent))
+        mean[m] = psi @ sys.c
+        # B*_m diag + the diag of Psi* A^-1 Psi*' + noise
+        p = kernels.whiten(sys.cho_A, psi)
         prior = kernels.kff_diag_value(out, hp.latent)
-        kuu_solve = cho_solve(sys.cho_Kuu, k_star_u.T)
-        a_solve = cho_solve(sys.cho_A, k_star_u.T)
-        b_star = prior - np.sum(k_star_u * kuu_solve.T, axis=1)
-        var[m] = b_star + np.sum(k_star_u * a_solve.T, axis=1) + hp.noise.sigma[m] ** 2
+        var[m] = prior - np.sum(psi * psi, axis=1) + np.sum(p * p, axis=1) + hp.noise.sigma[m] ** 2
     return Prediction(x_star=x_star, mean=mean, var_diag=var)

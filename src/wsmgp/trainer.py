@@ -17,9 +17,11 @@ couples a row to its q(Pi_n)), so no step lowers the bound.
     maximises the labeled rows' likelihood.
   * Stochastic bound (fit_svb_em): variational EM.  Each round's E-phase
     takes mini-batch steps of stochastic variational inference on q(pi)
-    and q(u) (svi.batch_step) at fixed theta, and its M-phase runs
-    L-BFGS-B with pi held and q(u) at its optimum for each evaluated
+    and q(v) (svi.batch_step) at fixed theta, and its M-phase runs
+    L-BFGS-B with pi held and q(v) at its optimum for each evaluated
     theta (gradients.elbo_svb_with_grad).
+Both bounds are in the whitened inducing variables u = L v, Kuu = L L'
+(engine, svi); the stochastic state's (mu_u, Su) is q(v).
 An objective returns what it built next to the bound and gradient, and
 _m_phase hands on what its last call built when that call was at the
 returned point.  X and W never move, so each fit computes the squared
@@ -345,7 +347,9 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
 
     Each restart is one L-BFGS-B run (_m_phase) on the hyperparameters
     and log alpha0, of at most em_outer_iters * em_inner_hyp_iters
-    iterations, that stops on a relative change of tol_rel_bound.  pi is
+    iterations, that stops on scipy's default relative change (ftol
+    2.2e-9), not on tol_rel_bound, so where it ends depends on the bound
+    alone.  pi is
     profiled out: each evaluation takes up to em_inner_stat_iters
     full-batch pi steps (bounds.cvb_pi_step) from the pi the previous one
     left, until a step raised the bound by less than tol_rel_bound
@@ -361,7 +365,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
 
     The trajectory holds the start's bound and each run's final one;
     evaluations count every objective call and every pi step.  Restart
-    r > 0 starts from jittered hyperparameters and its own seeded pi;
+    r > 0 starts from perturbed hyperparameters and its own seeded pi;
     the best final bound wins.  Each output's rows (bounds.cvb_rows) and
     their squared differences (engine.row_sqdiffs) depend on the data
     and W alone, so they are computed once and handed to every build.
@@ -430,7 +434,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         profiled = partial(objective, steps=opt_cfg.em_inner_stat_iters)
         x, bound, t, calls, built = _m_phase(
             profiled, x, box, {"maxiter": opt_cfg.em_outer_iters * opt_cfg.em_inner_hyp_iters,
-                               "ftol": tol, "gtol": 1e-9})
+                               "gtol": 1e-9})
         evaluations += calls
         if built is None and not scmgp:
             bound = -profiled(x)[0]
@@ -464,13 +468,13 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
 def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     """Variational-EM ascent of the stochastic bound.
 
-    Each round's E-phase starts q(u) at its closed form at the current
+    Each round's E-phase starts q(v) at its closed form at the current
     hyperparameters, then runs em_inner_stat_iters mini-batch steps of
-    stochastic variational inference on q(pi) and q(u) (svi.batch_step,
+    stochastic variational inference on q(pi) and q(v) (svi.batch_step,
     one evaluation each).  The M-phase is _m_phase's L-BFGS-B, for at
     most em_inner_hyp_iters iterations, on the hyperparameter block with
-    q(pi) frozen and q(u) at its optimum for each trial point
-    (gradients.elbo_svb_with_grad with qu_optimum, full batch): q(u) is
+    q(pi) frozen and q(v) at its optimum for each trial point
+    (gradients.elbo_svb_with_grad with qu_optimum, full batch): q(v) is
     far too sensitive to hyperparameter moves to be held where the
     E-phase left it.  All em_outer_iters rounds run: between mini-batch
     E-phases the bound's change is partly sampling noise, not a sign of
@@ -479,14 +483,14 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
     objective call.
 
     The hyperparameters do not move during the E-phase, so its steps
-    share one Kuu^-1, one set of RowTables over all N rows and the
-    starting q(u)'s natural parameters: those the M-phase's last
+    share one set of RowTables over all N rows and the starting q(v)'s
+    natural parameters: those the M-phase's last
     evaluation built at the round's hyperparameters (round 0: the
     start's evaluation; only if the M-phase ended elsewhere, one more
     evaluation at its point, not counted).  A step builds no kernel
     matrix, makes no Kuu solve, forms no Su and does no O(N) work.  pi,
     mu_u and Su are plain arrays, and only the hyperparameters are
-    packed.  The returned state's q(u) is the closed form at the final
+    packed.  The returned state's q(v) is the closed form at the final
     hyperparameters, from the same source.
     """
     opt_cfg = opt_cfg or OptimizerConfig()
@@ -511,7 +515,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         return -val, -pack.grad_to_vec(bundle), built
 
     def products(xh, built):
-        """(Kuu^-1, RowTables, NaturalQu) at xh: the objective's call there, or a new one."""
+        """(RowTables, NaturalQu) at xh: the objective's call there, or a new one."""
         return built if built is not None else objective(xh)[2]
 
     x = pack.pack(hp0, alpha0=cfg.alpha0)
@@ -521,11 +525,10 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
         # E-phase at x, on what the objective built there
         hp, alpha0 = pack.unpack(x)
         cfg_x = cfg.with_alpha0(alpha0)
-        kuu_inv, tables, qu = products(x, built)
+        tables, qu = products(x, built)
         for _ in range(opt_cfg.em_inner_stat_iters):
             rows = rng.choice(ds.n, size=batch, replace=False)
-            qu = svi.batch_step(ds, cfg_x, hp.noise.sigma, tables, kuu_inv, rows,
-                                state.pi_hat, qu)
+            qu = svi.batch_step(ds, cfg_x, hp.noise.sigma, tables, rows, state.pi_hat, qu)
         x, bound, term, calls, built = _m_phase(objective, x, pack.box_bounds(),
                                                 {"maxiter": opt_cfg.em_inner_hyp_iters})
         traj.append(bound)
@@ -539,7 +542,7 @@ def fit_svb_em(ds, cfg, hp0=None, opt_cfg=None):
             "stochastic fit regressed: initial %.6f -> final %.6f" % (initial, final)
         )
     hp, alpha0 = pack.unpack(x)
-    state.mu_u, state.Su = products(x, built)[2].moments()
+    state.mu_u, state.Su = products(x, built)[1].moments()
     return FitReport(
         bound_trajectory=traj,
         final_hp=hp,

@@ -351,7 +351,9 @@ class LongDoubleBound:
         start = np.cumsum([0] + [len(r) for r in sys.rows])
         K = np.zeros((start[-1], start[-1]), dtype=ld)
         if sys.has_inducing:
-            X = _ld_forward(_ld_cholesky(sys.Kuu.astype(ld)),
+            # the jittered Kuu that sys.cho_Kuu factors
+            kuu = sys.kuu_block.K + kernels.chol_jitter(sys.kuu_block.K)[1] * np.eye(len(sys.c))
+            X = _ld_forward(_ld_cholesky(kuu.astype(ld)),
                             np.hstack([b.K.T for b in sys.fu_blocks]).astype(ld))
             K += X.T @ X
         for m, B_m in enumerate(sys.B_blocks):
@@ -417,8 +419,8 @@ class TestCvbPiStep:
         # bound evaluated in long double.  At sigma = 0.3 the float64
         # elbo_cvb must not drop either; at sigma = 0.02 (bound about -4.5e4)
         # a converged step raises the bound by about 1e-9 nats, below the
-        # float64 evaluation's rounding between neighbouring rows (up to
-        # 1.4e-6 nats), so there only its finiteness is checked
+        # float64 evaluation's distance from long double (up to 7e-9 nats),
+        # so there only its finiteness is checked
         ds, cfg, hp, _ = checks.random_instance(8, n=40, M=2, Q=8, sigma=sigma)
         ds = make_dataset(ds.X, ds.y, labels=ds.labels, n_outputs=cfg.M)
         cfg = replace(cfg, use_dirichlet=use_dirichlet)
@@ -627,11 +629,11 @@ class TestEngineDenseReference:
     """The Woodbury engine against the dense (MN) x (MN) Gaussian.
 
     At N = 144 and Q = 30 the engine's N-row matrix products are large
-    enough for a multithreaded BLAS to split them across threads.  The
-    log-density tolerance is 1e-9: with 30 inducing points on the unit
-    interval cond(A) is about 2e10, and the Woodbury form then loses
-    2e-10 to 4e-10 relative against an extended-precision evaluation of
-    the same matrix, while the dense double evaluation keeps 5e-14.
+    enough for a multithreaded BLAS to split them across threads.  Every
+    tolerance is 1e-10.  In whitened form cond(A) is at most 2.6e3 on
+    these instances, and the largest error of any check was 5.1e-12 of
+    its scale at 1 and 2 BLAS threads; the unwhitened form, with
+    cond(A) about 2.6e10 at N = 144, lost up to 7.5e-10.
 
     Every instance has weights of exactly 0 (random_instance's unlabeled
     row at pi = 0) and rows outside an output's selection (its labeled
@@ -660,16 +662,16 @@ class TestEngineDenseReference:
     def test_posterior_moments(self, seed, kind):
         """K Sigma^-1 y and diag(K - K Sigma^-1 K) at every selected row, w = 0 included.
 
-        The largest errors were 1.6e-10 (means) and 4.1e-11 (variances)
-        of the largest entry, for the convolved model (cond(A) 1e9 to
-        3e9), and 1e-13 for the independent one.
+        The largest errors were 1.4e-12 (means) and 2.5e-13 (variances)
+        of the largest entry for the convolved model (cond(A) 9.6e2), and
+        1.2e-13 and 5.1e-12 for the independent one.
         """
         for extra_zeros in (False, True):
             sys = self._instance(seed, 60, 10, kind, extra_zeros)
             _, mean, var, _, _ = dense_posterior(sys)
             got_mean, got_var = (np.concatenate(v) for v in engine.posterior_moments(sys))
-            np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-9 * np.abs(mean).max())
-            np.testing.assert_allclose(got_var, var, rtol=0, atol=1e-9 * var.max())
+            np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-10 * np.abs(mean).max())
+            np.testing.assert_allclose(got_var, var, rtol=0, atol=1e-10 * var.max())
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_loglik_and_block_gradients(self, seed):
@@ -684,7 +686,7 @@ class TestEngineDenseReference:
         y = np.concatenate(sys.y_blocks)
         # the engine leaves out the noise normaliser of the rows with w > 0
         normaliser = -0.5 * np.sum(np.log(2 * np.pi / w[pos]))
-        assert engine.gauss_loglik(sys) + normaliser == pytest.approx(expect, rel=1e-9)
+        assert engine.gauss_loglik(sys) + normaliser == pytest.approx(expect, rel=1e-10)
 
         mg = engine.gauss_loglik_grads(sys)
         dE = np.zeros((len(w), len(w)))
@@ -698,10 +700,10 @@ class TestEngineDenseReference:
                                       np.repeat([0, 1], np.diff(start)))[np.ix_(pos, pos)],
                        dSigma, 0.0)
         np.testing.assert_allclose(dE[np.ix_(pos, pos)], ref, rtol=0,
-                                   atol=1e-8 * np.abs(ref).max())
+                                   atol=1e-10 * np.abs(ref).max())
         # d/dlog w = -w ((y - mean)^2 + var) / 2, exactly 0 at w = 0
         dlogw = np.concatenate(mg.dlogw_blocks)
         expect_dlogw = -0.5 * w * ((y - mean) ** 2 + var)
         np.testing.assert_allclose(dlogw, expect_dlogw, rtol=0,
-                                   atol=1e-8 * np.abs(expect_dlogw).max())
+                                   atol=1e-10 * np.abs(expect_dlogw).max())
         assert np.all(dlogw[~pos] == 0.0)

@@ -151,19 +151,19 @@ class TestFactorGuards:
             engine.build_system(ds.X, ds.y, hp, rows, w_blocks, kernel=spoiled)
         assert str(got.value) == str(ref.value)
 
-    @pytest.mark.parametrize("kuu_scale, error", [(np.nan, ValueError),
-                                                  (-1e6, np.linalg.LinAlgError)])
-    def test_bad_a_raises_the_same_errors(self, kuu_scale, error, monkeypatch):
-        # A = Kuu + sum_m Kfu_m' V_m is factored by the same helper; a Kuu
-        # that is not finite, or far from positive definite, spoils it
+    @pytest.mark.parametrize("scale, error", [(np.nan, ValueError),
+                                              (-1e6, np.linalg.LinAlgError)])
+    def test_bad_a_raises_the_same_errors(self, scale, error, monkeypatch):
+        # A = I + sum_m (S_m Psi_m)' P_m^-1 S_m Psi_m is factored by the same
+        # helper; a P_m^-1 that is not finite, or far from positive definite,
+        # spoils it (P_m's own factor is sound)
         ds, hp, rows, w_blocks = self._instance()
-        jittered = kernels.jittered
+        cho_inverse = engine.cho_inverse
 
-        def spoiled(K):
-            Kuu, cho = jittered(K)
-            return kuu_scale * np.eye(len(Kuu)), cho
+        def spoiled(cho, overwrite=False):
+            return scale * np.eye(len(cho_inverse(cho, overwrite)))
 
-        monkeypatch.setattr(kernels, "jittered", spoiled)
+        monkeypatch.setattr(engine, "cho_inverse", spoiled)
         with pytest.raises(error, match="infs or NaNs|leading minor of the array is not"):
             engine.build_system(ds.X, ds.y, hp, rows, w_blocks)
 
@@ -172,8 +172,10 @@ class TestExplicitInverse:
     """The noise half reads one P_m^-1 per output, against a dense reference.
 
     The reference is the stacked Gaussian over the rows with w > 0,
-    Sigma = Kfu Kuu^-1 Kuf + bdiag(B_m) + W^-1, written out densely and
-    solved with numpy.  The instances are well conditioned
+    Sigma = Kfu Kuu^-1 Kuf + bdiag(B_m) + W^-1 with the jittered Kuu,
+    written out densely and solved with numpy; the engine's whitened
+    pieces are checked against Psi = Kfu L^-T from numpy's Cholesky
+    factor L of that Kuu.  The instances are well conditioned
     (cond(A) <= 1e4), so everything agrees to 1e-12 of its largest entry;
     each has rows with w = 0 and labeled rows outside an output's rows.
     """
@@ -191,11 +193,13 @@ class TestExplicitInverse:
 
     @staticmethod
     def _dense(sys):
-        """(blocks, Kfu, Kuu^-1, K, w, y, pos, dSigma, mean, var, loglik) over all selected rows."""
+        """(blocks, Kfu, Kuu^-1, Psi, K, w, y, pos, dSigma, mean, var, loglik) over all rows."""
         start = np.cumsum([0] + [len(r) for r in sys.rows])
         blocks = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
         Kfu = np.vstack([b.K for b in sys.fu_blocks])
-        Kuu_inv = np.linalg.inv(sys.Kuu)
+        Kuu = sys.kuu_block.K + kernels.chol_jitter(sys.kuu_block.K)[1] * np.eye(Kfu.shape[1])
+        Kuu_inv = np.linalg.inv(Kuu)
+        Psi = np.linalg.solve(np.linalg.cholesky(Kuu), Kfu.T).T
         K = Kfu @ Kuu_inv @ Kfu.T
         for blk, B_m in zip(blocks, sys.B_blocks):
             K[blk, blk] += B_m
@@ -212,7 +216,7 @@ class TestExplicitInverse:
         _, logdet = np.linalg.slogdet(Sigma)
         # without the noise normaliser, as gauss_loglik
         loglik = -0.5 * (logdet + y[pos] @ a + np.sum(np.log(w[pos])))
-        return blocks, Kfu, Kuu_inv, K, w, y, pos, dSigma, mean, var, loglik
+        return blocks, Kfu, Kuu_inv, Psi, K, w, y, pos, dSigma, mean, var, loglik
 
     @staticmethod
     def _close(got, ref, name, scale=None):
@@ -224,38 +228,39 @@ class TestExplicitInverse:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_solves_and_moments(self, seed):
         sys = self._instance(seed)
-        blocks, Kfu, _, K, w, y, pos, _, mean, var, loglik = self._dense(sys)
+        blocks, _, _, Psi, K, w, y, pos, _, mean, var, loglik = self._dense(sys)
         assert engine.gauss_loglik(sys) == pytest.approx(loglik, rel=1e-12)
         means, variances = engine.posterior_moments(sys)
         for m, blk in enumerate(blocks):
-            # alpha_m = P_m^-1 S_m y_m and V_m = P_m^-1 S_m Kfu_m: S_m^-1 E_m^-1 (y_m, Kfu_m)
+            # alpha_m = P_m^-1 S_m y_m and V_m = P_m^-1 S_m Psi_m: S_m^-1 E_m^-1 (y_m, Psi_m)
             # on the rows with w > 0, 0 on the others, with E_m = B_m + W_m^-1
             p, s_m = pos[blk], sys.s_blocks[m]
+            self._close(sys.Psi[m], Psi[blk], "Psi")
             E = sys.B_blocks[m][np.ix_(p, p)] + np.diag(1.0 / w[blk][p])
-            alpha, V = np.zeros(len(s_m)), np.zeros((len(s_m), Kfu.shape[1]))
+            alpha, V = np.zeros(len(s_m)), np.zeros((len(s_m), Psi.shape[1]))
             alpha[p] = np.linalg.solve(E, y[blk][p]) / s_m[p]
-            V[p] = np.linalg.solve(E, Kfu[blk][p]) / s_m[p, None]
+            V[p] = np.linalg.solve(E, Psi[blk][p]) / s_m[p, None]
             self._close(sys.alpha[m], alpha, "alpha")
             self._close(sys.V[m], V, "V")
             P = np.eye(len(s_m)) + s_m[:, None] * sys.B_blocks[m] * s_m
             self._close(sys.P_inv[m], np.linalg.inv(P), "P_inv")
             assert sys.logdet_P[m] == pytest.approx(np.linalg.slogdet(P)[1], rel=1e-12)
-            self._close(sys.M1[m], (s_m[:, None] * Kfu[blk]).T @ V, "M1")
+            self._close(sys.M1[m], (s_m[:, None] * Psi[blk]).T @ V, "M1")
             self._close(means[m], mean[blk], "mean")
             # the variance is the prior variance less a term of its own size
             self._close(variances[m], var[blk], "var", scale=np.diag(K).max())
-        self._close(sys.A - sys.Kuu, sum(sys.M1), "A - Kuu")
+        self._close(sys.A - np.eye(len(sys.c)), sum(sys.M1), "A - I")
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matrix_grads(self, seed):
         sys = self._instance(seed)
-        blocks, Kfu, Kuu_inv, _, w, y, _, dSigma, mean, var, _ = self._dense(sys)
+        blocks, Kfu, Kuu_inv, Psi, _, w, y, _, dSigma, mean, var, _ = self._dense(sys)
         mg = engine.gauss_loglik_grads(sys)
         G = -2.0 * dSigma  # Sigma^-1 - Sigma^-1 y y' Sigma^-1, 0 on the rows with w = 0
         Ainv = np.linalg.inv(sys.A)
-        kr = sys.Kuu @ sys.c
-        M1 = sys.A - sys.Kuu
-        partial = np.zeros_like(sys.Kuu)
+        kr = sys.c  # Psi' Sigma^-1 y
+        M1 = sys.A - np.eye(len(sys.c))
+        partial = np.zeros_like(Kuu_inv)
         for m, blk in enumerate(blocks):
             s_m = sys.s_blocks[m]
             self._close(mg.dE_blocks[m], dSigma[blk, blk], "dE")
@@ -263,11 +268,11 @@ class TestExplicitInverse:
             ref = 2.0 * (dSigma[blk] @ Kfu - dSigma[blk, blk] @ Kfu[blk]) @ Kuu_inv
             self._close(mg.dKfu_blocks[m], ref, "dKfu")
             # the identity the engine uses in place of an n_m x n_m product:
-            # S_m [V_m A^-1 (M1 - M1_m) - r_m (kr_m - kr)'] = G_mm Kfu_m - (G Kfu)_m
+            # S_m [V_m A^-1 (M1 - M1_m) - r_m (kr_m - kr)'] = G_mm Psi_m - (G Psi)_m
             r = sys.alpha[m] - sys.V[m] @ sys.c
-            kr_m = (s_m[:, None] * Kfu[blk]).T @ r
+            kr_m = (s_m[:, None] * Psi[blk]).T @ r
             lhs = s_m[:, None] * (sys.V[m] @ Ainv @ (M1 - sys.M1[m]) - np.outer(r, kr_m - kr))
-            self._close(lhs, G[blk, blk] @ Kfu[blk] - G[blk] @ Kfu, "dKfu identity")
+            self._close(lhs, G[blk, blk] @ Psi[blk] - G[blk] @ Psi, "dKfu identity")
             self._close(mg.dlogw_blocks[m], -0.5 * w[blk] * ((y[blk] - mean[blk]) ** 2 + var[blk]),
                         "dlogw")
             partial += Kfu[blk].T @ dSigma[blk, blk] @ Kfu[blk]

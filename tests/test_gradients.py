@@ -113,17 +113,17 @@ class TestGradCvb:
     def test_finite_difference_match_at_a_fitted_point(self, seed):
         """The check where a short collapsed fit on the paper cell's data ends.
 
-        N = 144 (gamma = l = 0.2); after the fit's pi steps every labeled
-        row sits at exactly pi = 0 under the output its one-hot prior
-        rules out.  The fit uses Q = 6 inducing inputs: with the paper
-        cell's Q = 30, cond(A) ~ 1e10 and the bound moves by up to 1e-7
-        when x moves by 1e-13 relative (at the parent as well), which
-        keeps central differences 5e-5 off at every step size.
+        N = 144 (gamma = l = 0.2) and the paper cell's Q = 30; after the
+        fit's pi steps every labeled row sits at exactly pi = 0 under the
+        output its one-hot prior rules out.  The bound is in whitened form
+        (A = I + sum_m Psi_m' E_m^-1 Psi_m has eigenvalues of at least 1),
+        so its rounding noise stays far below the central differences at
+        the default step.
         """
         sc = experiments.SyntheticConfig(M=2, per_source_count=72, gamma=0.2, l_frac=0.2,
                                          seed=seed)
         ds, _ = experiments.generate_synthetic(sc)
-        cfg = model.ModelConfig(M=2, Q=6, alpha0=0.3)
+        cfg = model.ModelConfig(M=2, Q=30, alpha0=0.3)
         opt = trainer.OptimizerConfig(seed=seed, restarts=1, em_outer_iters=3)
         fit = trainer.fit_cvb(ds, cfg, None, opt)
         labeled = ds.labeled_mask
@@ -353,19 +353,18 @@ class TestVariationalGrad:
     @pytest.mark.parametrize("n", [4000, 1236])
     def test_gathered_tables_equal_the_tables_of_the_rows(self, n):
         ds, _, hp, state = checks.random_instance(n, n=n, M=2, Q=30)
-        _, tables, _ = svi.qu_restart(ds, hp, state.pi_hat)
-        _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
-        assert tables.phi.shape == (2, n, 30) and tables.r.shape == (2, n)
+        tables, _ = svi.qu_restart(ds, hp, state.pi_hat)
+        assert tables.psi.shape == (2, n, 30) and tables.r.shape == (2, n)
         rng = np.random.default_rng(n)
         for size in (1, 2, 17, 100):
             for _ in range(3):
                 rows = rng.choice(n, size=size, replace=False)
-                own = svi.row_tables(ds.X[rows], hp, cho)
-                phi, r = tables.gather(rows)
-                np.testing.assert_array_equal(phi, own.phi)
+                own = svi.row_tables(ds.X[rows], hp)
+                psi, r = tables.gather(rows)
+                np.testing.assert_array_equal(psi, own.psi)
                 np.testing.assert_array_equal(r, own.r)
                 # the E-step's matrix-vector products see the same layout too
-                assert all(p.flags.c_contiguous for p in phi)
+                assert all(p.flags.c_contiguous for p in psi)
 
     @_BATCH_CASES
     def test_rows_outside_batch_are_not_read(self, kind, use_dirichlet):
@@ -381,10 +380,10 @@ class TestVariationalGrad:
         pi_p = state.pi_hat.copy()
         pi_p[outside] = np.nan
 
-        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
+        tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
         steps = []
         for d, pi in ((ds, state.pi_hat.copy()), (ds_p, pi_p)):
-            new = svi.batch_step(d, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
+            new = svi.batch_step(d, cfg, hp.noise.sigma, tables, rows, pi, qu)
             steps.append((pi, new))
         (pi, new), (pi_p, new_p) = steps
         assert np.all(np.isfinite(pi_p[rows]))
@@ -486,9 +485,14 @@ def _fitted_point(seed):
                                   em_inner_hyp_iters=2, batch_size=30, seed=seed)
     fit = trainer.fit_svb_em(ds, cfg, None, opt)
     hp = fit.final_hp
-    kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
-    assert np.linalg.cond(kuu) >= 1e6
+    assert np.linalg.cond(_jittered_kuu(hp)) >= 1e6
     return ds, cfg.with_alpha0(fit.final_alpha0), hp, fit.final_state
+
+
+def _jittered_kuu(hp):
+    """The jittered Kuu at hp that kernels.chol_jitter factors."""
+    kuu = kernels.kuu_matrix(hp.inducing.W, hp.latent)
+    return kuu + kernels.chol_jitter(kuu)[1] * np.eye(len(kuu))
 
 
 def _check_qu_optimum(ds, cfg, hp, state, h):
@@ -516,6 +520,16 @@ def _check_qu_optimum(ds, cfg, hp, state, h):
     return finite_diff_check(value, lambda x: evaluate(x)[1], x0, h=h)
 
 
+def _ld_tril_inverse(L):
+    """L^-1 in long double for a lower-triangular L, by forward substitution."""
+    L = L.astype(np.longdouble)
+    eye = np.eye(len(L), dtype=np.longdouble)
+    Linv = np.zeros_like(L)
+    for i in range(len(L)):
+        Linv[i] = (eye[i] - L[i, :i] @ Linv[:i]) / L[i, i]
+    return Linv
+
+
 def _ld_inverse(A):
     """(A^-1, log|A|) in long double, by Cholesky and forward substitution."""
     A = A.astype(np.longdouble)
@@ -524,44 +538,52 @@ def _ld_inverse(A):
     for j in range(n):
         L[j, j] = np.sqrt(A[j, j] - L[j, :j] @ L[j, :j])
         L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    eye = np.eye(n, dtype=np.longdouble)
-    Linv = np.zeros_like(A)
-    for i in range(n):
-        Linv[i] = (eye[i] - L[i, :i] @ Linv[:i]) / L[i, i]
+    Linv = _ld_tril_inverse(L)
     return Linv.T @ Linv, 2 * np.sum(np.log(np.diag(L)))
+
+
+def _ld_factor_inverse(hp):
+    """L^-1 in long double for chol_jitter's float64 factor L of Kuu at hp, taken as exact."""
+    cho = kernels.chol_jitter(kernels.kuu_matrix(hp.inducing.W, hp.latent))[0]
+    return _ld_tril_inverse(np.tril(cho[0]))
 
 
 def _ld_reference(ds, cfg, hp, state):
     """The stochastic bound's per-row formulas in long double, on the float64 kernel blocks.
 
-    Returns (value, [(r, dKfu) per output], dKuu), the matrix-level
-    gradients before the kernel chain.  V is taken from vterm_rows.
+    q(v) = N(m, S) is state's, with u = L v and L chol_jitter's factor
+    of Kuu, taken as exact like the kernel blocks.  Returns
+    (value, [(r, dKfu) per output], dKuu), the matrix-level gradients at
+    fixed q(v) before the kernel chain: each row's derivative w.r.t.
+    Psi = Kfu L^-T, d resid m' - d Psi (S - I), is taken to Kfu by L^-1
+    and to Kuu by the Cholesky pullback of L' Lbar = -Psi_bar' Psi
+    (Murray 2016).  V is taken from vterm_rows.
     """
     ld = np.longdouble
-    kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
-    kinv, logdet_k = _ld_inverse(kuu)
+    Linv = _ld_factor_inverse(hp)
     _, logdet_s = _ld_inverse(state.Su)
-    mu_u, Su = state.mu_u.astype(ld), state.Su.astype(ld)
+    m_v, S = state.mu_u.astype(ld), state.Su.astype(ld)
+    T = S - np.eye(len(S), dtype=ld)
     t2 = kernels.sqdiff(ds.X, hp.inducing.W)
-    value, dKuu, per_output = ld(0), np.zeros(kinv.shape, dtype=ld), []
+    value, X, per_output = ld(0), np.zeros(Linv.shape, dtype=ld), []
     for m, out in enumerate(hp.outputs):
         kfu = kernels.kfu_block(t2, out, hp.latent).K.astype(ld)
-        phi = kfu @ kinv
-        r = ld(kernels.kff_diag_value(out, hp.latent)) - np.sum(phi * kfu, axis=1)
-        var = r + np.sum((phi @ Su) * phi, axis=1)
+        psi = kfu @ Linv.T
+        r = ld(kernels.kff_diag_value(out, hp.latent)) - np.sum(psi * psi, axis=1)
+        var = r + np.sum((psi @ S) * psi, axis=1)
         d = state.pi_hat[:, m].astype(ld) / ld(hp.noise.sigma[m]) ** 2
-        resid = ds.y.astype(ld) - phi @ mu_u
+        resid = ds.y.astype(ld) - psi @ m_v
         # the noise normaliser is V's (vterm_rows)
         value += np.sum(-0.5 * d * (resid**2 + var))
-        w = -0.5 * d
-        dphi = (d * resid)[:, None] * mu_u + w[:, None] * (2 * phi @ Su - kfu)
-        per_output.append((r, dphi @ kinv - w[:, None] * phi))
-        dKuu -= phi.T @ dphi @ kinv
-    kinv_mu = kinv @ mu_u
-    dKuu -= 0.5 * (kinv - kinv @ Su @ kinv - np.outer(kinv_mu, kinv_mu))
-    kl = 0.5 * (np.trace(kinv @ Su) + mu_u @ kinv_mu - len(mu_u) + logdet_k - logdet_s)
+        dpsi = (d * resid)[:, None] * m_v - d[:, None] * (psi @ T)
+        per_output.append((r, dpsi @ Linv))
+        X -= dpsi.T @ psi
+    P = np.tril(X)
+    P[np.diag_indices_from(P)] *= 0.5
+    P = Linv.T @ P @ Linv
+    kl = 0.5 * (np.trace(S) + m_v @ m_v - len(m_v) - logdet_s)
     value += ld(float(np.sum(vterm_rows(state, ds, cfg, hp.noise)))) - kl
-    return value, per_output, dKuu
+    return value, per_output, 0.5 * (P + P.T)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -571,11 +593,13 @@ class TestHyperGradLongDouble:
 
     The instance is small and ill-conditioned: n = 200, Q = 30 inducing
     inputs packed on the unit interval (cond(Kuu) 8.5e6 to 1.0e7) and
-    q(u) at its optimum.  The reference takes the float64 kernel blocks
-    and the jittered Kuu as exact.  On seeds 0-3 the largest errors were
-    4.2e-13 of kff for r, 2.3e-13 relative for the value, and 2.1e-10
-    and 4.6e-9 of the largest entry for dKfu and dKuu; the tolerances
-    are about four times those.
+    q(v) at its optimum.  The reference takes the float64 kernel blocks
+    and chol_jitter's float64 factor of Kuu as exact.  On seeds 0-3 at 1
+    and 2 BLAS threads the largest errors were 6.2e-15 of kff for r,
+    7.8e-15 relative for the value, and 4.0e-14 and 1.0e-10 of the
+    largest entry for dKfu and dKuu; the tolerances were set at about
+    four times the errors of the unwhitened form (4.2e-13, 2.3e-13,
+    2.1e-10 and 4.6e-9).
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -594,8 +618,7 @@ class TestHyperGradLongDouble:
         monkeypatch.setattr(gradients, "_chain_convolved", spy)
         value, _ = gradients.elbo_svb_with_grad(ds, cfg, hp, state)
         mg = seen[0]
-        _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
-        r = svi.row_tables(ds.X, hp, cho).r
+        r = svi.row_tables(ds.X, hp).r
 
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
         # the bound alone, from the per-row moments
@@ -610,32 +633,29 @@ class TestHyperGradLongDouble:
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is no wider than double here")
 class TestOptimalQuLongDouble:
-    """svi.optimal_qu against the optimal q(u) solved in long double.
+    """svi.optimal_qu against the optimal q(v) solved in long double.
 
     Same instances as TestHyperGradLongDouble (cond(Kuu) 8.5e6 to
-    1.0e7), with the float64 kernel blocks and the jittered Kuu taken as
-    exact.  The reference forms Su^-1 = Kuu^-1 + sum_m Phi_m' D_m Phi_m
-    and Su^-1 mu_u = sum_m Phi_m' D_m y by explicit long-double
-    inverses; it was within 5e-13 of a 40-digit solve of
-    Kuu (Kuu + Kuf D Kfu)^-1 (Kuu, Kuf D y) on these seeds.  optimal_qu
-    was within 8.5e-12 (mu_u) and 8.1e-12 (Su) of the largest entry; the
-    form it replaced, Su = Kuu (Kuu + Kuf D Kfu)^-1 Kuu, was 1.3e-9 to
-    2.6e-9 and 5.9e-9 to 9.3e-9 off.
+    1.0e7), with the float64 kernel blocks and chol_jitter's float64
+    factor L of Kuu taken as exact.  The reference forms
+    Su^-1 = I + sum_m Psi_m' D_m Psi_m and Su^-1 mu_u = sum_m Psi_m' D_m y,
+    Psi_m = Kfu_m L^-T, by explicit long-double inverses.  optimal_qu
+    was within 4.0e-11 (mu_u) and 3.9e-13 (Su) of the largest entry on
+    these seeds.
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_the_long_double_optimum(self, seed):
         ld = np.longdouble
         ds, cfg, hp, state = checks.random_instance(seed, n=200, M=2, Q=30, dense_w=True)
-        kuu, _ = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
-        kinv, _ = _ld_inverse(kuu)
+        Linv = _ld_factor_inverse(hp)
         t2 = kernels.sqdiff(ds.X, hp.inducing.W)
-        lam, h = kinv.copy(), np.zeros(len(kuu), dtype=ld)
+        lam, h = np.eye(len(Linv), dtype=ld), np.zeros(len(Linv), dtype=ld)
         for m, out in enumerate(hp.outputs):
-            phi = kernels.kfu_block(t2, out, hp.latent).K.astype(ld) @ kinv
+            psi = kernels.kfu_block(t2, out, hp.latent).K.astype(ld) @ Linv.T
             d = state.pi_hat[:, m].astype(ld) / ld(hp.noise.sigma[m]) ** 2
-            lam += phi.T @ (d[:, None] * phi)
-            h += phi.T @ (d * ds.y.astype(ld))
+            lam += psi.T @ (d[:, None] * psi)
+            h += psi.T @ (d * ds.y.astype(ld))
         ref_Su, _ = _ld_inverse(0.5 * (lam + lam.T))
         ref_mu = ref_Su @ h
 
@@ -665,14 +685,14 @@ class TestBlasRouting:
 
     @staticmethod
     def _outputs(ds, cfg, hp, state, rows):
-        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
-        out = {"qu_restart": [kuu_inv, *tables, *qu]}
+        tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
+        out = {"qu_restart": [*tables, *qu]}
         for tag, batch in (("full", None), ("batch", rows)):
             val, b = gradients.elbo_svb_with_grad(ds, cfg, hp, state, batch=batch)
             out["elbo_svb_with_grad." + tag] = [val] + list(vars(b).values())
             out["elbo_svb." + tag] = [svi.elbo_svb(ds, cfg, hp, state, batch=batch)]
         pi = state.pi_hat.copy()
-        qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
+        qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, rows, pi, qu)
         out["batch_step"] = [pi, *qu]
         return out
 
@@ -697,13 +717,13 @@ class TestBlasRouting:
         for name, values in routed.items():
             for got, ref in zip(values, plain[name]):
                 np.testing.assert_array_equal(got, ref, err_msg=name)
-        # each elbo_svb_with_grad makes 1 product per output (Phi' [d o Phi, a])
-        # and 1 over all outputs' rows ([d o Phi, a] [-T; mt']); each
-        # elbo_svb makes 1 (Phi Su), the batch step 2 over all outputs'
-        # rows (Phi L^-T for the variances, with L the Cholesky factor of
-        # q(u)'s precision and L^-1 from LAPACK's dtrtri, which forms no
-        # Su; Phi' (d o Phi) for q(u)), and qu_restart 1 over all outputs'
-        # rows (Phi' (d o Phi))
+        # each elbo_svb_with_grad makes 1 product per output (Psi' [d o Psi, a])
+        # and 1 over all outputs' rows ([d o Psi, a] ([-T; m'] L^-1)); each
+        # elbo_svb makes 1 (Psi Su), the batch step 2 over all outputs'
+        # rows (Psi C^-T for the variances, with C the Cholesky factor of
+        # q(v)'s precision and C^-1 from LAPACK's dtrtri, which forms no
+        # Su; Psi' (d o Psi) for q(v)), and qu_restart 1 over all outputs'
+        # rows (Psi' (d o Psi))
         assert len(calls) == 2 * (cfg.M + 1) + 2 * 1 + 2 + 1
         assert all(max(sa[0], sb[0]) >= len(rows) for sa, sb in calls)
 

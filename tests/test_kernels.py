@@ -146,9 +146,11 @@ class TestAssembly:
         )
         sys = build_system(X, hp)
         B = sys.B_blocks[0]
-        # exact interpolation: residual of the *latent* kernel at W=X
+        # exact interpolation: residual of the *latent* kernel at W=X, in
+        # whitened form Kuu - Psi Psi' with Psi = Kuu L^-T
         Kuu = kernels.kuu_matrix(X, LAT)
-        resid = Kuu - Kuu @ np.linalg.solve(sys.Kuu, Kuu)
+        psi = kernels.whiten(sys.cho_Kuu, Kuu)
+        resid = Kuu - psi @ psi.T
         assert np.max(np.abs(resid)) < 1e-4
         assert np.min(np.linalg.eigvalsh(B)) >= -1e-8 * np.trace(B) / len(B)
 
@@ -157,8 +159,9 @@ class TestAssembly:
         X = rng.uniform(0, 1, (10, 1))
         hp = random_hp(rng, M=2, Q=4)
         sys = build_system(X, hp)
-        assert sys.Kuu.shape == (4, 4)
+        assert sys.cho_Kuu[0].shape == (4, 4)
         assert np.vstack([b.K for b in sys.fu_blocks]).shape == (20, 4)
+        assert np.vstack(sys.Psi).shape == (20, 4)
         assert len(sys.B_blocks) == 2 and sys.B_blocks[0].shape == (10, 10)
 
     def test_assembled_covariance_psd(self):
@@ -167,8 +170,8 @@ class TestAssembly:
             X = rng.uniform(0, 1, (10, 1))
             hp = random_hp(rng, M=2, Q=4)
             sys = build_system(X, hp)
-            Kfu = np.vstack([b.K for b in sys.fu_blocks])
-            nystrom = Kfu @ np.linalg.solve(sys.Kuu, Kfu.T)
+            psi = np.vstack(sys.Psi)
+            nystrom = psi @ psi.T
             full = nystrom.copy()
             for m in range(2):
                 full[m * 10 : (m + 1) * 10, m * 10 : (m + 1) * 10] += sys.B_blocks[m]
@@ -180,6 +183,61 @@ class TestAssembly:
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(IllConditionedKernelError, match="condition estimate"):
             chol_jitter(K)
+
+
+class TestWhiten:
+    """kernels.whiten's Psi = K L^-T and the chain of a gradient through it."""
+
+    @staticmethod
+    def _instance(seed, n=7, q=5):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(q, q))
+        kuu = A @ A.T / q + np.eye(q)
+        return rng, kuu, rng.normal(size=(n, q))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_psi_solves_psi_l_transpose_equals_k(self, n):
+        _, kuu, K = self._instance(n, n=n)
+        cho = chol_jitter(kuu)[0]
+        psi = kernels.whiten(cho, K)
+        L = np.tril(cho[0])
+        assert psi.shape == K.shape
+        np.testing.assert_allclose(psi @ L.T, K, rtol=0, atol=1e-13)
+        # each row on its own: the rows of a larger block are the rows' own Psi
+        for i in range(n):
+            np.testing.assert_array_equal(kernels.whiten(cho, K[i : i + 1]), psi[i : i + 1])
+
+    def test_pullback_matches_finite_differences(self):
+        # f(K, Kuu) = sum(G o Psi) + sum(H o Psi' Psi) with Psi = K chol(Kuu)^-T;
+        # Psi_bar = G + Psi (2 H) for symmetric H, each term chained on its right factor
+        rng, kuu, K = self._instance(3)
+        q = kuu.shape[0]
+        G = rng.normal(size=K.shape)
+        H = rng.normal(size=(q, q))
+        H = H + H.T
+
+        def f(K, kuu):
+            psi = K @ np.linalg.inv(np.linalg.cholesky(kuu)).T
+            return np.sum(G * psi) + np.sum(H * (psi.T @ psi))
+
+        cho = kernels.cho_factor(kuu)
+        psi = kernels.whiten(cho, K)
+        psi_bar = G + psi @ (2 * H)
+        dK = kernels.whiten_grad_k(cho, G) + psi @ kernels.whiten_grad_k(cho, 2 * H)
+        dKuu = kernels.whiten_grad_kuu(cho, -psi_bar.T @ psi)
+        np.testing.assert_array_equal(dKuu, dKuu.T)
+        h = 1e-6
+        for i, j in [(0, 0), (3, 2), (6, 4)]:
+            E = np.zeros_like(K)
+            E[i, j] = h
+            fd = (f(K + E, kuu) - f(K - E, kuu)) / (2 * h)
+            assert dK[i, j] == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        for i, j in [(0, 0), (2, 1), (4, 4)]:
+            E = np.zeros_like(kuu)
+            E[i, j] = E[j, i] = h
+            fd = (f(K, kuu + E) - f(K, kuu - E)) / (2 * h)
+            # a symmetric step moves both (i, j) and (j, i)
+            assert (2 - (i == j)) * dKuu[i, j] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 def _needs_escalations(k, n=6, seed=0):
@@ -463,9 +521,10 @@ class TestBlocks:
         for m, out in enumerate(hp.outputs):
             # Kff_m itself is not kept: B_m is formed from it in its array
             Kfu = kernels.kfu_matrix(X, hp.inducing.W, out, hp.latent)
-            resid = (kernels.kff_matrix(X, X, out, out, hp.latent)
-                     - engine._gemm(Kfu, kernels.cho_solve(sys.cho_Kuu, Kfu.T)))
+            psi = kernels.whiten(sys.cho_Kuu, Kfu)
+            resid = kernels.kff_matrix(X, X, out, out, hp.latent) - engine._gemm(psi, psi.T)
             assert sys.ff_blocks[m].K is None
+            np.testing.assert_array_equal(sys.Psi[m], psi)
             np.testing.assert_array_equal(sys.B_blocks[m], 0.5 * (resid + resid.T))
             np.testing.assert_array_equal(sys.fu_blocks[m].K, Kfu)
         np.testing.assert_array_equal(sys.kuu_block.K, kernels.kuu_matrix(hp.inducing.W, hp.latent))

@@ -72,15 +72,16 @@ class TestInitState:
         st = init_state(ds, ModelConfig(M=2, Q=3), seed=1)
         assert np.all(np.abs(st.pi_hat[2:] - 0.5) <= 0.05)
 
-    def test_su_copies_kuu(self):
+    def test_q_v_starts_at_the_whitened_prior(self):
+        # q(v), u = L v, starts at its prior N(0, I), sized by Kuu
         ds = small_ds()
         kuu = np.array([[2.0, 0.1], [0.1, 1.0]])
         st = init_state(ds, ModelConfig(M=2, Q=2), seed=0, kuu=kuu)
-        np.testing.assert_array_equal(st.Su, kuu)
+        np.testing.assert_array_equal(st.Su, np.eye(2))
         st.Su[0, 0] = 5.0
-        assert kuu[0, 0] == 2.0  # a copy, not a view
+        assert kuu[0, 0] == 2.0  # not a view of Kuu
         assert np.all(st.mu_u == 0.0)
-        # without Kuu (a collapsed fit) the state has no q(u)
+        # without Kuu (a collapsed fit) the state has no q(v)
         st = init_state(ds, ModelConfig(M=2, Q=2), seed=0)
         assert st.mu_u is None and st.Su is None
 

@@ -22,18 +22,25 @@ def rand_spd(rng, q, scale=1.0):
 
 
 def _qf_moments(sys, hp, m, mu_u, Su):
-    """Moments of q(f_m) at every row, from the engine's factors of Kuu and Kfu_m."""
+    """Moments of q(f_m) at every row under q(v) = N(mu_u, Su), from the engine's Psi_m."""
     kffd = np.full(len(sys.rows[m]), kernels.kff_diag_value(hp.outputs[m], hp.latent))
-    phi, r = svi._row_constants(sys.cho_Kuu, sys.fu_blocks[m].K, kffd)
-    mu, var = svi._qu_moments(phi, r, mu_u, Su)
+    psi = sys.Psi[m]
+    mu, var = svi._qu_moments(psi, kffd - np.sum(psi * psi, axis=1), mu_u, Su)
     return mu, var, kffd
+
+
+def _jittered_kuu(hp):
+    """The jittered Kuu at hp that chol_jitter factors."""
+    kuu = kernels.kuu_matrix(hp.inducing.W, hp.latent)
+    return kuu + kernels.chol_jitter(kuu)[1] * np.eye(len(kuu))
 
 
 class TestQfMoments:
     def test_prior_q_collapses_correction(self):
         ds, cfg, hp, state = checks.random_instance(0, n=5, M=2, Q=3)
         sys = build_cvb_system(ds, cfg, hp, state)
-        mu, var, kffd = _qf_moments(sys, hp, 0, np.zeros(3), sys.Kuu.copy())
+        # q(v) at its prior N(0, I) is q(u) at p(u)
+        mu, var, kffd = _qf_moments(sys, hp, 0, np.zeros(3), np.eye(3))
         np.testing.assert_allclose(mu, 0.0, atol=1e-12)
         np.testing.assert_allclose(var, kffd, rtol=1e-9)
 
@@ -47,28 +54,41 @@ class TestQfMoments:
         rng = np.random.default_rng(2)
         ds, cfg, hp, state = checks.random_instance(2, n=3, M=1, Q=2)
         sys = build_cvb_system(ds, cfg, hp, state)
-        mu_u = rng.normal(size=2)
-        Su = rand_spd(rng, 2, 0.5)
-        mu, var, _ = _qf_moments(sys, hp, 0, mu_u, Su)
-        # independent dense construction of q(f) = int p(f|u) q(u) du
+        mu_v = rng.normal(size=2)
+        Sv = rand_spd(rng, 2, 0.5)
+        mu, var, _ = _qf_moments(sys, hp, 0, mu_v, Sv)
+        # independent dense construction of q(f) = int p(f|u) q(u) du, with
+        # q(u) = N(L mu_v, L Sv L') the image of q(v) under u = L v
+        Kuu = _jittered_kuu(hp)
+        L = np.linalg.cholesky(Kuu)
+        mu_u, Su = L @ mu_v, L @ Sv @ L.T
         Kfu = kernels.kfu_matrix(ds.X, hp.inducing.W, hp.outputs[0], hp.latent)
         Kff = kernels.kff_matrix(ds.X, ds.X, hp.outputs[0], hp.outputs[0], hp.latent)
-        Ki = np.linalg.inv(sys.Kuu)
+        Ki = np.linalg.inv(Kuu)
         mean = Kfu @ Ki @ mu_u
-        Sig = Kff + Kfu @ Ki @ (Su - sys.Kuu) @ Ki @ Kfu.T
+        Sig = Kff + Kfu @ Ki @ (Su - Kuu) @ Ki @ Kfu.T
         np.testing.assert_allclose(mu, mean, rtol=1e-8)
         np.testing.assert_allclose(var, np.diag(Sig), rtol=1e-8)
 
 
 class TestGaussianKL:
+    """KL(q(v) || N(0, I)) equals KL(q(u) || N(0, Kuu)) for q(u) the image of q(v) under u = L v."""
+
+    @staticmethod
+    def _whitened(mu, Su, Kuu):
+        """q(v) = N(L^-1 mu, L^-1 Su L^-T) of q(u) = N(mu, Su), Kuu = L L'."""
+        L = np.linalg.cholesky(Kuu)
+        Li = np.linalg.inv(L)
+        return Li @ mu, Li @ Su @ Li.T
+
     def test_identical_is_zero(self):
         rng = np.random.default_rng(3)
         K = rand_spd(rng, 4)
-        kl = gaussian_kl_u(np.zeros(4), K.copy(), kernels.cho_factor(K))
+        kl = gaussian_kl_u(*self._whitened(np.zeros(4), K.copy(), K))
         assert kl == pytest.approx(0.0, abs=1e-10)
 
     def test_unit_variance_mean_shift(self):
-        kl = gaussian_kl_u(np.array([2.0]), np.eye(1), kernels.cho_factor(np.eye(1)))
+        kl = gaussian_kl_u(np.array([2.0]), np.eye(1))
         assert kl == pytest.approx(2.0)
 
     def test_monte_carlo_estimate(self):
@@ -76,7 +96,7 @@ class TestGaussianKL:
         Su = rand_spd(rng, 2, 0.7)
         Kuu = rand_spd(rng, 2, 1.3)
         mu = rng.normal(size=2)
-        exact = gaussian_kl_u(mu, Su, kernels.cho_factor(Kuu))
+        exact = gaussian_kl_u(*self._whitened(mu, Su, Kuu))
         n_mc = 200_000
         Ls = np.linalg.cholesky(Su)
         z = mu[None, :] + rng.standard_normal((n_mc, 2)) @ Ls.T
@@ -97,8 +117,7 @@ class TestElboSvb:
         rng = np.random.default_rng(5)
         state.Su = rand_spd(rng, 3)
         state.mu_u = rng.normal(size=3)
-        _, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
-        kl = gaussian_kl_u(state.mu_u, state.Su, cho)
+        kl = gaussian_kl_u(state.mu_u, state.Su)
         parts = [np.arange(0, 3), np.arange(3, 6), np.arange(6, 9)]
         unscaled = sum(
             (len(p) / ds.n) * (elbo_svb(ds, cfg, hp, state, batch=p) + kl)
@@ -120,20 +139,19 @@ class TestElboSvb:
         assert np.mean(vals) == pytest.approx(full, abs=1e-8)
 
     def test_one_hot_closed_form_by_hand(self):
-        # 3 unlabeled observations, q(u) = prior, exact one-hot assignments
+        # 3 unlabeled observations, q(v) = prior N(0, I), exact one-hot assignments
         ds, cfg, hp, state = checks.random_instance(7, n=3, M=2, Q=3)
         ds = make_dataset(ds.X, ds.y, n_outputs=2)
         assign = np.array([1, 2, 1])
         pi = np.zeros((3, 2))
         pi[np.arange(3), assign - 1] = 1.0
         state.pi_hat = pi
-        kuu, cho = kernels.jittered(kernels.kuu_matrix(hp.inducing.W, hp.latent))
         state.mu_u = np.zeros(3)
-        state.Su = kuu.copy()
+        state.Su = np.eye(3)
         got = elbo_svb(ds, cfg, hp, state)
         # hand expansion: sum over the (n, m) pairs with pi = 1 of
         # log N(y | 0, sig^2) - 0.5 kff_diag / sig^2, plus the KL terms of V,
-        # minus KL(q(u) || p(u)) = 0; a pair at pi = 0 adds nothing
+        # minus KL(q(v) || p(v)) = 0; a pair at pi = 0 adds nothing
         data = 0.0
         for n, m in enumerate(assign - 1):
             kffd = kernels.kff_diag_value(hp.outputs[m], hp.latent)
@@ -191,7 +209,7 @@ class TestOptimalQu:
 
 
 def _step_instance(seed, use_dirichlet, sigma=0.3):
-    """An instance at the optimal q(u), and its round: (ds, cfg, hp, state, svi.qu_restart's triple).
+    """An instance at the optimal q(v), and its round: (ds, cfg, hp, state, svi.qu_restart's pair).
 
     There the stepped rows come out soft at sigma = 0.3, and at sigma =
     0.02 stepped unlabeled rows have entries that underflow to exactly 0.
@@ -199,15 +217,15 @@ def _step_instance(seed, use_dirichlet, sigma=0.3):
     ds, cfg, hp, state = checks.random_instance(seed, n=30, M=3, Q=5, sigma=sigma)
     cfg = replace(cfg, use_dirichlet=use_dirichlet)
     round_ = svi.qu_restart(ds, hp, state.pi_hat)
-    state.mu_u, state.Su = round_[2].moments()
+    state.mu_u, state.Su = round_[1].moments()
     return ds, cfg, hp, state, round_
 
 
 def _local_step(ds, cfg, hp, state, round_, rows):
-    """state with its batch rows of pi_hat stepped by svi.batch_step at the round's q(u)."""
-    kuu_inv, tables, qu = round_
+    """state with its batch rows of pi_hat stepped by svi.batch_step at the round's q(v)."""
+    tables, qu = round_
     pi = state.pi_hat.copy()
-    svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
+    svi.batch_step(ds, cfg, hp.noise.sigma, tables, rows, pi, qu)
     return replace(state, pi_hat=pi)
 
 
@@ -265,8 +283,8 @@ class TestBatchStep:
     @staticmethod
     def _c(ds, hp, state, tables, rows):
         """c_nm, the expected log-likelihood at pi_nm = 1, of the rows (rows, M)."""
-        phi, r = tables.gather(rows)
-        mu, var = svi._qu_moments(phi, r, state.mu_u, state.Su)
+        psi, r = tables.gather(rows)
+        mu, var = svi._qu_moments(psi, r, state.mu_u, state.Su)
         s = hp.noise.sigma[:, None]
         # expected_loglik_terms leaves out the normaliser, which V carries
         return (expected_loglik_terms(ds.y[rows], mu, var, 1.0, s)
@@ -283,7 +301,7 @@ class TestBatchStep:
         ds, cfg, hp, state, round_ = _step_instance(3, use_dirichlet)
         rows = np.flatnonzero(ds.labeled_mask)[::-1]
         stepped = _local_step(ds, cfg, hp, state, round_, rows)
-        c = self._c(ds, hp, state, round_[1], rows)
+        c = self._c(ds, hp, state, round_[0], rows)
         expect = self._normalised(ds.log_prior[rows] + c)
         # every other labeled row has a one-hot prior, which it keeps exactly
         assert np.sum(expect.max(axis=1) < 0.9) >= 5
@@ -299,7 +317,7 @@ class TestBatchStep:
         ds, cfg, hp, state, round_ = _step_instance(3, use_dirichlet)
         rows = np.flatnonzero(~ds.labeled_mask)
         stepped = _local_step(ds, cfg, hp, state, round_, rows)
-        log_w = self._c(ds, hp, state, round_[1], rows)
+        log_w = self._c(ds, hp, state, round_[0], rows)
         if use_dirichlet:
             log_w += digamma(cfg.alpha0 + state.pi_hat[rows])
         expect = self._normalised(log_w)
@@ -308,22 +326,23 @@ class TestBatchStep:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_full_batch_step_is_optimal_qu(self, seed):
-        """At the full batch rho = 1, and the q(u) step lands on optimal_qu's q(u).
+        """At the full batch rho = 1, and the q(v) step lands on optimal_qu's q(v).
 
         n = 200 and Q = 30 inducing inputs packed on the unit interval
         (cond(Kuu) 8.5e6 to 1e7).  Both sides take the same natural-form
         estimate, over the rows in another order, so they differ only by
-        that order's rounding: up to 7.9e-12 of the largest mean, 7.8e-12
-        of the largest covariance entry and 6.3e-15 relative in the bound
-        on seeds 0-3 at 1 and 2 BLAS threads; the tolerances are about
-        four times those.
+        that order's rounding: in whitened form up to 8.0e-13 of the
+        largest mean, 4.3e-13 of the largest covariance entry and 3.8e-16
+        relative in the bound on seeds 0-3 at 1 and 2 BLAS threads; the
+        tolerances were set at about four times the unwhitened form's
+        (7.9e-12, 7.8e-12 and 6.3e-15).
         """
         ds, cfg, hp, state = checks.random_instance(seed, n=200, M=2, Q=30, dense_w=True)
-        kuu_inv, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
+        tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
         state.mu_u, state.Su = qu.moments()
         pi = state.pi_hat.copy()
         rows = np.random.default_rng(seed).permutation(ds.n)
-        qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
+        qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, rows, pi, qu)
         stepped = replace(state, pi_hat=pi)
         mu_u, Su = qu.moments()
         mu_o, Su_o = optimal_qu(ds, cfg, hp, stepped)
@@ -334,15 +353,15 @@ class TestBatchStep:
         assert abs(got - ref) <= 3e-14 * abs(ref)
 
 
-def _reference_step(ds, cfg, sigma, tables, kuu_inv, rows, pi, qu):
+def _reference_step(ds, cfg, sigma, tables, rows, pi, qu):
     """batch_step written out from Su: cho_factor, cho_solve and an explicit inverse."""
-    phi, r = tables.gather(rows)
-    M, b, Q = phi.shape
+    psi, r = tables.gather(rows)
+    M, b, Q = psi.shape
     cho = cho_factor(qu.lam, lower=True)
     mu_u = cho_solve(cho, qu.h)
     Su = cho_solve(cho, np.eye(Q))
     Su = 0.5 * (Su + Su.T)
-    flat = phi.reshape(-1, Q)
+    flat = psi.reshape(-1, Q)
     mu = (flat @ mu_u).reshape(M, b)
     var = np.maximum(r + np.sum((flat @ Su) * flat, axis=1).reshape(M, b), 0.0)
     s2 = (sigma**2)[:, None]
@@ -355,26 +374,25 @@ def _reference_step(ds, cfg, sigma, tables, kuu_inv, rows, pi, qu):
     pi[rows] = w / w.sum(axis=1, keepdims=True)
     d = pi[rows].T / s2
     scale = ds.n / b
-    lam = kuu_inv + scale * np.einsum("mnq,mn,mnp->qp", phi, d, phi)
-    h = scale * np.einsum("mnq,mn->q", phi, d * y)
+    lam = np.eye(Q) + scale * np.einsum("mnq,mn,mnp->qp", psi, d, psi)
+    h = scale * np.einsum("mnq,mn->q", psi, d * y)
     rho = b / ds.n
     return svi.NaturalQu((1 - rho) * qu.lam + rho * lam, (1 - rho) * qu.h + rho * h)
 
 
 class TestFusedStep:
-    """batch_step takes q(u)'s moments from one factor of its precision, with no Su."""
+    """batch_step takes q(v)'s moments from one factor of its precision, with no Su."""
 
     @pytest.mark.parametrize("use_dirichlet", [True, False])
     @pytest.mark.parametrize("sigma", [0.3, 0.02])
     def test_two_hundred_steps_match_the_step_written_from_su(self, sigma, use_dirichlet):
-        ds, cfg, hp, state, (kuu_inv, tables, qu) = _step_instance(5, use_dirichlet, sigma)
+        ds, cfg, hp, state, (tables, qu) = _step_instance(5, use_dirichlet, sigma)
         rng = np.random.default_rng(7)
         pi, pi_ref, qu_ref = state.pi_hat.copy(), state.pi_hat.copy(), qu
         for _ in range(200):
             rows = rng.choice(ds.n, size=7, replace=False)
-            qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi, qu)
-            qu_ref = _reference_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, rows, pi_ref,
-                                     qu_ref)
+            qu = svi.batch_step(ds, cfg, hp.noise.sigma, tables, rows, pi, qu)
+            qu_ref = _reference_step(ds, cfg, hp.noise.sigma, tables, rows, pi_ref, qu_ref)
         if sigma < 0.1:
             assert np.any(pi[~ds.labeled_mask] == 0.0)
         np.testing.assert_allclose(pi, pi_ref, rtol=1e-11, atol=0)
@@ -383,18 +401,18 @@ class TestFusedStep:
 
     @pytest.mark.parametrize("field", ["lam", "h"])
     def test_non_finite_natural_parameters_raise_value_error(self, field):
-        ds, cfg, hp, state, (kuu_inv, tables, qu) = _step_instance(0, True)
+        ds, cfg, hp, state, (tables, qu) = _step_instance(0, True)
         bad = getattr(qu, field).copy()
         bad[(0,) * bad.ndim] = np.nan
         qu = qu._replace(**{field: bad})
         with pytest.raises(ValueError):
-            svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, [0, 1], state.pi_hat, qu)
+            svi.batch_step(ds, cfg, hp.noise.sigma, tables, [0, 1], state.pi_hat, qu)
 
     def test_indefinite_precision_raises_linalg_error(self):
-        ds, cfg, hp, state, (kuu_inv, tables, qu) = _step_instance(0, True)
+        ds, cfg, hp, state, (tables, qu) = _step_instance(0, True)
         qu = qu._replace(lam=qu.lam - 2 * np.max(np.linalg.eigvalsh(qu.lam)) * np.eye(5))
         with pytest.raises(np.linalg.LinAlgError):
-            svi.batch_step(ds, cfg, hp.noise.sigma, tables, kuu_inv, [0, 1], state.pi_hat, qu)
+            svi.batch_step(ds, cfg, hp.noise.sigma, tables, [0, 1], state.pi_hat, qu)
 
 
 class TestPerFitConstants:
@@ -403,7 +421,7 @@ class TestPerFitConstants:
     def test_given_constants_change_no_value(self):
         ds, cfg, hp, state = checks.random_instance(11, n=40, M=2, Q=6)
         t2 = kernels.sqdiff(ds.X, hp.inducing.W)
-        _, tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
+        tables, qu = svi.qu_restart(ds, hp, state.pi_hat)
         state.mu_u, state.Su = qu.moments()
         assert elbo_svb(ds, cfg, hp, state, tables=tables) == elbo_svb(ds, cfg, hp, state)
         val, bundle = gradients.elbo_svb_with_grad(ds, cfg, hp, state, t2=t2)

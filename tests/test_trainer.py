@@ -310,8 +310,8 @@ class TestFitSvbEm:
         assert 1 + 5 * 10 + sum(t["nfev"] for t in rep.termination) == rep.evaluations
 
     def test_q_u_comes_from_the_m_phase_evaluations(self, monkeypatch):
-        # each round's E-phase and the final state take Kuu^-1, the row
-        # tables and q(u) from elbo_svb_with_grad's call at the M-phase's
+        # each round's E-phase and the final state take the row tables and
+        # q(v) from elbo_svb_with_grad's call at the M-phase's
         # returned point (round 0: the start's), so svi.qu_restart never runs
         def no_restart(*a, **kw):
             raise AssertionError("svi.qu_restart ran")
@@ -322,7 +322,7 @@ class TestFitSvbEm:
         opt = OptimizerConfig(seed=3, em_outer_iters=3, em_inner_stat_iters=10,
                               em_inner_hyp_iters=3, batch_size=8)
         rep = fit_svb_em(ds, cfg, None, opt)
-        _, _, (_, _, qu) = gradients.elbo_svb_with_grad(
+        _, _, (_, qu) = gradients.elbo_svb_with_grad(
             ds, cfg.with_alpha0(rep.final_alpha0), rep.final_hp, rep.final_state,
             qu_optimum=True)
         mu_u, Su = qu.moments()
