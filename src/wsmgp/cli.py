@@ -303,6 +303,7 @@ def cmd_fit(args):
                 "converged": bool(report.converged),
                 "wall_clock": report.wall_clock,
                 "evaluations": report.evaluations,
+                "pi_steps": report.pi_steps,
                 "seed": report.seed,
                 "alpha0": report.final_alpha0,
                 "termination": report.termination,

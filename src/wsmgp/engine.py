@@ -60,15 +60,16 @@ them to numpy's OpenBLAS pool between scipy's factorizations: with
 16.0 ms against 6.4-6.8 ms with `np.einsum` (2 BLAS threads on 2
 cores, three instances).
 
-Explicit inverses come from Cholesky factors through cho_inverse,
-LAPACK's dpotri in scipy's library.  P = I + S B S is well conditioned
-by construction (its eigenvalues are at least 1), so build_system forms
-each P_m^-1 once, in place of its factor, after taking log|P_m| from
-that factor, and every later use reads it: alpha_m and V_m are products
-with it (so the bound's value depends on it), gauss_loglik_grads starts
-G~_m from it, and posterior_moments takes the pi step's variances from
-one product with it.  A^-1 is formed in gauss_loglik_grads; the value
-reads A only through its factor.
+The noise half keeps each P_m = I + S_m B_m S_m as its Cholesky factor
+and never inverts it (GPML Algorithm 2.1 solves with the factor):
+build_system takes log|P_m| from the factor and alpha_m and V_m from one
+dpotrs solve against [S_m Psi_m | S_m y_m], and posterior_moments takes
+the pi step's variances from one triangular solve with it
+(kernels.whiten).  So the bound's value and a pi step read no inverse.
+The collapsed bound's explicit inverses, P_m^-1 and A^-1, are formed
+in one place, gauss_loglik_grads, by cho_inverse (LAPACK's dpotri in
+scipy's library) from a copy of each factor, since the system is only
+read.
 
 Two halves: a StackedSystem is a KernelHalf plus a noise half.  The
 kernel half depends on the hyperparameters and the selection alone: each
@@ -76,9 +77,9 @@ kernel block (kernels.kuu_block, kfu_block, kff_block or se_block, kept
 as kernels.GaussBlock values; a convolved Kff_m block keeps t2 and unit
 only, since B_m is formed in its K), chol_jitter's factor L of Kuu,
 each Psi_m and the Nystrom residuals B_m.  The noise half holds
-log|P_m|, P_m^-1, alpha, S_m Psi_m, V, M1_m = (S_m Psi_m)' V_m, A with
-its factor, beta and c.  build_system builds both, or, given the kernel
-half of an earlier system at the same hyperparameters, only the noise half: the
+log|P_m|, P_m's factor, alpha, S_m Psi_m, V, M1_m = (S_m Psi_m)' V_m, A
+with its factor, beta and c.  build_system builds both, or, given the
+kernel half of an earlier system at the same hyperparameters, only the noise half: the
 collapsed fit's pi steps move the weights alone, so the steps of one
 evaluation share the kernel half of the system it built (trainer).  The
 kernel half reads X and W only through each output's squared differences
@@ -127,7 +128,7 @@ def _gemm(a, b):
     return dgemm(1.0, b_t, a_t, trans_a=trans_b, trans_b=trans_a).T
 
 
-def cho_inverse(cho, overwrite=False):
+def cho_inverse(cho):
     """The inverse of a symmetric positive-definite matrix from its Cholesky factor.
 
     cho is a (c, lower) pair as cho_factor and kernels.chol_jitter
@@ -135,12 +136,11 @@ def cho_inverse(cho, overwrite=False):
     the factor in about a third of the flops of cho_solve(cho, eye(n));
     the other triangle of c still holds the factored matrix, so the
     result is mirrored from the computed triangle and is exactly
-    symmetric.  With overwrite, a Fortran-ordered c is turned into the
-    inverse in place, and the factor is lost.
+    symmetric.  c itself is not modified.
     """
     c, lower = cho
     # an upper factor U (A = U'U) is the lower factor of A transposed
-    inv, info = dpotri(c if lower else c.T, lower=1, overwrite_c=overwrite)
+    inv, info = dpotri(c if lower else c.T, lower=1)
     if info:
         raise np.linalg.LinAlgError("dpotri failed (info = %d)" % info)
     # one block of columns at a time, so each transposed copy stays in cache
@@ -195,12 +195,12 @@ class StackedSystem(KernelHalf):
     y_blocks: list  # per-output data vectors
     s_blocks: list  # per-output sqrt(w_m), the diagonal of S_m
     logdet_P: list  # log|P_m|, P_m = I + S_m B_m S_m
-    P_inv: list  # P_m^-1, formed in place of P_m's Cholesky factor
+    cho_P: list  # P_m's Cholesky factor (c, True) from cho_factor, or None when n_m = 0
     A: np.ndarray  # I + sum_m M1_m
     cho_A: tuple
-    alpha: list  # P_m^-1 S_m y_m
+    alpha: list  # P_m^-1 S_m y_m, solved with cho_P[m]
     SPsi: list  # S_m Psi_m
-    V: list  # P_m^-1 S_m Psi_m
+    V: list  # P_m^-1 S_m Psi_m, from alpha_m's solve
     M1: list  # Psi_m' E_m^-1 Psi_m = (S_m Psi_m)' V_m
     beta: np.ndarray  # sum_m Psi_m' E_m^-1 y_m
     c: np.ndarray  # A^-1 beta
@@ -281,11 +281,10 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
     kernel block, built once as a kernels.GaussBlock and kept for the
     gradient chain, chol_jitter's factor L of Kuu, each
     Psi_m = Kfu_m L^-T and the residuals B_m; it depends on hp and the
-    rows alone.  The noise half factors P_m = I + S_m B_m S_m, forms
-    P_m^-1 from that factor once, and takes alpha_m and V_m as products
-    with it; it keeps S_m Psi_m and M1_m = (S_m Psi_m)' V_m, whose sum
-    over outputs is A - I, for the gradient, and factors A for beta and
-    c.
+    rows alone.  The noise half factors P_m = I + S_m B_m S_m, keeps the
+    factor, and takes alpha_m and V_m from one solve with it; it keeps
+    S_m Psi_m and M1_m = (S_m Psi_m)' V_m, whose sum over outputs is
+    A - I, for the gradient, and factors A for beta and c.
     kernel, if given, is the kernel half of an earlier system (any
     StackedSystem) at the same hp and rows: it is reused as is, only the
     noise half is factored, and the result equals a fresh build bit for
@@ -303,7 +302,7 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
         beta = np.zeros(A.shape[0])
 
     s_blocks = [np.sqrt(w) for w in w_blocks]
-    logdet_P, P_inv, alpha = [0.0] * M, [None] * M, [np.zeros(0)] * M
+    logdet_P, cho_P, alpha = [0.0] * M, [None] * M, [np.zeros(0)] * M
     SPsi, V, M1 = [None] * M, [None] * M, [None] * M
     for m, B_m in enumerate(kernel.B_blocks):
         if B_m.shape[0] == 0:
@@ -313,16 +312,19 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
         P_m = np.multiply(B_m, s_m, order="F")
         P_m *= s_m[:, None]
         P_m.flat[:: P_m.shape[0] + 1] += 1.0
-        cho_P = cho_factor(P_m, overwrite_a=True)
-        logdet_P[m] = _logdet_from_cho(cho_P)
-        P_inv[m] = cho_inverse(cho_P, overwrite=True)
-        alpha[m] = P_inv[m] @ (s_m * y_blocks[m])
+        cho_P[m] = cho_factor(P_m, overwrite_a=True)
+        logdet_P[m] = _logdet_from_cho(cho_P[m])
+        sy = s_m * y_blocks[m]
         if kernel.has_inducing:
+            # V_m and alpha_m from one solve against [S_m Psi_m | S_m y_m]
             SPsi[m] = s_m[:, None] * kernel.Psi[m]
-            V[m] = _gemm(P_inv[m], SPsi[m])
+            solved = cho_solve(cho_P[m], np.column_stack((SPsi[m], sy)))
+            V[m], alpha[m] = solved[:, :-1], solved[:, -1]
             M1[m] = _gemm(SPsi[m].T, V[m])
             A += M1[m]
             beta += SPsi[m].T @ alpha[m]
+        else:
+            alpha[m] = cho_solve(cho_P[m], sy)
 
     if kernel.has_inducing:
         A = 0.5 * (A + A.T)
@@ -337,7 +339,7 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
         y_blocks=y_blocks,
         s_blocks=s_blocks,
         logdet_P=logdet_P,
-        P_inv=P_inv,
+        cho_P=cho_P,
         A=A,
         cho_A=cho_A,
         alpha=alpha,
@@ -354,14 +356,13 @@ def posterior_moments(sys: StackedSystem):
 
     With K the prior covariance of the stacked f and Sigma = K + W^-1,
     these are K Sigma^-1 y and diag(K - K Sigma^-1 K), taken from the
-    system's factors and P_m^-1 without forming any matrix over all
+    system's factors without forming any inverse or any matrix over all
     outputs' rows.
     Given v (u = L v) the outputs are independent, and v's posterior is
     N(c, A^-1).  So with X_m = Psi_m - B_m S_m V_m and L_A the Cholesky
-    factor of A,
+    factor of A and L_P that of P_m,
       mean_m = B_m S_m alpha_m + X_m c,
-      var_m = diag(B_m) - rowsum((B_m S_m P_m^-1) o (B_m S_m))
-              + rowsum((X_m L_A^-T)^2)
+      var_m = diag(B_m) - rowsum((B_m S_m L_P^-T)^2) + rowsum((X_m L_A^-T)^2)
     (without inducing inputs the X_m terms drop); a row with w = 0 gets
     the moments the other rows imply.
     """
@@ -373,7 +374,8 @@ def posterior_moments(sys: StackedSystem):
             continue
         bs = B_m * sys.s_blocks[m]  # B_m S_m, the transpose of S_m B_m
         mean = bs @ sys.alpha[m]
-        var = np.diag(B_m) - np.einsum("ij,ij->i", _gemm(bs, sys.P_inv[m]), bs)
+        h = kernels.whiten(sys.cho_P[m], bs)  # B_m S_m L_P^-T
+        var = np.diag(B_m) - np.einsum("ij,ij->i", h, h)
         if sys.has_inducing:
             x = sys.Psi[m] - _gemm(bs, sys.V[m])
             mean += x @ sys.c
@@ -430,9 +432,9 @@ def gauss_loglik_grads(sys: StackedSystem):
     Each output's products run in P_m's scaled space: with
     G = Sigma^-1 - Sigma^-1 y y' Sigma^-1, G_mm = S_m G~_m S_m,
     G~_m = P_m^-1 - [V_m A^-1, r_m] [V_m, r_m]' with r_m = alpha_m - V_m c,
-    and w o ((y - mean)^2 + var) = 1 - diag(G~_m).  G~_m starts from the
-    system's P_m^-1, which it does not modify.  The derivative w.r.t.
-    Psi_m is Psi_bar_m = G_mm Psi_m - (G Psi)_m = S_m R_m with
+    and w o ((y - mean)^2 + var) = 1 - diag(G~_m).  P_m^-1 is formed
+    here, from a copy of the system's factor, which stays as it was.  The
+    derivative w.r.t. Psi_m is Psi_bar_m = G_mm Psi_m - (G Psi)_m = S_m R_m with
     R_m = G~_m S_m Psi_m - S_m^-1 (G Psi)_m
         = V_m A^-1 (M1 - M1_m) - r_m (kr_m - kr)'
     for M1 = A - I, kr = Psi' Sigma^-1 y = c and kr_m = (S_m Psi_m)' r_m,
@@ -463,7 +465,7 @@ def gauss_loglik_grads(sys: StackedSystem):
             G = _gemm(VAr, np.column_stack((Vm, r)).T)
         else:
             G = np.outer(r, r)
-        np.subtract(sys.P_inv[m], G, out=G)  # G~_m
+        np.subtract(cho_inverse(sys.cho_P[m]), G, out=G)  # G~_m
         dlogw.append(0.5 * (np.diag(G) - 1.0))
         if sys.has_inducing:
             M1_m = sys.M1[m]

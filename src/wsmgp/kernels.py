@@ -417,11 +417,17 @@ def chol_jitter(K):
 
 
 def whiten(cho, K):
-    """Psi = K L^-T for chol_jitter's factor cho = (L, True) of Kuu = L L', by LAPACK dtrsm.
+    """K L^-T for a lower Cholesky factor cho = (L, True) of a matrix L L', by BLAS dtrsm.
 
-    Each row is solved on its own (a single row beside a zero row, since
-    OpenBLAS rounds a one-row block differently), so gathered rows of a
-    Psi over all N rows equal the Psi of those rows bit for bit.
+    cho may be any factor cho_factor or chol_jitter returns; only its
+    lower triangle is read.  With chol_jitter's factor of Kuu this is
+    Psi = Kfu L^-T; with the factor of engine's P_m = I + S_m B_m S_m,
+    rowsum((K L^-T)^2) = diag(K P_m^-1 K'), which the collapsed
+    posterior variances and the independent-kernel prediction read
+    without forming P_m^-1.  Each row is solved on its own (a single row
+    beside a zero row, since OpenBLAS rounds a one-row block
+    differently), so gathered rows of a Psi over all N rows equal the Psi
+    of those rows bit for bit.
     """
     n = K.shape[0]
     psi = np.zeros((max(n, 2), K.shape[1]), order="F")

@@ -22,7 +22,7 @@ the one row selection, which is SCMGP's when there is no state.
 from dataclasses import dataclass
 
 import numpy as np
-from . import engine, kernels
+from . import kernels
 from .bounds import build_cvb_system
 from .kernels import IndependentSEHyperParams
 
@@ -51,12 +51,12 @@ def posterior_predict(ds, cfg, hp, state, x_star):
 
     if isinstance(hp, IndependentSEHyperParams):
         for m, out in enumerate(hp.outputs):
-            # with E_m^-1 = S P^-1 S, in the scaled space of P
+            # with E_m^-1 = S P^-1 S, in the scaled space of P: p = K*_m S_m L_P^-T
             ks = kernels.se_matrix(x_star, ds.X[sys.rows[m]], out) * sys.s_blocks[m]
             mean[m] = ks @ sys.alpha[m]
-            w = engine._gemm(sys.P_inv[m], ks.T) if ks.shape[1] else np.zeros((0, n_star))
+            p = kernels.whiten(sys.cho_P[m], ks) if ks.shape[1] else ks
             prior = out.amp**2
-            var[m] = prior - np.sum(ks * w.T, axis=1) + hp.noise.sigma[m] ** 2
+            var[m] = prior - np.sum(p * p, axis=1) + hp.noise.sigma[m] ** 2
         return Prediction(x_star=x_star, mean=mean, var_diag=var)
 
     for m, out in enumerate(hp.outputs):

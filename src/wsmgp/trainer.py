@@ -76,7 +76,10 @@ class FitReport:
     termination holds scipy's stopping record (message, nit, nfev,
     success) of every L-BFGS-B run, over all restarts: fit_cvb's two per
     WSMGP restart (round 0 and the profiled run) and one per SCMGP
-    restart, and one per round of fit_svb_em.
+    restart, and one per round of fit_svb_em.  evaluations counts every
+    objective call and every closed-form step; pi_steps counts fit_cvb's
+    collapsed pi steps (bounds.cvb_pi_step) among them, 0 for SCMGP and
+    for fit_svb_em, whose mini-batch steps are not pi steps.
     """
 
     bound_trajectory: list
@@ -89,6 +92,7 @@ class FitReport:
     seed: int
     restart_bounds: list = field(default_factory=list)
     termination: list = field(default_factory=list)
+    pi_steps: int = 0
 
 
 def _termination(res):
@@ -364,11 +368,12 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
     was not at the returned point, one more there steps pi at it.
 
     The trajectory holds the start's bound and each run's final one;
-    evaluations count every objective call and every pi step.  Restart
-    r > 0 starts from perturbed hyperparameters and its own seeded pi;
-    the best final bound wins.  Each output's rows (bounds.cvb_rows) and
-    their squared differences (engine.row_sqdiffs) depend on the data
-    and W alone, so they are computed once and handed to every build.
+    evaluations count every objective call and every pi step, and
+    pi_steps the pi steps alone.  Restart r > 0 starts from perturbed
+    hyperparameters and its own seeded pi; the best final bound wins.
+    Each output's rows (bounds.cvb_rows) and their squared differences
+    (engine.row_sqdiffs) depend on the data and W alone, so they are
+    computed once and handed to every build.
 
     With scmgp=True there is no assignment state: the exact
     fully-labeled sparse likelihood of the labeled rows is maximized
@@ -388,7 +393,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
     best = None
     restart_bounds = []
     termination = []
-    evaluations = 0
+    objective_calls = pi_steps = 0
     for r in range(max(1, opt_cfg.restarts)):
         rs = opt_cfg.seed + 7919 * r
         rng = np.random.default_rng(rs)
@@ -399,7 +404,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         state = None if scmgp else init_state(ds, cfg, rs)
 
         def objective(x, steps=0):
-            nonlocal evaluations
+            nonlocal pi_steps
             hp, alpha0 = pack.unpack(x)
             cfg_x = cfg.with_alpha0(alpha0)
             sys = bounds.build_cvb_system(ds, cfg_x, hp, state, t2=t2)
@@ -410,7 +415,7 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
             try:
                 for _ in range(steps):
                     bound, state.pi_hat = bounds.cvb_pi_step(ds, cfg_x, hp, state, sys)
-                    evaluations += 1
+                    pi_steps += 1
                     # the step overwrote pi, so the system is rebuilt before
                     # any return: only its noise half, on sys's kernel half
                     sys = bounds.build_cvb_system(ds, cfg_x, hp, state, kernel=sys, t2=t2)
@@ -424,21 +429,21 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
             return -val, -pack.grad_to_vec(bundle), sys
 
         traj = [_bound_at_start(objective, x)[0]]
-        evaluations += 1
+        objective_calls += 1
         if not scmgp:
             x, bound, t, calls, _ = _m_phase(objective, x, box,
                                              {"maxiter": opt_cfg.em_inner_hyp_iters})
             traj.append(bound)
             termination.append(t)
-            evaluations += calls
+            objective_calls += calls
         profiled = partial(objective, steps=opt_cfg.em_inner_stat_iters)
         x, bound, t, calls, built = _m_phase(
             profiled, x, box, {"maxiter": opt_cfg.em_outer_iters * opt_cfg.em_inner_hyp_iters,
                                "gtol": 1e-9})
-        evaluations += calls
+        objective_calls += calls
         if built is None and not scmgp:
             bound = -profiled(x)[0]
-            evaluations += 1
+            objective_calls += 1
         traj.append(bound)
         termination.append(t)
         restart_bounds.append(bound)
@@ -453,10 +458,11 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
         final_alpha0=alpha0,
         converged=ok,
         wall_clock=time.perf_counter() - t0,
-        evaluations=evaluations,
+        evaluations=objective_calls + pi_steps,
         seed=opt_cfg.seed,
         restart_bounds=restart_bounds,
         termination=termination,
+        pi_steps=pi_steps,
     )
 
 

@@ -1,5 +1,6 @@
-"""engine._gemm, the scipy-BLAS matrix product, against numpy's matmul, and
-the factored blocks and explicit inverses of engine.build_system."""
+"""engine._gemm, the scipy-BLAS matrix product, against numpy's matmul, the
+factored blocks of engine.build_system, and the explicit inverses only
+engine.gauss_loglik_grads forms."""
 
 from dataclasses import fields, replace
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from wsmgp import engine, gradients, kernels
+from wsmgp import bounds, engine, gradients, kernels
 from wsmgp.bounds import build_cvb_system, cvb_selection
 from wsmgp.checks import random_instance
+from wsmgp.trainer import default_hyperparams
 
 
 def _strided(x):
@@ -71,8 +73,8 @@ def test_vector_shaped_result_within_a_few_ulp(shapes, layout_a, layout_b):
 
 
 def test_build_system_factors_residual_plus_noise():
-    # in precision form: P_m = I + S_m B_m S_m is what gets factored and
-    # inverted, with S_m = diag(sqrt(w_m)); B_blocks keeps the residual
+    # in precision form: P_m = I + S_m B_m S_m is what gets factored, with
+    # S_m = diag(sqrt(w_m)); B_blocks keeps the residual
     ds, cfg, hp, state = random_instance(3, n=25, M=2, Q=6)
     sys = build_cvb_system(ds, cfg, hp, state)
     for m, out in enumerate(hp.outputs):
@@ -88,7 +90,8 @@ def test_build_system_factors_residual_plus_noise():
         P_m = sys.B_blocks[m] * s_m * s_m[:, None] + np.eye(len(s_m))
         cho = cho_factor(P_m, lower=True)
         assert sys.logdet_P[m] == 2.0 * np.sum(np.log(np.diag(cho[0])))
-        np.testing.assert_array_equal(sys.P_inv[m], engine.cho_inverse(cho))
+        assert sys.cho_P[m][1] is True
+        np.testing.assert_array_equal(sys.cho_P[m][0], cho[0])
 
 
 def _spd(n, seed):
@@ -155,21 +158,22 @@ class TestFactorGuards:
                                               (-1e6, np.linalg.LinAlgError)])
     def test_bad_a_raises_the_same_errors(self, scale, error, monkeypatch):
         # A = I + sum_m (S_m Psi_m)' P_m^-1 S_m Psi_m is factored by the same
-        # helper; a P_m^-1 that is not finite, or far from positive definite,
-        # spoils it (P_m's own factor is sound)
+        # helper; a solve P_m^-1 [S_m Psi_m | S_m y_m] that is not finite, or
+        # that makes A far from positive definite, spoils it (P_m's own factor
+        # is sound)
         ds, hp, rows, w_blocks = self._instance()
-        cho_inverse = engine.cho_inverse
+        cho_solve_ = engine.cho_solve
 
-        def spoiled(cho, overwrite=False):
-            return scale * np.eye(len(cho_inverse(cho, overwrite)))
+        def spoiled(cho, b):
+            return scale * cho_solve_(cho, b)
 
-        monkeypatch.setattr(engine, "cho_inverse", spoiled)
+        monkeypatch.setattr(engine, "cho_solve", spoiled)
         with pytest.raises(error, match="infs or NaNs|leading minor of the array is not"):
             engine.build_system(ds.X, ds.y, hp, rows, w_blocks)
 
 
 class TestExplicitInverse:
-    """The noise half reads one P_m^-1 per output, against a dense reference.
+    """P_m's factor, its solves and the gradient's P_m^-1 against a dense reference.
 
     The reference is the stacked Gaussian over the rows with w > 0,
     Sigma = Kfu Kuu^-1 Kuf + bdiag(B_m) + W^-1 with the jittered Kuu,
@@ -242,8 +246,9 @@ class TestExplicitInverse:
             V[p] = np.linalg.solve(E, Psi[blk][p]) / s_m[p, None]
             self._close(sys.alpha[m], alpha, "alpha")
             self._close(sys.V[m], V, "V")
-            P = np.eye(len(s_m)) + s_m[:, None] * sys.B_blocks[m] * s_m
-            self._close(sys.P_inv[m], np.linalg.inv(P), "P_inv")
+            P = sys.B_blocks[m] * s_m * s_m[:, None] + np.eye(len(s_m))
+            np.testing.assert_array_equal(sys.cho_P[m][0], cho_factor(P, lower=True)[0])
+            self._close(engine.cho_inverse(sys.cho_P[m]), np.linalg.inv(P), "P^-1")
             assert sys.logdet_P[m] == pytest.approx(np.linalg.slogdet(P)[1], rel=1e-12)
             self._close(sys.M1[m], (s_m[:, None] * Psi[blk]).T @ V, "M1")
             self._close(means[m], mean[blk], "mean")
@@ -305,8 +310,8 @@ class TestExplicitInverse:
         assert all(b.t2 is t2_m for b, t2_m in zip(got.ff_blocks, t2.ff))
 
     def test_one_factor_and_one_inverse_per_output(self, monkeypatch):
-        # the gradient reads the inverse the build formed: each P_m is factored
-        # once and that factor is inverted once, in place
+        # the gradient inverts the factor the build formed: each P_m is
+        # factored once and that factor is inverted once
         ds, cfg, hp, state = random_instance(8, n=30, M=2, Q=4)
         rows = cvb_selection(ds, cfg, hp, state)[0]
         sizes = {len(r) for r in rows}
@@ -330,3 +335,43 @@ class TestExplicitInverse:
         gradients.elbo_cvb_with_grad(ds, cfg, hp, state)
         assert len(factored) == cfg.M and len(inverted) == cfg.M
         assert all(f is i for f, i in zip(factored, inverted))
+
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("n", [12, 30, 90])
+    def test_pi_path_forms_no_inverse(self, n, independent, monkeypatch):
+        # pi steps, and the noise halves rebuilt after them, read only the
+        # factors; the gradient then inverts each P_m, and A, once
+        ds, cfg, hp, state = random_instance(8, n=n, M=2, Q=4)
+        if independent:
+            hp = default_hyperparams(ds, cfg, "independent")
+        inverted = []
+        cho_inverse_ = engine.cho_inverse
+
+        def spy_inverse(cho):
+            inverted.append(cho[0].shape[0])
+            return cho_inverse_(cho)
+
+        monkeypatch.setattr(engine, "cho_inverse", spy_inverse)
+        sys = build_cvb_system(ds, cfg, hp, state)
+        for _ in range(2):
+            _, state.pi_hat = bounds.cvb_pi_step(ds, cfg, hp, state, sys)
+            sys = build_cvb_system(ds, cfg, hp, state, kernel=sys)
+        assert inverted == []
+        gradients.elbo_cvb_with_grad(ds, cfg, hp, state, sys)
+        sizes = [len(r) for r in sys.rows] + ([] if independent else [cfg.Q])
+        assert sorted(inverted) == sorted(sizes)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gradient_only_reads_the_system(self, seed):
+        # the gradient inverts copies of the factors, so the value and the
+        # moments a later pi step reads are those from before it, bit for bit
+        sys = self._instance(seed)
+        loglik, (means, variances) = engine.gauss_loglik(sys), engine.posterior_moments(sys)
+        factors = [cho[0].copy() for cho in sys.cho_P]
+        engine.gauss_loglik_grads(sys)
+        for cho, factor in zip(sys.cho_P, factors):
+            np.testing.assert_array_equal(cho[0], factor)
+        assert engine.gauss_loglik(sys) == loglik
+        for got, ref in zip(engine.posterior_moments(sys), (means, variances)):
+            for g, r in zip(got, ref):
+                np.testing.assert_array_equal(g, r)

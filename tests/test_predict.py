@@ -7,10 +7,12 @@ from scipy.linalg import cho_factor, cho_solve
 from wsmgp import checks, kernels
 from wsmgp.kernels import (
     HyperParams,
+    IndependentSEHyperParams,
     InducingInputs,
     LatentKernelParams,
     NoiseParams,
     OutputKernelParams,
+    SEKernelParams,
 )
 from wsmgp.model import (
     ModelConfig,
@@ -115,6 +117,28 @@ class TestOracle:
             scale = np.max(np.abs(mu_o[m]))
             assert np.max(np.abs(pred.mean[m] - mu_o[m])) / scale < 1e-10
             assert np.max(np.abs(pred.var_diag[m] - var_o[m]) / var_o[m]) < 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_independent_outputs_match_dense_conditioning(self, seed):
+        # OMGP's independent SE kernels: each output conditions on its own
+        # rows with pi_hat > 0, at noise sigma_m^2 / pi_hat
+        ds, cfg, _, st = checks.random_instance(seed, n=12, M=2, Q=4)
+        hp = IndependentSEHyperParams(
+            outputs=[SEKernelParams(amp=1.3, prec=np.array([20.0])),
+                     SEKernelParams(amp=0.8, prec=np.array([45.0]))],
+            noise=NoiseParams(sigma=np.array([0.3, 0.2])))
+        xs = np.linspace(-0.2, 1.2, 15)[:, None]
+        pred = posterior_predict(ds, cfg, hp, st, xs)
+        assert np.any(st.pi_hat == 0)
+        for m, out in enumerate(hp.outputs):
+            keep = st.pi_hat[:, m] > 0
+            X, s2 = ds.X[keep], hp.noise.sigma[m] ** 2
+            C = kernels.se_matrix(X, X, out) + np.diag(s2 / st.pi_hat[keep, m])
+            ks = kernels.se_matrix(xs, X, out)
+            mu_o = ks @ np.linalg.solve(C, ds.y[keep])
+            var_o = out.amp**2 - np.sum(ks * np.linalg.solve(C, ks.T).T, axis=1) + s2
+            assert np.max(np.abs(pred.mean[m] - mu_o)) / np.max(np.abs(mu_o)) < 1e-10
+            assert np.max(np.abs(pred.var_diag[m] - var_o) / var_o) < 1e-10
 
 
 class TestLimits:

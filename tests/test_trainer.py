@@ -281,6 +281,19 @@ class TestMPhaseHandOff:
         assert counts["pi"] > 0
         assert counts["kernel"] == counts["grad"]
         assert rep.evaluations == counts["grad"] + counts["pi"]
+        assert rep.pi_steps == counts["pi"]
+
+    @pytest.mark.parametrize("scmgp", [False, True])
+    def test_pi_steps_count_every_pi_step_of_every_restart(self, scmgp, monkeypatch):
+        calls = []
+        step = bounds.cvb_pi_step
+        monkeypatch.setattr(bounds, "cvb_pi_step", lambda *a: calls.append(1) or step(*a))
+        ds, _ = tiny_two_output_ds(3)
+        opt = OptimizerConfig(seed=5, restarts=2, em_outer_iters=2)
+        rep = fit_cvb(ds, ModelConfig(M=2, Q=8, alpha0=0.3), None, opt, scmgp=scmgp)
+        assert rep.pi_steps == len(calls)
+        assert (rep.pi_steps == 0) == scmgp
+        assert rep.evaluations > rep.pi_steps
 
 
 def assert_termination(rep, runs, iter_cap):
