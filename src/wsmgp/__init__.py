@@ -1,6 +1,6 @@
 """Weakly-supervised multi-output GP regression via convolved sparse GPs."""
 
-from .baselines import BaselineKind, fit_omgp, fit_omgp_ws, fit_scmgp
+from .baselines import fit_omgp, fit_omgp_ws, fit_scmgp
 from .bounds import (
     elbo_cvb,
     exact_marglik_oracle,

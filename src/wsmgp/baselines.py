@@ -13,7 +13,6 @@ Because all three reuse the same engine, the only differences from the
 weakly-supervised model are exactly the documented configuration deltas.
 """
 
-import enum
 from dataclasses import replace
 
 import numpy as np
@@ -21,12 +20,6 @@ import numpy as np
 from .bounds import NoLabeledDataError
 from .model import Dataset, ModelConfig, make_dataset
 from .trainer import OptimizerConfig, default_hyperparams, fit_cvb
-
-
-class BaselineKind(enum.Enum):
-    OMGP = "omgp"
-    OMGP_WS = "omgp-ws"
-    SCMGP = "scmgp"
 
 
 def _strip_labels(ds: Dataset, M):
@@ -63,12 +56,3 @@ def fit_scmgp(ds, cfg: ModelConfig, opt_cfg: OptimizerConfig = None, hp0=None):
     # the selection without a state (bounds.cvb_selection) reads the labeled rows only
     return fit_cvb(ds, cfg, hp0, opt_cfg, scmgp=True)
 
-
-def fit_baseline(kind: BaselineKind, ds, cfg, opt_cfg=None, hp0=None):
-    if kind is BaselineKind.OMGP:
-        return fit_omgp(ds, cfg, opt_cfg, hp0)
-    if kind is BaselineKind.OMGP_WS:
-        return fit_omgp_ws(ds, cfg, opt_cfg, hp0)
-    if kind is BaselineKind.SCMGP:
-        return fit_scmgp(ds, cfg, opt_cfg, hp0)
-    raise ValueError("unknown baseline %r" % kind)

@@ -5,6 +5,25 @@ Configuration files are flat ``key = value`` text; keys mirror the
 ModelConfig / OptimizerConfig / SyntheticConfig field names in camelCase
 (``_KNOWN_KEY`` below lists every key some subcommand reads), lists are
 comma-separated, and ``#`` starts a comment.
+
+The files of the chain; ``experiments`` writes and reads the CSV tables
+(header row first; m = 1..M runs over the outputs) and writes the JSON:
+
+  file              columns or keys                        written by    read by
+  dataset.csv       x (or x_1..x_d), y, label, pi_m (label  generate      fit, predict
+                    and pi_m empty on unlabeled rows)
+  truth_curves.csv  x, f_m (noiseless), y_heldout_m        generate      evaluate
+  truth_labels.csv  row, label (the true source)           generate      evaluate
+  model.json        hp, alpha0, config, state, data hash   fit           predict
+  fitreport.json    bound_trajectory, evaluations, ...     fit           -
+  curves.csv        x, mean_m, var_m on the grid           fit, predict  evaluate
+  pihat.csv         row, pi_m (fitted; none for SCMGP)     fit           evaluate
+  metrics.json      rmse, rmse_heldout, label_accuracy     evaluate      -
+  results.csv       gamma, l, model, replicate, seed,      benchmark     -
+                    rmse_m, rmse_heldout_m, label_accuracy,
+                    bound, wall_clock, status (ok or the error)
+  summary.json      per (gamma, l, model) cell: failed,    benchmark     -
+                    replicates, rmse_mean, rmse_sd, ...
 """
 
 import argparse
@@ -13,28 +32,32 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import checks
 from .experiments import (
     EVAL_GRID_SIZE,
+    MODEL_NAMES,
     SyntheticConfig,
     fit_model,
     generate_synthetic,
     ingest_csv,
     label_accuracy,
     paper_generating_hyperparams,
+    read_pihat_csv,
+    read_prediction_csv,
     read_truth_curves,
-    results_to_csv,
+    read_truth_labels,
     rmse_eval,
     run_benchmark,
     summarize_results,
     write_csv,
+    write_json,
     write_pihat_csv,
     write_prediction_csv,
-    write_summary_json,
+    write_results,
     write_truth,
 )
 from .kernels import (
@@ -46,7 +69,7 @@ from .kernels import (
     OutputKernelParams,
     SEKernelParams,
 )
-from .model import ModelConfig, VariationalState, validate_dataset
+from .model import DatasetError, ModelConfig, VariationalState, validate_dataset
 from .predict import posterior_predict
 from .trainer import OptimizerConfig
 
@@ -144,15 +167,10 @@ def synthetic_config_from(cfg_map, seed):
         Lm = _get(cfg_map, "Lm%d" % (m + 1), float, float(hp.outputs[m].Lm[0]))
         outs.append(OutputKernelParams(S=S, Lm=np.array([Lm])))
     L = _get(cfg_map, "L", float, float(hp.latent.L[0]))
-    sigma = np.array(
-        [_get(cfg_map, "sigma%d" % (m + 1), float, 0.25) for m in range(M)]
-    )
-    hp = HyperParams(
-        latent=LatentKernelParams(L=np.array([L])),
-        outputs=outs,
-        noise=NoiseParams(sigma=sigma),
-        inducing=hp.inducing,
-    )
+    sigma = [_get(cfg_map, "sigma%d" % (m + 1), float, 0.25) for m in range(M)]
+    # the paper's inducing inputs, the configured kernel and noise
+    hp = replace(hp, latent=LatentKernelParams(L=np.array([L])), outputs=outs,
+                 noise=NoiseParams(sigma=np.array(sigma)))
     return SyntheticConfig(
         M=M,
         per_source_count=_get(cfg_map, "perSourceCount", int, 120),
@@ -175,17 +193,15 @@ def hp_to_json(hp):
     if isinstance(hp, IndependentSEHyperParams):
         return {
             "kind": "independent",
-            "outputs": [
-                {"amp": o.amp, "prec": o.prec.tolist()} for o in hp.outputs
-            ],
-            "sigma": hp.noise.sigma.tolist(),
+            "outputs": [{"amp": o.amp, "prec": o.prec} for o in hp.outputs],
+            "sigma": hp.noise.sigma,
         }
     return {
         "kind": "convolved",
-        "L": hp.latent.L.tolist(),
-        "outputs": [{"S": o.S, "Lm": o.Lm.tolist()} for o in hp.outputs],
-        "sigma": hp.noise.sigma.tolist(),
-        "W": hp.inducing.W.tolist(),
+        "L": hp.latent.L,
+        "outputs": [{"S": o.S, "Lm": o.Lm} for o in hp.outputs],
+        "sigma": hp.noise.sigma,
+        "W": hp.inducing.W,
     }
 
 
@@ -225,14 +241,9 @@ def save_model(path, report, cfg, ds):
         "bound": report.bound_trajectory[-1],
         "data": data_fingerprint(ds),
     }
-    state = report.final_state
-    if state is not None:
-        doc["state"] = {"pi_hat": state.pi_hat.tolist()}
-        if state.mu_u is not None:
-            doc["state"].update(mu_u=state.mu_u.tolist(), Su=state.Su.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if report.final_state is not None:  # pi_hat, and q(v) after a stochastic fit
+        doc["state"] = {k: v for k, v in vars(report.final_state).items() if v is not None}
+    write_json(doc, path)
 
 
 def _describe(fp):
@@ -254,10 +265,7 @@ def load_model(path):
     )
     state = None
     if "state" in doc:
-        st = doc["state"]
-        state = VariationalState(np.array(st["pi_hat"]))
-        if "mu_u" in st:
-            state.mu_u, state.Su = np.array(st["mu_u"]), np.array(st["Su"])
+        state = VariationalState(**{k: np.array(v) for k, v in doc["state"].items()})
     return hp, cfg, state, doc.get("data")
 
 
@@ -281,37 +289,39 @@ def cmd_generate(args):
     return 0
 
 
+def _read_dataset(path, n_outputs):
+    """The dataset CSV at `path`; the grid and files of fit and predict are one-dimensional."""
+    ds = ingest_csv(path, n_outputs=n_outputs)
+    if ds.d != 1:
+        raise DatasetError("%s has %d input columns; fit and predict take one" % (path, ds.d))
+    return ds
+
+
+def _write_curves(cfg_map, ds, cfg, hp, state, out):
+    """Predict on the evaluation grid over xRange (default: the data's span) into curves.csv."""
+    xr = _get_list(cfg_map, "xRange", float, [float(ds.X.min()), float(ds.X.max())])
+    grid = np.linspace(xr[0], xr[1], EVAL_GRID_SIZE)[:, None]
+    pred = posterior_predict(ds, cfg, hp, state, grid)
+    os.makedirs(out, exist_ok=True)
+    write_prediction_csv(pred, os.path.join(out, "curves.csv"))
+
+
 def cmd_fit(args):
     cfg_map = parse_config(args.config)
-    ds = ingest_csv(args.data, n_outputs=_get(cfg_map, "M", int, None))
+    ds = _read_dataset(args.data, _get(cfg_map, "M", int, None))
     cfg = model_config_from(cfg_map, args)
     validate_dataset(ds, cfg)
     opt = optimizer_config_from(cfg_map, args.seed)
     report = fit_model(args.model, ds, cfg, opt, bound=args.bound)
     os.makedirs(args.out, exist_ok=True)
     save_model(os.path.join(args.out, "model.json"), report, cfg, ds)
-    xr = _get_list(cfg_map, "xRange", float, [float(ds.X.min()), float(ds.X.max())])
-    grid = np.linspace(xr[0], xr[1], EVAL_GRID_SIZE)[:, None]
-    pred = posterior_predict(ds, cfg, report.final_hp, report.final_state, grid)
-    write_prediction_csv(pred, os.path.join(args.out, "curves.csv"))
+    _write_curves(cfg_map, ds, cfg, report.final_hp, report.final_state, args.out)
     if report.final_state is not None:
         write_pihat_csv(report.final_state, os.path.join(args.out, "pihat.csv"))
-    with open(os.path.join(args.out, "fitreport.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "bound_trajectory": [float(v) for v in report.bound_trajectory],
-                "converged": bool(report.converged),
-                "wall_clock": report.wall_clock,
-                "evaluations": report.evaluations,
-                "pi_steps": report.pi_steps,
-                "seed": report.seed,
-                "alpha0": report.final_alpha0,
-                "termination": report.termination,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    keys = ("bound_trajectory", "converged", "wall_clock", "evaluations", "pi_steps", "seed",
+            "termination")
+    write_json(dict({k: getattr(report, k) for k in keys}, alpha0=report.final_alpha0),
+               os.path.join(args.out, "fitreport.json"))
     print(
         "fit %s (%s): bound %.6f after %d evaluations (%.1fs)"
         % (args.model, args.bound, report.bound_trajectory[-1], report.evaluations,
@@ -323,50 +333,27 @@ def cmd_fit(args):
 def cmd_predict(args):
     cfg_map = parse_config(args.config)
     hp, cfg, state, fitted_to = load_model(args.params)
-    ds = ingest_csv(args.data, n_outputs=cfg.M)
+    ds = _read_dataset(args.data, cfg.M)
     given = data_fingerprint(ds)
     if fitted_to != given:
         raise DataMismatchError(
             "%s was fitted to other data: the model records %s, %s is %s"
             % (args.params, _describe(fitted_to), args.data, _describe(given))
         )
-    xr = _get_list(cfg_map, "xRange", float, [float(ds.X.min()), float(ds.X.max())])
-    grid = np.linspace(xr[0], xr[1], EVAL_GRID_SIZE)[:, None]
-    pred = posterior_predict(ds, cfg, hp, state, grid)
-    os.makedirs(args.out, exist_ok=True)
-    write_prediction_csv(pred, os.path.join(args.out, "curves.csv"))
+    _write_curves(cfg_map, ds, cfg, hp, state, args.out)
     print("wrote predictions for %d outputs -> %s" % (cfg.M, args.out))
     return 0
 
 
 def cmd_evaluate(args):
-    grid, curves, heldout = read_truth_curves(args.truth)
-    import csv as _csv
-
-    with open(args.pred, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    M = sum(1 for h in header if h.startswith("mean_"))
-    mean = np.array([[float(r[1 + m]) for r in rows] for m in range(M)])
-    var = np.array([[float(r[1 + M + m]) for r in rows] for m in range(M)])
-    from .predict import Prediction
-
-    pred = Prediction(x_star=grid, mean=mean, var_diag=var)
-    metrics = {
-        "rmse": [float(v) for v in rmse_eval(pred, curves)],
-        "rmse_heldout": [float(v) for v in rmse_eval(pred, heldout)],
-    }
-    if args.pihat and args.truth_labels:
-        pihat = np.loadtxt(args.pihat, delimiter=",", skiprows=1)[:, 1:]
-        labels = np.loadtxt(args.truth_labels, delimiter=",", skiprows=1)[:, 1].astype(int)
-        metrics["label_accuracy"] = label_accuracy(VariationalState(pihat), labels)
+    curves, heldout = read_truth_curves(args.truth)
+    pred = read_prediction_csv(args.pred)
+    metrics = {"rmse": rmse_eval(pred, curves), "rmse_heldout": rmse_eval(pred, heldout)}
+    if args.pihat:  # main() requires --truth-labels with it
+        metrics["label_accuracy"] = label_accuracy(
+            VariationalState(read_pihat_csv(args.pihat)), read_truth_labels(args.truth_labels))
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "metrics.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(metrics, indent=2, sort_keys=True))
+    sys.stdout.write(write_json(metrics, os.path.join(args.out, "metrics.json")))
     return 0
 
 
@@ -381,11 +368,8 @@ def cmd_benchmark(args):
     synth = synthetic_config_from(cfg_map, args.seed)
     results = run_benchmark(gammas, l_fracs, models, replicates, cfg, opt, synth)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8") as fh:
-        fh.write(results_to_csv(results, cfg.M))
-    write_summary_json(
-        summarize_results(results, cfg.M), os.path.join(args.out, "summary.json")
-    )
+    write_results(results, cfg.M, os.path.join(args.out, "results.csv"))
+    write_json(summarize_results(results), os.path.join(args.out, "summary.json"))
     n_fail = sum(1 for r in results if r.status != "ok")
     print("benchmark finished: %d cells, %d failed -> %s" % (len(results), n_fail, args.out))
     return 1 if n_fail else 0
@@ -430,7 +414,9 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, params=False):
+    def command(name, fn, text, data=False, params=False):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
@@ -438,46 +424,35 @@ def main(argv=None):
             p.add_argument("--data", required=True, help="dataset CSV")
         if params:
             p.add_argument("--params", required=True, help="model.json from fit")
+        return p
 
-    p = sub.add_parser("generate", help="draw a synthetic dataset")
-    common(p)
-    p.set_defaults(fn=cmd_generate)
+    command("generate", cmd_generate, "draw a synthetic dataset")
 
-    p = sub.add_parser("fit", help="fit a model to a dataset CSV")
-    common(p, data=True)
-    p.add_argument("--model", default="wsmgp",
-                   choices=["wsmgp", "wsmgp-nodir", "omgp", "omgp-ws", "scmgp"])
+    p = command("fit", cmd_fit, "fit a model to a dataset CSV", data=True)
+    p.add_argument("--model", default="wsmgp", choices=MODEL_NAMES)
     p.add_argument("--bound", default="cvb", choices=["cvb", "svb"])
     p.add_argument("--alpha0", type=float, default=None)
-    p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("predict", help="predict on a grid from a saved model")
-    common(p, data=True, params=True)
-    p.set_defaults(fn=cmd_predict)
+    command("predict", cmd_predict, "predict on a grid from a saved model", data=True, params=True)
 
-    p = sub.add_parser("evaluate", help="RMSE/label metrics from prediction files")
-    common(p)
-    p.add_argument("--pred", required=True, help="curves.csv from fit/predict")
-    p.add_argument("--truth", required=True, help="truth_curves.csv from generate")
-    p.add_argument("--pihat", default=None)
-    p.add_argument("--truth-labels", dest="truth_labels", default=None)
-    p.set_defaults(fn=cmd_evaluate)
+    evaluate = command("evaluate", cmd_evaluate, "RMSE/label metrics from prediction files")
+    evaluate.add_argument("--pred", required=True, help="curves.csv from fit/predict")
+    evaluate.add_argument("--truth", required=True, help="truth_curves.csv from generate")
+    evaluate.add_argument("--pihat", default=None)
+    evaluate.add_argument("--truth-labels", dest="truth_labels", default=None)
 
-    p = sub.add_parser("benchmark", help="run the (gamma, l, model) grid")
-    common(p)
+    p = command("benchmark", cmd_benchmark, "run the (gamma, l, model) grid")
     p.add_argument("--alpha0", type=float, default=None)
-    p.set_defaults(fn=cmd_benchmark)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p)
+    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient verification")
     p.add_argument("--bound", default=None, choices=["cvb", "svb"])
-    p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("oracle-check", help="kernel quadrature and bound validity")
-    common(p)
-    p.set_defaults(fn=cmd_oracle_check)
+    command("oracle-check", cmd_oracle_check, "kernel quadrature and bound validity")
 
     args = parser.parse_args(argv)
+    if args.command == "evaluate" and (args.pihat is None) != (args.truth_labels is None):
+        evaluate.error("label accuracy needs --pihat and --truth-labels; %s is missing"
+                       % ("--pihat" if args.pihat is None else "--truth-labels"))
     return args.fn(args)
 
 

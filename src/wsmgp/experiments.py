@@ -12,17 +12,17 @@ prediction error can be measured against the true functions.
 """
 
 import csv
-import io
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dtrmv
 
 from . import kernels
-from .baselines import BaselineKind, fit_baseline
+from .baselines import fit_omgp, fit_omgp_ws, fit_scmgp
 from .kernels import (
     HyperParams,
     InducingInputs,
@@ -32,7 +32,7 @@ from .kernels import (
 )
 from .model import Dataset, ModelConfig, VariationalState, make_dataset
 from .predict import Prediction, posterior_predict
-from .trainer import OptimizerConfig, default_hyperparams, fit_cvb, fit_svb_em
+from .trainer import OptimizerConfig, fit_cvb, fit_svb_em
 
 EVAL_GRID_SIZE = 200
 
@@ -119,18 +119,15 @@ def joint_latent_draw(X_blocks, outputs, lat, rng):
 def flip_labels(labels, p, M, seed):
     """Flip each retained label with probability p (seeded).
 
-    For two sources a flip swaps the label, so flipping twice with the
-    same seed restores the original labels; with more sources the new
-    label is a deterministic cyclic shift.
+    The new label is a deterministic cyclic shift, m -> m % M + 1.  For
+    two sources that swaps the label, so flipping twice with the same
+    seed restores the original labels.
     """
     rng = np.random.default_rng(seed)
     labels = np.asarray(labels, dtype=int).copy()
     retained = labels > 0
     mask = retained & (rng.random(labels.shape[0]) < p)
-    if M == 2:
-        labels[mask] = 3 - labels[mask]
-    else:
-        labels[mask] = (labels[mask] % M) + 1
+    labels[mask] = (labels[mask] % M) + 1
     return labels
 
 
@@ -188,11 +185,9 @@ def generate_synthetic(sc: SyntheticConfig):
 # ---------------------------------------------------------------------------
 
 
-def rmse_eval(pred: Prediction, truth_curves, grid=None):
+def rmse_eval(pred: Prediction, truth_curves):
     """Per-source RMSE of the predictive mean against the true latent curves."""
     truth_curves = np.atleast_2d(np.asarray(truth_curves, dtype=float))
-    if grid is not None and pred.x_star.shape[0] != np.asarray(grid).shape[0]:
-        raise ValueError("prediction and truth grids do not match")
     if pred.mean.shape != truth_curves.shape:
         raise ValueError(
             "prediction/truth shape mismatch: %s vs %s"
@@ -217,21 +212,24 @@ def label_accuracy(state: VariationalState, true_labels):
 # benchmark grid
 # ---------------------------------------------------------------------------
 
-MODEL_NAMES = ("wsmgp", "wsmgp-nodir", "omgp", "omgp-ws", "scmgp")
+# the baselines fit the collapsed bound only
+_BASELINE_FITS = {"omgp": fit_omgp, "omgp-ws": fit_omgp_ws, "scmgp": fit_scmgp}
+# every name fit_model knows, which are also the choices of `wsmgp fit --model`
+MODEL_NAMES = ("wsmgp", "wsmgp-nodir") + tuple(_BASELINE_FITS)
 
 
 def fit_model(name, ds, cfg: ModelConfig, opt_cfg: OptimizerConfig, bound="cvb"):
-    """Dispatch a model name to its fit routine."""
-    if name in ("wsmgp", "wsmgp-nodir"):
-        if name == "wsmgp-nodir":
-            cfg = replace(cfg, use_dirichlet=False)
-        fit = fit_svb_em if bound == "svb" else fit_cvb
-        return fit(ds, cfg, None, opt_cfg)
-    if name in ("omgp", "omgp-ws", "scmgp"):
+    """Dispatch a model name (one of MODEL_NAMES) to its fit routine."""
+    if name in _BASELINE_FITS:
         if bound == "svb":
             raise ValueError("baseline %r supports the collapsed bound only" % name)
-        return fit_baseline(BaselineKind(name), ds, cfg, opt_cfg)
-    raise ValueError("unknown model %r (expected one of %s)" % (name, MODEL_NAMES))
+        return _BASELINE_FITS[name](ds, cfg, opt_cfg)
+    if name not in MODEL_NAMES:
+        raise ValueError("unknown model %r (expected one of %s)" % (name, MODEL_NAMES))
+    if name == "wsmgp-nodir":
+        cfg = replace(cfg, use_dirichlet=False)
+    fit = fit_svb_em if bound == "svb" else fit_cvb
+    return fit(ds, cfg, None, opt_cfg)
 
 
 @dataclass
@@ -243,9 +241,10 @@ class ExperimentResult:
     seed: int
     rmse: np.ndarray  # per source, vs noiseless curves
     rmse_heldout: np.ndarray  # per source, vs noisy held-out draws
-    label_acc: float
-    bound: float
-    wall_clock: float
+    # a failed cell keeps these defaults, with its error as the status
+    label_acc: float = math.nan
+    bound: float = math.nan
+    wall_clock: float = 0.0
     status: str = "ok"
 
 
@@ -257,77 +256,29 @@ def run_cell(gamma, l_frac, model, replicate, base_cfg, opt_cfg, synth: Syntheti
     t0 = time.perf_counter()
     report = fit_model(model, ds, base_cfg, opt)
     pred = posterior_predict(ds, base_cfg, report.final_hp, report.final_state, truth.grid)
-    rmse = rmse_eval(pred, truth.curves)
-    rmse_h = rmse_eval(pred, truth.heldout_y)
-    acc = (
-        label_accuracy(report.final_state, truth.labels)
-        if report.final_state is not None
-        else float("nan")
-    )
-    return ExperimentResult(
-        gamma=gamma,
-        l_frac=l_frac,
-        model=model,
-        replicate=replicate,
-        seed=seed,
-        rmse=rmse,
-        rmse_heldout=rmse_h,
-        label_acc=acc,
-        bound=report.bound_trajectory[-1],
-        wall_clock=time.perf_counter() - t0,
-    )
+    result = ExperimentResult(gamma, l_frac, model, replicate, seed, rmse_eval(pred, truth.curves),
+                              rmse_eval(pred, truth.heldout_y), bound=report.bound_trajectory[-1])
+    if report.final_state is not None:  # SCMGP assigns no rows
+        result.label_acc = label_accuracy(report.final_state, truth.labels)
+    result.wall_clock = time.perf_counter() - t0
+    return result
 
 
 def run_benchmark(gammas, l_fracs, models, replicates, base_cfg, opt_cfg, synth):
     """Full (gamma, l, model, replicate) grid; failed cells are flagged, not fatal."""
     results = []
-    for gamma in gammas:
-        for l_frac in l_fracs:
-            for model in models:
-                for rep in range(replicates):
-                    try:
-                        results.append(
-                            run_cell(gamma, l_frac, model, rep, base_cfg, opt_cfg, synth)
-                        )
-                    except Exception as exc:  # noqa: BLE001 - cell isolation
-                        results.append(
-                            ExperimentResult(
-                                gamma=gamma,
-                                l_frac=l_frac,
-                                model=model,
-                                replicate=rep,
-                                seed=synth.seed + rep,
-                                rmse=np.full(base_cfg.M, np.nan),
-                                rmse_heldout=np.full(base_cfg.M, np.nan),
-                                label_acc=float("nan"),
-                                bound=float("nan"),
-                                wall_clock=0.0,
-                                status="error: %s" % exc,
-                            )
-                        )
+    for gamma, l_frac, model, rep in itertools.product(gammas, l_fracs, models, range(replicates)):
+        try:
+            results.append(run_cell(gamma, l_frac, model, rep, base_cfg, opt_cfg, synth))
+        except Exception as exc:  # noqa: BLE001 - cell isolation
+            nan = np.full(base_cfg.M, np.nan)
+            results.append(ExperimentResult(gamma, l_frac, model, rep, synth.seed + rep, nan, nan,
+                                            status="error: %s" % exc))
     return results
 
 
-def results_to_csv(results, M):
-    """Deterministic CSV text for a result list."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["gamma", "l", "model", "replicate", "seed"]
-    header += ["rmse_%d" % (m + 1) for m in range(M)]
-    header += ["rmse_heldout_%d" % (m + 1) for m in range(M)]
-    header += ["label_accuracy", "bound", "wall_clock", "status"]
-    writer.writerow(header)
-    for r in sorted(results, key=lambda r: (r.gamma, r.l_frac, r.model, r.replicate)):
-        row = [repr(r.gamma), repr(r.l_frac), r.model, r.replicate, r.seed]
-        row += [repr(float(v)) for v in r.rmse]
-        row += [repr(float(v)) for v in r.rmse_heldout]
-        row += [repr(float(r.label_acc)), repr(float(r.bound)), repr(float(r.wall_clock)), r.status]
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def summarize_results(results, M):
-    """Per-cell means and standard deviations, JSON-ready."""
+def summarize_results(results):
+    """Per-cell means and standard deviations, for write_json."""
     cells = {}
     for r in results:
         cells.setdefault((r.gamma, r.l_frac, r.model), []).append(r)
@@ -343,8 +294,8 @@ def summarize_results(results, M):
         }
         if ok:
             rmse = np.stack([r.rmse for r in ok])
-            entry["rmse_mean"] = [float(v) for v in rmse.mean(axis=0)]
-            entry["rmse_sd"] = [float(v) for v in rmse.std(axis=0)]
+            entry["rmse_mean"] = rmse.mean(axis=0)
+            entry["rmse_sd"] = rmse.std(axis=0)
             accs = np.array([r.label_acc for r in ok])
             if not np.all(np.isnan(accs)):
                 entry["label_accuracy_mean"] = float(np.nanmean(accs))
@@ -353,12 +304,27 @@ def summarize_results(results, M):
 
 
 # ---------------------------------------------------------------------------
-# CSV dataset interchange
+# the files of the CLI chain: the dataset CSV, the write_table tables, JSON
 # ---------------------------------------------------------------------------
 
 
 class CsvFormatError(ValueError):
     pass
+
+
+def _csv_rows(path):
+    """(header, rows) of a CSV file whose every row has the header's cell count."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("%s: empty file" % path)
+        rows = list(reader)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise CsvFormatError("%s: line %d has %d cells, expected %d"
+                                 % (path, lineno, len(row), len(header)))
+    return header, rows
 
 
 def ingest_csv(path, n_outputs=None):
@@ -368,13 +334,7 @@ def ingest_csv(path, n_outputs=None):
     raise with their 1-based line number.  pi_* cells may be empty on
     unlabeled rows only.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("%s: empty file" % path)
-        rows = list(reader)
+    header, rows = _csv_rows(path)
     x_cols = [i for i, h in enumerate(header) if h == "x" or h.startswith("x_")]
     if not x_cols or "y" not in header:
         raise CsvFormatError("%s: header must contain x (or x_*) and y columns" % path)
@@ -383,9 +343,6 @@ def ingest_csv(path, n_outputs=None):
     pi_cols = [i for i, h in enumerate(header) if h.startswith("pi_")]
     X, y, labels, priors = [], [], [], []
     for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise CsvFormatError("%s: line %d has %d cells, expected %d"
-                                 % (path, lineno, len(row), len(header)))
         try:
             X.append([float(row[i]) for i in x_cols])
             y.append(float(row[y_col]))
@@ -425,83 +382,120 @@ def ingest_csv(path, n_outputs=None):
     return make_dataset(X, y, labels=labels, prior_pi=prior_pi, n_outputs=M)
 
 
-def write_csv(ds: Dataset, path, with_priors=True):
+def write_csv(ds: Dataset, path):
     """Write a dataset in the ingest_csv schema (exact float round trip)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = (["x"] if ds.d == 1 else ["x_%d" % (j + 1) for j in range(ds.d)]) + ["y", "label"]
         M = ds.prior_pi.shape[1]
-        if with_priors:
-            header += ["pi_%d" % (m + 1) for m in range(M)]
-        writer.writerow(header)
+        writer.writerow(header + ["pi_%d" % (m + 1) for m in range(M)])
         for i in range(ds.n):
             row = [repr(float(v)) for v in ds.X[i]] + [repr(float(ds.y[i]))]
-            row.append(str(ds.labels[i]) if ds.labels[i] > 0 else "")
-            if with_priors:
-                if ds.labels[i] > 0:
-                    row += [repr(float(v)) for v in ds.prior_pi[i]]
-                else:
-                    row += [""] * M
+            if ds.labels[i] > 0:
+                row += [str(ds.labels[i])] + [repr(float(v)) for v in ds.prior_pi[i]]
+            else:
+                row += [""] * (M + 1)
             writer.writerow(row)
+
+
+def write_table(path, columns):
+    """Write `columns` (name -> equal-length values) as a CSV with a header row.
+
+    Ints are written as ints, floats by the repr of Python floats (an
+    exact round trip, nan and +-inf included) and strings as they are.
+    """
+    cells = [np.asarray(v).tolist() for v in columns.values()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))  # raises on unequal lengths
+
+
+def _parse_column(cells):
+    for cast in (int, float):
+        try:
+            return np.array([cast(c) for c in cells])
+        except ValueError:
+            pass
+    return cells
+
+
+def read_table(path):
+    """The columns of a write_table file: name -> int array, float array or list of strings."""
+    header, rows = _csv_rows(path)
+    return {name: _parse_column([r[j] for r in rows]) for j, name in enumerate(header)}
+
+
+def _per_output(prefix, rows):
+    """Columns prefix_1 ... prefix_M holding the rows of an (M, n) array."""
+    return {"%s_%d" % (prefix, m + 1): row for m, row in enumerate(rows)}
+
+
+def _stacked(table, prefix):
+    """The (M, n) array of a table's columns prefix_1 ... prefix_M."""
+    return np.array([v for k, v in table.items() if k.rpartition("_")[0] == prefix])
+
+
+def write_json(doc, path):
+    """Write `doc` as indented JSON with sorted keys; returns the text written.
+
+    numpy arrays and scalars are written as the lists and numbers they hold.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True, default=lambda a: a.tolist()) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
 
 
 def write_truth(truth: GroundTruth, curves_path, labels_path):
-    with open(curves_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        M = truth.curves.shape[0]
-        writer.writerow(["x"] + ["f_%d" % (m + 1) for m in range(M)]
-                        + ["y_heldout_%d" % (m + 1) for m in range(M)])
-        for g in range(truth.grid.shape[0]):
-            row = [repr(float(truth.grid[g, 0]))]
-            row += [repr(float(truth.curves[m, g])) for m in range(M)]
-            row += [repr(float(truth.heldout_y[m, g])) for m in range(M)]
-            writer.writerow(row)
-    with open(labels_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "label"])
-        for i, lab in enumerate(truth.labels):
-            writer.writerow([i, int(lab)])
+    """The curves file (x, f_m, y_heldout_m) and the labels file (row, label)."""
+    write_table(curves_path, {"x": truth.grid[:, 0], **_per_output("f", truth.curves),
+                              **_per_output("y_heldout", truth.heldout_y)})
+    write_table(labels_path, {"row": np.arange(len(truth.labels)), "label": truth.labels})
 
 
 def read_truth_curves(path):
-    """Inverse of write_truth for the curves file: (grid, curves, heldout)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    M = sum(1 for h in header if h.startswith("f_"))
-    grid = np.array([[float(r[0])] for r in rows])
-    curves = np.array([[float(r[1 + m]) for r in rows] for m in range(M)])
-    heldout = np.array([[float(r[1 + M + m]) for r in rows] for m in range(M)])
-    return grid, curves, heldout
+    """The (M, G) noiseless curves and held-out draws of write_truth's curves file."""
+    table = read_table(path)
+    return _stacked(table, "f"), _stacked(table, "y_heldout")
+
+
+def read_truth_labels(path):
+    """Inverse of write_truth for the labels file: the true label of every row."""
+    return read_table(path)["label"]
 
 
 def write_prediction_csv(pred: Prediction, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        M = pred.mean.shape[0]
-        writer.writerow(
-            ["x"]
-            + ["mean_%d" % (m + 1) for m in range(M)]
-            + ["var_%d" % (m + 1) for m in range(M)]
-        )
-        for g in range(pred.x_star.shape[0]):
-            row = [repr(float(pred.x_star[g, 0]))]
-            row += [repr(float(pred.mean[m, g])) for m in range(M)]
-            row += [repr(float(pred.var_diag[m, g])) for m in range(M)]
-            writer.writerow(row)
+    """The curves file: x, mean_m and var_m on the prediction grid."""
+    write_table(path, {"x": pred.x_star[:, 0], **_per_output("mean", pred.mean),
+                       **_per_output("var", pred.var_diag)})
+
+
+def read_prediction_csv(path):
+    table = read_table(path)
+    return Prediction(x_star=table["x"][:, None], mean=_stacked(table, "mean"),
+                      var_diag=_stacked(table, "var"))
 
 
 def write_pihat_csv(state: VariationalState, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        M = state.pi_hat.shape[1]
-        writer.writerow(["row"] + ["pi_%d" % (m + 1) for m in range(M)])
-        for i in range(state.pi_hat.shape[0]):
-            writer.writerow([i] + [repr(float(v)) for v in state.pi_hat[i]])
+    """The assignment file: row and pi_m, the fitted probability of each output."""
+    write_table(path, {"row": np.arange(state.pi_hat.shape[0]),
+                       **_per_output("pi", state.pi_hat.T)})
 
 
-def write_summary_json(summary, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def read_pihat_csv(path):
+    return _stacked(read_table(path), "pi").T
+
+
+def write_results(results, M, path):
+    """One row per benchmark cell, ordered by (gamma, l, model, replicate)."""
+    rs = sorted(results, key=lambda r: (r.gamma, r.l_frac, r.model, r.replicate))
+    write_table(path, {
+        "gamma": [r.gamma for r in rs], "l": [r.l_frac for r in rs],
+        "model": [r.model for r in rs], "replicate": [r.replicate for r in rs],
+        "seed": [r.seed for r in rs],
+        **_per_output("rmse", np.reshape([r.rmse for r in rs], (-1, M)).T),
+        **_per_output("rmse_heldout", np.reshape([r.rmse_heldout for r in rs], (-1, M)).T),
+        "label_accuracy": [r.label_acc for r in rs], "bound": [r.bound for r in rs],
+        "wall_clock": [r.wall_clock for r in rs], "status": [r.status for r in rs],
+    })

@@ -258,10 +258,14 @@ def sqdiff(X1, X2):
     """Per-dimension squared differences of two input sets, shape (d, n1, n2).
 
     The result is C-contiguous with the input dimension first, so each
-    t2_d is a contiguous (n1, n2) slab.
+    t2_d is a contiguous (n1, n2) slab.  Sets with different column
+    counts raise ValueError (they would broadcast).
     """
+    X1, X2 = _as_2d(X1), _as_2d(X2)
+    if X1.shape[1] != X2.shape[1]:
+        raise ValueError("%d input columns against %d" % (X1.shape[1], X2.shape[1]))
     # broadcast straight into the (d, n1, n2) layout, then square in place
-    diff = np.subtract(_as_2d(X1).T[:, :, None], _as_2d(X2).T[:, None, :], order="C")
+    diff = np.subtract(X1.T[:, :, None], X2.T[:, None, :], order="C")
     diff *= diff
     return diff
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from wsmgp import cli
-from wsmgp.model import DatasetError
+from wsmgp.experiments import write_csv
+from wsmgp.model import DatasetError, make_dataset
 from wsmgp.trainer import OptimizerConfig
 
 CONFIG = """\
@@ -176,3 +177,58 @@ def test_fit_rejects_an_invalid_label_prior_by_row(workdir, prior):
         cli.main(["fit", "--config", str(workdir / "cfg.txt"), "--data", str(data),
                   "--out", str(workdir / "fit")])
     assert not (workdir / "fit").exists()
+
+
+def test_fit_and_predict_reject_two_input_columns(workdir):
+    # their grid and files are one-dimensional; a 1-column grid would
+    # broadcast against 2-column data into finite but wrong curves
+    rng = np.random.default_rng(0)
+    data = workdir / "two_columns.csv"
+    write_csv(make_dataset(rng.uniform(-1, 1, (20, 2)), rng.normal(size=20),
+                           labels=np.tile([0, 1, 2, 0], 5), n_outputs=2), str(data))
+    with pytest.raises(DatasetError, match="2 input columns"):
+        cli.main(["fit", "--config", str(workdir / "cfg.txt"), "--data", str(data),
+                  "--out", str(workdir / "fit2")])
+    assert not (workdir / "fit2").exists()
+    fit = _fit(workdir, _generate(workdir, "gen", 3), "cvb")
+    with pytest.raises(DatasetError, match="2 input columns"):
+        cli.main(["predict", "--data", str(data), "--params", str(fit / "model.json"),
+                  "--out", str(workdir / "pred2")])
+    assert not (workdir / "pred2").exists()
+
+
+@pytest.mark.parametrize("given,missing", [("--pihat", "--truth-labels"),
+                                           ("--truth-labels", "--pihat")])
+def test_evaluate_names_a_missing_label_file(workdir, capsys, given, missing):
+    # label accuracy needs both files; one alone must not drop it silently
+    gen = _generate(workdir, "gen", 3)
+    fit = _fit(workdir, gen, "cvb")
+    files = {"--pihat": fit / "pihat.csv", "--truth-labels": gen / "truth_labels.csv"}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--pred", str(fit / "curves.csv"),
+                  "--truth", str(gen / "truth_curves.csv"), given, str(files[given]),
+                  "--out", str(workdir / "eval")])
+    assert exc.value.code == 2
+    assert missing in capsys.readouterr().err
+    assert not (workdir / "eval").exists()
+
+
+def test_benchmark_keeps_a_failed_cell(workdir):
+    # with no labeled rows SCMGP raises NoLabeledDataError; its cell is
+    # recorded as failed and the run exits 1 after the other cells
+    cfg = workdir / "bench.txt"
+    cfg.write_text(CONFIG + "gammas = 1.0\nlFracs = 0.0\nmodels = scmgp, wsmgp\nreplicates = 1\n")
+    out = workdir / "bench"
+    assert cli.main(["benchmark", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 1
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0] == ("gamma,l,model,replicate,seed,rmse_1,rmse_2,rmse_heldout_1,"
+                        "rmse_heldout_2,label_accuracy,bound,wall_clock,status")
+    assert len(lines) == 3
+    failed, ok = (line.split(",") for line in lines[1:])
+    assert failed == (["1.0", "0.0", "scmgp", "0", "5"] + ["nan"] * 6
+                      + ["0.0", "error: SCMGP requires at least one labeled observation"])
+    assert ok[:5] == ["1.0", "0.0", "wsmgp", "0", "5"] and ok[-1] == "ok"
+    assert np.all(np.isfinite([float(v) for v in ok[5:12]]))
+    summary = json.loads((out / "summary.json").read_text())
+    assert [(e["model"], e["replicates"], e["failed"]) for e in summary] == [
+        ("scmgp", 1, 1), ("wsmgp", 1, 0)]

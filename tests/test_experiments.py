@@ -1,9 +1,16 @@
-"""experiments.joint_latent_draw: one factor of the dense joint prior."""
+"""experiments: the joint prior draw, label flips, and the table files."""
 
 import numpy as np
+import pytest
 
 from wsmgp import kernels
-from wsmgp.experiments import joint_latent_draw, paper_generating_hyperparams
+from wsmgp.experiments import (
+    flip_labels,
+    joint_latent_draw,
+    paper_generating_hyperparams,
+    read_table,
+    write_table,
+)
 
 
 def _joint_prior(X_blocks, outputs, lat):
@@ -48,3 +55,58 @@ def test_empirical_covariance_matches_the_prior():
     assert np.all(np.abs(C - K) <= 5.0 * se)
     # and the tolerance is tight enough to see a wrong covariance
     assert not np.all(np.abs(C - 1.2 * K) <= 5.0 * se)
+
+
+def _labels(M, n=300, seed=0):
+    """Labels 0..M, about a third of them 0 (unlabeled)."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(n) < 0.35, 0, rng.integers(1, M + 1, n))
+
+
+def test_two_flips_at_one_seed_restore_two_sources():
+    labels = _labels(2)
+    once = flip_labels(labels, 0.4, 2, seed=7)
+    assert 0 < np.sum(once != labels) < np.sum(labels > 0)
+    # a flip swaps 1 and 2
+    assert set(zip(labels[once != labels], once[once != labels])) == {(1, 2), (2, 1)}
+    np.testing.assert_array_equal(flip_labels(once, 0.4, 2, seed=7), labels)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_unlabeled_rows_are_never_flipped(M):
+    labels = _labels(M, seed=M)
+    flipped = flip_labels(labels, 1.0, M, seed=1)
+    assert np.all(flipped[labels == 0] == 0)
+    assert np.all(flipped[labels > 0] != labels[labels > 0])
+
+
+def test_three_sources_shift_cyclically():
+    labels = _labels(3)
+    flipped = flip_labels(labels, 1.0, 3, seed=2)
+    np.testing.assert_array_equal(flipped, np.where(labels > 0, labels % 3 + 1, 0))
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_probability_zero_is_the_identity(M):
+    labels = _labels(M, seed=5)
+    np.testing.assert_array_equal(flip_labels(labels, 0.0, M, seed=3), labels)
+
+
+def test_table_round_trip_is_exact(tmp_path):
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0])
+    ints = np.array([0, -3, 7, 2**53 + 1, 1, 2, 3])
+    words = ["ok", "error: a, b", 'say "x"', "", "nan", "1", "-"]
+    path = tmp_path / "table.csv"
+    write_table(path, {"f": floats, "i": ints, "s": words})
+    text = path.read_text()
+    assert text.splitlines()[:2] == ["f,i,s", "nan,0,ok"]
+    assert "5e-324" in text and "np." not in text
+    back = read_table(path)
+    assert list(back) == ["f", "i", "s"]
+    assert back["f"].dtype == np.float64 and back["i"].dtype.kind == "i"
+    np.testing.assert_array_equal(back["f"], floats)
+    np.testing.assert_array_equal(np.signbit(back["f"]), np.signbit(floats))
+    np.testing.assert_array_equal(back["i"], ints)
+    assert back["s"] == words
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "short.csv", {"f": floats, "i": ints[:-1]})

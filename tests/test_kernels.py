@@ -510,6 +510,11 @@ class TestBlocks:
         np.testing.assert_array_equal(fu.K, (out.S * scale) * fu.unit)
         assert np.all(ff.unit <= 1.0) and np.all(np.diag(ff.unit) == 1.0)
 
+    def test_sqdiff_rejects_other_column_counts(self):
+        # (5, 1) against (3, 2) would broadcast into a (2, 5, 3) array
+        with pytest.raises(ValueError, match="1 input columns against 2"):
+            kernels.sqdiff(np.zeros((5, 1)), np.zeros((3, 2)))
+
     def test_stacked_selection_computes_t2_once(self):
         rng = np.random.default_rng(17)
         hp = random_hp(rng, M=3, d=2)

@@ -178,6 +178,12 @@ class TestLimits:
         slope = abs(p_hi.mean[0, 0] - p_low.mean[0, 0]) / 2e-3
         assert abs(p1.mean[0, 0] - p0.mean[0, 0]) <= 10 * (slope + 1.0) * d
 
+    def test_rejects_x_star_of_another_dimension(self):
+        # a 1-column grid on 2-column data would give finite but wrong curves
+        ds, cfg, hp, state = checks.random_instance(3, n=10, M=2, Q=4, d=2)
+        with pytest.raises(ValueError, match="1 input columns against 2"):
+            posterior_predict(ds, cfg, hp, state, np.linspace(0.0, 1.0, 5)[:, None])
+
     def test_rejects_nonfinite_inputs(self):
         ds, cfg, hp, st = single_output_instance(seed=15)
         with pytest.raises(ValueError, match="non-finite"):
