@@ -76,6 +76,38 @@ def select_rows(state: VariationalState, ds: Dataset, rows=None):
     return state.pi_hat[rows], ds.labels[rows] > 0, ds.prior_pi[rows]
 
 
+# Stirling's series log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2 = sum_k b_k z^(1 - 2k)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_STIRLING_FROM = 10.0  # the smallest a log_poch takes from the series
+
+
+def _stirling_tail(z):
+    z2 = 1.0 / (z * z)
+    tail = _STIRLING[-1]
+    for b in _STIRLING[-2::-1]:
+        tail = tail * z2 + b
+    return tail / z
+
+
+def log_poch(a, x):
+    """log poch(a, x) = log Gamma(a + x) - log Gamma(a) for a scalar a > 0 and x >= 0.
+
+    scipy's poch keeps its log to 5e-16 below a = 10 and above 1e5, but
+    loses up to 3e-11 in between (5e-12 at a = 2e3), which V sums over
+    every unlabeled entry.  From a = 10 on the difference is taken from
+    Stirling's series instead, with no term that cancels:
+      x log a + (a + x - 1/2) log1p(x / a) - x + tail(a + x) - tail(a),
+    whose truncation is below 1e-16 there.  x = 0 and x = 1 give 0 and
+    log a exactly, as poch does, so a one-hot row's log ratio in
+    vterm_rows is -log M exactly.
+    """
+    if a < _STIRLING_FROM:
+        return np.log(poch(a, x))
+    series = (x * np.log(a) + (a + x - 0.5) * np.log1p(x / a) - x
+              + (_stirling_tail(a + x) - _stirling_tail(a)))
+    return np.where(x == 1.0, np.log(a), series)
+
+
 def vterm_rows(state: VariationalState, ds: Dataset, cfg: ModelConfig, noise, rows=None):
     """Per-observation contributions to V, one per entry of `rows` (all N when None).
 
@@ -91,7 +123,7 @@ def vterm_rows(state: VariationalState, ds: Dataset, cfg: ModelConfig, noise, ro
     kl_labeled = ent - _sum_last(xlogy(pi, prior))
     if cfg.use_dirichlet:
         # log[B(alpha0 + pi) / B(alpha0 * 1)] = sum_m log poch(alpha0, pi_m) - log(M alpha0)
-        log_ratio = _sum_last(np.log(poch(cfg.alpha0, pi))) - np.log(cfg.alpha0)
+        log_ratio = _sum_last(log_poch(cfg.alpha0, pi)) - np.log(cfg.alpha0)
         kl_unlabeled = ent - log_ratio + np.log(cfg.M)
     else:
         kl_unlabeled = ent + np.log(cfg.M)
@@ -121,11 +153,24 @@ def cvb_rows(ds, cfg, scmgp):
     never reads an unlabeled row.  Both depend on the dataset alone, so a
     fit computes them once, and the pi steps of a fit share one kernel
     half.
+
+    Row order: each output lists first, in index order, the rows it
+    alone holds (labeled rows whose prior allows this output only, whose
+    pi is exactly 1), then, in index order, the rows it shares.  The
+    engine conditions the first ones out once per hyperparameter point
+    (engine.Conditioned), so the pi steps factor only the shared rows.
+    SCMGP's rows are all of the first kind.
     """
     if not scmgp:
         every = np.arange(ds.n)
         allowed = ~ds.labeled_mask[:, None] | (ds.prior_pi > 0)
-        return [every if a.all() else np.flatnonzero(a) for a in allowed.T]
+        alone = allowed.sum(axis=1) == 1
+        rows = []
+        for a in allowed.T:
+            r = np.concatenate((np.flatnonzero(a & alone), np.flatnonzero(a & ~alone)))
+            # outputs that hold every row in index order share one array
+            rows.append(every if np.array_equal(r, every) else r)
+        return rows
     if ds.n_labeled == 0:
         raise NoLabeledDataError("no labeled observations")
     return [np.flatnonzero(ds.labels == m + 1) for m in range(cfg.M)]
@@ -226,22 +271,24 @@ def cvb_pi_step(ds, cfg, hp, state, sys=None):
     """One full-batch pi step of the collapsed bound: (elbo_cvb at state, the stepped pi_hat).
 
     One system gives both the bound at state.pi_hat and q(f)'s moments at
-    each output's rows (engine.posterior_moments, 0 elsewhere, where the
-    prior keeps the entry at 0), from which assignment_rows takes every
-    row to its optimum.  sys is build_cvb_system's system at hp and state
-    if the caller has it, such as the one a fit's evaluation built at
-    hp, or one whose noise half alone was factored on an earlier step's
-    kernel half; otherwise it is built here.  It is only read, so
-    the step equals one on a fresh build bit for bit.  state.pi_hat is
-    overwritten.
+    each output's moving rows (engine.posterior_moments; 0 elsewhere: at
+    a row the prior keeps out of the output and at a row the output holds
+    alone the step returns the prior's 0 or 1 whatever the moments), from
+    which assignment_rows takes every row to its optimum.  sys is
+    build_cvb_system's system at hp and state if the caller has it, such
+    as the one a fit's evaluation built at hp, or one whose noise half
+    alone was factored on an earlier step's kernel half; otherwise it is
+    built here.  It is only read, so the step equals one on a fresh build
+    bit for bit.  state.pi_hat is overwritten.
     """
     if sys is None:
         sys = build_cvb_system(ds, cfg, hp, state)
     bound = engine.gauss_loglik(sys) + vterm(state, ds, cfg, hp.noise)
     mu, var = np.zeros((cfg.M, ds.n)), np.zeros((cfg.M, ds.n))
     for m, (mean, v) in enumerate(zip(*engine.posterior_moments(sys))):
-        mu[m, sys.rows[m]] = mean
-        var[m, sys.rows[m]] = v
+        moving = sys.rows[m][sys.fixed[m].n_F:]
+        mu[m, moving] = mean
+        var[m, moving] = v
     return bound, assignment_rows(mu, var, ds.y, hp.noise.sigma, state.pi_hat,
                                   ds.labeled_mask, ds.log_prior, cfg)
 

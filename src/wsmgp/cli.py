@@ -24,6 +24,11 @@ The files of the chain; ``experiments`` writes and reads the CSV tables
                     bound, wall_clock, status (ok or the error)
   summary.json      per (gamma, l, model) cell: failed,    benchmark     -
                     replicates, rmse_mean, rmse_sd, ...
+
+``xRange`` (default -1, 1 in every subcommand) is the span generate draws
+the inputs and the truth grid over, and the grid fit and predict write
+curves.csv on; evaluate scores the two files row by row and exits 2,
+naming both grids, when their x columns differ.
 """
 
 import argparse
@@ -73,6 +78,9 @@ from .model import DatasetError, ModelConfig, VariationalState, validate_dataset
 from .predict import posterior_predict
 from .trainer import OptimizerConfig
 
+
+# generate's input span and the grid of curves.csv: one default for every subcommand
+X_RANGE = list(SyntheticConfig.x_range)
 
 # the keys some subcommand reads, so that one file can serve generate, fit and
 # benchmark; S<m>, Lm<m> and sigma<m> are the synthetic config's per-output keys
@@ -159,7 +167,7 @@ def optimizer_config_from(cfg_map, seed):
 def synthetic_config_from(cfg_map, seed):
     _check_keys(cfg_map)
     M = _get(cfg_map, "M", int, 2)
-    xr = _get_list(cfg_map, "xRange", float, [-1.0, 1.0])
+    xr = _get_list(cfg_map, "xRange", float, X_RANGE)
     hp = paper_generating_hyperparams(M)
     outs = []
     for m in range(M):
@@ -298,8 +306,8 @@ def _read_dataset(path, n_outputs):
 
 
 def _write_curves(cfg_map, ds, cfg, hp, state, out):
-    """Predict on the evaluation grid over xRange (default: the data's span) into curves.csv."""
-    xr = _get_list(cfg_map, "xRange", float, [float(ds.X.min()), float(ds.X.max())])
+    """Predict on the evaluation grid over xRange, generate's grid by default, into curves.csv."""
+    xr = _get_list(cfg_map, "xRange", float, X_RANGE)
     grid = np.linspace(xr[0], xr[1], EVAL_GRID_SIZE)[:, None]
     pred = posterior_predict(ds, cfg, hp, state, grid)
     os.makedirs(out, exist_ok=True)
@@ -345,9 +353,21 @@ def cmd_predict(args):
     return 0
 
 
+def _grid_ends(x):
+    if len(x) == 0:
+        return "no points"
+    return "%d points over [%r, %r]" % (len(x), float(x[0]), float(x[-1]))
+
+
 def cmd_evaluate(args):
-    curves, heldout = read_truth_curves(args.truth)
+    x, curves, heldout = read_truth_curves(args.truth)
     pred = read_prediction_csv(args.pred)
+    if not np.array_equal(pred.x_star[:, 0], x):
+        # row-by-row scores of curves on other inputs would mean nothing
+        sys.stderr.write("wsmgp evaluate: %s and %s are on different grids: %s against %s; "
+                         "predict on the truth's grid (the same xRange)\n"
+                         % (args.pred, args.truth, _grid_ends(pred.x_star[:, 0]), _grid_ends(x)))
+        return 2
     metrics = {"rmse": rmse_eval(pred, curves), "rmse_heldout": rmse_eval(pred, heldout)}
     if args.pihat:  # main() requires --truth-labels with it
         metrics["label_accuracy"] = label_accuracy(

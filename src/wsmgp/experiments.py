@@ -455,9 +455,9 @@ def write_truth(truth: GroundTruth, curves_path, labels_path):
 
 
 def read_truth_curves(path):
-    """The (M, G) noiseless curves and held-out draws of write_truth's curves file."""
+    """The grid x (G,), and the (M, G) noiseless curves and held-out draws on it, of write_truth."""
     table = read_table(path)
-    return _stacked(table, "f"), _stacked(table, "y_heldout")
+    return table["x"], _stacked(table, "f"), _stacked(table, "y_heldout")
 
 
 def read_truth_labels(path):

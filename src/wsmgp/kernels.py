@@ -426,12 +426,14 @@ def whiten(cho, K):
     cho may be any factor cho_factor or chol_jitter returns; only its
     lower triangle is read.  With chol_jitter's factor of Kuu this is
     Psi = Kfu L^-T; with the factor of engine's P_m = I + S_m B_m S_m,
-    rowsum((K L^-T)^2) = diag(K P_m^-1 K'), which the collapsed
-    posterior variances and the independent-kernel prediction read
-    without forming P_m^-1.  Each row is solved on its own (a single row
-    beside a zero row, since OpenBLAS rounds a one-row block
-    differently), so gathered rows of a Psi over all N rows equal the Psi
-    of those rows bit for bit.
+    which engine.factor_solves assembles from the fixed and the moving
+    rows' factors, rowsum((K L^-T)^2) = diag(K P_m^-1 K'), which the
+    independent-kernel prediction reads without forming P_m^-1 (the
+    collapsed posterior variances at the moving rows take a left solve
+    with the moving rows' factor alone, engine.posterior_moments).  Each
+    row is solved on its own (a single row beside a zero row, since
+    OpenBLAS rounds a one-row block differently), so gathered rows of a
+    Psi over all N rows equal the Psi of those rows bit for bit.
     """
     n = K.shape[0]
     psi = np.zeros((max(n, 2), K.shape[1]), order="F")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from . import kernels
 from .bounds import build_cvb_system
+from .engine import factor_solves
 from .kernels import IndependentSEHyperParams
 
 
@@ -53,8 +54,11 @@ def posterior_predict(ds, cfg, hp, state, x_star):
         for m, out in enumerate(hp.outputs):
             # with E_m^-1 = S P^-1 S, in the scaled space of P: p = K*_m S_m L_P^-T
             ks = kernels.se_matrix(x_star, ds.X[sys.rows[m]], out) * sys.s_blocks[m]
-            mean[m] = ks @ sys.alpha[m]
-            p = kernels.whiten(sys.cho_P[m], ks) if ks.shape[1] else ks
+            if ks.shape[1]:
+                cho, alpha = factor_solves(sys, m)
+                mean[m], p = ks @ alpha[:, 0], kernels.whiten(cho, ks)
+            else:
+                mean[m], p = 0.0, ks
             prior = out.amp**2
             var[m] = prior - np.sum(p * p, axis=1) + hp.noise.sigma[m] ** 2
         return Prediction(x_star=x_star, mean=mean, var_diag=var)

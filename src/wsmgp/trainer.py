@@ -358,9 +358,20 @@ def fit_cvb(ds, cfg, hp0=None, opt_cfg=None, scmgp=False):
     full-batch pi steps (bounds.cvb_pi_step) from the pi the previous one
     left, until a step raised the bound by less than tol_rel_bound
     relative, and returns the bound and its gradient at the pi reached.
-    The steps share the evaluation's kernel half: each factors only the
-    noise half of its system.  An evaluation whose system is not
-    numerically positive definite leaves pi where it found it.  Round 0,
+    The steps share the evaluation's kernel half, in which the rows one
+    output holds alone (labeled rows with a one-hot prior, pi exactly 1)
+    are conditioned out once (engine.Conditioned).  In one evaluation:
+      1. build_cvb_system builds the kernel half at theta, conditioning
+         those fixed rows out at their weights 1 / sigma_m^2, and the
+         noise half, which factors only the moving rows' block of each
+         output;
+      2. each pi step reads the value and the moving rows' moments from
+         that system (bounds.cvb_pi_step), and the system is rebuilt on
+         the same kernel half, its noise half alone;
+      3. elbo_cvb_with_grad assembles each output's full factor from the
+         two halves and differentiates the last system.
+    An evaluation whose system is not numerically positive definite
+    (engine's LinAlgError) leaves pi where it found it.  Round 0,
     before the run, fits the start's pi held for at most
     em_inner_hyp_iters iterations: steps taken at the default
     hyperparameters can lock rows into a poor assignment.  The run's

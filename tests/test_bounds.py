@@ -145,16 +145,18 @@ class TestVTerm:
             noise_term = -0.5 * np.sum(pi * np.log(2 * np.pi * noise.sigma**2)[None, :])
             assert vterm(state, ds, cfg, noise) <= noise_term + 1e-12
 
-    @pytest.mark.parametrize("alpha0", [1e-4, 0.3, 1e3, 1e6])
+    @pytest.mark.parametrize("alpha0", [1e-4, 0.3, 9.9, 10.0, 1e3, 2055.6, 1e4, 1e6])
     def test_unlabeled_kl_matches_mpmath(self, alpha0):
         """The unlabeled KL against log-gammas summed at 50 digits, a row at a time.
 
         At alpha0 = 1e6 the log-gammas are near 1.3e7, and their
         difference in float64 is off by up to 3e-9 nats a row.  Between
-        alpha0 = 1e3 and 1e4 scipy's poch itself differences log-gammas,
-        4e-12 nats a row at 1e3, hence the tolerance.  A one-hot row's
-        log[B(alpha0 + pi) / B(alpha0 * 1)] is -log M exactly, so its KL
-        is log M.
+        alpha0 = 10 and 1e5 scipy's poch itself differences log-gammas
+        (4e-12 nats a row at 1e3, 6e-11 at 1e4), which bounds.log_poch
+        replaces by Stirling's series there: the largest error reads
+        1.0e-14 (at 9.9, below the series) and at most 5.2e-15 from 10
+        on.  A one-hot row's log[B(alpha0 + pi) / B(alpha0 * 1)] is
+        -log M exactly, so its KL is log M.
         """
         M = 3
         pi = np.random.default_rng(4).dirichlet(np.full(M, 0.7), size=60)
@@ -177,7 +179,7 @@ class TestVTerm:
                 return mpmath.fsum(p * mpmath.log(p) for p in ps if p) - log_ratio
 
             ref = np.array([float(exact(row)) for row in pi])
-        np.testing.assert_allclose(kl, ref, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(kl, ref, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("M", range(1, 11))
     def test_row_sums_equal_numpy_sums(self, M):
@@ -544,6 +546,29 @@ class TestHandOff:
         for f in fields(engine.KernelHalf):
             assert getattr(got, f.name) is getattr(earlier, f.name), f.name
 
+    @pytest.mark.parametrize("kind, model", HAND_OFF_CASES)
+    def test_kernel_half_after_a_fixed_weight_moved_is_conditioned_afresh(self, kind, model):
+        # a hand-made state whose labeled rows are off their one-hot prior:
+        # the pi step puts them back at 1, so the fixed weights the handed
+        # kernel half was conditioned at no longer hold; the build conditions
+        # them out afresh on the same kernel blocks and equals a fresh build
+        ds, cfg, hp, state = hand_off_instance(kind, model)
+        hard = (ds.prior_pi == 1.0).any(axis=1)
+        assert hard.any()
+        state.pi_hat[hard] *= 0.6
+        earlier = build_cvb_system(ds, cfg, hp, state)
+        assert all(f.n_F > 0 for f in earlier.fixed)
+        _, state.pi_hat = cvb_pi_step(ds, cfg, hp, state, earlier)
+        np.testing.assert_array_equal(state.pi_hat[hard], ds.prior_pi[hard])
+        got = build_cvb_system(ds, cfg, hp, state, kernel=earlier)
+        assert_systems_equal(got, build_cvb_system(ds, cfg, hp, state))
+        assert got.fixed is not earlier.fixed
+        for f in fields(engine.KernelHalf):
+            if f.name != "fixed":
+                assert getattr(got, f.name) is getattr(earlier, f.name), f.name
+        # at unchanged fixed weights the conditioning is reused as it is
+        assert build_cvb_system(ds, cfg, hp, state, kernel=got).fixed is got.fixed
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("scmgp", [False, True])
     @pytest.mark.parametrize("kind", ["convolved", "independent"])
@@ -660,7 +685,7 @@ class TestEngineDenseReference:
     @pytest.mark.parametrize("seed", [31, 32])
     @pytest.mark.parametrize("kind", ["convolved", "independent"])
     def test_posterior_moments(self, seed, kind):
-        """K Sigma^-1 y and diag(K - K Sigma^-1 K) at every selected row, w = 0 included.
+        """K Sigma^-1 y and diag(K - K Sigma^-1 K) at every moving row, w = 0 included.
 
         The largest errors were 1.4e-12 (means) and 2.5e-13 (variances)
         of the largest entry for the convolved model (cond(A) 9.6e2), and
@@ -669,6 +694,11 @@ class TestEngineDenseReference:
         for extra_zeros in (False, True):
             sys = self._instance(seed, 60, 10, kind, extra_zeros)
             _, mean, var, _, _ = dense_posterior(sys)
+            start = np.cumsum([0] + [len(r) for r in sys.rows])
+            moving = np.concatenate([np.arange(a + f.n_F, b)
+                                     for a, b, f in zip(start[:-1], start[1:], sys.fixed)])
+            assert 0 < len(moving) < len(mean)
+            mean, var = mean[moving], var[moving]
             got_mean, got_var = (np.concatenate(v) for v in engine.posterior_moments(sys))
             np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-10 * np.abs(mean).max())
             np.testing.assert_allclose(got_var, var, rtol=0, atol=1e-10 * var.max())

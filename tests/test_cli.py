@@ -232,3 +232,30 @@ def test_benchmark_keeps_a_failed_cell(workdir):
     summary = json.loads((out / "summary.json").read_text())
     assert [(e["model"], e["replicates"], e["failed"]) for e in summary] == [
         ("scmgp", 1, 1), ("wsmgp", 1, 0)]
+
+
+def test_default_chain_predicts_on_the_truth_grid(workdir):
+    # without xRange, generate's truth grid and fit's curves.csv share one span
+    gen = _generate(workdir, "gen", 3)
+    fit = _fit(workdir, gen, "cvb")
+    truth = (gen / "truth_curves.csv").read_text().splitlines()
+    curves = (fit / "curves.csv").read_text().splitlines()
+    assert len(truth) == len(curves) == 201
+    assert [r.split(",")[0] for r in curves] == [r.split(",")[0] for r in truth]
+
+
+def test_evaluate_rejects_curves_on_another_grid(workdir, capsys):
+    # curves predicted over another xRange are not scored against the truth
+    gen = _generate(workdir, "gen", 3)
+    fit = _fit(workdir, gen, "cvb")
+    narrow = workdir / "narrow.txt"
+    narrow.write_text(CONFIG + "xRange = -0.5, 0.5\n")
+    _run("predict", "--config", narrow, "--data", gen / "dataset.csv",
+         "--params", fit / "model.json", "--out", workdir / "pred")
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--pred", str(workdir / "pred" / "curves.csv"),
+                     "--truth", str(gen / "truth_curves.csv"), "--out", str(workdir / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "200 points over [-0.5, 0.5]" in err and "200 points over [-1.0, 1.0]" in err
+    assert not (workdir / "eval").exists()

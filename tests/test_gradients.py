@@ -100,12 +100,24 @@ class TestGradCvb:
         for name, g in vars(bundle).items():
             if g is not None:
                 assert np.all(np.isfinite(g)), name
+        # the moments at every selected row, by dense conditioning on the rows with w > 0
         sys = build_cvb_system(ds, cfg, hp, state)
-        means, variances = engine.posterior_moments(sys)
+        Kfu = np.vstack([b.K for b in sys.fu_blocks])
+        K = Kfu @ np.linalg.solve(sys.kuu_block.K + kernels.chol_jitter(sys.kuu_block.K)[1]
+                                  * np.eye(cfg.Q), Kfu.T)
+        start = np.cumsum([0] + [len(r) for r in sys.rows])
+        for m, B_m in enumerate(sys.B_blocks):
+            K[start[m] : start[m + 1], start[m] : start[m + 1]] += B_m
+        w = np.concatenate(sys.s_blocks) ** 2
+        pos = w > 0
+        Kp = K[:, pos]
+        Sigma = Kp[pos] + np.diag(1.0 / w[pos])
+        mean = Kp @ np.linalg.solve(Sigma, np.concatenate(sys.y_blocks)[pos])
+        var = np.diag(K) - np.sum(Kp * np.linalg.solve(Sigma, Kp.T).T, axis=1)
         expect = np.empty(cfg.M)
         for m, r in enumerate(sys.rows):
-            w = state.pi_hat[r, m] / hp.noise.sigma[m] ** 2
-            expect[m] = (np.sum(w * ((ds.y[r] - means[m]) ** 2 + variances[m]))
+            blk = slice(start[m], start[m + 1])
+            expect[m] = (np.sum(w[blk] * ((ds.y[r] - mean[blk]) ** 2 + var[blk]))
                          - np.sum(state.pi_hat[:, m]))
         np.testing.assert_allclose(bundle.d_sigma, expect, rtol=1e-10)
 

@@ -261,10 +261,11 @@ class TestMPhaseHandOff:
 
     def test_pi_steps_build_no_kernel_half(self, monkeypatch):
         # every kernel half of the collapsed fit is built by an M-phase
-        # evaluation (or the start's); pi steps reuse them
+        # evaluation (or the start's); pi steps reuse them, and never move a
+        # fixed row's weight, so no build conditions the fixed rows afresh
         ds, _ = tiny_two_output_ds(3)
         cfg = ModelConfig(M=2, Q=8, alpha0=0.3)
-        counts = {"kernel": 0, "grad": 0, "pi": 0}
+        counts = {"kernel": 0, "condition": 0, "grad": 0, "pi": 0}
 
         def counted(name, fn):
             def wrapper(*a, **kw):
@@ -273,13 +274,14 @@ class TestMPhaseHandOff:
             return wrapper
 
         monkeypatch.setattr(engine, "_kernel_half", counted("kernel", engine._kernel_half))
+        monkeypatch.setattr(engine, "_condition", counted("condition", engine._condition))
         monkeypatch.setattr(gradients, "elbo_cvb_with_grad",
                             counted("grad", gradients.elbo_cvb_with_grad))
         monkeypatch.setattr(bounds, "cvb_pi_step", counted("pi", bounds.cvb_pi_step))
         rep = fit_cvb(ds, cfg, None, OptimizerConfig(seed=5, restarts=1, em_outer_iters=4))
         assert not any(t["message"].startswith("ABNORMAL") for t in rep.termination)
         assert counts["pi"] > 0
-        assert counts["kernel"] == counts["grad"]
+        assert counts["kernel"] == counts["grad"] == counts["condition"]
         assert rep.evaluations == counts["grad"] + counts["pi"]
         assert rep.pi_steps == counts["pi"]
 
