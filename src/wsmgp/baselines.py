@@ -22,14 +22,19 @@ from .model import Dataset, ModelConfig, make_dataset
 from .trainer import OptimizerConfig, default_hyperparams, fit_cvb
 
 
-def _strip_labels(ds: Dataset, M):
-    """Copy of the dataset with all labels removed."""
-    return make_dataset(ds.X, ds.y, labels=np.zeros(ds.n, dtype=int), n_outputs=M)
+def strip_labels(ds: Dataset):
+    """Copy of the dataset with all labels removed: the data OMGP fits and predicts from."""
+    return make_dataset(ds.X, ds.y, labels=np.zeros(ds.n, dtype=int),
+                        n_outputs=ds.prior_pi.shape[1])
 
 
 def fit_omgp(ds, cfg: ModelConfig, opt_cfg: OptimizerConfig = None, hp0=None):
-    """Independent-kernel mixture fit that provably ignores labels."""
-    ds_blind = _strip_labels(ds, cfg.M)
+    """Independent-kernel mixture fit that provably ignores labels.
+
+    It fits strip_labels(ds), so a prediction from its fit conditions on
+    that dataset (experiments.fit_inputs), not on ds.
+    """
+    ds_blind = strip_labels(ds)
     cfg_omgp = replace(cfg, use_dirichlet=False)
     if hp0 is None:
         hp0 = default_hyperparams(ds_blind, cfg_omgp, kind="independent")

@@ -14,7 +14,9 @@ The files of the chain; ``experiments`` writes and reads the CSV tables
                     and pi_m empty on unlabeled rows)
   truth_curves.csv  x, f_m (noiseless), y_heldout_m        generate      evaluate
   truth_labels.csv  row, label (the true source)           generate      evaluate
-  model.json        hp, alpha0, config, state, data hash   fit           predict
+  model.json        model (its --model name), hp, alpha0,  fit           predict
+                    config (M, Q, useDirichlet as the fit
+                    used them), final bound, state, data hash
   fitreport.json    bound_trajectory, evaluations, ...     fit           -
   curves.csv        x, mean_m, var_m on the grid           fit, predict  evaluate
   pihat.csv         row, pi_m (fitted; none for SCMGP)     fit           evaluate
@@ -46,6 +48,7 @@ from .experiments import (
     EVAL_GRID_SIZE,
     MODEL_NAMES,
     SyntheticConfig,
+    fit_inputs,
     fit_model,
     generate_synthetic,
     ingest_csv,
@@ -240,9 +243,14 @@ def data_fingerprint(ds):
     return {"n": int(ds.n), "sha256": h.hexdigest()}
 
 
-def save_model(path, report, cfg, ds):
-    """Write model.json, recording the fingerprint of the data `ds` it was fitted to."""
+def save_model(path, report, name, cfg, ds):
+    """Write model.json for model `name`'s fit with config `cfg`, from the data `ds`.
+
+    cfg is the configuration the fit used (experiments.fit_inputs), and
+    the fingerprint is that of ds as given, labels included.
+    """
     doc = {
+        "model": name,
         "hp": hp_to_json(report.final_hp),
         "alpha0": report.final_alpha0,
         "config": {"M": cfg.M, "Q": cfg.Q, "useDirichlet": cfg.use_dirichlet},
@@ -261,7 +269,7 @@ def _describe(fp):
 
 
 def load_model(path):
-    """(hp, cfg, state, fingerprint of the training data or None) from model.json."""
+    """(model name, hp, cfg, state, fingerprint of the training data or None) from model.json."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     hp = hp_from_json(doc["hp"])
@@ -274,7 +282,7 @@ def load_model(path):
     state = None
     if "state" in doc:
         state = VariationalState(**{k: np.array(v) for k, v in doc["state"].items()})
-    return hp, cfg, state, doc.get("data")
+    return doc["model"], hp, cfg, state, doc.get("data")
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +329,10 @@ def cmd_fit(args):
     validate_dataset(ds, cfg)
     opt = optimizer_config_from(cfg_map, args.seed)
     report = fit_model(args.model, ds, cfg, opt, bound=args.bound)
+    fit_ds, fit_cfg = fit_inputs(args.model, ds, cfg)
     os.makedirs(args.out, exist_ok=True)
-    save_model(os.path.join(args.out, "model.json"), report, cfg, ds)
-    _write_curves(cfg_map, ds, cfg, report.final_hp, report.final_state, args.out)
+    save_model(os.path.join(args.out, "model.json"), report, args.model, fit_cfg, ds)
+    _write_curves(cfg_map, fit_ds, fit_cfg, report.final_hp, report.final_state, args.out)
     if report.final_state is not None:
         write_pihat_csv(report.final_state, os.path.join(args.out, "pihat.csv"))
     keys = ("bound_trajectory", "converged", "wall_clock", "evaluations", "pi_steps", "seed",
@@ -340,7 +349,7 @@ def cmd_fit(args):
 
 def cmd_predict(args):
     cfg_map = parse_config(args.config)
-    hp, cfg, state, fitted_to = load_model(args.params)
+    name, hp, cfg, state, fitted_to = load_model(args.params)
     ds = _read_dataset(args.data, cfg.M)
     given = data_fingerprint(ds)
     if fitted_to != given:
@@ -348,7 +357,8 @@ def cmd_predict(args):
             "%s was fitted to other data: the model records %s, %s is %s"
             % (args.params, _describe(fitted_to), args.data, _describe(given))
         )
-    _write_curves(cfg_map, ds, cfg, hp, state, args.out)
+    # the data the fit read: OMGP's has no labels
+    _write_curves(cfg_map, *fit_inputs(name, ds, cfg), hp, state, args.out)
     print("wrote predictions for %d outputs -> %s" % (cfg.M, args.out))
     return 0
 

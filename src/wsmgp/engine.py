@@ -6,9 +6,12 @@ log N(y_sel | 0, bdiag(B_m + W_m^-1) + Kfu Kuu^-1 Kuf) over a
 observations appear under which output, with precision weights
 W_m = diag(w_m).  The weakly-supervised model selects each row under
 every output its prior allows; the fully-labeled baseline selects each
-row once under its label; the independent-kernel baselines have no
-inducing structure at all (Kfu absent, B_m a dense per-output kernel
-block).
+row once under its label; the independent-kernel baselines are the
+case Q = 0 of the same form: no inducing inputs, so each Psi_m below has
+no columns, A = I_0, beta and c are empty, and B_m is the dense
+per-output kernel block.  Every step below runs the one Woodbury form
+for every model; only the kernel blocks (_kernel_half), the gradient
+chain (gradients) and the prediction (predict) know which model it is.
 
 The noise half is in precision form (Rasmussen & Williams 2006,
 Algorithm 2.1): with S_m = diag(sqrt(w_m)) it factors
@@ -166,8 +169,12 @@ def cho_inverse(cho, overwrite=False):
     result is mirrored from the computed triangle and is exactly
     symmetric.  c itself is not modified, unless overwrite is set and
     c is a Fortran-ordered lower factor, which then holds the inverse.
+    A 0 x 0 factor (the independent model's A) has the 0 x 0 inverse,
+    which dpotri, rejecting n = 0, does not give.
     """
     c, lower = cho
+    if c.shape[0] == 0:
+        return np.zeros((0, 0))
     # an upper factor U (A = U'U) is the lower factor of A transposed
     inv, info = dpotri(c if lower else c.T, lower=1, overwrite_c=overwrite)
     if info:
@@ -201,8 +208,8 @@ def _as_fortran_operand(x):
 class Conditioned(NamedTuple):
     """Output m's fixed rows F, its block's first n_F rows, conditioned out of P_m.
 
-    With k = Q + 1 columns [Psi | y] (k = 1, y alone, without inducing
-    inputs) these are what every noise half over the moving rows U reads.
+    With k = Q + 1 columns [Psi | y] (k = 1, y alone, for the independent
+    model's Q = 0) these are what every noise half over the moving rows U reads.
     """
 
     n_F: int
@@ -225,17 +232,15 @@ class KernelHalf:
     """
 
     rows: list  # per-output row-index arrays, fixed rows first
+    # the independent model has Q = 0 inducing inputs: no Kfu or Kuu block,
+    # a 0 x 0 L, each Psi_m (n_m, 0) and B_m the SE kernel block itself
     ff_blocks: list  # per-output GaussBlock of Kff_m, K None (B_m took it), or of the SE kernel
-    fu_blocks: list  # per-output kernels.GaussBlock of Kfu_m, or None (independent model)
-    kuu_block: kernels.GaussBlock  # Kuu without jitter, or None
-    cho_Kuu: tuple  # chol_jitter's factor L of Kuu, or None
-    Psi: list  # per-output Kfu_m L^-T (kernels.whiten), or None
-    B_blocks: list  # per-output residual (or full) covariance blocks
+    fu_blocks: list  # per-output kernels.GaussBlock of Kfu_m; None at Q = 0
+    kuu_block: kernels.GaussBlock  # Kuu without jitter; None at Q = 0
+    cho_Kuu: tuple  # chol_jitter's factor L of Kuu, Q x Q
+    Psi: list  # per-output Kfu_m L^-T (kernels.whiten), (n_m, Q)
+    B_blocks: list  # per-output residual (at Q = 0 full) covariance blocks
     fixed: list  # per-output Conditioned at the fixed rows' weights
-
-    @property
-    def has_inducing(self):
-        return self.fu_blocks is not None
 
 
 @dataclass
@@ -252,10 +257,10 @@ class StackedSystem(KernelHalf):
     cho_U: list  # P~_m = I + S_U B~_m S_U's factor (c, True), or None when U is empty
     Z: list  # Z_U = L~^-1 S_U [Psi~ | y~], (n_U, k)
     ZZ: list  # Z_m' Z_m = Z_F'Z_F + Z_U'Z_U: [[M1_m, beta_m], [beta_m', y_m' E_m^-1 y_m]]
-    A: np.ndarray  # I + sum_m M1_m
+    A: np.ndarray  # I + sum_m M1_m, Q x Q
     cho_A: tuple
-    beta: np.ndarray  # sum_m Psi_m' E_m^-1 y_m
-    c: np.ndarray  # A^-1 beta
+    beta: np.ndarray  # sum_m Psi_m' E_m^-1 y_m, (Q,)
+    c: np.ndarray  # A^-1 beta, (Q,)
 
 
 class RowSqdiffs(NamedTuple):
@@ -266,7 +271,7 @@ class RowSqdiffs(NamedTuple):
 
     rows: list  # per-output row-index arrays
     ff: list  # per-output kernels.sqdiff(X[r], X[r])
-    fu: list  # per-output kernels.sqdiff(X[r], W), or None without inducing inputs
+    fu: list  # per-output kernels.sqdiff(X[r], W), or None at Q = 0 (no W)
     n_fixed: list  # per output, how many leading rows no other output holds
 
 
@@ -302,35 +307,37 @@ def row_sqdiffs(X, rows, W=None):
 def _kernel_half(X, hp, rows, t2, y_blocks, s_blocks):
     """build_system's KernelHalf: the kernel blocks, Kuu's factor, each B_m, the fixed rows out."""
     if isinstance(hp, IndependentSEHyperParams):
+        # Q = 0: no inducing block, so Psi_m has no columns and B_m is the whole block
         if t2 is None:
             t2 = row_sqdiffs(X, rows)
         ff_blocks = [kernels.se_block(t2_m, out) for t2_m, out in zip(t2.ff, hp.outputs)]
+        fu_blocks = kuu_block = None
+        cho_Kuu = (np.zeros((0, 0), order="F"), True)
+        Psi = [np.zeros((len(r), 0)) for r in rows]
         B_blocks = [b.K for b in ff_blocks]
-        return KernelHalf(rows=rows, ff_blocks=ff_blocks, fu_blocks=None, kuu_block=None,
-                          cho_Kuu=None, Psi=None, B_blocks=B_blocks,
-                          fixed=_condition(B_blocks, None, y_blocks, s_blocks, t2.n_fixed))
-    if not isinstance(hp, HyperParams):
+    elif isinstance(hp, HyperParams):
+        W = hp.inducing.W
+        if t2 is None:
+            t2 = row_sqdiffs(X, rows, W)
+        kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
+        cho_Kuu = kernels.chol_jitter(kuu_block.K)[0]
+        ff_blocks, fu_blocks, Psi, B_blocks = [], [], [], []
+        for t2_m, t2_fu_m, out in zip(t2.ff, t2.fu, hp.outputs):
+            ff_m = kernels.kff_block(t2_m, out, hp.latent)
+            fu_m = kernels.kfu_block(t2_fu_m, out, hp.latent)
+            Psi_m = kernels.whiten(cho_Kuu, fu_m.K)
+            # B_m = Kff_m - Psi_m Psi_m' in Kff_m's array, then (B_m + B_m') / 2;
+            # Kff_m is not kept, since the chain reads only the block's t2 and unit
+            B_m = ff_m.K
+            B_m -= _gemm(Psi_m, Psi_m.T)
+            B_m = np.add(B_m, B_m.T)
+            B_m *= 0.5
+            B_blocks.append(B_m)
+            ff_blocks.append(ff_m._replace(K=None))
+            fu_blocks.append(fu_m)
+            Psi.append(Psi_m)
+    else:
         raise TypeError("unsupported hyperparameter container: %r" % type(hp))
-    W = hp.inducing.W
-    if t2 is None:
-        t2 = row_sqdiffs(X, rows, W)
-    kuu_block = kernels.kuu_block(kernels.sqdiff(W, W), hp.latent)
-    cho_Kuu = kernels.chol_jitter(kuu_block.K)[0]
-    ff_blocks, fu_blocks, Psi, B_blocks = [], [], [], []
-    for t2_m, t2_fu_m, out in zip(t2.ff, t2.fu, hp.outputs):
-        ff_m = kernels.kff_block(t2_m, out, hp.latent)
-        fu_m = kernels.kfu_block(t2_fu_m, out, hp.latent)
-        Psi_m = kernels.whiten(cho_Kuu, fu_m.K)
-        # B_m = Kff_m - Psi_m Psi_m' in Kff_m's array, then (B_m + B_m') / 2;
-        # Kff_m is not kept, since the chain reads only the block's t2 and unit
-        B_m = ff_m.K
-        B_m -= _gemm(Psi_m, Psi_m.T)
-        B_m = np.add(B_m, B_m.T)
-        B_m *= 0.5
-        B_blocks.append(B_m)
-        ff_blocks.append(ff_m._replace(K=None))
-        fu_blocks.append(fu_m)
-        Psi.append(Psi_m)
     return KernelHalf(rows=rows, ff_blocks=ff_blocks, fu_blocks=fu_blocks, kuu_block=kuu_block,
                       cho_Kuu=cho_Kuu, Psi=Psi, B_blocks=B_blocks,
                       fixed=_condition(B_blocks, Psi, y_blocks, s_blocks, t2.n_fixed))
@@ -345,8 +352,7 @@ def _condition(B_blocks, Psi, y_blocks, s_blocks, n_fixed):
     """
     fixed = []
     for m, (B_m, n_F) in enumerate(zip(B_blocks, n_fixed)):
-        y_m = y_blocks[m][:, None]
-        rhs = y_m if Psi is None else np.hstack((Psi[m], y_m))
+        rhs = np.hstack((Psi[m], y_blocks[m][:, None]))
         s_F, k = s_blocks[m][:n_F], rhs.shape[1]
         if n_F == 0:
             fixed.append(Conditioned(0, s_F, None, 0.0, np.zeros((0, len(B_m))), B_m, rhs,
@@ -411,10 +417,9 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
                                                   s_blocks, [f.n_F for f in kernel.fixed]))
     _check_resolved(kernel.B_blocks, s_blocks)
     M = len(rows)
-    if kernel.has_inducing:
-        Q = kernel.cho_Kuu[0].shape[0]
-        A = np.eye(Q)
-        beta = np.zeros(Q)
+    Q = kernel.cho_Kuu[0].shape[0]
+    A = np.eye(Q)
+    beta = np.zeros(Q)
 
     logdet_P, cho_U, Z, ZZ = [0.0] * M, [None] * M, [None] * M, [None] * M
     for m, f in enumerate(kernel.fixed):
@@ -432,17 +437,12 @@ def build_system(X, y, hp, rows, w_blocks, kernel=None, t2=None):
             Z[m] = dtrsm(1.0, cho_U[m][0], np.multiply(f.R, s_U[:, None], order="F"), lower=1,
                          overwrite_b=1)
             ZZ[m] = ZZ[m] + _gemm(Z[m].T, Z[m])
-        if kernel.has_inducing:
-            A += ZZ[m][:Q, :Q]
-            beta += ZZ[m][:Q, Q]
+        A += ZZ[m][:Q, :Q]
+        beta += ZZ[m][:Q, Q]
 
-    if kernel.has_inducing:
-        A = 0.5 * (A + A.T)
-        cho_A = cho_factor(A)
-        c = cho_solve(cho_A, beta)
-    else:
-        A = cho_A = None
-        beta = c = None
+    A = 0.5 * (A + A.T)
+    cho_A = cho_factor(A)
+    c = cho_solve(cho_A, beta)
 
     return StackedSystem(
         **{f.name: getattr(kernel, f.name) for f in fields(KernelHalf)},
@@ -488,7 +488,7 @@ def factor_solves(sys: StackedSystem, m):
     halves into a Fortran-ordered array of the caller's own, which the
     system does not hold; one back-substitution with it against
     Z = [Z_F; Z_U] gives P_m^-1 S_m [Psi_m | y_m]: V_m = P_m^-1 S_m Psi_m
-    and alpha_m = P_m^-1 S_m y_m (alpha_m alone without inducing inputs).
+    and alpha_m = P_m^-1 S_m y_m (alpha_m alone at Q = 0).
     Only the triangle below the diagonal and the diagonal are read.
     """
     f = sys.fixed[m]
@@ -520,7 +520,7 @@ def posterior_moments(sys: StackedSystem):
     the Cholesky factor of A,
       mean = X'(z_y - Z_Psi c) + Psi~ c + (y_U - y~),
       var = diag(B~) - colsum(X o X) + rowsum((x L_A^-T)^2)
-    (without inducing inputs the c and x terms drop); a row with w = 0
+    (at Q = 0 the c and x terms are empty and add 0); a row with w = 0
     gets the moments the other rows imply.  No fixed row's moments are
     computed: its pi step returns its one-hot prior whatever they are.
     """
@@ -535,15 +535,12 @@ def posterior_moments(sys: StackedSystem):
         X = dtrsm(1.0, sys.cho_U[m][0], np.multiply(f.B, s_U[:, None], order="F"), lower=1,
                   overwrite_b=1)
         Z = sys.Z[m]
+        Psi_t = f.R[:, :-1]
         mean = sys.y_blocks[m][f.n_F:] - f.R[:, -1]
+        mean += X.T @ (Z[:, -1] - Z[:, :-1] @ sys.c) + Psi_t @ sys.c
         var = np.diag(f.B) - np.einsum("ij,ij->j", X, X)
-        if sys.has_inducing:
-            Psi_t = f.R[:, :-1]
-            mean += X.T @ (Z[:, -1] - Z[:, :-1] @ sys.c) + Psi_t @ sys.c
-            p = kernels.whiten(sys.cho_A, Psi_t - _gemm(X.T, Z[:, :-1]))
-            var += np.einsum("nq,nq->n", p, p)
-        else:
-            mean += X.T @ Z[:, -1]
+        p = kernels.whiten(sys.cho_A, Psi_t - _gemm(X.T, Z[:, :-1]))
+        var += np.einsum("nq,nq->n", p, p)
         means.append(mean)
         variances.append(var)
     return means, variances
@@ -559,11 +556,8 @@ def gauss_loglik(sys: StackedSystem):
     That is -1/2 (sum_m log|P_m| + log|A| + y' Sigma^-1 y), with
     y' Sigma^-1 y = sum_m y_m' E_m^-1 y_m - beta' c.
     """
-    logdet = sum(sys.logdet_P)
-    quad = sum(float(ZZ_m[-1, -1]) for ZZ_m in sys.ZZ)
-    if sys.has_inducing:
-        logdet += _logdet_from_cho(sys.cho_A)
-        quad -= float(sys.beta @ sys.c)
+    logdet = sum(sys.logdet_P) + _logdet_from_cho(sys.cho_A)
+    quad = sum(float(ZZ_m[-1, -1]) for ZZ_m in sys.ZZ) - float(sys.beta @ sys.c)
     return -0.5 * (logdet + quad)
 
 
@@ -574,7 +568,8 @@ class MatrixGrads:
     dE_blocks[m] is the derivative w.r.t. the same-output covariance
     block Kff_m; dKfu_blocks and dKuu carry the total derivatives w.r.t.
     the cross and inducing blocks (dKuu symmetric, through Kuu's Cholesky
-    factor) with the Nystrom-residual paths already folded in.
+    factor) with the Nystrom-residual paths already folded in; for the
+    independent model (Q = 0) they are (n_m, 0) blocks and a 0 x 0 dKuu.
     dlogw_blocks[m] is the derivative w.r.t. log w_m,
     -w o ((y - mean)^2 + var) / 2 with the posterior mean and variance of f
     at the rows (posterior_moments gives them at the moving rows).
@@ -604,45 +599,36 @@ def gauss_loglik_grads(sys: StackedSystem):
     and dKuu is the Cholesky pullback of
     -Psi_bar' Psi = Psi' G Psi - sum_m Psi_m' G_mm Psi_m.
     """
-    M = len(sys.rows)
-    if sys.has_inducing:
-        Q = len(sys.c)
-        Ainv = cho_inverse(sys.cho_A)
-        M1 = sys.A - np.eye(Q)
-        # L' Lbar = -Psi_bar' Psi: Psi' G Psi less its blockwise part, accumulated
-        X = M1 - M1 @ Ainv @ M1 - np.outer(sys.c, sys.c)
+    Q = len(sys.c)
+    Ainv = cho_inverse(sys.cho_A)
+    M1 = sys.A - np.eye(Q)
+    # L' Lbar = -Psi_bar' Psi: Psi' G Psi less its blockwise part, accumulated
+    X = M1 - M1 @ Ainv @ M1 - np.outer(sys.c, sys.c)
     dE, dlogw, dKfu = [], [], []
-    for m in range(M):
-        s_m = sys.s_blocks[m]
+    for m, s_m in enumerate(sys.s_blocks):
         if len(s_m) == 0:
             dE.append(np.zeros((0, 0)))
             dlogw.append(np.zeros(0))
-            dKfu.append(np.zeros((0, len(sys.c))) if sys.has_inducing else None)
+            dKfu.append(np.zeros((0, Q)))
             continue
         cho, solved = factor_solves(sys, m)
-        r = solved[:, -1]  # the scaled residual S^-1 Sigma^-1 y
+        Vm = solved[:, :-1]
+        r = solved[:, -1] - Vm @ sys.c  # the scaled residual S^-1 Sigma^-1 y
         # G~_m = P_m^-1 - [V_m A^-1, r] [V_m, r]', both in the array of cho's factor
         G = cho_inverse(cho, overwrite=True)
-        if sys.has_inducing:
-            Vm = solved[:, :-1]
-            r = r - Vm @ sys.c
-            VAr = np.column_stack((_gemm(Vm, Ainv), r))  # [V_m A^-1, r]
-            G = dgemm(-1.0, VAr, np.column_stack((Vm, r)), beta=1.0, c=G, trans_b=1,
-                      overwrite_c=1)
-        else:
-            G -= np.outer(r, r)
+        VAr = np.column_stack((_gemm(Vm, Ainv), r))  # [V_m A^-1, r]
+        G = dgemm(-1.0, VAr, np.column_stack((Vm, r)), beta=1.0, c=G, trans_b=1, overwrite_c=1)
         dlogw.append(0.5 * (np.diag(G) - 1.0))
-        if sys.has_inducing:
-            M1_m = sys.ZZ[m][:Q, :Q]
-            kr_m = (s_m[:, None] * sys.Psi[m]).T @ r
-            X -= M1_m - M1_m @ Ainv @ M1_m - np.outer(kr_m, kr_m)
-            # dKfu_m = S_m [V_m A^-1, r] ([M1 - M1_m; (c - kr_m)'] L^-1)
-            right = np.vstack((M1 - M1_m, sys.c - kr_m))
-            d = _gemm(VAr, kernels.whiten_grad_k(sys.cho_Kuu, right))
-            d *= s_m[:, None]
-            dKfu.append(d)
+        M1_m = sys.ZZ[m][:Q, :Q]
+        kr_m = (s_m[:, None] * sys.Psi[m]).T @ r
+        X -= M1_m - M1_m @ Ainv @ M1_m - np.outer(kr_m, kr_m)
+        # dKfu_m = S_m [V_m A^-1, r] ([M1 - M1_m; (c - kr_m)'] L^-1)
+        right = np.vstack((M1 - M1_m, sys.c - kr_m))
+        d = _gemm(VAr, kernels.whiten_grad_k(sys.cho_Kuu, right))
+        d *= s_m[:, None]
+        dKfu.append(d)
         G *= -0.5 * s_m  # G_mm = S_m G~ S_m, after G~'s last read
         G *= s_m[:, None]
         dE.append(G)
-    dKuu = kernels.whiten_grad_kuu(sys.cho_Kuu, X) if sys.has_inducing else None
+    dKuu = kernels.whiten_grad_kuu(sys.cho_Kuu, X)
     return MatrixGrads(dE_blocks=dE, dKfu_blocks=dKfu, dKuu=dKuu, dlogw_blocks=dlogw)

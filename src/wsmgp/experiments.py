@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmv
 
 from . import kernels
-from .baselines import fit_omgp, fit_omgp_ws, fit_scmgp
+from .baselines import fit_omgp, fit_omgp_ws, fit_scmgp, strip_labels
 from .kernels import (
     HyperParams,
     InducingInputs,
@@ -218,16 +218,30 @@ _BASELINE_FITS = {"omgp": fit_omgp, "omgp-ws": fit_omgp_ws, "scmgp": fit_scmgp}
 MODEL_NAMES = ("wsmgp", "wsmgp-nodir") + tuple(_BASELINE_FITS)
 
 
+def fit_inputs(name, ds, cfg: ModelConfig):
+    """(dataset, ModelConfig) that the named model's fit reads; predict from the same pair.
+
+    OMGP reads ds with its labels removed (baselines.strip_labels), and
+    the models without the Dirichlet hyperprior (wsmgp-nodir, OMGP and
+    OMGP-WS) read cfg with use_dirichlet off; the others read both as
+    they are.
+    """
+    if name not in MODEL_NAMES:
+        raise ValueError("unknown model %r (expected one of %s)" % (name, MODEL_NAMES))
+    if name == "omgp":
+        ds = strip_labels(ds)
+    if name in ("wsmgp-nodir", "omgp", "omgp-ws"):
+        cfg = replace(cfg, use_dirichlet=False)
+    return ds, cfg
+
+
 def fit_model(name, ds, cfg: ModelConfig, opt_cfg: OptimizerConfig, bound="cvb"):
-    """Dispatch a model name (one of MODEL_NAMES) to its fit routine."""
+    """Dispatch a model name (one of MODEL_NAMES) to its fit routine, on fit_inputs' pair."""
+    ds, cfg = fit_inputs(name, ds, cfg)
     if name in _BASELINE_FITS:
         if bound == "svb":
             raise ValueError("baseline %r supports the collapsed bound only" % name)
         return _BASELINE_FITS[name](ds, cfg, opt_cfg)
-    if name not in MODEL_NAMES:
-        raise ValueError("unknown model %r (expected one of %s)" % (name, MODEL_NAMES))
-    if name == "wsmgp-nodir":
-        cfg = replace(cfg, use_dirichlet=False)
     fit = fit_svb_em if bound == "svb" else fit_cvb
     return fit(ds, cfg, None, opt_cfg)
 
@@ -255,7 +269,8 @@ def run_cell(gamma, l_frac, model, replicate, base_cfg, opt_cfg, synth: Syntheti
     opt = replace(opt_cfg, seed=seed)
     t0 = time.perf_counter()
     report = fit_model(model, ds, base_cfg, opt)
-    pred = posterior_predict(ds, base_cfg, report.final_hp, report.final_state, truth.grid)
+    pred = posterior_predict(*fit_inputs(model, ds, base_cfg), report.final_hp,
+                             report.final_state, truth.grid)
     result = ExperimentResult(gamma, l_frac, model, replicate, seed, rmse_eval(pred, truth.curves),
                               rmse_eval(pred, truth.heldout_y), bound=report.bound_trajectory[-1])
     if report.final_state is not None:  # SCMGP assigns no rows

@@ -129,8 +129,7 @@ def _chain_convolved(hp, mg: engine.MatrixGrads, kuu_block, fu_blocks, ff_blocks
     d_S = c_S * a_fu + ff_S
     d_Lm = c_Lm.contract(a_fu, b_fu) + ff_Lm
     d_L = np.sum(c_L.contract(a_fu, b_fu) + ff_L, axis=0)
-    if mg.dKuu is not None:
-        d_L += kernels.kuu_coeffs(hp.latent).contract(*kernels.contract(mg.dKuu, kuu_block))[0]
+    d_L += kernels.kuu_coeffs(hp.latent).contract(*kernels.contract(mg.dKuu, kuu_block))[0]
     # to unconstrained coordinates: amplitudes free, precisions in log space
     d_Lm *= np.stack([out.Lm for out in hp.outputs])
     d_L *= hp.latent.L

@@ -379,10 +379,13 @@ def cho_solve(cho, b):
     """scipy.linalg.cho_solve(cho, b) through LAPACK's dpotrs, the routine it calls.
 
     cho is a (c, lower) pair from cho_factor; a non-finite b raises
-    ValueError, as cho_solve's check does.
+    ValueError, as cho_solve's check does.  A 0 x 0 factor solves to the
+    empty result, which dpotrs, rejecting n = 0, does not give.
     """
     _check_finite(b)
     c, lower = cho
+    if c.shape[0] == 0:
+        return np.zeros(np.shape(b))
     x, info = dpotrs(c, b, lower=lower)
     if info:
         raise ValueError("illegal value in %dth argument of internal potrs" % -info)

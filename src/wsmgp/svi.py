@@ -138,19 +138,15 @@ def expected_loglik_terms(y, mu, var, pi_col, sigma_m):
     return -0.5 * prec * (resid * resid + var)
 
 
-def elbo_svb(ds, cfg, hp, state, batch=None, tables=None):
-    """Stochastic variational bound; full-batch when batch is None.
-
-    tables are the RowTables of the evaluated rows at hp if the caller has them.
-    """
+def elbo_svb(ds, cfg, hp, state, batch=None):
+    """Stochastic variational bound; full-batch when batch is None."""
     if batch is None:
         rows = np.arange(ds.n)
         scale = 1.0
     else:
         rows = np.asarray(batch, dtype=int)
         scale = ds.n / len(rows)
-    if tables is None:
-        tables = row_tables(ds.X[rows], hp)
+    tables = row_tables(ds.X[rows], hp)
     mu, var = _qu_moments(tables.psi, tables.r, state.mu_u, state.Su)
     data = float(np.sum(expected_loglik_terms(
         ds.y[rows], mu, var, state.pi_hat[rows].T, hp.noise.sigma[:, None]

@@ -303,7 +303,7 @@ def dense_posterior(sys):
     sizes = [len(r) for r in sys.rows]
     start = np.cumsum([0] + sizes)
     K = np.zeros((start[-1], start[-1]))
-    if sys.has_inducing:
+    if len(sys.c):
         Kfu = np.vstack([b.K for b in sys.fu_blocks])
         K += Kfu @ cho_solve(sys.cho_Kuu, Kfu.T)
     for m, B_m in enumerate(sys.B_blocks):
@@ -352,7 +352,7 @@ class LongDoubleBound:
         ld = np.longdouble
         start = np.cumsum([0] + [len(r) for r in sys.rows])
         K = np.zeros((start[-1], start[-1]), dtype=ld)
-        if sys.has_inducing:
+        if len(sys.c):
             # the jittered Kuu that sys.cho_Kuu factors
             kuu = sys.kuu_block.K + kernels.chol_jitter(sys.kuu_block.K)[1] * np.eye(len(sys.c))
             X = _ld_forward(_ld_cholesky(kuu.astype(ld)),

@@ -56,6 +56,11 @@ def test_round_trip(workdir, model, bound):
     fit = _fit(workdir, gen, bound, model)
     doc = json.loads((fit / "model.json").read_text())
     assert doc["data"]["n"] == 24
+    # the model and the configuration its fit used: no Dirichlet hyperprior
+    # in the ablation and the two OMGP baselines
+    assert doc["model"] == model
+    assert doc["config"] == {"M": 2, "Q": 6,
+                             "useDirichlet": model not in ("wsmgp-nodir", "omgp", "omgp-ws")}
     # only a stochastic fit has a q(u); a collapsed one integrates u out
     state = doc.get("state", {})
     assert ("mu_u" in state) == ("Su" in state) == (bound == "svb")
@@ -81,6 +86,39 @@ def test_round_trip(workdir, model, bound):
     assert (model == "scmgp") == ("label_accuracy" not in metrics)
     if labels:
         assert 0.0 <= metrics["label_accuracy"] <= 1.0
+
+
+def _relabel(lines, change):
+    """dataset.csv lines with every label swapped between the two outputs, or removed."""
+    out = [lines[0]]
+    for line in lines[1:]:
+        x, y, label, *pi = line.split(",")
+        if label and change == "swap":
+            label, pi = str(3 - int(label)), pi[::-1]
+        elif label:
+            label, pi = "", [""] * len(pi)
+        out.append(",".join([x, y, label, *pi]))
+    return out
+
+
+def test_omgp_curves_ignore_the_labels(workdir):
+    # OMGP fits the data without its labels, and fit and predict both
+    # predict from that data, so the labels change no byte of curves.csv
+    gen = _generate(workdir, "gen", 3)
+    lines = (gen / "dataset.csv").read_text().splitlines()
+    curves = []
+    for change in ("none", "swap", "remove"):
+        data = workdir / ("%s.csv" % change)
+        data.write_text("\n".join(lines if change == "none" else _relabel(lines, change)) + "\n")
+        fit, pred = workdir / ("fit_" + change), workdir / ("pred_" + change)
+        _run("fit", "--config", workdir / "cfg.txt", "--data", data, "--model", "omgp",
+             "--out", fit)
+        _run("predict", "--config", workdir / "cfg.txt", "--data", data,
+             "--params", fit / "model.json", "--out", pred)
+        curves.append((fit / "curves.csv").read_text())
+        assert (pred / "curves.csv").read_text() == curves[-1]
+    assert lines != _relabel(lines, "swap") != _relabel(lines, "remove")
+    assert curves[1] == curves[0] and curves[2] == curves[0]
 
 
 def _edit(lines, change):
